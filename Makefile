@@ -11,7 +11,7 @@ CAARLINT := bin/caarlint
 # tools/cmd/caarlint/main.go (`caarlint -list` prints the same set).
 CAARLINT_ANALYZERS := cowmut readpathlock metricname fsyncrename errstatus lockorder goroutinelife atomicfield batchalias
 
-.PHONY: all check lint vet staticcheck caarlint tools-test build test race race-matrix fuzz-smoke bench bench-smoke bench-contention bench-hot bench-ingest hot-smoke ingest-smoke soak-smoke capture-smoke bench-diff clean
+.PHONY: all check lint vet staticcheck caarlint tools-test build test race race-matrix fuzz-smoke bench bench-canonical hot-smoke ingest-smoke soak-smoke capture-smoke clean
 
 all: check
 
@@ -109,12 +109,14 @@ fuzz-smoke:
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ ./...
 
-# bench-smoke runs the same workload twice — flight recorder off, then
-# capturing every request — and fails if the /v1/metrics scrape is empty,
-# if the traced phase captured no traces, or if full-rate tracing grew the
-# recommend p99 by more than 10%.
-bench-smoke:
-	$(GO) run ./cmd/adbench -serve-bench 5s -bench-out BENCH_PR3.json
+# bench-canonical runs the four BENCHMARK.json workloads through the
+# canonical harness at the manifest's run length. It is the only source of
+# speed numbers: a performance claim names one of its metrics on one of
+# these workloads, before and after (see bench/README.md).
+bench-canonical:
+	for w in fanout_stream read_http write_http mixed_http; do \
+		bash bench/run.sh --workload $$w --seed 1 --seconds 10 --trace 0 || exit 1; \
+	done
 
 # soak-smoke is the crash-recovery soak in its CI-sized configuration: both
 # binaries built with the race detector, 3 random SIGKILL cycles plus the 3
@@ -128,30 +130,6 @@ soak-smoke:
 	./bin/adsoak -server-bin bin/adserver -addr 127.0.0.1:9784 \
 		-users 80 -ads 200 -messages 2500 -events-per-cycle 150 \
 		-kills 3 -out BENCH_SOAK.json
-
-# bench-contention drives parallel Recommend workers against a live engine
-# while a writer churns AddAd/RemoveAd, at 1/4/8 workers, and writes the
-# per-phase throughput, exact latency quantiles, and speedup-vs-1-worker to
-# BENCH_PR4.json.
-bench-contention:
-	$(GO) run ./cmd/adbench -contention 6s -contention-out BENCH_PR4.json
-
-# bench-hot measures what always-on hot-key telemetry costs the serving
-# path: the same ABBA-interleaved workload with tracking disabled vs enabled
-# (live aggregator goroutine), gated at 5% recommend-p99 growth. Also
-# verifies the hot-on phase's /v1/hot names the workload's hot keys. Writes
-# BENCH_PR8.json.
-bench-hot:
-	$(GO) run ./cmd/adbench -hot-bench 6s -hot-out BENCH_PR8.json
-
-# bench-ingest measures what group commit buys the write path: synchronous
-# journaled posts (one fsync each) vs the batched ingest pipeline (one fsync
-# per group commit), both on real files with -fsync always. Gated at 2x
-# posts/s, 5x fewer fsyncs per post with a mean batch of at least 8, and
-# at most 10% recommend-p99 growth under a matched paced write load. Writes
-# BENCH_PR9.json.
-bench-ingest:
-	$(GO) run ./cmd/adbench -ingest-bench 6s -ingest-out BENCH_PR9.json
 
 # ingest-smoke is the end-to-end backpressure drill, race-built: a live
 # server with a deliberately tiny ingest ring behind a slow journal must
@@ -175,16 +153,6 @@ hot-smoke:
 # can upload it.
 capture-smoke:
 	$(GO) run ./cmd/adbench -capture-smoke -capture-smoke-dir capture-smoke
-
-# bench-diff compares the checked-in benchmark artifacts across PRs and
-# writes BENCH_TRAJECTORY.json. The four files come from different harnesses
-# (and, for checked-in baselines, different hardware), so consecutive pairs
-# are cross-kind and reported informationally; regenerate a same-kind pair
-# (e.g. two -contention runs) to get a gated verdict with the default 10%
-# budget.
-bench-diff:
-	$(GO) run ./cmd/benchdiff -out BENCH_TRAJECTORY.json \
-		BENCH_PR2.json BENCH_PR3.json BENCH_PR4.json BENCH_SOAK.json BENCH_PR8.json BENCH_PR9.json
 
 clean:
 	$(GO) clean ./...

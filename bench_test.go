@@ -120,9 +120,7 @@ func BenchmarkRecommend(b *testing.B) {
 
 // BenchmarkRecommendParallel measures top-5 queries issued from GOMAXPROCS
 // goroutines at once while a writer churns AddAd/RemoveAd — the read path
-// must scale instead of serializing on global engine state. (The
-// `cmd/adbench -contention` bench measures the same shape at fixed worker
-// counts and emits BENCH_PR4.json.)
+// must scale instead of serializing on global engine state.
 func BenchmarkRecommendParallel(b *testing.B) {
 	eng, names, now := benchEngine(b, caar.AlgorithmCAP, 200, 5000)
 	stop := make(chan struct{})

@@ -120,14 +120,14 @@ func runHotSmoke() error {
 		}
 	}
 
-	posters, err := hotTopKeys(&servePhase{ts: ts, client: client}, "posters")
+	posters, err := hotTopKeys(client, ts.URL, "posters")
 	if err != nil {
 		return err
 	}
 	if len(posters) == 0 || posters[0] != users[0] {
 		return fmt.Errorf("hot-smoke: planted celebrity %s not the top poster: %v", users[0], posters)
 	}
-	hotUsers, err := hotTopKeys(&servePhase{ts: ts, client: client}, "users")
+	hotUsers, err := hotTopKeys(client, ts.URL, "users")
 	if err != nil {
 		return err
 	}
@@ -152,4 +152,34 @@ func runHotSmoke() error {
 
 	fmt.Printf("hot-smoke: ok — top poster %s, top user %s, caar_hot_* families exported\n", posters[0], hotUsers[0])
 	return nil
+}
+
+// hotTopKeys fetches one dimension from the server's /v1/hot and returns its
+// ranked key names.
+func hotTopKeys(client *http.Client, baseURL, dim string) ([]string, error) {
+	resp, err := client.Get(baseURL + "/v1/hot?dim=" + dim)
+	if err != nil {
+		return nil, fmt.Errorf("hot query: %w", err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("hot query: status %d", resp.StatusCode)
+	}
+	var doc struct {
+		Dimensions []struct {
+			Keys []struct {
+				Key string `json:"key"`
+			} `json:"keys"`
+		} `json:"dimensions"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+		return nil, fmt.Errorf("hot query: %w", err)
+	}
+	var keys []string
+	for _, d := range doc.Dimensions {
+		for _, k := range d.Keys {
+			keys = append(keys, k.Key)
+		}
+	}
+	return keys, nil
 }

@@ -6,12 +6,12 @@
 //	adbench -exp F1            # one experiment at default scale
 //	adbench -exp all -scale 1  # the full grid at full scale
 //	adbench -list              # list experiment IDs and titles
-//	adbench -serve-bench 5s    # tracing-overhead bench + metrics smoke test
-//	adbench -contention 3s     # parallel-recommend-under-writer-churn bench
-//	adbench -hot-bench 5s      # hot-key telemetry overhead bench (tracking on vs off)
 //	adbench -hot-smoke         # end-to-end /v1/hot smoke: planted hot key must surface
-//	adbench -ingest-bench 6s   # group-commit write-path bench (batched ingest vs sync)
 //	adbench -ingest-smoke      # end-to-end ingest backpressure smoke: burst, 429s, drain
+//	adbench -capture-smoke     # end-to-end incident smoke: SLO trip must capture an attributable profile
+//
+// Speed numbers come from the canonical benchmark (bench/run.sh), not from
+// this command.
 package main
 
 import (
@@ -27,18 +27,10 @@ func main() {
 	exp := flag.String("exp", "all", "experiment ID (T1, F1, …, or 'all')")
 	scale := flag.Float64("scale", 0.1, "workload scale factor (1.0 = full evaluation size)")
 	list := flag.Bool("list", false, "list available experiments and exit")
-	serveBench := flag.Duration("serve-bench", 0, "run the in-process HTTP server bench for this long and exit (0 = off)")
-	benchOut := flag.String("bench-out", "BENCH_PR3.json", "output file for -serve-bench results")
-	contention := flag.Duration("contention", 0, "run the parallel-recommend contention bench for this long per worker count and exit (0 = off)")
-	contentionOut := flag.String("contention-out", "BENCH_PR4.json", "output file for -contention results")
 	captureSmoke := flag.Bool("capture-smoke", false, "inject a serving-path latency fault, verify the SLO watchdog trips and captures an attributable CPU profile, and exit")
 	captureSmokeOut := flag.String("capture-smoke-out", "BENCH_CAPTURE_SMOKE.json", "output file for -capture-smoke results")
 	captureSmokeDir := flag.String("capture-smoke-dir", "", "keep the -capture-smoke bundle under this directory (empty = throwaway temp dir)")
-	hotBench := flag.Duration("hot-bench", 0, "run the hot-key-telemetry overhead bench for this long and exit (0 = off)")
-	hotOut := flag.String("hot-out", "BENCH_PR8.json", "output file for -hot-bench results")
 	hotSmoke := flag.Bool("hot-smoke", false, "serve traffic with a planted hot key, verify /v1/hot names it, and exit")
-	ingestBench := flag.Duration("ingest-bench", 0, "run the group-commit write-path bench for this long and exit (0 = off)")
-	ingestOut := flag.String("ingest-out", "BENCH_PR9.json", "output file for -ingest-bench results")
 	ingestSmoke := flag.Bool("ingest-smoke", false, "burst a tiny ingest ring behind a slow journal, verify 429+Retry-After shedding, drain, check invariants, and exit")
 	flag.Parse()
 
@@ -60,40 +52,8 @@ func main() {
 		return
 	}
 
-	if *serveBench > 0 {
-		if err := runServeBench(*serveBench, *benchOut); err != nil {
-			fmt.Fprintln(os.Stderr, "adbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *contention > 0 {
-		if err := runContentionBench(*contention, *contentionOut); err != nil {
-			fmt.Fprintln(os.Stderr, "adbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *hotBench > 0 {
-		if err := runHotBench(*hotBench, *hotOut); err != nil {
-			fmt.Fprintln(os.Stderr, "adbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
 	if *hotSmoke {
 		if err := runHotSmoke(); err != nil {
-			fmt.Fprintln(os.Stderr, "adbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *ingestBench > 0 {
-		if err := runIngestBench(*ingestBench, *ingestOut); err != nil {
 			fmt.Fprintln(os.Stderr, "adbench:", err)
 			os.Exit(1)
 		}

@@ -21,12 +21,11 @@
 // snapshot, and — with both flags set — resets the journal, whose events the
 // snapshot now embeds, so the next startup doesn't double-apply them.
 //
-// Ingest: posts and check-ins go through the batched asynchronous pipeline by
-// default — accepted into a bounded ring, group-committed to the journal (one
-// fsync per batch), acked after the fsync, and fanned out to shards in
-// batches. A full ring sheds with 429 + Retry-After. Tune with -ingest-queue,
-// -ingest-batch and -ingest-linger; -ingest-off restores the synchronous
-// per-request write path.
+// Ingest: posts and check-ins go through the batched asynchronous pipeline —
+// accepted into a bounded ring, group-committed to the journal (one fsync per
+// batch), acked after the fsync, and fanned out to shards in batches. A full
+// ring sheds with 429 + Retry-After. Tune with -ingest-queue, -ingest-batch
+// and -ingest-linger.
 package main
 
 import (
@@ -93,7 +92,6 @@ func run() error {
 	captureCPU := flag.Duration("capture-cpu", 2*time.Second, "CPU-profile duration inside each capture bundle")
 	hotOff := flag.Bool("hot-off", false, "disable hot-key telemetry (/v1/hot)")
 	hotWindow := flag.Duration("hot-window", 0, "hot-key sliding window (0 = engine default, 1m)")
-	ingestOff := flag.Bool("ingest-off", false, "serve posts and check-ins synchronously instead of through the batched ingest pipeline")
 	ingestQueue := flag.Int("ingest-queue", 4096, "ingest ring capacity, rounded up to a power of two; a full ring sheds with 429")
 	ingestBatch := flag.Int("ingest-batch", 256, "max writes per ingest group commit (one fsync per batch, policy permitting)")
 	ingestLinger := flag.Duration("ingest-linger", 0, "hold a partial ingest batch open this long to let it fill (0 = commit whatever drained)")
@@ -205,25 +203,23 @@ func run() error {
 		recovery = journal.NewRecoveryProgress()
 	}
 
-	// Batched asynchronous ingest (default on): posts and check-ins enter a
-	// bounded ring, a committer group-commits them to the journal (one fsync
-	// per batch) and acks after the fsync, and an applier fans batches out to
-	// the shards. Without -journal the pipeline still batches the fan-out but
-	// the group commit is a no-op, matching the sync path's durability (none)
-	// in that configuration. Control-plane mutations (users, follows, ads,
-	// campaigns) stay on the synchronous journaled path either way.
-	var ing *ingest.Pipeline
-	if !*ingestOff {
-		var ij ingest.Journal = noopJournal{}
-		if jw != nil {
-			ij = jw
-		}
-		ing = ingest.New(eng, ij, reg, ingest.Config{
-			QueueSize: *ingestQueue,
-			MaxBatch:  *ingestBatch,
-			Linger:    *ingestLinger,
-		})
+	// Batched asynchronous ingest: posts and check-ins enter a bounded ring,
+	// a committer group-commits them to the journal (one fsync per batch) and
+	// acks after the fsync, and an applier fans batches out to the shards.
+	// Without -journal the pipeline still batches the fan-out but the group
+	// commit is a no-op: the ack only promises the write will be applied.
+	// Control-plane mutations (users, follows, ads, campaigns) stay on the
+	// synchronous journaled path; the committer's idle timer also flushes
+	// their interval-policy fsync tail.
+	var ij ingest.Journal = noopJournal{}
+	if jw != nil {
+		ij = jw
 	}
+	ing := ingest.New(eng, ij, reg, ingest.Config{
+		QueueSize: *ingestQueue,
+		MaxBatch:  *ingestBatch,
+		Linger:    *ingestLinger,
+	})
 
 	srvOpts := []server.Option{
 		server.WithMaxInFlight(*maxInFlight),
@@ -232,12 +228,10 @@ func run() error {
 		server.WithMetrics(reg),
 		server.WithAccessLog(logger),
 		server.WithSlowRequestThreshold(*slowReq),
+		server.WithIngest(ing),
 	}
 	if recovery != nil {
 		srvOpts = append(srvOpts, server.WithRecoveryProgress(recovery))
-	}
-	if ing != nil {
-		srvOpts = append(srvOpts, server.WithIngest(ing))
 	}
 	if *pprofOn {
 		// Profiling is opt-in. It mounts on the server's own mux: operator
@@ -325,30 +319,11 @@ func run() error {
 	if ht := eng.HotTracker(); ht != nil {
 		go ht.Run(ctx.Done())
 	}
-	// With the ingest pipeline off, nothing periodically flushes an
-	// interval-policy journal tail: a mutation inside the fsync window is
-	// only synced by the NEXT append, which on an idle server may never
-	// come. SyncPending is a no-op for the always/never policies, so the
-	// ticker is unconditional when a journal is configured.
-	if jw != nil && ing == nil {
-		go func() {
-			t := time.NewTicker(*fsyncInterval)
-			defer t.Stop()
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				case <-t.C:
-					jw.SyncPending() //nolint:errcheck // degraded state carries the failure
-				}
-			}
-		}()
-	}
 
 	errc := make(chan error, 1)
 	go func() {
-		log.Printf("adserver listening on %s (algorithm=%s shards=%d fsync=%s ingest=%v)",
-			*addr, eng.Algorithm(), *shards, policy, ing != nil)
+		log.Printf("adserver listening on %s (algorithm=%s shards=%d fsync=%s)",
+			*addr, eng.Algorithm(), *shards, policy)
 		if err := httpSrv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
 			errc <- err
 		}
@@ -404,12 +379,10 @@ func run() error {
 	// Drain order matters: the listener is down (no new submissions), so the
 	// pipeline drains everything already acked through commit AND apply
 	// BEFORE the journal is flushed and the snapshot captures final state.
-	if ing != nil {
-		if err := ing.Close(); err != nil {
-			log.Printf("shutdown: ingest drain: %v", err)
-		} else {
-			log.Print("ingest pipeline drained")
-		}
+	if err := ing.Close(); err != nil {
+		log.Printf("shutdown: ingest drain: %v", err)
+	} else {
+		log.Print("ingest pipeline drained")
 	}
 	if jw != nil {
 		if err := jw.Close(); err != nil {
@@ -441,8 +414,7 @@ func run() error {
 
 // noopJournal backs the ingest pipeline when -journal is not configured:
 // group commit is a no-op, so the ack only promises the write will be
-// applied — the same (absent) durability the synchronous path offers in
-// that configuration.
+// applied.
 type noopJournal struct{}
 
 func (noopJournal) AppendBatch([]journal.Entry) error { return nil }

@@ -72,8 +72,8 @@ type Config struct {
 
 	// DisableHotKeys turns off the hot-key telemetry layer (obs/hotkey).
 	// It is on by default: recording is one lock-free bounded-queue write
-	// per observation and the sketches hold a fixed ~0.5 MiB, so serving
-	// cost stays within the ≤5% p99 budget the hot-bench gate enforces.
+	// per observation and the sketches hold a fixed ~0.5 MiB; bench/
+	// reports the serving cost as obs.hotkeys_overhead_share.
 	DisableHotKeys bool
 
 	// HotKeyWindow is the hot-key telemetry sliding window (default 1m,

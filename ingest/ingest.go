@@ -27,6 +27,7 @@ import (
 	"time"
 
 	caar "caar"
+	"caar/internal/ring"
 	"caar/journal"
 	"caar/obs"
 )
@@ -106,7 +107,7 @@ type Pipeline struct {
 	cfg Config
 	m   *metrics
 
-	ring   *ring
+	ring   *ring.Ring[*item]
 	wake   chan struct{}        // nudges the committer after a push
 	applyq chan []journal.Entry // committed batches awaiting fan-out
 	stop   chan struct{}        // closed by Close after producers drain
@@ -128,13 +129,13 @@ func New(eng Engine, jw Journal, reg *obs.Registry, cfg Config) *Pipeline {
 		eng:    eng,
 		jw:     jw,
 		cfg:    cfg,
-		ring:   newRing(cfg.QueueSize),
+		ring:   ring.New[*item](cfg.QueueSize),
 		wake:   make(chan struct{}, 1),
 		applyq: make(chan []journal.Entry, cfg.ApplyDepth),
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
 	}
-	p.m = newMetrics(reg, func() float64 { return float64(p.ring.depth()) })
+	p.m = newMetrics(reg, func() float64 { return float64(p.ring.Depth()) })
 	go p.committer()
 	go p.applier()
 	return p
@@ -170,7 +171,7 @@ func (p *Pipeline) submit(e journal.Entry) error {
 		return ErrClosed
 	}
 	it := &item{entry: e, errc: make(chan error, 1)}
-	pushed := p.ring.push(it)
+	pushed := p.ring.Push(it)
 	p.producers.Add(-1)
 	if !pushed {
 		p.m.rejected.Inc()
@@ -249,7 +250,7 @@ func (p *Pipeline) committer() {
 // drainBatch pops up to MaxBatch items (minus whatever batch already holds).
 func (p *Pipeline) drainBatch(batch []*item) []*item {
 	for len(batch) < p.cfg.MaxBatch {
-		it, ok := p.ring.pop()
+		it, ok := p.ring.Pop()
 		if !ok {
 			break
 		}

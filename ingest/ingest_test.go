@@ -353,45 +353,3 @@ func TestPipelineCloseMidBurstDrainRace(t *testing.T) {
 		t.Fatalf("post-close submit: got %v, want ErrClosed", err)
 	}
 }
-
-func TestRing(t *testing.T) {
-	r := newRing(4)
-	if got := len(r.slots); got != 4 {
-		t.Fatalf("capacity %d, want 4", got)
-	}
-	for i := 0; i < 4; i++ {
-		if !r.push(&item{}) {
-			t.Fatalf("push %d failed on non-full ring", i)
-		}
-	}
-	if r.push(&item{}) {
-		t.Fatal("push succeeded on full ring")
-	}
-	if got := r.depth(); got != 4 {
-		t.Fatalf("depth = %d, want 4", got)
-	}
-	for i := 0; i < 4; i++ {
-		if _, ok := r.pop(); !ok {
-			t.Fatalf("pop %d failed", i)
-		}
-	}
-	if _, ok := r.pop(); ok {
-		t.Fatal("pop succeeded on empty ring")
-	}
-	if got := r.depth(); got != 0 {
-		t.Fatalf("depth = %d, want 0", got)
-	}
-	// Wrap-around reuse.
-	for lap := 0; lap < 3; lap++ {
-		for i := 0; i < 4; i++ {
-			if !r.push(&item{}) {
-				t.Fatalf("lap %d push %d failed", lap, i)
-			}
-		}
-		for i := 0; i < 4; i++ {
-			if _, ok := r.pop(); !ok {
-				t.Fatalf("lap %d pop %d failed", lap, i)
-			}
-		}
-	}
-}

@@ -75,7 +75,7 @@ func (d *driver) prepare() error {
 type replayResult struct {
 	Events    int
 	Elapsed   time.Duration
-	Latency   metrics.LatencyHist
+	Latency   metrics.Samples
 	TopKCalls int
 }
 

@@ -56,7 +56,7 @@ func runT3(r *Runner) error {
 		var (
 			wg      sync.WaitGroup
 			mu      sync.Mutex
-			hist    metrics.LatencyHist
+			lat     metrics.Samples
 			reqErr  error
 			workers = 8
 		)
@@ -66,7 +66,7 @@ func runT3(r *Runner) error {
 			wg.Add(1)
 			go func(wk int) {
 				defer wg.Done()
-				var local metrics.LatencyHist
+				var local metrics.Samples
 				for i := 0; i < perWorker; i++ {
 					user := w.users[(wk*perWorker+i)%len(w.users)]
 					isPost := float64(i%100)/100 < mix.postRatio
@@ -101,7 +101,7 @@ func runT3(r *Runner) error {
 					}
 				}
 				mu.Lock()
-				hist.Merge(&local)
+				lat.Merge(&local)
 				mu.Unlock()
 			}(wk)
 		}
@@ -110,11 +110,11 @@ func runT3(r *Runner) error {
 			return reqErr
 		}
 		elapsed := time.Since(start)
-		tp := metrics.Throughput{Events: hist.Count(), Elapsed: elapsed}
+		tp := metrics.Throughput{Events: lat.Count(), Elapsed: elapsed}
 		r.printf("%-26s %12.1f %10v %10v %10v\n", mix.name, tp.PerSecond(),
-			hist.Quantile(0.5).Round(time.Microsecond),
-			hist.Quantile(0.95).Round(time.Microsecond),
-			hist.Quantile(0.99).Round(time.Microsecond))
+			lat.Quantile(0.5).Round(time.Microsecond),
+			lat.Quantile(0.95).Round(time.Microsecond),
+			lat.Quantile(0.99).Round(time.Microsecond))
 	}
 	return nil
 }

@@ -225,7 +225,7 @@ func TestChaosOverloadShedsAndDrains(t *testing.T) {
 	var (
 		wg        sync.WaitGroup
 		mu        sync.Mutex
-		latencies metrics.LatencyHist
+		latencies metrics.Samples
 		failures  int
 	)
 	for w := 0; w < workers; w++ {

@@ -1,11 +1,12 @@
 // Package metrics provides the evaluation instrumentation of the
 // reproduction: set-retrieval quality (precision / recall / F-score),
-// latency histograms with quantile readout, and throughput meters.
+// exact latency quantiles over raw samples, and throughput meters.
 package metrics
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 )
@@ -84,110 +85,60 @@ func (r *Retrieval) Merge(o Retrieval) {
 	r.FalseNegatives += o.FalseNegatives
 }
 
-// LatencyHist is a log-bucketed latency histogram in the HDR style: fixed
-// memory, ~4% relative bucket width, exact count and sum. The zero value is
-// ready to use. Not safe for concurrent use.
-type LatencyHist struct {
-	buckets [bucketCount]uint64
-	count   uint64
-	sum     time.Duration
-	max     time.Duration
-}
-
-// Bucket layout: bucket i covers [base·g^i, base·g^(i+1)) with base = 100 ns
-// and growth g = 2^(1/16) ≈ 1.044, spanning 100 ns .. ~53 s in 460 buckets.
-const (
-	bucketCount = 460
-	baseLatency = 100 * time.Nanosecond
-)
-
-var bucketGrowth = math.Pow(2, 1.0/16)
-
-func bucketOf(d time.Duration) int {
-	if d < baseLatency {
-		return 0
-	}
-	i := int(math.Log(float64(d)/float64(baseLatency)) / math.Log(bucketGrowth))
-	if i < 0 {
-		i = 0
-	}
-	if i >= bucketCount {
-		i = bucketCount - 1
-	}
-	return i
-}
-
-// bucketLower returns the lower bound of bucket i.
-func bucketLower(i int) time.Duration {
-	return time.Duration(float64(baseLatency) * math.Pow(bucketGrowth, float64(i)))
+// Samples is a raw latency sample set: every observation is kept, so a
+// quantile is a measured value, not a bucket edge (obs.Histogram is the
+// bucketed one, for the serving path where memory must stay fixed). The
+// zero value is ready to use. Not safe for concurrent use.
+type Samples struct {
+	d      []time.Duration
+	sorted bool
 }
 
 // Observe records one latency sample. Negative durations are clamped to 0.
-func (h *LatencyHist) Observe(d time.Duration) {
+func (s *Samples) Observe(d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
-	h.buckets[bucketOf(d)]++
-	h.count++
-	h.sum += d
-	if d > h.max {
-		h.max = d
-	}
+	s.d = append(s.d, d)
+	s.sorted = false
 }
 
 // Count returns the number of samples.
-func (h *LatencyHist) Count() uint64 { return h.count }
+func (s *Samples) Count() uint64 { return uint64(len(s.d)) }
 
-// Mean returns the exact mean latency (0 with no samples).
-func (h *LatencyHist) Mean() time.Duration {
-	if h.count == 0 {
+// Mean returns the mean latency (0 with no samples).
+func (s *Samples) Mean() time.Duration {
+	if len(s.d) == 0 {
 		return 0
 	}
-	return h.sum / time.Duration(h.count)
+	var sum time.Duration
+	for _, d := range s.d {
+		sum += d
+	}
+	return sum / time.Duration(len(s.d))
 }
 
-// Max returns the exact maximum observed latency.
-func (h *LatencyHist) Max() time.Duration { return h.max }
+// Max returns the maximum observed latency (0 with no samples).
+func (s *Samples) Max() time.Duration { return s.Quantile(1) }
 
-// Quantile returns the latency at quantile q ∈ [0, 1], accurate to the
-// bucket width (~4%). Returns 0 with no samples.
-func (h *LatencyHist) Quantile(q float64) time.Duration {
-	if h.count == 0 {
+// Quantile returns the sample at quantile q ∈ [0, 1] (clamped), sorting the
+// set on first use after an Observe or Merge. Returns 0 with no samples.
+func (s *Samples) Quantile(q float64) time.Duration {
+	if len(s.d) == 0 {
 		return 0
 	}
-	if q < 0 {
-		q = 0
+	if !s.sorted {
+		slices.Sort(s.d)
+		s.sorted = true
 	}
-	if q > 1 {
-		q = 1
-	}
-	target := uint64(q * float64(h.count-1))
-	var cum uint64
-	for i, c := range h.buckets {
-		cum += c
-		if cum > target {
-			return bucketLower(i)
-		}
-	}
-	return h.max
+	q = math.Min(math.Max(q, 0), 1)
+	return s.d[int(q*float64(len(s.d)-1))]
 }
 
-// String summarizes the histogram as "n=… mean=… p50=… p99=… max=…".
-func (h *LatencyHist) String() string {
-	return fmt.Sprintf("n=%d mean=%v p50=%v p95=%v p99=%v max=%v",
-		h.count, h.Mean(), h.Quantile(0.50), h.Quantile(0.95), h.Quantile(0.99), h.max)
-}
-
-// Merge accumulates another histogram's samples.
-func (h *LatencyHist) Merge(o *LatencyHist) {
-	for i := range h.buckets {
-		h.buckets[i] += o.buckets[i]
-	}
-	h.count += o.count
-	h.sum += o.sum
-	if o.max > h.max {
-		h.max = o.max
-	}
+// Merge appends another set's samples.
+func (s *Samples) Merge(o *Samples) {
+	s.d = append(s.d, o.d...)
+	s.sorted = false
 }
 
 // Throughput measures events per second over a measured interval.

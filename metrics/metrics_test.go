@@ -74,58 +74,59 @@ func TestFScoreBoundsProperty(t *testing.T) {
 	}
 }
 
-func TestLatencyHistBasics(t *testing.T) {
-	var h LatencyHist
-	if h.Count() != 0 || h.Mean() != 0 || h.Quantile(0.5) != 0 {
-		t.Fatal("zero hist not zero")
+func TestSamplesBasics(t *testing.T) {
+	var s Samples
+	if s.Count() != 0 || s.Mean() != 0 || s.Max() != 0 || s.Quantile(0.5) != 0 {
+		t.Fatal("zero Samples not zero")
 	}
-	h.Observe(time.Millisecond)
-	h.Observe(2 * time.Millisecond)
-	h.Observe(-time.Second) // clamps to 0
-	if h.Count() != 3 {
-		t.Fatalf("Count = %d", h.Count())
+	s.Observe(time.Millisecond)
+	s.Observe(3 * time.Millisecond)
+	s.Observe(-time.Second) // clamps to 0
+	if s.Count() != 3 {
+		t.Fatalf("Count = %d", s.Count())
 	}
-	if h.Max() != 2*time.Millisecond {
-		t.Fatalf("Max = %v", h.Max())
+	if s.Max() != 3*time.Millisecond {
+		t.Fatalf("Max = %v", s.Max())
 	}
-	if !strings.Contains(h.String(), "n=3") {
-		t.Fatalf("String = %q", h.String())
+	if want := 4 * time.Millisecond / 3; s.Mean() != want {
+		t.Fatalf("Mean = %v, want %v", s.Mean(), want)
 	}
 }
 
-func TestLatencyHistQuantileAccuracy(t *testing.T) {
+func TestSamplesQuantileExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	var h LatencyHist
-	var samples []time.Duration
+	var s Samples
+	var want []time.Duration
 	for i := 0; i < 20000; i++ {
 		// log-uniform between 1µs and 100ms
-		exp := rng.Float64() * 5
-		d := time.Duration(float64(time.Microsecond) * math.Pow(10, exp))
-		h.Observe(d)
-		samples = append(samples, d)
+		d := time.Duration(float64(time.Microsecond) * math.Pow(10, rng.Float64()*5))
+		s.Observe(d)
+		want = append(want, d)
 	}
-	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
-	for _, q := range []float64{0.5, 0.9, 0.99} {
-		exact := samples[int(q*float64(len(samples)-1))]
-		got := h.Quantile(q)
-		ratio := float64(got) / float64(exact)
-		if ratio < 0.90 || ratio > 1.10 {
-			t.Fatalf("q=%v: hist %v vs exact %v (ratio %.3f)", q, got, exact, ratio)
+	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
+	for _, q := range []float64{0, 0.5, 0.9, 0.99, 1} {
+		if got, exact := s.Quantile(q), want[int(q*float64(len(want)-1))]; got != exact {
+			t.Fatalf("q=%v: %v, want the sample %v", q, got, exact)
 		}
 	}
-	// Quantile clamping.
-	if h.Quantile(-1) > h.Quantile(0) || h.Quantile(2) < h.Quantile(1) {
+	if s.Quantile(-1) != want[0] || s.Quantile(2) != want[len(want)-1] {
 		t.Fatal("quantile clamping broken")
+	}
+	// An Observe after a Quantile must re-sort.
+	s.Observe(0)
+	if s.Quantile(0) != 0 {
+		t.Fatalf("min after late Observe = %v, want 0", s.Quantile(0))
 	}
 }
 
-func TestLatencyHistMerge(t *testing.T) {
-	var a, b LatencyHist
-	a.Observe(time.Millisecond)
-	b.Observe(10 * time.Millisecond)
+func TestSamplesMerge(t *testing.T) {
+	var a, b Samples
+	a.Observe(10 * time.Millisecond)
+	a.Quantile(0.5) // a is sorted; the merge must invalidate that
+	b.Observe(time.Millisecond)
 	a.Merge(&b)
-	if a.Count() != 2 || a.Max() != 10*time.Millisecond {
-		t.Fatalf("after merge: %v", a.String())
+	if a.Count() != 2 || a.Quantile(0) != time.Millisecond || a.Max() != 10*time.Millisecond {
+		t.Fatalf("after merge: n=%d min=%v max=%v", a.Count(), a.Quantile(0), a.Max())
 	}
 }
 

@@ -26,6 +26,7 @@ import (
 	"sync"
 	"time"
 
+	"caar/internal/ring"
 	"caar/internal/sketch"
 	"caar/obs"
 )
@@ -108,12 +109,20 @@ type DimReport struct {
 	Keys          []HotKey `json:"keys"`
 }
 
+// event is one record-path observation: a key (pre-hashed for string-keyed
+// dimensions, with the display name carried alongside) and its weight.
+type event struct {
+	key    uint64
+	weight uint64
+	name   string
+}
+
 // dimension is one key space: a lock-free record ring feeding a windowed
 // sketch guarded by mu. mu is only ever taken by the aggregator and by
 // queries — never on the serving path.
 type dimension struct {
 	name   Dimension
-	q      *queue
+	q      *ring.Ring[event]
 	events *obs.Counter
 	drops  *obs.Counter
 
@@ -181,7 +190,7 @@ func New(cfg Config) (*Tracker, error) {
 		}
 		d := &dimension{
 			name:  name,
-			q:     newQueue(cfg.QueueCapacity),
+			q:     ring.New[event](cfg.QueueCapacity),
 			win:   win,
 			names: make(map[uint64]string),
 		}
@@ -247,7 +256,7 @@ func (d *dimension) record(ev event) {
 	if d == nil || ev.weight == 0 {
 		return
 	}
-	if d.q.push(ev) {
+	if d.q.Push(ev) {
 		d.events.Inc()
 	} else {
 		d.drops.Inc()
@@ -271,7 +280,7 @@ func hashName(s string) uint64 {
 func (d *dimension) drainLocked(now time.Time) {
 	changed := false
 	for {
-		ev, ok := d.q.pop()
+		ev, ok := d.q.Pop()
 		if !ok {
 			break
 		}

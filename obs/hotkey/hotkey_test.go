@@ -246,26 +246,3 @@ func TestTrackerConcurrentRecordersWithAggregator(t *testing.T) {
 		t.Fatalf("campaign keys = %+v", crep.Keys)
 	}
 }
-
-func TestQueueWrapAround(t *testing.T) {
-	q := newQueue(4)
-	for lap := 0; lap < 10; lap++ {
-		for i := 0; i < 4; i++ {
-			if !q.push(event{key: uint64(lap*4 + i), weight: 1}) {
-				t.Fatalf("lap %d push %d failed", lap, i)
-			}
-		}
-		if q.push(event{key: 999, weight: 1}) {
-			t.Fatal("push into full ring succeeded")
-		}
-		for i := 0; i < 4; i++ {
-			ev, ok := q.pop()
-			if !ok || ev.key != uint64(lap*4+i) {
-				t.Fatalf("lap %d pop %d = %+v ok=%v", lap, i, ev, ok)
-			}
-		}
-		if _, ok := q.pop(); ok {
-			t.Fatal("pop from empty ring succeeded")
-		}
-	}
-}
