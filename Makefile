@@ -95,8 +95,9 @@ race-matrix:
 		-kills 3 -out BENCH_SOAK_RACE.json
 
 # fuzz-smoke gives each fuzz target a short budget — enough to catch a
-# regression in the journal frame decoder, crash recovery, or the request
-# parsers without holding up the gate.
+# regression in the journal frame decoder, crash recovery, the request
+# parsers, the sketches, or CAP's candidate-buffer merge without holding up
+# the gate.
 fuzz-smoke:
 	$(GO) test ./journal/ -fuzz FuzzDecodeLine -fuzztime 10s -run '^$$'
 	$(GO) test ./journal/ -fuzz FuzzRecoverTornTail -fuzztime 10s -run '^$$'
@@ -105,6 +106,7 @@ fuzz-smoke:
 	$(GO) test ./internal/server/ -fuzz FuzzParsePolicy -fuzztime 10s -run '^$$'
 	$(GO) test ./internal/sketch/ -fuzz FuzzCountMinEstimate -fuzztime 10s -run '^$$'
 	$(GO) test ./internal/sketch/ -fuzz FuzzWindowedDecay -fuzztime 10s -run '^$$'
+	$(GO) test ./internal/core/ -fuzz FuzzDynBufMerge -fuzztime 10s -run '^$$'
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ ./...

@@ -158,6 +158,10 @@ type shard struct {
 	mu   *sync.Mutex
 	eng  core.Shardable
 	sink *coreTraceSink
+
+	// refresh computes a user's top-k after a delivery in continuous mode:
+	// CAP answers from its per-user view, the baselines re-rank.
+	refresh func(u feed.UserID, k int, t time.Time) ([]core.Scored, error)
 }
 
 // coreTraceSink routes the stage spans measured under the shard lock into
@@ -223,7 +227,7 @@ func Open(cfg Config) (*Engine, error) {
 		if err != nil {
 			return nil, err
 		}
-		e.shards = append(e.shards, shard{mu: new(sync.Mutex), eng: eng, sink: new(coreTraceSink)})
+		e.shards = append(e.shards, shard{mu: new(sync.Mutex), eng: eng, sink: new(coreTraceSink), refresh: core.ContinuousRefresh(eng)})
 	}
 
 	reg := cfg.Metrics
@@ -681,7 +685,7 @@ func (e *Engine) deliver(d *directory, reqs []PostRequest, msgs []feed.Message, 
 			}
 		}
 		for u, at := range affected {
-			recs, err := sh.eng.TopAds(u, e.cfg.ContinuousK, at)
+			recs, err := sh.refresh(u, e.cfg.ContinuousK, at)
 			if err != nil {
 				e.obsm.continuousErrors.Inc()
 				continue

@@ -164,6 +164,21 @@ func newEngineMetrics(reg *obs.Registry, e *Engine) *engineMetrics {
 		}
 		return float64(total)
 	})
+	refreshes := reg.CounterVec("caar_engine_continuous_refresh_total",
+		"Continuous top-k refreshes by path: answered from the user's top-k view, or by re-ranking the candidate buffer (CAP; 0 for IL/RS).", "path")
+	sumRefreshes := func() (view, rerank uint64) {
+		for _, sh := range e.shards {
+			sh.mu.Lock()
+			if c, ok := sh.eng.(*core.CAP); ok {
+				v, r := c.ContinuousRefreshes()
+				view, rerank = view+v, rerank+r
+			}
+			sh.mu.Unlock()
+		}
+		return view, rerank
+	}
+	refreshes.Func(func() uint64 { view, _ := sumRefreshes(); return view }, "view")
+	refreshes.Func(func() uint64 { _, rerank := sumRefreshes(); return rerank }, "rerank")
 	reg.GaugeFunc("caar_engine_shards", "Engine shard count.", func() float64 {
 		return float64(len(e.shards))
 	})

@@ -3,7 +3,9 @@ package caar
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -545,16 +547,6 @@ func TestRemoveAdRollbackOnStoreError(t *testing.T) {
 	}
 }
 
-// failingTopAds wraps a shard engine and fails every TopAds call, to reach
-// the continuous delivery path's per-user error branch.
-type failingTopAds struct {
-	core.Shardable
-}
-
-func (failingTopAds) TopAds(feed.UserID, int, time.Time) ([]core.Scored, error) {
-	return nil, errors.New("stub: topads unavailable")
-}
-
 // TestContinuousTopAdsErrorsCounted pins that per-user TopAds failures on
 // the continuous delivery path are counted instead of silently swallowed.
 func TestContinuousTopAdsErrorsCounted(t *testing.T) {
@@ -569,7 +561,10 @@ func TestContinuousTopAdsErrorsCounted(t *testing.T) {
 	if err := e.AddAd(Ad{ID: "shoes", Text: "running shoes", Bid: 0.5}); err != nil {
 		t.Fatal(err)
 	}
-	e.shards[0].eng = failingTopAds{e.shards[0].eng}
+	// Fail every refresh, to reach the delivery path's per-user error branch.
+	e.shards[0].refresh = func(feed.UserID, int, time.Time) ([]core.Scored, error) {
+		return nil, errors.New("stub: topads unavailable")
+	}
 
 	if err := e.Post("bob", "running today", morning); err != nil {
 		t.Fatal(err)
@@ -618,5 +613,110 @@ func TestConcurrentFacadeUse(t *testing.T) {
 	wg.Wait()
 	if st := e.Stats(); st.PostsDelivered == 0 || st.Ads < 2 {
 		t.Fatalf("concurrent run lost work: %+v", st)
+	}
+}
+
+// TestContinuousCallbackIsTheRecommendAnswer pins continuous mode through
+// the facade: what OnRecommend receives after a post is what Recommend
+// returns for that user at that time — across shards, check-ins, ads coming
+// and going, and out-of-order posts — and the refresh-path counter shows
+// most of it came from the per-user views.
+func TestContinuousCallbackIsTheRecommendAnswer(t *testing.T) {
+	var mu sync.Mutex
+	got := map[string][]Recommendation{}
+	cfg := testConfig()
+	cfg.Shards = 2
+	cfg.ContinuousK = 3
+	cfg.OnRecommend = func(user string, recs []Recommendation) {
+		mu.Lock()
+		got[user] = recs
+		mu.Unlock()
+	}
+	e := openEngine(t, cfg)
+
+	rng := rand.New(rand.NewSource(5))
+	words := strings.Fields("marathon running shoes pizza delivery coffee espresso guitar lessons yoga studio " +
+		"bicycle repair concert tickets sushi ramen hiking boots camera lens vinyl records garden tools")
+	text := func(n int) string {
+		out := make([]string, n)
+		for i := range out {
+			out[i] = words[rng.Intn(len(words))]
+		}
+		return strings.Join(out, " ")
+	}
+	const nUsers = 16
+	user := func(i int) string { return fmt.Sprintf("u%d", i) }
+	for i := 0; i < nUsers; i++ {
+		if err := e.AddUser(user(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < nUsers; i++ {
+		for _, j := range rng.Perm(nUsers)[:4] {
+			if j != i {
+				e.Follow(user(i), user(j))
+			}
+		}
+	}
+	nAds := 0
+	addAd := func() {
+		ad := Ad{ID: fmt.Sprintf("ad%d", nAds), Text: text(3), Bid: 0.05 + 0.9*rng.Float64()}
+		if rng.Intn(2) == 0 {
+			ad.Target = &Target{Lat: 4 * rng.Float64(), Lng: 4 * rng.Float64(), RadiusKm: 100 + 200*rng.Float64()}
+		}
+		if err := e.AddAd(ad); err != nil {
+			t.Fatal(err)
+		}
+		nAds++
+	}
+	for i := 0; i < 60; i++ {
+		addAd()
+	}
+
+	at := morning
+	for step := 0; step < 600; step++ {
+		at = at.Add(time.Duration(rng.Intn(90)) * time.Second)
+		switch op := rng.Intn(12); {
+		case op < 8:
+			postAt := at
+			if rng.Intn(8) == 0 {
+				postAt = at.Add(-time.Duration(rng.Intn(600)) * time.Second)
+			}
+			clear(got)
+			if err := e.Post(user(rng.Intn(nUsers)), text(4), postAt); err != nil {
+				t.Fatal(err)
+			}
+			for u, recs := range got {
+				want, err := e.Recommend(u, cfg.ContinuousK, postAt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(recs, want) {
+					t.Fatalf("step %d user %s: OnRecommend got\n%+v\nRecommend says\n%+v", step, u, recs, want)
+				}
+			}
+		case op < 10:
+			if err := e.CheckIn(user(rng.Intn(nUsers)), 4*rng.Float64(), 4*rng.Float64(), at); err != nil {
+				t.Fatal(err)
+			}
+		case op == 10:
+			addAd()
+		default:
+			e.RemoveAd(fmt.Sprintf("ad%d", rng.Intn(nAds))) // may be gone already
+		}
+	}
+
+	var buf strings.Builder
+	if err := e.Metrics().WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var view, rerank int
+	for _, line := range strings.Split(buf.String(), "\n") {
+		fmt.Sscanf(line, `caar_engine_continuous_refresh_total{path="view"} %d`, &view)
+		fmt.Sscanf(line, `caar_engine_continuous_refresh_total{path="rerank"} %d`, &rerank)
+	}
+	t.Logf("caar_engine_continuous_refresh_total: view %d, rerank %d", view, rerank)
+	if view == 0 || rerank == 0 || view < rerank {
+		t.Fatalf("caar_engine_continuous_refresh_total: view %d, rerank %d; want both paths taken, mostly the view", view, rerank)
 	}
 }

@@ -85,10 +85,10 @@ func (b *base) state(u feed.UserID) (*userState, error) {
 	return st, nil
 }
 
-// offer gates eligibility and budget, scores the ad given its raw text
-// relevance, and submits it to the collector. It reports whether the ad was
-// eligible (not necessarily retained).
-func (b *base) offer(c *topk.Collector, a *adstore.Ad, textRel float64, st *userState, sl timeslot.Slot, t time.Time) bool {
+// offer gates eligibility and (when budget is set) budget, scores the ad
+// given its raw text relevance, and submits it to the collector. It reports
+// whether the ad was eligible (not necessarily retained).
+func (b *base) offer(c *topk.Collector, a *adstore.Ad, textRel float64, st *userState, sl timeslot.Slot, t time.Time, budget bool) bool {
 	if a == nil {
 		return false
 	}
@@ -97,7 +97,7 @@ func (b *base) offer(c *topk.Collector, a *adstore.Ad, textRel float64, st *user
 	}
 	// Campaign-less ads are always servable; only budgeted ads need the
 	// (shared, locked) store consulted on the hot path.
-	if a.Campaign != "" && !b.store.HasBudget(a.ID, t) {
+	if budget && a.Campaign != "" && !b.store.HasBudget(a.ID, t) {
 		return false
 	}
 	score := b.scoring.AlphaText*textRel + b.scoring.staticScore(a, st.loc, st.hasLoc)

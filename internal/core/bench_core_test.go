@@ -133,3 +133,42 @@ func BenchmarkTopAds(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkContinuousRefresh measures what continuous mode adds to a
+// delivery: one top-5 refresh for each of the 100 followers a message
+// reached, the delivery itself untimed (BenchmarkDeliver has it). CAP
+// answers from its per-user views; IL re-ranks, which is also what CAP did
+// before it had them.
+func BenchmarkContinuousRefresh(b *testing.B) {
+	for _, name := range []string{"IL", "CAP"} {
+		b.Run(name, func(b *testing.B) {
+			eng, rng, now := benchSetup(b, name, 200, 10000)
+			refresh := ContinuousRefresh(eng)
+			fanout := make([]feed.UserID, 100)
+			for i := range fanout {
+				fanout[i] = feed.UserID(i)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				now = now.Add(time.Second)
+				msg := feed.Message{ID: feed.MessageID(1<<30 + i), Time: now, Vec: randVecB(rng, 8, 2000)}
+				if err := eng.Deliver(msg, fanout); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				for _, u := range fanout {
+					if _, err := refresh(u, 5, now); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(fanout)), "ns/refresh")
+			if c, ok := eng.(*CAP); ok {
+				view, rerank := c.ContinuousRefreshes()
+				b.ReportMetric(float64(rerank)/float64(view+rerank), "rerank-share")
+			}
+		})
+	}
+}

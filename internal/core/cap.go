@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"math"
+	"slices"
 	"time"
 
 	"caar/internal/adstore"
@@ -32,56 +33,6 @@ func DefaultCAPOptions() CAPOptions {
 	return CAPOptions{FanoutSharing: true, RebuildEvery: 256}
 }
 
-// dynBuf is one user's incremental candidate buffer: for every ad that
-// shares at least one term with a window-resident message, the exact text
-// relevance coefficient in the window's reference space.
-//
-// Values are stored divided by scale, so aging the whole buffer when the
-// window's reference time advances is one O(1) multiplication instead of a
-// map sweep.
-type dynBuf struct {
-	u     map[adstore.AdID]float64
-	scale float64
-	ops   int
-}
-
-func newDynBuf() *dynBuf {
-	return &dynBuf{u: make(map[adstore.AdID]float64), scale: 1}
-}
-
-// add accumulates a ref-space contribution for an ad, dropping entries that
-// return to (numerical) zero.
-func (b *dynBuf) add(ad adstore.AdID, refCoeff float64) {
-	nv := b.u[ad] + refCoeff/b.scale
-	if math.Abs(nv*b.scale) < 1e-12 {
-		delete(b.u, ad)
-		return
-	}
-	b.u[ad] = nv
-}
-
-// age multiplies every buffered coefficient by factor (usually ≤ 1) in
-// O(1), and renormalizes the stored values when the scalar risks underflow.
-// A long idle gap can make factor — and therefore scale — underflow to
-// exactly 0 (exp(-x) flushes to zero near x ≈ 745); leaving a zero scale
-// in place would poison the buffer on the next add (refCoeff/0 → ±Inf),
-// so that case drops every entry instead: contributions a zero factor has
-// aged are exactly zero.
-func (b *dynBuf) age(factor float64) {
-	b.scale *= factor
-	if b.scale >= 1e-150 {
-		return
-	}
-	if b.scale > 0 {
-		for ad, v := range b.u {
-			b.u[ad] = v * b.scale
-		}
-	} else {
-		clear(b.u)
-	}
-	b.scale = 1
-}
-
 // msgCache is the shared per-message state of fan-out sharing: the delta
 // list computed once at delivery, reference-counted by the number of feed
 // windows still holding the message.
@@ -93,13 +44,21 @@ type msgCache struct {
 
 // CAP is the Context-aware Ad Publishing engine — the reconstructed
 // contribution. It maintains, per user, an incrementally-updated candidate
-// buffer so a feed event costs O(|message delta|) per follower and a top-k
-// query costs O(|buffer|), independent of the total number of ads.
+// buffer so a feed event costs one merge of the message's delta list per
+// follower and a top-k query costs O(|buffer|), independent of the total
+// number of ads; a user whose top-k is asked for after every delivery also
+// gets a view (view.go) that makes that refresh cost what the delivery
+// changed.
 type CAP struct {
 	*indexed
 	opts  CAPOptions
 	bufs  map[feed.UserID]*dynBuf
 	cache map[feed.MessageID]*msgCache
+
+	// scratch is the merge space Deliver lends to dynBuf.merge.
+	scratch []bufEntry
+
+	viewRefreshes, rerankRefreshes uint64
 }
 
 // NewCAP creates a CAP engine over the given region and grid resolution.
@@ -142,22 +101,35 @@ func (e *CAP) AddAd(a *adstore.Ad) error {
 }
 
 // RegisterAd indexes an ad already present in a (shared) store and
-// back-fills its candidate-buffer coefficients.
+// back-fills its candidate-buffer coefficients. A new ad is an untracked ad
+// no view's bound accounts for, so every view goes.
 func (e *CAP) RegisterAd(a *adstore.Ad) {
 	e.registerAd(a)
 	for u, st := range e.users {
+		buf := e.bufs[u]
+		buf.view = nil
 		agg, _ := st.win.ContextRef(st.win.Ref())
 		if coeff := a.Vec.Dot(agg); coeff != 0 {
-			e.bufs[u].add(a.ID, coeff)
+			buf.add(a.ID, coeff)
 		}
 	}
 	if e.opts.FanoutSharing {
 		for _, mc := range e.cache {
 			if c := a.Vec.Dot(mc.vec); c != 0 {
-				mc.deltas = append(mc.deltas, index.Delta{Ad: a.ID, Coeff: c})
+				// At its sorted position, not the end: shards register
+				// concurrently minted IDs in any order, and merge relies on
+				// the ascending order DeltaList gave the list.
+				i, _ := findDelta(mc.deltas, a.ID)
+				mc.deltas = slices.Insert(mc.deltas, i, index.Delta{Ad: a.ID, Coeff: c})
 			}
 		}
 	}
+}
+
+func findDelta(deltas []index.Delta, id adstore.AdID) (int, bool) {
+	return slices.BinarySearchFunc(deltas, id, func(d index.Delta, id adstore.AdID) int {
+		return cmp.Compare(d.Ad, id)
+	})
 }
 
 // RemoveAd implements Recommender with eager cleanup: stale buffer entries
@@ -172,20 +144,29 @@ func (e *CAP) RemoveAd(id adstore.AdID) error {
 }
 
 // UnregisterAd drops an ad from the engine's indexes, candidate buffers and
-// cached delta lists without touching the store.
+// cached delta lists without touching the store. Views go too: one may be
+// tracking the ad.
 func (e *CAP) UnregisterAd(id adstore.AdID) {
 	e.unregisterAd(id)
 	for _, b := range e.bufs {
-		delete(b.u, id)
+		b.view = nil
+		b.remove(id)
 	}
 	for _, mc := range e.cache {
-		for i := range mc.deltas {
-			if mc.deltas[i].Ad == id {
-				mc.deltas = append(mc.deltas[:i], mc.deltas[i+1:]...)
-				break
-			}
+		if i, ok := findDelta(mc.deltas, id); ok {
+			mc.deltas = slices.Delete(mc.deltas, i, i+1)
 		}
 	}
+}
+
+// CheckIn implements Recommender. Moving changes which geo-targeted ads are
+// eligible and every static score, so the user's view goes.
+func (e *CAP) CheckIn(u feed.UserID, p geo.Point, t time.Time) error {
+	if err := e.indexed.CheckIn(u, p, t); err != nil {
+		return err
+	}
+	e.bufs[u].view = nil
+	return nil
 }
 
 // Deliver implements Recommender: the heart of the engine.
@@ -220,52 +201,56 @@ func (e *CAP) Deliver(msg feed.Message, followers []feed.UserID) error {
 		evicted, wasEvicted := st.win.Push(msg)
 		newRef := st.win.Ref()
 
-		// 1. Subtract the evicted message's contributions (old ref space).
-		if wasEvicted {
-			e.applyEviction(buf, evicted)
-		}
-		// 2. Age the buffer into the new reference space.
+		// Age the buffer into the new reference space. Renormalizing
+		// rewrites every stored value, which can move an untracked score up
+		// by a rounding step: the view goes.
+		factor := 1.0
 		if !oldRef.IsZero() && newRef.After(oldRef) {
-			buf.age(e.scoring.Decay.Between(oldRef, newRef))
+			factor = e.scoring.Decay.Between(oldRef, newRef)
+			if buf.age(factor) {
+				buf.view = nil
+			}
 		}
-		// 3. Add the new message's contributions at its weight in new ref
-		// space (1 unless the message arrived out of order).
+		// One pass then subtracts the evicted message's contributions —
+		// its weight is in the old reference space, hence the factor — and
+		// adds the new message's at its weight in the new one (1 unless the
+		// message arrived out of order).
+		var gone []index.Delta
+		var goneBy float64
+		if wasEvicted {
+			gone = e.evictedDeltas(evicted)
+			goneBy = -evicted.RefWeight() * factor / buf.scale
+		}
 		w := e.scoring.Decay.WeightAt(newRef.Sub(msg.Time))
-		for _, d := range deltas {
-			buf.add(d.Ad, w*d.Coeff)
-		}
+		e.scratch = buf.merge(e.scratch, gone, goneBy, deltas, w/buf.scale, e.noteAt(buf))
 
-		e.maybeRebuild(u, st, buf)
+		e.maybeRebuild(st, buf)
 	}
 	return nil
 }
 
-// applyEviction removes an evicted message's text contributions from the
-// buffer, using the cached shared delta list when fan-out sharing is on and
-// recomputing it otherwise.
-func (e *CAP) applyEviction(buf *dynBuf, evicted feed.Entry) {
-	var deltas []index.Delta
-	if e.opts.FanoutSharing {
-		mc := e.cache[evicted.Msg.ID]
-		if mc != nil {
-			deltas = mc.deltas
-			mc.refs--
-			if mc.refs <= 0 {
-				delete(e.cache, evicted.Msg.ID)
-			}
-		}
-	} else {
-		deltas = e.inv.DeltaList(evicted.Msg.Vec)
+// evictedDeltas returns an evicted message's delta list: the cached shared
+// one when fan-out sharing is on (releasing this window's reference to it),
+// recomputed otherwise.
+func (e *CAP) evictedDeltas(evicted feed.Entry) []index.Delta {
+	if !e.opts.FanoutSharing {
+		return e.inv.DeltaList(evicted.Msg.Vec)
 	}
-	w := evicted.RefWeight()
-	for _, d := range deltas {
-		buf.add(d.Ad, -w*d.Coeff)
+	mc := e.cache[evicted.Msg.ID]
+	if mc == nil {
+		return nil
 	}
+	mc.refs--
+	if mc.refs <= 0 {
+		delete(e.cache, evicted.Msg.ID)
+	}
+	return mc.deltas
 }
 
 // maybeRebuild recomputes the buffer exactly from the window aggregate to
-// cap incremental floating-point drift.
-func (e *CAP) maybeRebuild(u feed.UserID, st *userState, buf *dynBuf) {
+// cap incremental floating-point drift. The exact values can sit a rounding
+// step above the drifted ones, so the view goes.
+func (e *CAP) maybeRebuild(st *userState, buf *dynBuf) {
 	if e.opts.RebuildEvery <= 0 {
 		return
 	}
@@ -273,13 +258,12 @@ func (e *CAP) maybeRebuild(u feed.UserID, st *userState, buf *dynBuf) {
 	if buf.ops < e.opts.RebuildEvery {
 		return
 	}
-	buf.ops = 0
 	agg, _ := st.win.ContextRef(st.win.Ref())
-	fresh := newDynBuf()
+	buf.e = buf.e[:0]
 	for _, d := range e.inv.DeltaList(agg) {
-		fresh.u[d.Ad] = d.Coeff
+		buf.e = append(buf.e, bufEntry{ad: d.Ad, v: d.Coeff})
 	}
-	*buf = *fresh
+	buf.scale, buf.ops, buf.view = 1, 0, nil
 }
 
 // TopAds implements Recommender: rank the buffered text candidates plus the
@@ -298,35 +282,41 @@ func (e *CAP) TopAds(u feed.UserID, k int, t time.Time) ([]Scored, error) {
 	span := e.stageStart()
 	_, winFactor := st.win.ContextRef(t)
 	mult := buf.scale * winFactor
-	sl := timeslot.Of(t)
 	c := topk.NewCollector(k)
-	span = e.stageDone(StageRetrieve, span, len(buf.u), len(buf.u))
+	span = e.stageDone(StageRetrieve, span, len(buf.e), len(buf.e))
 
-	offered := 0
-	for ad, v := range buf.u {
-		if e.offer(c, e.ad(ad), v*mult, st, sl, t) {
-			offered++
-		}
-	}
-	examined, offeredStatic := e.offerStatic(c, st, sl, t, func(id adstore.AdID) bool {
-		_, seen := buf.u[id]
-		return seen
-	})
-	offered += offeredStatic
-	span = e.stageDone(StageScore, span, len(buf.u)+examined, offered)
+	examined, offered := e.rank(c, st, buf, mult, timeslot.Of(t), t, true)
+	span = e.stageDone(StageScore, span, examined, offered)
 
 	out := e.resolve(c.Items(), st, func(id adstore.AdID) float64 {
-		return buf.u[id] * mult
+		return buf.get(id) * mult
 	})
 	e.stageDone(StageTopK, span, offered, len(out))
 	return out, nil
+}
+
+// rank offers the user's whole candidate set to c: every buffered ad at its
+// text relevance, then the static-only remainder. budget false ranks as if
+// every campaign could pay (a view applies budget when it emits). It
+// reports how many candidates it examined and how many were eligible.
+func (e *CAP) rank(c *topk.Collector, st *userState, buf *dynBuf, mult float64, sl timeslot.Slot, t time.Time, budget bool) (examined, offered int) {
+	for _, en := range buf.e {
+		if e.offer(c, e.ad(en.ad), en.v*mult, st, sl, t, budget) {
+			offered++
+		}
+	}
+	examined, offeredStatic := e.offerStatic(c, st, sl, t, budget, func(id adstore.AdID) bool {
+		_, seen := buf.find(id)
+		return seen
+	})
+	return len(buf.e) + examined, offered + offeredStatic
 }
 
 // BufferSize returns the candidate-buffer size of a user, a memory/latency
 // diagnostic for the experiments.
 func (e *CAP) BufferSize(u feed.UserID) int {
 	if b, ok := e.bufs[u]; ok {
-		return len(b.u)
+		return len(b.e)
 	}
 	return 0
 }
@@ -340,7 +330,7 @@ func (e *CAP) CachedMessages() int { return len(e.cache) }
 func (e *CAP) TotalBufferEntries() int {
 	total := 0
 	for _, b := range e.bufs {
-		total += len(b.u)
+		total += len(b.e)
 	}
 	return total
 }

@@ -282,11 +282,11 @@ func TestDynBufAgeUnderflow(t *testing.T) {
 	b := newDynBuf()
 	b.add(1, 0.5)
 	b.age(0)
-	if b.scale != 1 || len(b.u) != 0 {
-		t.Fatalf("zero factor: scale=%v entries=%d, want scale 1 and empty buffer", b.scale, len(b.u))
+	if b.scale != 1 || len(b.e) != 0 {
+		t.Fatalf("zero factor: scale=%v entries=%d, want scale 1 and empty buffer", b.scale, len(b.e))
 	}
 	b.add(1, 0.7)
-	if v := b.u[1]; math.IsNaN(v) || math.IsInf(v, 0) || v != 0.7 {
+	if v := b.get(1); math.IsNaN(v) || math.IsInf(v, 0) || v != 0.7 {
 		t.Fatalf("add after zero-age = %v, want 0.7", v)
 	}
 
@@ -297,7 +297,7 @@ func TestDynBufAgeUnderflow(t *testing.T) {
 		t.Fatalf("subnormal factor: scale=%v, want renormalized to 1", b.scale)
 	}
 	b.add(2, 0.25)
-	if v := b.u[2]; math.IsNaN(v) || math.IsInf(v, 0) {
+	if v := b.get(2); math.IsNaN(v) || math.IsInf(v, 0) {
 		t.Fatalf("add after subnormal age = %v, want finite", v)
 	}
 }

@@ -97,17 +97,18 @@ func (ix *indexed) CheckIn(u feed.UserID, p geo.Point, t time.Time) error {
 // offerStatic submits the candidates whose text relevance is zero: the
 // geo-targeted ads registered in the user's grid cell plus global ads in
 // descending bid order, stopping as soon as no further global ad can enter
-// the collector. skip filters ads already offered through the text path.
-// It reports how many static candidates it examined and how many passed
-// eligibility gating into the collector, for the score stage's trace span.
-func (ix *indexed) offerStatic(c *topk.Collector, st *userState, sl timeslot.Slot, t time.Time, skip func(adstore.AdID) bool) (examined, offered int) {
+// the collector. skip filters ads already offered through the text path;
+// budget is offer's. It reports how many static candidates it examined and
+// how many passed eligibility gating into the collector, for the score
+// stage's trace span.
+func (ix *indexed) offerStatic(c *topk.Collector, st *userState, sl timeslot.Slot, t time.Time, budget bool, skip func(adstore.AdID) bool) (examined, offered int) {
 	if st.hasLoc {
 		for _, id := range ix.geoIdx.LocalCandidates(st.loc) {
 			if skip != nil && skip(id) {
 				continue
 			}
 			examined++
-			if ix.offer(c, ix.ad(id), 0, st, sl, t) {
+			if ix.offer(c, ix.ad(id), 0, st, sl, t, budget) {
 				offered++
 			}
 		}
@@ -128,7 +129,7 @@ func (ix *indexed) offerStatic(c *topk.Collector, st *userState, sl timeslot.Slo
 			continue
 		}
 		examined++
-		if ix.offer(c, a, 0, st, sl, t) {
+		if ix.offer(c, a, 0, st, sl, t, budget) {
 			offered++
 		}
 	}
@@ -201,11 +202,11 @@ func (e *IL) TopAds(u feed.UserID, k int, t time.Time) ([]Scored, error) {
 	for _, d := range deltas {
 		textRel := d.Coeff * factor
 		textOf[d.Ad] = textRel
-		if e.offer(c, e.ad(d.Ad), textRel, st, sl, t) {
+		if e.offer(c, e.ad(d.Ad), textRel, st, sl, t, true) {
 			offered++
 		}
 	}
-	examined, offeredStatic := e.offerStatic(c, st, sl, t, func(id adstore.AdID) bool {
+	examined, offeredStatic := e.offerStatic(c, st, sl, t, true, func(id adstore.AdID) bool {
 		_, seen := textOf[id]
 		return seen
 	})

@@ -76,7 +76,7 @@ func (e *RS) TopAds(u feed.UserID, k int, t time.Time) ([]Scored, error) {
 	offered := 0
 	e.store.ForEach(func(a *adstore.Ad) {
 		textRel := a.Vec.Dot(ctx) * factor
-		if e.offer(c, a, textRel, st, sl, t) {
+		if e.offer(c, a, textRel, st, sl, t, true) {
 			offered++
 		}
 	})

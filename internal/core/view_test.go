@@ -1,0 +1,512 @@
+package core
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+	"time"
+
+	"caar/internal/adstore"
+	"caar/internal/feed"
+	"caar/internal/geo"
+	"caar/internal/textproc"
+	"caar/internal/timeslot"
+)
+
+// TestContinuousTopAdsMatchesRSAfterEveryDelivery is the exactness oracle of
+// the top-k view: after every delivery, for each follower it reached, the
+// continuous answer must be the RS ranking at the message's time. The stream
+// mixes everything that moves a score or eligibility — posts (one in ten
+// stamped out of order), check-ins, ads arriving and leaving, time-slot
+// boundaries (the stream spans days), and campaign ads that run out of paced
+// budget through the impressions charged here and come back as the flight
+// releases more — and must take both the view path and the re-rank path.
+func TestContinuousTopAdsMatchesRSAfterEveryDelivery(t *testing.T) {
+	const (
+		nUsers = 12
+		steps  = 4000
+	)
+	for i, seed := range []int64{1, 2, 3, 7, 42, 1709} {
+		opts := DefaultCAPOptions()
+		if i%2 == 1 {
+			opts = CAPOptions{FanoutSharing: false, RebuildEvery: 32}
+		}
+		k := []int{1, 3, 5}[i%3]
+		t.Run(fmt.Sprintf("seed%d_k%d", seed, k), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			store := adstore.NewStore()
+			for c := 0; c < 3; c++ {
+				// ~100 h stream, bids ~0.5: each flight releases about one
+				// impression every two hours, so its ads are out of budget
+				// most of the time and return between charges.
+				camp, err := adstore.NewCampaign(fmt.Sprintf("c%d", c), 25, base0, base0.Add(100*time.Hour))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := store.AddCampaign(camp); err != nil {
+					t.Fatal(err)
+				}
+			}
+			rs, err := NewRS(testScoring(), store)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng, err := NewCAP(testScoring(), store, region, 8, 8, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for u := feed.UserID(0); u < nUsers; u++ {
+				rs.AddUser(u)
+				eng.AddUser(u)
+			}
+			nextAd := adstore.AdID(1)
+			var liveAds []adstore.AdID
+			addAd := func() {
+				a := randAd(rng, nextAd)
+				if rng.Intn(4) == 0 {
+					a.Campaign = fmt.Sprintf("c%d", rng.Intn(3))
+				}
+				if err := store.Add(a); err != nil {
+					t.Fatal(err)
+				}
+				eng.RegisterAd(a)
+				liveAds = append(liveAds, nextAd)
+				nextAd++
+			}
+			for i := 0; i < 120; i++ {
+				addAd()
+			}
+
+			now := base0
+			var msgID feed.MessageID
+			for step := 0; step < steps; step++ {
+				now = now.Add(time.Duration(rng.Intn(180)) * time.Second)
+				switch op := rng.Intn(20); {
+				case op < 14: // post
+					msgID++
+					followers := make([]feed.UserID, 0, 5)
+					for _, f := range rng.Perm(nUsers)[:1+rng.Intn(5)] {
+						followers = append(followers, feed.UserID(f))
+					}
+					msg := feed.Message{ID: msgID, Time: now, Vec: randVec(rng, 1+rng.Intn(5), 25)}
+					if rng.Intn(10) == 0 {
+						msg.Time = now.Add(-time.Duration(1+rng.Intn(1200)) * time.Second)
+					}
+					if err := rs.Deliver(msg, followers); err != nil {
+						t.Fatal(err)
+					}
+					if err := eng.Deliver(msg, followers); err != nil {
+						t.Fatal(err)
+					}
+					for _, u := range followers {
+						want, err := rs.TopAds(u, k, msg.Time)
+						if err != nil {
+							t.Fatal(err)
+						}
+						got, err := eng.ContinuousTopAds(u, k, msg.Time)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if err := scoresCompatible(want, got, 1e-9); err != nil {
+							t.Fatalf("step %d user %d at %v: continuous answer is not the RS ranking: %v\nRS:  %+v\nCAP: %+v",
+								step, u, msg.Time, err, want, got)
+						}
+						// Serve the best ad: campaigns spend down and pace back.
+						if len(got) > 0 {
+							if _, err := store.ChargeImpression(got[0].Ad, msg.Time); err != nil {
+								t.Fatal(err)
+							}
+						}
+					}
+				case op < 17: // check-in
+					u := feed.UserID(rng.Intn(nUsers))
+					p := geo.Point{Lat: rng.Float64() * 10, Lng: rng.Float64() * 10}
+					if err := rs.CheckIn(u, p, now); err != nil {
+						t.Fatal(err)
+					}
+					if err := eng.CheckIn(u, p, now); err != nil {
+						t.Fatal(err)
+					}
+				case op == 17: // a new ad
+					addAd()
+				case op == 18 && len(liveAds) > 60: // an ad withdrawn
+					i := rng.Intn(len(liveAds))
+					id := liveAds[i]
+					liveAds = append(liveAds[:i], liveAds[i+1:]...)
+					if err := store.Remove(id); err != nil {
+						t.Fatal(err)
+					}
+					eng.UnregisterAd(id)
+				}
+			}
+			view, rerank := eng.ContinuousRefreshes()
+			t.Logf("%d refreshes from the view, %d re-ranked", view, rerank)
+			if view == 0 || rerank == 0 {
+				t.Fatalf("both paths must be exercised: %d from the view, %d re-ranked", view, rerank)
+			}
+		})
+	}
+}
+
+// viewFixture is a CAP with one user and a handful of global ads, for the
+// invalidation tests: each builds a view, applies one event that the delta
+// lists do not carry, and requires the continuous answer to still be what a
+// full ranking says.
+func viewFixture(t *testing.T, opts CAPOptions) *CAP {
+	t.Helper()
+	e := newTestCAP(t, opts)
+	e.AddUser(1)
+	// Five static-heavy ads on term 1: with k = 1 the view tracks four of
+	// them and its bound is the fourth's score.
+	for id := adstore.AdID(1); id <= 5; id++ {
+		if err := e.AddAd(simpleAd(id, 1, 1-0.1*float64(id))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return e
+}
+
+func deliver(t *testing.T, e *CAP, id feed.MessageID, at time.Time, vec textproc.SparseVector) {
+	t.Helper()
+	if err := e.Deliver(feed.Message{ID: id, Time: at, Vec: vec}, []feed.UserID{1}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// sameAsFullRanking requires ContinuousTopAds to return exactly TopAds.
+func sameAsFullRanking(t *testing.T, e *CAP, k int, at time.Time) []Scored {
+	t.Helper()
+	want, err := e.TopAds(1, k, at)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := e.ContinuousTopAds(1, k, at)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("continuous answer %+v, full ranking %+v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("rank %d: continuous answer %+v, full ranking %+v", i, got[i], want[i])
+		}
+	}
+	return got
+}
+
+func wantPath(t *testing.T, e *CAP, wantView, wantRerank uint64) {
+	t.Helper()
+	if view, rerank := e.ContinuousRefreshes(); view != wantView || rerank != wantRerank {
+		t.Fatalf("refreshes: %d from the view and %d re-ranked, want %d and %d", view, rerank, wantView, wantRerank)
+	}
+}
+
+func TestViewAnswersUntilADeliveryRaisesAnOutsider(t *testing.T) {
+	e := viewFixture(t, DefaultCAPOptions())
+	e.AddAd(simpleAd(9, 2, 0.1)) // text-only outsider
+	deliver(t, e, 1, base0, textproc.SparseVector{1: 1})
+	sameAsFullRanking(t, e, 1, base0)
+	wantPath(t, e, 0, 1) // the first refresh builds the view
+
+	// A message that moves nothing near the top: answered from the view.
+	deliver(t, e, 2, base0.Add(time.Minute), textproc.SparseVector{2: 0.01})
+	sameAsFullRanking(t, e, 1, base0.Add(time.Minute))
+	wantPath(t, e, 1, 1)
+
+	// A message that lifts the outsider past everything tracked: the view
+	// notes it, scores it, and still answers.
+	deliver(t, e, 3, base0.Add(2*time.Minute), textproc.SparseVector{2: 5})
+	if top := sameAsFullRanking(t, e, 1, base0.Add(2*time.Minute)); top[0].Ad != 9 {
+		t.Fatalf("top ad %d, want the raised outsider 9", top[0].Ad)
+	}
+	wantPath(t, e, 2, 1)
+}
+
+func TestViewDroppedByCheckIn(t *testing.T) {
+	e := viewFixture(t, DefaultCAPOptions())
+	// Eligible only near (9, 9); the user starts at (1, 1).
+	if err := e.AddAd(&adstore.Ad{
+		ID: 9, Vec: textproc.SparseVector{1: 1}, Slots: timeslot.AllSlots, Bid: 1,
+		Target: geo.Circle{Center: geo.Point{Lat: 9, Lng: 9}, RadiusKm: 50},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.CheckIn(1, geo.Point{Lat: 1, Lng: 1}, base0); err != nil {
+		t.Fatal(err)
+	}
+	deliver(t, e, 1, base0, textproc.SparseVector{1: 1})
+	sameAsFullRanking(t, e, 1, base0)
+
+	if err := e.CheckIn(1, geo.Point{Lat: 9, Lng: 9}, base0); err != nil {
+		t.Fatal(err)
+	}
+	if top := sameAsFullRanking(t, e, 1, base0); top[0].Ad != 9 {
+		t.Fatalf("top ad %d after moving into ad 9's circle, want 9", top[0].Ad)
+	}
+}
+
+func TestViewDroppedByAdRegistration(t *testing.T) {
+	e := viewFixture(t, DefaultCAPOptions())
+	deliver(t, e, 1, base0, textproc.SparseVector{1: 1})
+	sameAsFullRanking(t, e, 1, base0)
+
+	// Back-filled from the window at a higher score than anything tracked.
+	if err := e.AddAd(simpleAd(9, 1, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if top := sameAsFullRanking(t, e, 1, base0); top[0].Ad != 9 {
+		t.Fatalf("top ad %d, want the new ad 9", top[0].Ad)
+	}
+}
+
+func TestViewDroppedByAdRemoval(t *testing.T) {
+	e := viewFixture(t, DefaultCAPOptions())
+	// No ad carries term 3: the ranking is by bid alone, so the ad about
+	// to go leads without any help from the buffer.
+	deliver(t, e, 1, base0, textproc.SparseVector{3: 1})
+	if top := sameAsFullRanking(t, e, 1, base0); top[0].Ad != 1 {
+		t.Fatalf("top ad %d, want 1", top[0].Ad)
+	}
+	if err := e.RemoveAd(1); err != nil {
+		t.Fatal(err)
+	}
+	if top := sameAsFullRanking(t, e, 1, base0); top[0].Ad != 2 {
+		t.Fatalf("top ad %d after ad 1 was withdrawn, want 2", top[0].Ad)
+	}
+}
+
+func TestViewDroppedBySlotChange(t *testing.T) {
+	e := viewFixture(t, DefaultCAPOptions())
+	afternoon := simpleAd(9, 1, 0.95)
+	afternoon.Slots = timeslot.NewSet(timeslot.Afternoon)
+	e.AddAd(afternoon)
+	morningOnly := simpleAd(10, 1, 1)
+	morningOnly.Slots = timeslot.NewSet(timeslot.Morning)
+	e.AddAd(morningOnly)
+
+	at := base0.Add(4*time.Hour + 50*time.Minute) // 12:50, morning
+	deliver(t, e, 1, at, textproc.SparseVector{1: 1})
+	if top := sameAsFullRanking(t, e, 1, at); top[0].Ad != 10 {
+		t.Fatalf("morning top ad %d, want the morning-only ad 10", top[0].Ad)
+	}
+	// 13:10, afternoon. The message lifts every ad alike, which keeps the
+	// morning's tracked set well above its bound.
+	at = at.Add(20 * time.Minute)
+	deliver(t, e, 2, at, textproc.SparseVector{1: 1})
+	if top := sameAsFullRanking(t, e, 1, at); top[0].Ad != 9 {
+		t.Fatalf("afternoon top ad %d, want the afternoon-only ad 9", top[0].Ad)
+	}
+}
+
+// TestViewNotUsedBeforeWindowReference: a query older than the window's
+// newest message scales every text score up (winFactor > 1), beyond what
+// the reference-space noted test allowed for.
+func TestViewNotUsedBeforeWindowReference(t *testing.T) {
+	e := viewFixture(t, DefaultCAPOptions())
+	e.AddAd(simpleAd(9, 2, 0.1)) // text-only outsider
+	ref := base0.Add(time.Hour)
+	deliver(t, e, 1, ref, textproc.SparseVector{1: 1})
+	// Built for a query an hour before the reference (two half-lives: ×4).
+	sameAsFullRanking(t, e, 1, base0)
+
+	// Half an hour out of order. In reference space the outsider's raised
+	// score stays under the bound, so it is not noted; at the message's own
+	// time it is twice that and leads.
+	at := base0.Add(30 * time.Minute)
+	deliver(t, e, 2, at, textproc.SparseVector{1: 3, 2: 6.5})
+	if len(e.bufs[1].view.noted) != 0 {
+		t.Fatalf("the scenario needs the outsider to go unnoted, noted %v", e.bufs[1].view.noted)
+	}
+	if top := sameAsFullRanking(t, e, 1, at); top[0].Ad != 9 {
+		t.Fatalf("top ad %d, want the outsider 9", top[0].Ad)
+	}
+}
+
+// TestViewNotUsedBeforeItsOwnTime: the bound was taken at the build's query
+// time; an earlier query sees every untracked text score higher than that.
+func TestViewNotUsedBeforeItsOwnTime(t *testing.T) {
+	e := viewFixture(t, DefaultCAPOptions())
+	e.AddAd(simpleAd(9, 2, 0.1)) // text-only outsider
+	deliver(t, e, 1, base0, textproc.SparseVector{2: 0.4})
+	// An hour ahead the outsider's text is a quarter and it sits under the
+	// static-heavy five; now it leads.
+	sameAsFullRanking(t, e, 1, base0.Add(time.Hour))
+	if top := sameAsFullRanking(t, e, 1, base0); top[0].Ad != 9 {
+		t.Fatalf("top ad %d, want the outsider 9", top[0].Ad)
+	}
+}
+
+func TestViewDroppedByExactRebuild(t *testing.T) {
+	e := viewFixture(t, CAPOptions{FanoutSharing: true, RebuildEvery: 3})
+	deliver(t, e, 1, base0, textproc.SparseVector{1: 1})
+	sameAsFullRanking(t, e, 1, base0)
+	deliver(t, e, 2, base0, textproc.SparseVector{3: 1})
+	sameAsFullRanking(t, e, 1, base0)
+	wantPath(t, e, 1, 1)
+	deliver(t, e, 3, base0, textproc.SparseVector{3: 1}) // third update: rebuilt
+	sameAsFullRanking(t, e, 1, base0)
+	wantPath(t, e, 1, 2)
+}
+
+func TestViewDroppedByRenormalization(t *testing.T) {
+	// Three ads: the view tracks every eligible ad (no bound to fall under),
+	// so only the invalidation can send the last refresh to a ranking.
+	e := newTestCAP(t, DefaultCAPOptions())
+	e.AddUser(1)
+	for id := adstore.AdID(1); id <= 3; id++ {
+		e.AddAd(simpleAd(id, 1, 1-0.1*float64(id)))
+	}
+	deliver(t, e, 1, base0, textproc.SparseVector{1: 1})
+	sameAsFullRanking(t, e, 1, base0)
+	deliver(t, e, 2, base0.Add(time.Minute), textproc.SparseVector{3: 1})
+	sameAsFullRanking(t, e, 1, base0.Add(time.Minute))
+	wantPath(t, e, 1, 1)
+
+	// Eleven idle days at a 30-minute half-life age the buffer by e^-366:
+	// under the 1e-150 floor, short of the flush to zero.
+	later := base0.Add(11 * 24 * time.Hour)
+	deliver(t, e, 3, later, textproc.SparseVector{3: 1})
+	if e.bufs[1].scale != 1 || len(e.bufs[1].e) == 0 {
+		t.Fatalf("scale %v with %d entries: the scenario needs a renormalized, non-empty buffer", e.bufs[1].scale, len(e.bufs[1].e))
+	}
+	sameAsFullRanking(t, e, 1, later)
+	wantPath(t, e, 1, 2)
+}
+
+// budgetFixture has six ads on term 1, best bid first, the first budgeted of
+// them in a campaign that one impression exhausts half an hour in.
+func budgetFixture(t *testing.T, budgeted int) (*CAP, *adstore.Store) {
+	t.Helper()
+	store := adstore.NewStore()
+	camp, err := adstore.NewCampaign("c", 2.0, base0, base0.Add(time.Hour))
+	if err != nil {
+		t.Fatal(err)
+	}
+	store.AddCampaign(camp)
+	e, err := NewCAP(testScoring(), store, region, 8, 8, DefaultCAPOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.AddUser(1)
+	for id := adstore.AdID(1); id <= 6; id++ {
+		a := simpleAd(id, 1, 1-0.1*float64(id))
+		if int(id) <= budgeted {
+			a.Campaign = "c"
+		}
+		if err := e.AddAd(a); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deliver(t, e, 1, base0, textproc.SparseVector{1: 1})
+	return e, store
+}
+
+// TestViewSkipsExhaustedBudget: budget is applied when the answer is
+// emitted, so a tracked ad that runs dry is passed over without a re-rank.
+func TestViewSkipsExhaustedBudget(t *testing.T) {
+	e, store := budgetFixture(t, 1)
+	mid := base0.Add(31 * time.Minute)
+	if top := sameAsFullRanking(t, e, 1, mid); top[0].Ad != 1 {
+		t.Fatalf("mid-flight top ad %d, want the budgeted ad 1", top[0].Ad)
+	}
+	if ok, err := store.ChargeImpression(1, mid); err != nil || !ok {
+		t.Fatalf("charge: %v %v", ok, err)
+	}
+	if top := sameAsFullRanking(t, e, 1, mid); top[0].Ad != 2 {
+		t.Fatalf("top ad %d with ad 1 exhausted, want 2", top[0].Ad)
+	}
+	wantPath(t, e, 1, 1)
+}
+
+// TestViewFallsBackWhenNoTrackedAdCanPay: with all four tracked ads in the
+// exhausted campaign the view cannot fill the answer, and neither can a
+// rebuilt one; the budget-aware ranking does.
+func TestViewFallsBackWhenNoTrackedAdCanPay(t *testing.T) {
+	e, store := budgetFixture(t, 4)
+	mid := base0.Add(31 * time.Minute)
+	if top := sameAsFullRanking(t, e, 1, mid); top[0].Ad != 1 {
+		t.Fatalf("mid-flight top ad %d, want the budgeted ad 1", top[0].Ad)
+	}
+	if ok, err := store.ChargeImpression(1, mid); err != nil || !ok {
+		t.Fatalf("charge: %v %v", ok, err)
+	}
+	if top := sameAsFullRanking(t, e, 1, mid); top[0].Ad != 5 {
+		t.Fatalf("top ad %d with the campaign exhausted, want 5", top[0].Ad)
+	}
+	wantPath(t, e, 0, 2)
+}
+
+// TestViewTieWithBoundForcesRerank: an untracked ad scoring exactly the
+// bound can still belong in the answer — it wins the ID tie-break against a
+// tracked ad with a larger ID — so a k-th score equal to the bound is not
+// proof enough.
+func TestViewTieWithBoundForcesRerank(t *testing.T) {
+	store := adstore.NewStore()
+	// A flight that has not started: its ads never have budget here.
+	camp, err := adstore.NewCampaign("later", 1, base0.Add(24*time.Hour), base0.Add(48*time.Hour))
+	if err != nil {
+		t.Fatal(err)
+	}
+	store.AddCampaign(camp)
+	e, err := NewCAP(testScoring(), store, region, 8, 8, DefaultCAPOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.AddUser(1)
+	// All bid 1, so all tie on the static score. 20–22 cannot pay; 25 is
+	// the outsider (largest ID of the tie when the view is built); 30 leads
+	// while its message is in the window.
+	for _, id := range []adstore.AdID{20, 21, 22, 25, 30} {
+		a := simpleAd(id, 2, 1)
+		if id < 25 {
+			a.Campaign = "later"
+		}
+		if id == 30 {
+			a.Vec = textproc.SparseVector{1: 1}
+		}
+		if err := e.AddAd(a); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deliver(t, e, 1, base0, textproc.SparseVector{1: 1})
+	if top := sameAsFullRanking(t, e, 1, base0); top[0].Ad != 30 {
+		t.Fatalf("top ad %d, want 30", top[0].Ad)
+	}
+	// Push ad 30's message out of the six-message window: it falls back to
+	// the static score everything else has.
+	for i := 0; i < 6; i++ {
+		deliver(t, e, feed.MessageID(2+i), base0, textproc.SparseVector{3: 1})
+	}
+	if top := sameAsFullRanking(t, e, 1, base0); top[0].Ad != 25 {
+		t.Fatalf("top ad %d, want 25 (ties 30 on score, smaller ID)", top[0].Ad)
+	}
+}
+
+func TestViewRebuiltForADifferentK(t *testing.T) {
+	e := viewFixture(t, DefaultCAPOptions())
+	deliver(t, e, 1, base0, textproc.SparseVector{1: 1})
+	sameAsFullRanking(t, e, 1, base0)
+	if top := sameAsFullRanking(t, e, 3, base0); len(top) != 3 {
+		t.Fatalf("%d ads for k = 3", len(top))
+	}
+}
+
+// TestContinuousViewPathAllocations pins what a refresh answered from the
+// view allocates: the result slice and nothing else.
+func TestContinuousViewPathAllocations(t *testing.T) {
+	e := viewFixture(t, DefaultCAPOptions())
+	deliver(t, e, 1, base0, textproc.SparseVector{1: 1})
+	sameAsFullRanking(t, e, 1, base0)
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := e.ContinuousTopAds(1, 1, base0); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if view, rerank := e.ContinuousRefreshes(); rerank != 1 || view < 100 {
+		t.Fatalf("%d from the view, %d re-ranked: the measured calls must take the view path", view, rerank)
+	}
+	if allocs > 1 {
+		t.Fatalf("view-path refresh allocates %.0f times, want at most 1 (the result)", allocs)
+	}
+}

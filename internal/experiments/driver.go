@@ -20,7 +20,8 @@ import (
 // driver replays one workload into one engine, measuring event processing
 // cost. In continuous mode (k > 0) every post additionally refreshes the
 // top-k of each affected follower — the paper's "ads with every feed
-// refresh" serving model.
+// refresh" serving model — the way the facade does: CAP from its per-user
+// views, the baselines by re-ranking.
 type driver struct {
 	eng core.Recommender
 	w   *workload.Workload
@@ -85,6 +86,7 @@ type replayResult struct {
 func (d *driver) replay(events []workload.Event) (replayResult, error) {
 	var res replayResult
 	fanout := make([]feed.UserID, 0, 256)
+	refresh := core.ContinuousRefresh(d.eng)
 	wall := time.Now()
 	for i := range events {
 		ev := &events[i]
@@ -103,7 +105,7 @@ func (d *driver) replay(events []workload.Event) (replayResult, error) {
 			}
 			if d.k > 0 {
 				for _, u := range fanout {
-					if _, err := d.eng.TopAds(u, d.k, ev.Time); err != nil {
+					if _, err := refresh(u, d.k, ev.Time); err != nil {
 						return res, err
 					}
 					res.TopKCalls++

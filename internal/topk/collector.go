@@ -1,7 +1,7 @@
 // Package topk provides the top-k machinery of the recommender: a streaming
-// bounded min-heap collector for one-shot rankings, and a k-skyband that
-// bounds the candidate sets the CAP engine must retain to stay exact as
-// scores decay over time.
+// bounded min-heap collector. Every engine ranks through it, and the CAP
+// engine's continuous top-k view (internal/core/view.go) is refilled from a
+// collector four times the size of the answer.
 package topk
 
 import (

@@ -92,6 +92,8 @@ func (f *family) expose(w io.Writer) error {
 		switch m := c.(type) {
 		case *Counter:
 			_, err = fmt.Fprintf(w, "%s%s %d\n", f.name, labelString(f.labels, values, "", ""), m.Value())
+		case sampledCounter:
+			_, err = fmt.Fprintf(w, "%s%s %d\n", f.name, labelString(f.labels, values, "", ""), m())
 		case *Gauge:
 			_, err = fmt.Fprintf(w, "%s%s %s\n", f.name, labelString(f.labels, values, "", ""), formatFloat(m.Value()))
 		case *Histogram:

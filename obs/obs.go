@@ -192,6 +192,27 @@ func (v *CounterVec) With(values ...string) *Counter {
 	return v.f.child(values, func() any { return new(Counter) }).(*Counter)
 }
 
+// Func makes the series for the given label values a sampled one: its value
+// is read from fn at scrape time, as CounterFunc does for a scalar — for
+// counts already kept elsewhere (under a lock a scrape may take, say).
+// Setting the same label values again replaces the function (last wins).
+func (v *CounterVec) Func(fn func() uint64, values ...string) {
+	f := v.f
+	if len(values) != len(f.labels) {
+		panic(fmt.Sprintf("obs: metric %q wants %d label values, got %d", f.name, len(f.labels), len(values)))
+	}
+	key := seriesKey(values)
+	f.mu.Lock()
+	if _, ok := f.series[key]; !ok {
+		f.order = append(f.order, key)
+	}
+	f.series[key] = sampledCounter(fn)
+	f.mu.Unlock()
+}
+
+// sampledCounter is a labeled counter series read at scrape time.
+type sampledCounter func() uint64
+
 // CounterFunc registers a counter whose value is read from fn at scrape
 // time — for counts already tracked by an existing atomic elsewhere.
 // Re-registering the same name replaces the function (last wins).

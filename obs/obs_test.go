@@ -64,6 +64,10 @@ func TestGaugeAndCounterFuncs(t *testing.T) {
 	r := NewRegistry()
 	r.GaugeFunc("test_sampled", "Sampled gauge.", func() float64 { return 7.5 })
 	r.CounterFunc("test_sampled_total", "Sampled counter.", func() uint64 { return 42 })
+	byPath := r.CounterVec("test_sampled_by_path_total", "Sampled labeled counter.", "path")
+	byPath.Func(func() uint64 { return 1 }, "a")
+	byPath.Func(func() uint64 { return 3 }, "a") // last wins
+	byPath.With("b").Add(2)                      // stored and sampled series share a family
 
 	var b strings.Builder
 	if err := r.WritePrometheus(&b); err != nil {
@@ -73,6 +77,7 @@ func TestGaugeAndCounterFuncs(t *testing.T) {
 	for _, want := range []string{
 		"# TYPE test_sampled gauge\ntest_sampled 7.5\n",
 		"# TYPE test_sampled_total counter\ntest_sampled_total 42\n",
+		"# TYPE test_sampled_by_path_total counter\ntest_sampled_by_path_total{path=\"a\"} 3\ntest_sampled_by_path_total{path=\"b\"} 2\n",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
