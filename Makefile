@@ -156,6 +156,8 @@ hot-smoke:
 capture-smoke:
 	$(GO) run ./cmd/adbench -capture-smoke -capture-smoke-dir capture-smoke
 
+# clean owns bin/: everything in it is built by a target above (today only
+# the caarlint vettool), so the directory goes, not just the files we know.
 clean:
 	$(GO) clean ./...
-	rm -f $(CAARLINT)
+	rm -rf bin

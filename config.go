@@ -50,9 +50,9 @@ type Config struct {
 	// ContinuousK, when positive, keeps the top-ContinuousK ads of every
 	// follower a post reaches up to date and invokes OnRecommend with them
 	// after each post. This is the paper's continuous "ads with every feed
-	// refresh" mode. CAP maintains a per-user top-k view for it and
-	// refreshes from what the post changed (DESIGN.md §3.1 item 5); IL and
-	// RS re-rank.
+	// refresh" mode. The refresh is the TopAds a Recommend makes: CAP answers
+	// from the user's top-k view, which either kind of query creates, at the
+	// cost of what the post changed (DESIGN.md §3.1 item 5); IL and RS re-rank.
 	ContinuousK int
 	// OnRecommend receives continuous-mode results. It may be called from
 	// multiple goroutines when Shards > 1.

@@ -158,10 +158,6 @@ type shard struct {
 	mu   *sync.Mutex
 	eng  core.Shardable
 	sink *coreTraceSink
-
-	// refresh computes a user's top-k after a delivery in continuous mode:
-	// CAP answers from its per-user view, the baselines re-rank.
-	refresh func(u feed.UserID, k int, t time.Time) ([]core.Scored, error)
 }
 
 // coreTraceSink routes the stage spans measured under the shard lock into
@@ -227,7 +223,7 @@ func Open(cfg Config) (*Engine, error) {
 		if err != nil {
 			return nil, err
 		}
-		e.shards = append(e.shards, shard{mu: new(sync.Mutex), eng: eng, sink: new(coreTraceSink), refresh: core.ContinuousRefresh(eng)})
+		e.shards = append(e.shards, shard{mu: new(sync.Mutex), eng: eng, sink: new(coreTraceSink)})
 	}
 
 	reg := cfg.Metrics
@@ -685,7 +681,7 @@ func (e *Engine) deliver(d *directory, reqs []PostRequest, msgs []feed.Message, 
 			}
 		}
 		for u, at := range affected {
-			recs, err := sh.refresh(u, e.cfg.ContinuousK, at)
+			recs, err := sh.eng.TopAds(u, e.cfg.ContinuousK, at)
 			if err != nil {
 				e.obsm.continuousErrors.Inc()
 				continue
@@ -731,6 +727,10 @@ func (e *Engine) deliver(d *directory, reqs []PostRequest, msgs []feed.Message, 
 	}
 }
 
+// MaxK is the largest k Recommend and Trending accept: collectors and CAP's
+// views are sized from k, so an unbounded k is a one-request OOM.
+const MaxK = 1000
+
 // Recommend returns the top-k ads for a user at the given time.
 func (e *Engine) Recommend(user string, k int, at time.Time) ([]Recommendation, error) {
 	recs, _, err := e.recommend(user, k, at, ServingPolicy{}, TraceRequest{})
@@ -763,9 +763,9 @@ func (e *Engine) recommend(user string, k int, at time.Time, policy ServingPolic
 		e.obsm.recommendErrors.Inc()
 		return nil, e.finishTrace(tr, time.Since(start), err), err
 	}
-	if k < 1 {
+	if k < 1 || k > MaxK {
 		e.obsm.recommendErrors.Inc()
-		err := fmt.Errorf("%w: k=%d", ErrBadConfig, k)
+		err := fmt.Errorf("%w: k=%d, want 1..%d", ErrBadConfig, k, MaxK)
 		return nil, e.finishTrace(tr, time.Since(start), err), err
 	}
 	// Hot-key telemetry: one lock-free bounded-queue enqueue (nil-safe
@@ -778,7 +778,7 @@ func (e *Engine) recommend(user string, k int, at time.Time, policy ServingPolic
 
 	fetch := k
 	if policy.enabled() {
-		fetch = k * policy.overfetch()
+		fetch = k * min(policy.overfetch(), MaxK) // cannot overflow
 	}
 	sh := e.shardOf(uid)
 	sh.mu.Lock() //caarlint:allow readpathlock per-shard core lock is the designed serialization point
@@ -792,6 +792,9 @@ func (e *Engine) recommend(user string, k int, at time.Time, policy ServingPolic
 	scored, err := sh.eng.TopAds(uid, fetch, at)
 	if tr != nil {
 		sh.sink.tr = nil
+		if p, ok := sh.eng.(interface{ AnswerPath() string }); ok {
+			tr.Path = p.AnswerPath()
+		}
 	}
 	sh.mu.Unlock()
 	if err != nil {
@@ -881,13 +884,20 @@ func (e *Engine) Stats() Stats {
 		Shards:         len(e.shards),
 	}
 	st.Users = len(e.dir.Load().users)
+	e.eachCAP(func(c *core.CAP) {
+		st.CachedMessages += c.CachedMessages()
+		st.CandidateBufferEntries += c.TotalBufferEntries()
+	})
+	return st
+}
+
+// eachCAP calls f with each shard engine that is a CAP, under its lock.
+func (e *Engine) eachCAP(f func(*core.CAP)) {
 	for _, sh := range e.shards {
 		sh.mu.Lock()
 		if c, ok := sh.eng.(*core.CAP); ok {
-			st.CachedMessages += c.CachedMessages()
-			st.CandidateBufferEntries += c.TotalBufferEntries()
+			f(c)
 		}
 		sh.mu.Unlock()
 	}
-	return st
 }

@@ -144,41 +144,25 @@ func newEngineMetrics(reg *obs.Registry, e *Engine) *engineMetrics {
 	})
 	reg.GaugeFunc("caar_engine_candidate_buffer_entries", "CAP candidate-buffer entries summed over users (0 for IL/RS).", func() float64 {
 		total := 0
-		for _, sh := range e.shards {
-			sh.mu.Lock()
-			if c, ok := sh.eng.(*core.CAP); ok {
-				total += c.TotalBufferEntries()
-			}
-			sh.mu.Unlock()
-		}
+		e.eachCAP(func(c *core.CAP) { total += c.TotalBufferEntries() })
 		return float64(total)
 	})
 	reg.GaugeFunc("caar_engine_cached_messages", "Messages with live shared delta lists (CAP fan-out sharing).", func() float64 {
 		total := 0
-		for _, sh := range e.shards {
-			sh.mu.Lock()
-			if c, ok := sh.eng.(*core.CAP); ok {
-				total += c.CachedMessages()
-			}
-			sh.mu.Unlock()
-		}
+		e.eachCAP(func(c *core.CAP) { total += c.CachedMessages() })
 		return float64(total)
 	})
-	refreshes := reg.CounterVec("caar_engine_continuous_refresh_total",
-		"Continuous top-k refreshes by path: answered from the user's top-k view, or by re-ranking the candidate buffer (CAP; 0 for IL/RS).", "path")
-	sumRefreshes := func() (view, rerank uint64) {
-		for _, sh := range e.shards {
-			sh.mu.Lock()
-			if c, ok := sh.eng.(*core.CAP); ok {
-				v, r := c.ContinuousRefreshes()
-				view, rerank = view+v, rerank+r
-			}
-			sh.mu.Unlock()
-		}
+	paths := reg.CounterVec("caar_engine_topads_total",
+		"Top-k queries (feed renders and continuous refreshes) by path: answered from the user's top-k view, or by re-ranking the candidate buffer (CAP; 0 for IL/RS).", "path")
+	sumPaths := func() (view, rerank uint64) {
+		e.eachCAP(func(c *core.CAP) {
+			v, r := c.TopAdsPaths()
+			view, rerank = view+v, rerank+r
+		})
 		return view, rerank
 	}
-	refreshes.Func(func() uint64 { view, _ := sumRefreshes(); return view }, "view")
-	refreshes.Func(func() uint64 { _, rerank := sumRefreshes(); return rerank }, "rerank")
+	paths.Func(func() uint64 { view, _ := sumPaths(); return view }, "view")
+	paths.Func(func() uint64 { _, rerank := sumPaths(); return rerank }, "rerank")
 	reg.GaugeFunc("caar_engine_shards", "Engine shard count.", func() float64 {
 		return float64(len(e.shards))
 	})

@@ -3,8 +3,10 @@ package caar
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -547,6 +549,52 @@ func TestRemoveAdRollbackOnStoreError(t *testing.T) {
 	}
 }
 
+// TestKAboveMaxRejected: k sizes the collector and, for CAP, the user's
+// view, so a k above MaxK is refused — by Recommend, with a policy's
+// over-fetch on top, and by Trending — before anything is allocated from
+// it, and MaxK itself (over-fetched by a factor no int could hold) answers.
+func TestKAboveMaxRejected(t *testing.T) {
+	e := openEngine(t, testConfig())
+	e.AddUser("alice")
+	if err := e.AddAd(Ad{ID: "shoes", Text: "running shoes", Bid: 0.5}); err != nil {
+		t.Fatal(err)
+	}
+	greedy := ServingPolicy{MaxPerCampaign: 1, OverfetchFactor: math.MaxInt}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, k := range []int{MaxK + 1, 2_000_000_000, math.MaxInt} {
+		if _, err := e.Recommend("alice", k, morning); !errors.Is(err, ErrBadConfig) {
+			t.Fatalf("Recommend k=%d: %v, want ErrBadConfig", k, err)
+		}
+		if _, err := e.RecommendWithPolicy("alice", k, morning, greedy); !errors.Is(err, ErrBadConfig) {
+			t.Fatalf("RecommendWithPolicy k=%d: %v, want ErrBadConfig", k, err)
+		}
+		if _, err := e.Trending(Morning, k); !errors.Is(err, ErrBadConfig) {
+			t.Fatalf("Trending k=%d: %v, want ErrBadConfig", k, err)
+		}
+	}
+	recs, err := e.RecommendWithPolicy("alice", MaxK, morning, greedy)
+	if err != nil || len(recs) != 1 {
+		t.Fatalf("k=MaxK with the largest over-fetch: %v, %d ads, want the one ad", err, len(recs))
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("%d bytes allocated answering and refusing huge k, want nothing proportional to k", grew)
+	}
+	for _, sh := range e.shards {
+		if view, _ := sh.eng.(*core.CAP).TopAdsPaths(); view != 0 {
+			t.Fatal("a k above the view ceiling was answered from a view")
+		}
+	}
+}
+
+// failingTopAds is a shard engine whose every query fails.
+type failingTopAds struct{ core.Shardable }
+
+func (failingTopAds) TopAds(feed.UserID, int, time.Time) ([]core.Scored, error) {
+	return nil, errors.New("stub: topads unavailable")
+}
+
 // TestContinuousTopAdsErrorsCounted pins that per-user TopAds failures on
 // the continuous delivery path are counted instead of silently swallowed.
 func TestContinuousTopAdsErrorsCounted(t *testing.T) {
@@ -561,10 +609,8 @@ func TestContinuousTopAdsErrorsCounted(t *testing.T) {
 	if err := e.AddAd(Ad{ID: "shoes", Text: "running shoes", Bid: 0.5}); err != nil {
 		t.Fatal(err)
 	}
-	// Fail every refresh, to reach the delivery path's per-user error branch.
-	e.shards[0].refresh = func(feed.UserID, int, time.Time) ([]core.Scored, error) {
-		return nil, errors.New("stub: topads unavailable")
-	}
+	// Fail every TopAds, to reach the delivery path's per-user error branch.
+	e.shards[0].eng = failingTopAds{e.shards[0].eng}
 
 	if err := e.Post("bob", "running today", morning); err != nil {
 		t.Fatal(err)
@@ -712,11 +758,11 @@ func TestContinuousCallbackIsTheRecommendAnswer(t *testing.T) {
 	}
 	var view, rerank int
 	for _, line := range strings.Split(buf.String(), "\n") {
-		fmt.Sscanf(line, `caar_engine_continuous_refresh_total{path="view"} %d`, &view)
-		fmt.Sscanf(line, `caar_engine_continuous_refresh_total{path="rerank"} %d`, &rerank)
+		fmt.Sscanf(line, `caar_engine_topads_total{path="view"} %d`, &view)
+		fmt.Sscanf(line, `caar_engine_topads_total{path="rerank"} %d`, &rerank)
 	}
-	t.Logf("caar_engine_continuous_refresh_total: view %d, rerank %d", view, rerank)
+	t.Logf("caar_engine_topads_total: view %d, rerank %d", view, rerank)
 	if view == 0 || rerank == 0 || view < rerank {
-		t.Fatalf("caar_engine_continuous_refresh_total: view %d, rerank %d; want both paths taken, mostly the view", view, rerank)
+		t.Fatalf("caar_engine_topads_total: view %d, rerank %d; want both paths taken, mostly the view", view, rerank)
 	}
 }

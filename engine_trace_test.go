@@ -2,6 +2,7 @@ package caar
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -99,6 +100,53 @@ func TestTracedRecommendStageSpanInvariant(t *testing.T) {
 				t.Errorf("trace algorithm = %q, want %q", tr.Algorithm, alg)
 			}
 		})
+	}
+}
+
+// TestTraceRecordsAnswerPath: a CAP trace says whether the user's top-k view
+// answered or the candidate set was re-ranked, and on either path the three
+// core stages appear once each with counts that describe the work done —
+// buffer entries and eligible candidates for a re-rank, the view's tracked
+// and noted ads for a view answer. The baselines have no view and no path.
+func TestTraceRecordsAnswerPath(t *testing.T) {
+	e := tracedEngine(t, AlgorithmCAP, trace.Config{SampleRate: 1})
+	at := morning.Add(time.Minute)
+	var paths []string
+	for i := 0; i < 3; i++ {
+		if i == 2 { // noted by the view, then scored by the next read
+			if err := e.Post("bob", "espresso and pizza after the marathon", at); err != nil {
+				t.Fatal(err)
+			}
+		}
+		recs, tr, err := e.RecommendTraced("alice", 2, at, ServingPolicy{}, TraceRequest{})
+		if err != nil || tr == nil || len(recs) != 2 {
+			t.Fatalf("read %d: %d ads, trace %v, err %v", i, len(recs), tr != nil, err)
+		}
+		paths = append(paths, tr.Path)
+		if len(tr.Spans) != 6 {
+			t.Fatalf("read %d (%s): %d spans %v, want one per stage", i, tr.Path, len(tr.Spans), tr.Spans)
+		}
+		retrieve, score, topk := tr.Span("retrieve"), tr.Span("score"), tr.Span("topk")
+		if score.Out > score.In || topk.In != score.Out || topk.Out != 2 {
+			t.Errorf("read %d (%s): funnel retrieve %+v score %+v topk %+v", i, tr.Path, retrieve, score, topk)
+		}
+		// Three ads, all eligible for alice: a re-rank examines and offers
+		// all three, and the view tracks all three (fewer than 4k exist);
+		// the post raised each of them, so the last read also re-scores
+		// three noted ads before it finds them tracked already.
+		wantIn := []int{3, 3, 6}[i]
+		if score.In != wantIn || score.Out != 3 || (tr.Path == "view" && retrieve.In != wantIn) {
+			t.Errorf("read %d (%s): retrieve %+v score %+v, want %d candidates in and 3 out", i, tr.Path, retrieve, score, wantIn)
+		}
+	}
+	if want := []string{"rerank", "view", "view"}; !slices.Equal(paths, want) {
+		t.Fatalf("answer paths %v, want %v", paths, want)
+	}
+	for _, alg := range []Algorithm{AlgorithmIL, AlgorithmRS} {
+		_, tr, err := tracedEngine(t, alg, trace.Config{SampleRate: 1}).RecommendTraced("alice", 2, at, ServingPolicy{}, TraceRequest{})
+		if err != nil || tr.Path != "" {
+			t.Fatalf("%s: path %q, err %v; want no path", alg, tr.Path, err)
+		}
 	}
 }
 

@@ -4,6 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
+	"math"
+	"math/rand"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -351,5 +355,155 @@ func TestPipelineCloseMidBurstDrainRace(t *testing.T) {
 	// the ring forever.
 	if err := p.SubmitPost("bob", "after close", t0); !errors.Is(err, ErrClosed) {
 		t.Fatalf("post-close submit: got %v, want ErrClosed", err)
+	}
+}
+
+// TestRecommendMatchesRSThroughIngest is the facade-level oracle of the one
+// query path: a two-shard CAP engine fed through the asynchronous pipeline
+// must render the same feeds — plain, and under a frequency cap with
+// over-fetch 4 — as an RS engine applying the same operations directly. CAP
+// answers most of these reads from per-user views that the batched applies
+// keep noting into; RS has nothing of the kind to get wrong.
+func TestRecommendMatchesRSThroughIngest(t *testing.T) {
+	const nUsers, nAds, steps = 24, 90, 1500
+	rng := rand.New(rand.NewSource(23))
+	vocab := strings.Fields("espresso marathon sneaker trail pizza vinyl concert yoga ramen surf climbing bakery cinema chess garden tattoo sushi bike kayak jazz")
+	text := func(n int) string {
+		words := make([]string, n)
+		for i := range words {
+			words[i] = vocab[rng.Intn(len(vocab))]
+		}
+		return strings.Join(words, " ")
+	}
+	user := func(i int) string { return fmt.Sprintf("u%02d", i) }
+
+	capCfg := caar.DefaultConfig()
+	capCfg.Shards, capCfg.WindowSize, capCfg.DecayHalfLife = 2, 8, 30*time.Minute
+	rsCfg := capCfg
+	rsCfg.Algorithm = caar.AlgorithmRS
+	var engines [2]*caar.Engine
+	for i, cfg := range []caar.Config{capCfg, rsCfg} {
+		eng, err := caar.Open(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		engines[i] = eng
+	}
+	both := func(op func(*caar.Engine) error) {
+		t.Helper()
+		for _, eng := range engines {
+			if err := op(eng); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for i := 0; i < nUsers; i++ {
+		both(func(e *caar.Engine) error { return e.AddUser(user(i)) })
+	}
+	for i := 0; i < nUsers; i++ {
+		for _, j := range rng.Perm(nUsers)[:5] {
+			if j != i {
+				both(func(e *caar.Engine) error { return e.Follow(user(i), user(j)) })
+			}
+		}
+	}
+	both(func(e *caar.Engine) error { return e.AddCampaign("spring", 40, t0, t0.Add(48*time.Hour)) })
+	for i := 0; i < nAds; i++ {
+		ad := caar.Ad{ID: fmt.Sprintf("ad%02d", i), Text: text(3), Bid: 0.05 + 0.9*rng.Float64()}
+		if i%2 == 0 {
+			ad.Target = &caar.Target{Lat: 4 * rng.Float64(), Lng: 4 * rng.Float64(), RadiusKm: 100 + 200*rng.Float64()}
+		}
+		if i%5 == 0 {
+			ad.Campaign = "spring"
+		}
+		both(func(e *caar.Engine) error { return e.AddAd(ad) })
+	}
+
+	capEng, rsEng := engines[0], engines[1]
+	p := New(capEng, &countingJournal{w: journal.NewWriter(io.Discard)}, nil, Config{MaxBatch: 16})
+	defer p.Close()
+	applied := func() uint64 { st := capEng.Stats(); return st.PostsDelivered + st.CheckIns }
+	policy := caar.ServingPolicy{FrequencyCap: 1, FrequencyWindow: time.Hour, OverfetchFactor: 4}
+	same := func(step int, what string, got, want []caar.Recommendation) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("step %d %s: CAP through ingest %+v\nRS %+v", step, what, got, want)
+		}
+		for i := range want {
+			tied := (i > 0 && want[i-1].Score-want[i].Score < 1e-9) || (i+1 < len(want) && want[i].Score-want[i+1].Score < 1e-9)
+			if math.Abs(got[i].Score-want[i].Score) > 1e-9 || (!tied && got[i].AdID != want[i].AdID) {
+				t.Fatalf("step %d %s rank %d: CAP through ingest %+v\nRS %+v", step, what, i, got, want)
+			}
+		}
+	}
+
+	at, submitted := t0, uint64(0)
+	for step := 0; step < steps; step++ {
+		at = at.Add(time.Duration(rng.Intn(60)) * time.Second)
+		switch op := rng.Intn(10); {
+		case op < 6:
+			author, body := user(rng.Intn(nUsers)), text(4)
+			if err := p.SubmitPost(author, body, at); err != nil {
+				t.Fatal(err)
+			}
+			if err := rsEng.Post(author, body, at); err != nil {
+				t.Fatal(err)
+			}
+			submitted++
+		case op == 6:
+			who, lat, lng := user(rng.Intn(nUsers)), 4*rng.Float64(), 4*rng.Float64()
+			if err := p.SubmitCheckIn(who, lat, lng, at); err != nil {
+				t.Fatal(err)
+			}
+			if err := rsEng.CheckIn(who, lat, lng, at); err != nil {
+				t.Fatal(err)
+			}
+			submitted++
+		default: // a feed render, once the applier has caught up
+			for deadline := time.Now().Add(10 * time.Second); applied() < submitted; {
+				if time.Now().After(deadline) {
+					t.Fatalf("step %d: %d of %d acked writes applied", step, applied(), submitted)
+				}
+				time.Sleep(50 * time.Microsecond)
+			}
+			who, k := user(rng.Intn(nUsers)), 1+rng.Intn(12)
+			want, err := rsEng.Recommend(who, k, at)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := capEng.Recommend(who, k, at)
+			if err != nil {
+				t.Fatal(err)
+			}
+			same(step, "Recommend", got, want)
+			wantP, err := rsEng.RecommendWithPolicy(who, k, at, policy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotP, err := capEng.RecommendWithPolicy(who, k, at, policy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			same(step, "RecommendWithPolicy", gotP, wantP)
+			// Show the best ad: it is capped for this user for an hour, and
+			// campaign ads spend the paced budget down on both engines.
+			if len(want) > 0 {
+				both(func(e *caar.Engine) error { _, err := e.RecordImpressionTo(who, want[0].AdID, at); return err })
+			}
+		}
+	}
+
+	var buf strings.Builder
+	if err := capEng.Metrics().WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var view, rerank int
+	for _, line := range strings.Split(buf.String(), "\n") {
+		fmt.Sscanf(line, `caar_engine_topads_total{path="view"} %d`, &view)
+		fmt.Sscanf(line, `caar_engine_topads_total{path="rerank"} %d`, &rerank)
+	}
+	t.Logf("caar_engine_topads_total: view %d, rerank %d", view, rerank)
+	if view == 0 || rerank == 0 {
+		t.Fatalf("both paths must serve reads: view %d, rerank %d", view, rerank)
 	}
 }

@@ -110,15 +110,15 @@ func (b *base) offer(c *topk.Collector, a *adstore.Ad, textRel float64, st *user
 func (b *base) resolve(items []topk.Item, st *userState, textRelOf func(adstore.AdID) float64) []Scored {
 	out := make([]Scored, 0, len(items))
 	for _, it := range items {
-		id := adstore.AdID(it.ID)
-		a := b.store.Get(id)
-		if a == nil {
-			continue
+		if a := b.store.Get(adstore.AdID(it.ID)); a != nil {
+			out = append(out, b.decompose(a, it.Score, textRelOf(a.ID), st))
 		}
-		text := b.scoring.AlphaText * textRelOf(id)
-		geoPart := b.scoring.BetaGeo * a.GeoScore(st.loc, st.hasLoc)
-		bidPart := b.scoring.GammaBid * a.Bid
-		out = append(out, Scored{Ad: id, Score: it.Score, Text: text, Geo: geoPart, Bid: bidPart})
 	}
 	return out
+}
+
+// decompose is one result: the ad, its score, and the score's three parts.
+func (b *base) decompose(a *adstore.Ad, score, textRel float64, st *userState) Scored {
+	return Scored{Ad: a.ID, Score: score, Text: b.scoring.AlphaText * textRel,
+		Geo: b.scoring.BetaGeo * a.GeoScore(st.loc, st.hasLoc), Bid: b.scoring.GammaBid * a.Bid}
 }

@@ -46,9 +46,8 @@ type msgCache struct {
 // contribution. It maintains, per user, an incrementally-updated candidate
 // buffer so a feed event costs one merge of the message's delta list per
 // follower and a top-k query costs O(|buffer|), independent of the total
-// number of ads; a user whose top-k is asked for after every delivery also
-// gets a view (view.go) that makes that refresh cost what the delivery
-// changed.
+// number of ads; a user whose top-k has been asked for also has a view
+// (view.go) that makes the next query cost what the deliveries since changed.
 type CAP struct {
 	*indexed
 	opts  CAPOptions
@@ -58,7 +57,8 @@ type CAP struct {
 	// scratch is the merge space Deliver lends to dynBuf.merge.
 	scratch []bufEntry
 
-	viewRefreshes, rerankRefreshes uint64
+	viewAnswers, reranks uint64 // TopAds calls by how they were answered
+	lastPath             string // and the last one's: "view" or "rerank"
 }
 
 // NewCAP creates a CAP engine over the given region and grid resolution.
@@ -266,31 +266,42 @@ func (e *CAP) maybeRebuild(st *userState, buf *dynBuf) {
 	buf.scale, buf.ops, buf.view = 1, 0, nil
 }
 
-// TopAds implements Recommender: rank the buffered text candidates plus the
-// static-only remainder. No index traversal happens on this path — the
-// retrieve stage is just the window-context factor lookup, because CAP
-// materialized the candidate set incrementally at delivery time.
+// TopAds implements Recommender. No index is traversed — CAP materialized
+// the candidate set at delivery time — and mostly the set is not walked
+// either: the user's view (view.go) answers when it can prove the top k lies
+// inside it. Otherwise the set is ranked once, ignoring budget, to refill the
+// view, and the answer read off that. The budget-aware ranking is left with a
+// k too large for a view, and (timed as topk) a fresh view short of payable ads.
 func (e *CAP) TopAds(u feed.UserID, k int, t time.Time) ([]Scored, error) {
 	st, err := e.state(u)
 	if err != nil {
 		return nil, err
 	}
-	buf, ok := e.bufs[u]
-	if !ok {
-		return nil, fmt.Errorf("%w: %d", ErrUnknownUser, u)
-	}
-	span := e.stageStart()
+	buf, span := e.bufs[u], e.stageStart()
 	_, winFactor := st.win.ContextRef(t)
-	mult := buf.scale * winFactor
-	c := topk.NewCollector(k)
+	mult, sl := buf.scale*winFactor, timeslot.Of(t)
+	viewable := viewSlack*k <= viewMaxTracked
+	if viewable {
+		if out, ok := e.fromView(st, buf, mult, winFactor, k, sl, t, span); ok {
+			return out, nil
+		}
+	}
+	e.reranks, e.lastPath = e.reranks+1, "rerank"
 	span = e.stageDone(StageRetrieve, span, len(buf.e), len(buf.e))
-
-	examined, offered := e.rank(c, st, buf, mult, timeslot.Of(t), t, true)
-	span = e.stageDone(StageScore, span, examined, offered)
-
-	out := e.resolve(c.Items(), st, func(id adstore.AdID) float64 {
-		return buf.get(id) * mult
-	})
+	if viewable {
+		examined, offered := e.buildView(buf, st, mult, k, sl, t)
+		span = e.stageDone(StageScore, span, examined, offered)
+		if out, ok := e.emit(buf.view, st, buf, mult, k, t); ok {
+			e.stageDone(StageTopK, span, offered, len(out))
+			return out, nil
+		}
+	}
+	c := topk.NewCollector(k)
+	examined, offered := e.rank(c, st, buf, mult, sl, t, true)
+	if !viewable {
+		span = e.stageDone(StageScore, span, examined, offered)
+	}
+	out := e.resolve(c.Items(), st, func(id adstore.AdID) float64 { return buf.get(id) * mult })
 	e.stageDone(StageTopK, span, offered, len(out))
 	return out, nil
 }

@@ -32,8 +32,8 @@ type dynBuf struct {
 	scale float64
 	ops   int
 
-	// view is the user's materialised top-k (view.go); nil unless the user
-	// is refreshed continuously.
+	// view is the user's materialised top-k (view.go); nil until the user's
+	// first query, and again after anything that invalidates it.
 	view *topView
 }
 
@@ -122,7 +122,7 @@ func (b *dynBuf) age(factor float64) (renormalized bool) {
 // entry that ends at (numerical) zero is dropped. Every ad of add whose
 // stored value ends at or above noteAt goes on the view's noted list: how
 // the view learns which raised ads could now beat its bound (noteAt is +Inf
-// when there is no view).
+// when there is no view); one more than viewMaxNoted of them drops the view.
 //
 // scratch is the caller's reusable merge space; it is returned, possibly
 // grown, for the next call.
@@ -162,7 +162,11 @@ func (b *dynBuf) merge(scratch []bufEntry, sub []index.Delta, cs float64, add []
 		}
 		out = append(out, bufEntry{ad: ad, v: v})
 		if raised && v >= noteAt {
-			b.view.noted = append(b.view.noted, ad)
+			if len(b.view.noted) < viewMaxNoted {
+				b.view.noted = append(b.view.noted, ad)
+			} else {
+				b.view, noteAt = nil, math.Inf(1)
+			}
 		}
 	}
 	out = append(out, src[i:]...)

@@ -79,10 +79,13 @@ func runDynBufModel(t *testing.T, data []byte) {
 			sub, cs := list(), factors[next()%len(factors)]
 			add, ca := list(), factors[next()%len(factors)]
 			noteAt := []float64{math.Inf(1), 0.5, -1}[next()%3]
-			b.view = &topView{}
+			// The view comes in empty, one short of full, or full: the noted
+			// list holds viewMaxNoted ads and the next one drops the view.
+			wantNoted := make([]adstore.AdID, []int{0, viewMaxNoted - 1, viewMaxNoted}[next()%3])
+			view := &topView{noted: slices.Clone(wantNoted)}
+			b.view = view
 			scratch = b.merge(scratch, sub, cs, add, ca, noteAt)
 
-			var wantNoted []adstore.AdID
 			touched := map[adstore.AdID]float64{}
 			for _, d := range sub {
 				touched[d.Ad] = m.u[d.Ad] + cs*d.Coeff
@@ -102,8 +105,12 @@ func runDynBufModel(t *testing.T, data []byte) {
 					wantNoted = append(wantNoted, d.Ad)
 				}
 			}
-			if !slices.Equal(b.view.noted, wantNoted) {
-				t.Fatalf("step %d: noted %v, want %v (noteAt %v)", step, b.view.noted, wantNoted, noteAt)
+			if len(wantNoted) > viewMaxNoted {
+				if b.view != nil {
+					t.Fatalf("step %d: view kept with %d ads to note, limit %d", step, len(wantNoted), viewMaxNoted)
+				}
+			} else if b.view != view || !slices.Equal(view.noted, wantNoted) {
+				t.Fatalf("step %d: noted %v, want %v (noteAt %v, view kept %v)", step, view.noted, wantNoted, noteAt, b.view == view)
 			}
 		case 1:
 			f := ages[next()%len(ages)]

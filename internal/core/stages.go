@@ -73,10 +73,14 @@ func (b *base) stageStart() time.Time {
 // the start point of the next stage, so consecutive stages share a single
 // clock read.
 func (b *base) stageDone(s Stage, start time.Time, in, out int) time.Time {
-	if b.stages == nil || start.IsZero() {
-		return time.Time{}
-	}
-	now := time.Now()
-	b.stages(s, now.Sub(start), in, out)
+	now := b.stageStart()
+	b.stageSpan(s, start, now, in, out)
 	return now
+}
+
+// stageSpan records a stage after the fact, its end having been read earlier.
+func (b *base) stageSpan(s Stage, start, end time.Time, in, out int) {
+	if b.stages != nil && !start.IsZero() {
+		b.stages(s, end.Sub(start), in, out)
+	}
 }

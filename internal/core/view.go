@@ -7,30 +7,39 @@ import (
 	"time"
 
 	"caar/internal/adstore"
-	"caar/internal/feed"
 	"caar/internal/timeslot"
 	"caar/internal/topk"
 )
 
-// viewSlack is how many ads a view tracks per ad it serves. The view
-// answers while the k-th served score stays strictly above the best score
-// an untracked ad could have, and that bound starts at the score of the
-// weakest tracked ad: with 4k tracked it starts 3k ranks below the answer,
-// so decay and the occasional exhausted budget rarely close the gap, while
-// a refresh still re-scores tens of ads instead of the whole buffer.
-const viewSlack = 4
+// viewSlack is how many ads a view tracks per ad of the largest answer asked
+// of it. The view answers while the k-th served score stays strictly above
+// the best score an untracked ad could have, and that bound starts at the
+// score of the weakest tracked ad: with 4k tracked it starts 3k ranks below
+// the answer, so decay and the occasional exhausted budget rarely close the
+// gap, while a query still re-scores tens of ads instead of the whole buffer.
+//
+// The rest bound what a view holds between queries: a k whose 4k exceeds
+// viewMaxTracked is ranked without a view; tracked has room for viewJoinRoom
+// joiners before a refresh cuts back mid-way; one noted ad beyond
+// viewMaxNoted drops the view — the next query is better off re-ranking.
+const (
+	viewSlack      = 4
+	viewMaxTracked = 256
+	viewJoinRoom   = 16
+	viewMaxNoted   = 256
+)
 
-// viewEntry is one tracked ad. static and geo depend on the user's
-// location only, which is fixed for the life of a view.
+// viewEntry is one tracked ad: what sorting needs. static depends on the
+// user's location only, which is fixed for the life of a view; the text and
+// geo parts of the k ads an answer emits are recomputed then.
 type viewEntry struct {
 	a      *adstore.Ad
 	static float64 // β·geo + γ·bid
-	geo    float64 // the β·geo part, for the result's decomposition
-	text   float64 // text relevance at the last refresh
-	score  float64 // α·text + static at the last refresh
+	score  float64 // α·text + static at the last query
 }
 
-// topView is one user's materialised continuous top-k (DESIGN.md §3.1).
+// topView is one user's materialised top-k (DESIGN.md §3.1), created by the
+// first TopAds for the user — a feed render or a continuous refresh alike.
 //
 // Invariant: every ad that is geo- and slot-eligible for the user and is
 // NOT tracked scores at most bound at any query time t with asOf ≤ t and
@@ -39,87 +48,61 @@ type viewEntry struct {
 // invalidation. The invariant survives a delivery because decay and
 // eviction only lower an untracked score, and an ad the new message raises
 // to where it could exceed bound is put on noted and scored exactly by the
-// next refresh. Everything else that could raise an untracked score or
+// next query. Everything else that could raise an untracked score or
 // change eligibility sets dynBuf.view to nil (check-in, ad register and
-// unregister, exact rebuild, renormalization) or fails the guard in
-// ContinuousTopAds (another slot or k, a query time the bound does not
-// cover).
+// unregister, exact rebuild, renormalization, a full noted list) or fails
+// the guard in TopAds (another slot, a query time the bound does not cover).
 type topView struct {
-	k       int
+	size    int // tracked ads kept by a cut: viewSlack × the k it was made for
 	slot    timeslot.Slot
 	asOf    time.Time
-	bound   float64 // -Inf: every eligible ad is tracked
-	tracked []viewEntry
-	noted   []adstore.AdID
+	bound   float64        // -Inf: every eligible ad is tracked
+	tracked []viewEntry    // capacity size + viewJoinRoom, never more
+	noted   []adstore.AdID // at most viewMaxNoted
 }
 
-// ContinuousTopAds is TopAds for a caller that asks again after every
-// delivery to u (the facade's continuous mode): the same answer, but
-// computed from the user's top-k view — re-scoring only the tracked ads and
-// the ads deliveries noted — whenever the view can prove nothing outside it
-// belongs in the top k. Otherwise it ranks the whole candidate set once,
-// refilling the view. The first call for a user creates the view; a user
-// never asked about this way has none.
-func (e *CAP) ContinuousTopAds(u feed.UserID, k int, t time.Time) ([]Scored, error) {
-	st, err := e.state(u)
-	if err != nil {
-		return nil, err
-	}
-	buf := e.bufs[u]
-	_, winFactor := st.win.ContextRef(t)
-	mult := buf.scale * winFactor
-	sl := timeslot.Of(t)
-
+// fromView answers a query from the user's view — re-scoring only the
+// tracked ads and the ads deliveries noted — if the view covers the query
+// and can prove nothing outside it belongs in the top k, whatever k built it.
+func (e *CAP) fromView(st *userState, buf *dynBuf, mult, winFactor float64, k int, sl timeslot.Slot, t, span time.Time) ([]Scored, bool) {
+	v := buf.view
 	// A query before the window reference scales text UP (winFactor > 1),
 	// which the noted test — made in reference space — does not cover; so
 	// does a query before the time the bound was taken at.
-	if v := buf.view; v != nil && v.k == k && v.slot == sl && winFactor <= 1 && !t.Before(v.asOf) {
-		e.refreshView(v, buf, st, mult)
-		if out, ok := e.emit(v, t); ok {
-			e.viewRefreshes++
-			return out, nil
-		}
+	if v == nil || v.slot != sl || winFactor > 1 || t.Before(v.asOf) {
+		return nil, false
 	}
-	e.rerankRefreshes++
-	buf.view = e.buildView(buf.view, buf, st, mult, k, sl, t)
-	if out, ok := e.emit(buf.view, t); ok {
-		return out, nil
+	in, retrieved := len(v.tracked)+len(v.noted), e.stageStart()
+	e.refreshView(v, buf, st, mult)
+	scored := e.stageStart()
+	out, ok := e.emit(v, st, buf, mult, k, t)
+	if ok {
+		e.viewAnswers, e.lastPath = e.viewAnswers+1, "view"
+		e.stageSpan(StageRetrieve, span, retrieved, in, in)
+		e.stageSpan(StageScore, retrieved, scored, in, len(v.tracked))
+		e.stageDone(StageTopK, scored, len(v.tracked), len(out))
 	}
-	// Even the fresh view cannot prove k payable ads — more than 3k of the
-	// best 4k are out of budget, or the k-th ties the bound: only a ranking
-	// that checks budget while collecting settles it.
-	return e.TopAds(u, k, t)
+	return out, ok
 }
 
-// ContinuousRefresh returns the call a continuous-mode caller makes for a
-// user's top-k after each delivery: CAP's ContinuousTopAds, and plain TopAds
-// for the baselines, which keep nothing between queries.
-func ContinuousRefresh(r Recommender) func(u feed.UserID, k int, t time.Time) ([]Scored, error) {
-	if c, ok := r.(*CAP); ok {
-		return c.ContinuousTopAds
+// buildView ranks the user's whole candidate set with a collector that
+// ignores budget and makes the result the tracked set of buf.view: viewSlack
+// ads per ad of k, or of the largest k the view it replaces was built for —
+// a view only grows. The old view's slices are reused unless it does.
+func (e *CAP) buildView(buf *dynBuf, st *userState, mult float64, k int, sl timeslot.Slot, t time.Time) (examined, offered int) {
+	v := buf.view
+	if size := viewSlack * k; v == nil || v.size < size {
+		v = &topView{size: size, tracked: make([]viewEntry, 0, size+viewJoinRoom)}
 	}
-	return r.TopAds
-}
-
-// buildView ranks the user's whole candidate set with a 4k collector that
-// ignores budget, and makes the result the tracked set. old's slices are
-// reused when there is one.
-func (e *CAP) buildView(old *topView, buf *dynBuf, st *userState, mult float64, k int, sl timeslot.Slot, t time.Time) *topView {
-	c := topk.NewCollector(viewSlack * k)
-	e.rank(c, st, buf, mult, sl, t, false)
+	c := topk.NewCollector(v.size)
+	examined, offered = e.rank(c, st, buf, mult, sl, t, false)
 	items := c.Items()
 
-	v := old
-	if v == nil {
-		v = &topView{tracked: make([]viewEntry, 0, len(items)+1)}
-	}
-	v.k, v.slot, v.asOf = k, sl, t
-	v.noted = v.noted[:0]
-	v.tracked = v.tracked[:0]
+	v.slot, v.asOf = sl, t
+	v.noted, v.tracked = v.noted[:0], v.tracked[:0]
 	for _, it := range items {
 		a := e.ad(adstore.AdID(it.ID))
-		text := buf.get(a.ID) * mult
-		v.tracked = append(v.tracked, e.viewEntryFor(a, st, text))
+		v.tracked = append(v.tracked, viewEntry{a: a, static: e.scoring.staticScore(a, st.loc, st.hasLoc), score: it.Score})
 	}
 	// Whatever the collector turned away or pushed out scored no higher
 	// than the weakest ad it kept; a collector that never filled saw every
@@ -128,24 +111,19 @@ func (e *CAP) buildView(old *topView, buf *dynBuf, st *userState, mult float64, 
 	if c.Len() == c.K() {
 		v.bound = items[len(items)-1].Score
 	}
-	return v
+	buf.view = v
+	return examined, offered
 }
 
-func (e *CAP) viewEntryFor(a *adstore.Ad, st *userState, text float64) viewEntry {
-	geo := e.scoring.BetaGeo * a.GeoScore(st.loc, st.hasLoc)
-	static := geo + e.scoring.GammaBid*a.Bid // staticScore, keeping the geo part
-	return viewEntry{a: a, static: static, geo: geo, text: text, score: e.scoring.AlphaText*text + static}
-}
-
-// refreshView brings the view up to the present: noted ads that now exceed
-// the bound join the tracked set, every tracked ad is re-scored from the
-// buffer and re-sorted, and the set is cut back to 4k — an ad cut is
-// untracked from here on, so the bound rises to cover its score.
+// refreshView brings the view up to the present: every tracked ad is
+// re-scored from the buffer, noted ads that now exceed the bound join the
+// tracked set (forcing the cut early when the join room is full, instead of
+// a larger slice), and the set is sorted and cut back to its size — an ad cut
+// is untracked from here on, so the bound rises to cover its score.
 func (e *CAP) refreshView(v *topView, buf *dynBuf, st *userState, mult float64) {
 	for i := range v.tracked {
 		en := &v.tracked[i]
-		en.text = buf.get(en.a.ID) * mult
-		en.score = e.scoring.AlphaText*en.text + en.static
+		en.score = e.scoring.AlphaText*(buf.get(en.a.ID)*mult) + en.static
 	}
 	for _, id := range v.noted {
 		if slices.ContainsFunc(v.tracked, func(en viewEntry) bool { return en.a.ID == id }) {
@@ -155,21 +133,30 @@ func (e *CAP) refreshView(v *topView, buf *dynBuf, st *userState, mult float64) 
 		if a == nil || !a.Eligible(st.loc, st.hasLoc, v.slot) {
 			continue
 		}
-		if en := e.viewEntryFor(a, st, buf.get(id)*mult); en.score > v.bound {
-			v.tracked = append(v.tracked, en)
+		static := e.scoring.staticScore(a, st.loc, st.hasLoc)
+		if sc := e.scoring.AlphaText*(buf.get(id)*mult) + static; sc > v.bound {
+			if len(v.tracked) == cap(v.tracked) {
+				v.cut()
+			}
+			v.tracked = append(v.tracked, viewEntry{a: a, static: static, score: sc})
 		}
 	}
 	v.noted = v.noted[:0]
-	// The collector's order: score descending, ad ID ascending on a tie.
+	v.cut()
+}
+
+// cut sorts the tracked ads into the collector's order — score descending,
+// ad ID ascending on a tie — and keeps the best size of them.
+func (v *topView) cut() {
 	slices.SortFunc(v.tracked, func(x, y viewEntry) int {
 		if c := cmp.Compare(y.score, x.score); c != 0 {
 			return c
 		}
 		return cmp.Compare(x.a.ID, y.a.ID)
 	})
-	if keep := viewSlack * v.k; len(v.tracked) > keep {
-		v.bound = max(v.bound, v.tracked[keep].score)
-		v.tracked = v.tracked[:keep]
+	if len(v.tracked) > v.size {
+		v.bound = max(v.bound, v.tracked[v.size].score)
+		v.tracked = v.tracked[:v.size]
 	}
 }
 
@@ -177,21 +164,15 @@ func (e *CAP) refreshView(v *topView, buf *dynBuf, st *userState, mult float64) 
 // budget left at t. It is THE answer only if no untracked ad can belong in
 // it: the k-th score must be strictly above the bound, because an untracked
 // ad scoring exactly the bound could still win the ID tie-break.
-func (e *CAP) emit(v *topView, t time.Time) ([]Scored, bool) {
-	out := make([]Scored, 0, v.k)
+func (e *CAP) emit(v *topView, st *userState, buf *dynBuf, mult float64, k int, t time.Time) ([]Scored, bool) {
+	out := make([]Scored, 0, k)
 	for i := range v.tracked {
 		en := &v.tracked[i]
 		if en.a.Campaign != "" && !e.store.HasBudget(en.a.ID, t) {
 			continue
 		}
-		out = append(out, Scored{
-			Ad:    en.a.ID,
-			Score: en.score,
-			Text:  e.scoring.AlphaText * en.text,
-			Geo:   en.geo,
-			Bid:   e.scoring.GammaBid * en.a.Bid,
-		})
-		if len(out) == v.k {
+		out = append(out, e.decompose(en.a, en.score, buf.get(en.a.ID)*mult, st))
+		if len(out) == k {
 			return out, en.score > v.bound
 		}
 	}
@@ -210,9 +191,8 @@ func (e *CAP) noteAt(buf *dynBuf) float64 {
 	return (buf.view.bound - maxStatic) / (e.scoring.AlphaText * buf.scale)
 }
 
-// ContinuousRefreshes reports how many continuous refreshes were answered
-// from a view and how many needed the full ranking. Callers hold the
-// engine's lock.
-func (e *CAP) ContinuousRefreshes() (view, rerank uint64) {
-	return e.viewRefreshes, e.rerankRefreshes
-}
+// TopAdsPaths counts TopAds calls by answer path. Callers hold the engine's lock.
+func (e *CAP) TopAdsPaths() (view, rerank uint64) { return e.viewAnswers, e.reranks }
+
+// AnswerPath names how the last TopAds was answered, for the request trace.
+func (e *CAP) AnswerPath() string { return e.lastPath }

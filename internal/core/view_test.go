@@ -11,16 +11,24 @@ import (
 	"caar/internal/geo"
 	"caar/internal/textproc"
 	"caar/internal/timeslot"
+	"caar/internal/topk"
 )
 
 // TestContinuousTopAdsMatchesRSAfterEveryDelivery is the exactness oracle of
-// the top-k view: after every delivery, for each follower it reached, the
-// continuous answer must be the RS ranking at the message's time. The stream
-// mixes everything that moves a score or eligibility — posts (one in ten
-// stamped out of order), check-ins, ads arriving and leaving, time-slot
-// boundaries (the stream spans days), and campaign ads that run out of paced
-// budget through the impressions charged here and come back as the flight
-// releases more — and must take both the view path and the re-rank path.
+// the top-k view: after every delivery, for each follower it reached, TopAds
+// must be the RS ranking at the message's time. The stream mixes everything
+// that moves a score or eligibility — posts (one in ten stamped out of
+// order), check-ins, ads arriving and leaving, time-slot boundaries (the
+// stream spans days), and campaign ads that run out of paced budget through
+// the impressions charged here and come back as the flight releases more.
+// Between the deliveries come the feed renders: pull reads of a random user
+// at a random k in 1..20 and a random time — mostly a little after the last
+// delivery, some a slot ahead, a few in the past — each compared with RS
+// too. The last three users are never refreshed after a delivery, only read,
+// so what deliveries note about them piles up (ad churn, which drops every
+// view, pauses for a while to let it). The run must take the view
+// path and the re-rank path, answer from a view at a k other than the one
+// that sized it, and drop a view because its noted list filled.
 func TestContinuousTopAdsMatchesRSAfterEveryDelivery(t *testing.T) {
 	const (
 		nUsers = 12
@@ -77,10 +85,41 @@ func TestContinuousTopAdsMatchesRSAfterEveryDelivery(t *testing.T) {
 				addAd()
 			}
 
+			check := func(step int, u feed.UserID, k int, at time.Time) []Scored {
+				want, err := rs.TopAds(u, k, at)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := eng.TopAds(u, k, at)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := scoresCompatible(want, got, 1e-9); err != nil {
+					t.Fatalf("step %d user %d k %d at %v: TopAds is not the RS ranking: %v\nRS:  %+v\nCAP: %+v",
+						step, u, k, at, err, want, got)
+				}
+				return got
+			}
 			now := base0
 			var msgID feed.MessageID
+			var otherK, overflowed int
 			for step := 0; step < steps; step++ {
 				now = now.Add(time.Duration(rng.Intn(180)) * time.Second)
+				// A feed render; the never-refreshed users are read a quarter as often.
+				if u := feed.UserID(rng.Intn(nUsers)); rng.Intn(2) == 0 && (u < nUsers-3 || rng.Intn(4) == 0) {
+					readK, at := 1+rng.Intn(20), now.Add(time.Duration(rng.Intn(30))*time.Second)
+					switch rng.Intn(10) {
+					case 0:
+						at = now.Add(-time.Duration(rng.Intn(1200)) * time.Second)
+					case 1, 2:
+						at = at.Add(6 * time.Hour)
+					}
+					v, fromView := eng.bufs[u].view, eng.viewAnswers
+					check(step, u, readK, at)
+					if eng.viewAnswers > fromView && v.size != viewSlack*readK {
+						otherK++
+					}
+				}
 				switch op := rng.Intn(20); {
 				case op < 14: // post
 					msgID++
@@ -95,22 +134,22 @@ func TestContinuousTopAdsMatchesRSAfterEveryDelivery(t *testing.T) {
 					if err := rs.Deliver(msg, followers); err != nil {
 						t.Fatal(err)
 					}
+					views := make([]*topView, len(followers))
+					for i, u := range followers {
+						views[i] = eng.bufs[u].view
+					}
 					if err := eng.Deliver(msg, followers); err != nil {
 						t.Fatal(err)
 					}
-					for _, u := range followers {
-						want, err := rs.TopAds(u, k, msg.Time)
-						if err != nil {
-							t.Fatal(err)
+					for i, u := range followers {
+						// merge fills the list it was handed before it lets go of the view.
+						if v := views[i]; v != nil && eng.bufs[u].view == nil && len(v.noted) == viewMaxNoted {
+							overflowed++
 						}
-						got, err := eng.ContinuousTopAds(u, k, msg.Time)
-						if err != nil {
-							t.Fatal(err)
+						if u >= nUsers-3 {
+							continue
 						}
-						if err := scoresCompatible(want, got, 1e-9); err != nil {
-							t.Fatalf("step %d user %d at %v: continuous answer is not the RS ranking: %v\nRS:  %+v\nCAP: %+v",
-								step, u, msg.Time, err, want, got)
-						}
+						got := check(step, u, k, msg.Time)
 						// Serve the best ad: campaigns spend down and pace back.
 						if len(got) > 0 {
 							if _, err := store.ChargeImpression(got[0].Ad, msg.Time); err != nil {
@@ -127,6 +166,7 @@ func TestContinuousTopAdsMatchesRSAfterEveryDelivery(t *testing.T) {
 					if err := eng.CheckIn(u, p, now); err != nil {
 						t.Fatal(err)
 					}
+				case step/1000 == 2: // no ad comes or goes for a quarter of the run: views last
 				case op == 17: // a new ad
 					addAd()
 				case op == 18 && len(liveAds) > 60: // an ad withdrawn
@@ -139,10 +179,10 @@ func TestContinuousTopAdsMatchesRSAfterEveryDelivery(t *testing.T) {
 					eng.UnregisterAd(id)
 				}
 			}
-			view, rerank := eng.ContinuousRefreshes()
-			t.Logf("%d refreshes from the view, %d re-ranked", view, rerank)
-			if view == 0 || rerank == 0 {
-				t.Fatalf("both paths must be exercised: %d from the view, %d re-ranked", view, rerank)
+			view, rerank := eng.TopAdsPaths()
+			t.Logf("%d answers from the view (%d at another k than sized it), %d re-ranked, %d views dropped full of noted ads", view, otherK, rerank, overflowed)
+			if view == 0 || rerank == 0 || otherK == 0 || overflowed == 0 {
+				t.Fatal("every one of those four must occur")
 			}
 		})
 	}
@@ -150,8 +190,8 @@ func TestContinuousTopAdsMatchesRSAfterEveryDelivery(t *testing.T) {
 
 // viewFixture is a CAP with one user and a handful of global ads, for the
 // invalidation tests: each builds a view, applies one event that the delta
-// lists do not carry, and requires the continuous answer to still be what a
-// full ranking says.
+// lists do not carry, and requires TopAds to still be what a full ranking
+// says.
 func viewFixture(t *testing.T, opts CAPOptions) *CAP {
 	t.Helper()
 	e := newTestCAP(t, opts)
@@ -173,32 +213,39 @@ func deliver(t *testing.T, e *CAP, id feed.MessageID, at time.Time, vec textproc
 	}
 }
 
-// sameAsFullRanking requires ContinuousTopAds to return exactly TopAds.
+// sameAsFullRanking requires TopAds to return exactly the budget-aware
+// ranking of the whole candidate set, made here with the engine's own
+// scoring but without reading or writing the view.
 func sameAsFullRanking(t *testing.T, e *CAP, k int, at time.Time) []Scored {
 	t.Helper()
-	want, err := e.TopAds(1, k, at)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := e.ContinuousTopAds(1, k, at)
+	st, buf := e.users[1], e.bufs[1]
+	_, winFactor := st.win.ContextRef(at)
+	mult := buf.scale * winFactor
+	c := topk.NewCollector(k)
+	e.rank(c, st, buf, mult, timeslot.Of(at), at, true)
+	want := e.resolve(c.Items(), st, func(id adstore.AdID) float64 { return buf.get(id) * mult })
+
+	got, err := e.TopAds(1, k, at)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != len(want) {
-		t.Fatalf("continuous answer %+v, full ranking %+v", got, want)
+		t.Fatalf("TopAds %+v, full ranking %+v", got, want)
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("rank %d: continuous answer %+v, full ranking %+v", i, got[i], want[i])
+			t.Fatalf("rank %d: TopAds %+v, full ranking %+v", i, got[i], want[i])
 		}
 	}
 	return got
 }
 
+// wantPath pins how the TopAds calls so far were answered (the full ranking
+// sameAsFullRanking compares with is not one of them).
 func wantPath(t *testing.T, e *CAP, wantView, wantRerank uint64) {
 	t.Helper()
-	if view, rerank := e.ContinuousRefreshes(); view != wantView || rerank != wantRerank {
-		t.Fatalf("refreshes: %d from the view and %d re-ranked, want %d and %d", view, rerank, wantView, wantRerank)
+	if view, rerank := e.TopAdsPaths(); view != wantView || rerank != wantRerank {
+		t.Fatalf("TopAds: %d from the view and %d re-ranked, want %d and %d", view, rerank, wantView, wantRerank)
 	}
 }
 
@@ -207,7 +254,7 @@ func TestViewAnswersUntilADeliveryRaisesAnOutsider(t *testing.T) {
 	e.AddAd(simpleAd(9, 2, 0.1)) // text-only outsider
 	deliver(t, e, 1, base0, textproc.SparseVector{1: 1})
 	sameAsFullRanking(t, e, 1, base0)
-	wantPath(t, e, 0, 1) // the first refresh builds the view
+	wantPath(t, e, 0, 1) // the first query builds the view
 
 	// A message that moves nothing near the top: answered from the view.
 	deliver(t, e, 2, base0.Add(time.Minute), textproc.SparseVector{2: 0.01})
@@ -483,30 +530,156 @@ func TestViewTieWithBoundForcesRerank(t *testing.T) {
 	}
 }
 
+// TestViewAnswersAnotherK: a view is not tied to the k that built it. A
+// k = 1 refresher's view tracks four ads; a reader asking for three is
+// answered from it as long as the third score clears the bound, and the
+// refresher's next call still finds its view.
+func TestViewAnswersAnotherK(t *testing.T) {
+	e := viewFixture(t, DefaultCAPOptions())
+	deliver(t, e, 1, base0, textproc.SparseVector{1: 1})
+	sameAsFullRanking(t, e, 1, base0)
+	wantPath(t, e, 0, 1)
+	if top := sameAsFullRanking(t, e, 3, base0); len(top) != 3 {
+		t.Fatalf("%d ads for k = 3", len(top))
+	}
+	sameAsFullRanking(t, e, 1, base0)
+	sameAsFullRanking(t, e, 2, base0)
+	wantPath(t, e, 3, 1)
+	if v := e.bufs[1].view; v.size != viewSlack || cap(v.tracked) != viewSlack+viewJoinRoom {
+		t.Fatalf("view sized %d (capacity %d) after reads at k ≤ 3, want it left at %d", v.size, cap(v.tracked), viewSlack)
+	}
+}
+
+// TestViewRebuiltForADifferentK: a k the tracked set cannot prove — the
+// fourth of four tracked ads IS the bound — re-ranks once into a view grown
+// to 4k, which then serves the smaller k too: a k = 1 refresher and a k = 4
+// reader taking turns do not rebuild it for each other.
 func TestViewRebuiltForADifferentK(t *testing.T) {
 	e := viewFixture(t, DefaultCAPOptions())
 	deliver(t, e, 1, base0, textproc.SparseVector{1: 1})
 	sameAsFullRanking(t, e, 1, base0)
-	if top := sameAsFullRanking(t, e, 3, base0); len(top) != 3 {
-		t.Fatalf("%d ads for k = 3", len(top))
+	if top := sameAsFullRanking(t, e, 4, base0); len(top) != 4 {
+		t.Fatalf("%d ads for k = 4", len(top))
+	}
+	wantPath(t, e, 0, 2)
+	if v := e.bufs[1].view; v.size != 4*viewSlack {
+		t.Fatalf("view sized %d after a k = 4 re-rank, want %d", v.size, 4*viewSlack)
+	}
+	for i := 0; i < 3; i++ {
+		deliver(t, e, feed.MessageID(2+i), base0, textproc.SparseVector{2: 0.01})
+		sameAsFullRanking(t, e, 1, base0)
+		sameAsFullRanking(t, e, 4, base0)
+	}
+	wantPath(t, e, 6, 2)
+	// A re-rank at the smaller k (here: a query from before the view's
+	// time) refills the view at the size it has grown to, not at 4 × 1.
+	sameAsFullRanking(t, e, 1, base0.Add(-time.Minute))
+	sameAsFullRanking(t, e, 4, base0)
+	wantPath(t, e, 7, 3)
+	if v := e.bufs[1].view; v.size != 4*viewSlack || cap(v.tracked) != 4*viewSlack+viewJoinRoom {
+		t.Fatalf("view sized %d (capacity %d) after k = 1 and k = 4 took turns, want it to stay %d (%d)",
+			v.size, cap(v.tracked), 4*viewSlack, 4*viewSlack+viewJoinRoom)
 	}
 }
 
-// TestContinuousViewPathAllocations pins what a refresh answered from the
-// view allocates: the result slice and nothing else.
+// TestViewSkippedForALargeK: a k whose 4k exceeds viewMaxTracked is ranked
+// the classic way and leaves whatever view there is alone.
+func TestViewSkippedForALargeK(t *testing.T) {
+	e := viewFixture(t, DefaultCAPOptions())
+	deliver(t, e, 1, base0, textproc.SparseVector{1: 1})
+	large := viewMaxTracked/viewSlack + 1
+	if top := sameAsFullRanking(t, e, large, base0); len(top) != 5 {
+		t.Fatalf("%d ads for k = %d, want all 5", len(top), large)
+	}
+	if e.bufs[1].view != nil {
+		t.Fatal("a k above the ceiling built a view")
+	}
+	// A view that tracks all five ads could even answer it; it is not asked.
+	sameAsFullRanking(t, e, 2, base0)
+	v := e.bufs[1].view
+	sameAsFullRanking(t, e, large, base0)
+	if e.bufs[1].view != v || v.size != 2*viewSlack || cap(v.tracked) != 2*viewSlack+viewJoinRoom {
+		t.Fatalf("a k above the ceiling replaced or resized the view: size %d, capacity %d", v.size, cap(v.tracked))
+	}
+	wantPath(t, e, 0, 3)
+}
+
+// TestViewMemoryIsBounded: what a view holds is a constant however many
+// deliveries pass between queries. Joiners beyond the join room are cut back
+// mid-refresh rather than doubling the tracked slice, and a user who is read
+// once and then receives 10 000 messages keeps at most viewMaxNoted noted
+// ads before the view is dropped for good.
+func TestViewMemoryIsBounded(t *testing.T) {
+	e := newTestCAP(t, DefaultCAPOptions())
+	e.AddUser(1)
+	// 40 static-heavy ads on term 1 and 200 low-bid outsiders, one term each.
+	for id := adstore.AdID(1); id <= 40; id++ {
+		e.AddAd(simpleAd(id, 1, 1-0.01*float64(id)))
+	}
+	for id := adstore.AdID(101); id <= 300; id++ {
+		e.AddAd(simpleAd(id, textproc.TermID(id), 0.01))
+	}
+	bounded := func(when string) {
+		t.Helper()
+		v := e.bufs[1].view
+		if v == nil {
+			return
+		}
+		if cap(v.tracked) > v.size+viewJoinRoom || v.size > viewMaxTracked || cap(v.noted) > viewMaxNoted {
+			t.Fatalf("%s: view of size %d holds capacity for %d tracked and %d noted ads, limits %d and %d",
+				when, v.size, cap(v.tracked), cap(v.noted), v.size+viewJoinRoom, viewMaxNoted)
+		}
+	}
+	deliver(t, e, 1, base0, textproc.SparseVector{1: 1})
+	sameAsFullRanking(t, e, 2, base0)
+	// One message lifts 60 outsiders past everything tracked: 60 joiners
+	// for a join room of 16.
+	lift := textproc.SparseVector{}
+	for id := 101; id <= 160; id++ {
+		lift[textproc.TermID(id)] = 5 + 0.01*float64(id) // no two alike: a tie with the bound would re-rank
+	}
+	deliver(t, e, 2, base0, lift)
+	if n := len(e.bufs[1].view.noted); n != 60 {
+		t.Fatalf("%d ads noted, the scenario needs all 60", n)
+	}
+	if top := sameAsFullRanking(t, e, 2, base0); top[0].Ad < 101 {
+		t.Fatalf("top ad %d, want a lifted outsider", top[0].Ad)
+	}
+	wantPath(t, e, 1, 1)
+	bounded("after 60 joiners")
+
+	at, dropped := base0, 0
+	for i := 0; i < 10000; i++ {
+		at = at.Add(time.Second)
+		id := textproc.TermID(101 + i%200)
+		deliver(t, e, feed.MessageID(3+i), at, textproc.SparseVector{id: 5, id + 1: 5, 1: 1})
+		bounded("unread deliveries")
+		if e.bufs[1].view == nil && dropped == 0 {
+			dropped = i + 1
+		}
+	}
+	if dropped == 0 || e.bufs[1].view != nil {
+		t.Fatalf("view still held after 10 000 unread deliveries (first dropped after %d)", dropped)
+	}
+	t.Logf("view dropped after %d unread deliveries", dropped)
+	sameAsFullRanking(t, e, 2, at)
+}
+
+// TestContinuousViewPathAllocations pins what a query answered from the view
+// allocates: the result slice and nothing else.
 func TestContinuousViewPathAllocations(t *testing.T) {
 	e := viewFixture(t, DefaultCAPOptions())
 	deliver(t, e, 1, base0, textproc.SparseVector{1: 1})
 	sameAsFullRanking(t, e, 1, base0)
 	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := e.ContinuousTopAds(1, 1, base0); err != nil {
+		if _, err := e.TopAds(1, 1, base0); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if view, rerank := e.ContinuousRefreshes(); rerank != 1 || view < 100 {
+	if view, rerank := e.TopAdsPaths(); rerank != 1 || view < 100 {
 		t.Fatalf("%d from the view, %d re-ranked: the measured calls must take the view path", view, rerank)
 	}
 	if allocs > 1 {
-		t.Fatalf("view-path refresh allocates %.0f times, want at most 1 (the result)", allocs)
+		t.Fatalf("view-path TopAds allocates %.0f times, want at most 1 (the result)", allocs)
 	}
 }

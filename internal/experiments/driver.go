@@ -86,7 +86,6 @@ type replayResult struct {
 func (d *driver) replay(events []workload.Event) (replayResult, error) {
 	var res replayResult
 	fanout := make([]feed.UserID, 0, 256)
-	refresh := core.ContinuousRefresh(d.eng)
 	wall := time.Now()
 	for i := range events {
 		ev := &events[i]
@@ -105,7 +104,7 @@ func (d *driver) replay(events []workload.Event) (replayResult, error) {
 			}
 			if d.k > 0 {
 				for _, u := range fanout {
-					if _, err := refresh(u, d.k, ev.Time); err != nil {
+					if _, err := d.eng.TopAds(u, d.k, ev.Time); err != nil {
 						return res, err
 					}
 					res.TopKCalls++

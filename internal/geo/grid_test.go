@@ -2,6 +2,7 @@ package geo
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -127,6 +128,53 @@ func TestGridReinsertReplaces(t *testing.T) {
 	if g.Len() != 1 {
 		t.Fatalf("Len = %d, want 1", g.Len())
 	}
+}
+
+// TestGridCellsStaySortedSets: a cell is an ascending slice with no item
+// twice, whatever order items arrive, leave and come back in.
+func TestGridCellsStaySortedSets(t *testing.T) {
+	g := mustGrid(t, NewRect(Point{0, 0}, Point{10, 10}), 10, 10)
+	at := Point{5, 5}
+	c := Circle{Center: at, RadiusKm: 1}
+	want := func(ids ...int64) {
+		t.Helper()
+		got := g.ItemsAt(at)
+		if !slices.Equal(got, ids) {
+			t.Fatalf("ItemsAt = %v, want %v", got, ids)
+		}
+		for _, id := range []int64{1, 3, 5, 7, 9} {
+			if g.ContainsItemAt(id, at) != slices.Contains(ids, id) {
+				t.Fatalf("ContainsItemAt(%d) = %v with cell %v", id, g.ContainsItemAt(id, at), got)
+			}
+		}
+	}
+	for _, id := range []int64{7, 3, 9, 5} { // not ascending
+		g.InsertCircle(id, c)
+	}
+	want(3, 5, 7, 9)
+	g.InsertCircle(5, c) // the same registration twice
+	g.InsertCircle(5, c)
+	want(3, 5, 7, 9)
+	if g.Len() != 4 {
+		t.Fatalf("Len = %d after duplicate inserts, want 4", g.Len())
+	}
+	g.Remove(3) // first, middle-after-shift, then put back
+	want(5, 7, 9)
+	g.Remove(7)
+	want(5, 9)
+	g.InsertCircle(7, c)
+	g.InsertCircle(3, c)
+	g.InsertCircle(1, c)
+	want(1, 3, 5, 7, 9)
+	for _, id := range []int64{9, 1, 5, 3, 7} {
+		g.Remove(id)
+	}
+	want()
+	if g.Len() != 0 || len(g.cells) != 0 {
+		t.Fatalf("Len = %d with %d cells held after every item left", g.Len(), len(g.cells))
+	}
+	g.InsertCircle(5, c) // an emptied cell takes items again
+	want(5)
 }
 
 func TestGridInsertOutsideCoverage(t *testing.T) {

@@ -483,14 +483,10 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 	}
 	q := r.URL.Query()
 	user := q.Get("user")
-	k := 5
-	if raw := q.Get("k"); raw != "" {
-		var err error
-		k, err = strconv.Atoi(raw)
-		if err != nil || k < 1 {
-			httpError(w, http.StatusBadRequest, "k must be a positive integer")
-			return
-		}
+	k, err := kParam(q.Get("k"), 5)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, err.Error())
+		return
 	}
 	at, err := s.at(q.Get("at"))
 	if err != nil {
@@ -544,6 +540,18 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 		resp["explain"] = tr
 	}
 	ok(w, resp)
+}
+
+// kParam reads an optional k: def when absent, else what the engine accepts.
+func kParam(raw string, def int) (int, error) {
+	if raw == "" {
+		return def, nil
+	}
+	k, err := strconv.Atoi(raw)
+	if err != nil || k < 1 || k > caar.MaxK {
+		return 0, fmt.Errorf("k must be an integer in 1..%d", caar.MaxK)
+	}
+	return k, nil
 }
 
 // parsePolicy reads the optional serving-policy query parameters:
@@ -629,14 +637,10 @@ func (s *Server) handleTrending(w http.ResponseWriter, r *http.Request) {
 	if slot == "" {
 		slot = caar.SlotOf(s.now())
 	}
-	k := 10
-	if raw := q.Get("k"); raw != "" {
-		var err error
-		k, err = strconv.Atoi(raw)
-		if err != nil || k < 1 {
-			httpError(w, http.StatusBadRequest, "k must be a positive integer")
-			return
-		}
+	k, err := kParam(q.Get("k"), 10)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, err.Error())
+		return
 	}
 	terms, err := s.eng.Trending(slot, k)
 	if err != nil {

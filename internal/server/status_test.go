@@ -78,6 +78,10 @@ func TestErrorStatusMapping(t *testing.T) {
 		// recommendations
 		{"recommend unknown user", "GET", "/v1/recommendations?user=ghost", "", 404},
 		{"recommend bad k", "GET", "/v1/recommendations?user=alice&k=zero", "", 400},
+		{"recommend zero k", "GET", "/v1/recommendations?user=alice&k=0", "", 400},
+		{"recommend k above the maximum", "GET", "/v1/recommendations?user=alice&k=2000000000", "", 400},
+		{"recommend k overflowing int", "GET", "/v1/recommendations?user=alice&k=99999999999999999999", "", 400},
+		{"recommend k at the maximum", "GET", "/v1/recommendations?user=alice&k=1000", "", 200},
 		{"recommend bad policy", "GET", "/v1/recommendations?user=alice&freq_cap=2", "", 400},
 		{"recommend ok", "GET", "/v1/recommendations?user=alice&k=3", "", 200},
 
@@ -87,6 +91,7 @@ func TestErrorStatusMapping(t *testing.T) {
 
 		// trending / stats / health
 		{"trending bad slot", "GET", "/v1/trending?slot=brunch", "", 400},
+		{"trending k above the maximum", "GET", "/v1/trending?slot=morning&k=2000000000", "", 400},
 		{"trending ok", "GET", "/v1/trending?slot=morning", "", 200},
 		{"stats ok", "GET", "/v1/stats", "", 200},
 		{"healthz ok", "GET", "/v1/healthz", "", 200},

@@ -1,7 +1,7 @@
 // Package topk provides the top-k machinery of the recommender: a streaming
 // bounded min-heap collector. Every engine ranks through it, and the CAP
-// engine's continuous top-k view (internal/core/view.go) is refilled from a
-// collector four times the size of the answer.
+// engine's top-k view (internal/core/view.go) is refilled from a collector four
+// times the size of the largest answer asked of it.
 package topk
 
 import (
@@ -32,13 +32,15 @@ type Collector struct {
 	heap itemHeap // min-heap: heap[0] is the weakest retained item
 }
 
-// NewCollector returns a collector retaining the k best items (k ≥ 1 is
-// clamped).
+// maxPrealloc caps the up-front heap: k bounds retention, not the input.
+const maxPrealloc = 1024
+
+// NewCollector returns a collector retaining the k best items (k ≥ 1 is clamped).
 func NewCollector(k int) *Collector {
 	if k < 1 {
 		k = 1
 	}
-	return &Collector{k: k, heap: make(itemHeap, 0, k)}
+	return &Collector{k: k, heap: make(itemHeap, 0, min(k, maxPrealloc))}
 }
 
 // K returns the configured capacity.

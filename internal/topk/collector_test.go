@@ -141,3 +141,19 @@ func BenchmarkCollectorOffer(b *testing.B) {
 		c.Offer(int64(i), scores[i%len(scores)])
 	}
 }
+
+// TestCollectorHugeKAllocatesNothingUpFront: k is a retention limit; a
+// caller-supplied k in the billions must not reserve memory for candidates
+// that may never arrive.
+func TestCollectorHugeKAllocatesNothingUpFront(t *testing.T) {
+	c := NewCollector(2_000_000_000)
+	if c.K() != 2_000_000_000 || cap(c.heap) > maxPrealloc {
+		t.Fatalf("K = %d with room for %d items before the first offer, want at most %d", c.K(), cap(c.heap), maxPrealloc)
+	}
+	for i := 0; i < 3*maxPrealloc; i++ {
+		c.Offer(int64(i), float64(i%7))
+	}
+	if c.Len() != 3*maxPrealloc {
+		t.Fatalf("kept %d of %d offers below k", c.Len(), 3*maxPrealloc)
+	}
+}

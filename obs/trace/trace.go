@@ -87,6 +87,8 @@ type Trace struct {
 	DurationSeconds float64   `json:"duration_seconds"`
 	// Algorithm is the engine variant that served the request (CAP/IL/RS).
 	Algorithm string `json:"algorithm,omitempty"`
+	// Path is how CAP answered: from the user's "view", or by a "rerank".
+	Path string `json:"path,omitempty"`
 	// Shard is the user shard the request was serialized on.
 	Shard int `json:"shard"`
 	// LockWaitSeconds is the time spent waiting for that shard's lock — the

@@ -61,16 +61,16 @@ func conformingHot(r *obs.Registry) {
 	r.GaugeVec("caar_hot_top_share_ratio", "Top key's share of window weight.", "dim")
 }
 
-// The continuous-refresh path counter is a labeled family whose series are
+// The TopAds path counter (view / rerank) is a labeled family whose series are
 // sampled at scrape time (CounterVec.Func); the registration is the checked
 // call.
-func conformingContinuousRefresh(r *obs.Registry) {
-	r.CounterVec("caar_engine_continuous_refresh_total", "Continuous top-k refreshes by path.", "path")
+func conformingTopAdsPaths(r *obs.Registry) {
+	r.CounterVec("caar_engine_topads_total", "Top-k queries by path.", "path")
 }
 
-func violatingContinuousRefresh(r *obs.Registry) {
-	r.CounterVec("caar_engine_continuous_refresh", "Refreshes.", "path")     // want `counter "caar_engine_continuous_refresh" must end in _total`
-	r.GaugeVec("caar_engine_continuous_refresh_total", "Refreshes.", "path") // want `gauge "caar_engine_continuous_refresh_total" must not end in _total`
+func violatingTopAdsPaths(r *obs.Registry) {
+	r.CounterVec("caar_engine_topads", "Queries.", "path")     // want `counter "caar_engine_topads" must end in _total`
+	r.GaugeVec("caar_engine_topads_total", "Queries.", "path") // want `gauge "caar_engine_topads_total" must not end in _total`
 }
 
 func violatingHot(r *obs.Registry) {

@@ -78,8 +78,8 @@ func (e *Engine) Trending(slot Slot, k int) ([]TrendingTerm, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: unknown slot %q", ErrBadConfig, slot)
 	}
-	if k < 1 {
-		return nil, fmt.Errorf("%w: k=%d", ErrBadConfig, k)
+	if k < 1 || k > MaxK {
+		return nil, fmt.Errorf("%w: k=%d, want 1..%d", ErrBadConfig, k, MaxK)
 	}
 	counted := e.trends.top(sl)
 	out := make([]TrendingTerm, 0, min(k, len(counted)))
