@@ -102,6 +102,30 @@ func BenchmarkPostCAP(b *testing.B) {
 	}
 }
 
+// BenchmarkAddAd measures ad churn at a steady catalogue size: each iteration
+// starts one ad and withdraws the oldest one (one user, whose window is warm).
+// The directory publish is what scales with the catalogue, and by its root:
+// 8k must stay within ~3× of 1k, where a directory copied whole per call
+// gives 8×.
+func BenchmarkAddAd(b *testing.B) {
+	for _, preload := range []int{1000, 8000} {
+		b.Run(fmt.Sprintf("%dk", preload/1000), func(b *testing.B) {
+			eng, _, _ := benchEngine(b, caar.AlgorithmCAP, 1, preload)
+			name := func(i int) string { return fmt.Sprintf("ad%05d", i) } // benchEngine's, continued
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := eng.AddAd(caar.Ad{ID: name(preload + i), Text: "word0100 word0200 word0300", Bid: 0.5}); err != nil {
+					b.Fatal(err)
+				}
+				if err := eng.RemoveAd(name(i)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkRecommend measures one top-5 query per engine (5k ads).
 func BenchmarkRecommend(b *testing.B) {
 	for _, alg := range []caar.Algorithm{caar.AlgorithmRS, caar.AlgorithmIL, caar.AlgorithmCAP} {

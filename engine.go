@@ -33,7 +33,7 @@ type Engine struct {
 	graph    *feed.Graph
 
 	// dir is the current name-resolution snapshot. Readers load it once
-	// per request; writers clone-mutate-publish under dirMu. nextAd is
+	// per request; writers derive-and-publish under dirMu. nextAd is
 	// also guarded by dirMu.
 	dir    atomic.Pointer[directory]
 	dirMu  sync.Mutex
@@ -67,66 +67,56 @@ type adRef struct {
 
 // directory is the engine's immutable name-resolution snapshot: user
 // handles, ad names and ad campaigns. A directory is never mutated after
-// being published via Engine.dir — writers build a new one under
+// being published via Engine.dir — writers derive a new one under
 // Engine.dirMu and atomically swap it in, so readers work against one
 // consistent view with zero lock acquisitions and writers never block
-// readers.
+// readers. Deriving one costs O(√n), not O(n): the three maps are cowMaps,
+// which share their large layer between versions (DESIGN.md §3.3).
 type directory struct {
-	users map[string]feed.UserID
-	names []string // handle by internal user ID
-	adIDs map[string]adstore.AdID
-	ads   map[adstore.AdID]adRef
+	users cowMap[string, feed.UserID]
+	// names is the handle by internal user ID. It only ever grows, and every
+	// version is derived from the newest one under Engine.dirMu, so versions
+	// share one backing array: withUser appends past the len of every older
+	// version, which never reads there.
+	names []string
+	adIDs cowMap[string, adstore.AdID]
+	ads   cowMap[adstore.AdID, adRef]
 }
 
-func newDirectory() *directory {
+// withUser returns a directory with one more user, and the ID it was given.
+func (d *directory) withUser(handle string) (*directory, feed.UserID) {
+	id := feed.UserID(len(d.names))
 	return &directory{
-		users: make(map[string]feed.UserID),
-		adIDs: make(map[string]adstore.AdID),
-		ads:   make(map[adstore.AdID]adRef),
-	}
+		users: d.users.with(handle, id),
+		names: append(d.names, handle),
+		adIDs: d.adIDs,
+		ads:   d.ads,
+	}, id
 }
 
-// clone deep-copies the directory so a writer can mutate its private copy
-// before publishing. Cost is O(users+ads), paid only on control-plane
-// writes (AddUser/AddAd/RemoveAd), never on the serving path.
-func (d *directory) clone() *directory {
-	nd := &directory{
-		users: make(map[string]feed.UserID, len(d.users)+1),
-		names: append(make([]string, 0, len(d.names)+1), d.names...),
-		adIDs: make(map[string]adstore.AdID, len(d.adIDs)+1),
-		ads:   make(map[adstore.AdID]adRef, len(d.ads)+1),
-	}
-	for h, id := range d.users {
-		nd.users[h] = id
-	}
-	for n, id := range d.adIDs {
-		nd.adIDs[n] = id
-	}
-	for id, ref := range d.ads {
-		nd.ads[id] = ref
-	}
-	return nd
-}
-
-// withAd returns a copy of the directory with one ad mapping added.
+// withAd returns a directory with one ad mapping added.
 func (d *directory) withAd(name string, id adstore.AdID, campaign string) *directory {
-	nd := d.clone()
-	nd.adIDs[name] = id
-	nd.ads[id] = adRef{name: name, campaign: campaign}
-	return nd
+	return &directory{
+		users: d.users,
+		names: d.names,
+		adIDs: d.adIDs.with(name, id),
+		ads:   d.ads.with(id, adRef{name: name, campaign: campaign}),
+	}
 }
 
-// withoutAd returns a copy of the directory with one ad mapping removed.
+// withoutAd returns a directory with one ad mapping removed.
 func (d *directory) withoutAd(name string, id adstore.AdID) *directory {
-	nd := d.clone()
-	delete(nd.adIDs, name)
-	delete(nd.ads, id)
-	return nd
+	return &directory{
+		users: d.users,
+		names: d.names,
+		adIDs: d.adIDs.without(name),
+		ads:   d.ads.without(id),
+	}
 }
 
 // lookup resolves a user handle in this snapshot.
 func (d *directory) lookup(handle string) (feed.UserID, error) {
-	id, ok := d.users[handle]
+	id, ok := d.users.get(handle)
 	if !ok {
 		return 0, fmt.Errorf("%w: %q", ErrUnknownUser, handle)
 	}
@@ -144,11 +134,12 @@ func (d *directory) userName(u feed.UserID) string {
 // campaignOf resolves an external ad ID to its campaign name ("" when
 // campaign-less or withdrawn from this snapshot).
 func (d *directory) campaignOf(adID string) string {
-	id, ok := d.adIDs[adID]
+	id, ok := d.adIDs.get(adID)
 	if !ok {
 		return ""
 	}
-	return d.ads[id].campaign
+	ref, _ := d.ads.get(id)
+	return ref.campaign
 }
 
 // shard is one engine instance plus its serializing lock and the trace
@@ -194,7 +185,7 @@ func Open(cfg Config) (*Engine, error) {
 		impressions: newImpressionLog(),
 		trends:      newTrendTracker(),
 	}
-	e.dir.Store(newDirectory())
+	e.dir.Store(new(directory))
 	scoring := cfg.scoring()
 	region := geo.Rect(cfg.Region)
 	rows, cols := cfg.GridRows, cfg.GridCols
@@ -290,15 +281,12 @@ func (e *Engine) AddUser(handle string) error {
 	e.dirMu.Lock()
 	unwatch := faultinject.WatchLock("engine.dirMu")
 	d := e.dir.Load()
-	if _, dup := d.users[handle]; dup {
+	if _, dup := d.users.get(handle); dup {
 		unwatch()
 		e.dirMu.Unlock()
 		return fmt.Errorf("%w: user %q", ErrDuplicate, handle)
 	}
-	id := feed.UserID(len(d.names))
-	nd := d.clone()
-	nd.users[handle] = id
-	nd.names = append(nd.names, handle)
+	nd, id := d.withUser(handle)
 	e.dir.Store(nd)
 	unwatch()
 	e.dirMu.Unlock()
@@ -423,7 +411,7 @@ func (e *Engine) mapAd(name, campaign string) (adstore.AdID, error) {
 	defer e.dirMu.Unlock()
 	defer faultinject.WatchLock("engine.dirMu")()
 	d := e.dir.Load()
-	if _, dup := d.adIDs[name]; dup {
+	if _, dup := d.adIDs.get(name); dup {
 		return 0, fmt.Errorf("%w: ad %q", ErrDuplicate, name)
 	}
 	id := e.nextAd
@@ -451,13 +439,13 @@ func (e *Engine) RemoveAd(id string) error {
 	e.dirMu.Lock()
 	unwatch := faultinject.WatchLock("engine.dirMu")
 	d := e.dir.Load()
-	internalID, ok := d.adIDs[id]
+	internalID, ok := d.adIDs.get(id)
 	if !ok {
 		unwatch()
 		e.dirMu.Unlock()
 		return fmt.Errorf("%w: %q", ErrUnknownAd, id)
 	}
-	campaign := d.ads[internalID].campaign
+	ref, _ := d.ads.get(internalID)
 	e.dir.Store(d.withoutAd(id, internalID))
 	unwatch()
 	e.dirMu.Unlock()
@@ -467,7 +455,7 @@ func (e *Engine) RemoveAd(id string) error {
 		// consistent: the ad is still live.
 		e.dirMu.Lock()
 		unwatch := faultinject.WatchLock("engine.dirMu")
-		e.dir.Store(e.dir.Load().withAd(id, internalID, campaign))
+		e.dir.Store(e.dir.Load().withAd(id, internalID, ref.campaign))
 		unwatch()
 		e.dirMu.Unlock()
 		return err
@@ -828,7 +816,7 @@ func (e *Engine) recommend(user string, k int, at time.Time, policy ServingPolic
 // the campaign is out of (released) budget.
 func (e *Engine) ServeImpression(adID string, at time.Time) (bool, error) {
 	d := e.dir.Load()
-	internalID, ok := d.adIDs[adID]
+	internalID, ok := d.adIDs.get(adID)
 	if !ok {
 		e.obsm.impressions.With("error").Inc()
 		return false, fmt.Errorf("%w: %q", ErrUnknownAd, adID)
@@ -842,7 +830,7 @@ func (e *Engine) ServeImpression(adID string, at time.Time) (bool, error) {
 		// Spend telemetry per campaign (per ad name for campaign-less
 		// ads): lock-free enqueue against the directory snapshot already
 		// loaded above.
-		ref := d.ads[internalID]
+		ref, _ := d.ads.get(internalID)
 		name := ref.campaign
 		if name == "" {
 			name = ref.name
@@ -859,7 +847,7 @@ func (e *Engine) ServeImpression(adID string, at time.Time) (bool, error) {
 func (e *Engine) toRecommendations(d *directory, scored []core.Scored) []Recommendation {
 	out := make([]Recommendation, 0, len(scored))
 	for _, s := range scored {
-		ref, ok := d.ads[s.Ad]
+		ref, ok := d.ads.get(s.Ad)
 		if !ok {
 			continue // withdrawn concurrently
 		}
@@ -883,7 +871,7 @@ func (e *Engine) Stats() Stats {
 		CheckIns:       e.checkIns.Load(),
 		Shards:         len(e.shards),
 	}
-	st.Users = len(e.dir.Load().users)
+	st.Users = e.dir.Load().users.len()
 	e.eachCAP(func(c *core.CAP) {
 		st.CachedMessages += c.CachedMessages()
 		st.CandidateBufferEntries += c.TotalBufferEntries()

@@ -97,7 +97,7 @@ func newEngineMetrics(reg *obs.Registry, e *Engine) *engineMetrics {
 	m.lastSnapshotErr.Store("")
 
 	reg.GaugeFunc("caar_engine_users", "Registered users.", func() float64 {
-		return float64(len(e.dir.Load().users))
+		return float64(e.dir.Load().users.len())
 	})
 	reg.GaugeFunc("caar_engine_ads", "Live advertisements.", func() float64 {
 		return float64(e.store.Len())

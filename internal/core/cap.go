@@ -88,9 +88,9 @@ func (e *CAP) AddUser(u feed.UserID) {
 }
 
 // AddAd implements Recommender. Beyond indexing, a late-arriving ad is
-// back-filled: its text relevance against every user's current window is
-// computed from the window aggregate (one sparse dot product per user), and
-// its coefficient against every cached live message is appended so future
+// back-filled: its text relevance against every non-empty window is computed
+// from the window aggregate (one sparse dot product per such user), and its
+// coefficient against every cached live message is inserted so future
 // evictions stay exact.
 func (e *CAP) AddAd(a *adstore.Ad) error {
 	if err := e.store.Add(a); err != nil {
@@ -102,15 +102,24 @@ func (e *CAP) AddAd(a *adstore.Ad) error {
 
 // RegisterAd indexes an ad already present in a (shared) store and
 // back-fills its candidate-buffer coefficients. A new ad is an untracked ad
-// no view's bound accounts for, so every view goes.
+// no view's bound accounts for; a view keeps its invariant by noting the ad
+// if its score could reach the bound, exactly as a delivery notes an ad it
+// raises (dynBuf.merge). A bound of -Inf — every eligible ad is tracked —
+// always notes.
 func (e *CAP) RegisterAd(a *adstore.Ad) {
 	e.registerAd(a)
 	for u, st := range e.users {
-		buf := e.bufs[u]
-		buf.view = nil
-		agg, _ := st.win.ContextRef(st.win.Ref())
-		if coeff := a.Vec.Dot(agg); coeff != 0 {
-			buf.add(a.ID, coeff)
+		buf, coeff := e.bufs[u], 0.0
+		if st.win.Len() > 0 {
+			agg, factor := st.win.ContextRef(st.win.Ref())
+			if coeff = a.Vec.Dot(agg) * factor; coeff != 0 {
+				buf.add(a.ID, coeff)
+			}
+		}
+		// In reference space, like merge's test: a query the view answers is
+		// not before the reference, where text scores are at their highest.
+		if v := buf.view; v != nil && e.scoring.AlphaText*coeff+e.scoring.staticScore(a, st.loc, st.hasLoc) >= v.bound {
+			buf.note(a.ID)
 		}
 	}
 	if e.opts.FanoutSharing {
@@ -144,12 +153,15 @@ func (e *CAP) RemoveAd(id adstore.AdID) error {
 }
 
 // UnregisterAd drops an ad from the engine's indexes, candidate buffers and
-// cached delta lists without touching the store. Views go too: one may be
-// tracking the ad.
+// cached delta lists without touching the store. A view that tracks the ad
+// goes with it; any other stands, because removing an untracked ad raises no
+// score (a noted ID whose ad is gone is skipped by refreshView).
 func (e *CAP) UnregisterAd(id adstore.AdID) {
 	e.unregisterAd(id)
 	for _, b := range e.bufs {
-		b.view = nil
+		if b.view != nil && b.view.tracks(id) {
+			b.view = nil
+		}
 		b.remove(id)
 	}
 	for _, mc := range e.cache {
@@ -258,10 +270,10 @@ func (e *CAP) maybeRebuild(st *userState, buf *dynBuf) {
 	if buf.ops < e.opts.RebuildEvery {
 		return
 	}
-	agg, _ := st.win.ContextRef(st.win.Ref())
+	agg, factor := st.win.ContextRef(st.win.Ref())
 	buf.e = buf.e[:0]
 	for _, d := range e.inv.DeltaList(agg) {
-		buf.e = append(buf.e, bufEntry{ad: d.Ad, v: d.Coeff})
+		buf.e = append(buf.e, bufEntry{ad: d.Ad, v: d.Coeff * factor})
 	}
 	buf.scale, buf.ops, buf.view = 1, 0, nil
 }
@@ -278,7 +290,7 @@ func (e *CAP) TopAds(u feed.UserID, k int, t time.Time) ([]Scored, error) {
 		return nil, err
 	}
 	buf, span := e.bufs[u], e.stageStart()
-	_, winFactor := st.win.ContextRef(t)
+	winFactor := e.scoring.Decay.Between(st.win.Ref(), t)
 	mult, sl := buf.scale*winFactor, timeslot.Of(t)
 	viewable := viewSlack*k <= viewMaxTracked
 	if viewable {

@@ -114,6 +114,18 @@ func (b *dynBuf) age(factor float64) (renormalized bool) {
 	return true
 }
 
+// note puts ad on the view's noted list for the next query to score exactly;
+// a list already at viewMaxNoted drops the view instead, which it reports as
+// false. The caller has checked that there is a view.
+func (b *dynBuf) note(ad adstore.AdID) bool {
+	if len(b.view.noted) == viewMaxNoted {
+		b.view = nil
+		return false
+	}
+	b.view.noted = append(b.view.noted, ad)
+	return true
+}
+
 // merge applies two delta lists in one pass over the buffer: every ad of
 // sub gains cs·Coeff and every ad of add gains ca·Coeff (cs and ca are
 // stored-space factors, already divided by scale; a delivery passes the
@@ -161,12 +173,8 @@ func (b *dynBuf) merge(scratch []bufEntry, sub []index.Delta, cs float64, add []
 			continue
 		}
 		out = append(out, bufEntry{ad: ad, v: v})
-		if raised && v >= noteAt {
-			if len(b.view.noted) < viewMaxNoted {
-				b.view.noted = append(b.view.noted, ad)
-			} else {
-				b.view, noteAt = nil, math.Inf(1)
-			}
+		if raised && v >= noteAt && !b.note(ad) {
+			noteAt = math.Inf(1)
 		}
 	}
 	out = append(out, src[i:]...)

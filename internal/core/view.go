@@ -49,9 +49,11 @@ type viewEntry struct {
 // eviction only lower an untracked score, and an ad the new message raises
 // to where it could exceed bound is put on noted and scored exactly by the
 // next query. Everything else that could raise an untracked score or
-// change eligibility sets dynBuf.view to nil (check-in, ad register and
-// unregister, exact rebuild, renormalization, a full noted list) or fails
-// the guard in TopAds (another slot, a query time the bound does not cover).
+// change eligibility sets dynBuf.view to nil (check-in, exact rebuild,
+// renormalization, a full noted list) or fails the guard in TopAds (another
+// slot, a query time the bound does not cover). Ad churn is not on that
+// list: a registered ad is noted like a raised one, and an unregistered ad
+// takes along only the views that track it.
 type topView struct {
 	size    int // tracked ads kept by a cut: viewSlack × the k it was made for
 	slot    timeslot.Slot
@@ -126,7 +128,7 @@ func (e *CAP) refreshView(v *topView, buf *dynBuf, st *userState, mult float64) 
 		en.score = e.scoring.AlphaText*(buf.get(en.a.ID)*mult) + en.static
 	}
 	for _, id := range v.noted {
-		if slices.ContainsFunc(v.tracked, func(en viewEntry) bool { return en.a.ID == id }) {
+		if v.tracks(id) {
 			continue
 		}
 		a := e.ad(id)
@@ -143,6 +145,11 @@ func (e *CAP) refreshView(v *topView, buf *dynBuf, st *userState, mult float64) 
 	}
 	v.noted = v.noted[:0]
 	v.cut()
+}
+
+// tracks reports whether ad is in the tracked set.
+func (v *topView) tracks(ad adstore.AdID) bool {
+	return slices.ContainsFunc(v.tracked, func(en viewEntry) bool { return en.a.ID == ad })
 }
 
 // cut sorts the tracked ads into the collector's order — score descending,

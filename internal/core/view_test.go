@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -25,10 +26,12 @@ import (
 // at a random k in 1..20 and a random time — mostly a little after the last
 // delivery, some a slot ahead, a few in the past — each compared with RS
 // too. The last three users are never refreshed after a delivery, only read,
-// so what deliveries note about them piles up (ad churn, which drops every
-// view, pauses for a while to let it). The run must take the view
+// so what deliveries note about them piles up. The run must take the view
 // path and the re-rank path, answer from a view at a k other than the one
-// that sized it, and drop a view because its noted list filled.
+// that sized it, and drop a view because its noted list filled; and ad churn
+// must show each of its rules at work: a view that stands through a register
+// and one through an unregister, a registered ad noted and then served from
+// the view, and a view dropped because it tracked the ad withdrawn.
 func TestContinuousTopAdsMatchesRSAfterEveryDelivery(t *testing.T) {
 	const (
 		nUsers = 12
@@ -69,6 +72,17 @@ func TestContinuousTopAdsMatchesRSAfterEveryDelivery(t *testing.T) {
 			}
 			nextAd := adstore.AdID(1)
 			var liveAds []adstore.AdID
+			var survivedRegister, survivedUnregister, notedServed, droppedTracker int
+			// notedNew is, per user, the ads a register put on the view's noted
+			// list since the user's last query.
+			notedNew := make(map[feed.UserID][]adstore.AdID)
+			views := func() []*topView {
+				vs := make([]*topView, nUsers)
+				for u := range vs {
+					vs[u] = eng.bufs[feed.UserID(u)].view
+				}
+				return vs
+			}
 			addAd := func() {
 				a := randAd(rng, nextAd)
 				if rng.Intn(4) == 0 {
@@ -77,7 +91,17 @@ func TestContinuousTopAdsMatchesRSAfterEveryDelivery(t *testing.T) {
 				if err := store.Add(a); err != nil {
 					t.Fatal(err)
 				}
+				before := views()
 				eng.RegisterAd(a)
+				for u, v := range views() {
+					if v == nil || v != before[u] {
+						continue
+					}
+					survivedRegister++
+					if n := len(v.noted); n > 0 && v.noted[n-1] == a.ID {
+						notedNew[feed.UserID(u)] = append(notedNew[feed.UserID(u)], a.ID)
+					}
+				}
 				liveAds = append(liveAds, nextAd)
 				nextAd++
 			}
@@ -90,6 +114,7 @@ func TestContinuousTopAdsMatchesRSAfterEveryDelivery(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				fromView := eng.viewAnswers
 				got, err := eng.TopAds(u, k, at)
 				if err != nil {
 					t.Fatal(err)
@@ -98,6 +123,14 @@ func TestContinuousTopAdsMatchesRSAfterEveryDelivery(t *testing.T) {
 					t.Fatalf("step %d user %d k %d at %v: TopAds is not the RS ranking: %v\nRS:  %+v\nCAP: %+v",
 						step, u, k, at, err, want, got)
 				}
+				if eng.viewAnswers > fromView {
+					for _, sc := range got {
+						if slices.Contains(notedNew[u], sc.Ad) {
+							notedServed++
+						}
+					}
+				}
+				delete(notedNew, u)
 				return got
 			}
 			now := base0
@@ -166,7 +199,6 @@ func TestContinuousTopAdsMatchesRSAfterEveryDelivery(t *testing.T) {
 					if err := eng.CheckIn(u, p, now); err != nil {
 						t.Fatal(err)
 					}
-				case step/1000 == 2: // no ad comes or goes for a quarter of the run: views last
 				case op == 17: // a new ad
 					addAd()
 				case op == 18 && len(liveAds) > 60: // an ad withdrawn
@@ -176,13 +208,30 @@ func TestContinuousTopAdsMatchesRSAfterEveryDelivery(t *testing.T) {
 					if err := store.Remove(id); err != nil {
 						t.Fatal(err)
 					}
+					before := views()
 					eng.UnregisterAd(id)
+					for u, v := range views() {
+						switch old := before[u]; {
+						case old == nil:
+						case old.tracks(id):
+							if v != nil {
+								t.Fatalf("step %d: user %d's view tracks ad %d and outlived its withdrawal", step, u, id)
+							}
+							droppedTracker++
+						case v == old:
+							survivedUnregister++
+						}
+					}
 				}
 			}
 			view, rerank := eng.TopAdsPaths()
-			t.Logf("%d answers from the view (%d at another k than sized it), %d re-ranked, %d views dropped full of noted ads", view, otherK, rerank, overflowed)
-			if view == 0 || rerank == 0 || otherK == 0 || overflowed == 0 {
-				t.Fatal("every one of those four must occur")
+			t.Logf("%d answers from the view (%d at another k than sized it), %d re-ranked (%.0f%%), %d views dropped full of noted ads",
+				view, otherK, rerank, 100*float64(rerank)/float64(view+rerank), overflowed)
+			t.Logf("views that stood through a register: %d, through an unregister: %d; registered ads noted and then served from the view: %d; views dropped with a tracked ad: %d",
+				survivedRegister, survivedUnregister, notedServed, droppedTracker)
+			if view == 0 || rerank == 0 || otherK == 0 || overflowed == 0 ||
+				survivedRegister == 0 || survivedUnregister == 0 || notedServed == 0 || droppedTracker == 0 {
+				t.Fatal("every one of those eight must occur")
 			}
 		})
 	}
@@ -219,8 +268,7 @@ func deliver(t *testing.T, e *CAP, id feed.MessageID, at time.Time, vec textproc
 func sameAsFullRanking(t *testing.T, e *CAP, k int, at time.Time) []Scored {
 	t.Helper()
 	st, buf := e.users[1], e.bufs[1]
-	_, winFactor := st.win.ContextRef(at)
-	mult := buf.scale * winFactor
+	mult := buf.scale * e.scoring.Decay.Between(st.win.Ref(), at)
 	c := topk.NewCollector(k)
 	e.rank(c, st, buf, mult, timeslot.Of(at), at, true)
 	want := e.resolve(c.Items(), st, func(id adstore.AdID) float64 { return buf.get(id) * mult })
@@ -293,11 +341,21 @@ func TestViewDroppedByCheckIn(t *testing.T) {
 	}
 }
 
-func TestViewDroppedByAdRegistration(t *testing.T) {
+// TestViewNotesARegisteredAd: an ad registered at a score that could reach
+// the bound is noted, and the next query — still from the view — scores and
+// serves it; one registered below the bound leaves the view alone.
+func TestViewNotesARegisteredAd(t *testing.T) {
 	e := viewFixture(t, DefaultCAPOptions())
 	deliver(t, e, 1, base0, textproc.SparseVector{1: 1})
 	sameAsFullRanking(t, e, 1, base0)
+	v := e.bufs[1].view
 
+	if err := e.AddAd(simpleAd(8, 2, 0.01)); err != nil { // no text match, lowest bid
+		t.Fatal(err)
+	}
+	if e.bufs[1].view != v || len(v.noted) != 0 {
+		t.Fatalf("an ad under the bound was noted (%v) or cost the view", v.noted)
+	}
 	// Back-filled from the window at a higher score than anything tracked.
 	if err := e.AddAd(simpleAd(9, 1, 1)); err != nil {
 		t.Fatal(err)
@@ -305,8 +363,46 @@ func TestViewDroppedByAdRegistration(t *testing.T) {
 	if top := sameAsFullRanking(t, e, 1, base0); top[0].Ad != 9 {
 		t.Fatalf("top ad %d, want the new ad 9", top[0].Ad)
 	}
+	wantPath(t, e, 1, 1)
 }
 
+// TestViewOfAnEmptyWindowNotesARegisteredAd: registration skips the dot
+// product for a user who has received nothing, not the note — that user's view
+// ranks by static score, which a new ad can lead.
+func TestViewOfAnEmptyWindowNotesARegisteredAd(t *testing.T) {
+	e := viewFixture(t, DefaultCAPOptions())
+	sameAsFullRanking(t, e, 1, base0)
+	if err := e.AddAd(simpleAd(9, 1, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if top := sameAsFullRanking(t, e, 1, base0); top[0].Ad != 9 {
+		t.Fatalf("top ad %d, want the new ad 9", top[0].Ad)
+	}
+	wantPath(t, e, 1, 1)
+}
+
+// TestViewWithoutABoundNotesEveryRegisteredAd: a view that tracks every
+// eligible ad promises exactly that, so a new ad joins however low it scores.
+func TestViewWithoutABoundNotesEveryRegisteredAd(t *testing.T) {
+	e := newTestCAP(t, DefaultCAPOptions())
+	e.AddUser(1)
+	for id := adstore.AdID(1); id <= 3; id++ {
+		e.AddAd(simpleAd(id, 1, 1-0.1*float64(id)))
+	}
+	deliver(t, e, 1, base0, textproc.SparseVector{1: 1})
+	sameAsFullRanking(t, e, 4, base0)
+	if err := e.AddAd(simpleAd(9, 2, 0.01)); err != nil {
+		t.Fatal(err)
+	}
+	if top := sameAsFullRanking(t, e, 4, base0); len(top) != 4 || top[3].Ad != 9 {
+		t.Fatalf("answer %+v, want all four ads with the new ad 9 last", top)
+	}
+	wantPath(t, e, 1, 1)
+}
+
+// TestViewDroppedByAdRemoval: withdrawing an ad the view does
+// not track changes nothing the view holds; withdrawing a tracked one would
+// leave its record in the answer, so that view goes.
 func TestViewDroppedByAdRemoval(t *testing.T) {
 	e := viewFixture(t, DefaultCAPOptions())
 	// No ad carries term 3: the ranking is by bid alone, so the ad about
@@ -315,12 +411,26 @@ func TestViewDroppedByAdRemoval(t *testing.T) {
 	if top := sameAsFullRanking(t, e, 1, base0); top[0].Ad != 1 {
 		t.Fatalf("top ad %d, want 1", top[0].Ad)
 	}
+	v := e.bufs[1].view
+	if v.tracks(5) || !v.tracks(1) {
+		t.Fatal("the scenario needs ad 1 tracked and ad 5 not")
+	}
+	if err := e.RemoveAd(5); err != nil {
+		t.Fatal(err)
+	}
+	if e.bufs[1].view != v {
+		t.Fatal("withdrawing an untracked ad cost the view")
+	}
+	sameAsFullRanking(t, e, 1, base0)
+	wantPath(t, e, 1, 1)
+
 	if err := e.RemoveAd(1); err != nil {
 		t.Fatal(err)
 	}
 	if top := sameAsFullRanking(t, e, 1, base0); top[0].Ad != 2 {
 		t.Fatalf("top ad %d after ad 1 was withdrawn, want 2", top[0].Ad)
 	}
+	wantPath(t, e, 1, 2)
 }
 
 func TestViewDroppedBySlotChange(t *testing.T) {

@@ -1,6 +1,7 @@
 package feed
 
 import (
+	"math"
 	"time"
 
 	"caar/internal/textproc"
@@ -11,12 +12,13 @@ import (
 // aggregate vector is recomputed exactly from the live entries.
 const rebuildInterval = 256
 
-// Entry is one message resident in a feed window together with the decay
-// weight it carried when it was (re)referenced.
+// Entry is one message of a feed window together with its decay weight.
 type Entry struct {
 	Msg Message
-	// wRef is the message's decay weight expressed at the window's reference
-	// time. The weight at query time q is wRef × decay.Between(ref, q).
+	// wRef is the message's decay weight at the window's reference time. A
+	// resident entry (Entries) stores it divided by the window's scale, for
+	// EntryWeight to read; an evicted entry (Push) carries the true weight at
+	// the reference time it left under, which is what RefWeight returns.
 	wRef float64
 }
 
@@ -30,10 +32,14 @@ type Entry struct {
 // algebra exact; callers that need a hard cap clamp at the read site.
 //
 // The aggregate uses the epoch-rescaling representation (DESIGN.md §3.1):
-// weights are stored relative to a moving reference time `ref`, advanced to
-// each new message's timestamp; reading the context at time q applies one
-// global factor decay.Between(ref, q). This makes decay O(1) per read instead
-// of O(window) per read, and message arrival O(|terms|).
+// weights are relative to a moving reference time `ref`, advanced to each new
+// message's timestamp, and are stored divided by one scalar `scale`, so that
+// advancing the reference is one multiplication of the scalar rather than a
+// sweep of the aggregate. Reading the context at time q applies one global
+// factor scale × decay.Between(ref, q). A read is O(1) in the window size and
+// a push O(|terms of the message pushed and of the one evicted|) — plus a
+// sweep of the window's vocabulary once per rebuildInterval mutations, and
+// once whenever the scalar has to be folded back in (below 1e-150).
 //
 // Window is not safe for concurrent use; the engine shards windows by user.
 type Window struct {
@@ -41,8 +47,9 @@ type Window struct {
 	decay  timeslot.Decay
 	ref    time.Time
 	refSet bool
-	items  []Entry // FIFO: items[0] is oldest
-	agg    textproc.SparseVector
+	items  []Entry               // FIFO: items[0] is oldest; wRef divided by scale
+	agg    textproc.SparseVector // Σ wRef·vec over items, divided by scale
+	scale  float64
 	ops    int
 }
 
@@ -56,6 +63,7 @@ func NewWindow(capacity int, decay timeslot.Decay) *Window {
 		decay: decay,
 		items: make([]Entry, 0, capacity),
 		agg:   textproc.SparseVector{},
+		scale: 1,
 	}
 }
 
@@ -79,16 +87,17 @@ func (w *Window) Push(m Message) (evicted Entry, ok bool) {
 	// The new message's weight at ref: ref advanced to max(ref, m.Time), so
 	// weight = decay of (ref − m.Time), which is 1 when the message is the
 	// newest (the common case) and < 1 for out-of-order arrivals.
-	wRef := w.decay.WeightAt(w.ref.Sub(m.Time))
-	e := Entry{Msg: m, wRef: wRef}
+	e := Entry{Msg: m, wRef: w.decay.WeightAt(w.ref.Sub(m.Time)) / w.scale}
 	w.items = append(w.items, e)
-	w.agg.AddScaled(m.Vec, wRef)
+	w.agg.AddScaled(m.Vec, e.wRef)
 	w.maybeRebuild()
 	return evicted, ok
 }
 
-// popOldest removes and returns the oldest entry, subtracting its aggregate
-// contribution.
+// popOldest removes the oldest entry, subtracting its aggregate contribution,
+// and returns it at its true weight. A term whose true weight returns to
+// (numerically) zero — SubScaled's test, times the scale — leaves the
+// aggregate so stale terms do not accumulate.
 func (w *Window) popOldest() (Entry, bool) {
 	if len(w.items) == 0 {
 		return Entry{}, false
@@ -96,13 +105,24 @@ func (w *Window) popOldest() (Entry, bool) {
 	e := w.items[0]
 	copy(w.items, w.items[1:])
 	w.items = w.items[:len(w.items)-1]
-	w.agg.SubScaled(e.Msg.Vec, e.wRef)
+	for id, x := range e.Msg.Vec {
+		if nv := w.agg[id] - x*e.wRef; math.Abs(nv)*w.scale < 1e-12 {
+			delete(w.agg, id)
+		} else {
+			w.agg[id] = nv
+		}
+	}
 	w.maybeRebuild()
+	e.wRef *= w.scale
 	return e, true
 }
 
-// advanceRef moves the reference time forward to t (never backward) and
-// rescales the aggregate and entry weights accordingly.
+// advanceRef moves the reference time forward to t (never backward): every
+// weight decays by the same factor, which goes into the scale. When the scale
+// risks underflow it is folded back into the stored values; a gap long enough
+// to flush it to exactly 0 (exp(-x) does near x ≈ 745) has aged every
+// resident message to weight zero, and dividing the next push by it would
+// poison the aggregate, so the values are zeroed instead.
 func (w *Window) advanceRef(t time.Time) {
 	if !w.refSet {
 		w.ref = t
@@ -112,14 +132,20 @@ func (w *Window) advanceRef(t time.Time) {
 	if !t.After(w.ref) {
 		return
 	}
-	factor := w.decay.Between(w.ref, t)
-	if factor != 1 {
-		w.agg.Scale(factor)
-		for i := range w.items {
-			w.items[i].wRef *= factor
-		}
-	}
+	w.scale *= w.decay.Between(w.ref, t)
 	w.ref = t
+	if w.scale >= 1e-150 {
+		return
+	}
+	if w.scale > 0 {
+		w.agg.Scale(w.scale)
+	} else {
+		clear(w.agg)
+	}
+	for i := range w.items {
+		w.items[i].wRef *= w.scale
+	}
+	w.scale = 1
 }
 
 // maybeRebuild recomputes the aggregate exactly after enough incremental
@@ -147,20 +173,20 @@ func (w *Window) WeightAt(postTime, q time.Time) float64 {
 // is a fresh copy the caller may mutate. It is NOT L2-normalized: the engine
 // normalizes (or not) according to its scoring configuration.
 func (w *Window) Context(q time.Time) textproc.SparseVector {
-	out := w.agg.Clone()
-	if w.refSet {
-		out.Scale(w.decay.Between(w.ref, q))
-	}
+	agg, factor := w.ContextRef(q)
+	out := agg.Clone()
+	out.Scale(factor)
 	return out
 }
 
-// ContextRef returns the internal aggregate (referenced at Ref()) without
-// copying, plus the factor that converts it to query time q. Hot paths use
-// this to avoid the clone; the returned vector must not be mutated.
+// ContextRef returns the internal aggregate as stored, without copying, plus
+// the factor that converts it to query time q: the window's scale times the
+// decay from Ref() to q. Hot paths use this to avoid the clone; the returned
+// vector must not be mutated, and means nothing without the factor.
 func (w *Window) ContextRef(q time.Time) (vec textproc.SparseVector, factor float64) {
-	f := 1.0
+	f := w.scale
 	if w.refSet {
-		f = w.decay.Between(w.ref, q)
+		f *= w.decay.Between(w.ref, q)
 	}
 	return w.agg, f
 }
@@ -169,10 +195,8 @@ func (w *Window) ContextRef(q time.Time) (vec textproc.SparseVector, factor floa
 // callers must not mutate it.
 func (w *Window) Entries() []Entry { return w.items }
 
-// EntryWeight returns the decay weight of entry e at query time q.
+// EntryWeight returns the decay weight of resident entry e at query time q.
 func (w *Window) EntryWeight(e Entry, q time.Time) float64 {
-	if !w.refSet {
-		return e.wRef
-	}
-	return e.wRef * w.decay.Between(w.ref, q)
+	_, factor := w.ContextRef(q)
+	return e.wRef * factor
 }

@@ -174,3 +174,81 @@ func TestWindowRebuildCapsDrift(t *testing.T) {
 		}
 	}
 }
+
+// TestWindowScaledAggregateMatchesBruteForce checks the scale-divided
+// representation against the definition, Σ wᵢ·vecᵢ over the resident
+// messages, after each of 10 000 pushes: one in eight stamped out of order,
+// steady decay that folds the scale back into the stored values many times
+// over, one idle gap that alone forces that renormalisation, and one long
+// enough to flush the scale to exactly zero. An evicted entry must carry its
+// true weight at the reference time it left under, a resident entry must
+// weigh what its age says, and a term no resident message has must weigh nothing.
+func TestWindowScaledAggregateMatchesBruteForce(t *testing.T) {
+	const halfLife = time.Minute
+	rng := rand.New(rand.NewSource(5))
+	decay := timeslot.NewDecay(halfLife)
+	w := NewWindow(8, decay)
+	// Within 1e-9 of the direct sum, or under the 1e-12 at which an evicted
+	// term's remainder counts as zero and leaves the aggregate.
+	near := func(got, want float64) bool { return math.Abs(got-want) <= 1e-9*math.Abs(want)+1e-11 }
+
+	now := t0
+	var renormalised, flushed int
+	for i := 0; i < 10000; i++ {
+		now = now.Add(time.Duration(1+rng.Intn(90)) * time.Second)
+		switch i {
+		case 3000:
+			now = now.Add(600 * halfLife) // 2^-600 ≈ 2e-181: under the 1e-150 floor at once
+		case 6000:
+			now = now.Add(1200 * halfLife) // 2^-1200: below the smallest float64
+		}
+		at := now
+		if rng.Intn(8) == 0 {
+			at = now.Add(-time.Duration(1+rng.Intn(600)) * time.Second)
+		}
+		terms := map[textproc.TermID]float64{}
+		for k := 0; k < 1+rng.Intn(4); k++ {
+			terms[textproc.TermID(rng.Intn(40))] = 0.1 + rng.Float64()
+		}
+
+		oldRef, oldScale := w.Ref(), w.scale
+		ev, evicted := w.Push(msg(i, 1, at, terms))
+		if evicted {
+			if want := decay.Between(ev.Msg.Time, oldRef); !near(ev.RefWeight(), want) {
+				t.Fatalf("push %d: evicted entry weighs %v at the old reference, want %v", i, ev.RefWeight(), want)
+			}
+		}
+		if w.scale > 1 || w.scale < 1e-150 {
+			t.Fatalf("push %d: scale %v left outside [1e-150, 1]", i, w.scale)
+		}
+		if factor := decay.Between(oldRef, w.Ref()); i > 0 && w.scale == 1 && oldScale*factor < 1 {
+			if oldScale*factor > 0 {
+				renormalised++
+			} else {
+				flushed++
+			}
+		}
+
+		q := w.Ref().Add(time.Duration(rng.Intn(120)) * time.Second)
+		want := textproc.SparseVector{}
+		for _, e := range w.Entries() {
+			weight := decay.Between(e.Msg.Time, q)
+			want.AddScaled(e.Msg.Vec, weight)
+			if got := w.EntryWeight(e, q); !near(got, weight) {
+				t.Fatalf("push %d: message %d weighs %v at the query time, want %v", i, e.Msg.ID, got, weight)
+			}
+		}
+		got := w.Context(q)
+		raw, factor := w.ContextRef(q)
+		for id := textproc.TermID(0); id < 40; id++ {
+			if !near(got[id], want[id]) || !near(raw[id]*factor, want[id]) {
+				t.Fatalf("push %d term %d: Context %v, ContextRef %v, direct sum %v (scale %v)",
+					i, id, got[id], raw[id]*factor, want[id], w.scale)
+			}
+		}
+	}
+	t.Logf("scale folded back %d times, flushed to zero %d times", renormalised, flushed)
+	if renormalised < 2 || flushed != 1 {
+		t.Fatalf("scale folded back %d times and flushed to zero %d times: want several and exactly one", renormalised, flushed)
+	}
+}

@@ -6,7 +6,8 @@
 package index
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"caar/internal/adstore"
 	"caar/internal/textproc"
@@ -107,7 +108,7 @@ func (ix *Inverted) DeltaList(vec textproc.SparseVector) []Delta {
 	for ad, c := range acc {
 		out = append(out, Delta{Ad: ad, Coeff: c})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Ad < out[j].Ad })
+	slices.SortFunc(out, func(x, y Delta) int { return cmp.Compare(x.Ad, y.Ad) })
 	return out
 }
 

@@ -116,7 +116,7 @@ func (e *Engine) Snapshot(w io.Writer) error {
 
 	var adErr error
 	e.store.ForEach(func(a *adstore.Ad) {
-		ref, ok := d.ads[a.ID]
+		ref, ok := d.ads.get(a.ID)
 		if !ok {
 			return
 		}

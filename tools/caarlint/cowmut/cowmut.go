@@ -10,9 +10,9 @@
 // syntactically: a value that flows from Pointer.Load must never appear as
 // a mutation target.
 //
-// Values that pass through a function call (for example d.clone()) are
-// deliberately NOT tracked: returning a private deep copy is exactly the
-// blessed clone-mutate-publish path.
+// Values that pass through a function call (for example d.withAd(...) or
+// d.users.with(k, v)) are deliberately NOT tracked: returning a private
+// version is exactly the blessed derive-and-publish path.
 package cowmut
 
 import (

@@ -78,3 +78,56 @@ func clone(d *directory) *directory {
 	}
 	return cp
 }
+
+// layered is the shape of the engine's two-layer copy-on-write map: both
+// layers are shared between published versions, so a write through either
+// one — reached from a loaded snapshot — is a write into every version.
+type layered struct {
+	base  map[string]int
+	delta map[string]int
+}
+
+// with returns a new version; the receiver is the caller's private copy.
+func (m layered) with(k string, v int) layered {
+	delta := make(map[string]int, len(m.delta)+1)
+	for dk, dv := range m.delta {
+		delta[dk] = dv
+	}
+	delta[k] = v
+	m.delta = delta
+	return m
+}
+
+func (m layered) without(k string) layered { return m.with(k, -1) }
+
+type layeredDir struct {
+	users layered
+	names []string
+}
+
+var layeredPtr atomic.Pointer[layeredDir]
+
+func layeredViolating() {
+	d := layeredPtr.Load()
+	d.users.base["x"] = 1               // want `write to copy-on-write snapshot`
+	d.users.delta["x"] = 1              // want `write to copy-on-write snapshot`
+	delete(d.users.delta, "x")          // want `delete on map owned by a copy-on-write snapshot`
+	layeredPtr.Load().users.base["y"]++ // want `increment of copy-on-write snapshot`
+
+	// A copy of the map value still holds the shared layers.
+	users := d.users
+	users.base["z"] = 2          // want `write to copy-on-write snapshot`
+	d.users = users.with("z", 2) // want `write to copy-on-write snapshot`
+}
+
+func layeredConforming() {
+	d := layeredPtr.Load()
+	_ = d.users.base["x"]
+
+	// The blessed path: with/without return a private version, which goes
+	// into a fresh directory; appending to names writes only past the len of
+	// every published version.
+	nd := &layeredDir{users: d.users.with("x", 1), names: append(d.names, "x")}
+	nd.users = nd.users.without("x")
+	layeredPtr.Store(nd)
+}
