@@ -11,20 +11,25 @@ CAARLINT := bin/caarlint
 # tools/cmd/caarlint/main.go (`caarlint -list` prints the same set).
 CAARLINT_ANALYZERS := cowmut readpathlock metricname fsyncrename errstatus lockorder goroutinelife atomicfield batchalias
 
-.PHONY: all check lint vet staticcheck caarlint tools-test build test race race-matrix fuzz-smoke bench bench-canonical hot-smoke ingest-smoke soak-smoke capture-smoke clean
+.PHONY: all check lint vet staticcheck caarlint tools-test build test race race-matrix fuzz-smoke bench bench-canonical soak-smoke clean
 
 all: check
 
 # check is the full pre-merge gate: static analysis (go vet, staticcheck,
-# the project's own caarlint suite), compilation of every package, the test
-# suite under the race detector, and the hot-key and ingest smoke drills.
-check: lint build race hot-smoke ingest-smoke
+# the project's own caarlint suite), compilation of every package, and the
+# test suite under the race detector — which holds the end-to-end hot-key,
+# ingest-backpressure and SLO-capture drills (internal/server).
+check: lint build race
 
 # lint folds the three static-analysis layers into one gate.
 lint: vet staticcheck caarlint
 
+# The grep keeps test harnesses in _test.go files: only bench/ may stand up
+# an httptest server from non-test code.
 vet:
 	$(GO) vet ./...
+	@! grep -rl --include='*.go' --exclude='*_test.go' --exclude-dir=bench --exclude-dir=vendor '"net/http/httptest"' . \
+		|| { echo "vet: non-test file outside bench/ imports net/http/httptest (listed above)"; exit 1; }
 
 # staticcheck runs honnef.co/go/tools checks when the binary is on PATH and
 # skips gracefully when it is not, so the gate works in minimal containers
@@ -75,8 +80,8 @@ test:
 race:
 	$(GO) test -race ./...
 
-# race-matrix is the concurrency gate: the full test suite plus the three
-# end-to-end smokes, all race-built with GORACE=halt_on_error=1 so the
+# race-matrix is the concurrency gate: the full test suite plus the
+# crash-recovery soak, race-built with GORACE=halt_on_error=1 so the
 # first data race aborts the run, and all with the caarlockwatch build tag
 # plus CAAR_LOCKWATCH armed so any mutex held past the bound dumps every
 # goroutine stack (CAAR_LOCKWATCH_OUT, default lockwatch-stacks.txt) and
@@ -86,8 +91,6 @@ race-matrix: export GORACE = halt_on_error=1
 race-matrix: export CAAR_LOCKWATCH = 5s
 race-matrix:
 	$(GO) test -race -tags caarlockwatch ./...
-	$(GO) run -race -tags caarlockwatch ./cmd/adbench -ingest-smoke
-	$(GO) run -race -tags caarlockwatch ./cmd/adbench -hot-smoke
 	$(GO) build -race -tags caarlockwatch -o bin/adserver ./cmd/adserver
 	$(GO) build -race -tags caarlockwatch -o bin/adsoak ./cmd/adsoak
 	./bin/adsoak -server-bin bin/adserver -addr 127.0.0.1:9785 \
@@ -132,29 +135,6 @@ soak-smoke:
 	./bin/adsoak -server-bin bin/adserver -addr 127.0.0.1:9784 \
 		-users 80 -ads 200 -messages 2500 -events-per-cycle 150 \
 		-kills 3 -out BENCH_SOAK.json
-
-# ingest-smoke is the end-to-end backpressure drill, race-built: a live
-# server with a deliberately tiny ingest ring behind a slow journal must
-# shed part of a concurrent burst with 429 + Retry-After, land every shed
-# post on client-style retry, account for every ack in /v1/invariants after
-# the pipeline drains, and replay the journal to the same state.
-ingest-smoke:
-	$(GO) run -race ./cmd/adbench -ingest-smoke
-
-# hot-smoke is the end-to-end /v1/hot drill, race-built: a live server with
-# a planted celebrity poster and hot consumer must name both through
-# /v1/hot and export the caar_hot_* metric families.
-hot-smoke:
-	$(GO) run -race ./cmd/adbench -hot-smoke
-
-# capture-smoke proves the incident pipeline end to end: arms the
-# serving-path delay fault, drives load until the SLO burn-rate watchdog
-# trips, and fails unless the resulting capture bundle holds a CPU profile
-# in which the injected delay site is attributable. Writes
-# BENCH_CAPTURE_SMOKE.json and keeps the bundle under capture-smoke/ so CI
-# can upload it.
-capture-smoke:
-	$(GO) run ./cmd/adbench -capture-smoke -capture-smoke-dir capture-smoke
 
 # clean owns bin/: everything in it is built by a target above (today only
 # the caarlint vettool), so the directory goes, not just the files we know.

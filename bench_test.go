@@ -32,7 +32,6 @@ func runExperiment(b *testing.B, id string) {
 
 func BenchmarkT1WorkloadStats(b *testing.B)   { runExperiment(b, "T1") }
 func BenchmarkT2IndexBuild(b *testing.B)      { runExperiment(b, "T2") }
-func BenchmarkT3Server(b *testing.B)          { runExperiment(b, "T3") }
 func BenchmarkF1ThroughputVsAds(b *testing.B) { runExperiment(b, "F1") }
 func BenchmarkF2LatencyVsK(b *testing.B)      { runExperiment(b, "F2") }
 func BenchmarkF3WindowSize(b *testing.B)      { runExperiment(b, "F3") }

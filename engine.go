@@ -380,25 +380,34 @@ func (e *Engine) AddAd(ad Ad) error {
 		}
 	}
 
-	var err error
-	if internal.ID, err = e.mapAd(ad.ID, ad.Campaign); err != nil {
-		return err
-	}
-
-	if err := internal.Validate(); err != nil {
-		e.unmapAd(ad.ID, internal.ID)
-		return err
-	}
-	if err := e.store.Add(internal); err != nil {
-		e.unmapAd(ad.ID, internal.ID)
+	if err := e.publishAd(ad.ID, internal); err != nil {
 		if errors.Is(err, adstore.ErrUnknownCampaign) {
 			return fmt.Errorf("%w: %q (ad %q)", ErrUnknownCampaign, ad.Campaign, ad.ID)
 		}
 		return err
 	}
+	return nil
+}
+
+// publishAd is the tail AddAd and snapshot restore share: reserve the
+// internal ID and publish the name (one directory swap, so every
+// intermediate view stays consistent), validate and store (store.Add does
+// both), then register on every shard; a failure after the publish withdraws
+// the name again. Errors come back unwrapped — ErrDuplicate from the
+// reservation, adstore's own from validation and the store — for the caller
+// to dress.
+func (e *Engine) publishAd(name string, ad *adstore.Ad) error {
+	var err error
+	if ad.ID, err = e.mapAd(name, ad.Campaign); err != nil {
+		return err
+	}
+	if err := e.store.Add(ad); err != nil {
+		e.unmapAd(name, ad.ID)
+		return err
+	}
 	for _, sh := range e.shards {
 		sh.mu.Lock()
-		sh.eng.RegisterAd(internal)
+		sh.eng.RegisterAd(ad)
 		sh.mu.Unlock()
 	}
 	return nil

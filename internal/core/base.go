@@ -44,9 +44,6 @@ func newBase(s Scoring, store *adstore.Store) (*base, error) {
 	}, nil
 }
 
-// Store exposes the ad store (for budget inspection by the facade).
-func (b *base) Store() *adstore.Store { return b.store }
-
 // WindowStats reports the number of registered users and the total count of
 // window-resident messages — the live feed-context occupancy, sampled by
 // the facade's observability gauges. Callers hold the engine's lock.

@@ -46,51 +46,6 @@ func genFacadeWorkload(seed int64, users, posts, vocab, termsPerPost int) facade
 	return w
 }
 
-// buildFacade opens a facade engine, loads users (star-ish follow graph for
-// meaningful fan-out) and synthetic ads.
-func buildFacade(cfg caar.Config, w facadeWorkload, ads int, seed int64) (*caar.Engine, error) {
-	eng, err := caar.Open(cfg)
-	if err != nil {
-		return nil, err
-	}
-	rng := rand.New(rand.NewSource(seed))
-	for _, u := range w.users {
-		if err := eng.AddUser(u); err != nil {
-			return nil, err
-		}
-	}
-	// Every user follows ~8 others, biased toward the first few "celebrity"
-	// accounts.
-	for _, u := range w.users {
-		for f := 0; f < 8; f++ {
-			var target string
-			if rng.Float64() < 0.5 {
-				target = w.users[rng.Intn(1+len(w.users)/20)]
-			} else {
-				target = w.users[rng.Intn(len(w.users))]
-			}
-			if target == u {
-				continue
-			}
-			_ = eng.Follow(u, target) // duplicate edges are fine to skip
-		}
-	}
-	for i := 0; i < ads; i++ {
-		text := ""
-		for t := 0; t < 6; t++ {
-			text += fmt.Sprintf("word%04d ", rng.Intn(2000))
-		}
-		if err := eng.AddAd(caar.Ad{
-			ID:   fmt.Sprintf("ad%05d", i),
-			Text: text,
-			Bid:  0.05 + 0.95*rng.Float64(),
-		}); err != nil {
-			return nil, err
-		}
-	}
-	return eng, nil
-}
-
 // runFacadeParallel implements F8: post throughput of the sharded facade in
 // continuous mode, on a celebrity workload where every post fans out to all
 // users (so each shard receives a substantial follower group). Claim:

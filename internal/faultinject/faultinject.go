@@ -87,9 +87,6 @@ func (p *PartialWriter) Write(b []byte) (int, error) {
 	return n, fmt.Errorf("%w: torn write after %d bytes", p.err(), p.written.Load())
 }
 
-// Written reports bytes accepted so far.
-func (p *PartialWriter) Written() int64 { return p.written.Load() }
-
 func (p *PartialWriter) err() error {
 	if p.Err != nil {
 		return p.Err

@@ -163,12 +163,6 @@ func (w *Window) maybeRebuild() {
 	w.agg = agg
 }
 
-// WeightAt returns the decay weight an entry pushed at postTime would carry
-// when the context is read at query time q.
-func (w *Window) WeightAt(postTime, q time.Time) float64 {
-	return w.decay.WeightAt(q.Sub(postTime))
-}
-
 // Context returns the decayed aggregate term vector as of time q. The result
 // is a fresh copy the caller may mutate. It is NOT L2-normalized: the engine
 // normalizes (or not) according to its scoring configuration.

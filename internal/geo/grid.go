@@ -55,15 +55,6 @@ func NewGrid(cover Rect, rows, cols int) (*Grid, error) {
 	}, nil
 }
 
-// Rows returns the number of grid rows.
-func (g *Grid) Rows() int { return g.rows }
-
-// Cols returns the number of grid columns.
-func (g *Grid) Cols() int { return g.cols }
-
-// Cover returns the coverage rectangle.
-func (g *Grid) Cover() Rect { return g.cover }
-
 // CellOf maps a point to its cell, or InvalidCell when p is outside coverage.
 func (g *Grid) CellOf(p Point) CellID {
 	if !g.cover.Contains(p) {

@@ -87,6 +87,3 @@ func (g *GeoAds) LocalCandidates(p geo.Point) []adstore.AdID {
 // GlobalByBid returns global ads in descending bid order (ascending ID on
 // ties). The slice is shared; callers must not mutate it.
 func (g *GeoAds) GlobalByBid() []adstore.AdID { return g.global }
-
-// CellOf exposes the grid cell of a point for cache keying.
-func (g *GeoAds) CellOf(p geo.Point) geo.CellID { return g.grid.CellOf(p) }

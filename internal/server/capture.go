@@ -40,13 +40,10 @@ func WithDebugPprof() Option {
 	return func(s *Server) { s.debugPprof = true }
 }
 
-// Capture returns the flight recorder, or nil when WithCapture was not used.
-func (s *Server) Capture() *capture.Recorder { return s.capture }
-
 // captureTraceJSON adapts the deployment's trace store for bundle inclusion:
 // the newest trace summaries, same shape as GET /v1/traces.
 func (s *Server) captureTraceJSON() ([]byte, error) {
-	store := s.traceStore()
+	store := s.eng.Tracer()
 	if store == nil {
 		return []byte(`{"traces":[]}` + "\n"), nil
 	}

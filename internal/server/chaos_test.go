@@ -17,6 +17,7 @@ import (
 	"caar/internal/faultinject"
 	"caar/journal"
 	"caar/metrics"
+	"caar/obs/trace"
 )
 
 // Chaos-style integration tests: the full serving path (engine → journal →
@@ -191,16 +192,16 @@ func TestChaosCrashMidAppendThenRecover(t *testing.T) {
 
 var t0chaos = time.Date(2026, 7, 6, 9, 0, 0, 0, time.UTC)
 
-// delayAPI holds every Recommend for a fixed duration, simulating an
-// engine at capacity.
+// delayAPI holds every recommend (RecommendTraced is the call the handler
+// makes) for a fixed duration, simulating an engine at capacity.
 type delayAPI struct {
 	API
 	delay time.Duration
 }
 
-func (d *delayAPI) Recommend(user string, k int, at time.Time) ([]caar.Recommendation, error) {
+func (d *delayAPI) RecommendTraced(user string, k int, at time.Time, p caar.ServingPolicy, treq caar.TraceRequest) ([]caar.Recommendation, *trace.Trace, error) {
 	time.Sleep(d.delay)
-	return d.API.Recommend(user, k, at)
+	return d.API.RecommendTraced(user, k, at, p, treq)
 }
 
 // TestChaosOverloadShedsAndDrains: scenario (3) — sustained overload is

@@ -48,16 +48,9 @@ func FuzzParsePolicy(f *testing.F) {
 		if err != nil {
 			t.Skip()
 		}
-		p, use, perr := parsePolicy(q)
+		p, perr := parsePolicy(q)
 		if perr != nil {
-			if use {
-				t.Fatalf("parsePolicy returned use=true with error %v", perr)
-			}
 			return
-		}
-		hasAny := q.Get("freq_cap") != "" || q.Get("freq_window") != "" || q.Get("max_per_campaign") != ""
-		if use != hasAny {
-			t.Fatalf("use=%v but policy params present=%v (query %q)", use, hasAny, rawQuery)
 		}
 		if q.Get("freq_cap") != "" && p.FrequencyCap < 1 {
 			t.Fatalf("accepted freq_cap below 1: %+v", p)

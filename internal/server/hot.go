@@ -21,14 +21,6 @@ import (
 // An operator path: it is read exactly when a shard is melting down under a
 // hot key, so it must stay reachable on a saturated server.
 
-// HotAPI is implemented by engines with hot-key telemetry (*caar.Engine,
-// and *journal.Logged by embedding). Wrappers that only expose the base API
-// surface a 404 from /v1/hot.
-type HotAPI interface {
-	Hot(dim string, k int, window time.Duration) (hotkey.DimReport, error)
-	HotPartitionReport(window time.Duration) (caar.HotPartitionReport, error)
-}
-
 // hotResponse is the /v1/hot wire shape for dimension queries.
 type hotResponse struct {
 	WindowSeconds float64            `json:"window_seconds"`
@@ -38,11 +30,6 @@ type hotResponse struct {
 func (s *Server) handleHot(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		httpError(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
-	ha, hasHot := s.eng.(HotAPI)
-	if !hasHot {
-		httpError(w, http.StatusNotFound, "hot-key telemetry not supported by this deployment")
 		return
 	}
 	q := r.URL.Query()
@@ -62,7 +49,7 @@ func (s *Server) handleHot(w http.ResponseWriter, r *http.Request) {
 			httpError(w, http.StatusBadRequest, "unknown view "+strconv.Quote(view)+` (want "partition")`)
 			return
 		}
-		rep, err := ha.HotPartitionReport(window)
+		rep, err := s.eng.HotPartitionReport(window)
 		if err != nil {
 			failHot(w, err)
 			return
@@ -92,7 +79,7 @@ func (s *Server) handleHot(w http.ResponseWriter, r *http.Request) {
 
 	resp := hotResponse{Dimensions: make([]hotkey.DimReport, 0, len(dims))}
 	for _, dim := range dims {
-		rep, err := ha.Hot(string(dim), k, window)
+		rep, err := s.eng.Hot(string(dim), k, window)
 		if err != nil {
 			failHot(w, err)
 			return
@@ -118,13 +105,9 @@ func failHot(w http.ResponseWriter, err error) {
 // bundles: every dimension's top 10 over the full retained window, same
 // shape as GET /v1/hot — so a burn-rate trip names the offending key.
 func (s *Server) captureHotkeysJSON() ([]byte, error) {
-	ha, hasHot := s.eng.(HotAPI)
-	if !hasHot {
-		return []byte(`{"dimensions":[]}` + "\n"), nil
-	}
 	resp := hotResponse{Dimensions: []hotkey.DimReport{}}
 	for _, dim := range hotkey.Dimensions() {
-		rep, err := ha.Hot(string(dim), 10, 0)
+		rep, err := s.eng.Hot(string(dim), 10, 0)
 		if err != nil {
 			if errors.Is(err, caar.ErrHotKeysDisabled) {
 				return []byte(`{"dimensions":[]}` + "\n"), nil

@@ -1,7 +1,9 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -37,12 +39,44 @@ func getHot(t *testing.T, ts *httptest.Server, query string) (*http.Response, ho
 	return resp, doc
 }
 
+// TestHotEndpointReportsPlantedHotKey plants a hot consumer (30 recommends
+// against 1) and a celebrity poster (6 followers against 1, through
+// POST /v1/posts) and expects /v1/hot to name both and /v1/metrics to carry
+// the caar_hot_* families.
 func TestHotEndpointReportsPlantedHotKey(t *testing.T) {
-	ts, _ := newTestServer(t)
-	for _, u := range []string{"hotshot", "bob"} {
+	cfg := caar.DefaultConfig()
+	cfg.DecayHalfLife = time.Hour
+	eng, err := caar.Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(New(eng, WithMetrics(eng.Metrics())).Handler())
+	t.Cleanup(ts.Close)
+
+	fans := []string{"fan1", "fan2", "fan3", "fan4", "fan5", "fan6"}
+	for _, u := range append([]string{"hotshot", "bob", "celeb"}, fans...) {
 		resp, body := do(t, ts, http.MethodPost, "/v1/users", map[string]any{"handle": u})
 		expectStatus(t, resp, http.StatusNoContent, body)
 	}
+	follow := func(follower, followee string) {
+		t.Helper()
+		resp, body := do(t, ts, http.MethodPost, "/v1/follow", map[string]any{"follower": follower, "followee": followee})
+		expectStatus(t, resp, http.StatusNoContent, body)
+	}
+	for _, f := range fans {
+		follow(f, "celeb")
+	}
+	follow("fan1", "bob")
+	for _, author := range []string{"celeb", "bob", "celeb"} {
+		resp, body := do(t, ts, http.MethodPost, "/v1/posts", map[string]any{"author": author, "text": "marathon shoes update"})
+		expectStatus(t, resp, http.StatusNoContent, body)
+	}
+	respP, docP := getHot(t, ts, "?dim=posters")
+	if respP.StatusCode != http.StatusOK || len(docP.Dimensions) != 1 || len(docP.Dimensions[0].Keys) == 0 ||
+		docP.Dimensions[0].Keys[0].Key != "celeb" {
+		t.Fatalf("posters dimension: status %d, %+v; want celeb ranked first by fan-out", respP.StatusCode, docP.Dimensions)
+	}
+
 	for i := 0; i < 30; i++ {
 		resp, _ := do(t, ts, http.MethodGet, "/v1/recommendations?user=hotshot&k=3", nil)
 		if resp.StatusCode != http.StatusOK {
@@ -90,6 +124,21 @@ func TestHotEndpointReportsPlantedHotKey(t *testing.T) {
 	}
 	if doc3.WindowSeconds <= 0 {
 		t.Fatalf("window_seconds = %v", doc3.WindowSeconds)
+	}
+
+	respM, err := http.Get(ts.URL + "/v1/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	scrape, err := io.ReadAll(respM.Body)
+	respM.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, family := range []string{"caar_hot_events_total", "caar_hot_tracked_keys", "caar_hot_top_share_ratio"} {
+		if !bytes.Contains(scrape, []byte(family)) {
+			t.Errorf("%s missing from the /v1/metrics scrape", family)
+		}
 	}
 }
 

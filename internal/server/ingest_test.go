@@ -1,9 +1,15 @@
 package server
 
 import (
+	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -106,34 +112,125 @@ func TestIngestValidationErrorsKeepEngineMapping(t *testing.T) {
 	}
 }
 
-// TestIngestEndToEndThroughRealPipeline wires a real pipeline (no journal
-// durability needed — a no-op journal) behind the server and checks the
-// acked write becomes visible after Close drains the applier.
+// slowJournal delays every group commit on a real writer, standing in for a
+// disk whose fsync cannot keep up with the offered burst.
+type slowJournal struct{ w *journal.Writer }
+
+func (s slowJournal) AppendBatch(entries []journal.Entry) error {
+	time.Sleep(4 * time.Millisecond)
+	return s.w.AppendBatch(entries)
+}
+
+func (s slowJournal) SyncPending() error { return s.w.SyncPending() }
+
+// TestIngestEndToEndThroughRealPipeline is the backpressure drill over the
+// real stack — server, a tiny ring, a slow file-backed journal behind
+// journal.Logged: a concurrent burst is partly acked and partly shed with
+// 429 + Retry-After, every shed post lands on retry, and once Close has
+// drained the applier /v1/invariants accounts for exactly the acked posts,
+// with the impression op the only apply-first one. Replaying the journal into
+// a fresh engine reproduces the count: the acks were backed by the log.
 func TestIngestEndToEndThroughRealPipeline(t *testing.T) {
 	eng := testEngine(t)
-	p := ingest.New(eng, nopJournal{}, nil, ingest.Config{QueueSize: 16, MaxBatch: 4})
-	srv := New(eng, WithIngest(p))
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	resp, err := http.Post(ts.URL+"/v1/posts", "application/json",
-		strings.NewReader(`{"author":"alice","text":"through the ring"}`))
+	jf, err := os.Create(filepath.Join(t.TempDir(), "journal"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent {
-		t.Fatalf("post via real pipeline: %d, want 204", resp.StatusCode)
+	defer jf.Close()
+	jw := journal.NewFileWriter(jf, journal.SyncAlways, 0)
+	p := ingest.New(eng, slowJournal{jw}, nil, ingest.Config{QueueSize: 8, MaxBatch: 4})
+	ts := httptest.NewServer(New(journal.NewLogged(eng, jw), WithIngest(p)).Handler())
+	defer ts.Close()
+
+	post := func(i int) (status int, retryAfter string) {
+		resp, err := http.Post(ts.URL+"/v1/posts", "application/json",
+			strings.NewReader(fmt.Sprintf(`{"author":"alice","text":"burst message %d through the ring"}`, i)))
+		if err != nil {
+			t.Error(err)
+			return 0, ""
+		}
+		resp.Body.Close()
+		return resp.StatusCode, resp.Header.Get("Retry-After")
 	}
+
+	const burst = 48 // six times the ring, while each commit crawls
+	statuses := make([]int, burst)
+	hints := make([]string, burst)
+	var wg sync.WaitGroup
+	for i := range burst {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			statuses[i], hints[i] = post(i)
+		}()
+	}
+	wg.Wait()
+
+	acked, shed := 0, 0
+	for i, status := range statuses {
+		switch status {
+		case http.StatusNoContent:
+			acked++
+		case http.StatusTooManyRequests:
+			shed++
+			if hints[i] == "" {
+				t.Errorf("post %d shed without a Retry-After hint", i)
+			}
+			// Retry like a client honouring the hint until the ring has room.
+			deadline := time.Now().Add(10 * time.Second)
+			for status != http.StatusNoContent {
+				if time.Now().After(deadline) {
+					t.Fatalf("post %d still shed after the burst ended: the ring never drained", i)
+				}
+				time.Sleep(2 * time.Millisecond)
+				if status, _ = post(i); status != http.StatusNoContent && status != http.StatusTooManyRequests {
+					t.Fatalf("retry of post %d: status %d", i, status)
+				}
+			}
+			acked++
+		default:
+			t.Fatalf("burst post %d: status %d, want 204 or 429", i, status)
+		}
+	}
+	if shed == 0 || shed == burst {
+		t.Fatalf("%d of %d burst posts shed; want some acked and some shed", shed, burst)
+	}
+
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got := eng.Stats().PostsDelivered; got != 1 {
-		t.Fatalf("posts delivered = %d, want 1", got)
+	resp, err := http.Get(ts.URL + "/v1/invariants")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep caar.InvariantReport
+	err = json.NewDecoder(resp.Body).Decode(&rep)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.PostsDelivered != uint64(acked) {
+		t.Fatalf("%d posts acked but /v1/invariants reports %d delivered", acked, rep.PostsDelivered)
+	}
+	if len(rep.ApplyFirstOps) != 1 || rep.ApplyFirstOps[0] != string(journal.OpImpression) {
+		t.Fatalf("apply-first ops = %v, want exactly [%s]", rep.ApplyFirstOps, journal.OpImpression)
+	}
+
+	if err := jw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := jf.Seek(0, io.SeekStart); err != nil {
+		t.Fatal(err)
+	}
+	recovered := testEngine(t)
+	stats, err := journal.Replay(jf, recovered)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Applied != acked || stats.Skipped != 0 {
+		t.Fatalf("replay applied %d, skipped %d; want %d applied", stats.Applied, stats.Skipped, acked)
+	}
+	if got := recovered.Stats().PostsDelivered; got != uint64(acked) {
+		t.Fatalf("replayed engine delivered %d posts, acked %d", got, acked)
 	}
 }
-
-type nopJournal struct{}
-
-func (nopJournal) AppendBatch([]journal.Entry) error { return nil }
-func (nopJournal) SyncPending() error                { return nil }

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	caar "caar"
+	"caar/obs/trace"
 )
 
 // panicAPI wraps an API and panics on Post, simulating a handler bug.
@@ -30,9 +31,9 @@ type slowAPI struct {
 	gate chan struct{}
 }
 
-func (s *slowAPI) Recommend(user string, k int, at time.Time) ([]caar.Recommendation, error) {
+func (s *slowAPI) RecommendTraced(user string, k int, at time.Time, p caar.ServingPolicy, treq caar.TraceRequest) ([]caar.Recommendation, *trace.Trace, error) {
 	<-s.gate
-	return s.API.Recommend(user, k, at)
+	return s.API.RecommendTraced(user, k, at, p, treq)
 }
 
 func testEngine(t *testing.T) *caar.Engine {

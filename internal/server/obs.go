@@ -49,15 +49,6 @@ func WithRecoveryProgress(p *journal.RecoveryProgress) Option {
 	return func(s *Server) { s.recovery = p }
 }
 
-// HealthReporter is implemented by engines that can report degraded-but-
-// alive conditions (*caar.Engine reports snapshot-write failures,
-// *journal.Logged adds journal durability failures). The readiness endpoint
-// turns a non-empty report into a 503 so load balancers drain the replica
-// while /v1/healthz keeps answering 200 (the process is alive).
-type HealthReporter interface {
-	HealthProblems() []string
-}
-
 // serverMetrics bundles the HTTP-layer collectors.
 type serverMetrics struct {
 	requests *obs.CounterVec   // {endpoint, class}
@@ -311,20 +302,17 @@ func (s *Server) withObservability(next http.Handler) http.Handler {
 	})
 }
 
-// Metrics returns the server's observability registry.
-func (s *Server) Metrics() *obs.Registry { return s.metrics }
-
 // healthProblems collects degraded-state reasons: journal-replay progress
-// while recovery is running, then whatever the engine reports.
+// while recovery is running, then whatever the engine reports (*caar.Engine
+// snapshot-write failures, *journal.Logged adds journal durability
+// failures). /v1/readyz turns a non-empty list into a 503 so load balancers
+// drain the replica while /v1/healthz keeps answering 200.
 func (s *Server) healthProblems() []string {
 	var probs []string
 	if s.recovery != nil {
 		probs = append(probs, s.recovery.Problems()...)
 	}
-	if hr, ok := s.eng.(HealthReporter); ok {
-		probs = append(probs, hr.HealthProblems()...)
-	}
-	return probs
+	return append(probs, s.eng.HealthProblems()...)
 }
 
 // handleReady is the readiness probe: 200 while the deployment can do its

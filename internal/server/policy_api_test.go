@@ -84,20 +84,3 @@ func TestPolicyParamValidation(t *testing.T) {
 		expectStatus(t, resp, http.StatusBadRequest, body)
 	}
 }
-
-// stubAPI implements API but not PolicyAPI.
-type stubAPI struct{ API }
-
-func TestPolicyRejectedWithoutPolicyAPI(t *testing.T) {
-	eng, err := caar.Open(caar.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng.AddUser("alice")
-	ts := httptest.NewServer(New(stubAPI{eng}).Handler())
-	t.Cleanup(ts.Close)
-	resp, body := do(t, ts, "GET", "/v1/recommendations?user=alice&max_per_campaign=1", nil)
-	expectStatus(t, resp, http.StatusBadRequest, body)
-	resp, body = do(t, ts, "POST", "/v1/impressions", map[string]any{"ad": "x", "user": "alice"})
-	expectStatus(t, resp, http.StatusBadRequest, body)
-}

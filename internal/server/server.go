@@ -1,6 +1,6 @@
 // Package server exposes the recommender engine over HTTP/JSON — the
-// end-to-end system binary (cmd/adserver) and the T3 experiment drive this
-// layer.
+// end-to-end system binary (cmd/adserver) and the canonical benchmark's
+// *_http workloads (bench/) drive this layer.
 //
 // Endpoints:
 //
@@ -47,12 +47,18 @@ import (
 	"caar/journal"
 	"caar/obs"
 	"caar/obs/capture"
+	"caar/obs/hotkey"
 	"caar/obs/slo"
 	"caar/obs/trace"
 )
 
-// API is the engine surface the server exposes. *caar.Engine implements it
-// directly; *journal.Logged implements it with write-ahead logging.
+// API is the engine surface the handlers call — all of it, so a value that
+// satisfies API serves every endpoint and no handler probes for a capability.
+// *caar.Engine implements it directly; *journal.Logged implements it with
+// write-ahead logging. What a configuration turns off answers through the
+// engine's own results: Tracer() is nil without Config.Tracer (/v1/traces
+// 404s), Hot returns caar.ErrHotKeysDisabled under DisableHotKeys (/v1/hot
+// 404s).
 type API interface {
 	AddUser(handle string) error
 	Follow(follower, followee string) error
@@ -62,10 +68,17 @@ type API interface {
 	AddCampaign(name string, budget float64, start, end time.Time) error
 	AddAd(ad caar.Ad) error
 	RemoveAd(id string) error
-	Recommend(user string, k int, at time.Time) ([]caar.Recommendation, error)
+	RecommendTraced(user string, k int, at time.Time, policy caar.ServingPolicy, treq caar.TraceRequest) ([]caar.Recommendation, *trace.Trace, error)
 	ServeImpression(adID string, at time.Time) (bool, error)
+	RecordImpressionTo(user, adID string, at time.Time) (bool, error)
 	Trending(slot caar.Slot, k int) ([]caar.TrendingTerm, error)
 	Stats() caar.Stats
+	Invariants() caar.InvariantReport
+	HealthProblems() []string
+	Tracer() *trace.Store
+	StageExemplars() map[string][]obs.BucketExemplar
+	Hot(dim string, k int, window time.Duration) (hotkey.DimReport, error)
+	HotPartitionReport(window time.Duration) (caar.HotPartitionReport, error)
 }
 
 // IngestQueue is the asynchronous write path for posts and check-ins
@@ -77,15 +90,6 @@ type API interface {
 type IngestQueue interface {
 	SubmitPost(author, text string, at time.Time) error
 	SubmitCheckIn(user string, lat, lng float64, at time.Time) error
-}
-
-// PolicyAPI is implemented by engines that additionally support serving
-// policies and per-user impression accounting (*caar.Engine does). When the
-// wrapped API lacks it (e.g. a journaled wrapper that only exposes the
-// base), the policy query parameters are rejected.
-type PolicyAPI interface {
-	RecommendWithPolicy(user string, k int, at time.Time, policy caar.ServingPolicy) ([]caar.Recommendation, error)
-	RecordImpressionTo(user, adID string, at time.Time) (bool, error)
 }
 
 // Server wraps an engine with an HTTP API.
@@ -494,43 +498,19 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	policy, usePolicy, err := parsePolicy(q)
+	policy, err := parsePolicy(q)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	explain := false
-	if raw := q.Get("explain"); raw != "" {
-		explain = raw == "1" || raw == "true"
-	}
+	rawExplain := q.Get("explain")
+	explain := rawExplain == "1" || rawExplain == "true"
 
-	// A trace-capable engine serves every recommend through the traced path
-	// so the request ID flows into the flight recorder; ?explain=1 inlines
-	// the captured trace (spans, score decomposition, policy actions) in the
-	// response.
-	ta, hasTrace := s.eng.(TraceAPI)
-	if explain && !hasTrace {
-		httpError(w, http.StatusBadRequest, "explain not supported by this deployment")
-		return
-	}
-	var (
-		recs []caar.Recommendation
-		tr   *trace.Trace
-	)
-	switch {
-	case hasTrace:
-		recs, tr, err = ta.RecommendTraced(user, k, at, policy,
-			caar.TraceRequest{ID: RequestID(r.Context()), Explain: explain})
-	case usePolicy:
-		pa, okCast := s.eng.(PolicyAPI)
-		if !okCast {
-			httpError(w, http.StatusBadRequest, "serving-policy parameters not supported by this deployment")
-			return
-		}
-		recs, err = pa.RecommendWithPolicy(user, k, at, policy)
-	default:
-		recs, err = s.eng.Recommend(user, k, at)
-	}
+	// Every recommend goes through the traced path so the request ID flows
+	// into the flight recorder; ?explain=1 inlines the captured trace (spans,
+	// score decomposition, policy actions) in the response.
+	recs, tr, err := s.eng.RecommendTraced(user, k, at, policy,
+		caar.TraceRequest{ID: RequestID(r.Context()), Explain: explain})
 	if err != nil {
 		fail(w, err)
 		return
@@ -556,7 +536,7 @@ func kParam(raw string, def int) (int, error) {
 
 // parsePolicy reads the optional serving-policy query parameters:
 // freq_cap (int), freq_window (Go duration), max_per_campaign (int).
-func parsePolicy(q map[string][]string) (caar.ServingPolicy, bool, error) {
+func parsePolicy(q map[string][]string) (caar.ServingPolicy, error) {
 	get := func(key string) string {
 		if vs := q[key]; len(vs) > 0 {
 			return vs[0]
@@ -564,35 +544,31 @@ func parsePolicy(q map[string][]string) (caar.ServingPolicy, bool, error) {
 		return ""
 	}
 	var p caar.ServingPolicy
-	any := false
 	if raw := get("freq_cap"); raw != "" {
 		n, err := strconv.Atoi(raw)
 		if err != nil || n < 1 {
-			return p, false, fmt.Errorf("freq_cap must be a positive integer")
+			return p, fmt.Errorf("freq_cap must be a positive integer")
 		}
 		p.FrequencyCap = n
-		any = true
 	}
 	if raw := get("freq_window"); raw != "" {
 		d, err := time.ParseDuration(raw)
 		if err != nil || d <= 0 {
-			return p, false, fmt.Errorf("freq_window must be a positive duration like 1h")
+			return p, fmt.Errorf("freq_window must be a positive duration like 1h")
 		}
 		p.FrequencyWindow = d
-		any = true
 	}
 	if (p.FrequencyCap > 0) != (p.FrequencyWindow > 0) {
-		return p, false, fmt.Errorf("freq_cap and freq_window must be given together")
+		return p, fmt.Errorf("freq_cap and freq_window must be given together")
 	}
 	if raw := get("max_per_campaign"); raw != "" {
 		n, err := strconv.Atoi(raw)
 		if err != nil || n < 1 {
-			return p, false, fmt.Errorf("max_per_campaign must be a positive integer")
+			return p, fmt.Errorf("max_per_campaign must be a positive integer")
 		}
 		p.MaxPerCampaign = n
-		any = true
 	}
-	return p, any, nil
+	return p, nil
 }
 
 func (s *Server) handleImpression(w http.ResponseWriter, r *http.Request) {
@@ -611,12 +587,7 @@ func (s *Server) handleImpression(w http.ResponseWriter, r *http.Request) {
 	}
 	var served bool
 	if req.User != "" {
-		pa, okCast := s.eng.(PolicyAPI)
-		if !okCast {
-			httpError(w, http.StatusBadRequest, "per-user impressions not supported by this deployment")
-			return
-		}
-		served, err = pa.RecordImpressionTo(req.User, req.Ad, at)
+		served, err = s.eng.RecordImpressionTo(req.User, req.Ad, at)
 	} else {
 		served, err = s.eng.ServeImpression(req.Ad, at)
 	}
@@ -658,22 +629,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	ok(w, s.eng.Stats())
 }
 
-// InvariantAPI is implemented by engines that export the machine-checkable
-// invariant report (*caar.Engine does; *journal.Logged promotes it through
-// its embedded engine). The soak harness reads it after every crash cycle.
-type InvariantAPI interface {
-	Invariants() caar.InvariantReport
-}
-
 func (s *Server) handleInvariants(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		httpError(w, http.StatusMethodNotAllowed, "GET required")
 		return
 	}
-	ia, okCast := s.eng.(InvariantAPI)
-	if !okCast {
-		httpError(w, http.StatusNotFound, "invariant export not supported by this deployment")
-		return
-	}
-	ok(w, ia.Invariants())
+	ok(w, s.eng.Invariants())
 }

@@ -22,7 +22,8 @@ import (
 // an injected serving-path latency fault must trip the burn-rate watchdog,
 // the trip must produce a capture bundle, and the bundle's CPU profile must
 // attribute the injected delay site — the same chain adserver wires through
-// slo.Config.OnTrip, driven here with a deterministic sampling clock.
+// slo.Config.OnTrip, sampled by the tracker's own Run loop as adserver runs
+// it.
 func TestSLOTripCapturesAttributableBundle(t *testing.T) {
 	if err := faultinject.ArmDelays("serve.recommend:2ms"); err != nil {
 		t.Fatal(err)
@@ -88,8 +89,12 @@ func TestSLOTripCapturesAttributableBundle(t *testing.T) {
 	if tracker == nil {
 		t.Fatal("WithSLO did not install a tracker")
 	}
-	start := time.Now()
-	tracker.Sample(start) // baseline ring entry
+	runStop, runExited := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(runExited)
+		tracker.Run(runStop)
+	}()
+	defer func() { close(runStop); <-runExited }()
 
 	// Closed-loop load: every recommend busy-spins 2ms, blowing the 1ms
 	// objective, and keeps the delay site hot for the CPU profile.
@@ -116,14 +121,11 @@ func TestSLOTripCapturesAttributableBundle(t *testing.T) {
 	}
 	defer func() { close(stop); wg.Wait() }()
 
-	time.Sleep(400 * time.Millisecond) // accumulate >MinEvents slow requests
-	tracker.Sample(start.Add(400 * time.Millisecond))
-
 	var c captured
 	select {
 	case c = <-got:
 	case <-time.After(10 * time.Second):
-		t.Fatal("watchdog sample did not trip / capture did not land")
+		t.Fatal("Run never sampled a trip / capture did not land")
 	}
 	if c.err != nil {
 		t.Fatalf("capture after trip: %v", c.err)

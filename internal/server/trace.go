@@ -4,10 +4,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"time"
 
-	caar "caar"
-	"caar/obs"
 	"caar/obs/trace"
 )
 
@@ -24,36 +21,12 @@ import (
 // operator paths: exempt from admission control, because the flight
 // recorder is read exactly when the server is misbehaving.
 
-// TraceAPI is implemented by engines that support request-scoped flight
-// recording (*caar.Engine does; *journal.Logged promotes it). The serving
-// layer uses it to thread the request ID into the trace and to answer
-// ?explain=1.
-type TraceAPI interface {
-	RecommendTraced(user string, k int, at time.Time, policy caar.ServingPolicy, treq caar.TraceRequest) ([]caar.Recommendation, *trace.Trace, error)
-	Tracer() *trace.Store
-}
-
-// exemplarAPI is the optional engine surface exposing stage-histogram
-// exemplars for the trace listing.
-type exemplarAPI interface {
-	StageExemplars() map[string][]obs.BucketExemplar
-}
-
-// traceStore returns the deployment's trace store, or nil when the engine
-// does not trace.
-func (s *Server) traceStore() *trace.Store {
-	if ta, ok := s.eng.(TraceAPI); ok {
-		return ta.Tracer()
-	}
-	return nil
-}
-
 func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		httpError(w, http.StatusMethodNotAllowed, "GET required")
 		return
 	}
-	store := s.traceStore()
+	store := s.eng.Tracer()
 	if store == nil {
 		httpError(w, http.StatusNotFound, "request tracing disabled in this deployment")
 		return
@@ -84,10 +57,8 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 		sums = append(sums, t.Summary())
 	}
 	body := map[string]any{"traces": sums}
-	if ea, okCast := s.eng.(exemplarAPI); okCast {
-		if ex := ea.StageExemplars(); len(ex) > 0 {
-			body["exemplars"] = ex
-		}
+	if ex := s.eng.StageExemplars(); len(ex) > 0 {
+		body["exemplars"] = ex
 	}
 	ok(w, body)
 }

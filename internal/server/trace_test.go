@@ -90,36 +90,6 @@ func TestExplainInlinesDecomposition(t *testing.T) {
 	}
 }
 
-// bareAPI hides the engine's trace surface: embedding the API interface
-// forwards every serving method but deliberately does not implement
-// TraceAPI.
-type bareAPI struct{ API }
-
-// TestExplainRejectedWithoutTraceSupport: a deployment whose engine lacks
-// TraceAPI answers ?explain=1 with 400, not a silently unexplained slate.
-func TestExplainRejectedWithoutTraceSupport(t *testing.T) {
-	eng, err := caar.Open(caar.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.AddUser("alice"); err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(New(bareAPI{eng}).Handler())
-	t.Cleanup(ts.Close)
-
-	resp, body := do(t, ts, "GET", "/v1/recommendations?user=alice&explain=1", nil)
-	expectStatus(t, resp, http.StatusBadRequest, body)
-
-	// Without explain the same deployment serves normally.
-	resp, body = do(t, ts, "GET", "/v1/recommendations?user=alice", nil)
-	expectStatus(t, resp, http.StatusOK, body)
-
-	// And its trace endpoints report tracing as unavailable.
-	resp, body = do(t, ts, "GET", "/v1/traces", nil)
-	expectStatus(t, resp, http.StatusNotFound, body)
-}
-
 // TestTraceEndpoints: /v1/traces lists captured traces newest-first and
 // /v1/traces/{id} retrieves one by its request ID; unknown IDs 404.
 func TestTraceEndpoints(t *testing.T) {
@@ -171,9 +141,23 @@ func TestTraceEndpoints(t *testing.T) {
 }
 
 // TestTraceEndpointsDisabled: without a trace store the endpoints 404 with
-// a message saying tracing is off, so operators don't chase ghosts.
+// a message saying tracing is off, so operators don't chase ghosts — while
+// ?explain=1 still answers, with a trace built for that one request and
+// retained nowhere.
 func TestTraceEndpointsDisabled(t *testing.T) {
 	ts, _ := newTestServer(t)
-	resp, body := do(t, ts, "GET", "/v1/traces", nil)
+	resp, body := do(t, ts, "POST", "/v1/users", map[string]any{"handle": "alice"})
+	expectStatus(t, resp, http.StatusNoContent, body)
+
+	resp, body = do(t, ts, "GET", "/v1/recommendations?user=alice&explain=1", nil)
+	expectStatus(t, resp, http.StatusOK, body)
+	ex, _ := body["explain"].(map[string]any)
+	if ex == nil || ex["capture_reason"] != trace.ReasonExplain {
+		t.Fatalf("explain=1 without a tracer: explain = %v", body["explain"])
+	}
+
+	resp, body = do(t, ts, "GET", "/v1/traces", nil)
+	expectStatus(t, resp, http.StatusNotFound, body)
+	resp, body = do(t, ts, "GET", "/v1/traces/"+ex["id"].(string), nil)
 	expectStatus(t, resp, http.StatusNotFound, body)
 }

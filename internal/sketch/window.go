@@ -57,12 +57,6 @@ func NewWindowed(k int, epsilon, delta float64, span time.Duration, n int) (*Win
 	return &Windowed{k: k, span: span, subs: subs, epoch: epochUnset}, nil
 }
 
-// K returns the per-query result capacity.
-func (w *Windowed) K() int { return w.k }
-
-// Span returns the sub-window length (0 when unwindowed).
-func (w *Windowed) Span() time.Duration { return w.span }
-
 // SubWindows returns the number of retained sub-windows.
 func (w *Windowed) SubWindows() int { return len(w.subs) }
 

@@ -1,7 +1,6 @@
 // Package textproc provides the text substrate of the ad recommender:
-// tweet-aware tokenization, stopword filtering, Porter stemming, TF-IDF
-// weighted sparse vectors, and a dictionary-based entity linker that stands in
-// for the DBpedia Spotlight annotation service used by the original system.
+// tweet-aware tokenization, stopword filtering, Porter stemming and TF-IDF
+// weighted sparse vectors.
 package textproc
 
 import (

@@ -112,9 +112,6 @@ func NewDecay(halfLife time.Duration) Decay {
 	return Decay{lambda: math.Ln2 / halfLife.Seconds()}
 }
 
-// Lambda returns the per-second decay rate (0 when decay is disabled).
-func (d Decay) Lambda() float64 { return d.lambda }
-
 // Enabled reports whether any decay is applied.
 func (d Decay) Enabled() bool { return d.lambda > 0 }
 

@@ -111,7 +111,7 @@ func TestApplyMissingPayloads(t *testing.T) {
 		`{"op":"add_campaign"}`,
 		`{"op":"add_ad"}`,
 	} {
-		stats, err := Replay(strings.NewReader(line), eng)
+		stats, err := Replay(strings.NewReader(framed(line)), eng)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -188,33 +188,36 @@ func TestRecoverMidStreamCorruptionCutsTail(t *testing.T) {
 	}
 }
 
-// TestReplayLegacyFormat replays a v1 (bare JSON lines) log unchanged.
-func TestReplayLegacyFormat(t *testing.T) {
-	log := strings.Join([]string{
-		`{"op":"add_user","user":"a"}`,
-		`{"op":"add_user","user":"b"}`,
-		`{"op":"follow","user":"a","followee":"b"}`,
-	}, "\n") + "\n"
+// TestReplayRejectsUnframedRecord: a bare-JSON line carries no checksum, so
+// it is what a torn frame is — a torn tail when final, an error when more
+// data follows (FuzzRecoverTornTail covers Recover truncating at it).
+func TestReplayRejectsUnframedRecord(t *testing.T) {
+	bare := `{"op":"add_user","user":"b"}` + "\n"
+	intact := framed(`{"op":"add_user","user":"a"}`)
+
 	eng := newEngine(t)
-	stats, err := Replay(strings.NewReader(log), eng)
+	stats, err := Replay(strings.NewReader(intact+bare), eng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Applied != 3 || stats.Skipped != 0 || stats.Torn {
-		t.Fatalf("stats = %+v", stats)
+	if stats.Applied != 1 || !stats.Torn || stats.ValidBytes != int64(len(intact)) || eng.Stats().Users != 1 {
+		t.Fatalf("final unframed line: stats = %+v, users = %d; want 1 applied + torn", stats, eng.Stats().Users)
+	}
+	if _, err := Replay(strings.NewReader(bare+intact), newEngine(t)); err == nil {
+		t.Fatal("unframed line followed by a record accepted")
 	}
 }
 
 // TestReplayStatsClassification buckets skip errors by class and keeps the
 // first few verbatim.
 func TestReplayStatsClassification(t *testing.T) {
-	log := strings.Join([]string{
+	log := framed(
 		`{"op":"add_user","user":"a"}`,
 		`{"op":"add_user","user":"a"}`,                  // duplicate
 		`{"op":"follow","user":"a","followee":"ghost"}`, // unknown ref
 		`{"op":"frobnicate"}`,                           // invalid
 		`{"op":"add_campaign"}`,                         // invalid payload
-	}, "\n")
+	)
 	stats, err := Replay(strings.NewReader(log), newEngine(t))
 	if err != nil {
 		t.Fatal(err)
@@ -236,11 +239,8 @@ func TestReplayStatsClassification(t *testing.T) {
 
 // TestSkipErrorsBounded keeps only the first maxSkipErrors messages.
 func TestSkipErrorsBounded(t *testing.T) {
-	var sb strings.Builder
-	for range maxSkipErrors + 3 {
-		sb.WriteString(`{"op":"frobnicate"}` + "\n")
-	}
-	stats, err := Replay(strings.NewReader(sb.String()), newEngine(t))
+	log := strings.Repeat(framed(`{"op":"frobnicate"}`), maxSkipErrors+3)
+	stats, err := Replay(strings.NewReader(log), newEngine(t))
 	if err != nil {
 		t.Fatal(err)
 	}

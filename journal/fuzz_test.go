@@ -11,9 +11,10 @@ import (
 	caar "caar"
 )
 
-// FuzzDecodeLine throws arbitrary bytes at the frame decoder. Two
-// properties: decodeLine never panics on hostile input, and a correctly
-// framed payload always round-trips — the same encoding Append writes.
+// FuzzDecodeLine throws arbitrary bytes at the frame decoder. Three
+// properties: decodeLine never panics on hostile input, never accepts a line
+// without a frame and a matching checksum, and a correctly framed payload
+// always round-trips — the same encoding Append writes.
 func FuzzDecodeLine(f *testing.F) {
 	f.Add([]byte(`{"op":"add_user","user":"a"}`))
 	f.Add([]byte(`j2 5 00000000 hello`))
@@ -23,9 +24,12 @@ func FuzzDecodeLine(f *testing.F) {
 	f.Add([]byte(`j2 0 00000000 `))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Hostile input: must classify, never panic. When it does decode a
-		// framed line, the payload must carry a matching checksum.
-		if payload, err := decodeLine(data); err == nil && bytes.HasPrefix(data, []byte(framePrefix)) {
-			rest := data[len(framePrefix):]
+		// line, the line is framed and the payload carries a matching checksum.
+		if payload, err := decodeLine(data); err == nil {
+			rest, isFramed := bytes.CutPrefix(data, []byte(framePrefix))
+			if !isFramed {
+				t.Fatalf("decodeLine accepted an unframed line %q", data)
+			}
 			_, rest, _ = bytes.Cut(rest, []byte{' '})
 			crcField, _, _ := bytes.Cut(rest, []byte{' '})
 			want := fmt.Sprintf("%08x", crc32.Checksum(payload, castagnoli))
@@ -37,8 +41,7 @@ func FuzzDecodeLine(f *testing.F) {
 		}
 
 		// Round-trip: frame the payload exactly as Append does.
-		framed := fmt.Sprintf("%s%d %08x ", framePrefix, len(data), crc32.Checksum(data, castagnoli))
-		line := append([]byte(framed), data...)
+		line := bytes.TrimSuffix([]byte(framed(string(data))), []byte("\n"))
 		payload, err := decodeLine(line)
 		if err != nil {
 			t.Fatalf("decodeLine rejected a well-formed frame: %v", err)

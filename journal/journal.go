@@ -11,9 +11,8 @@
 //
 // The CRC32C checksum (Castagnoli) covers the JSON payload, so torn writes
 // and bit flips are detected rather than silently replayed. The log stays
-// line-oriented and greppable. Replay also accepts the legacy v1 format
-// (bare JSON object per line), so logs written before framing existed keep
-// replaying.
+// line-oriented and greppable. A line without the frame is not a record:
+// replay treats it exactly like a torn one.
 //
 // Durability is configurable per Writer: fsync after every append
 // (SyncAlways), at most once per interval (SyncInterval), or never
@@ -94,7 +93,7 @@ type CampaignEntry struct {
 	End    time.Time `json:"end"`
 }
 
-// framePrefix tags a checksummed v2 record; legacy v1 lines start with '{'.
+// framePrefix tags a checksummed record.
 const framePrefix = "j2 "
 
 // ErrDurability marks a failure to persist an entry (write, flush or fsync
@@ -477,31 +476,30 @@ func Replay(r io.Reader, eng *caar.Engine) (ReplayStats, error) {
 
 // decodeLine validates one log line and returns its JSON payload.
 func decodeLine(line []byte) ([]byte, error) {
-	if bytes.HasPrefix(line, []byte(framePrefix)) {
-		rest := line[len(framePrefix):]
-		lenField, rest, ok := bytes.Cut(rest, []byte{' '})
-		if !ok {
-			return nil, errors.New("journal: framed record missing length")
-		}
-		crcField, payload, ok := bytes.Cut(rest, []byte{' '})
-		if !ok {
-			return nil, errors.New("journal: framed record missing checksum")
-		}
-		n, err := strconv.Atoi(string(lenField))
-		if err != nil || n != len(payload) {
-			return nil, fmt.Errorf("journal: framed record length %s != payload %d", lenField, len(payload))
-		}
-		want, err := strconv.ParseUint(string(crcField), 16, 32)
-		if err != nil {
-			return nil, fmt.Errorf("journal: bad checksum field %q", crcField)
-		}
-		if got := crc32.Checksum(payload, castagnoli); got != uint32(want) {
-			return nil, fmt.Errorf("journal: checksum mismatch (want %08x, got %08x)", want, got)
-		}
-		return payload, nil
+	rest, ok := bytes.CutPrefix(line, []byte(framePrefix))
+	if !ok {
+		return nil, errors.New("journal: record without frame prefix")
 	}
-	// Legacy v1: bare JSON object. Validity is decided by unmarshalling.
-	return line, nil
+	lenField, rest, ok := bytes.Cut(rest, []byte{' '})
+	if !ok {
+		return nil, errors.New("journal: framed record missing length")
+	}
+	crcField, payload, ok := bytes.Cut(rest, []byte{' '})
+	if !ok {
+		return nil, errors.New("journal: framed record missing checksum")
+	}
+	n, err := strconv.Atoi(string(lenField))
+	if err != nil || n != len(payload) {
+		return nil, fmt.Errorf("journal: framed record length %s != payload %d", lenField, len(payload))
+	}
+	want, err := strconv.ParseUint(string(crcField), 16, 32)
+	if err != nil {
+		return nil, fmt.Errorf("journal: bad checksum field %q", crcField)
+	}
+	if got := crc32.Checksum(payload, castagnoli); got != uint32(want) {
+		return nil, fmt.Errorf("journal: checksum mismatch (want %08x, got %08x)", want, got)
+	}
+	return payload, nil
 }
 
 // replay reads records, applying each to eng. In recover mode it stops at
@@ -738,10 +736,6 @@ func NewLogged(eng *caar.Engine, w *Writer) *Logged {
 	return &Logged{Engine: eng, w: w}
 }
 
-// Writer returns the underlying journal writer (e.g. to Flush it at
-// shutdown).
-func (l *Logged) Writer() *Writer { return l.w }
-
 // HealthProblems aggregates degraded-state reasons from the engine
 // (snapshot failures) and the journal writer (durability failures). The
 // server's readiness probe reports these with a 503 so load balancers stop
@@ -766,70 +760,55 @@ func (l *Logged) HealthProblems() []string {
 // engine, so they stay apply-first and are declared in ApplyFirstOps for the
 // soak ledger to classify as uncertain rather than acked.
 
-// AddUser journals, then applies.
-func (l *Logged) AddUser(handle string) error {
-	if err := l.w.Append(Entry{Op: OpAddUser, User: handle}); err != nil {
+// journalThenApply appends e, then applies it through apply — the mapping
+// replay uses, so a live write and its replay cannot read an op differently.
+func (l *Logged) journalThenApply(e Entry) error {
+	if err := l.w.Append(e); err != nil {
 		return err
 	}
-	return l.Engine.AddUser(handle)
+	return apply(l.Engine, e)
+}
+
+// AddUser journals, then applies.
+func (l *Logged) AddUser(handle string) error {
+	return l.journalThenApply(Entry{Op: OpAddUser, User: handle})
 }
 
 // Follow journals, then applies.
 func (l *Logged) Follow(follower, followee string) error {
-	if err := l.w.Append(Entry{Op: OpFollow, User: follower, Followee: followee}); err != nil {
-		return err
-	}
-	return l.Engine.Follow(follower, followee)
+	return l.journalThenApply(Entry{Op: OpFollow, User: follower, Followee: followee})
 }
 
 // Unfollow journals, then applies.
 func (l *Logged) Unfollow(follower, followee string) error {
-	if err := l.w.Append(Entry{Op: OpUnfollow, User: follower, Followee: followee}); err != nil {
-		return err
-	}
-	return l.Engine.Unfollow(follower, followee)
+	return l.journalThenApply(Entry{Op: OpUnfollow, User: follower, Followee: followee})
 }
 
 // AddCampaign journals, then applies.
 func (l *Logged) AddCampaign(name string, budget float64, start, end time.Time) error {
-	if err := l.w.Append(Entry{Op: OpAddCampaign, Campaign: &CampaignEntry{
+	return l.journalThenApply(Entry{Op: OpAddCampaign, Campaign: &CampaignEntry{
 		Name: name, Budget: budget, Start: start, End: end,
-	}}); err != nil {
-		return err
-	}
-	return l.Engine.AddCampaign(name, budget, start, end)
+	}})
 }
 
 // AddAd journals, then applies.
 func (l *Logged) AddAd(ad caar.Ad) error {
-	if err := l.w.Append(Entry{Op: OpAddAd, Ad: &ad}); err != nil {
-		return err
-	}
-	return l.Engine.AddAd(ad)
+	return l.journalThenApply(Entry{Op: OpAddAd, Ad: &ad})
 }
 
 // RemoveAd journals, then applies.
 func (l *Logged) RemoveAd(id string) error {
-	if err := l.w.Append(Entry{Op: OpRemoveAd, AdID: id}); err != nil {
-		return err
-	}
-	return l.Engine.RemoveAd(id)
+	return l.journalThenApply(Entry{Op: OpRemoveAd, AdID: id})
 }
 
 // Post journals, then applies.
 func (l *Logged) Post(author, text string, at time.Time) error {
-	if err := l.w.Append(Entry{Op: OpPost, User: author, Text: text, At: at}); err != nil {
-		return err
-	}
-	return l.Engine.Post(author, text, at)
+	return l.journalThenApply(Entry{Op: OpPost, User: author, Text: text, At: at})
 }
 
 // CheckIn journals, then applies.
 func (l *Logged) CheckIn(user string, lat, lng float64, at time.Time) error {
-	if err := l.w.Append(Entry{Op: OpCheckIn, User: user, Lat: lat, Lng: lng, At: at}); err != nil {
-		return err
-	}
-	return l.Engine.CheckIn(user, lat, lng, at)
+	return l.journalThenApply(Entry{Op: OpCheckIn, User: user, Lat: lat, Lng: lng, At: at})
 }
 
 // Invariants annotates the engine's report with the ops that remain

@@ -3,6 +3,8 @@ package journal
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"hash/crc32"
 	"strings"
 	"testing"
 	"time"
@@ -11,6 +13,16 @@ import (
 )
 
 var t0 = time.Date(2026, 7, 6, 9, 0, 0, 0, time.UTC)
+
+// framed renders raw payloads as a log: one checksummed frame per payload,
+// laid out as Append writes them. Payloads need not be valid entries.
+func framed(payloads ...string) string {
+	var sb strings.Builder
+	for _, p := range payloads {
+		fmt.Fprintf(&sb, "%s%d %08x %s\n", framePrefix, len(p), crc32.Checksum([]byte(p), castagnoli), p)
+	}
+	return sb.String()
+}
 
 func newEngine(t *testing.T) *caar.Engine {
 	t.Helper()
@@ -119,9 +131,9 @@ func TestReplayToleratesTornTail(t *testing.T) {
 }
 
 func TestReplayRejectsMidStreamCorruption(t *testing.T) {
-	good := `{"op":"add_user","user":"a"}`
+	good := framed(`{"op":"add_user","user":"a"}`)
 	bad := `{"op":"add_user","user` // corrupt, NOT final
-	log := good + "\n" + bad + "\n" + good + "x\n"
+	log := good + bad + "\n" + good
 	_, err := Replay(strings.NewReader(log), newEngine(t))
 	if err == nil {
 		t.Fatal("mid-stream corruption accepted")
@@ -129,11 +141,11 @@ func TestReplayRejectsMidStreamCorruption(t *testing.T) {
 }
 
 func TestReplaySkipsConflicts(t *testing.T) {
-	log := strings.Join([]string{
+	log := framed(
 		`{"op":"add_user","user":"a"}`,
 		`{"op":"add_user","user":"a"}`,                  // duplicate: skipped
 		`{"op":"follow","user":"a","followee":"ghost"}`, // unknown: skipped
-	}, "\n")
+	)
 	eng := newEngine(t)
 	stats, err := Replay(strings.NewReader(log), eng)
 	if err != nil {
@@ -148,7 +160,7 @@ func TestReplaySkipsConflicts(t *testing.T) {
 }
 
 func TestReplayUnknownOpSkipped(t *testing.T) {
-	log := `{"op":"frobnicate"}`
+	log := framed(`{"op":"frobnicate"}`)
 	stats, err := Replay(strings.NewReader(log), newEngine(t))
 	if err != nil {
 		t.Fatal(err)

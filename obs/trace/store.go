@@ -95,9 +95,6 @@ func (s *Store) SampleNext() bool {
 	return (s.sampleCtr.Add(1)-1)%s.period == 0
 }
 
-// SlowThreshold returns the configured tail-capture latency threshold.
-func (s *Store) SlowThreshold() time.Duration { return s.slow }
-
 // Add decides whether to capture a finished trace and, when captured,
 // stores it (evicting the oldest once the ring is full) and reports true.
 // Slow and errored traces bypass the sampling decision; Forced traces

@@ -3,6 +3,7 @@ package caar
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -383,25 +384,11 @@ func (e *Engine) restoreAd(sa snapshotAd) error {
 		internal.Slots = timeslot.AllSlots
 	}
 
-	// The same publish-then-populate path as AddAd: one directory swap per
-	// ad keeps every intermediate view a restore could serve consistent.
-	var err error
-	if internal.ID, err = e.mapAd(sa.ID, sa.Campaign); err != nil {
-		return fmt.Errorf("duplicate in snapshot: %w", err)
-	}
-
-	if err := internal.Validate(); err != nil {
-		e.unmapAd(sa.ID, internal.ID)
+	if err := e.publishAd(sa.ID, internal); err != nil {
+		if errors.Is(err, ErrDuplicate) {
+			return fmt.Errorf("duplicate in snapshot: %w", err)
+		}
 		return err
-	}
-	if err := e.store.Add(internal); err != nil {
-		e.unmapAd(sa.ID, internal.ID)
-		return err
-	}
-	for _, sh := range e.shards {
-		sh.mu.Lock()
-		sh.eng.RegisterAd(internal)
-		sh.mu.Unlock()
 	}
 	return nil
 }

@@ -66,9 +66,3 @@ func (o *Oracle) IsInterested(u feed.UserID, id adstore.AdID, sl timeslot.Slot) 
 	}
 	return false
 }
-
-// UsersInterestedInTopic returns the users whose latent interests include
-// the topic.
-func (o *Oracle) UsersInterestedInTopic(topic int) []feed.UserID {
-	return o.interested[topic]
-}
