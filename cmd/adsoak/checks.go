@@ -122,8 +122,10 @@ func checkMemoryCeiling(reports []caar.InvariantReport) verdict {
 		return fail(name, "no invariant reports collected")
 	}
 	for i, rep := range reports {
-		if rep.CachedMessages > rep.WindowCapacity {
-			return fail(name, "cycle %d: %d cached messages exceed window capacity %d", i, rep.CachedMessages, rep.WindowCapacity)
+		// A read user's window holds WindowSize messages and its buffer can
+		// owe the subtraction of WindowSize − 1 more (invariants.go).
+		if rep.CachedMessages > 2*rep.WindowCapacity {
+			return fail(name, "cycle %d: %d cached messages exceed twice the window capacity %d", i, rep.CachedMessages, rep.WindowCapacity)
 		}
 		if rep.TraceCapacity > 0 && rep.TraceCount > rep.TraceCapacity {
 			return fail(name, "cycle %d: %d traces exceed ring capacity %d", i, rep.TraceCount, rep.TraceCapacity)

@@ -292,3 +292,71 @@ func TestPostBatchContinuousOncePerUser(t *testing.T) {
 		}
 	}
 }
+
+// TestUnreadFeedsHoldNoBufferAndNoCache: candidate buffers and shared delta
+// lists exist for the feeds somebody reads. Forty users in a ring of follows
+// each receive 4 × WindowSize posts through PostBatch with nobody reading:
+// nothing is materialised. Reading every user then builds what the eager
+// engine of the parent commit (63d71a1) held all along for the same sequence:
+// 1 789 buffer entries and 160 cached messages.
+func TestUnreadFeedsHoldNoBufferAndNoCache(t *testing.T) {
+	const (
+		users         = 40
+		parentEntries = 1789
+		parentCached  = 160
+	)
+	cfg := testConfig()
+	cfg.Shards = 2
+	e := openEngine(t, cfg)
+	topics := []string{"marathon shoes", "fresh pizza", "espresso beans", "mountain bike", "vinyl records", "garden tools", "winter jacket",
+		"guitar lessons", "sushi dinner", "yoga studio", "camping tent", "chess club", "sailing boat", "pottery class", "jazz concert", "ski resort"}
+	name := func(i int) string { return fmt.Sprintf("u%02d", i%users) }
+	for i := 0; i < users; i++ {
+		if err := e.AddUser(name(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < users; i++ {
+		for _, d := range []int{1, 2, 3} { // each user follows the next three
+			if err := e.Follow(name(i), name(i+d)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for i := 0; i < 60; i++ {
+		ad := Ad{ID: fmt.Sprintf("ad%02d", i), Text: topics[i%len(topics)] + " " + topics[(7*i+3)%len(topics)], Bid: 0.1 + 0.01*float64(i)}
+		if err := e.AddAd(ad); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A feed holds the author's own posts and those of three followees: one
+	// round of everyone posting delivers four messages to every window.
+	at := morning
+	for round := 0; round < cfg.WindowSize; round++ {
+		batch := make([]PostRequest, users)
+		for i := range batch {
+			at = at.Add(time.Second)
+			batch[i] = PostRequest{Author: name(i), Text: topics[(3*i+round)%len(topics)] + " today", At: at}
+		}
+		for i, err := range e.PostBatch(batch) {
+			if err != nil {
+				t.Fatalf("round %d item %d: %v", round, i, err)
+			}
+		}
+	}
+	if st := e.Stats(); st.CandidateBufferEntries != 0 || st.CachedMessages != 0 {
+		t.Fatalf("nobody has read a feed, yet %d buffer entries and %d cached messages are held", st.CandidateBufferEntries, st.CachedMessages)
+	}
+	for i := 0; i < users; i++ {
+		if _, err := e.Recommend(name(i), 3, at); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := e.Stats()
+	t.Logf("after reading every user: %d buffer entries, %d cached messages", st.CandidateBufferEntries, st.CachedMessages)
+	within := func(got, want int) bool { return 20*got >= 19*want && 20*got <= 21*want }
+	if !within(st.CandidateBufferEntries, parentEntries) || !within(st.CachedMessages, parentCached) {
+		t.Fatalf("every feed read: %d buffer entries and %d cached messages, want within 5 %% of the eager engine's %d and %d",
+			st.CandidateBufferEntries, st.CachedMessages, parentEntries, parentCached)
+	}
+}

@@ -154,15 +154,27 @@ func newEngineMetrics(reg *obs.Registry, e *Engine) *engineMetrics {
 	})
 	paths := reg.CounterVec("caar_engine_topads_total",
 		"Top-k queries (feed renders and continuous refreshes) by path: answered from the user's top-k view, or by re-ranking the candidate buffer (CAP; 0 for IL/RS).", "path")
-	sumPaths := func() (view, rerank uint64) {
+	// sumCAP adds up a pair of counters every shard's CAP keeps under its lock.
+	sumCAP := func(read func(*core.CAP) (uint64, uint64)) (a, b uint64) {
 		e.eachCAP(func(c *core.CAP) {
-			v, r := c.TopAdsPaths()
-			view, rerank = view+v, rerank+r
+			x, y := read(c)
+			a, b = a+x, b+y
 		})
-		return view, rerank
+		return a, b
 	}
-	paths.Func(func() uint64 { view, _ := sumPaths(); return view }, "view")
-	paths.Func(func() uint64 { _, rerank := sumPaths(); return rerank }, "rerank")
+	paths.Func(func() uint64 { view, _ := sumCAP((*core.CAP).TopAdsPaths); return view }, "view")
+	paths.Func(func() uint64 { _, rerank := sumCAP((*core.CAP).TopAdsPaths); return rerank }, "rerank")
+	// What the lazy candidate buffer did and what it was spared:
+	// skipped ÷ (merged + skipped) is the share of deliveries whose merge
+	// nobody would have read.
+	catchUps := reg.CounterVec("caar_engine_buffer_catchups_total",
+		"Candidate-buffer catch-ups before a read, by kind: one merge pass over everything delivered since the last, or a rebuild from the window aggregate (CAP; 0 for IL/RS).", "kind")
+	catchUps.Func(func() uint64 { merge, _ := sumCAP((*core.CAP).CatchUps); return merge }, "merge")
+	catchUps.Func(func() uint64 { _, rebuild := sumCAP((*core.CAP).CatchUps); return rebuild }, "rebuild")
+	fates := reg.CounterVec("caar_engine_buffer_deliveries_total",
+		"Deliveries by what became of them in the follower's candidate buffer: merged by a catch-up, or skipped — the follower had no buffer, or it was freed unread (CAP; 0 for IL/RS).", "fate")
+	fates.Func(func() uint64 { merged, _ := sumCAP((*core.CAP).Deliveries); return merged }, "merged")
+	fates.Func(func() uint64 { _, skipped := sumCAP((*core.CAP).Deliveries); return skipped }, "skipped")
 	reg.GaugeFunc("caar_engine_shards", "Engine shard count.", func() float64 {
 		return float64(len(e.shards))
 	})

@@ -387,8 +387,14 @@ func TestStats(t *testing.T) {
 	if st.PostsDelivered != 1 || st.CheckIns != 1 {
 		t.Fatalf("counters = %+v", st)
 	}
-	if st.CandidateBufferEntries == 0 {
-		t.Fatalf("CAP buffers empty: %+v", st)
+	if st.CandidateBufferEntries != 0 {
+		t.Fatalf("a CAP buffer materialised before anyone read a feed: %+v", st)
+	}
+	if _, err := e.Recommend("a", 1, morning); err != nil {
+		t.Fatal(err)
+	}
+	if st = e.Stats(); st.CandidateBufferEntries == 0 {
+		t.Fatalf("CAP buffers empty after a read: %+v", st)
 	}
 	if e.Algorithm() != AlgorithmCAP {
 		t.Fatalf("Algorithm = %v", e.Algorithm())

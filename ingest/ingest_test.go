@@ -438,18 +438,54 @@ func TestRecommendMatchesRSThroughIngest(t *testing.T) {
 	}
 
 	at, submitted := t0, uint64(0)
+	post := func(author, body string) {
+		t.Helper()
+		if err := p.SubmitPost(author, body, at); err != nil {
+			t.Fatal(err)
+		}
+		if err := rsEng.Post(author, body, at); err != nil {
+			t.Fatal(err)
+		}
+		submitted++
+	}
+	// render is a feed render, once the applier has caught up.
+	render := func(step int, who string, k int) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); applied() < submitted; {
+			if time.Now().After(deadline) {
+				t.Fatalf("step %d: %d of %d acked writes applied", step, applied(), submitted)
+			}
+			time.Sleep(50 * time.Microsecond)
+		}
+		want, err := rsEng.Recommend(who, k, at)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := capEng.Recommend(who, k, at)
+		if err != nil {
+			t.Fatal(err)
+		}
+		same(step, "Recommend", got, want)
+		wantP, err := rsEng.RecommendWithPolicy(who, k, at, policy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotP, err := capEng.RecommendWithPolicy(who, k, at, policy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		same(step, "RecommendWithPolicy", gotP, wantP)
+		// Show the best ad: it is capped for this user for an hour, and
+		// campaign ads spend the paced budget down on both engines.
+		if len(want) > 0 {
+			both(func(e *caar.Engine) error { _, err := e.RecordImpressionTo(who, want[0].AdID, at); return err })
+		}
+	}
 	for step := 0; step < steps; step++ {
 		at = at.Add(time.Duration(rng.Intn(60)) * time.Second)
 		switch op := rng.Intn(10); {
 		case op < 6:
-			author, body := user(rng.Intn(nUsers)), text(4)
-			if err := p.SubmitPost(author, body, at); err != nil {
-				t.Fatal(err)
-			}
-			if err := rsEng.Post(author, body, at); err != nil {
-				t.Fatal(err)
-			}
-			submitted++
+			post(user(rng.Intn(nUsers)), text(4))
 		case op == 6:
 			who, lat, lng := user(rng.Intn(nUsers)), 4*rng.Float64(), 4*rng.Float64()
 			if err := p.SubmitCheckIn(who, lat, lng, at); err != nil {
@@ -459,51 +495,41 @@ func TestRecommendMatchesRSThroughIngest(t *testing.T) {
 				t.Fatal(err)
 			}
 			submitted++
-		default: // a feed render, once the applier has caught up
-			for deadline := time.Now().Add(10 * time.Second); applied() < submitted; {
-				if time.Now().After(deadline) {
-					t.Fatalf("step %d: %d of %d acked writes applied", step, applied(), submitted)
-				}
-				time.Sleep(50 * time.Microsecond)
-			}
-			who, k := user(rng.Intn(nUsers)), 1+rng.Intn(12)
-			want, err := rsEng.Recommend(who, k, at)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := capEng.Recommend(who, k, at)
-			if err != nil {
-				t.Fatal(err)
-			}
-			same(step, "Recommend", got, want)
-			wantP, err := rsEng.RecommendWithPolicy(who, k, at, policy)
-			if err != nil {
-				t.Fatal(err)
-			}
-			gotP, err := capEng.RecommendWithPolicy(who, k, at, policy)
-			if err != nil {
-				t.Fatal(err)
-			}
-			same(step, "RecommendWithPolicy", gotP, wantP)
-			// Show the best ad: it is capped for this user for an hour, and
-			// campaign ads spend the paced budget down on both engines.
-			if len(want) > 0 {
-				both(func(e *caar.Engine) error { _, err := e.RecordImpressionTo(who, want[0].AdID, at); return err })
-			}
+		default:
+			render(step, user(rng.Intn(nUsers)), 1+rng.Intn(12))
 		}
+	}
+	// A burst nobody reads — 25 posts a user on average, three windows' worth
+	// for everyone's feed — then a render of every feed: candidate buffers
+	// that fell a window behind were freed and are rebuilt by the read.
+	for i := 0; i < 25*nUsers; i++ {
+		at = at.Add(time.Duration(rng.Intn(60)) * time.Second)
+		post(user(rng.Intn(nUsers)), text(4))
+	}
+	for i := 0; i < nUsers; i++ {
+		render(steps, user(i), 1+rng.Intn(12))
 	}
 
 	var buf strings.Builder
 	if err := capEng.Metrics().WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
-	var view, rerank int
+	var view, rerank, merges, rebuilds, merged, skipped int
 	for _, line := range strings.Split(buf.String(), "\n") {
 		fmt.Sscanf(line, `caar_engine_topads_total{path="view"} %d`, &view)
 		fmt.Sscanf(line, `caar_engine_topads_total{path="rerank"} %d`, &rerank)
+		fmt.Sscanf(line, `caar_engine_buffer_catchups_total{kind="merge"} %d`, &merges)
+		fmt.Sscanf(line, `caar_engine_buffer_catchups_total{kind="rebuild"} %d`, &rebuilds)
+		fmt.Sscanf(line, `caar_engine_buffer_deliveries_total{fate="merged"} %d`, &merged)
+		fmt.Sscanf(line, `caar_engine_buffer_deliveries_total{fate="skipped"} %d`, &skipped)
 	}
-	t.Logf("caar_engine_topads_total: view %d, rerank %d", view, rerank)
+	t.Logf("caar_engine_topads_total: view %d, rerank %d; buffer catch-ups: %d merges of %d deliveries, %d rebuilds, %d deliveries skipped",
+		view, rerank, merges, merged, rebuilds, skipped)
 	if view == 0 || rerank == 0 {
 		t.Fatalf("both paths must serve reads: view %d, rerank %d", view, rerank)
+	}
+	// A merge took several deliveries at once, and the burst went unmerged.
+	if merges == 0 || merged <= merges || rebuilds < nUsers || skipped < 25*nUsers {
+		t.Fatalf("lazy catch-up not exercised: %d merges of %d deliveries, %d rebuilds, %d deliveries skipped", merges, merged, rebuilds, skipped)
 	}
 }

@@ -91,12 +91,24 @@ func randAdB(rng *rand.Rand, id adstore.AdID) *adstore.Ad {
 	return a
 }
 
-// BenchmarkDeliver measures one message delivery to a 100-user fan-out,
-// per engine (10k ads).
+// BenchmarkDeliver measures one message delivery to a 100-user fan-out, per
+// engine (10k ads). CAP defers a delivery's buffer work to the follower's
+// next read, so it is measured with the reads that pay for it, in the three
+// regimes of the lazy buffer: nobody reads (the buffers are freed after a
+// window's worth), every follower reads its top 5 after each delivery (one
+// catch-up per delivery, the ContinuousK user), and every follower reads
+// after every eighth (one catch-up for eight). ns/follower is the per-
+// follower cost, reads included.
 func BenchmarkDeliver(b *testing.B) {
-	for _, name := range []string{"RS", "IL", "CAP"} {
-		b.Run(name, func(b *testing.B) {
-			eng, rng, now := benchSetup(b, name, 200, 10000)
+	for _, bm := range []struct {
+		name, engine string
+		readEvery    int // 0: never
+	}{
+		{"RS", "RS", 0}, {"IL", "IL", 0},
+		{"CAP/unread", "CAP", 0}, {"CAP/subscribed", "CAP", 1}, {"CAP/read-every-8", "CAP", 8},
+	} {
+		b.Run(bm.name, func(b *testing.B) {
+			eng, rng, now := benchSetup(b, bm.engine, 200, 10000)
 			fanout := make([]feed.UserID, 100)
 			for i := range fanout {
 				fanout[i] = feed.UserID(i)
@@ -113,7 +125,15 @@ func BenchmarkDeliver(b *testing.B) {
 				if err := eng.Deliver(msg, fanout); err != nil {
 					b.Fatal(err)
 				}
+				if bm.readEvery > 0 && i%bm.readEvery == bm.readEvery-1 {
+					for _, u := range fanout {
+						if _, err := eng.TopAds(u, 5, now); err != nil {
+							b.Fatal(err)
+						}
+					}
+				}
 			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(fanout)), "ns/follower")
 		})
 	}
 }

@@ -34,31 +34,44 @@ func DefaultCAPOptions() CAPOptions {
 }
 
 // msgCache is the shared per-message state of fan-out sharing: the delta
-// list computed once at delivery, reference-counted by the number of feed
-// windows still holding the message.
+// list, computed when the first candidate buffer needs it, and a count of
+// what may still need it — one reference per warm user's window holding the
+// message, and one per warm user whose buffer still owes its subtraction.
 type msgCache struct {
-	vec    textproc.SparseVector
-	deltas []index.Delta
-	refs   int
+	vec      textproc.SparseVector
+	deltas   []index.Delta
+	computed bool
+	refs     int
 }
 
+// maxFixups bounds dynBuf.fix: a buffer that falls this many ad
+// registrations behind is freed, and rebuilt by its next read.
+const maxFixups = 64
+
 // CAP is the Context-aware Ad Publishing engine — the reconstructed
-// contribution. It maintains, per user, an incrementally-updated candidate
-// buffer so a feed event costs one merge of the message's delta list per
-// follower and a top-k query costs O(|buffer|), independent of the total
-// number of ads; a user whose top-k has been asked for also has a view
-// (view.go) that makes the next query cost what the deliveries since changed.
+// contribution. It maintains, per user somebody reads, an incrementally
+// updated candidate buffer: a feed event costs a window push per follower,
+// the buffer is brought up to date by one merge of everything delivered since
+// when the user is next read, and a top-k query costs O(|buffer|),
+// independent of the total number of ads; a user whose top-k has been asked
+// for also has a view (view.go) that makes the next query cost what the
+// deliveries since changed.
 type CAP struct {
 	*indexed
 	opts  CAPOptions
 	bufs  map[feed.UserID]*dynBuf
 	cache map[feed.MessageID]*msgCache
 
-	// scratch is the merge space Deliver lends to dynBuf.merge.
+	// Reusable space: Deliver's validated followers, and what catchUp lends
+	// to dynBuf.merge.
+	states  []*userState
+	lists   []weighted
 	scratch []bufEntry
 
 	viewAnswers, reranks uint64 // TopAds calls by how they were answered
 	lastPath             string // and the last one's: "view" or "rerank"
+	merges, rebuilds     uint64 // catch-ups by kind
+	merged, skipped      uint64 // deliveries by fate
 }
 
 // NewCAP creates a CAP engine over the given region and grid resolution.
@@ -88,10 +101,11 @@ func (e *CAP) AddUser(u feed.UserID) {
 }
 
 // AddAd implements Recommender. Beyond indexing, a late-arriving ad is
-// back-filled: its text relevance against every non-empty window is computed
-// from the window aggregate (one sparse dot product per such user), and its
-// coefficient against every cached live message is inserted so future
-// evictions stay exact.
+// back-filled: its text relevance against the window of every user whose
+// buffer is up to date, or who has a view to keep valid, is computed from the
+// window aggregate (one sparse dot product per such user), and its
+// coefficient is inserted into every cached delta list so future evictions
+// stay exact.
 func (e *CAP) AddAd(a *adstore.Ad) error {
 	if err := e.store.Add(a); err != nil {
 		return err
@@ -106,24 +120,40 @@ func (e *CAP) AddAd(a *adstore.Ad) error {
 // if its score could reach the bound, exactly as a delivery notes an ad it
 // raises (dynBuf.merge). A bound of -Inf — every eligible ad is tracked —
 // always notes.
+//
+// The ad's exact coefficient is its vector dotted with the window aggregate,
+// which is always current; a buffer that is behind is not, so it takes the
+// value when it catches up (dynBuf.fix) — the note, which is about the
+// window, is made now. A cold user costs nothing.
 func (e *CAP) RegisterAd(a *adstore.Ad) {
 	e.registerAd(a)
 	for u, st := range e.users {
-		buf, coeff := e.bufs[u], 0.0
+		buf := e.bufs[u]
+		behind := buf.applied < st.win.Len()
+		if behind && buf.applied > 0 {
+			if len(buf.fix) == maxFixups {
+				e.chill(st, buf, st.win.Entries())
+				continue
+			}
+			buf.fix = append(buf.fix, a.ID)
+		}
+		if behind && buf.view == nil {
+			continue
+		}
+		coeff := 0.0
 		if st.win.Len() > 0 {
 			agg, factor := st.win.ContextRef(st.win.Ref())
-			if coeff = a.Vec.Dot(agg) * factor; coeff != 0 {
-				buf.add(a.ID, coeff)
+			if coeff = a.Vec.Dot(agg) * factor; !behind {
+				buf.set(a.ID, coeff)
 			}
 		}
-		// In reference space, like merge's test: a query the view answers is
-		// not before the reference, where text scores are at their highest.
-		if v := buf.view; v != nil && e.scoring.AlphaText*coeff+e.scoring.staticScore(a, st.loc, st.hasLoc) >= v.bound {
-			buf.note(a.ID)
-		}
+		e.noteRegistered(st, buf, a, coeff)
 	}
 	if e.opts.FanoutSharing {
 		for _, mc := range e.cache {
+			if !mc.computed {
+				continue
+			}
 			if c := a.Vec.Dot(mc.vec); c != 0 {
 				// At its sorted position, not the end: shards register
 				// concurrently minted IDs in any order, and merge relies on
@@ -132,6 +162,16 @@ func (e *CAP) RegisterAd(a *adstore.Ad) {
 				mc.deltas = slices.Insert(mc.deltas, i, index.Delta{Ad: a.ID, Coeff: c})
 			}
 		}
+	}
+}
+
+// noteRegistered notes a registered ad whose text relevance is coeff if its
+// score could reach the view's bound. In reference space, like merge's test:
+// a query the view answers is not before the reference, where text scores are
+// at their highest.
+func (e *CAP) noteRegistered(st *userState, buf *dynBuf, a *adstore.Ad, coeff float64) {
+	if v := buf.view; v != nil && e.scoring.AlphaText*coeff+e.scoring.staticScore(a, st.loc, st.hasLoc) >= v.bound {
+		buf.note(a.ID)
 	}
 }
 
@@ -165,6 +205,7 @@ func (e *CAP) UnregisterAd(id adstore.AdID) {
 		b.remove(id)
 	}
 	for _, mc := range e.cache {
+		// A list not computed yet will be computed without the ad.
 		if i, ok := findDelta(mc.deltas, id); ok {
 			mc.deltas = slices.Delete(mc.deltas, i, i+1)
 		}
@@ -181,107 +222,198 @@ func (e *CAP) CheckIn(u feed.UserID, p geo.Point, t time.Time) error {
 	return nil
 }
 
-// Deliver implements Recommender: the heart of the engine.
+// Deliver implements Recommender. A delivery is a window push; what it does
+// to a candidate buffer is left owing (dynBuf) until the user is read. A
+// follower whose buffer is cold stays so, and a warm one whose last applied
+// message this push evicts turns cold: from there a catch-up would subtract
+// everything the buffer holds and add the whole window, which is a rebuild.
 func (e *CAP) Deliver(msg feed.Message, followers []feed.UserID) error {
 	// Validate the whole fan-out first so a partial failure cannot leave
 	// some windows updated and others not.
-	states := make([]*userState, len(followers))
-	for i, u := range followers {
+	states := e.states[:0]
+	for _, u := range followers {
 		st, ok := e.users[u]
 		if !ok {
 			return fmt.Errorf("%w: follower %d", ErrUnknownUser, u)
 		}
-		states[i] = st
+		states = append(states, st)
 	}
+	e.states = states
 
-	var deltas []index.Delta
-	if e.opts.FanoutSharing {
-		deltas = e.inv.DeltaList(msg.Vec)
-		if len(followers) > 0 {
-			e.cache[msg.ID] = &msgCache{vec: msg.Vec, deltas: deltas, refs: len(followers)}
-		}
-	}
-
+	warm := 0
 	for i, u := range followers {
-		st := states[i]
-		buf := e.bufs[u]
-		if !e.opts.FanoutSharing {
-			deltas = e.inv.DeltaList(msg.Vec)
-		}
-
-		oldRef := st.win.Ref()
+		st, buf := states[i], e.bufs[u]
 		evicted, wasEvicted := st.win.Push(msg)
-		newRef := st.win.Ref()
-
-		// Age the buffer into the new reference space. Renormalizing
-		// rewrites every stored value, which can move an untracked score up
-		// by a rounding step: the view goes.
-		factor := 1.0
-		if !oldRef.IsZero() && newRef.After(oldRef) {
-			factor = e.scoring.Decay.Between(oldRef, newRef)
-			if buf.age(factor) {
-				buf.view = nil
+		if buf.applied == 0 {
+			// Only an empty window's view gets here; nothing will note for it.
+			buf.view = nil
+			e.skipped++
+			continue
+		}
+		if wasEvicted {
+			buf.applied--
+			buf.gone = append(buf.gone, evicted.Msg)
+			if buf.applied == 0 {
+				ents := st.win.Entries()
+				e.chill(st, buf, ents[:len(ents)-1]) // msg has taken no reference yet
+				continue
 			}
 		}
-		// One pass then subtracts the evicted message's contributions —
-		// its weight is in the old reference space, hence the factor — and
-		// adds the new message's at its weight in the new one (1 unless the
-		// message arrived out of order).
-		var gone []index.Delta
-		var goneBy float64
-		if wasEvicted {
-			gone = e.evictedDeltas(evicted)
-			goneBy = -evicted.RefWeight() * factor / buf.scale
-		}
-		w := e.scoring.Decay.WeightAt(newRef.Sub(msg.Time))
-		e.scratch = buf.merge(e.scratch, gone, goneBy, deltas, w/buf.scale, e.noteAt(buf))
-
-		e.maybeRebuild(st, buf)
+		warm++
+	}
+	if warm > 0 && e.opts.FanoutSharing {
+		e.acquire(msg, warm)
 	}
 	return nil
 }
 
-// evictedDeltas returns an evicted message's delta list: the cached shared
-// one when fan-out sharing is on (releasing this window's reference to it),
-// recomputed otherwise.
-func (e *CAP) evictedDeltas(evicted feed.Entry) []index.Delta {
-	if !e.opts.FanoutSharing {
-		return e.inv.DeltaList(evicted.Msg.Vec)
+// acquire takes n references on a message's shared state, creating it — the
+// delta list left for whoever first needs it — if no warm user holds it yet.
+func (e *CAP) acquire(msg feed.Message, n int) {
+	mc := e.cache[msg.ID]
+	if mc == nil {
+		mc = &msgCache{vec: msg.Vec}
+		e.cache[msg.ID] = mc
 	}
-	mc := e.cache[evicted.Msg.ID]
+	mc.refs += n
+}
+
+// release drops one reference, and the shared state with the last.
+func (e *CAP) release(id feed.MessageID) {
+	if mc := e.cache[id]; mc != nil {
+		if mc.refs--; mc.refs <= 0 {
+			delete(e.cache, id)
+		}
+	}
+}
+
+// deltasOf returns a message's delta list: the shared one when fan-out
+// sharing is on (computed on first use), recomputed otherwise.
+func (e *CAP) deltasOf(m feed.Message) []index.Delta {
+	if !e.opts.FanoutSharing {
+		return e.inv.DeltaList(m.Vec)
+	}
+	mc := e.cache[m.ID]
 	if mc == nil {
 		return nil
 	}
-	mc.refs--
-	if mc.refs <= 0 {
-		delete(e.cache, evicted.Msg.ID)
+	if !mc.computed {
+		mc.deltas, mc.computed = e.inv.DeltaList(mc.vec), true
 	}
 	return mc.deltas
 }
 
-// maybeRebuild recomputes the buffer exactly from the window aggregate to
-// cap incremental floating-point drift. The exact values can sit a rounding
-// step above the drifted ones, so the view goes.
-func (e *CAP) maybeRebuild(st *userState, buf *dynBuf) {
-	if e.opts.RebuildEvery <= 0 {
-		return
+// chill turns a buffer cold: it frees the entries, the view and the pending
+// lists, and releases the user's references — held are the resident messages
+// that took one, and everything in gone holds one. The arrivals the buffer
+// never merged are thereby skipped.
+func (e *CAP) chill(st *userState, buf *dynBuf, held []feed.Entry) {
+	for _, en := range held {
+		e.release(en.Msg.ID)
 	}
-	buf.ops++
-	if buf.ops < e.opts.RebuildEvery {
-		return
-	}
-	agg, factor := st.win.ContextRef(st.win.Ref())
-	buf.e = buf.e[:0]
-	for _, d := range e.inv.DeltaList(agg) {
-		buf.e = append(buf.e, bufEntry{ad: d.Ad, v: d.Coeff * factor})
-	}
-	buf.scale, buf.ops, buf.view = 1, 0, nil
+	e.settleGone(buf)
+	e.skipped += uint64(st.win.Len() - buf.applied)
+	*buf = dynBuf{scale: 1}
 }
 
-// TopAds implements Recommender. No index is traversed — CAP materialized
-// the candidate set at delivery time — and mostly the set is not walked
-// either: the user's view (view.go) answers when it can prove the top k lies
-// inside it. Otherwise the set is ranked once, ignoring budget, to refill the
+// settleGone empties the list of evictions a buffer owes, releasing the
+// reference each held: they have been applied, or the buffer no longer needs
+// them to be.
+func (e *CAP) settleGone(buf *dynBuf) {
+	for _, m := range buf.gone {
+		e.release(m.ID)
+	}
+	clear(buf.gone)
+	buf.gone = buf.gone[:0]
+}
+
+// catchUp brings a user's buffer up to the window before something reads it.
+// The buffer is linear in the window's weighted term vector, so applying
+// every pending eviction and arrival in one pass, each at its weight in the
+// current reference space, gives what applying them one by one would have.
+// A cold buffer, and one that RebuildEvery deliveries have been merged into,
+// is rebuilt instead.
+func (e *CAP) catchUp(st *userState, buf *dynBuf) {
+	ents := st.win.Entries()
+	pending := ents[buf.applied:]
+	if len(pending) == 0 {
+		return
+	}
+	if buf.applied == 0 || (e.opts.RebuildEvery > 0 && buf.ops+len(pending) >= e.opts.RebuildEvery) {
+		e.rebuild(st, buf)
+		return
+	}
+	// Age the buffer into the current reference space. Renormalizing
+	// rewrites every stored value, which can move an untracked score up by a
+	// rounding step: the view goes.
+	ref := st.win.Ref()
+	if ref.After(buf.ref) {
+		if buf.age(e.scoring.Decay.Between(buf.ref, ref)) {
+			buf.view = nil
+		}
+		buf.ref = ref
+	}
+	// Weights are the pure exponential of ref − post time, so an eviction
+	// that happened under an earlier reference is re-derived at this one.
+	lists := e.lists[:0]
+	for _, m := range buf.gone {
+		lists = append(lists, weighted{d: e.deltasOf(m), c: -e.scoring.Decay.WeightAt(ref.Sub(m.Time)) / buf.scale})
+	}
+	for _, en := range pending {
+		lists = append(lists, weighted{d: e.deltasOf(en.Msg), c: e.scoring.Decay.WeightAt(ref.Sub(en.Msg.Time)) / buf.scale})
+	}
+	e.scratch = buf.merge(e.scratch, lists, len(buf.gone), e.noteAt(buf))
+	clear(lists)
+	e.lists = lists
+
+	e.settleGone(buf) // applied: only now can their shared lists go
+	if len(buf.fix) > 0 {
+		agg, factor := st.win.ContextRef(ref)
+		for _, id := range buf.fix {
+			if a := e.ad(id); a != nil {
+				coeff := a.Vec.Dot(agg) * factor
+				buf.set(id, coeff)
+				e.noteRegistered(st, buf, a, coeff)
+			}
+		}
+		buf.fix = buf.fix[:0]
+	}
+	buf.applied, buf.ops = len(ents), buf.ops+len(pending)
+	e.merges, e.merged = e.merges+1, e.merged+uint64(len(pending))
+}
+
+// rebuild recomputes the buffer exactly from the window aggregate: how a cold
+// buffer is warmed, and what caps a warm one's incremental floating-point
+// drift. The exact values can sit a rounding step above the drifted ones, so
+// the view goes. Warming takes a reference on every resident message — the
+// user's share of the delta lists their evictions will need.
+func (e *CAP) rebuild(st *userState, buf *dynBuf) {
+	ents := st.win.Entries()
+	if buf.applied > 0 {
+		e.merged += uint64(len(ents) - buf.applied)
+	} else if e.opts.FanoutSharing {
+		for _, en := range ents {
+			e.acquire(en.Msg, 1)
+		}
+	}
+	e.settleGone(buf)
+	buf.fix = buf.fix[:0]
+
+	agg, factor := st.win.ContextRef(st.win.Ref())
+	deltas := e.inv.DeltaList(agg)
+	buf.fill(len(deltas))
+	for i, d := range deltas {
+		buf.e[i] = bufEntry{ad: d.Ad, v: d.Coeff * factor}
+	}
+	buf.scale, buf.ops, buf.view = 1, 0, nil
+	buf.applied, buf.ref = len(ents), st.win.Ref()
+	e.rebuilds++
+}
+
+// TopAds implements Recommender. The candidate set is first brought up to
+// date (catchUp); no index is traversed unless that has to rebuild it, and
+// mostly the set is not walked either: the user's view (view.go) answers
+// when it can prove the top k lies inside it. Otherwise the set is ranked once, ignoring budget, to refill the
 // view, and the answer read off that. The budget-aware ranking is left with a
 // k too large for a view, and (timed as topk) a fresh view short of payable ads.
 func (e *CAP) TopAds(u feed.UserID, k int, t time.Time) ([]Scored, error) {
@@ -290,6 +422,7 @@ func (e *CAP) TopAds(u feed.UserID, k int, t time.Time) ([]Scored, error) {
 		return nil, err
 	}
 	buf, span := e.bufs[u], e.stageStart()
+	e.catchUp(st, buf)
 	winFactor := e.scoring.Decay.Between(st.win.Ref(), t)
 	mult, sl := buf.scale*winFactor, timeslot.Of(t)
 	viewable := viewSlack*k <= viewMaxTracked
@@ -335,21 +468,24 @@ func (e *CAP) rank(c *topk.Collector, st *userState, buf *dynBuf, mult float64, 
 	return len(buf.e) + examined, offered + offeredStatic
 }
 
-// BufferSize returns the candidate-buffer size of a user, a memory/latency
-// diagnostic for the experiments.
+// BufferSize returns the candidate-buffer size of a user, caught up first:
+// a memory/latency diagnostic for the experiments, and the tests' oracle.
 func (e *CAP) BufferSize(u feed.UserID) int {
-	if b, ok := e.bufs[u]; ok {
-		return len(b.e)
+	b, ok := e.bufs[u]
+	if !ok {
+		return 0
 	}
-	return 0
+	e.catchUp(e.users[u], b)
+	return len(b.e)
 }
 
-// CachedMessages returns the number of messages with live shared delta
-// lists (fan-out sharing memory diagnostic).
+// CachedMessages returns the number of messages with live shared state
+// (fan-out sharing memory diagnostic).
 func (e *CAP) CachedMessages() int { return len(e.cache) }
 
-// TotalBufferEntries returns the summed candidate-buffer size across all
-// users (memory diagnostic).
+// TotalBufferEntries returns the summed size of the candidate buffers as
+// they are materialised — nothing is caught up, a cold user counts 0 (memory
+// diagnostic).
 func (e *CAP) TotalBufferEntries() int {
 	total := 0
 	for _, b := range e.bufs {
@@ -357,6 +493,15 @@ func (e *CAP) TotalBufferEntries() int {
 	}
 	return total
 }
+
+// CatchUps counts buffer catch-ups by kind: one merge pass, or a rebuild from
+// the window aggregate. Callers hold the engine's lock.
+func (e *CAP) CatchUps() (merge, rebuild uint64) { return e.merges, e.rebuilds }
+
+// Deliveries counts deliveries by fate: merged into a candidate buffer, or
+// skipped — the follower had no buffer, or it was freed before a catch-up.
+// Deliveries still pending are in neither. Callers hold the engine's lock.
+func (e *CAP) Deliveries() (merged, skipped uint64) { return e.merged, e.skipped }
 
 var (
 	_ Recommender = (*CAP)(nil)

@@ -56,12 +56,16 @@ func TestCAPBufferGrowsAndShrinks(t *testing.T) {
 		t.Fatalf("cached messages = %d, want 6", got)
 	}
 
-	// Push 6 messages on term 8: all term-7 messages evict, buffer should
-	// swap to ad 101 and the old message caches should be released.
+	// Push 6 messages on term 8, the user read after each: all term-7
+	// messages evict, buffer should swap to ad 101 one subtraction at a time
+	// and the old message caches should be released.
 	for i := 6; i < 12; i++ {
 		now = now.Add(time.Minute)
 		if err := e.Deliver(post(feed.MessageID(i), now, 8, 1), []feed.UserID{1}); err != nil {
 			t.Fatal(err)
+		}
+		if got, want := e.BufferSize(1), 2-i/11; got != want {
+			t.Fatalf("buffer size after %d of the 6 = %d, want %d", i-5, got, want)
 		}
 	}
 	if got := e.BufferSize(1); got != 1 {
@@ -85,9 +89,17 @@ func TestCAPCacheSharedAcrossFollowers(t *testing.T) {
 		e.AddUser(u)
 	}
 	e.AddAd(simpleAd(100, 7, 0.5))
+	// A message is cached for the users somebody reads; these three are read
+	// after every delivery.
+	readAll := func() {
+		for u := feed.UserID(1); u <= 3; u++ {
+			e.BufferSize(u)
+		}
+	}
 	if err := e.Deliver(post(1, base0, 7, 1), []feed.UserID{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
+	readAll()
 	if got := e.CachedMessages(); got != 1 {
 		t.Fatalf("one message delivered to 3 users should cache once, got %d", got)
 	}
@@ -98,6 +110,13 @@ func TestCAPCacheSharedAcrossFollowers(t *testing.T) {
 		if err := e.Deliver(post(feed.MessageID(i), now, 9, 1), []feed.UserID{1, 2, 3}); err != nil {
 			t.Fatal(err)
 		}
+		if i == 7 {
+			e.BufferSize(1)
+			if got := e.CachedMessages(); got != 7 {
+				t.Fatalf("cached messages = %d, want 7 (msg 1 is still owed to two buffers)", got)
+			}
+		}
+		readAll()
 	}
 	// Message 1 evicted from all 3 windows → refcount 0 → cache released.
 	// 6 live messages remain cached.
@@ -277,28 +296,28 @@ func TestCAPDecayUnderflowDoesNotPoisonBuffer(t *testing.T) {
 
 // TestDynBufAgeUnderflow pins the dynBuf repair paths directly: a factor of
 // exactly 0 clears the buffer and resets the scale; a subnormal product
-// renormalizes into the stored values. Both leave the next add finite.
+// renormalizes into the stored values. Both leave the next set finite.
 func TestDynBufAgeUnderflow(t *testing.T) {
 	b := newDynBuf()
-	b.add(1, 0.5)
+	b.set(1, 0.5)
 	b.age(0)
 	if b.scale != 1 || len(b.e) != 0 {
 		t.Fatalf("zero factor: scale=%v entries=%d, want scale 1 and empty buffer", b.scale, len(b.e))
 	}
-	b.add(1, 0.7)
+	b.set(1, 0.7)
 	if v := b.get(1); math.IsNaN(v) || math.IsInf(v, 0) || v != 0.7 {
-		t.Fatalf("add after zero-age = %v, want 0.7", v)
+		t.Fatalf("set after zero-age = %v, want 0.7", v)
 	}
 
 	b = newDynBuf()
-	b.add(2, 1.0)
+	b.set(2, 1.0)
 	b.age(5e-324) // subnormal, > 0: renormalization path
 	if b.scale != 1 {
 		t.Fatalf("subnormal factor: scale=%v, want renormalized to 1", b.scale)
 	}
-	b.add(2, 0.25)
+	b.set(2, 0.25)
 	if v := b.get(2); math.IsNaN(v) || math.IsInf(v, 0) {
-		t.Fatalf("add after subnormal age = %v, want finite", v)
+		t.Fatalf("set after subnormal age = %v, want finite", v)
 	}
 }
 

@@ -2,8 +2,10 @@ package core
 
 import (
 	"math"
+	"time"
 
 	"caar/internal/adstore"
+	"caar/internal/feed"
 	"caar/internal/index"
 )
 
@@ -19,18 +21,35 @@ type bufEntry struct {
 const dropBelow = 1e-12
 
 // dynBuf is one user's incremental candidate buffer: for every ad that
-// shares at least one term with a window-resident message, the exact text
-// relevance coefficient in the window's reference space.
+// shares at least one term with a message it reflects, the exact text
+// relevance coefficient in the reference space of ref.
 //
 // Entries are kept in one slice sorted by ad ID — 16 bytes an entry, read
-// sequentially by a query and rewritten by one merge per delivery (delta
+// sequentially by a query and rewritten by one merge per catch-up (delta
 // lists arrive in the same order). Values are stored divided by scale, so
-// aging the whole buffer when the window's reference time advances is one
-// O(1) multiplication instead of a sweep.
+// aging the whole buffer when the reference time advances is one O(1)
+// multiplication instead of a sweep.
+//
+// The buffer is lazy (DESIGN.md §3.1 item 3): a delivery only records what
+// the buffer now owes, and CAP.catchUp settles it when something reads. What
+// the buffer reflects is the first applied resident messages of the user's
+// window plus the messages in gone; the window's later entries are the
+// arrivals it has yet to add. applied == 0 is the cold state — the buffer
+// describes nothing in the window, so it holds nothing: no entries, no view
+// unless the window is empty too, no pending lists and no message-cache
+// reference — and the next read rebuilds it from the window aggregate.
 type dynBuf struct {
 	e     []bufEntry // ascending by ad
 	scale float64
-	ops   int
+	ops   int // deliveries merged since the last exact rebuild
+
+	applied int
+	ref     time.Time      // the window reference e and scale are relative to
+	gone    []feed.Message // applied messages evicted since: owed a subtraction
+	// fix lists the ads registered while the buffer was behind; the catch-up
+	// ends by setting each to its exact value, because neither what the buffer
+	// holds nor what the pass adds accounts for them consistently.
+	fix []adstore.AdID
 
 	// view is the user's materialised top-k (view.go); nil until the user's
 	// first query, and again after anything that invalidates it.
@@ -62,24 +81,20 @@ func (b *dynBuf) get(ad adstore.AdID) float64 {
 	return 0
 }
 
-// add accumulates a ref-space contribution for one ad, dropping an entry
-// that returns to (numerical) zero. Deliveries go through merge; this is
-// the single-ad form ad registration uses.
-func (b *dynBuf) add(ad adstore.AdID, refCoeff float64) {
+// set makes ad's coefficient refCoeff (in reference space), dropping an entry
+// set to (numerical) zero. Deliveries go through merge; this is the single-ad
+// form ad registration uses.
+func (b *dynBuf) set(ad adstore.AdID, refCoeff float64) {
 	i, ok := b.find(ad)
-	nv := refCoeff / b.scale
-	if ok {
-		nv += b.e[i].v
-	}
-	switch zero := math.Abs(nv*b.scale) < dropBelow; {
+	switch zero := math.Abs(refCoeff) < dropBelow; {
 	case ok && zero:
 		b.e = append(b.e[:i], b.e[i+1:]...)
 	case ok:
-		b.e[i].v = nv
+		b.e[i].v = refCoeff / b.scale
 	case !zero:
 		b.e = append(b.e, bufEntry{})
 		copy(b.e[i+1:], b.e[i:])
-		b.e[i] = bufEntry{ad: ad, v: nv}
+		b.e[i] = bufEntry{ad: ad, v: refCoeff / b.scale}
 	}
 }
 
@@ -126,28 +141,50 @@ func (b *dynBuf) note(ad adstore.AdID) bool {
 	return true
 }
 
-// merge applies two delta lists in one pass over the buffer: every ad of
-// sub gains cs·Coeff and every ad of add gains ca·Coeff (cs and ca are
-// stored-space factors, already divided by scale; a delivery passes the
-// evicted message with a negative cs and the new message). Both lists are
-// ascending by ad, as index.Inverted.DeltaList returns them. A touched
-// entry that ends at (numerical) zero is dropped. Every ad of add whose
-// stored value ends at or above noteAt goes on the view's noted list: how
-// the view learns which raised ads could now beat its bound (noteAt is +Inf
-// when there is no view); one more than viewMaxNoted of them drops the view.
+// weighted is one message's delta list with the stored-space factor (already
+// divided by scale) its coefficients enter the buffer at: negative for an
+// evicted message. merge consumes d from the front, keeping its first ad in
+// head, where the scan for the next ad to write finds it without a load
+// through d.
+type weighted struct {
+	d    []index.Delta
+	c    float64
+	head adstore.AdID
+}
+
+// merge applies any number of delta lists in one pass over the buffer: every
+// ad of a list gains c·Coeff, list after list in the order given. A catch-up
+// passes the evicted messages first and the arrivals from lists[arrivals:]
+// on. Every list is ascending by ad, as index.Inverted.DeltaList returns
+// them. A touched entry that ends at (numerical) zero is dropped. Every ad of
+// an arrival whose stored value ends at or above noteAt goes on the view's
+// noted list: how the view learns which raised ads could now beat its bound
+// (noteAt is +Inf when there is no view); one more than viewMaxNoted of them
+// drops the view.
 //
-// scratch is the caller's reusable merge space; it is returned, possibly
-// grown, for the next call.
-func (b *dynBuf) merge(scratch []bufEntry, sub []index.Delta, cs float64, add []index.Delta, ca float64, noteAt float64) []bufEntry {
+// lists is consumed. scratch is the caller's reusable merge space; it is
+// returned, possibly grown, for the next call.
+func (b *dynBuf) merge(scratch []bufEntry, lists []weighted, arrivals int, noteAt float64) []bufEntry {
+	// Only lists with something left to apply stay in lists, in their order.
+	drop := func(l int) {
+		lists = append(lists[:l], lists[l+1:]...)
+		if l < arrivals {
+			arrivals--
+		}
+	}
+	for l := len(lists) - 1; l >= 0; l-- {
+		if t := &lists[l]; len(t.d) == 0 {
+			drop(l)
+		} else {
+			t.head = t.d[0].Ad
+		}
+	}
 	src, out := b.e, scratch[:0]
-	i, j, k := 0, 0, 0
-	for j < len(sub) || k < len(add) {
-		var ad adstore.AdID
-		switch {
-		case k == len(add) || (j < len(sub) && sub[j].Ad < add[k].Ad):
-			ad = sub[j].Ad
-		default:
-			ad = add[k].Ad
+	i := 0
+	for len(lists) > 0 {
+		ad := lists[0].head
+		for l := 1; l < len(lists); l++ {
+			ad = min(ad, lists[l].head)
 		}
 		start := i
 		for i < len(src) && src[i].ad < ad {
@@ -159,15 +196,20 @@ func (b *dynBuf) merge(scratch []bufEntry, sub []index.Delta, cs float64, add []
 			v = src[i].v
 			i++
 		}
-		if j < len(sub) && sub[j].Ad == ad {
-			v += cs * sub[j].Coeff
-			j++
-		}
 		raised := false
-		if k < len(add) && add[k].Ad == ad {
-			v += ca * add[k].Coeff
-			k++
-			raised = true
+		for l := 0; l < len(lists); l++ {
+			t := &lists[l]
+			if t.head != ad {
+				continue
+			}
+			v += t.c * t.d[0].Coeff
+			raised = raised || l >= arrivals
+			if t.d = t.d[1:]; len(t.d) == 0 {
+				drop(l)
+				l--
+			} else {
+				t.head = t.d[0].Ad
+			}
 		}
 		if math.Abs(v*b.scale) < dropBelow {
 			continue
@@ -178,13 +220,17 @@ func (b *dynBuf) merge(scratch []bufEntry, sub []index.Delta, cs float64, add []
 		}
 	}
 	out = append(out, src[i:]...)
-
-	if cap(b.e) < len(out) {
-		// An eighth of headroom: a buffer hovers around one size once its
-		// window is full, and append's doubling would keep up to twice that.
-		b.e = make([]bufEntry, len(out), len(out)+len(out)/8+8)
-	}
-	b.e = b.e[:len(out)]
+	b.fill(len(out))
 	copy(b.e, out)
 	return out
+}
+
+// fill sizes e for n entries, with an eighth of headroom when it has to
+// grow: a buffer hovers around one size once its window is full, and append's
+// doubling would keep up to twice that.
+func (b *dynBuf) fill(n int) {
+	if cap(b.e) < n {
+		b.e = make([]bufEntry, n, n+n/8+8)
+	}
+	b.e = b.e[:n]
 }

@@ -43,9 +43,10 @@ func (m *bufModel) age(factor float64) {
 	m.scale = 1
 }
 
-// runDynBufModel decodes data into a sequence of merges, agings, single
-// adds and removes, applies each to a dynBuf and to the map model, and
-// compares them after every step.
+// runDynBufModel decodes data into a sequence of merges (of zero to three
+// evictions and zero to three arrivals in one pass, as a catch-up makes them),
+// agings, single sets and removes, applies each to a dynBuf and to the map
+// model, and compares them after every step.
 func runDynBufModel(t *testing.T, data []byte) {
 	next := func() int {
 		if len(data) == 0 {
@@ -60,14 +61,14 @@ func runDynBufModel(t *testing.T, data []byte) {
 	coeff := func() float64 { return float64(next()%9-4) / 4 }
 	factors := []float64{1, -1, 0.5, -0.5, 1e-13, 3}
 	ages := []float64{1, 0.5, 0.25, 1e-80, 5e-324, 0}
-	list := func() []index.Delta {
+	list := func() weighted {
 		var out []index.Delta
 		ad := adstore.AdID(0)
 		for n := next() % 6; n > 0; n-- {
 			ad += adstore.AdID(1 + next()%5)
 			out = append(out, index.Delta{Ad: ad, Coeff: coeff()})
 		}
-		return out
+		return weighted{d: out, c: factors[next()%len(factors)]}
 	}
 
 	b := newDynBuf()
@@ -76,33 +77,41 @@ func runDynBufModel(t *testing.T, data []byte) {
 	for step := 0; len(data) > 0; step++ {
 		switch next() % 4 {
 		case 0:
-			sub, cs := list(), factors[next()%len(factors)]
-			add, ca := list(), factors[next()%len(factors)]
+			evictions, n := next()%4, next()%4
+			var lists []weighted
+			for n += evictions; n > 0; n-- {
+				lists = append(lists, list())
+			}
 			noteAt := []float64{math.Inf(1), 0.5, -1}[next()%3]
 			// The view comes in empty, one short of full, or full: the noted
 			// list holds viewMaxNoted ads and the next one drops the view.
 			wantNoted := make([]adstore.AdID, []int{0, viewMaxNoted - 1, viewMaxNoted}[next()%3])
 			view := &topView{noted: slices.Clone(wantNoted)}
 			b.view = view
-			scratch = b.merge(scratch, sub, cs, add, ca, noteAt)
+			scratch = b.merge(scratch, slices.Clone(lists), evictions, noteAt)
 
+			// The model adds in the order merge does: list after list.
 			touched := map[adstore.AdID]float64{}
-			for _, d := range sub {
-				touched[d.Ad] = m.u[d.Ad] + cs*d.Coeff
-			}
-			for _, d := range add {
-				v, ok := touched[d.Ad]
-				if !ok {
-					v = m.u[d.Ad]
+			var raised []adstore.AdID
+			for l, w := range lists {
+				for _, d := range w.d {
+					v, ok := touched[d.Ad]
+					if !ok {
+						v = m.u[d.Ad]
+					}
+					touched[d.Ad] = v + w.c*d.Coeff
+					if l >= evictions && !slices.Contains(raised, d.Ad) {
+						raised = append(raised, d.Ad)
+					}
 				}
-				touched[d.Ad] = v + ca*d.Coeff
 			}
 			for ad, v := range touched {
 				m.set(ad, v)
 			}
-			for _, d := range add {
-				if v, kept := m.u[d.Ad]; kept && v >= noteAt {
-					wantNoted = append(wantNoted, d.Ad)
+			slices.Sort(raised)
+			for _, ad := range raised {
+				if v, kept := m.u[ad]; kept && v >= noteAt {
+					wantNoted = append(wantNoted, ad)
 				}
 			}
 			if len(wantNoted) > viewMaxNoted {
@@ -122,8 +131,8 @@ func runDynBufModel(t *testing.T, data []byte) {
 			delete(m.u, ad)
 		case 3:
 			ad, c := adstore.AdID(next()%32), coeff()
-			b.add(ad, c)
-			m.set(ad, m.u[ad]+c/m.scale)
+			b.set(ad, c)
+			m.set(ad, c/m.scale)
 		}
 
 		if b.scale != m.scale {
@@ -156,10 +165,12 @@ func TestDynBufMatchesMapModel(t *testing.T) {
 }
 
 func FuzzDynBufMerge(f *testing.F) {
-	f.Add([]byte{0, 2, 1, 5, 2, 6, 1, 2, 1, 7, 1, 0, 0}) // one merge of two lists that share ad 2
-	f.Add([]byte{3, 4, 8, 0, 1, 3, 8, 1, 0, 0, 0})       // add 1.0 to ad 4, merge it back to zero
-	f.Add([]byte{3, 7, 8, 1, 3, 1, 3, 3, 7, 5, 1, 4})    // 1e-80 twice: renormalised; then 5e-324
-	f.Add([]byte{3, 9, 6, 1, 5, 3, 9, 6, 2, 9, 2, 9})    // flush to zero, add, remove twice
+	f.Add([]byte{0, 1, 1, 2, 1, 5, 2, 6, 1, 1, 1, 7, 0, 0, 0}) // one eviction and one arrival that share ad 2
+	f.Add([]byte{3, 4, 8, 0, 1, 0, 1, 3, 8, 1, 0, 0})          // set ad 4 to 1.0, merge it back to zero
+	f.Add([]byte{3, 7, 8, 1, 3, 1, 3, 3, 7, 5, 1, 4})          // 1e-80 twice: renormalised; then 5e-324
+	f.Add([]byte{3, 9, 6, 1, 5, 3, 9, 6, 2, 9, 2, 9})          // flush to zero, set, remove twice
+	// Three evictions and three arrivals in one pass, ad 2 in five of the lists.
+	f.Add([]byte{0, 3, 3, 1, 1, 5, 1, 2, 1, 6, 1, 7, 3, 1, 2, 8, 0, 1, 1, 5, 0, 2, 1, 6, 1, 2, 2, 1, 1, 8, 5, 1, 0})
 	f.Fuzz(runDynBufModel)
 }
 

@@ -113,7 +113,9 @@ func scoresCompatible(oracle, got []Scored, tol float64) error {
 // TestEngineEquivalenceRandomWorkload is the central correctness test: RS,
 // IL, and CAP (in three option variants) must produce identical top-k
 // rankings throughout a randomized stream of posts, check-ins, ad
-// insertions, and ad removals.
+// insertions, and ad removals. Half the users are read at every gap a
+// readGaps cycles through, so each CAP variant catches its lazy buffers up
+// in every regime; the rest are read at random, mostly cold.
 func TestEngineEquivalenceRandomWorkload(t *testing.T) {
 	for _, seed := range []int64{1, 2, 7, 42} {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
@@ -122,6 +124,13 @@ func TestEngineEquivalenceRandomWorkload(t *testing.T) {
 			oracle := engines[0]
 
 			const nUsers = 12
+			gaps := newReadGaps(testScoring().WindowCap)
+			var caps []*CAP
+			for _, e := range engines {
+				if c, ok := e.(*CAP); ok {
+					caps = append(caps, c)
+				}
+			}
 			for u := feed.UserID(0); u < nUsers; u++ {
 				for _, e := range engines {
 					e.AddUser(u)
@@ -146,8 +155,27 @@ func TestEngineEquivalenceRandomWorkload(t *testing.T) {
 			}
 
 			now := base0
+			// read compares every engine's top k for u with the oracle's.
+			read := func(step int, u feed.UserID, k int) {
+				gaps.observe(t, u, func() {
+					want, err := oracle.TopAds(u, k, now)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, e := range engines[1:] {
+						got, err := e.TopAds(u, k, now)
+						if err != nil {
+							t.Fatalf("%s TopAds: %v", e.Name(), err)
+						}
+						if err := scoresCompatible(want, got, 1e-6); err != nil {
+							t.Fatalf("step %d user %d k %d: %s disagrees with RS: %v\nRS:  %+v\n%s: %+v",
+								step, u, k, e.Name(), err, want, e.Name(), got)
+						}
+					}
+				}, caps...)
+			}
 			var msgID feed.MessageID
-			for step := 0; step < 400; step++ {
+			for step := 0; step < 1200; step++ {
 				now = now.Add(time.Duration(rng.Intn(180)) * time.Second)
 				switch op := rng.Intn(10); {
 				case op < 6: // post
@@ -174,6 +202,12 @@ func TestEngineEquivalenceRandomWorkload(t *testing.T) {
 							t.Fatalf("%s Deliver: %v", e.Name(), err)
 						}
 					}
+					gaps.delivered(followers)
+					for _, u := range followers {
+						for u < nUsers/2 && gaps.due(u) {
+							read(step, u, 1+rng.Intn(8))
+						}
+					}
 				case op < 8: // check-in
 					u := feed.UserID(rng.Intn(nUsers))
 					p := geo.Point{Lat: rng.Float64() * 10, Lng: rng.Float64() * 10}
@@ -182,8 +216,10 @@ func TestEngineEquivalenceRandomWorkload(t *testing.T) {
 							t.Fatalf("%s CheckIn: %v", e.Name(), err)
 						}
 					}
+					gaps.churned()
 				case op == 8: // add ad mid-stream
 					addAd()
+					gaps.churned()
 				default: // remove a random ad
 					if len(liveAds) > 5 {
 						i := rng.Intn(len(liveAds))
@@ -194,28 +230,15 @@ func TestEngineEquivalenceRandomWorkload(t *testing.T) {
 								t.Fatalf("%s RemoveAd: %v", e.Name(), err)
 							}
 						}
+						gaps.churned()
 					}
 				}
 
 				if step%5 == 0 {
-					u := feed.UserID(rng.Intn(nUsers))
-					k := 1 + rng.Intn(8)
-					want, err := oracle.TopAds(u, k, now)
-					if err != nil {
-						t.Fatal(err)
-					}
-					for _, e := range engines[1:] {
-						got, err := e.TopAds(u, k, now)
-						if err != nil {
-							t.Fatalf("%s TopAds: %v", e.Name(), err)
-						}
-						if err := scoresCompatible(want, got, 1e-6); err != nil {
-							t.Fatalf("step %d user %d k %d: %s disagrees with RS: %v\nRS:  %+v\n%s: %+v",
-								step, u, k, e.Name(), err, want, e.Name(), got)
-						}
-					}
+					read(step, feed.UserID(rng.Intn(nUsers)), 1+rng.Intn(8))
 				}
 			}
+			gaps.require(t)
 		})
 	}
 }

@@ -21,7 +21,7 @@ import (
 // The rest bound what a view holds between queries: a k whose 4k exceeds
 // viewMaxTracked is ranked without a view; tracked has room for viewJoinRoom
 // joiners before a refresh cuts back mid-way; one noted ad beyond
-// viewMaxNoted drops the view — the next query is better off re-ranking.
+// viewMaxNoted drops the view — the query is better off re-ranking.
 const (
 	viewSlack      = 4
 	viewMaxTracked = 256
@@ -45,13 +45,15 @@ type viewEntry struct {
 // NOT tracked scores at most bound at any query time t with asOf ≤ t and
 // t not before the window reference. Budget is ignored by the invariant
 // and applied when the answer is emitted, so spend and pacing need no
-// invalidation. The invariant survives a delivery because decay and
-// eviction only lower an untracked score, and an ad the new message raises
-// to where it could exceed bound is put on noted and scored exactly by the
-// next query. Everything else that could raise an untracked score or
-// change eligibility sets dynBuf.view to nil (check-in, exact rebuild,
-// renormalization, a full noted list) or fails the guard in TopAds (another
-// slot, a query time the bound does not cover). Ad churn is not on that
+// invalidation. The invariant survives deliveries because decay and
+// eviction only lower an untracked score, and an ad the new messages raise
+// to where it could exceed bound is put on noted — by the catch-up that
+// merges them, which every query runs first — and scored exactly by that
+// query. Everything else that could raise an untracked score or change
+// eligibility sets dynBuf.view to nil (check-in, exact rebuild,
+// renormalization, a full noted list, a buffer freed a window behind) or
+// fails the guard in TopAds (another slot, a query time the bound does not
+// cover). Ad churn is not on that
 // list: a registered ad is noted like a raised one, and an unregistered ad
 // takes along only the views that track it.
 type topView struct {
@@ -64,7 +66,7 @@ type topView struct {
 }
 
 // fromView answers a query from the user's view — re-scoring only the
-// tracked ads and the ads deliveries noted — if the view covers the query
+// tracked ads and the ads the catch-up noted — if the view covers the query
 // and can prove nothing outside it belongs in the top k, whatever k built it.
 func (e *CAP) fromView(st *userState, buf *dynBuf, mult, winFactor float64, k int, sl timeslot.Slot, t, span time.Time) ([]Scored, bool) {
 	v := buf.view

@@ -25,13 +25,16 @@ import (
 // Between the deliveries come the feed renders: pull reads of a random user
 // at a random k in 1..20 and a random time — mostly a little after the last
 // delivery, some a slot ahead, a few in the past — each compared with RS
-// too. The last three users are never refreshed after a delivery, only read,
-// so what deliveries note about them piles up. The run must take the view
-// path and the re-rank path, answer from a view at a k other than the one
-// that sized it, and drop a view because its noted list filled; and ad churn
-// must show each of its rules at work: a view that stands through a register
-// and one through an unregister, a registered ad noted and then served from
-// the view, and a view dropped because it tracked the ad withdrawn.
+// too. Who is refreshed after a delivery decides how far behind its window a
+// candidate buffer is when it is read: the first six users after every one
+// (subscribed), the next three at every gap a readGaps cycles through, the
+// last three never, only rendered. The run must show every regime of the lazy
+// buffer (readGaps.require), with the churn landing while buffers are behind;
+// take the view path and the re-rank path and answer from a view at a k other
+// than the one that sized it; and ad churn must show each of its rules at
+// work: a view that stands through a register and one through an unregister,
+// a registered ad noted and then served from the view, and a view dropped
+// because it tracked the ad withdrawn.
 func TestContinuousTopAdsMatchesRSAfterEveryDelivery(t *testing.T) {
 	const (
 		nUsers = 12
@@ -70,6 +73,7 @@ func TestContinuousTopAdsMatchesRSAfterEveryDelivery(t *testing.T) {
 				rs.AddUser(u)
 				eng.AddUser(u)
 			}
+			gaps := newReadGaps(testScoring().WindowCap)
 			nextAd := adstore.AdID(1)
 			var liveAds []adstore.AdID
 			var survivedRegister, survivedUnregister, notedServed, droppedTracker int
@@ -93,6 +97,7 @@ func TestContinuousTopAdsMatchesRSAfterEveryDelivery(t *testing.T) {
 				}
 				before := views()
 				eng.RegisterAd(a)
+				gaps.churned()
 				for u, v := range views() {
 					if v == nil || v != before[u] {
 						continue
@@ -115,7 +120,8 @@ func TestContinuousTopAdsMatchesRSAfterEveryDelivery(t *testing.T) {
 					t.Fatal(err)
 				}
 				fromView := eng.viewAnswers
-				got, err := eng.TopAds(u, k, at)
+				var got []Scored
+				gaps.observe(t, u, func() { got, err = eng.TopAds(u, k, at) }, eng)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -135,7 +141,7 @@ func TestContinuousTopAdsMatchesRSAfterEveryDelivery(t *testing.T) {
 			}
 			now := base0
 			var msgID feed.MessageID
-			var otherK, overflowed int
+			var otherK int
 			for step := 0; step < steps; step++ {
 				now = now.Add(time.Duration(rng.Intn(180)) * time.Second)
 				// A feed render; the never-refreshed users are read a quarter as often.
@@ -167,26 +173,21 @@ func TestContinuousTopAdsMatchesRSAfterEveryDelivery(t *testing.T) {
 					if err := rs.Deliver(msg, followers); err != nil {
 						t.Fatal(err)
 					}
-					views := make([]*topView, len(followers))
-					for i, u := range followers {
-						views[i] = eng.bufs[u].view
-					}
 					if err := eng.Deliver(msg, followers); err != nil {
 						t.Fatal(err)
 					}
-					for i, u := range followers {
-						// merge fills the list it was handed before it lets go of the view.
-						if v := views[i]; v != nil && eng.bufs[u].view == nil && len(v.noted) == viewMaxNoted {
-							overflowed++
-						}
-						if u >= nUsers-3 {
-							continue
-						}
-						got := check(step, u, k, msg.Time)
-						// Serve the best ad: campaigns spend down and pace back.
-						if len(got) > 0 {
-							if _, err := store.ChargeImpression(got[0].Ad, msg.Time); err != nil {
-								t.Fatal(err)
+					gaps.delivered(followers)
+					for _, u := range followers {
+						for u < nUsers-3 && (u < nUsers-6 || gaps.due(u)) {
+							got := check(step, u, k, msg.Time)
+							// Serve the best ad: campaigns spend down and pace back.
+							if len(got) > 0 {
+								if _, err := store.ChargeImpression(got[0].Ad, msg.Time); err != nil {
+									t.Fatal(err)
+								}
+							}
+							if u < nUsers-6 {
+								break
 							}
 						}
 					}
@@ -199,6 +200,7 @@ func TestContinuousTopAdsMatchesRSAfterEveryDelivery(t *testing.T) {
 					if err := eng.CheckIn(u, p, now); err != nil {
 						t.Fatal(err)
 					}
+					gaps.churned()
 				case op == 17: // a new ad
 					addAd()
 				case op == 18 && len(liveAds) > 60: // an ad withdrawn
@@ -210,6 +212,7 @@ func TestContinuousTopAdsMatchesRSAfterEveryDelivery(t *testing.T) {
 					}
 					before := views()
 					eng.UnregisterAd(id)
+					gaps.churned()
 					for u, v := range views() {
 						switch old := before[u]; {
 						case old == nil:
@@ -225,13 +228,14 @@ func TestContinuousTopAdsMatchesRSAfterEveryDelivery(t *testing.T) {
 				}
 			}
 			view, rerank := eng.TopAdsPaths()
-			t.Logf("%d answers from the view (%d at another k than sized it), %d re-ranked (%.0f%%), %d views dropped full of noted ads",
-				view, otherK, rerank, 100*float64(rerank)/float64(view+rerank), overflowed)
+			gaps.require(t)
+			t.Logf("%d answers from the view (%d at another k than sized it), %d re-ranked (%.0f%%)",
+				view, otherK, rerank, 100*float64(rerank)/float64(view+rerank))
 			t.Logf("views that stood through a register: %d, through an unregister: %d; registered ads noted and then served from the view: %d; views dropped with a tracked ad: %d",
 				survivedRegister, survivedUnregister, notedServed, droppedTracker)
-			if view == 0 || rerank == 0 || otherK == 0 || overflowed == 0 ||
+			if view == 0 || rerank == 0 || otherK == 0 ||
 				survivedRegister == 0 || survivedUnregister == 0 || notedServed == 0 || droppedTracker == 0 {
-				t.Fatal("every one of those eight must occur")
+				t.Fatal("every one of those seven must occur")
 			}
 		})
 	}
@@ -263,11 +267,13 @@ func deliver(t *testing.T, e *CAP, id feed.MessageID, at time.Time, vec textproc
 }
 
 // sameAsFullRanking requires TopAds to return exactly the budget-aware
-// ranking of the whole candidate set, made here with the engine's own
-// scoring but without reading or writing the view.
+// ranking of the whole candidate set, made here — the buffer caught up first,
+// as any reader does — with the engine's own scoring but without reading or
+// writing the view.
 func sameAsFullRanking(t *testing.T, e *CAP, k int, at time.Time) []Scored {
 	t.Helper()
 	st, buf := e.users[1], e.bufs[1]
+	e.catchUp(st, buf)
 	mult := buf.scale * e.scoring.Decay.Between(st.win.Ref(), at)
 	c := topk.NewCollector(k)
 	e.rank(c, st, buf, mult, timeslot.Of(at), at, true)
@@ -495,7 +501,9 @@ func TestViewNotUsedBeforeItsOwnTime(t *testing.T) {
 }
 
 func TestViewDroppedByExactRebuild(t *testing.T) {
-	e := viewFixture(t, CAPOptions{FanoutSharing: true, RebuildEvery: 3})
+	// The first delivery finds no buffer and the read after it builds one, so
+	// the count to 2 starts with the second.
+	e := viewFixture(t, CAPOptions{FanoutSharing: true, RebuildEvery: 2})
 	deliver(t, e, 1, base0, textproc.SparseVector{1: 1})
 	sameAsFullRanking(t, e, 1, base0)
 	deliver(t, e, 2, base0, textproc.SparseVector{3: 1})
@@ -524,6 +532,7 @@ func TestViewDroppedByRenormalization(t *testing.T) {
 	// under the 1e-150 floor, short of the flush to zero.
 	later := base0.Add(11 * 24 * time.Hour)
 	deliver(t, e, 3, later, textproc.SparseVector{3: 1})
+	e.BufferSize(1)
 	if e.bufs[1].scale != 1 || len(e.bufs[1].e) == 0 {
 		t.Fatalf("scale %v with %d entries: the scenario needs a renormalized, non-empty buffer", e.bufs[1].scale, len(e.bufs[1].e))
 	}
@@ -714,19 +723,20 @@ func TestViewSkippedForALargeK(t *testing.T) {
 	wantPath(t, e, 0, 3)
 }
 
-// TestViewMemoryIsBounded: what a view holds is a constant however many
-// deliveries pass between queries. Joiners beyond the join room are cut back
-// mid-refresh rather than doubling the tracked slice, and a user who is read
-// once and then receives 10 000 messages keeps at most viewMaxNoted noted
-// ads before the view is dropped for good.
+// TestViewMemoryIsBounded: what a view holds is a constant however much a
+// catch-up has to tell it. Joiners beyond the join room are cut back
+// mid-refresh rather than doubling the tracked slice; a pass that raises more
+// than viewMaxNoted ads drops the view instead of growing the list; and a
+// user who is read once and then receives 10 000 messages keeps the view —
+// and the candidate buffer — for a window's worth of them, then nothing.
 func TestViewMemoryIsBounded(t *testing.T) {
 	e := newTestCAP(t, DefaultCAPOptions())
 	e.AddUser(1)
-	// 40 static-heavy ads on term 1 and 200 low-bid outsiders, one term each.
+	// 40 static-heavy ads on term 1 and 300 low-bid outsiders, one term each.
 	for id := adstore.AdID(1); id <= 40; id++ {
 		e.AddAd(simpleAd(id, 1, 1-0.01*float64(id)))
 	}
-	for id := adstore.AdID(101); id <= 300; id++ {
+	for id := adstore.AdID(101); id <= 400; id++ {
 		e.AddAd(simpleAd(id, textproc.TermID(id), 0.01))
 	}
 	bounded := func(when string) {
@@ -740,15 +750,19 @@ func TestViewMemoryIsBounded(t *testing.T) {
 				when, v.size, cap(v.tracked), cap(v.noted), v.size+viewJoinRoom, viewMaxNoted)
 		}
 	}
+	// lift is a message that raises outsiders 101..last past everything tracked.
+	lift := func(last int) textproc.SparseVector {
+		vec := textproc.SparseVector{}
+		for id := 101; id <= last; id++ {
+			vec[textproc.TermID(id)] = 5 + 0.01*float64(id) // no two alike: a tie with the bound would re-rank
+		}
+		return vec
+	}
 	deliver(t, e, 1, base0, textproc.SparseVector{1: 1})
 	sameAsFullRanking(t, e, 2, base0)
-	// One message lifts 60 outsiders past everything tracked: 60 joiners
-	// for a join room of 16.
-	lift := textproc.SparseVector{}
-	for id := 101; id <= 160; id++ {
-		lift[textproc.TermID(id)] = 5 + 0.01*float64(id) // no two alike: a tie with the bound would re-rank
-	}
-	deliver(t, e, 2, base0, lift)
+	// 60 joiners for a join room of 16.
+	deliver(t, e, 2, base0, lift(160))
+	e.BufferSize(1)
 	if n := len(e.bufs[1].view.noted); n != 60 {
 		t.Fatalf("%d ads noted, the scenario needs all 60", n)
 	}
@@ -758,18 +772,29 @@ func TestViewMemoryIsBounded(t *testing.T) {
 	wantPath(t, e, 1, 1)
 	bounded("after 60 joiners")
 
+	// 300 raised ads in one pass are more than a view takes note of.
+	deliver(t, e, 3, base0, lift(400))
+	v := e.bufs[1].view
+	e.BufferSize(1)
+	if e.bufs[1].view != nil || len(v.noted) != viewMaxNoted {
+		t.Fatalf("view kept (%v) with %d ads noted of 300 raised, limit %d", e.bufs[1].view != nil, len(v.noted), viewMaxNoted)
+	}
+	sameAsFullRanking(t, e, 2, base0)
+	wantPath(t, e, 1, 2)
+
 	at, dropped := base0, 0
 	for i := 0; i < 10000; i++ {
 		at = at.Add(time.Second)
 		id := textproc.TermID(101 + i%200)
-		deliver(t, e, feed.MessageID(3+i), at, textproc.SparseVector{id: 5, id + 1: 5, 1: 1})
+		deliver(t, e, feed.MessageID(4+i), at, textproc.SparseVector{id: 5, id + 1: 5, 1: 1})
 		bounded("unread deliveries")
 		if e.bufs[1].view == nil && dropped == 0 {
 			dropped = i + 1
 		}
 	}
-	if dropped == 0 || e.bufs[1].view != nil {
-		t.Fatalf("view still held after 10 000 unread deliveries (first dropped after %d)", dropped)
+	if dropped == 0 || e.bufs[1].view != nil || e.TotalBufferEntries() != 0 || e.CachedMessages() != 0 {
+		t.Fatalf("after 10 000 unread deliveries: view dropped after %d, view held %v, %d buffer entries, %d cached messages",
+			dropped, e.bufs[1].view != nil, e.TotalBufferEntries(), e.CachedMessages())
 	}
 	t.Logf("view dropped after %d unread deliveries", dropped)
 	sameAsFullRanking(t, e, 2, at)

@@ -175,7 +175,8 @@ func runF4(r *Runner) error {
 }
 
 // runF5 sweeps the ad count and reports live-heap bytes per ad for the
-// loaded engine state (store + indexes + buffers after warm-up).
+// loaded engine state (store + indexes + buffers after warm-up, every user
+// read once at the end).
 func runF5(r *Runner) error {
 	adCounts := []int{1000, 2000, 5000, 10000}
 	series := make([]metrics.Series, len(engineNames))
@@ -203,6 +204,13 @@ func runF5(r *Runner) error {
 				}
 				if _, err := d.replay(w.Events); err != nil {
 					panic(err)
+				}
+				// CAP holds a candidate buffer only for a feed somebody reads:
+				// the figure is the footprint with every feed read.
+				for _, u := range w.Users {
+					if _, err := eng.TopAds(u.ID, 5, cfg.Start.Add(24*time.Hour)); err != nil {
+						panic(err)
+					}
 				}
 				keep = eng
 			})

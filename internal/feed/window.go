@@ -18,7 +18,7 @@ type Entry struct {
 	// wRef is the message's decay weight at the window's reference time. A
 	// resident entry (Entries) stores it divided by the window's scale, for
 	// EntryWeight to read; an evicted entry (Push) carries the true weight at
-	// the reference time it left under, which is what RefWeight returns.
+	// the reference time it left under.
 	wRef float64
 }
 
@@ -78,7 +78,9 @@ func (w *Window) Ref() time.Time { return w.ref }
 
 // Push inserts a message, evicting the oldest resident message when the
 // window is full. It returns the evicted entry (valid when ok is true) so the
-// caller can propagate the negative score delta.
+// caller can propagate the negative score delta — when it sees fit: the
+// weight is the pure exponential of reference − post time, so it can be
+// re-derived at any later reference.
 func (w *Window) Push(m Message) (evicted Entry, ok bool) {
 	if len(w.items) == w.cap {
 		evicted, ok = w.popOldest()

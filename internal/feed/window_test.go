@@ -214,8 +214,8 @@ func TestWindowScaledAggregateMatchesBruteForce(t *testing.T) {
 		oldRef, oldScale := w.Ref(), w.scale
 		ev, evicted := w.Push(msg(i, 1, at, terms))
 		if evicted {
-			if want := decay.Between(ev.Msg.Time, oldRef); !near(ev.RefWeight(), want) {
-				t.Fatalf("push %d: evicted entry weighs %v at the old reference, want %v", i, ev.RefWeight(), want)
+			if want := decay.Between(ev.Msg.Time, oldRef); !near(ev.wRef, want) {
+				t.Fatalf("push %d: evicted entry weighs %v at the old reference, want %v", i, ev.wRef, want)
 			}
 		}
 		if w.scale > 1 || w.scale < 1e-150 {

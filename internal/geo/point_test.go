@@ -170,6 +170,42 @@ func TestCircleZeroRadius(t *testing.T) {
 	}
 }
 
+// TestCircleContainsIsTheHaversineTest: the latitude shortcut in Contains
+// never changes the answer, at the rim least of all — points are taken due
+// north, south, east and west of the centre at the radius and a hair either
+// side of it, and at random.
+func TestCircleContainsIsTheHaversineTest(t *testing.T) {
+	f := func(lat, lng, radius, dLat, dLng float64) bool {
+		center := clampPoint(lat, lng)
+		r := math.Mod(math.Abs(radius), 500)
+		if math.IsNaN(r) {
+			r = 10
+		}
+		c := Circle{Center: center, RadiusKm: r}
+		ps := []Point{clampPoint(center.Lat+math.Mod(dLat, 6), center.Lng+math.Mod(dLng, 6))}
+		for _, scale := range []float64{1 - 1e-7, 1 - 1e-12, 1, 1 + 1e-12, 1 + 1e-7} {
+			for i := 0; i < 4; i++ {
+				ps = append(ps, offset(center, r*scale, float64(i)*math.Pi/2))
+			}
+			deg := r * scale / kmPerDegreeLat
+			ps = append(ps, Point{center.Lat + deg, center.Lng}, Point{center.Lat - deg, center.Lng})
+		}
+		for _, p := range ps {
+			if p.Validate() != nil {
+				continue
+			}
+			if c.Contains(p) != (c.Center.DistanceKm(p) <= c.RadiusKm) {
+				t.Logf("circle %+v point %+v: Contains %v, distance %v", c, p, c.Contains(p), c.Center.DistanceKm(p))
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestCircleBoundsContainsCircleProperty(t *testing.T) {
 	f := func(lat, lng, radius, bearingSeed float64) bool {
 		center := clampPoint(lat, lng)

@@ -113,6 +113,64 @@ func TestDeltaListMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// TestDeltaListAscendingWhateverTheRegistrationOrder: DeltaList collects in
+// accumulator-slot order, which is ad-ID order only when ads arrive in ID
+// order and no slot has been reused. Registered shuffled, with removals and
+// late re-adds, the result is still exact and ascending, and the accumulator
+// is left clean for the next call.
+func TestDeltaListAscendingWhateverTheRegistrationOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	ix := NewInverted()
+	ads := map[adstore.AdID]textproc.SparseVector{}
+	add := func(id adstore.AdID) {
+		v := textproc.SparseVector{}
+		for j := 0; j < 1+rng.Intn(6); j++ {
+			v[textproc.TermID(rng.Intn(30))] = rng.Float64()
+		}
+		ads[id] = v
+		ix.Add(id, v)
+	}
+	for _, i := range rng.Perm(300) {
+		add(adstore.AdID(1000 - 3*i)) // sparse IDs, no order
+	}
+	for round := 0; round < 50; round++ {
+		for id := range ads { // drop a few, then hand their slots to other IDs
+			if rng.Intn(20) == 0 {
+				ix.Remove(id)
+				delete(ads, id)
+			}
+		}
+		for i := 0; i < 10; i++ {
+			add(adstore.AdID(rng.Intn(5000)))
+		}
+		msg := textproc.SparseVector{}
+		for j := 0; j < 1+rng.Intn(12); j++ {
+			msg[textproc.TermID(rng.Intn(30))] = rng.Float64()
+		}
+		ds := ix.DeltaList(msg)
+		matched := 0
+		for _, av := range ads {
+			for term := range av {
+				if _, shared := msg[term]; shared {
+					matched++
+					break
+				}
+			}
+		}
+		if len(ds) != matched {
+			t.Fatalf("round %d: %d deltas, %d ads share a term with the message", round, len(ds), matched)
+		}
+		for i, d := range ds {
+			if i > 0 && ds[i-1].Ad >= d.Ad {
+				t.Fatalf("round %d: not ascending at %d: %v", round, i, ds)
+			}
+			if want := ads[d.Ad].Dot(msg); math.Abs(d.Coeff-want) > 1e-9 {
+				t.Fatalf("round %d ad %d: delta %v, dot %v", round, d.Ad, d.Coeff, want)
+			}
+		}
+	}
+}
+
 func BenchmarkDeltaList(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	ix := NewInverted()

@@ -18,7 +18,13 @@ import (
 //     acked spend plus in-doubt requests, never exceeds Budget,
 //  3. no ad serves after its RemoveAd was acked — Ads must not contain it,
 //  4. memory stays bounded — CachedMessages vs WindowCapacity, the trace
-//     ring vs TraceCapacity, HeapAllocBytes flat across cycles.
+//     ring vs TraceCapacity, HeapAllocBytes flat across cycles. A cached
+//     message is held by a window of a user somebody reads, or by an
+//     eviction that user's candidate buffer has yet to subtract; a buffer
+//     WindowSize deliveries behind is freed with everything it holds, so
+//     the provable worst case is users × (2·WindowSize − 1) distinct
+//     cached messages — the check compares against 2 × WindowCapacity —
+//     and a user nobody reads contributes none.
 //
 // Everything here is either a lock-free atomic read, a read of the
 // immutable published directory, or takes the same locks Stats() already

@@ -11,7 +11,7 @@
 // Two rules, both scoped to the package under analysis:
 //
 //  1. An error value produced by a method call on one of the engine API
-//     interfaces (API, PolicyAPI, TraceAPI by default) must not be passed —
+//     interfaces (API by default) must not be passed —
 //     directly or via err.Error() — to the ad-hoc httpError writer; it must
 //     flow through the fail table.
 //  2. httpError must never be called with http.StatusInternalServerError (or
@@ -50,7 +50,7 @@ var Analyzer = &analysis.Analyzer{
 }
 
 var (
-	apiTypes = "API,PolicyAPI,TraceAPI"
+	apiTypes = "API"
 	sinkName = "fail"
 	adhoc    = "httpError"
 )

@@ -149,9 +149,10 @@ type Stats struct {
 	CheckIns       uint64
 	Shards         int
 	// CandidateBufferEntries is the total CAP candidate-buffer size across
-	// users (0 for other algorithms).
+	// users as materialised (0 for other algorithms): a feed nobody has read
+	// for a window's worth of deliveries holds no buffer.
 	CandidateBufferEntries int
-	// CachedMessages is the number of live shared delta lists (CAP with
-	// fan-out sharing only).
+	// CachedMessages is the number of messages whose shared delta list some
+	// read user's buffer may still need (CAP with fan-out sharing only).
 	CachedMessages int
 }
