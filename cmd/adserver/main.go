@@ -24,8 +24,8 @@
 // Ingest: posts and check-ins go through the batched asynchronous pipeline —
 // accepted into a bounded ring, group-committed to the journal (one fsync per
 // batch), acked after the fsync, and fanned out to shards in batches. A full
-// ring sheds with 429 + Retry-After. Tune with -ingest-queue, -ingest-batch
-// and -ingest-linger.
+// ring sheds with 429 + Retry-After. Tune with -ingest-queue and
+// -ingest-batch.
 package main
 
 import (
@@ -94,7 +94,6 @@ func run() error {
 	hotWindow := flag.Duration("hot-window", 0, "hot-key sliding window (0 = engine default, 1m)")
 	ingestQueue := flag.Int("ingest-queue", 4096, "ingest ring capacity, rounded up to a power of two; a full ring sheds with 429")
 	ingestBatch := flag.Int("ingest-batch", 256, "max writes per ingest group commit (one fsync per batch, policy permitting)")
-	ingestLinger := flag.Duration("ingest-linger", 0, "hold a partial ingest batch open this long to let it fill (0 = commit whatever drained)")
 	flag.Parse()
 
 	policy, err := journal.ParseSyncPolicy(*fsync)
@@ -218,7 +217,6 @@ func run() error {
 	ing := ingest.New(eng, ij, reg, ingest.Config{
 		QueueSize: *ingestQueue,
 		MaxBatch:  *ingestBatch,
-		Linger:    *ingestLinger,
 	})
 
 	srvOpts := []server.Option{

@@ -3,6 +3,7 @@ package caar
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -72,6 +73,10 @@ type adRef struct {
 // consistent view with zero lock acquisitions and writers never block
 // readers. Deriving one costs O(√n), not O(n): the three maps are cowMaps,
 // which share their large layer between versions (DESIGN.md §3.3).
+//
+// Invariant: a user ID visible in a published directory exists in its shard
+// and in the graph — AddUser registers there first and publishes last — so a
+// write that passed ValidateUser cannot fail its fan-out with ErrUnknownUser.
 type directory struct {
 	users cowMap[string, feed.UserID]
 	// names is the handle by internal user ID. It only ever grows, and every
@@ -286,16 +291,17 @@ func (e *Engine) AddUser(handle string) error {
 		e.dirMu.Unlock()
 		return fmt.Errorf("%w: user %q", ErrDuplicate, handle)
 	}
+	// Shard and graph first, the directory last (its invariant); dirMu is
+	// held across both so IDs are published in the order they were minted.
 	nd, id := d.withUser(handle)
-	e.dir.Store(nd)
-	unwatch()
-	e.dirMu.Unlock()
-
 	e.graph.AddUser(id)
 	sh := e.shardOf(id)
 	sh.mu.Lock()
 	sh.eng.AddUser(id)
 	sh.mu.Unlock()
+	e.dir.Store(nd)
+	unwatch()
+	e.dirMu.Unlock()
 	return nil
 }
 
@@ -592,7 +598,7 @@ func (e *Engine) PostBatch(reqs []PostRequest) []error {
 			Vec:    e.vectorize(r.Text),
 		}
 	}
-	e.deliver(d, reqs, msgs, errs)
+	e.deliver(d, msgs, errs)
 	for i := range reqs {
 		if errs[i] != nil {
 			continue
@@ -607,10 +613,18 @@ func (e *Engine) PostBatch(reqs []PostRequest) []error {
 	return errs
 }
 
-// shardDelivery is one message's fan-out slice destined for a single shard.
-type shardDelivery struct {
-	item  int // index into the batch
+// fanout is one shard's share of a batch: the recipients of every message
+// that reaches the shard, flat, and which stretch of them each message goes to.
+type fanout struct {
 	users []feed.UserID
+	spans []span
+}
+
+// span says users[lo:hi] of a fanout receive msgs[item]; err is what the
+// shard's Deliver made of it.
+type span struct {
+	item, lo, hi int
+	err          error
 }
 
 // continuousRec is one continuous-mode recommendation computed under the
@@ -621,106 +635,114 @@ type continuousRec struct {
 }
 
 // deliver fans a batch of messages out to their follower windows, grouped so
-// each shard lock is acquired once per batch. Per-item errors land in errs
-// (first error wins for an item split across shards). The continuous-mode
-// OnRecommend callback is invoked strictly outside the shard lock: a slow
-// consumer costs only its own goroutine, never the shard's fan-out or the
-// writers queued behind it. Each affected user gets one callback per batch
-// (after its last message of the batch), not one per message.
-func (e *Engine) deliver(d *directory, reqs []PostRequest, msgs []feed.Message, errs []error) {
-	groups := make([][]shardDelivery, len(e.shards))
-	for i := range reqs {
+// each shard lock is acquired once per batch. Recipients are partitioned
+// straight from the graph's follower lists, which are immutable once handed
+// out (feed.Graph.Followers). Per-item errors land in errs (for an item split
+// across shards, the lowest failing shard's). Each shard runs on its own
+// goroutine unless only one has work, which runs inline.
+func (e *Engine) deliver(d *directory, msgs []feed.Message, errs []error) {
+	n, busy := len(e.shards), 0
+	work := make([]fanout, n)
+	for i := range msgs {
 		if errs[i] != nil {
 			continue
 		}
-		uid := msgs[i].Author
-		followers := e.graph.Followers(uid)
-		all := make([]feed.UserID, 0, len(followers)+1)
-		all = append(all, uid) // the author sees their own post
-		all = append(all, followers...)
-		perShard := make(map[int][]feed.UserID, len(e.shards))
-		for _, u := range all {
-			si := int(u) % len(e.shards)
-			perShard[si] = append(perShard[si], u)
+		author := msgs[i].Author
+		followers := e.graph.Followers(author)
+		for si := range work {
+			// Room for an even share; append takes what hashing adds to it.
+			work[si].users = slices.Grow(work[si].users, len(followers)/n+1)
 		}
-		for si, users := range perShard {
-			groups[si] = append(groups[si], shardDelivery{item: i, users: users})
+		own := &work[int(author)%n]
+		own.users = append(own.users, author) // the author sees their own post
+		for _, u := range followers {
+			w := &work[int(u)%n]
+			w.users = append(w.users, u)
+		}
+		for si := range work {
+			w, lo := &work[si], 0
+			if len(w.spans) > 0 {
+				lo = w.spans[len(w.spans)-1].hi
+			}
+			if len(w.users) > lo {
+				if lo == 0 {
+					busy++ // the shard's first span
+				}
+				w.spans = append(w.spans, span{item: i, lo: lo, hi: len(w.users)})
+			}
 		}
 	}
 
-	var (
-		wg    sync.WaitGroup
-		errMu sync.Mutex
-	)
-	setErr := func(item int, err error) {
-		errMu.Lock() //caarlint:allow readpathlock per-item error collection off the fast path
-		if errs[item] == nil {
-			errs[item] = err
-		}
-		errMu.Unlock()
-	}
-	ok := make([]atomic.Bool, len(reqs))
-	run := func(si int, work []shardDelivery) {
-		sh := e.shards[si]
-		var out []continuousRec
-		affected := make(map[feed.UserID]time.Time)
-		sh.mu.Lock() //caarlint:allow readpathlock per-shard core lock is the designed serialization point
-		for _, wk := range work {
-			if err := sh.eng.Deliver(msgs[wk.item], wk.users); err != nil {
-				setErr(wk.item, err)
-				continue
-			}
-			ok[wk.item].Store(true)
-			if e.cfg.ContinuousK > 0 {
-				for _, u := range wk.users {
-					affected[u] = msgs[wk.item].Time
-				}
-			}
-		}
-		for u, at := range affected {
-			recs, err := sh.eng.TopAds(u, e.cfg.ContinuousK, at)
-			if err != nil {
-				e.obsm.continuousErrors.Inc()
-				continue
-			}
-			out = append(out, continuousRec{user: u, recs: recs})
-		}
-		sh.mu.Unlock()
-		// Callback outside the lock: collected under it, invoked after it.
-		for _, c := range out {
-			e.cfg.OnRecommend(d.userName(c.user), e.toRecommendations(d, c.recs))
-		}
-	}
-	busy := 0
-	for _, work := range groups {
-		if len(work) > 0 {
-			busy++
-		}
-	}
-	for si, work := range groups {
-		if len(work) == 0 {
+	var wg sync.WaitGroup
+	for si := range work {
+		w := &work[si]
+		if len(w.spans) == 0 {
 			continue
 		}
 		if busy == 1 {
-			run(si, work)
-		} else {
-			wg.Add(1)
-			go func(si int, work []shardDelivery) {
-				defer wg.Done()
-				run(si, work)
-			}(si, work)
+			e.runShard(d, e.shards[si], msgs, w)
+			continue
 		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			e.runShard(d, e.shards[si], msgs, w)
+		}()
 	}
 	wg.Wait()
-	for i := range reqs {
-		if errs[i] != nil || !ok[i].Load() {
+	for si := range work {
+		for _, sp := range work[si].spans {
+			if sp.err != nil && errs[sp.item] == nil {
+				errs[sp.item] = sp.err
+			}
+		}
+	}
+	for i := range msgs {
+		if errs[i] != nil {
 			continue
 		}
 		// Fan-out cost telemetry: the author is charged one unit per feed
 		// window written. Lock-free enqueue; nil-safe no-op when disabled.
-		n := e.graph.FollowerCount(msgs[i].Author) + 1
-		e.hot.RecordKey(hotkey.DimPosters, uint64(msgs[i].Author), uint64(n))
+		reached := e.graph.FollowerCount(msgs[i].Author) + 1
+		e.hot.RecordKey(hotkey.DimPosters, uint64(msgs[i].Author), uint64(reached))
 		e.postsDelivered.Add(1)
+	}
+}
+
+// runShard delivers one shard's share of a batch under a single acquisition
+// of the shard lock, recording each span's result in it. The continuous-mode
+// OnRecommend callback is invoked strictly outside the lock: a slow consumer
+// costs only its own goroutine, never the shard's fan-out or the writers
+// queued behind it. Each reached user gets one callback per batch (after its
+// last message of the batch), not one per message.
+func (e *Engine) runShard(d *directory, sh shard, msgs []feed.Message, w *fanout) {
+	var affected map[feed.UserID]time.Time
+	if e.cfg.ContinuousK > 0 {
+		affected = make(map[feed.UserID]time.Time, len(w.users))
+	}
+	sh.mu.Lock() //caarlint:allow readpathlock per-shard core lock is the designed serialization point
+	for i := range w.spans {
+		sp := &w.spans[i]
+		users := w.users[sp.lo:sp.hi]
+		if sp.err = sh.eng.Deliver(msgs[sp.item], users); sp.err != nil || affected == nil {
+			continue
+		}
+		for _, u := range users {
+			affected[u] = msgs[sp.item].Time
+		}
+	}
+	out := make([]continuousRec, 0, len(affected))
+	for u, at := range affected {
+		recs, err := sh.eng.TopAds(u, e.cfg.ContinuousK, at)
+		if err != nil {
+			e.obsm.continuousErrors.Inc()
+			continue
+		}
+		out = append(out, continuousRec{user: u, recs: recs})
+	}
+	sh.mu.Unlock()
+	for _, c := range out {
+		e.cfg.OnRecommend(d.userName(c.user), e.toRecommendations(d, c.recs))
 	}
 }
 

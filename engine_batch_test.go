@@ -3,6 +3,9 @@ package caar
 import (
 	"errors"
 	"fmt"
+	"math"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -358,5 +361,202 @@ func TestUnreadFeedsHoldNoBufferAndNoCache(t *testing.T) {
 	if !within(st.CandidateBufferEntries, parentEntries) || !within(st.CachedMessages, parentCached) {
 		t.Fatalf("every feed read: %d buffer entries and %d cached messages, want within 5 %% of the eager engine's %d and %d",
 			st.CandidateBufferEntries, st.CachedMessages, parentEntries, parentCached)
+	}
+}
+
+// shardWindowEntries is the number of window-resident messages on one shard.
+func shardWindowEntries(e *Engine, si int) int {
+	sh := e.shards[si]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	_, entries := sh.eng.(interface{ WindowStats() (int, int) }).WindowStats()
+	return entries
+}
+
+// TestFanoutDuringFollowerChurnDeliversOnce is the regression test for the
+// shared follower list: Unfollow used to swap-remove inside the slice a
+// concurrent fan-out was reading with no lock held — a data race (run under
+// -race), and a follower moved into the freed slot could be read twice. Two
+// posters post while churners unfollow and re-follow them; the posters and
+// their steady followers live on shard 0 and the churners on shard 1, so shard
+// 0's window occupancy is exact: every steady feed holds every post once.
+func TestFanoutDuringFollowerChurnDeliversOnce(t *testing.T) {
+	const posts = 300
+	cfg := testConfig()
+	cfg.Shards = 2
+	cfg.WindowSize = 2 * posts // nothing is evicted
+	e := openEngine(t, cfg)
+	var steady, churners []string
+	for i := 0; i < 16; i++ {
+		h := fmt.Sprintf("u%02d", i)
+		if err := e.AddUser(h); err != nil {
+			t.Fatal(err)
+		}
+		if uid, _ := e.lookupUser(h); int(uid)%2 == 0 {
+			steady = append(steady, h)
+		} else {
+			churners = append(churners, h)
+		}
+	}
+	posters, steady := steady[:2], steady[2:]
+	// Churners first: a steady follower at the end of the list is what a
+	// swap-remove moved.
+	for _, f := range append(append([]string(nil), churners...), steady...) {
+		for _, p := range posters {
+			if err := e.Follow(f, p); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	var posting, churning sync.WaitGroup
+	done := make(chan struct{})
+	for _, c := range churners {
+		churning.Add(1)
+		go func() {
+			defer churning.Done()
+			for {
+				for _, p := range posters {
+					if err := e.Unfollow(c, p); err != nil {
+						t.Error(err)
+					}
+				}
+				for _, p := range posters {
+					if err := e.Follow(c, p); err != nil {
+						t.Error(err)
+					}
+				}
+				select {
+				case <-done:
+					return
+				default:
+				}
+			}
+		}()
+	}
+	for _, p := range posters {
+		posting.Add(1)
+		go func() {
+			defer posting.Done()
+			for i := 0; i < posts; i++ {
+				if err := e.Post(p, "marathon shoes", morning.Add(time.Duration(i)*time.Second)); err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+	}
+	posting.Wait()
+	close(done)
+	churning.Wait()
+
+	if got := e.Stats().PostsDelivered; got != 2*posts {
+		t.Errorf("%d posts delivered, want %d", got, 2*posts)
+	}
+	// Each poster's own feed holds its posts, each steady feed both posters'.
+	want := 2*posts + len(steady)*2*posts
+	if got := shardWindowEntries(e, 0); got != want {
+		t.Errorf("steady feeds hold %d messages, want exactly %d: a message was delivered twice or not at all", got, want)
+	}
+}
+
+// TestAddUserIsVisibleOnlyOnceItCanReceive is the regression test for the
+// registration order: AddUser used to publish the handle before the shard knew
+// the user, so a post by a handle ValidateUser had just accepted could fail its
+// whole fan-out with ErrUnknownUser — an acknowledged write that is not applied.
+func TestAddUserIsVisibleOnlyOnceItCanReceive(t *testing.T) {
+	e := openEngine(t, testConfig())
+
+	// With the shard lock held the shard cannot learn the user, so the handle
+	// must stay unknown: AddUser gets as far as holding dirMu and waits.
+	sh := e.shards[0]
+	sh.mu.Lock()
+	added := make(chan error, 1)
+	go func() { added <- e.AddUser("held") }()
+	for waiting := 0; waiting < 1000; runtime.Gosched() {
+		if e.dirMu.TryLock() {
+			e.dirMu.Unlock()
+		} else {
+			waiting++ // AddUser is inside, and stays there
+		}
+		if e.ValidateUser("held") == nil {
+			t.Fatal("the handle is visible while its shard cannot have registered it")
+		}
+	}
+	sh.mu.Unlock()
+	if err := <-added; err != nil {
+		t.Fatal(err)
+	}
+
+	// One goroutine adds users, this one posts as each the moment ValidateUser
+	// accepts it, a third keeps the shard lock busy.
+	const users = 2000
+	handle := func(i int) string { return fmt.Sprintf("u%04d", i) }
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < users; i++ {
+			if err := e.AddUser(handle(i)); err != nil {
+				t.Error(err)
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+				e.Stats()
+			}
+		}
+	}()
+	for i := 0; i < users; i++ {
+		for e.ValidateUser(handle(i)) != nil {
+			runtime.Gosched()
+		}
+		if err := e.PostBatch([]PostRequest{{Author: handle(i), At: morning}})[0]; err != nil {
+			t.Errorf("post by %s, which ValidateUser had accepted: %v", handle(i), err)
+			break
+		}
+	}
+	close(done)
+	wg.Wait()
+}
+
+// TestPostBatchAllocationsDoNotGrowWithFanout pins the fan-out pass's
+// allocations: recipients go straight from the follower list into one slice per
+// shard, so a post to 200 followers allocates as often as a post to one.
+func TestPostBatchAllocationsDoNotGrowWithFanout(t *testing.T) {
+	e := openEngine(t, testConfig())
+	for _, u := range []string{"small", "big"} {
+		if err := e.AddUser(u); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 200; i++ {
+		f := fmt.Sprintf("f%03d", i)
+		if err := e.AddUser(f); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Follow(f, "big"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.Follow("f000", "small"); err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(author string) float64 {
+		reqs := []PostRequest{{Author: author, Text: "marathon shoes", At: morning}}
+		for i := 0; i < 2*testConfig().WindowSize; i++ { // windows full: steady state
+			e.PostBatch(reqs)
+		}
+		return testing.AllocsPerRun(50, func() { e.PostBatch(reqs) })
+	}
+	small, big := allocs("small"), allocs("big")
+	if math.Abs(big-small) > 2 {
+		t.Fatalf("a post allocates %.0f times for 1 follower and %.0f for 200", small, big)
 	}
 }

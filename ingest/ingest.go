@@ -62,20 +62,16 @@ type Config struct {
 	QueueSize int
 	// MaxBatch caps entries per group commit. Default 256.
 	MaxBatch int
-	// Linger optionally holds a partial batch open so it can fill before
-	// committing, trading ack latency for batch size. Default 0 (commit
-	// whatever drained).
-	Linger time.Duration
 	// IdleSync is the cadence of the idle-tail flush: with an interval
 	// fsync policy, records acked inside the interval window are only
 	// synced by the next append, so an idle committer flushes them via
 	// Journal.SyncPending. Default 100ms.
 	IdleSync time.Duration
-	// ApplyDepth is how many committed batches may queue ahead of the
-	// applier before the committer blocks (which in turn backs up the ring
-	// into 429s). Default 4.
-	ApplyDepth int
 }
+
+// applyDepth is how many committed batches may queue ahead of the applier
+// before the committer blocks (which in turn backs up the ring into 429s).
+const applyDepth = 4
 
 func (c *Config) setDefaults() {
 	if c.QueueSize <= 0 {
@@ -86,9 +82,6 @@ func (c *Config) setDefaults() {
 	}
 	if c.IdleSync <= 0 {
 		c.IdleSync = 100 * time.Millisecond
-	}
-	if c.ApplyDepth <= 0 {
-		c.ApplyDepth = 4
 	}
 }
 
@@ -131,7 +124,7 @@ func New(eng Engine, jw Journal, reg *obs.Registry, cfg Config) *Pipeline {
 		cfg:    cfg,
 		ring:   ring.New[*item](cfg.QueueSize),
 		wake:   make(chan struct{}, 1),
-		applyq: make(chan []journal.Entry, cfg.ApplyDepth),
+		applyq: make(chan []journal.Entry, applyDepth),
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
 	}
@@ -148,7 +141,7 @@ func (p *Pipeline) SubmitPost(author, text string, at time.Time) error {
 	if err := p.eng.ValidateUser(author); err != nil {
 		return err
 	}
-	return p.submit(journal.Entry{Op: journal.OpPost, User: author, Text: text, At: at})
+	return p.submit(journal.PostEntry(author, text, at))
 }
 
 // SubmitCheckIn validates, enqueues and waits for the durable
@@ -157,7 +150,7 @@ func (p *Pipeline) SubmitCheckIn(user string, lat, lng float64, at time.Time) er
 	if err := p.eng.ValidateCheckIn(user, lat, lng); err != nil {
 		return err
 	}
-	return p.submit(journal.Entry{Op: journal.OpCheckIn, User: user, Lat: lat, Lng: lng, At: at})
+	return p.submit(journal.CheckInEntry(user, lat, lng, at))
 }
 
 func (p *Pipeline) submit(e journal.Entry) error {
@@ -213,7 +206,7 @@ func (p *Pipeline) committer() {
 	timer := time.NewTimer(p.cfg.IdleSync)
 	defer timer.Stop()
 	for {
-		batch := p.drainBatch(nil)
+		batch := p.drainBatch()
 		if len(batch) == 0 {
 			select {
 			case <-p.wake:
@@ -222,7 +215,7 @@ func (p *Pipeline) committer() {
 				// Shutdown drain: commit everything accepted before the
 				// producers quiesced, then let the applier finish.
 				for {
-					tail := p.drainBatch(nil)
+					tail := p.drainBatch()
 					if len(tail) == 0 {
 						break
 					}
@@ -239,16 +232,13 @@ func (p *Pipeline) committer() {
 				continue
 			}
 		}
-		if p.cfg.Linger > 0 && len(batch) < p.cfg.MaxBatch {
-			time.Sleep(p.cfg.Linger)
-			batch = p.drainBatch(batch)
-		}
 		p.commit(batch)
 	}
 }
 
-// drainBatch pops up to MaxBatch items (minus whatever batch already holds).
-func (p *Pipeline) drainBatch(batch []*item) []*item {
+// drainBatch pops up to MaxBatch items.
+func (p *Pipeline) drainBatch() []*item {
+	var batch []*item
 	for len(batch) < p.cfg.MaxBatch {
 		it, ok := p.ring.Pop()
 		if !ok {
@@ -282,42 +272,18 @@ func (p *Pipeline) commit(batch []*item) {
 	for _, it := range batch {
 		it.errc <- nil
 	}
-	// Bounded hand-off: when the applier lags ApplyDepth batches behind,
+	// Bounded hand-off: when the applier lags applyDepth batches behind,
 	// this blocks, the ring fills, and the edge sheds load with 429s.
 	p.applyq <- entries
 }
 
-// applier fans committed batches out to the shards in commit order, splitting
-// each batch into maximal same-op runs so posts and check-ins keep their
-// relative order while still applying through the grouped batch entry points.
+// applier fans committed batches out to the shards in commit order, through
+// journal.ApplyRuns — the mapping replay uses — so posts and check-ins keep
+// their relative order while applying through the grouped batch entry points.
 func (p *Pipeline) applier() {
 	defer close(p.done)
 	for entries := range p.applyq {
-		for start := 0; start < len(entries); {
-			end := start + 1
-			for end < len(entries) && entries[end].Op == entries[start].Op {
-				end++
-			}
-			p.applyRun(entries[start:end])
-			start = end
-		}
-	}
-}
-
-func (p *Pipeline) applyRun(run []journal.Entry) {
-	switch run[0].Op {
-	case journal.OpPost:
-		reqs := make([]caar.PostRequest, len(run))
-		for i, e := range run {
-			reqs[i] = caar.PostRequest{Author: e.User, Text: e.Text, At: e.At}
-		}
-		p.countApply(p.eng.PostBatch(reqs))
-	case journal.OpCheckIn:
-		reqs := make([]caar.CheckInRequest, len(run))
-		for i, e := range run {
-			reqs[i] = caar.CheckInRequest{User: e.User, Lat: e.Lat, Lng: e.Lng, At: e.At}
-		}
-		p.countApply(p.eng.CheckInBatch(reqs))
+		p.countApply(journal.ApplyRuns(p.eng, entries))
 	}
 }
 

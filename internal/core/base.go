@@ -11,12 +11,13 @@ import (
 	"caar/internal/topk"
 )
 
-// userState is the per-user context shared by every engine: the feed window
-// and the last known location.
+// userState is the one per-user record of every engine: the feed window, the
+// last known location and, under CAP, the candidate buffer (nil for RS and IL).
 type userState struct {
 	win    *feed.Window
 	loc    geo.Point
 	hasLoc bool
+	buf    *dynBuf
 }
 
 // base carries the state and helpers common to all engines.
@@ -24,6 +25,7 @@ type base struct {
 	scoring Scoring
 	store   *adstore.Store
 	users   map[feed.UserID]*userState
+	states  []*userState // recipients' reusable result
 
 	// stages, when non-nil, receives per-stage TopAds latency spans (see
 	// stages.go). nil keeps the query path free of clock reads.
@@ -71,6 +73,35 @@ func (b *base) CheckIn(u feed.UserID, p geo.Point, t time.Time) error {
 	}
 	st.loc = p
 	st.hasLoc = true
+	return nil
+}
+
+// recipients resolves a fan-out to its followers' states, all or nothing: an
+// unknown follower fails the delivery before any window is touched. The result
+// is valid until the next call.
+func (b *base) recipients(followers []feed.UserID) ([]*userState, error) {
+	states := b.states[:0]
+	for _, u := range followers {
+		st, ok := b.users[u]
+		if !ok {
+			return nil, fmt.Errorf("%w: follower %d", ErrUnknownUser, u)
+		}
+		states = append(states, st)
+	}
+	b.states = states
+	return states, nil
+}
+
+// Deliver implements Recommender for the engines that do no per-event index
+// work (RS, IL): push the message into each follower's window.
+func (b *base) Deliver(msg feed.Message, followers []feed.UserID) error {
+	states, err := b.recipients(followers)
+	if err != nil {
+		return err
+	}
+	for _, st := range states {
+		st.win.Push(msg)
+	}
 	return nil
 }
 

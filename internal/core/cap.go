@@ -2,7 +2,6 @@ package core
 
 import (
 	"cmp"
-	"fmt"
 	"slices"
 	"time"
 
@@ -59,12 +58,9 @@ const maxFixups = 64
 type CAP struct {
 	*indexed
 	opts  CAPOptions
-	bufs  map[feed.UserID]*dynBuf
 	cache map[feed.MessageID]*msgCache
 
-	// Reusable space: Deliver's validated followers, and what catchUp lends
-	// to dynBuf.merge.
-	states  []*userState
+	// Reusable space: what catchUp lends to dynBuf.merge.
 	lists   []weighted
 	scratch []bufEntry
 
@@ -83,7 +79,6 @@ func NewCAP(s Scoring, store *adstore.Store, region geo.Rect, gridRows, gridCols
 	return &CAP{
 		indexed: ix,
 		opts:    opts,
-		bufs:    make(map[feed.UserID]*dynBuf),
 		cache:   make(map[feed.MessageID]*msgCache),
 	}, nil
 }
@@ -97,7 +92,7 @@ func (e *CAP) AddUser(u feed.UserID) {
 		return
 	}
 	e.base.AddUser(u)
-	e.bufs[u] = newDynBuf()
+	e.users[u].buf = newDynBuf()
 }
 
 // AddAd implements Recommender. Beyond indexing, a late-arriving ad is
@@ -127,8 +122,8 @@ func (e *CAP) AddAd(a *adstore.Ad) error {
 // window, is made now. A cold user costs nothing.
 func (e *CAP) RegisterAd(a *adstore.Ad) {
 	e.registerAd(a)
-	for u, st := range e.users {
-		buf := e.bufs[u]
+	for _, st := range e.users {
+		buf := st.buf
 		behind := buf.applied < st.win.Len()
 		if behind && buf.applied > 0 {
 			if len(buf.fix) == maxFixups {
@@ -198,7 +193,8 @@ func (e *CAP) RemoveAd(id adstore.AdID) error {
 // score (a noted ID whose ad is gone is skipped by refreshView).
 func (e *CAP) UnregisterAd(id adstore.AdID) {
 	e.unregisterAd(id)
-	for _, b := range e.bufs {
+	for _, st := range e.users {
+		b := st.buf
 		if b.view != nil && b.view.tracks(id) {
 			b.view = nil
 		}
@@ -218,7 +214,7 @@ func (e *CAP) CheckIn(u feed.UserID, p geo.Point, t time.Time) error {
 	if err := e.indexed.CheckIn(u, p, t); err != nil {
 		return err
 	}
-	e.bufs[u].view = nil
+	e.users[u].buf.view = nil
 	return nil
 }
 
@@ -228,21 +224,13 @@ func (e *CAP) CheckIn(u feed.UserID, p geo.Point, t time.Time) error {
 // message this push evicts turns cold: from there a catch-up would subtract
 // everything the buffer holds and add the whole window, which is a rebuild.
 func (e *CAP) Deliver(msg feed.Message, followers []feed.UserID) error {
-	// Validate the whole fan-out first so a partial failure cannot leave
-	// some windows updated and others not.
-	states := e.states[:0]
-	for _, u := range followers {
-		st, ok := e.users[u]
-		if !ok {
-			return fmt.Errorf("%w: follower %d", ErrUnknownUser, u)
-		}
-		states = append(states, st)
+	states, err := e.recipients(followers)
+	if err != nil {
+		return err
 	}
-	e.states = states
-
 	warm := 0
-	for i, u := range followers {
-		st, buf := states[i], e.bufs[u]
+	for _, st := range states {
+		buf := st.buf
 		evicted, wasEvicted := st.win.Push(msg)
 		if buf.applied == 0 {
 			// Only an empty window's view gets here; nothing will note for it.
@@ -421,7 +409,7 @@ func (e *CAP) TopAds(u feed.UserID, k int, t time.Time) ([]Scored, error) {
 	if err != nil {
 		return nil, err
 	}
-	buf, span := e.bufs[u], e.stageStart()
+	buf, span := st.buf, e.stageStart()
 	e.catchUp(st, buf)
 	winFactor := e.scoring.Decay.Between(st.win.Ref(), t)
 	mult, sl := buf.scale*winFactor, timeslot.Of(t)
@@ -471,12 +459,12 @@ func (e *CAP) rank(c *topk.Collector, st *userState, buf *dynBuf, mult float64, 
 // BufferSize returns the candidate-buffer size of a user, caught up first:
 // a memory/latency diagnostic for the experiments, and the tests' oracle.
 func (e *CAP) BufferSize(u feed.UserID) int {
-	b, ok := e.bufs[u]
+	st, ok := e.users[u]
 	if !ok {
 		return 0
 	}
-	e.catchUp(e.users[u], b)
-	return len(b.e)
+	e.catchUp(st, st.buf)
+	return len(st.buf.e)
 }
 
 // CachedMessages returns the number of messages with live shared state
@@ -488,8 +476,8 @@ func (e *CAP) CachedMessages() int { return len(e.cache) }
 // diagnostic).
 func (e *CAP) TotalBufferEntries() int {
 	total := 0
-	for _, b := range e.bufs {
-		total += len(b.e)
+	for _, st := range e.users {
+		total += len(st.buf.e)
 	}
 	return total
 }

@@ -131,11 +131,16 @@ func (b *dynBuf) age(factor float64) (renormalized bool) {
 
 // note puts ad on the view's noted list for the next query to score exactly;
 // a list already at viewMaxNoted drops the view instead, which it reports as
-// false. The caller has checked that there is a view.
+// false. The caller has checked that there is a view. The list starts at the
+// size a delivered-to view's list reaches anyway (a message notes up to ~100
+// ads), not grown to it eight appends at a time.
 func (b *dynBuf) note(ad adstore.AdID) bool {
 	if len(b.view.noted) == viewMaxNoted {
 		b.view = nil
 		return false
+	}
+	if b.view.noted == nil {
+		b.view.noted = make([]adstore.AdID, 0, viewMaxNoted/2)
 	}
 	b.view.noted = append(b.view.noted, ad)
 	return true

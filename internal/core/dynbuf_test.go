@@ -199,6 +199,6 @@ func TestCAPBackfillKeepsCachedDeltasSorted(t *testing.T) {
 		deliver(t, e, feed.MessageID(2+i), now, textproc.SparseVector{8: 1})
 	}
 	if got := e.BufferSize(1); got != 0 {
-		t.Fatalf("%d ads still buffered after their only message left the window: %+v", got, e.bufs[1].e)
+		t.Fatalf("%d ads still buffered after their only message left the window: %+v", got, e.users[1].buf.e)
 	}
 }

@@ -255,6 +255,16 @@ func TestUnknownUserErrors(t *testing.T) {
 		if err := e.Deliver(msg, []feed.UserID{99}); !errors.Is(err, ErrUnknownUser) {
 			t.Errorf("%s Deliver unknown follower = %v", e.Name(), err)
 		}
+		// All or nothing, in every engine: an unknown follower in last
+		// position fails the delivery before any window is pushed to.
+		e.AddUser(1)
+		e.AddUser(2)
+		if err := e.Deliver(msg, []feed.UserID{1, 2, 99}); !errors.Is(err, ErrUnknownUser) {
+			t.Errorf("%s Deliver with an unknown last follower = %v", e.Name(), err)
+		}
+		if _, entries := e.(interface{ WindowStats() (int, int) }).WindowStats(); entries != 0 {
+			t.Errorf("%s: %d window entries after a failed delivery, want none", e.Name(), entries)
+		}
 	}
 }
 

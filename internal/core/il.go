@@ -170,18 +170,6 @@ func (e *IL) RegisterAd(a *adstore.Ad) { e.registerAd(a) }
 // store.
 func (e *IL) UnregisterAd(id adstore.AdID) { e.unregisterAd(id) }
 
-// Deliver implements Recommender: window maintenance only, like RS.
-func (e *IL) Deliver(msg feed.Message, followers []feed.UserID) error {
-	for _, u := range followers {
-		st, ok := e.users[u]
-		if !ok {
-			return fmt.Errorf("%w: follower %d", ErrUnknownUser, u)
-		}
-		st.win.Push(msg)
-	}
-	return nil
-}
-
 // TopAds implements Recommender: one inverted-index pass over the context's
 // terms yields the exact text relevance of every candidate; the static-only
 // remainder comes from the geo/bid index.

@@ -78,7 +78,7 @@ func (g *readGaps) observe(t *testing.T, u feed.UserID, read func(), caps ...*CA
 	was := make([]before, len(caps))
 	for i, e := range caps {
 		m, r := e.CatchUps()
-		was[i] = before{uint64(len(e.bufs[u].fix)), m, r}
+		was[i] = before{uint64(len(e.users[u].buf.fix)), m, r}
 	}
 	read()
 	gap := g.since[u]
@@ -381,12 +381,12 @@ func TestCAPRegisterAdFixupsAreBounded(t *testing.T) {
 		if err := e.AddAd(simpleAd(id, 7, 0.5)); err != nil {
 			t.Fatal(err)
 		}
-		if n := len(e.bufs[1].fix); n > maxFixups {
+		if n := len(e.users[1].buf.fix); n > maxFixups {
 			t.Fatalf("%d fix-ups pending, limit %d", n, maxFixups)
 		}
 	}
-	if e.CachedMessages() != 0 || e.bufs[1].applied != 0 {
-		t.Fatalf("the buffer should have been freed: %d cached messages, %d messages applied", e.CachedMessages(), e.bufs[1].applied)
+	if e.CachedMessages() != 0 || e.users[1].buf.applied != 0 {
+		t.Fatalf("the buffer should have been freed: %d cached messages, %d messages applied", e.CachedMessages(), e.users[1].buf.applied)
 	}
 	if got := e.BufferSize(1); got != maxFixups+1 {
 		t.Fatalf("%d buffer entries after the rebuild, want all %d ads", got, maxFixups+1)

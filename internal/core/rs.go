@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"time"
 
 	"caar/internal/adstore"
@@ -43,19 +42,6 @@ func (e *RS) RegisterAd(a *adstore.Ad) {}
 // UnregisterAd drops an ad from the engine's indexes without touching the
 // store. RS keeps no index, so this is a no-op.
 func (e *RS) UnregisterAd(id adstore.AdID) {}
-
-// Deliver implements Recommender: push the message into each follower's
-// window. RS does no per-event index work.
-func (e *RS) Deliver(msg feed.Message, followers []feed.UserID) error {
-	for _, u := range followers {
-		st, ok := e.users[u]
-		if !ok {
-			return fmt.Errorf("%w: follower %d", ErrUnknownUser, u)
-		}
-		st.win.Push(msg)
-	}
-	return nil
-}
 
 // TopAds implements Recommender by exhaustive scan. RS has no retrieval
 // structure, so its retrieve stage covers only the window-context fetch;

@@ -83,7 +83,7 @@ func TestContinuousTopAdsMatchesRSAfterEveryDelivery(t *testing.T) {
 			views := func() []*topView {
 				vs := make([]*topView, nUsers)
 				for u := range vs {
-					vs[u] = eng.bufs[feed.UserID(u)].view
+					vs[u] = eng.users[feed.UserID(u)].buf.view
 				}
 				return vs
 			}
@@ -153,7 +153,7 @@ func TestContinuousTopAdsMatchesRSAfterEveryDelivery(t *testing.T) {
 					case 1, 2:
 						at = at.Add(6 * time.Hour)
 					}
-					v, fromView := eng.bufs[u].view, eng.viewAnswers
+					v, fromView := eng.users[u].buf.view, eng.viewAnswers
 					check(step, u, readK, at)
 					if eng.viewAnswers > fromView && v.size != viewSlack*readK {
 						otherK++
@@ -272,7 +272,7 @@ func deliver(t *testing.T, e *CAP, id feed.MessageID, at time.Time, vec textproc
 // writing the view.
 func sameAsFullRanking(t *testing.T, e *CAP, k int, at time.Time) []Scored {
 	t.Helper()
-	st, buf := e.users[1], e.bufs[1]
+	st, buf := e.users[1], e.users[1].buf
 	e.catchUp(st, buf)
 	mult := buf.scale * e.scoring.Decay.Between(st.win.Ref(), at)
 	c := topk.NewCollector(k)
@@ -354,12 +354,12 @@ func TestViewNotesARegisteredAd(t *testing.T) {
 	e := viewFixture(t, DefaultCAPOptions())
 	deliver(t, e, 1, base0, textproc.SparseVector{1: 1})
 	sameAsFullRanking(t, e, 1, base0)
-	v := e.bufs[1].view
+	v := e.users[1].buf.view
 
 	if err := e.AddAd(simpleAd(8, 2, 0.01)); err != nil { // no text match, lowest bid
 		t.Fatal(err)
 	}
-	if e.bufs[1].view != v || len(v.noted) != 0 {
+	if e.users[1].buf.view != v || len(v.noted) != 0 {
 		t.Fatalf("an ad under the bound was noted (%v) or cost the view", v.noted)
 	}
 	// Back-filled from the window at a higher score than anything tracked.
@@ -417,14 +417,14 @@ func TestViewDroppedByAdRemoval(t *testing.T) {
 	if top := sameAsFullRanking(t, e, 1, base0); top[0].Ad != 1 {
 		t.Fatalf("top ad %d, want 1", top[0].Ad)
 	}
-	v := e.bufs[1].view
+	v := e.users[1].buf.view
 	if v.tracks(5) || !v.tracks(1) {
 		t.Fatal("the scenario needs ad 1 tracked and ad 5 not")
 	}
 	if err := e.RemoveAd(5); err != nil {
 		t.Fatal(err)
 	}
-	if e.bufs[1].view != v {
+	if e.users[1].buf.view != v {
 		t.Fatal("withdrawing an untracked ad cost the view")
 	}
 	sameAsFullRanking(t, e, 1, base0)
@@ -478,8 +478,8 @@ func TestViewNotUsedBeforeWindowReference(t *testing.T) {
 	// time it is twice that and leads.
 	at := base0.Add(30 * time.Minute)
 	deliver(t, e, 2, at, textproc.SparseVector{1: 3, 2: 6.5})
-	if len(e.bufs[1].view.noted) != 0 {
-		t.Fatalf("the scenario needs the outsider to go unnoted, noted %v", e.bufs[1].view.noted)
+	if len(e.users[1].buf.view.noted) != 0 {
+		t.Fatalf("the scenario needs the outsider to go unnoted, noted %v", e.users[1].buf.view.noted)
 	}
 	if top := sameAsFullRanking(t, e, 1, at); top[0].Ad != 9 {
 		t.Fatalf("top ad %d, want the outsider 9", top[0].Ad)
@@ -533,8 +533,8 @@ func TestViewDroppedByRenormalization(t *testing.T) {
 	later := base0.Add(11 * 24 * time.Hour)
 	deliver(t, e, 3, later, textproc.SparseVector{3: 1})
 	e.BufferSize(1)
-	if e.bufs[1].scale != 1 || len(e.bufs[1].e) == 0 {
-		t.Fatalf("scale %v with %d entries: the scenario needs a renormalized, non-empty buffer", e.bufs[1].scale, len(e.bufs[1].e))
+	if e.users[1].buf.scale != 1 || len(e.users[1].buf.e) == 0 {
+		t.Fatalf("scale %v with %d entries: the scenario needs a renormalized, non-empty buffer", e.users[1].buf.scale, len(e.users[1].buf.e))
 	}
 	sameAsFullRanking(t, e, 1, later)
 	wantPath(t, e, 1, 2)
@@ -664,7 +664,7 @@ func TestViewAnswersAnotherK(t *testing.T) {
 	sameAsFullRanking(t, e, 1, base0)
 	sameAsFullRanking(t, e, 2, base0)
 	wantPath(t, e, 3, 1)
-	if v := e.bufs[1].view; v.size != viewSlack || cap(v.tracked) != viewSlack+viewJoinRoom {
+	if v := e.users[1].buf.view; v.size != viewSlack || cap(v.tracked) != viewSlack+viewJoinRoom {
 		t.Fatalf("view sized %d (capacity %d) after reads at k ≤ 3, want it left at %d", v.size, cap(v.tracked), viewSlack)
 	}
 }
@@ -681,7 +681,7 @@ func TestViewRebuiltForADifferentK(t *testing.T) {
 		t.Fatalf("%d ads for k = 4", len(top))
 	}
 	wantPath(t, e, 0, 2)
-	if v := e.bufs[1].view; v.size != 4*viewSlack {
+	if v := e.users[1].buf.view; v.size != 4*viewSlack {
 		t.Fatalf("view sized %d after a k = 4 re-rank, want %d", v.size, 4*viewSlack)
 	}
 	for i := 0; i < 3; i++ {
@@ -695,7 +695,7 @@ func TestViewRebuiltForADifferentK(t *testing.T) {
 	sameAsFullRanking(t, e, 1, base0.Add(-time.Minute))
 	sameAsFullRanking(t, e, 4, base0)
 	wantPath(t, e, 7, 3)
-	if v := e.bufs[1].view; v.size != 4*viewSlack || cap(v.tracked) != 4*viewSlack+viewJoinRoom {
+	if v := e.users[1].buf.view; v.size != 4*viewSlack || cap(v.tracked) != 4*viewSlack+viewJoinRoom {
 		t.Fatalf("view sized %d (capacity %d) after k = 1 and k = 4 took turns, want it to stay %d (%d)",
 			v.size, cap(v.tracked), 4*viewSlack, 4*viewSlack+viewJoinRoom)
 	}
@@ -710,14 +710,14 @@ func TestViewSkippedForALargeK(t *testing.T) {
 	if top := sameAsFullRanking(t, e, large, base0); len(top) != 5 {
 		t.Fatalf("%d ads for k = %d, want all 5", len(top), large)
 	}
-	if e.bufs[1].view != nil {
+	if e.users[1].buf.view != nil {
 		t.Fatal("a k above the ceiling built a view")
 	}
 	// A view that tracks all five ads could even answer it; it is not asked.
 	sameAsFullRanking(t, e, 2, base0)
-	v := e.bufs[1].view
+	v := e.users[1].buf.view
 	sameAsFullRanking(t, e, large, base0)
-	if e.bufs[1].view != v || v.size != 2*viewSlack || cap(v.tracked) != 2*viewSlack+viewJoinRoom {
+	if e.users[1].buf.view != v || v.size != 2*viewSlack || cap(v.tracked) != 2*viewSlack+viewJoinRoom {
 		t.Fatalf("a k above the ceiling replaced or resized the view: size %d, capacity %d", v.size, cap(v.tracked))
 	}
 	wantPath(t, e, 0, 3)
@@ -741,7 +741,7 @@ func TestViewMemoryIsBounded(t *testing.T) {
 	}
 	bounded := func(when string) {
 		t.Helper()
-		v := e.bufs[1].view
+		v := e.users[1].buf.view
 		if v == nil {
 			return
 		}
@@ -763,8 +763,9 @@ func TestViewMemoryIsBounded(t *testing.T) {
 	// 60 joiners for a join room of 16.
 	deliver(t, e, 2, base0, lift(160))
 	e.BufferSize(1)
-	if n := len(e.bufs[1].view.noted); n != 60 {
-		t.Fatalf("%d ads noted, the scenario needs all 60", n)
+	// The list is allocated once, by the first note, not grown append by append.
+	if v := e.users[1].buf.view; len(v.noted) != 60 || cap(v.noted) != viewMaxNoted/2 {
+		t.Fatalf("%d ads noted in room for %d, the scenario needs all 60 in a list of %d", len(v.noted), cap(v.noted), viewMaxNoted/2)
 	}
 	if top := sameAsFullRanking(t, e, 2, base0); top[0].Ad < 101 {
 		t.Fatalf("top ad %d, want a lifted outsider", top[0].Ad)
@@ -774,10 +775,10 @@ func TestViewMemoryIsBounded(t *testing.T) {
 
 	// 300 raised ads in one pass are more than a view takes note of.
 	deliver(t, e, 3, base0, lift(400))
-	v := e.bufs[1].view
+	v := e.users[1].buf.view
 	e.BufferSize(1)
-	if e.bufs[1].view != nil || len(v.noted) != viewMaxNoted {
-		t.Fatalf("view kept (%v) with %d ads noted of 300 raised, limit %d", e.bufs[1].view != nil, len(v.noted), viewMaxNoted)
+	if e.users[1].buf.view != nil || len(v.noted) != viewMaxNoted {
+		t.Fatalf("view kept (%v) with %d ads noted of 300 raised, limit %d", e.users[1].buf.view != nil, len(v.noted), viewMaxNoted)
 	}
 	sameAsFullRanking(t, e, 2, base0)
 	wantPath(t, e, 1, 2)
@@ -788,13 +789,13 @@ func TestViewMemoryIsBounded(t *testing.T) {
 		id := textproc.TermID(101 + i%200)
 		deliver(t, e, feed.MessageID(4+i), at, textproc.SparseVector{id: 5, id + 1: 5, 1: 1})
 		bounded("unread deliveries")
-		if e.bufs[1].view == nil && dropped == 0 {
+		if e.users[1].buf.view == nil && dropped == 0 {
 			dropped = i + 1
 		}
 	}
-	if dropped == 0 || e.bufs[1].view != nil || e.TotalBufferEntries() != 0 || e.CachedMessages() != 0 {
+	if dropped == 0 || e.users[1].buf.view != nil || e.TotalBufferEntries() != 0 || e.CachedMessages() != 0 {
 		t.Fatalf("after 10 000 unread deliveries: view dropped after %d, view held %v, %d buffer entries, %d cached messages",
-			dropped, e.bufs[1].view != nil, e.TotalBufferEntries(), e.CachedMessages())
+			dropped, e.users[1].buf.view != nil, e.TotalBufferEntries(), e.CachedMessages())
 	}
 	t.Logf("view dropped after %d unread deliveries", dropped)
 	sameAsFullRanking(t, e, 2, at)

@@ -2,6 +2,7 @@ package feed
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -11,7 +12,7 @@ import (
 // Graph is safe for concurrent use.
 type Graph struct {
 	mu        sync.RWMutex
-	followers map[UserID][]UserID        // poster → ordered followers
+	followers map[UserID][]UserID        // poster → ordered followers; never written below its len (see Followers)
 	edgeSet   map[UserID]map[UserID]bool // poster → follower set (dedup)
 	followees map[UserID]int             // follower → followee count
 	users     map[UserID]bool
@@ -76,21 +77,21 @@ func (g *Graph) Unfollow(follower, poster UserID) error {
 		return fmt.Errorf("feed: %d does not follow %d", follower, poster)
 	}
 	delete(set, follower)
+	// A fresh slice, never an edit in place: Followers hands the stored one
+	// out, and a fan-out reads it with no lock held.
 	list := g.followers[poster]
-	for i, f := range list {
-		if f == follower {
-			list[i] = list[len(list)-1]
-			g.followers[poster] = list[:len(list)-1]
-			break
-		}
-	}
+	i := slices.Index(list, follower)
+	g.followers[poster] = slices.Concat(list[:i], list[i+1:])
 	g.followees[follower]--
 	g.edges--
 	return nil
 }
 
-// Followers returns the users whose feeds receive poster's messages. The
-// returned slice is shared; callers must not mutate it.
+// Followers returns the users whose feeds receive poster's messages, in the
+// order they followed. The returned slice is shared and immutable: a later
+// Follow appends past its length and a later Unfollow installs a fresh slice,
+// so a caller may keep reading it after the call returns, and must not write
+// to it.
 func (g *Graph) Followers(poster UserID) []UserID {
 	g.mu.RLock()
 	defer g.mu.RUnlock()

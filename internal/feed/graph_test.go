@@ -1,6 +1,7 @@
 package feed
 
 import (
+	"slices"
 	"sync"
 	"testing"
 )
@@ -63,6 +64,27 @@ func TestGraphUnfollow(t *testing.T) {
 	}
 	if g.Edges() != 1 || g.FolloweeCount(1) != 0 {
 		t.Fatal("counts not updated")
+	}
+}
+
+// TestGraphFollowersListIsImmutable: a list Followers handed out reads the
+// same after any later Unfollow or Follow (a fan-out keeps reading it with no
+// lock held), and the stored list keeps the order users followed in.
+func TestGraphFollowersListIsImmutable(t *testing.T) {
+	g := NewGraph()
+	for f := UserID(1); f <= 5; f++ {
+		g.Follow(f, 9)
+	}
+	held := g.Followers(9)
+	g.Unfollow(2, 9) // swap-remove used to write 5 over the 2 in held
+	g.Follow(6, 9)
+	g.Unfollow(1, 9)
+	g.Follow(2, 9)
+	if want := []UserID{1, 2, 3, 4, 5}; !slices.Equal(held, want) {
+		t.Fatalf("a list handed out earlier now reads %v, want %v", held, want)
+	}
+	if got, want := g.Followers(9), []UserID{3, 4, 5, 6, 2}; !slices.Equal(got, want) {
+		t.Fatalf("Followers = %v, want follow order %v", got, want)
 	}
 }
 

@@ -54,7 +54,10 @@ func (c *Collector) Len() int { return len(c.heap) }
 func (c *Collector) Offer(id int64, score float64) bool {
 	it := Item{ID: id, Score: score}
 	if len(c.heap) < c.k {
-		heap.Push(&c.heap, it)
+		// Appended and sifted up in place: heap.Push would box it, one
+		// allocation per retained item of every ranking.
+		c.heap = append(c.heap, it)
+		heap.Fix(&c.heap, len(c.heap)-1)
 		return true
 	}
 	if !it.Less(c.heap[0]) {
@@ -63,15 +66,6 @@ func (c *Collector) Offer(id int64, score float64) bool {
 	c.heap[0] = it
 	heap.Fix(&c.heap, 0)
 	return true
-}
-
-// Threshold returns the weakest retained score, or negative infinity when
-// the collector is not yet full — the score a new candidate must beat.
-func (c *Collector) Threshold() float64 {
-	if len(c.heap) < c.k {
-		return negInf
-	}
-	return c.heap[0].Score
 }
 
 // WouldAccept reports whether a candidate with the given score could enter
@@ -95,8 +89,6 @@ func (c *Collector) Items() []Item {
 
 // Reset clears the collector for reuse without reallocating.
 func (c *Collector) Reset() { c.heap = c.heap[:0] }
-
-const negInf = -1.7976931348623157e308
 
 // itemHeap is a min-heap ordered so the WORST retained item is at the root.
 type itemHeap []Item

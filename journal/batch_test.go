@@ -17,7 +17,7 @@ func TestAppendBatchGroupCommit(t *testing.T) {
 	var log bytes.Buffer
 	syncs := 0
 	w := NewWriter(&log)
-	w.Sync = func() error { syncs++; return nil }
+	w.syncFn = func() error { syncs++; return nil }
 
 	batch := make([]Entry, 8)
 	for i := range batch {

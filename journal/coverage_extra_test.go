@@ -31,7 +31,7 @@ func TestAppendSurfacesWriteErrors(t *testing.T) {
 	}
 	// Sync errors surface too.
 	w2 := NewWriter(&bytes.Buffer{})
-	w2.Sync = func() error { return errors.New("fsync failed") }
+	w2.syncFn = func() error { return errors.New("fsync failed") }
 	if err := w2.Append(Entry{Op: OpAddUser, User: "a"}); err == nil {
 		t.Fatal("sync error swallowed")
 	}

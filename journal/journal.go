@@ -152,13 +152,9 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 // written atomically with respect to other writers on the same Writer.
 type Writer struct {
 	mu  sync.Mutex
-	out *bufio.Writer // guarded by mu
-	// Sync, when non-nil, is called after every append (e.g. os.File.Sync
-	// for durability; tests leave it nil). For policy-driven syncing use
-	// NewFileWriter instead.
-	Sync func() error
+	out io.Writer // guarded by mu; a batch is one Write, so nothing is buffered here
 
-	// policy-driven fsync state (NewFileWriter).
+	// policy-driven fsync state (NewFileWriter); a nil syncFn never syncs.
 	syncFn   func() error
 	policy   SyncPolicy
 	interval time.Duration
@@ -180,13 +176,13 @@ type Writer struct {
 
 // NewWriter wraps w in a journal writer.
 func NewWriter(w io.Writer) *Writer {
-	return &Writer{out: bufio.NewWriter(w), now: time.Now}
+	return &Writer{out: w, now: time.Now}
 }
 
 // NewFileWriter wraps an opened journal file in a writer with an fsync
 // policy. interval is only meaningful with SyncIntervalPolicy. Call Close
-// (or Flush) before discarding the writer so buffered records reach the
-// file.
+// (or Flush) before discarding the writer so records an interval or never
+// policy left unsynced reach the disk.
 func NewFileWriter(f *os.File, policy SyncPolicy, interval time.Duration) *Writer {
 	w := NewWriter(f)
 	w.syncFn = f.Sync
@@ -226,118 +222,58 @@ func (w *Writer) noteAppendError(err error) error {
 	return err
 }
 
-// noteAppendOK records a durable append of n framed bytes and clears the
-// degraded state.
-func (w *Writer) noteAppendOK(n int) { w.noteBatchOK(1, n) }
+// Append writes one framed entry: AppendBatch with a batch of one.
+func (w *Writer) Append(e Entry) error { return w.AppendBatch([]Entry{e}) }
 
-// noteBatchOK records count appended entries totalling n framed bytes and
-// clears the degraded state.
-func (w *Writer) noteBatchOK(count, n int) {
-	w.degraded.Store(false)
-	if w.metrics != nil {
-		w.metrics.appends.Add(uint64(count))
-		w.metrics.appendBytes.Add(uint64(n))
-		w.metrics.degraded.Set(0)
-	}
-}
-
-// Append writes one framed entry and flushes it to the underlying writer;
-// whether it is also fsynced depends on the writer's sync policy.
-func (w *Writer) Append(e Entry) error {
-	if e.Op == "" {
-		return errors.New("journal: entry without op")
-	}
-	buf, err := json.Marshal(e)
-	if err != nil {
-		return fmt.Errorf("journal: marshal: %w", err)
-	}
-	crc := crc32.Checksum(buf, castagnoli)
-
-	w.mu.Lock() //caarlint:allow readpathlock journal append order is the durability contract; this lock defines it
-	defer w.mu.Unlock()
-	defer faultinject.WatchLock("journal.Writer.mu")()
-	lenStr := strconv.Itoa(len(buf))
-	w.out.WriteString(framePrefix)
-	w.out.WriteString(lenStr)
-	w.out.WriteByte(' ')
-	fmt.Fprintf(w.out, "%08x ", crc)
-	w.out.Write(buf)
-	if err := w.out.WriteByte('\n'); err != nil {
-		return w.noteAppendError(fmt.Errorf("%w: append: %w", ErrDurability, err))
-	}
-	if err := w.out.Flush(); err != nil {
-		return w.noteAppendError(fmt.Errorf("%w: flush: %w", ErrDurability, err))
-	}
-	faultinject.CrashPoint(CrashPreFsync)
-	if w.Sync != nil {
-		if err := w.Sync(); err != nil {
-			return w.noteAppendError(fmt.Errorf("%w: sync: %w", ErrDurability, err))
-		}
-	}
-	if err := w.maybeSyncLocked(); err != nil {
-		return w.noteAppendError(fmt.Errorf("%w: sync: %w", ErrDurability, err))
-	}
-	// Frame layout: "j2 " + len + " " + 8-hex-digit CRC + " " + payload + "\n".
-	w.noteAppendOK(len(framePrefix) + len(lenStr) + 1 + 9 + len(buf) + 1)
-	return nil
-}
-
-// AppendBatch writes a batch of framed entries and flushes them to the
-// underlying writer with at most ONE fsync for the whole batch — the group
+// AppendBatch writes a batch of framed entries to the underlying writer
+// with at most ONE fsync for the whole batch — the group
 // commit at the heart of the asynchronous ingest path. Either the entire
 // batch is durable per the sync policy or an error is returned and the
 // caller must treat every entry in the batch as unacknowledged (a torn tail
-// is cut by Recover on restart). Entries are validated and encoded outside
-// the lock; the frame writes, single flush, and single policy sync happen
-// under one lock acquisition, so concurrent Append/AppendBatch callers can
-// never interleave frames.
+// is cut by Recover on restart). Entries are validated, encoded and framed
+// outside the lock; the one write and the single policy sync happen under
+// one lock acquisition, so concurrent callers can never interleave frames.
 func (w *Writer) AppendBatch(entries []Entry) error {
 	if len(entries) == 0 {
 		return nil
 	}
-	bufs := make([][]byte, len(entries))
-	crcs := make([]uint32, len(entries))
-	for i, e := range entries {
+	var frames []byte
+	for _, e := range entries {
 		if e.Op == "" {
 			return errors.New("journal: entry without op")
 		}
-		buf, err := json.Marshal(e)
+		payload, err := json.Marshal(e)
 		if err != nil {
 			return fmt.Errorf("journal: marshal: %w", err)
 		}
-		bufs[i] = buf
-		crcs[i] = crc32.Checksum(buf, castagnoli)
+		if frames == nil {
+			// Sized as if every entry were the first's length; append takes the rest.
+			frames = make([]byte, 0, len(entries)*(len(payload)+32))
+		}
+		// Frame layout: "j2 " + len + " " + 8-hex-digit CRC + " " + payload + "\n".
+		frames = append(frames, framePrefix...)
+		frames = strconv.AppendInt(frames, int64(len(payload)), 10)
+		frames = fmt.Appendf(frames, " %08x ", crc32.Checksum(payload, castagnoli))
+		frames = append(frames, payload...)
+		frames = append(frames, '\n')
 	}
 
-	w.mu.Lock()
+	w.mu.Lock() //caarlint:allow readpathlock journal append order is the durability contract; this lock defines it
 	defer w.mu.Unlock()
 	defer faultinject.WatchLock("journal.Writer.mu")()
-	total := 0
-	for i, buf := range bufs {
-		lenStr := strconv.Itoa(len(buf))
-		w.out.WriteString(framePrefix)
-		w.out.WriteString(lenStr)
-		w.out.WriteByte(' ')
-		fmt.Fprintf(w.out, "%08x ", crcs[i])
-		w.out.Write(buf)
-		if err := w.out.WriteByte('\n'); err != nil {
-			return w.noteAppendError(fmt.Errorf("%w: append: %w", ErrDurability, err))
-		}
-		total += len(framePrefix) + len(lenStr) + 1 + 9 + len(buf) + 1
-	}
-	if err := w.out.Flush(); err != nil {
-		return w.noteAppendError(fmt.Errorf("%w: flush: %w", ErrDurability, err))
+	if _, err := w.out.Write(frames); err != nil {
+		return w.noteAppendError(fmt.Errorf("%w: append: %w", ErrDurability, err))
 	}
 	faultinject.CrashPoint(CrashPreFsync)
-	if w.Sync != nil {
-		if err := w.Sync(); err != nil {
-			return w.noteAppendError(fmt.Errorf("%w: sync: %w", ErrDurability, err))
-		}
-	}
 	if err := w.maybeSyncLocked(); err != nil {
 		return w.noteAppendError(fmt.Errorf("%w: sync: %w", ErrDurability, err))
 	}
-	w.noteBatchOK(len(entries), total)
+	w.degraded.Store(false)
+	if w.metrics != nil {
+		w.metrics.appends.Add(uint64(len(entries)))
+		w.metrics.appendBytes.Add(uint64(len(frames)))
+		w.metrics.degraded.Set(0)
+	}
 	return nil
 }
 
@@ -397,15 +333,12 @@ func (w *Writer) timedSync() error {
 	return err
 }
 
-// Flush forces buffered records to the underlying writer and, for
-// file-backed writers, fsyncs regardless of policy.
+// Flush fsyncs a file-backed writer regardless of policy; every append has
+// already reached the underlying writer.
 func (w *Writer) Flush() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	defer faultinject.WatchLock("journal.Writer.mu")()
-	if err := w.out.Flush(); err != nil {
-		return fmt.Errorf("journal: flush: %w", err)
-	}
 	if w.syncFn != nil {
 		if err := w.syncFn(); err != nil {
 			return fmt.Errorf("journal: sync: %w", err)
@@ -416,7 +349,7 @@ func (w *Writer) Flush() error {
 	return nil
 }
 
-// Close flushes and fsyncs pending records. It does not close the
+// Close fsyncs pending records. It does not close the
 // underlying file; the caller owns it.
 func (w *Writer) Close() error { return w.Flush() }
 
@@ -502,14 +435,43 @@ func decodeLine(line []byte) ([]byte, error) {
 	return payload, nil
 }
 
+// replayBatch is how many consecutive posts and check-ins replay buffers
+// before applying them as one ApplyRuns call — the ingest applier's default
+// batch, so recovery takes the shard locks as often as the live path did.
+const replayBatch = 256
+
 // replay reads records, applying each to eng. In recover mode it stops at
 // the first structurally invalid record (truncation point); in strict mode
-// an invalid non-final record is an error. progress, when non-nil, is
-// called after every processed record with the cumulative record count and
-// byte offset (it feeds the readiness probe during recovery).
+// an invalid non-final record is an error. Posts and check-ins are buffered
+// and applied through ApplyRuns; the buffer is flushed when it holds
+// replayBatch records, before any other record is applied, at a torn record
+// and at the end of the log, so every record still applies in log order.
+// progress, when non-nil, is called after every flush and every control-plane
+// record with the cumulative record count and byte offset (it feeds the
+// readiness probe during recovery).
 func replay(r io.Reader, eng *caar.Engine, recoverMode bool, progress func(records, bytes int64)) (ReplayStats, error) {
 	var stats ReplayStats
 	var records int64
+	tally := func(errs ...error) {
+		for _, err := range errs {
+			if err != nil {
+				stats.classify(err)
+			} else {
+				stats.Applied++
+			}
+		}
+		records += int64(len(errs))
+		if progress != nil {
+			progress(records, stats.ValidBytes)
+		}
+	}
+	run := make([]Entry, 0, replayBatch)
+	flush := func() {
+		if len(run) > 0 {
+			tally(ApplyRuns(eng, run)...)
+			run = run[:0]
+		}
+	}
 	br := bufio.NewReaderSize(r, 1<<16)
 	var offset int64
 	var pending []byte // a structurally invalid line, fate decided by what follows
@@ -548,6 +510,7 @@ func replay(r io.Reader, eng *caar.Engine, recoverMode bool, progress func(recor
 			err = json.Unmarshal(payload, &e)
 		}
 		if err != nil {
+			flush()
 			if recoverMode {
 				// Truncation point: everything from this record on is cut.
 				stats.Torn = true
@@ -563,20 +526,22 @@ func replay(r io.Reader, eng *caar.Engine, recoverMode bool, progress func(recor
 		}
 
 		faultinject.CrashPoint(CrashMidReplay)
-		if applyErr := apply(eng, e); applyErr != nil {
-			stats.classify(applyErr)
+		if e.Op == OpPost || e.Op == OpCheckIn {
+			run = append(run, e)
+			stats.ValidBytes = lineEnd
+			if len(run) == replayBatch {
+				flush()
+			}
 		} else {
-			stats.Applied++
-		}
-		stats.ValidBytes = lineEnd
-		records++
-		if progress != nil {
-			progress(records, lineEnd)
+			flush()
+			stats.ValidBytes = lineEnd
+			tally(apply(eng, e))
 		}
 		if readErr != nil {
 			break
 		}
 	}
+	flush()
 	if pending != nil {
 		stats.Torn = true
 	}
@@ -686,6 +651,58 @@ func truncate(b []byte) string {
 	return string(b)
 }
 
+// PostEntry is the journal record of a post. Every writer of a post or a
+// check-in builds the record here, and ApplyRuns is the only reader.
+func PostEntry(author, text string, at time.Time) Entry {
+	return Entry{Op: OpPost, User: author, Text: text, At: at}
+}
+
+// CheckInEntry is the journal record of a check-in.
+func CheckInEntry(user string, lat, lng float64, at time.Time) Entry {
+	return Entry{Op: OpCheckIn, User: user, Lat: lat, Lng: lng, At: at}
+}
+
+// ApplyRuns applies post and check-in entries to a through its batched entry
+// points, one call per maximal run of the same op, in log order, and returns
+// each entry's own error. It is the one mapping from a data-plane Entry to the
+// engine: the ingest applier, Logged and replay all go through it, so a live
+// write and its replay cannot read a record differently.
+func ApplyRuns(a interface {
+	PostBatch([]caar.PostRequest) []error
+	CheckInBatch([]caar.CheckInRequest) []error
+}, entries []Entry) []error {
+	errs := make([]error, 0, len(entries))
+	for start := 0; start < len(entries); {
+		end := start + 1
+		for end < len(entries) && entries[end].Op == entries[start].Op {
+			end++
+		}
+		run := entries[start:end]
+		switch run[0].Op {
+		case OpPost:
+			reqs := make([]caar.PostRequest, len(run))
+			for i, e := range run {
+				reqs[i] = caar.PostRequest{Author: e.User, Text: e.Text, At: e.At}
+			}
+			errs = append(errs, a.PostBatch(reqs)...)
+		case OpCheckIn:
+			reqs := make([]caar.CheckInRequest, len(run))
+			for i, e := range run {
+				reqs[i] = caar.CheckInRequest{User: e.User, Lat: e.Lat, Lng: e.Lng, At: e.At}
+			}
+			errs = append(errs, a.CheckInBatch(reqs)...)
+		default:
+			for range run {
+				errs = append(errs, fmt.Errorf("journal: %q is not a post or a check-in", run[0].Op))
+			}
+		}
+		start = end
+	}
+	return errs
+}
+
+// apply is the mapping from one Entry to the engine; its data-plane cases are
+// ApplyRuns with a run of one.
 func apply(eng *caar.Engine, e Entry) error {
 	switch e.Op {
 	case OpAddUser:
@@ -707,10 +724,8 @@ func apply(eng *caar.Engine, e Entry) error {
 		return eng.AddAd(*e.Ad)
 	case OpRemoveAd:
 		return eng.RemoveAd(e.AdID)
-	case OpPost:
-		return eng.Post(e.User, e.Text, e.At)
-	case OpCheckIn:
-		return eng.CheckIn(e.User, e.Lat, e.Lng, e.At)
+	case OpPost, OpCheckIn:
+		return ApplyRuns(eng, []Entry{e})[0]
 	case OpImpression:
 		if e.User != "" {
 			_, err := eng.RecordImpressionTo(e.User, e.AdID, e.At)
@@ -803,12 +818,12 @@ func (l *Logged) RemoveAd(id string) error {
 
 // Post journals, then applies.
 func (l *Logged) Post(author, text string, at time.Time) error {
-	return l.journalThenApply(Entry{Op: OpPost, User: author, Text: text, At: at})
+	return l.journalThenApply(PostEntry(author, text, at))
 }
 
 // CheckIn journals, then applies.
 func (l *Logged) CheckIn(user string, lat, lng float64, at time.Time) error {
-	return l.journalThenApply(Entry{Op: OpCheckIn, User: user, Lat: lat, Lng: lng, At: at})
+	return l.journalThenApply(CheckInEntry(user, lat, lng, at))
 }
 
 // Invariants annotates the engine's report with the ops that remain

@@ -258,7 +258,7 @@ func TestLoggedJournalFirst(t *testing.T) {
 func TestJournalSyncHook(t *testing.T) {
 	calls := 0
 	w := NewWriter(&bytes.Buffer{})
-	w.Sync = func() error { calls++; return nil }
+	w.syncFn = func() error { calls++; return nil }
 	if err := w.Append(Entry{Op: OpAddUser, User: "a"}); err != nil {
 		t.Fatal(err)
 	}
