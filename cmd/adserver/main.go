@@ -1,5 +1,5 @@
 // Command adserver runs the context-aware ad recommender as an HTTP/JSON
-// service (see internal/server for the endpoint list).
+// service (README.md lists the endpoints and the flags).
 //
 // Usage:
 //
@@ -8,10 +8,12 @@
 // The service starts empty; load users, follows, ads and campaigns through
 // the API. Optionally -demo preloads a small demo dataset.
 //
-// Tracing: the request-scoped flight recorder is on by default, head-sampling
-// 1% of recommends and always capturing slow (-trace-slow) and errored ones.
-// Inspect captures via GET /v1/traces, force one with ?explain=1, disable
-// with -trace-capacity 0.
+// Observability is always on, with fixed settings: the request-scoped flight
+// recorder keeps the newest 512 traces, head-sampling 1% of recommends and
+// always capturing those slower than 250ms and errored ones (inspect them via
+// GET /v1/traces, force one with ?explain=1); the SLO watchdog (-slo) and
+// anomaly capture (-capture-dir) run with their packages' defaults, and
+// -hot-off is the one hot-key switch.
 //
 // Durability: -snapshot restores engine state from an atomic snapshot at
 // startup and writes a fresh one on shutdown; -journal recovers the event
@@ -60,47 +62,63 @@ func main() {
 	}
 }
 
-func run() error {
-	addr := flag.String("addr", ":8080", "listen address")
-	algorithm := flag.String("algorithm", "CAP", "engine: CAP, IL or RS")
-	shards := flag.Int("shards", 1, "user shards processed in parallel")
-	windowSize := flag.Int("window", 32, "feed window size in messages")
-	halfLife := flag.Duration("half-life", 2*time.Hour, "feed content decay half-life (0 = none)")
-	journalPath := flag.String("journal", "", "append-only event log; recovered at startup, appended at runtime")
-	fsync := flag.String("fsync", "always", "journal fsync policy: always, interval or never")
-	fsyncInterval := flag.Duration("fsync-interval", time.Second, "fsync at most once per interval (with -fsync interval)")
-	snapshotPath := flag.String("snapshot", "", "engine snapshot; loaded at startup, written atomically on shutdown")
-	maxInFlight := flag.Int("max-inflight", 256, "max concurrent requests before shedding with 429 (0 = unlimited)")
-	requestTimeout := flag.Duration("request-timeout", 10*time.Second, "per-request handling deadline (0 = none)")
-	maxBody := flag.Int64("max-body", server.DefaultMaxBodyBytes, "max request body bytes (-1 = unlimited)")
-	shutdownGrace := flag.Duration("shutdown-grace", 15*time.Second, "time to drain in-flight requests on SIGINT/SIGTERM")
-	demo := flag.Bool("demo", false, "preload a small demo dataset")
-	logLevel := flag.String("log-level", "info", "structured log level: debug, info, warn or error")
-	slowReq := flag.Duration("slow-request", 500*time.Millisecond, "log requests slower than this at warn level (0 = off)")
-	pprofOn := flag.Bool("pprof", false, "expose net/http/pprof profiling under /debug/pprof/")
-	traceCapacity := flag.Int("trace-capacity", trace.DefaultCapacity, "captured traces retained in the ring buffer (0 = tracing off)")
-	traceSample := flag.Float64("trace-sample", 0.01, "head-sampling rate of ordinary requests (0 = tail capture only, 1 = every request)")
-	traceSlow := flag.Duration("trace-slow", 250*time.Millisecond, "always capture requests slower than this (0 = no slow tail capture)")
-	sloSpec := flag.String("slo", slo.DefaultObjectivesSpec, "SLO objectives: endpoint:latency:target or endpoint:errors:target, comma-separated (empty = tracking off)")
-	sloFast := flag.Duration("slo-fast-window", 5*time.Minute, "fast burn-rate alerting window")
-	sloSlow := flag.Duration("slo-slow-window", time.Hour, "slow burn-rate alerting window")
-	sloSample := flag.Duration("slo-sample", 10*time.Second, "burn-rate sampling cadence")
-	sloBurn := flag.Float64("slo-burn-threshold", 14.4, "burn rate that trips the watchdog (fast AND slow window)")
-	captureDir := flag.String("capture-dir", "", "write anomaly capture bundles under this directory (empty = capture off)")
-	captureRetain := flag.Int("capture-retain", 8, "capture bundles retained before the oldest are pruned")
-	captureMinInterval := flag.Duration("capture-interval", time.Minute, "min spacing between anomaly-triggered captures")
-	captureCPU := flag.Duration("capture-cpu", 2*time.Second, "CPU-profile duration inside each capture bundle")
-	hotOff := flag.Bool("hot-off", false, "disable hot-key telemetry (/v1/hot)")
-	hotWindow := flag.Duration("hot-window", 0, "hot-key sliding window (0 = engine default, 1m)")
-	ingestQueue := flag.Int("ingest-queue", 4096, "ingest ring capacity, rounded up to a power of two; a full ring sheds with 429")
-	ingestBatch := flag.Int("ingest-batch", 256, "max writes per ingest group commit (one fsync per batch, policy permitting)")
-	flag.Parse()
+// The flight recorder's capture policy: the newest trace.DefaultCapacity
+// traces are kept, 1% of recommends head-sampled, and every one at least
+// traceSlow slow tail-captured. The other observability settings are their
+// packages' defaults (obs/slo, obs/capture, obs/hotkey, the server's
+// slow-request log).
+const (
+	traceSampleRate = 0.01
+	traceSlow       = 250 * time.Millisecond
+)
 
-	policy, err := journal.ParseSyncPolicy(*fsync)
+// settings is adserver's command line, one field per flag.
+type settings struct {
+	addr, algorithm, journal, fsync, snapshot, logLevel, slo, captureDir string
+	shards, window, maxInFlight, ingestQueue, ingestBatch                int
+	halfLife, fsyncInterval, requestTimeout, shutdownGrace               time.Duration
+	maxBody                                                              int64
+	demo, pprof, hotOff                                                  bool
+}
+
+// newFlagSet declares adserver's flags, bound to s.
+func newFlagSet(s *settings) *flag.FlagSet {
+	fs := flag.NewFlagSet("adserver", flag.ExitOnError)
+	fs.StringVar(&s.addr, "addr", ":8080", "listen address")
+	fs.StringVar(&s.algorithm, "algorithm", "CAP", "engine: CAP, IL or RS")
+	fs.IntVar(&s.shards, "shards", 1, "user shards processed in parallel")
+	fs.IntVar(&s.window, "window", 32, "feed window size in messages")
+	fs.DurationVar(&s.halfLife, "half-life", 2*time.Hour, "feed content decay half-life (0 = none)")
+	fs.StringVar(&s.journal, "journal", "", "append-only event log; recovered at startup, appended at runtime")
+	fs.StringVar(&s.fsync, "fsync", "always", "journal fsync policy: always, interval or never")
+	fs.DurationVar(&s.fsyncInterval, "fsync-interval", time.Second, "fsync at most once per interval (with -fsync interval)")
+	fs.StringVar(&s.snapshot, "snapshot", "", "engine snapshot; loaded at startup, written atomically on shutdown")
+	fs.IntVar(&s.maxInFlight, "max-inflight", 256, "max concurrent requests before shedding with 429 (0 = unlimited)")
+	fs.DurationVar(&s.requestTimeout, "request-timeout", 10*time.Second, "per-request handling deadline (0 = none)")
+	fs.Int64Var(&s.maxBody, "max-body", server.DefaultMaxBodyBytes, "max request body bytes (-1 = unlimited)")
+	fs.DurationVar(&s.shutdownGrace, "shutdown-grace", 15*time.Second, "time to drain in-flight requests on SIGINT/SIGTERM")
+	fs.BoolVar(&s.demo, "demo", false, "preload a small demo dataset")
+	fs.StringVar(&s.logLevel, "log-level", "info", "structured log level: debug, info, warn or error")
+	fs.BoolVar(&s.pprof, "pprof", false, "expose net/http/pprof profiling under /debug/pprof/")
+	fs.StringVar(&s.slo, "slo", slo.DefaultObjectivesSpec, "SLO objectives: endpoint:latency:target or endpoint:errors:target, comma-separated (empty = tracking off)")
+	fs.StringVar(&s.captureDir, "capture-dir", "", "write anomaly capture bundles under this directory (empty = capture off)")
+	fs.BoolVar(&s.hotOff, "hot-off", false, "disable hot-key telemetry (/v1/hot)")
+	fs.IntVar(&s.ingestQueue, "ingest-queue", 4096, "ingest ring capacity, rounded up to a power of two; a full ring sheds with 429")
+	fs.IntVar(&s.ingestBatch, "ingest-batch", 256, "max writes per ingest group commit (one fsync per batch, policy permitting)")
+	return fs
+}
+
+func run() error {
+	var opt settings
+	if err := newFlagSet(&opt).Parse(os.Args[1:]); err != nil {
+		return err
+	}
+
+	policy, err := journal.ParseSyncPolicy(opt.fsync)
 	if err != nil {
 		return err
 	}
-	level, err := parseLogLevel(*logLevel)
+	level, err := parseLogLevel(opt.logLevel)
 	if err != nil {
 		return err
 	}
@@ -111,20 +129,17 @@ func run() error {
 	reg := obs.NewRegistry()
 
 	cfg := caar.DefaultConfig()
-	cfg.Algorithm = caar.Algorithm(*algorithm)
-	cfg.Shards = *shards
-	cfg.WindowSize = *windowSize
-	cfg.DecayHalfLife = *halfLife
+	cfg.Algorithm = caar.Algorithm(opt.algorithm)
+	cfg.Shards = opt.shards
+	cfg.WindowSize = opt.window
+	cfg.DecayHalfLife = opt.halfLife
 	cfg.Metrics = reg
-	cfg.DisableHotKeys = *hotOff
-	cfg.HotKeyWindow = *hotWindow
-	if *traceCapacity > 0 {
-		cfg.Tracer = trace.NewStore(trace.Config{
-			Capacity:      *traceCapacity,
-			SampleRate:    *traceSample,
-			SlowThreshold: *traceSlow,
-		})
-	}
+	cfg.DisableHotKeys = opt.hotOff
+	cfg.Tracer = trace.NewStore(trace.Config{
+		Capacity:      trace.DefaultCapacity,
+		SampleRate:    traceSampleRate,
+		SlowThreshold: traceSlow,
+	})
 
 	// Restore durable state: snapshot first (compact), then journal replay
 	// on top. After a graceful shutdown the journal is empty (its events are
@@ -132,14 +147,14 @@ func run() error {
 	// since the last snapshot.
 	var eng *caar.Engine
 	snapRestored := false
-	if *snapshotPath != "" && caar.SnapshotExists(*snapshotPath) {
+	if opt.snapshot != "" && caar.SnapshotExists(opt.snapshot) {
 		var loaded string
-		eng, loaded, err = caar.LoadSnapshot(cfg, *snapshotPath)
+		eng, loaded, err = caar.LoadSnapshot(cfg, opt.snapshot)
 		if err != nil {
 			return fmt.Errorf("snapshot: %w", err)
 		}
-		if loaded != *snapshotPath {
-			log.Printf("snapshot: primary %s failed verification, restored from fallback %s", *snapshotPath, loaded)
+		if loaded != opt.snapshot {
+			log.Printf("snapshot: primary %s failed verification, restored from fallback %s", opt.snapshot, loaded)
 		} else {
 			log.Printf("snapshot restored from %s", loaded)
 		}
@@ -184,19 +199,19 @@ func run() error {
 	var jf *os.File
 	var jm *journal.Metrics
 	var recovery *journal.RecoveryProgress
-	if *journalPath != "" {
-		jf, err = os.OpenFile(*journalPath, os.O_CREATE|os.O_RDWR, 0o644)
+	if opt.journal != "" {
+		jf, err = os.OpenFile(opt.journal, os.O_CREATE|os.O_RDWR, 0o644)
 		if err != nil {
 			return fmt.Errorf("journal: %w", err)
 		}
 		defer jf.Close()
 		// O_CREATE may have minted the directory entry; make it durable
 		// before acknowledging anything written through it.
-		if err := journal.FsyncDir(filepath.Dir(*journalPath)); err != nil {
+		if err := journal.FsyncDir(filepath.Dir(opt.journal)); err != nil {
 			return err
 		}
 		jm = journal.NewMetrics(reg)
-		jw = journal.NewFileWriter(jf, policy, *fsyncInterval)
+		jw = journal.NewFileWriter(jf, policy, opt.fsyncInterval)
 		jw.SetMetrics(jm)
 		api = journal.NewLogged(eng, jw)
 		recovery = journal.NewRecoveryProgress()
@@ -215,23 +230,22 @@ func run() error {
 		ij = jw
 	}
 	ing := ingest.New(eng, ij, reg, ingest.Config{
-		QueueSize: *ingestQueue,
-		MaxBatch:  *ingestBatch,
+		QueueSize: opt.ingestQueue,
+		MaxBatch:  opt.ingestBatch,
 	})
 
 	srvOpts := []server.Option{
-		server.WithMaxInFlight(*maxInFlight),
-		server.WithRequestTimeout(*requestTimeout),
-		server.WithMaxBodyBytes(*maxBody),
+		server.WithMaxInFlight(opt.maxInFlight),
+		server.WithRequestTimeout(opt.requestTimeout),
+		server.WithMaxBodyBytes(opt.maxBody),
 		server.WithMetrics(reg),
 		server.WithAccessLog(logger),
-		server.WithSlowRequestThreshold(*slowReq),
 		server.WithIngest(ing),
 	}
 	if recovery != nil {
 		srvOpts = append(srvOpts, server.WithRecoveryProgress(recovery))
 	}
-	if *pprofOn {
+	if opt.pprof {
 		// Profiling is opt-in. It mounts on the server's own mux: operator
 		// paths (which /debug/pprof/ is) bypass admission control and the
 		// request deadline, so a long CPU profile is not cut off.
@@ -242,35 +256,24 @@ func run() error {
 	// Anomaly flight recorder: when the SLO watchdog below trips, profiles
 	// are captured while the anomaly is still happening.
 	var recorder *capture.Recorder
-	if *captureDir != "" {
-		recorder, err = capture.NewRecorder(capture.Config{
-			Dir:                       *captureDir,
-			Retain:                    *captureRetain,
-			MinInterval:               *captureMinInterval,
-			CPUProfileDuration:        *captureCPU,
-			Metrics:                   reg,
-			EnableContentionProfiling: true,
-		})
+	if opt.captureDir != "" {
+		recorder, err = capture.NewRecorder(capture.Config{Dir: opt.captureDir, Metrics: reg})
 		if err != nil {
 			return err
 		}
 		srvOpts = append(srvOpts, server.WithCapture(recorder))
-		logger.Info("capture enabled", slog.String("dir", *captureDir))
+		logger.Info("capture enabled", slog.String("dir", opt.captureDir))
 	}
 
 	// SLO watchdog: multi-window burn rates over the serving histograms,
-	// wired to the recorder so a trip produces a bundle (rate-limited by
-	// -capture-interval; a trip during an in-flight capture is dropped).
-	if *sloSpec != "" {
-		objectives, err := slo.ParseObjectives(*sloSpec)
+	// wired to the recorder so a trip produces a bundle (at most one a
+	// minute; a trip during an in-flight capture is dropped).
+	if opt.slo != "" {
+		objectives, err := slo.ParseObjectives(opt.slo)
 		if err != nil {
 			return err
 		}
 		sloCfg := slo.Config{
-			FastWindow:    *sloFast,
-			SlowWindow:    *sloSlow,
-			SampleEvery:   *sloSample,
-			BurnThreshold: *sloBurn,
 			OnTrip: func(tp slo.Trip) {
 				logger.Warn("slo watchdog tripped",
 					slog.String("objective", tp.Objective),
@@ -298,7 +301,7 @@ func run() error {
 	srv := server.New(api, srvOpts...)
 	handler := srv.Handler()
 	httpSrv := &http.Server{
-		Addr:              *addr,
+		Addr:              opt.addr,
 		Handler:           handler,
 		ReadHeaderTimeout: 5 * time.Second,
 		ReadTimeout:       30 * time.Second,
@@ -321,7 +324,7 @@ func run() error {
 	errc := make(chan error, 1)
 	go func() {
 		log.Printf("adserver listening on %s (algorithm=%s shards=%d fsync=%s)",
-			*addr, eng.Algorithm(), *shards, policy)
+			opt.addr, eng.Algorithm(), opt.shards, policy)
 		if err := httpSrv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
 			errc <- err
 		}
@@ -352,7 +355,7 @@ func run() error {
 		}
 	}
 
-	if *demo {
+	if opt.demo {
 		if err := loadDemo(api); err != nil {
 			return fmt.Errorf("demo data: %w", err)
 		}
@@ -368,8 +371,8 @@ func run() error {
 
 	// Graceful shutdown: drain in-flight requests, then make everything
 	// they changed durable.
-	log.Printf("shutting down: draining for up to %v", *shutdownGrace)
-	drainCtx, cancel := context.WithTimeout(context.Background(), *shutdownGrace)
+	log.Printf("shutting down: draining for up to %v", opt.shutdownGrace)
+	drainCtx, cancel := context.WithTimeout(context.Background(), opt.shutdownGrace)
 	defer cancel()
 	if err := httpSrv.Shutdown(drainCtx); err != nil {
 		log.Printf("shutdown: drain incomplete: %v", err)
@@ -388,11 +391,11 @@ func run() error {
 		}
 		log.Print("journal flushed")
 	}
-	if *snapshotPath != "" {
-		if err := eng.SaveSnapshot(*snapshotPath); err != nil {
+	if opt.snapshot != "" {
+		if err := eng.SaveSnapshot(opt.snapshot); err != nil {
 			return fmt.Errorf("final snapshot: %w", err)
 		}
-		log.Printf("snapshot written to %s", *snapshotPath)
+		log.Printf("snapshot written to %s", opt.snapshot)
 		// Every journaled event is now embedded in the snapshot (including
 		// campaign spend and vocabulary counts, which are NOT idempotent to
 		// replay). Reset the journal so the next startup restores the

@@ -31,21 +31,14 @@ type Config struct {
 	// WindowSize is the per-user feed window capacity in messages.
 	WindowSize int
 
-	// Region is the spatial coverage; GridRows × GridCols is the resolution
-	// of the spatial pre-filter.
-	Region   Region
-	GridRows int
-	GridCols int
+	// Region is the spatial coverage, split gridSize × gridSize by the
+	// spatial pre-filter.
+	Region Region
 
 	// Shards splits users across this many engine instances that share one
 	// budget store, letting posts fan out in parallel. 0 or 1 disables
 	// sharding. Only meaningful for CAP and IL.
 	Shards int
-
-	// FanoutSharing and RebuildEvery tune the CAP engine (see
-	// DESIGN.md §3.1); ignored by other algorithms.
-	FanoutSharing bool
-	RebuildEvery  int
 
 	// ContinuousK, when positive, keeps the top-ContinuousK ads of every
 	// follower a post reaches up to date and invokes OnRecommend with them
@@ -75,19 +68,19 @@ type Config struct {
 
 	// DisableHotKeys turns off the hot-key telemetry layer (obs/hotkey).
 	// It is on by default: recording is one lock-free bounded-queue write
-	// per observation and the sketches hold a fixed ~0.5 MiB; bench/
-	// reports the serving cost as obs.hotkeys_overhead_share.
+	// per observation into a 1-minute sliding window, and the sketches hold
+	// a fixed ~0.5 MiB; bench/ reports the serving cost as
+	// obs.hotkeys_overhead_share.
 	DisableHotKeys bool
-
-	// HotKeyWindow is the hot-key telemetry sliding window (default 1m,
-	// split into 6 ring'd sub-windows). Longer windows trade freshness for
-	// stability of the heavy-hitter set.
-	HotKeyWindow time.Duration
 }
+
+// gridSize is the resolution of IL's and CAP's spatial pre-filter: the
+// region is split into gridSize × gridSize cells.
+const gridSize = 64
 
 // DefaultConfig returns a production-shaped configuration: CAP engine,
 // text-dominant scoring, 2-hour half-life, 32-message windows, a city-scale
-// region with a 64×64 grid.
+// region. CAP runs with core.DefaultCAPOptions.
 func DefaultConfig() Config {
 	return Config{
 		Algorithm:     AlgorithmCAP,
@@ -97,10 +90,6 @@ func DefaultConfig() Config {
 		DecayHalfLife: 2 * time.Hour,
 		WindowSize:    32,
 		Region:        Region{MinLat: 0, MinLng: 0, MaxLat: 4, MaxLng: 4},
-		GridRows:      64,
-		GridCols:      64,
-		FanoutSharing: true,
-		RebuildEvery:  256,
 	}
 }
 
@@ -121,9 +110,6 @@ func (c Config) validate() error {
 	}
 	if c.ContinuousK > 0 && c.OnRecommend == nil {
 		return fmt.Errorf("%w: ContinuousK set without OnRecommend callback", ErrBadConfig)
-	}
-	if c.HotKeyWindow < 0 {
-		return fmt.Errorf("%w: negative HotKeyWindow %v", ErrBadConfig, c.HotKeyWindow)
 	}
 	rect := geo.Rect(c.Region)
 	if !rect.Valid() || rect.MinLat == rect.MaxLat || rect.MinLng == rect.MaxLng {

@@ -147,21 +147,11 @@ func (d *directory) campaignOf(adID string) string {
 	return ref.campaign
 }
 
-// shard is one engine instance plus its serializing lock and the trace
-// sink its stage recorder reads. shard is copied by value; the pointers
-// keep all copies sharing one lock and one sink.
+// shard is one engine instance plus its serializing lock. shard is copied by
+// value; the pointer keeps all copies sharing one lock.
 type shard struct {
-	mu   *sync.Mutex
-	eng  core.Shardable
-	sink *coreTraceSink
-}
-
-// coreTraceSink routes the stage spans measured under the shard lock into
-// the active request's trace. The tr field is written (set and cleared) and
-// read only while the shard lock is held — TopAds is serialized by that
-// lock — so no atomics are needed.
-type coreTraceSink struct {
-	tr *trace.Trace
+	mu  *sync.Mutex
+	eng core.Shardable
 }
 
 // Common errors returned by Engine methods.
@@ -193,13 +183,6 @@ func Open(cfg Config) (*Engine, error) {
 	e.dir.Store(new(directory))
 	scoring := cfg.scoring()
 	region := geo.Rect(cfg.Region)
-	rows, cols := cfg.GridRows, cfg.GridCols
-	if rows < 1 {
-		rows = 32
-	}
-	if cols < 1 {
-		cols = 32
-	}
 	for i := 0; i < nShards; i++ {
 		var (
 			eng core.Shardable
@@ -209,17 +192,14 @@ func Open(cfg Config) (*Engine, error) {
 		case AlgorithmRS:
 			eng, err = core.NewRS(scoring, e.store)
 		case AlgorithmIL:
-			eng, err = core.NewIL(scoring, e.store, region, rows, cols)
+			eng, err = core.NewIL(scoring, e.store, region, gridSize, gridSize)
 		default:
-			eng, err = core.NewCAP(scoring, e.store, region, rows, cols, core.CAPOptions{
-				FanoutSharing: cfg.FanoutSharing,
-				RebuildEvery:  cfg.RebuildEvery,
-			})
+			eng, err = core.NewCAP(scoring, e.store, region, gridSize, gridSize, core.DefaultCAPOptions())
 		}
 		if err != nil {
 			return nil, err
 		}
-		e.shards = append(e.shards, shard{mu: new(sync.Mutex), eng: eng, sink: new(coreTraceSink)})
+		e.shards = append(e.shards, shard{mu: new(sync.Mutex), eng: eng})
 	}
 
 	reg := cfg.Metrics
@@ -233,7 +213,7 @@ func Open(cfg Config) (*Engine, error) {
 		e.tracer.RegisterMetrics(reg)
 	}
 	if !cfg.DisableHotKeys {
-		hot, err := hotkey.New(hotkey.Config{Window: cfg.HotKeyWindow, Metrics: reg})
+		hot, err := hotkey.New(hotkey.Config{Metrics: reg})
 		if err != nil {
 			return nil, err
 		}
@@ -251,17 +231,6 @@ func Open(cfg Config) (*Engine, error) {
 			return e.pipeline.Vocab.Term(textproc.TermID(key))
 		})
 		e.hot = hot
-	}
-	for _, sh := range e.shards {
-		if ss, ok := sh.eng.(core.StageSetter); ok {
-			sink := sh.sink
-			ss.SetStageRecorder(func(s core.Stage, d time.Duration, in, out int) {
-				e.obsm.recordCoreStage(s, d)
-				if tr := sink.tr; tr != nil {
-					tr.AddSpan(s.String(), d, in, out)
-				}
-			})
-		}
 	}
 	return e, nil
 }
@@ -758,14 +727,14 @@ func (e *Engine) Recommend(user string, k int, at time.Time) ([]Recommendation, 
 
 // recommend is the unified serving pipeline behind Recommend,
 // RecommendWithPolicy and RecommendTraced: lookup → (shard-lock wait) →
-// core ranking (retrieve/score/topk, recorded by the shard engine) →
-// result mapping → policy filtering. Every stage lands in the per-stage
-// latency histograms — the policy stage too, even with a zero policy, so
+// core ranking (retrieve/score/topk, timed by the shard engine into its
+// query record and copied out under the lock) → result mapping → policy
+// filtering. Every stage goes through engineMetrics.record once, in order:
+// its latency histogram — the policy stage too, even with a zero policy, so
 // each query touches the whole stage family and the stage counts stay
-// mutually comparable. When a tracer is configured (or the request forces
-// an explanation) the same stage boundaries also feed the request's flight
-// record; with tracing off, tr stays nil and the extra cost is one nil
-// check per stage.
+// mutually comparable — and, when a tracer is configured (or the request
+// forces an explanation), the request's flight record; with tracing off, tr
+// stays nil and the extra cost is one nil check per stage.
 func (e *Engine) recommend(user string, k int, at time.Time, policy ServingPolicy, treq TraceRequest) ([]Recommendation, *trace.Trace, error) {
 	start := time.Now()
 	// Serving-path latency fault: disarmed this is one atomic load. The soak
@@ -790,10 +759,7 @@ func (e *Engine) recommend(user string, k int, at time.Time, policy ServingPolic
 	// Hot-key telemetry: one lock-free bounded-queue enqueue (nil-safe
 	// no-op when disabled).
 	e.hot.RecordKey(hotkey.DimUsers, uint64(uid), 1)
-	span := e.obsm.stage(e.obsm.stageLookup, start)
-	if tr != nil {
-		tr.AddSpan("lookup", span.Sub(start), 1, 1)
-	}
+	span := e.obsm.recordSince(tr, stageLookup, start, 1, 1)
 
 	fetch := k
 	if policy.enabled() {
@@ -802,35 +768,31 @@ func (e *Engine) recommend(user string, k int, at time.Time, policy ServingPolic
 	sh := e.shardOf(uid)
 	sh.mu.Lock() //caarlint:allow readpathlock per-shard core lock is the designed serialization point
 	locked := time.Now()
+	scored, err := sh.eng.TopAds(uid, fetch, at)
+	q := sh.eng.LastQuery()
+	sh.mu.Unlock()
 	e.obsm.lockWaitSeconds.ObserveDuration(locked.Sub(span))
 	if tr != nil {
 		tr.Shard = int(uid) % len(e.shards)
 		tr.LockWaitSeconds = locked.Sub(span).Seconds()
-		sh.sink.tr = tr
 	}
-	scored, err := sh.eng.TopAds(uid, fetch, at)
-	if tr != nil {
-		sh.sink.tr = nil
-		if p, ok := sh.eng.(interface{ AnswerPath() string }); ok {
-			tr.Path = p.AnswerPath()
-		}
-	}
-	sh.mu.Unlock()
 	if err != nil {
 		e.obsm.recommendErrors.Inc()
 		return nil, e.finishTrace(tr, time.Since(start), err), err
 	}
+	for s, sp := range q.Stages {
+		e.obsm.record(tr, stageRetrieve+s, sp.D, sp.In, sp.Out)
+	}
+	if tr != nil {
+		tr.Path = q.Path
+	}
 
 	span = time.Now()
 	recs := e.toRecommendations(d, scored)
-	mapped := e.obsm.stage(e.obsm.stageMap, span)
-	if tr != nil {
-		tr.AddSpan("map", mapped.Sub(span), len(scored), len(recs))
-	}
+	mapped := e.obsm.recordSince(tr, stageMap, span, len(scored), len(recs))
 	out := e.applyPolicy(d, user, k, at, policy, recs, tr)
-	done := e.obsm.stage(e.obsm.stagePolicy, mapped)
+	e.obsm.recordSince(tr, stagePolicy, mapped, len(recs), len(out))
 	if tr != nil {
-		tr.AddSpan("policy", done.Sub(mapped), len(recs), len(out))
 		for _, rec := range out {
 			tr.AddAd(trace.AdScore{AdID: rec.AdID, Score: rec.Score, Text: rec.Text, Geo: rec.Geo, Bid: rec.Bid})
 		}

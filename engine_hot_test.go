@@ -83,8 +83,6 @@ func trueRanking(truth map[feed.UserID]uint64) []feed.UserID {
 func TestHotPostersRecallOnCelebrityTail(t *testing.T) {
 	cfg := testConfig()
 	cfg.Shards = 4
-	// A long window so nothing decays while the test feeds the stream.
-	cfg.HotKeyWindow = time.Hour
 	e := openEngine(t, cfg)
 	w, err := workload.Generate(hotWorkloadConfig(10))
 	if err != nil {
@@ -143,7 +141,6 @@ func TestHotPostersRecallOnCelebrityTail(t *testing.T) {
 // genuinely near the top of the true ranking and estimated within bounds.
 func TestHotNoSpuriousHeavyHittersOnUniformTrace(t *testing.T) {
 	cfg := testConfig()
-	cfg.HotKeyWindow = time.Hour
 	e := openEngine(t, cfg)
 	w, err := workload.Generate(hotWorkloadConfig(0))
 	if err != nil {
@@ -183,7 +180,6 @@ func TestHotNoSpuriousHeavyHittersOnUniformTrace(t *testing.T) {
 // and hot campaign surface in their dimensions.
 func TestHotUsersAndCampaignDimensions(t *testing.T) {
 	cfg := testConfig()
-	cfg.HotKeyWindow = time.Hour
 	e := openEngine(t, cfg)
 	for _, h := range []string{"hotshot", "bob", "carol"} {
 		if err := e.AddUser(h); err != nil {
@@ -240,7 +236,6 @@ func TestHotUsersAndCampaignDimensions(t *testing.T) {
 func TestHotPartitionReportSkewSignal(t *testing.T) {
 	cfg := testConfig()
 	cfg.Shards = 4
-	cfg.HotKeyWindow = time.Hour
 	e := openEngine(t, cfg)
 	w, err := workload.Generate(hotWorkloadConfig(10))
 	if err != nil {

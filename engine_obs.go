@@ -26,19 +26,29 @@ var stageBuckets = obs.ExpBuckets(1e-6, 2, 22) // 1 µs .. ~2.1 s
 // fsyncBuckets covers journal fsync and snapshot write latencies.
 var fsyncBuckets = obs.ExpBuckets(10e-6, 2, 20) // 10 µs .. ~5.2 s
 
+// The recommend pipeline's stages, in order. The core times the three from
+// stageRetrieve on, in its own order (core.Stage); the facade the rest.
+const (
+	stageLookup = iota
+	stageRetrieve
+	stageScore
+	stageTopK
+	stageMap
+	stagePolicy
+	numStages
+)
+
+// stage is one row of the stage table: the name that labels its histogram,
+// its span in a request trace and its exemplars, and the histogram.
+type stage struct {
+	name string
+	hist *obs.Histogram
+}
+
 // engineMetrics bundles the engine's registered collectors. All fields are
 // non-nil once the engine is open.
 type engineMetrics struct {
-	// Per-stage recommend spans, one histogram per pipeline stage. The
-	// lookup/map/policy stages are recorded by the facade; retrieve/score/
-	// topk by the core engine under the shard lock.
-	stageSeconds  *obs.HistogramVec
-	stageLookup   *obs.Histogram
-	stageRetrieve *obs.Histogram
-	stageScore    *obs.Histogram
-	stageTopK     *obs.Histogram
-	stageMap      *obs.Histogram
-	stagePolicy   *obs.Histogram
+	stages [numStages]stage
 
 	recommendSeconds *obs.Histogram
 	recommends       *obs.Counter
@@ -64,9 +74,6 @@ type engineMetrics struct {
 // gauge functions sampling e's live state at scrape time.
 func newEngineMetrics(reg *obs.Registry, e *Engine) *engineMetrics {
 	m := &engineMetrics{
-		stageSeconds: reg.HistogramVec("caar_engine_recommend_stage_seconds",
-			"Latency of each recommend pipeline stage (lookup, retrieve, score, topk, map, policy).",
-			stageBuckets, "stage"),
 		recommendSeconds: reg.Histogram("caar_engine_recommend_seconds",
 			"End-to-end engine recommend latency.", stageBuckets),
 		recommends: reg.Counter("caar_engine_recommends_total",
@@ -88,12 +95,12 @@ func newEngineMetrics(reg *obs.Registry, e *Engine) *engineMetrics {
 		snapshotErrors: reg.Counter("caar_snapshot_errors_total",
 			"Failed snapshot writes."),
 	}
-	m.stageLookup = m.stageSeconds.With("lookup")
-	m.stageRetrieve = m.stageSeconds.With(core.StageRetrieve.String())
-	m.stageScore = m.stageSeconds.With(core.StageScore.String())
-	m.stageTopK = m.stageSeconds.With(core.StageTopK.String())
-	m.stageMap = m.stageSeconds.With("map")
-	m.stagePolicy = m.stageSeconds.With("policy")
+	stageSeconds := reg.HistogramVec("caar_engine_recommend_stage_seconds",
+		"Latency of each recommend pipeline stage (lookup, retrieve, score, topk, map, policy).",
+		stageBuckets, "stage")
+	for i, name := range [numStages]string{"lookup", "retrieve", "score", "topk", "map", "policy"} {
+		m.stages[i] = stage{name: name, hist: stageSeconds.With(name)}
+	}
 	m.lastSnapshotErr.Store("")
 
 	reg.GaugeFunc("caar_engine_users", "Registered users.", func() float64 {
@@ -194,47 +201,22 @@ func newEngineMetrics(reg *obs.Registry, e *Engine) *engineMetrics {
 	return m
 }
 
-// stage records one facade-side pipeline span and returns the start point
-// of the next stage, sharing a single monotonic clock read between them.
-func (m *engineMetrics) stage(h *obs.Histogram, start time.Time) time.Time {
+// record is where every recommend stage goes, once: its histogram, and the
+// request's trace when one is being built (tr non-nil).
+func (m *engineMetrics) record(tr *trace.Trace, s int, d time.Duration, in, out int) {
+	st := &m.stages[s]
+	st.hist.ObserveDuration(d)
+	if tr != nil {
+		tr.AddSpan(st.name, d, in, out)
+	}
+}
+
+// recordSince records a facade stage that started at start and ends now, and
+// returns now — the next stage's start, so the two share one clock read.
+func (m *engineMetrics) recordSince(tr *trace.Trace, s int, start time.Time, in, out int) time.Time {
 	now := time.Now()
-	h.ObserveDuration(now.Sub(start))
+	m.record(tr, s, now.Sub(start), in, out)
 	return now
-}
-
-// recordCoreStage routes the stages measured under the shard lock into the
-// shared per-stage histogram family. The per-shard core.StageRecorder
-// closure (engine.go) calls it, adding the candidate counts to the active
-// request trace when one is attached to the shard's sink.
-func (m *engineMetrics) recordCoreStage(s core.Stage, d time.Duration) {
-	switch s {
-	case core.StageRetrieve:
-		m.stageRetrieve.ObserveDuration(d)
-	case core.StageScore:
-		m.stageScore.ObserveDuration(d)
-	case core.StageTopK:
-		m.stageTopK.ObserveDuration(d)
-	}
-}
-
-// stageHist maps a span's stage name to its latency histogram (nil for
-// unknown stages).
-func (m *engineMetrics) stageHist(stage string) *obs.Histogram {
-	switch stage {
-	case "lookup":
-		return m.stageLookup
-	case "retrieve":
-		return m.stageRetrieve
-	case "score":
-		return m.stageScore
-	case "topk":
-		return m.stageTopK
-	case "map":
-		return m.stageMap
-	case "policy":
-		return m.stagePolicy
-	}
-	return nil
 }
 
 // exemplarRefresh bounds how often ordinary sampled traces rewrite the
@@ -259,8 +241,10 @@ func (m *engineMetrics) attachExemplars(tr *trace.Trace) {
 		}
 	}
 	for _, sp := range tr.Spans {
-		if h := m.stageHist(sp.Stage); h != nil {
-			h.AttachExemplar(sp.DurationSeconds, tr.ID)
+		for _, st := range m.stages {
+			if st.name == sp.Stage {
+				st.hist.AttachExemplar(sp.DurationSeconds, tr.ID)
+			}
 		}
 	}
 	m.recommendSeconds.AttachExemplar(tr.DurationSeconds, tr.ID)

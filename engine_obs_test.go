@@ -61,6 +61,71 @@ func TestRecommendTouchesEveryStage(t *testing.T) {
 	}
 }
 
+// TestStageCountsAreRequests: with continuous refreshes on, the stage family
+// still holds one sample per stage per recommend request and none per refresh
+// — every request appears in every family, and the family counts requests.
+// Refreshes are counted by caar_engine_topads_total.
+func TestStageCountsAreRequests(t *testing.T) {
+	cfg := testConfig()
+	cfg.ContinuousK = 2
+	cfg.OnRecommend = func(string, []Recommendation) {}
+	e := openEngine(t, cfg)
+	for _, u := range []string{"poster", "f1", "f2", "f3"} {
+		if err := e.AddUser(u); err != nil {
+			t.Fatal(err)
+		}
+		if u != "poster" {
+			if err := e.Follow(u, "poster"); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := e.AddAd(Ad{ID: "a1", Text: "coffee espresso pastries", Bid: 0.5}); err != nil {
+		t.Fatal(err)
+	}
+	const posts, reads = 5, 3
+	for i := 0; i < posts; i++ {
+		if err := e.Post("poster", "morning coffee espresso downtown", morning.Add(time.Duration(i)*time.Second)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < reads; i++ {
+		if _, err := e.Recommend("f1", 2, morning.Add(time.Minute)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var buf bytes.Buffer
+	if err := e.Metrics().WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	body := buf.String()
+	for _, stage := range []string{"lookup", "retrieve", "score", "topk", "map", "policy"} {
+		want := fmt.Sprintf(`caar_engine_recommend_stage_seconds_count{stage=%q} %d`, stage, reads)
+		if !strings.Contains(body, want) {
+			t.Errorf("stage %q: want %q in\n%s", stage, want, grepLines(body, "caar_engine_recommend_stage_seconds_count"))
+		}
+	}
+	// Four feeds (three followers and the poster) refreshed per post.
+	var view, rerank int
+	fmt.Sscanf(grepLines(body, `caar_engine_topads_total{path="view"}`), `caar_engine_topads_total{path="view"} %d`, &view)
+	fmt.Sscanf(grepLines(body, `caar_engine_topads_total{path="rerank"}`), `caar_engine_topads_total{path="rerank"} %d`, &rerank)
+	if view+rerank != posts*4+reads {
+		t.Errorf("caar_engine_topads_total: %d view + %d rerank, want %d refreshes + %d reads", view, rerank, posts*4, reads)
+	}
+}
+
+// grepLines returns the lines of s that contain substr, newline-joined.
+func grepLines(s, substr string) string {
+	var out []string
+	for _, line := range strings.Split(s, "\n") {
+		if strings.Contains(line, substr) {
+			out = append(out, line)
+		}
+	}
+	return strings.Join(out, "\n")
+}
+
 // TestExemplarRefreshThrottle: routine head-sampled traces may rewrite the
 // histogram exemplars at most once per exemplarRefresh (they take seven
 // shared histogram mutexes, a pure p99 tax at full tracing rate), while

@@ -83,21 +83,15 @@ func (e *Engine) finishTrace(tr *trace.Trace, elapsed time.Duration, err error) 
 	return tr
 }
 
-// traceStages lists the pipeline stages in order, as they appear in spans,
-// histogram labels and the attrition funnel.
-var traceStages = []string{"lookup", "retrieve", "score", "topk", "map", "policy"}
-
 // StageExemplars returns, per pipeline stage (plus "recommend" for the
 // end-to-end latency), the trace IDs attached to the stage histogram's
 // buckets — the bridge from a latency spike on a dashboard to a captured
 // trace in /v1/traces/{id}. Stages with no captured traces are omitted.
 func (e *Engine) StageExemplars() map[string][]obs.BucketExemplar {
-	out := make(map[string][]obs.BucketExemplar, len(traceStages)+1)
-	for _, stage := range traceStages {
-		if h := e.obsm.stageHist(stage); h != nil {
-			if ex := h.Exemplars(); len(ex) > 0 {
-				out[stage] = ex
-			}
+	out := make(map[string][]obs.BucketExemplar, numStages+1)
+	for _, st := range e.obsm.stages {
+		if ex := st.hist.Exemplars(); len(ex) > 0 {
+			out[st.name] = ex
 		}
 	}
 	if ex := e.obsm.recommendSeconds.Exemplars(); len(ex) > 0 {

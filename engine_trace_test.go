@@ -150,6 +150,65 @@ func TestTraceRecordsAnswerPath(t *testing.T) {
 	}
 }
 
+// TestStageSpansPerAnswerPath pins the six spans of a traced recommend — names,
+// order and candidate counts — on every answer path: CAP's re-rank (a first
+// read), its view (the same read again) and a k above the view ceiling
+// (viewSlack × 65 > viewMaxTracked, ranked without a view), and the same three
+// reads under IL and RS, which have one path. The fixture has three ads, all
+// eligible for alice; two share terms with bob's post.
+func TestStageSpansPerAnswerPath(t *testing.T) {
+	type span struct {
+		stage   string
+		in, out int
+	}
+	spans := func(retrieve, score, topk, mapped [2]int) []span {
+		return []span{{"lookup", 1, 1}, {"retrieve", retrieve[0], retrieve[1]}, {"score", score[0], score[1]},
+			{"topk", topk[0], topk[1]}, {"map", mapped[0], mapped[1]}, {"policy", mapped[0], mapped[1]}}
+	}
+	reads := []struct {
+		k    int
+		path map[Algorithm]string
+	}{
+		{2, map[Algorithm]string{AlgorithmCAP: "rerank"}},
+		{2, map[Algorithm]string{AlgorithmCAP: "view"}},
+		{65, map[Algorithm]string{AlgorithmCAP: "rerank"}},
+	}
+	want := map[Algorithm][][]span{
+		AlgorithmCAP: {
+			spans([2]int{2, 2}, [2]int{3, 3}, [2]int{3, 2}, [2]int{2, 2}), // buffer entries; eligible with the static remainder
+			spans([2]int{3, 3}, [2]int{3, 3}, [2]int{3, 2}, [2]int{2, 2}), // tracked + noted ads re-scored
+			spans([2]int{2, 2}, [2]int{3, 3}, [2]int{3, 3}, [2]int{3, 3}),
+		},
+		AlgorithmIL: {
+			spans([2]int{2, 2}, [2]int{2, 2}, [2]int{2, 2}, [2]int{2, 2}), // the static walk stops at the collector's threshold
+			spans([2]int{2, 2}, [2]int{2, 2}, [2]int{2, 2}, [2]int{2, 2}),
+			spans([2]int{2, 2}, [2]int{3, 3}, [2]int{3, 3}, [2]int{3, 3}),
+		},
+		AlgorithmRS: {
+			spans([2]int{3, 3}, [2]int{3, 3}, [2]int{3, 2}, [2]int{2, 2}), // the whole store, every query
+			spans([2]int{3, 3}, [2]int{3, 3}, [2]int{3, 2}, [2]int{2, 2}),
+			spans([2]int{3, 3}, [2]int{3, 3}, [2]int{3, 3}, [2]int{3, 3}),
+		},
+	}
+	at := morning.Add(time.Minute)
+	for _, alg := range []Algorithm{AlgorithmCAP, AlgorithmIL, AlgorithmRS} {
+		e := tracedEngine(t, alg, trace.Config{SampleRate: 1})
+		for i, r := range reads {
+			_, tr, err := e.RecommendTraced("alice", r.k, at, ServingPolicy{}, TraceRequest{})
+			if err != nil || tr == nil {
+				t.Fatalf("%s read %d: trace %v, err %v", alg, i, tr != nil, err)
+			}
+			var got []span
+			for _, sp := range tr.Spans {
+				got = append(got, span{sp.Stage, sp.In, sp.Out})
+			}
+			if !slices.Equal(got, want[alg][i]) || tr.Path != r.path[alg] {
+				t.Errorf("%s read %d (k=%d): path %q spans %v, want path %q spans %v", alg, i, r.k, tr.Path, got, r.path[alg], want[alg][i])
+			}
+		}
+	}
+}
+
 // TestScoreDecompositionSumsToScore: for every ad of a traced recommend,
 // the additive decomposition text + geo + bid equals (within float
 // tolerance) the score the ranking used — the acceptance criterion that

@@ -26,10 +26,7 @@ type base struct {
 	store   *adstore.Store
 	users   map[feed.UserID]*userState
 	states  []*userState // recipients' reusable result
-
-	// stages, when non-nil, receives per-stage TopAds latency spans (see
-	// stages.go). nil keeps the query path free of clock reads.
-	stages StageRecorder
+	last    Query        // the last TopAds (stages.go)
 }
 
 func newBase(s Scoring, store *adstore.Store) (*base, error) {

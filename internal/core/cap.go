@@ -65,7 +65,6 @@ type CAP struct {
 	scratch []bufEntry
 
 	viewAnswers, reranks uint64 // TopAds calls by how they were answered
-	lastPath             string // and the last one's: "view" or "rerank"
 	merges, rebuilds     uint64 // catch-ups by kind
 	merged, skipped      uint64 // deliveries by fate
 }
@@ -409,7 +408,7 @@ func (e *CAP) TopAds(u feed.UserID, k int, t time.Time) ([]Scored, error) {
 	if err != nil {
 		return nil, err
 	}
-	buf, span := st.buf, e.stageStart()
+	buf, span := st.buf, time.Now()
 	e.catchUp(st, buf)
 	winFactor := e.scoring.Decay.Between(st.win.Ref(), t)
 	mult, sl := buf.scale*winFactor, timeslot.Of(t)
@@ -419,7 +418,7 @@ func (e *CAP) TopAds(u feed.UserID, k int, t time.Time) ([]Scored, error) {
 			return out, nil
 		}
 	}
-	e.reranks, e.lastPath = e.reranks+1, "rerank"
+	e.reranks, e.last.Path = e.reranks+1, "rerank"
 	span = e.stageDone(StageRetrieve, span, len(buf.e), len(buf.e))
 	if viewable {
 		examined, offered := e.buildView(buf, st, mult, k, sl, t)

@@ -178,7 +178,7 @@ func (e *IL) TopAds(u feed.UserID, k int, t time.Time) ([]Scored, error) {
 	if err != nil {
 		return nil, err
 	}
-	span := e.stageStart()
+	span := time.Now()
 	ctx, factor := st.win.ContextRef(t)
 	sl := timeslot.Of(t)
 	c := topk.NewCollector(k)

@@ -52,7 +52,7 @@ func (e *RS) TopAds(u feed.UserID, k int, t time.Time) ([]Scored, error) {
 	if err != nil {
 		return nil, err
 	}
-	span := e.stageStart()
+	span := time.Now()
 	ctx, factor := st.win.ContextRef(t)
 	sl := timeslot.Of(t)
 	c := topk.NewCollector(k)

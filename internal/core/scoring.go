@@ -125,4 +125,7 @@ type Shardable interface {
 	RegisterAd(a *adstore.Ad)
 	// UnregisterAd removes an ad from the engine's indexes only.
 	UnregisterAd(id adstore.AdID)
+	// LastQuery returns the record of the last TopAds: its stage spans and
+	// answer path.
+	LastQuery() Query
 }

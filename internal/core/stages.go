@@ -22,65 +22,40 @@ const (
 	StageRetrieve Stage = iota
 	StageScore
 	StageTopK
-	numStages
+	NumStages
 )
 
-// String returns the stage's metric label.
-func (s Stage) String() string {
-	switch s {
-	case StageRetrieve:
-		return "retrieve"
-	case StageScore:
-		return "score"
-	case StageTopK:
-		return "topk"
-	default:
-		return "unknown"
-	}
+// Span is one stage of a query: its elapsed time and the candidate counts
+// flowing into (In) and out of (Out) it — the attrition funnel a request
+// trace renders (retrieve 4312 → score 987 → topk 10). The score stage's
+// in-count may exceed retrieve's out-count: the static/geo remainder adds
+// candidates the text path never saw.
+type Span struct {
+	D       time.Duration
+	In, Out int
 }
 
-// StageRecorder receives, for each TopAds stage, its elapsed time and the
-// candidate counts flowing into (in) and out of (out) the stage — the
-// attrition funnel a request trace renders (retrieve 4312 → score 987 →
-// topk 10). The score stage's in-count may exceed retrieve's out-count:
-// the static/geo remainder adds candidates the text path never saw. It is
-// called while the engine's serializing lock is held, so implementations
-// must be fast and must not call back into the engine.
-type StageRecorder func(s Stage, d time.Duration, in, out int)
-
-// StageSetter is implemented by every engine (via base); the facade uses it
-// to attach its metrics registry without widening the Recommender interface.
-type StageSetter interface {
-	SetStageRecorder(StageRecorder)
+// Query is an engine's record of its last TopAds: one span per stage, and
+// how CAP answered it — "view" or "rerank" ("" for RS and IL). Every answer
+// path writes all of it, so it is valid after every TopAds that succeeded,
+// until the next; callers read it under the lock that serialized the query.
+type Query struct {
+	Stages [NumStages]Span
+	Path   string
 }
 
-// SetStageRecorder installs (or, with nil, removes) the per-stage span
-// recorder. Not safe to call concurrently with queries; set it at wiring
-// time, before the engine serves traffic.
-func (b *base) SetStageRecorder(f StageRecorder) { b.stages = f }
+// LastQuery implements Shardable.
+func (b *base) LastQuery() Query { return b.last }
 
-// stageStart returns the stage clock's start point, or the zero time when
-// no recorder is installed — keeping the disabled path free of time.Now
-// calls on the query hot path.
-func (b *base) stageStart() time.Time {
-	if b.stages == nil {
-		return time.Time{}
-	}
-	return time.Now()
-}
-
-// stageDone records one stage span with its candidate counts and returns
-// the start point of the next stage, so consecutive stages share a single
-// clock read.
+// stageDone records a stage as ending now and returns now, the start point
+// of the next stage, so consecutive stages share a single clock read.
 func (b *base) stageDone(s Stage, start time.Time, in, out int) time.Time {
-	now := b.stageStart()
+	now := time.Now()
 	b.stageSpan(s, start, now, in, out)
 	return now
 }
 
 // stageSpan records a stage after the fact, its end having been read earlier.
 func (b *base) stageSpan(s Stage, start, end time.Time, in, out int) {
-	if b.stages != nil && !start.IsZero() {
-		b.stages(s, end.Sub(start), in, out)
-	}
+	b.last.Stages[s] = Span{D: end.Sub(start), In: in, Out: out}
 }

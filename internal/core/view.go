@@ -76,12 +76,12 @@ func (e *CAP) fromView(st *userState, buf *dynBuf, mult, winFactor float64, k in
 	if v == nil || v.slot != sl || winFactor > 1 || t.Before(v.asOf) {
 		return nil, false
 	}
-	in, retrieved := len(v.tracked)+len(v.noted), e.stageStart()
+	in, retrieved := len(v.tracked)+len(v.noted), time.Now()
 	e.refreshView(v, buf, st, mult)
-	scored := e.stageStart()
+	scored := time.Now()
 	out, ok := e.emit(v, st, buf, mult, k, t)
 	if ok {
-		e.viewAnswers, e.lastPath = e.viewAnswers+1, "view"
+		e.viewAnswers, e.last.Path = e.viewAnswers+1, "view"
 		e.stageSpan(StageRetrieve, span, retrieved, in, in)
 		e.stageSpan(StageScore, retrieved, scored, in, len(v.tracked))
 		e.stageDone(StageTopK, scored, len(v.tracked), len(out))
@@ -202,6 +202,3 @@ func (e *CAP) noteAt(buf *dynBuf) float64 {
 
 // TopAdsPaths counts TopAds calls by answer path. Callers hold the engine's lock.
 func (e *CAP) TopAdsPaths() (view, rerank uint64) { return e.viewAnswers, e.reranks }
-
-// AnswerPath names how the last TopAds was answered, for the request trace.
-func (e *CAP) AnswerPath() string { return e.lastPath }

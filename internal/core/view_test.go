@@ -279,9 +279,18 @@ func sameAsFullRanking(t *testing.T, e *CAP, k int, at time.Time) []Scored {
 	e.rank(c, st, buf, mult, timeslot.Of(at), at, true)
 	want := e.resolve(c.Items(), st, func(id adstore.AdID) float64 { return buf.get(id) * mult })
 
+	view0, _ := e.TopAdsPaths()
 	got, err := e.TopAds(1, k, at)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The query record describes this TopAds, whichever path answered it.
+	q, path := e.LastQuery(), "rerank"
+	if view, _ := e.TopAdsPaths(); view > view0 {
+		path = "view"
+	}
+	if q.Path != path || q.Stages[StageTopK].Out != len(got) {
+		t.Fatalf("query record %+v after a %s answer of %d ads", q, path, len(got))
 	}
 	if len(got) != len(want) {
 		t.Fatalf("TopAds %+v, full ranking %+v", got, want)

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
-	netpprof "net/http/pprof"
 	"strings"
 
 	"caar/obs/capture"
@@ -161,14 +160,4 @@ func contentTypeFor(file string) string {
 	default:
 		return "text/plain; charset=utf-8"
 	}
-}
-
-// mountDebugPprof registers the net/http/pprof handlers (routes() calls it
-// when WithDebugPprof was used).
-func (s *Server) mountDebugPprof() {
-	s.mux.HandleFunc("/debug/pprof/", netpprof.Index)
-	s.mux.HandleFunc("/debug/pprof/cmdline", netpprof.Cmdline)
-	s.mux.HandleFunc("/debug/pprof/profile", netpprof.Profile)
-	s.mux.HandleFunc("/debug/pprof/symbol", netpprof.Symbol)
-	s.mux.HandleFunc("/debug/pprof/trace", netpprof.Trace)
 }

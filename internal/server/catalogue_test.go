@@ -106,3 +106,55 @@ func TestMetricCatalogueMatchesREADME(t *testing.T) {
 		t.Errorf("named in README.md but not registered:\n  %s", strings.Join(stale, "\n  "))
 	}
 }
+
+// TestRouteTableMatchesREADME holds README.md's endpoint table to the route
+// table, both ways: every pattern the server serves (pprof included) is a
+// row, and every row is served. A row's path is a pattern once its query is
+// dropped and a {placeholder} tail becomes the subtree's slash, and its
+// operator column is the route's. When it fails, fix the README.
+func TestRouteTableMatchesREADME(t *testing.T) {
+	eng, err := caar.Open(caar.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(eng, WithDebugPprof())
+	served := map[string]bool{}
+	for _, r := range srv.routes {
+		served[r.pattern] = r.operator
+	}
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	documented := map[string]bool{}
+	for _, m := range regexp.MustCompile("(?m)^\\| `(/[^`?{]*)[^`]*` \\| (yes)? *\\|").FindAllStringSubmatch(string(readme), -1) {
+		documented[m[1]] = m[2] == "yes"
+	}
+	for pattern, operator := range served {
+		if op, ok := documented[pattern]; !ok || op != operator {
+			t.Errorf("route %s (operator %v): README.md row present %v, operator %v", pattern, operator, ok, op)
+		}
+	}
+	for path := range documented {
+		if _, ok := served[path]; !ok {
+			t.Errorf("README.md documents %s, which no route serves", path)
+		}
+	}
+
+	// Every request reads the table up to four times (label, recovery gate,
+	// admission, deadline): a lookup must not allocate.
+	paths := []string{"/v1/recommendations", "/v1/ads/a1", "/debug/pprof/profile", "/unknown"}
+	if allocs := testing.AllocsPerRun(100, func() {
+		for _, p := range paths {
+			_ = srv.endpointLabel(p)
+			_ = srv.operatorPath(p)
+		}
+	}); allocs != 0 {
+		t.Errorf("route lookups allocate %.1f times per 4 paths, want 0", allocs)
+	}
+	for path, want := range map[string]string{"/v1/ads/a1": "/v1/ads", "/debug/pprof/profile": "/debug/pprof", "/unknown": "other"} {
+		if got := srv.endpointLabel(path); got != want {
+			t.Errorf("endpoint label of %s = %q, want %q", path, got, want)
+		}
+	}
+}

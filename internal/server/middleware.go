@@ -130,7 +130,7 @@ func (s *Server) withRecoveryGate(next http.Handler) http.Handler {
 		return next
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if !s.recovery.Done() && !isOperatorPath(r.URL.Path) {
+		if !s.recovery.Done() && !s.operatorPath(r.URL.Path) {
 			w.Header().Set("Retry-After", "1")
 			msg := "server recovering"
 			if probs := s.recovery.Problems(); len(probs) > 0 {
@@ -152,7 +152,7 @@ func (s *Server) withAdmission(next http.Handler) http.Handler {
 		return next
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if isOperatorPath(r.URL.Path) {
+		if s.operatorPath(r.URL.Path) {
 			next.ServeHTTP(w, r)
 			return
 		}
@@ -188,7 +188,7 @@ func (s *Server) withDeadline(next http.Handler) http.Handler {
 	body, _ := json.Marshal(errorBody{Error: "request deadline exceeded"})
 	th := http.TimeoutHandler(next, s.reqTimeout, string(body))
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if isOperatorPath(r.URL.Path) {
+		if s.operatorPath(r.URL.Path) {
 			next.ServeHTTP(w, r)
 			return
 		}

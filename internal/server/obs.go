@@ -30,14 +30,13 @@ import (
 func WithMetrics(reg *obs.Registry) Option { return func(s *Server) { s.metrics = reg } }
 
 // WithAccessLog emits one structured log line per request (and a warn-level
-// line for slow requests) through l. Every line carries the request_id
-// echoed in the X-Request-Id response header. nil (the default) disables
-// access logging; metrics and request IDs stay on.
+// line for requests at least slowRequest slow) through l. Every line carries
+// the request_id echoed in the X-Request-Id response header. nil (the
+// default) disables access logging; metrics and request IDs stay on.
 func WithAccessLog(l *slog.Logger) Option { return func(s *Server) { s.accessLog = l } }
 
-// WithSlowRequestThreshold logs requests slower than d at warn level
-// (requires WithAccessLog). 0 disables slow-request logging.
-func WithSlowRequestThreshold(d time.Duration) Option { return func(s *Server) { s.slowReq = d } }
+// slowRequest is the access log's threshold for a warn-level slow_request line.
+const slowRequest = 500 * time.Millisecond
 
 // WithRecoveryProgress attaches a journal-replay progress tracker: while
 // recovery runs, API paths are gated with 503 + Retry-After and /v1/readyz
@@ -191,51 +190,15 @@ func (r *statusRecorder) status() int {
 // underlying writer.
 func (r *statusRecorder) Unwrap() http.ResponseWriter { return r.ResponseWriter }
 
-// endpoints is the fixed label set per-endpoint series use; anything else
-// collapses into "other" so a path-scanning client cannot explode the
+// endpointLabel is path's value of the per-endpoint series' label: its
+// route's pattern without a trailing slash. Anything the route table does not
+// serve collapses into "other", so a path-scanning client cannot explode the
 // metric cardinality.
-var endpoints = []string{
-	"/v1/users", "/v1/follow", "/v1/checkins", "/v1/posts", "/v1/campaigns",
-	"/v1/recommendations", "/v1/impressions", "/v1/trending", "/v1/stats",
-	"/v1/healthz", "/v1/readyz", "/v1/metrics", "/v1/statusz", "/v1/traces",
-	"/v1/invariants", "/v1/slo", "/v1/capturez", "/v1/hot",
-}
-
-func endpointLabel(path string) string {
-	if path == "/v1/ads" || len(path) > len("/v1/ads/") && path[:len("/v1/ads/")] == "/v1/ads/" {
-		return "/v1/ads"
-	}
-	if strings.HasPrefix(path, "/v1/traces/") {
-		return "/v1/traces"
-	}
-	if strings.HasPrefix(path, "/v1/capturez/") {
-		return "/v1/capturez"
-	}
-	if strings.HasPrefix(path, "/debug/pprof") {
-		return "/debug/pprof"
-	}
-	for _, ep := range endpoints {
-		if path == ep {
-			return ep
-		}
+func (s *Server) endpointLabel(path string) string {
+	if r := s.routeOf(path); r != nil {
+		return strings.TrimSuffix(r.pattern, "/")
 	}
 	return "other"
-}
-
-// isOperatorPath reports whether the path is a health/observability endpoint
-// that must stay reachable on a saturated server (exempt from admission
-// control and the request deadline) — traces, burn rates and capture bundles
-// included, because they are read exactly when the server is misbehaving,
-// and a capture or a pprof collection legitimately runs for seconds.
-func isOperatorPath(path string) bool {
-	switch path {
-	case "/v1/healthz", "/v1/readyz", "/v1/metrics", "/v1/statusz", "/v1/traces",
-		"/v1/invariants", "/v1/slo", "/v1/capturez", "/v1/hot":
-		return true
-	}
-	return strings.HasPrefix(path, "/v1/traces/") ||
-		strings.HasPrefix(path, "/v1/capturez/") ||
-		strings.HasPrefix(path, "/debug/pprof")
 }
 
 func statusClass(code int) string {
@@ -272,7 +235,7 @@ func (s *Server) withObservability(next http.Handler) http.Handler {
 		next.ServeHTTP(rec, r)
 		elapsed := time.Since(start)
 
-		ep := endpointLabel(r.URL.Path)
+		ep := s.endpointLabel(r.URL.Path)
 		s.sm.requests.With(ep, statusClass(rec.status())).Inc()
 		s.sm.latency.With(ep).ObserveDuration(elapsed)
 		// The deadline middleware answers 503 after reqTimeout; a 503 that
@@ -290,12 +253,12 @@ func (s *Server) withObservability(next http.Handler) http.Handler {
 				slog.Int64("bytes", rec.bytes),
 				slog.Duration("duration", elapsed),
 			)
-			if s.slowReq > 0 && elapsed >= s.slowReq {
+			if elapsed >= slowRequest {
 				lg.LogAttrs(r.Context(), slog.LevelWarn, "slow_request",
 					slog.String("method", r.Method),
 					slog.String("path", r.URL.Path),
 					slog.Duration("duration", elapsed),
-					slog.Duration("threshold", s.slowReq),
+					slog.Duration("threshold", slowRequest),
 				)
 			}
 		}

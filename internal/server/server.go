@@ -2,23 +2,9 @@
 // end-to-end system binary (cmd/adserver) and the canonical benchmark's
 // *_http workloads (bench/) drive this layer.
 //
-// Endpoints:
-//
-//	POST   /v1/users            {"handle": "alice"}
-//	POST   /v1/follow           {"follower": "alice", "followee": "bob"}
-//	DELETE /v1/follow           {"follower": "alice", "followee": "bob"}
-//	POST   /v1/checkins         {"user": "alice", "lat": 1.2, "lng": 3.4, "at": "RFC3339"?}
-//	POST   /v1/posts            {"author": "bob", "text": "...", "at": "RFC3339"?}
-//	POST   /v1/campaigns        {"name": "...", "budget": 10, "start": "...", "end": "..."}
-//	POST   /v1/ads              {"id": "...", "text": "...", "bid": 0.4, ...}
-//	DELETE /v1/ads/{id}
-//	GET    /v1/recommendations?user=alice&k=5&at=RFC3339
-//	POST   /v1/impressions      {"ad": "...", "user": "..."?, "at": "RFC3339"?}
-//	GET    /v1/trending?slot=morning&k=10
-//	GET    /v1/hot?dim=posters&k=10&window=1m  (heavy-hitter telemetry; view=partition for shard skew)
-//	GET    /v1/stats
-//	GET    /v1/traces?n=50      (captured request traces, newest first)
-//	GET    /v1/traces/{id}      (one full trace with score decomposition)
+// The endpoints are the rows of routeTable; README.md's HTTP API table
+// documents each with its method and body, and a test holds the two to the
+// same paths.
 //
 // GET /v1/recommendations also accepts serving-policy parameters —
 // freq_cap + freq_window (per-user frequency capping) and max_per_campaign
@@ -37,6 +23,7 @@ import (
 	"log/slog"
 	"math"
 	"net/http"
+	netpprof "net/http/pprof"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -94,9 +81,10 @@ type IngestQueue interface {
 
 // Server wraps an engine with an HTTP API.
 type Server struct {
-	eng API
-	mux *http.ServeMux
-	now func() time.Time
+	eng    API
+	mux    *http.ServeMux
+	routes []route
+	now    func() time.Time
 
 	// resilience knobs (see middleware.go).
 	maxBody     int64
@@ -115,7 +103,6 @@ type Server struct {
 	metrics     *obs.Registry
 	sm          *serverMetrics
 	accessLog   *slog.Logger
-	slowReq     time.Duration
 	start       time.Time
 	obsInFlight atomic.Int64
 
@@ -148,8 +135,11 @@ func New(eng API, opts ...Option) *Server {
 		s.metrics = obs.NewRegistry()
 	}
 	s.sm = newServerMetrics(s)
+	s.routes = s.routeTable()
+	for _, r := range s.routes {
+		s.mux.HandleFunc(r.pattern, r.handler)
+	}
 	s.initSLO()
-	s.routes()
 	if s.capture != nil {
 		s.wireCaptureSources()
 	}
@@ -171,32 +161,74 @@ func (s *Server) Handler() http.Handler {
 	return h
 }
 
-func (s *Server) routes() {
-	s.mux.HandleFunc("/v1/users", s.post(s.handleAddUser))
-	s.mux.HandleFunc("/v1/follow", s.handleFollow)
-	s.mux.HandleFunc("/v1/checkins", s.post(s.handleCheckIn))
-	s.mux.HandleFunc("/v1/posts", s.post(s.handlePost))
-	s.mux.HandleFunc("/v1/campaigns", s.post(s.handleAddCampaign))
-	s.mux.HandleFunc("/v1/ads", s.post(s.handleAddAd))
-	s.mux.HandleFunc("/v1/ads/", s.handleRemoveAd)
-	s.mux.HandleFunc("/v1/recommendations", s.handleRecommend)
-	s.mux.HandleFunc("/v1/impressions", s.post(s.handleImpression))
-	s.mux.HandleFunc("/v1/stats", s.handleStats)
-	s.mux.HandleFunc("/v1/invariants", s.handleInvariants)
-	s.mux.HandleFunc("/v1/trending", s.handleTrending)
-	s.mux.HandleFunc("/v1/hot", s.handleHot)
-	s.mux.HandleFunc("/v1/healthz", s.handleHealth)
-	s.mux.HandleFunc("/v1/readyz", s.handleReady)
-	s.mux.Handle("/v1/metrics", s.metrics.Handler())
-	s.mux.HandleFunc("/v1/statusz", s.handleStatusz)
-	s.mux.HandleFunc("/v1/traces", s.handleTraces)
-	s.mux.HandleFunc("/v1/traces/", s.handleTraces)
-	s.mux.HandleFunc("/v1/slo", s.handleSLO)
-	s.mux.HandleFunc("/v1/capturez", s.handleCapturez)
-	s.mux.HandleFunc("/v1/capturez/", s.handleCapturez)
-	if s.debugPprof {
-		s.mountDebugPprof()
+// route is one row of the route table: a mux pattern (one ending in a slash
+// serves the subtree below it, and labels it with the bare path), its
+// handler, and whether it is an operator path. Operator paths — health and
+// observability — skip the recovery gate, admission control and the request
+// deadline: they are read exactly when the server is misbehaving, and a
+// capture or a pprof collection legitimately runs for seconds.
+type route struct {
+	pattern  string
+	handler  http.HandlerFunc
+	operator bool
+}
+
+// routeTable is every path the server serves. The mux, the metrics'
+// endpoint label and the operator exemptions all read it, and README.md's
+// endpoint table lists the same paths (TestRouteTableMatchesREADME).
+func (s *Server) routeTable() []route {
+	rs := []route{
+		{"/v1/users", s.post(s.handleAddUser), false},
+		{"/v1/follow", s.handleFollow, false},
+		{"/v1/checkins", s.post(s.handleCheckIn), false},
+		{"/v1/posts", s.post(s.handlePost), false},
+		{"/v1/campaigns", s.post(s.handleAddCampaign), false},
+		{"/v1/ads", s.post(s.handleAddAd), false},
+		{"/v1/ads/", s.handleRemoveAd, false},
+		{"/v1/recommendations", s.handleRecommend, false},
+		{"/v1/impressions", s.post(s.handleImpression), false},
+		{"/v1/stats", s.handleStats, false},
+		{"/v1/trending", s.handleTrending, false},
+		{"/v1/invariants", s.handleInvariants, true},
+		{"/v1/hot", s.handleHot, true},
+		{"/v1/healthz", s.handleHealth, true},
+		{"/v1/readyz", s.handleReady, true},
+		{"/v1/metrics", s.metrics.Handler().ServeHTTP, true},
+		{"/v1/statusz", s.handleStatusz, true},
+		{"/v1/traces", s.handleTraces, true},
+		{"/v1/traces/", s.handleTraces, true},
+		{"/v1/slo", s.handleSLO, true},
+		{"/v1/capturez", s.handleCapturez, true},
+		{"/v1/capturez/", s.handleCapturez, true},
 	}
+	if s.debugPprof {
+		// The index serves the named profiles; these four it does not.
+		rs = append(rs,
+			route{"/debug/pprof/", netpprof.Index, true},
+			route{"/debug/pprof/cmdline", netpprof.Cmdline, true},
+			route{"/debug/pprof/profile", netpprof.Profile, true},
+			route{"/debug/pprof/symbol", netpprof.Symbol, true},
+			route{"/debug/pprof/trace", netpprof.Trace, true})
+	}
+	return rs
+}
+
+// routeOf returns the first route serving path — its pattern is path, or a
+// subtree pattern path lies under — or nil.
+func (s *Server) routeOf(path string) *route {
+	for i := range s.routes {
+		r := &s.routes[i]
+		if path == r.pattern || strings.HasSuffix(r.pattern, "/") && strings.HasPrefix(path, r.pattern) {
+			return r
+		}
+	}
+	return nil
+}
+
+// operatorPath reports whether path is served by an operator route.
+func (s *Server) operatorPath(path string) bool {
+	r := s.routeOf(path)
+	return r != nil && r.operator
 }
 
 // post wraps a handler with a method check.

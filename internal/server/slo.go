@@ -47,7 +47,7 @@ func (s *Server) initSLO() {
 	}
 	t := slo.NewTracker(s.sloCfg, s.metrics)
 	for _, obj := range s.sloObjs {
-		ep := endpointLabel(obj.Endpoint)
+		ep := s.endpointLabel(obj.Endpoint)
 		var (
 			src slo.Source
 			eff float64

@@ -73,10 +73,6 @@ type Config struct {
 	// hotkeys.json — so an SLO-trip bundle names the hot user / poster /
 	// campaign behind the anomaly, not just its latency shape.
 	HotkeysJSON func() ([]byte, error)
-	// EnableContentionProfiling turns on the runtime's mutex and block
-	// samplers at recorder construction, so mutex.pprof and block.pprof
-	// carry data. Modest fixed rates (mutex 1/16 events, block >=1ms).
-	EnableContentionProfiling bool
 	// Now is the clock; tests substitute a fake for deterministic names.
 	Now func() time.Time
 }
@@ -144,10 +140,10 @@ func NewRecorder(cfg Config) (*Recorder, error) {
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("capture: %w", err)
 	}
-	if cfg.EnableContentionProfiling {
-		runtime.SetMutexProfileFraction(16)
-		runtime.SetBlockProfileRate(int(time.Millisecond)) // sample blocks >= ~1ms
-	}
+	// The runtime's mutex and block samplers, at modest fixed rates (mutex
+	// 1/16 events, blocks >= ~1ms), so mutex.pprof and block.pprof carry data.
+	runtime.SetMutexProfileFraction(16)
+	runtime.SetBlockProfileRate(int(time.Millisecond))
 	r := &Recorder{cfg: cfg, start: cfg.Now()}
 	if reg := cfg.Metrics; reg != nil {
 		r.bundles = reg.CounterVec("caar_capture_bundles_total",

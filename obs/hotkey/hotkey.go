@@ -63,19 +63,21 @@ func Valid(d Dimension) bool {
 // back to the numeric key.
 type Resolver func(key uint64) string
 
+// The sketches' shape: K results per dimension, and each sub-window's
+// count-min sketch sized by epsilon/delta (width 544 × depth 5, ~21 KiB);
+// subWindows ring'd sub-windows make up the sliding window.
+const (
+	capacityK  = 32
+	epsilon    = 0.005
+	delta      = 0.01
+	subWindows = 6
+)
+
 // Config sizes the tracker. Zero values take defaults.
 type Config struct {
-	// K is the per-dimension result capacity (default 32).
-	K int
-	// Epsilon/Delta size each sub-window's count-min sketch
-	// (default 0.005 / 0.01 → width 544 × depth 5, ~21 KiB per
-	// sub-window).
-	Epsilon float64
-	Delta   float64
 	// Window is the sliding-window length (default 1m), split into
-	// SubWindows ring'd sub-windows (default 6).
-	Window     time.Duration
-	SubWindows int
+	// subWindows ring'd sub-windows.
+	Window time.Duration
 	// QueueCapacity bounds each dimension's record ring (default 16384,
 	// rounded up to a power of two).
 	QueueCapacity int
@@ -146,20 +148,8 @@ type Tracker struct {
 
 // New builds a tracker from cfg.
 func New(cfg Config) (*Tracker, error) {
-	if cfg.K <= 0 {
-		cfg.K = 32
-	}
-	if cfg.Epsilon == 0 {
-		cfg.Epsilon = 0.005
-	}
-	if cfg.Delta == 0 {
-		cfg.Delta = 0.01
-	}
 	if cfg.Window <= 0 {
 		cfg.Window = time.Minute
-	}
-	if cfg.SubWindows <= 0 {
-		cfg.SubWindows = 6
 	}
 	if cfg.QueueCapacity <= 0 {
 		cfg.QueueCapacity = 1 << 14
@@ -167,9 +157,9 @@ func New(cfg Config) (*Tracker, error) {
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
-	span := cfg.Window / time.Duration(cfg.SubWindows)
+	span := cfg.Window / subWindows
 	if span <= 0 {
-		return nil, fmt.Errorf("hotkey: window %v too short for %d sub-windows", cfg.Window, cfg.SubWindows)
+		return nil, fmt.Errorf("hotkey: window %v too short for %d sub-windows", cfg.Window, subWindows)
 	}
 
 	var eventsV, dropsV *obs.CounterVec
@@ -184,7 +174,7 @@ func New(cfg Config) (*Tracker, error) {
 
 	t := &Tracker{now: cfg.Now}
 	for i, name := range Dimensions() {
-		win, err := sketch.NewWindowed(cfg.K, cfg.Epsilon, cfg.Delta, span, cfg.SubWindows)
+		win, err := sketch.NewWindowed(capacityK, epsilon, delta, span, subWindows)
 		if err != nil {
 			return nil, err
 		}

@@ -98,7 +98,7 @@ func TestTrackerStringKeysAndResolver(t *testing.T) {
 
 func TestTrackerWindowDecay(t *testing.T) {
 	clock, advance := testClock(time.Unix(10000, 0))
-	tr, err := New(Config{Window: 6 * time.Second, SubWindows: 6, Now: clock})
+	tr, err := New(Config{Window: 6 * time.Second, Now: clock})
 	if err != nil {
 		t.Fatal(err)
 	}

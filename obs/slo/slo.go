@@ -49,6 +49,7 @@ package slo
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -543,8 +544,8 @@ func ParseObjectives(spec string) ([]Objective, error) {
 			return nil, fmt.Errorf("slo: bad objective %q (want endpoint:threshold:target or endpoint:errors:target)", field)
 		}
 		endpoint, kindOrDur, targetStr := parts[0], parts[1], parts[2]
-		var target float64
-		if _, err := fmt.Sscanf(targetStr, "%g", &target); err != nil {
+		target, err := strconv.ParseFloat(targetStr, 64)
+		if err != nil {
 			return nil, fmt.Errorf("slo: bad target in %q: %v", field, err)
 		}
 		obj := Objective{Endpoint: endpoint, Target: target}

@@ -269,6 +269,9 @@ func TestParseObjectives(t *testing.T) {
 		"/v1/posts:250ms:1.5",                       // target out of range
 		"/v1/posts:nonsense:0.99",                   // unparseable threshold
 		"/v1/posts:250ms:0.99,/v1/posts:250ms:0.99", // duplicate
+		"/v1/posts:250ms:0.99x",                     // trailing garbage
+		"/v1/posts:250ms:0.99.5",                    // two decimal points
+		"/v1/posts:250ms:9e-1junk",                  // garbage after an exponent
 	} {
 		if _, err := ParseObjectives(bad); err == nil {
 			t.Errorf("ParseObjectives(%q) accepted", bad)

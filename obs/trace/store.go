@@ -72,7 +72,7 @@ func NewStore(cfg Config) *Store {
 	case cfg.SampleRate <= 0:
 		period = 0 // head sampling off
 	default:
-		period = uint64(math.Round(1 / cfg.SampleRate))
+		period = uint64(math.Ceil(1 / cfg.SampleRate))
 	}
 	return &Store{
 		capacity: capacity,

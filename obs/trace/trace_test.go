@@ -109,6 +109,20 @@ func TestHeadSamplingRate(t *testing.T) {
 		t.Errorf("rate 0.25 admitted %d of 40, want 10", admitted)
 	}
 
+	// The period is ⌈1/rate⌉, never rounded down: 0.7 keeps every 2nd
+	// request (not every one), 0.3 every 4th (not every 3rd).
+	for _, c := range []struct {
+		rate   float64
+		period int
+	}{{0.7, 2}, {0.3, 4}, {0.01, 100}} {
+		s := NewStore(Config{Capacity: 4, SampleRate: c.rate})
+		for i := 0; i < 3*c.period; i++ {
+			if got, want := s.SampleNext(), i%c.period == 0; got != want {
+				t.Fatalf("rate %g, request %d: admitted %v, want a sampling period of %d", c.rate, i, got, c.period)
+			}
+		}
+	}
+
 	always := NewStore(Config{Capacity: 4, SampleRate: 1})
 	for i := 0; i < 5; i++ {
 		if !always.SampleNext() {
