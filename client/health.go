@@ -108,11 +108,6 @@ func (c *Client) MetricsText(ctx context.Context) (string, error) {
 	return c.rawText(ctx, "/v1/metrics")
 }
 
-// Statusz fetches the human-readable status page (GET /v1/statusz).
-func (c *Client) Statusz(ctx context.Context) (string, error) {
-	return c.rawText(ctx, "/v1/statusz")
-}
-
 // rawGet issues a plain GET without the retry/breaker machinery — the
 // observability endpoints are for probes and operators, where a stale error
 // is more useful than a retried success.

@@ -26,7 +26,6 @@
 //	health
 //	ready
 //	invariants
-//	statusz
 //	metrics
 //	slo [-refresh]
 //	capture now
@@ -393,13 +392,6 @@ func run(ctx context.Context, c *client.Client, cmd string, args []string, now t
 		for _, cs := range rep.Campaigns {
 			fmt.Printf("campaign %-16s spent %.4f / budget %.4f\n", cs.Name, cs.Spent, cs.Budget)
 		}
-		return nil
-	case "statusz":
-		text, err := c.Statusz(ctx)
-		if err != nil {
-			return err
-		}
-		fmt.Print(text)
 		return nil
 	case "metrics":
 		text, err := c.MetricsText(ctx)

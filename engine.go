@@ -763,7 +763,7 @@ func (e *Engine) recommend(user string, k int, at time.Time, policy ServingPolic
 
 	fetch := k
 	if policy.enabled() {
-		fetch = k * min(policy.overfetch(), MaxK) // cannot overflow
+		fetch = k * overfetch
 	}
 	sh := e.shardOf(uid)
 	sh.mu.Lock() //caarlint:allow readpathlock per-shard core lock is the designed serialization point
@@ -800,7 +800,6 @@ func (e *Engine) recommend(user string, k int, at time.Time, policy ServingPolic
 
 	elapsed := time.Since(start)
 	e.obsm.recommendSeconds.ObserveDuration(elapsed)
-	e.obsm.recommends.Inc()
 	return out, e.finishTrace(tr, elapsed, nil), nil
 }
 

@@ -51,7 +51,6 @@ type engineMetrics struct {
 	stages [numStages]stage
 
 	recommendSeconds *obs.Histogram
-	recommends       *obs.Counter
 	recommendErrors  *obs.Counter
 	continuousErrors *obs.Counter
 	lockWaitSeconds  *obs.Histogram
@@ -75,9 +74,7 @@ type engineMetrics struct {
 func newEngineMetrics(reg *obs.Registry, e *Engine) *engineMetrics {
 	m := &engineMetrics{
 		recommendSeconds: reg.Histogram("caar_engine_recommend_seconds",
-			"End-to-end engine recommend latency.", stageBuckets),
-		recommends: reg.Counter("caar_engine_recommends_total",
-			"Completed recommend queries."),
+			"End-to-end engine recommend latency; its _count is the number of completed recommend queries.", stageBuckets),
 		recommendErrors: reg.Counter("caar_engine_recommend_errors_total",
 			"Recommend queries rejected with an error."),
 		continuousErrors: reg.Counter("caar_engine_continuous_errors_total",

@@ -52,9 +52,6 @@ func TestRecommendTouchesEveryStage(t *testing.T) {
 	if !strings.Contains(body, "caar_engine_recommend_seconds_count 1") {
 		t.Error("total recommend latency not recorded")
 	}
-	if !strings.Contains(body, "caar_engine_recommends_total 1") {
-		t.Error("recommend counter not incremented")
-	}
 	// Post and AddAd both vectorize text.
 	if !strings.Contains(body, "caar_engine_vectorize_seconds_count 2") {
 		t.Error("vectorization latency not recorded for post + ad")

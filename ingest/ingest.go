@@ -261,7 +261,6 @@ func (p *Pipeline) commit(batch []*item) {
 	start := time.Now()
 	err := p.jw.AppendBatch(entries)
 	p.m.commitSeconds.ObserveDuration(time.Since(start))
-	p.m.batches.Inc()
 	p.m.lastBatch.Set(float64(len(batch)))
 	if err != nil {
 		for _, it := range batch {

@@ -423,7 +423,7 @@ func TestRecommendMatchesRSThroughIngest(t *testing.T) {
 	p := New(capEng, &countingJournal{w: journal.NewWriter(io.Discard)}, nil, Config{MaxBatch: 16})
 	defer p.Close()
 	applied := func() uint64 { st := capEng.Stats(); return st.PostsDelivered + st.CheckIns }
-	policy := caar.ServingPolicy{FrequencyCap: 1, FrequencyWindow: time.Hour, OverfetchFactor: 4}
+	policy := caar.ServingPolicy{FrequencyCap: 1, FrequencyWindow: time.Hour}
 	same := func(step int, what string, got, want []caar.Recommendation) {
 		t.Helper()
 		if len(got) != len(want) {

@@ -10,7 +10,6 @@ var ackBuckets = obs.ExpBuckets(50e-6, 2, 18) // 50 µs .. ~6.5 s
 type metrics struct {
 	accepted      *obs.Counter
 	rejected      *obs.Counter
-	batches       *obs.Counter
 	applied       *obs.Counter
 	applyErrors   *obs.Counter
 	ackSeconds    *obs.Histogram
@@ -28,8 +27,6 @@ func newMetrics(reg *obs.Registry, depth func() float64) *metrics {
 			"Writes accepted into the ingest ring."),
 		rejected: reg.Counter("caar_ingest_rejected_total",
 			"Writes rejected because the ingest ring was full (served as 429)."),
-		batches: reg.Counter("caar_ingest_batches_total",
-			"Group commits issued by the ingest committer (one fsync each, policy permitting)."),
 		applied: reg.Counter("caar_ingest_applied_total",
 			"Committed writes applied to the engine by the fan-out applier."),
 		applyErrors: reg.Counter("caar_ingest_apply_errors_total",
@@ -37,8 +34,8 @@ func newMetrics(reg *obs.Registry, depth func() float64) *metrics {
 		ackSeconds: reg.Histogram("caar_ingest_ack_seconds",
 			"Latency from ring accept to durable acknowledgement (the group-commit wait).", ackBuckets),
 		commitSeconds: reg.Histogram("caar_ingest_commit_seconds",
-			"Latency of one group commit: batch journal append plus its single fsync.", ackBuckets),
+			"Latency of one group commit: batch journal append plus its single fsync (policy permitting); its _count is the number of group commits.", ackBuckets),
 		lastBatch: reg.Gauge("caar_ingest_last_batch_entries",
-			"Size of the most recent group commit; with caar_ingest_batches_total and caar_ingest_accepted_total it gives the mean batch size."),
+			"Size of the most recent group commit; caar_ingest_accepted_total over caar_ingest_commit_seconds_count gives the mean batch size."),
 	}
 }

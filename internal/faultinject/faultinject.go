@@ -200,10 +200,9 @@ func (d *DownTransport) RoundTrip(*http.Request) (*http.Response, error) {
 // Attempts reports refused requests so far.
 func (d *DownTransport) Attempts() int64 { return d.attempts.Load() }
 
-// Script sequences fault windows over a shared writer: Open marks the
-// writer healthy, Fail makes subsequent writes fail. It lets one test
-// drive a journal through healthy → torn → recovered phases without
-// re-plumbing writers.
+// Script fails a shared writer on cue: it starts healthy, and Fail makes
+// every later write fail. It lets one test drive a journal from healthy to
+// failing without re-plumbing writers.
 type Script struct {
 	mu      sync.Mutex
 	w       io.Writer
@@ -220,13 +219,6 @@ func (s *Script) Fail(err error) {
 	defer s.mu.Unlock()
 	s.failing = true
 	s.err = err
-}
-
-// Heal makes subsequent writes succeed again.
-func (s *Script) Heal() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.failing = false
 }
 
 // Write implements io.Writer.

@@ -95,7 +95,7 @@ func TestDownTransport(t *testing.T) {
 	}
 }
 
-func TestScriptFailHeal(t *testing.T) {
+func TestScriptFail(t *testing.T) {
 	var buf bytes.Buffer
 	s := NewScript(&buf)
 	if _, err := s.Write([]byte("ok")); err != nil {
@@ -105,11 +105,7 @@ func TestScriptFailHeal(t *testing.T) {
 	if _, err := s.Write([]byte("dropped")); !errors.Is(err, ErrInjected) {
 		t.Fatalf("failing write error = %v", err)
 	}
-	s.Heal()
-	if _, err := s.Write([]byte("back")); err != nil {
-		t.Fatal(err)
-	}
-	if buf.String() != "okback" {
+	if buf.String() != "ok" {
 		t.Fatalf("buffer = %q", buf.String())
 	}
 }

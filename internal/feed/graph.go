@@ -14,7 +14,6 @@ type Graph struct {
 	mu        sync.RWMutex
 	followers map[UserID][]UserID        // poster → ordered followers; never written below its len (see Followers)
 	edgeSet   map[UserID]map[UserID]bool // poster → follower set (dedup)
-	followees map[UserID]int             // follower → followee count
 	users     map[UserID]bool
 	edges     int
 }
@@ -24,7 +23,6 @@ func NewGraph() *Graph {
 	return &Graph{
 		followers: make(map[UserID][]UserID),
 		edgeSet:   make(map[UserID]map[UserID]bool),
-		followees: make(map[UserID]int),
 		users:     make(map[UserID]bool),
 	}
 }
@@ -34,13 +32,6 @@ func (g *Graph) AddUser(u UserID) {
 	g.mu.Lock()
 	g.users[u] = true
 	g.mu.Unlock()
-}
-
-// HasUser reports whether u is registered.
-func (g *Graph) HasUser(u UserID) bool {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return g.users[u]
 }
 
 // Follow records that follower follows poster. Both users are registered as a
@@ -63,7 +54,6 @@ func (g *Graph) Follow(follower, poster UserID) error {
 	}
 	set[follower] = true
 	g.followers[poster] = append(g.followers[poster], follower)
-	g.followees[follower]++
 	g.edges++
 	return nil
 }
@@ -82,7 +72,6 @@ func (g *Graph) Unfollow(follower, poster UserID) error {
 	list := g.followers[poster]
 	i := slices.Index(list, follower)
 	g.followers[poster] = slices.Concat(list[:i], list[i+1:])
-	g.followees[follower]--
 	g.edges--
 	return nil
 }
@@ -103,13 +92,6 @@ func (g *Graph) FollowerCount(poster UserID) int {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 	return len(g.followers[poster])
-}
-
-// FolloweeCount returns how many users this follower follows.
-func (g *Graph) FolloweeCount(follower UserID) int {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return g.followees[follower]
 }
 
 // Users returns the number of registered users.

@@ -16,9 +16,9 @@ const rebuildInterval = 256
 type Entry struct {
 	Msg Message
 	// wRef is the message's decay weight at the window's reference time. A
-	// resident entry (Entries) stores it divided by the window's scale, for
-	// EntryWeight to read; an evicted entry (Push) carries the true weight at
-	// the reference time it left under.
+	// resident entry (Entries) stores it divided by the window's scale; an
+	// evicted entry (Push) carries the true weight at the reference time it
+	// left under.
 	wRef float64
 }
 
@@ -98,8 +98,7 @@ func (w *Window) Push(m Message) (evicted Entry, ok bool) {
 
 // popOldest removes the oldest entry, subtracting its aggregate contribution,
 // and returns it at its true weight. A term whose true weight returns to
-// (numerically) zero — SubScaled's test, times the scale — leaves the
-// aggregate so stale terms do not accumulate.
+// (numerically) zero leaves the aggregate so stale terms do not accumulate.
 func (w *Window) popOldest() (Entry, bool) {
 	if len(w.items) == 0 {
 		return Entry{}, false
@@ -190,9 +189,3 @@ func (w *Window) ContextRef(q time.Time) (vec textproc.SparseVector, factor floa
 // Entries returns the resident entries oldest-first. The slice is shared;
 // callers must not mutate it.
 func (w *Window) Entries() []Entry { return w.items }
-
-// EntryWeight returns the decay weight of resident entry e at query time q.
-func (w *Window) EntryWeight(e Entry, q time.Time) float64 {
-	_, factor := w.ContextRef(q)
-	return e.wRef * factor
-}

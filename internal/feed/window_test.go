@@ -101,13 +101,15 @@ func TestWindowContextRefConsistent(t *testing.T) {
 	}
 }
 
+// TestWindowEntryWeight: a resident entry's stored weight, times the factor
+// ContextRef returns, is its decay weight at the query time.
 func TestWindowEntryWeight(t *testing.T) {
 	hl := time.Hour
 	w := NewWindow(5, timeslot.NewDecay(hl))
 	w.Push(msg(1, 1, t0, map[textproc.TermID]float64{1: 1}))
-	e := w.Entries()[0]
-	if got := w.EntryWeight(e, t0.Add(hl)); math.Abs(got-0.5) > 1e-9 {
-		t.Fatalf("EntryWeight = %v, want 0.5", got)
+	_, factor := w.ContextRef(t0.Add(hl))
+	if got := w.Entries()[0].wRef * factor; math.Abs(got-0.5) > 1e-9 {
+		t.Fatalf("entry weight = %v, want 0.5", got)
 	}
 }
 
@@ -230,16 +232,16 @@ func TestWindowScaledAggregateMatchesBruteForce(t *testing.T) {
 		}
 
 		q := w.Ref().Add(time.Duration(rng.Intn(120)) * time.Second)
+		got := w.Context(q)
+		raw, factor := w.ContextRef(q)
 		want := textproc.SparseVector{}
 		for _, e := range w.Entries() {
 			weight := decay.Between(e.Msg.Time, q)
 			want.AddScaled(e.Msg.Vec, weight)
-			if got := w.EntryWeight(e, q); !near(got, weight) {
+			if got := e.wRef * factor; !near(got, weight) {
 				t.Fatalf("push %d: message %d weighs %v at the query time, want %v", i, e.Msg.ID, got, weight)
 			}
 		}
-		got := w.Context(q)
-		raw, factor := w.ContextRef(q)
 		for id := textproc.TermID(0); id < 40; id++ {
 			if !near(got[id], want[id]) || !near(raw[id]*factor, want[id]) {
 				t.Fatalf("push %d term %d: Context %v, ContextRef %v, direct sum %v (scale %v)",

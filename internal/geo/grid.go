@@ -72,18 +72,6 @@ func (g *Grid) CellOf(p Point) CellID {
 	return CellID(row*g.cols + col)
 }
 
-// CellRect returns the rectangle of the given cell.
-func (g *Grid) CellRect(id CellID) Rect {
-	row := int(id) / g.cols
-	col := int(id) % g.cols
-	return Rect{
-		MinLat: g.cover.MinLat + float64(row)*g.cellH,
-		MinLng: g.cover.MinLng + float64(col)*g.cellW,
-		MaxLat: g.cover.MinLat + float64(row+1)*g.cellH,
-		MaxLng: g.cover.MinLng + float64(col+1)*g.cellW,
-	}
-}
-
 // CellsIntersecting returns the IDs of all cells overlapping r, clipped to the
 // coverage rectangle. The result is empty when r misses the coverage entirely.
 func (g *Grid) CellsIntersecting(r Rect) []CellID {
@@ -168,17 +156,6 @@ func (g *Grid) ItemsAt(p Point) []int64 {
 		return nil
 	}
 	return g.cells[id]
-}
-
-// ContainsItemAt reports whether item is registered in the cell containing p.
-// It is the eligibility probe of the scoring path: one binary search.
-func (g *Grid) ContainsItemAt(item int64, p Point) bool {
-	id := g.CellOf(p)
-	if id == InvalidCell {
-		return false
-	}
-	_, ok := slices.BinarySearch(g.cells[id], item)
-	return ok
 }
 
 // Len returns the number of registered items.

@@ -1,6 +1,6 @@
 // Package geo provides the spatial substrate for context-aware ad targeting:
-// geographic points, great-circle distance, bounding boxes, a uniform grid
-// index and a PR quadtree. All coordinates are WGS-84 degrees.
+// geographic points, great-circle distance, bounding boxes and a uniform grid
+// index. All coordinates are WGS-84 degrees.
 package geo
 
 import (
@@ -75,11 +75,6 @@ func NewRect(a, b Point) Rect {
 	}
 }
 
-// WorldRect covers the full coordinate domain.
-func WorldRect() Rect {
-	return Rect{MinLat: -90, MinLng: -180, MaxLat: 90, MaxLng: 180}
-}
-
 // Contains reports whether p lies inside r (inclusive bounds).
 func (r Rect) Contains(p Point) bool {
 	return p.Lat >= r.MinLat && p.Lat <= r.MaxLat &&
@@ -90,11 +85,6 @@ func (r Rect) Contains(p Point) bool {
 func (r Rect) Intersects(s Rect) bool {
 	return r.MinLat <= s.MaxLat && s.MinLat <= r.MaxLat &&
 		r.MinLng <= s.MaxLng && s.MinLng <= r.MaxLng
-}
-
-// Center returns the midpoint of r.
-func (r Rect) Center() Point {
-	return Point{Lat: (r.MinLat + r.MaxLat) / 2, Lng: (r.MinLng + r.MaxLng) / 2}
 }
 
 // Valid reports whether r has non-negative extent and legal coordinates.

@@ -126,7 +126,7 @@ func TestRectContainsAndIntersects(t *testing.T) {
 }
 
 func TestRectValid(t *testing.T) {
-	if !WorldRect().Valid() {
+	if !worldRect.Valid() {
 		t.Error("world rect should be valid")
 	}
 	if (Rect{MinLat: 5, MaxLat: 1, MinLng: 0, MaxLng: 1}).Valid() {

@@ -15,7 +15,6 @@ type GeoAds struct {
 	grid   *geo.Grid
 	global []adstore.AdID // bid-descending
 	bids   map[adstore.AdID]float64
-	epoch  uint64 // bumped on every mutation; invalidates external caches
 }
 
 // NewGeoAds creates the index over the given coverage rectangle with a
@@ -28,14 +27,9 @@ func NewGeoAds(cover geo.Rect, rows, cols int) (*GeoAds, error) {
 	return &GeoAds{grid: grid, bids: make(map[adstore.AdID]float64)}, nil
 }
 
-// Epoch returns a counter that changes whenever the indexed ad set changes,
-// so per-cell result caches can detect staleness.
-func (g *GeoAds) Epoch() uint64 { return g.epoch }
-
 // Add registers an ad. Global ads go to the bid-sorted global list;
 // geo-targeted ads go to the grid.
 func (g *GeoAds) Add(a *adstore.Ad) {
-	g.epoch++
 	g.bids[a.ID] = a.Bid
 	if a.Global {
 		pos := sort.Search(len(g.global), func(i int) bool {
@@ -58,7 +52,6 @@ func (g *GeoAds) Remove(id adstore.AdID) {
 	if _, ok := g.bids[id]; !ok {
 		return
 	}
-	g.epoch++
 	delete(g.bids, id)
 	g.grid.Remove(int64(id))
 	for i, gid := range g.global {

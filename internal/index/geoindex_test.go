@@ -83,32 +83,15 @@ func TestGeoAdsRemove(t *testing.T) {
 	g := newGeoAds(t)
 	g.Add(geoAd(1, 5, 5, 10, 0.5))
 	g.Add(globalAd(2, 0.7))
-	e0 := g.Epoch()
 	g.Remove(1)
 	g.Remove(2)
-	if g.Epoch() == e0 {
-		t.Fatal("epoch did not advance on removal")
-	}
 	if got := g.LocalCandidates(geo.Point{Lat: 5, Lng: 5}); len(got) != 0 {
 		t.Fatalf("removed geo ad still indexed: %v", got)
 	}
 	if got := g.GlobalByBid(); len(got) != 0 {
 		t.Fatalf("removed global ad still listed: %v", got)
 	}
-	e1 := g.Epoch()
-	g.Remove(99) // unknown: no-op, epoch unchanged
-	if g.Epoch() != e1 {
-		t.Fatal("no-op removal advanced epoch")
-	}
-}
-
-func TestGeoAdsEpochAdvancesOnAdd(t *testing.T) {
-	g := newGeoAds(t)
-	e0 := g.Epoch()
-	g.Add(globalAd(1, 0.5))
-	if g.Epoch() == e0 {
-		t.Fatal("epoch did not advance on add")
-	}
+	g.Remove(99) // unknown: no-op
 }
 
 func TestGeoAdsNoFalseNegatives(t *testing.T) {

@@ -154,9 +154,3 @@ func (ix *Inverted) DeltaList(vec textproc.SparseVector) []Delta {
 	slices.SortFunc(out, func(x, y Delta) int { return cmp.Compare(x.Ad, y.Ad) })
 	return slices.Clone(out)
 }
-
-// ListLen returns the posting-list length of a term (0 when absent), used by
-// workload diagnostics.
-func (ix *Inverted) ListLen(term textproc.TermID) int {
-	return len(ix.lists[term])
-}

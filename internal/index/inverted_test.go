@@ -25,14 +25,14 @@ func TestInvertedAddRemove(t *testing.T) {
 	if ix.Len() != 2 || ix.Postings() != 3 {
 		t.Fatalf("Len=%d Postings=%d", ix.Len(), ix.Postings())
 	}
-	if ix.ListLen(20) != 2 || ix.ListLen(10) != 1 || ix.ListLen(99) != 0 {
+	if len(ix.lists[20]) != 2 || len(ix.lists[10]) != 1 || len(ix.lists[99]) != 0 {
 		t.Fatal("list lengths wrong")
 	}
 	ix.Remove(1)
 	if ix.Len() != 1 || ix.Postings() != 1 {
 		t.Fatalf("after remove: Len=%d Postings=%d", ix.Len(), ix.Postings())
 	}
-	if ix.ListLen(10) != 0 {
+	if len(ix.lists[10]) != 0 {
 		t.Fatal("term 10 list should be gone")
 	}
 	ix.Remove(1) // no-op

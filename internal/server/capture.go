@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"net/http"
@@ -54,43 +53,12 @@ func (s *Server) captureTraceJSON() ([]byte, error) {
 	return json.Marshal(map[string]any{"traces": sums})
 }
 
-// wireCaptureSources points the recorder's trace-tail, statusz, and hot-key
+// wireCaptureSources points the recorder's trace-tail, health, and hot-key
 // sources at this server (New calls it when WithCapture was used), so bundles
 // carry the same views an operator would have fetched by hand.
 func (s *Server) wireCaptureSources() {
-	s.capture.SetSources(s.captureTraceJSON, s.captureStatuszText, s.captureHotkeysJSON)
-}
-
-// captureStatuszText renders the statusz page into memory for bundle
-// inclusion.
-func (s *Server) captureStatuszText() ([]byte, error) {
-	req, err := http.NewRequest(http.MethodGet, "/v1/statusz", nil)
-	if err != nil {
-		return nil, err
-	}
-	w := &memResponseWriter{header: make(http.Header)}
-	s.handleStatusz(w, req)
-	return w.buf.Bytes(), nil
-}
-
-// memResponseWriter collects a handler's output in memory.
-type memResponseWriter struct {
-	header http.Header
-	buf    bytes.Buffer
-	code   int
-}
-
-func (w *memResponseWriter) Header() http.Header { return w.header }
-func (w *memResponseWriter) WriteHeader(code int) {
-	if w.code == 0 {
-		w.code = code
-	}
-}
-func (w *memResponseWriter) Write(p []byte) (int, error) {
-	if w.code == 0 {
-		w.code = http.StatusOK
-	}
-	return w.buf.Write(p)
+	health := func() ([]byte, error) { return json.Marshal(s.Health()) }
+	s.capture.SetSources(s.captureTraceJSON, health, s.captureHotkeysJSON)
 }
 
 func (s *Server) handleCapturez(w http.ResponseWriter, r *http.Request) {

@@ -217,8 +217,7 @@ func TestChaosOverloadShedsAndDrains(t *testing.T) {
 	}
 	const maxInFlight = 4
 	srv := New(&delayAPI{API: eng, delay: 5 * time.Millisecond},
-		WithMaxInFlight(maxInFlight),
-		WithRetryAfter(time.Second))
+		WithMaxInFlight(maxInFlight))
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 

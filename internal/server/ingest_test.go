@@ -75,7 +75,7 @@ func TestIngestRouting(t *testing.T) {
 // TestIngestQueueFullMaps429: ErrQueueFull is backpressure, not a client
 // error — 429 with a Retry-After hint, same shape as admission control.
 func TestIngestQueueFullMaps429(t *testing.T) {
-	srv := New(testEngine(t), WithIngest(&fakeQueue{err: ingest.ErrQueueFull}), WithRetryAfter(2*time.Second))
+	srv := New(testEngine(t), WithIngest(&fakeQueue{err: ingest.ErrQueueFull}))
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -88,8 +88,8 @@ func TestIngestQueueFullMaps429(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("full ring: %d, want 429", resp.StatusCode)
 	}
-	if got := resp.Header.Get("Retry-After"); got != "2" {
-		t.Fatalf("Retry-After = %q, want \"2\"", got)
+	if got := resp.Header.Get("Retry-After"); got != "1" {
+		t.Fatalf("Retry-After = %q, want \"1\"", got)
 	}
 }
 

@@ -3,10 +3,8 @@ package server
 import (
 	"encoding/json"
 	"log"
-	"math"
 	"net/http"
 	"runtime/debug"
-	"strconv"
 	"time"
 )
 
@@ -23,6 +21,10 @@ import (
 // DefaultMaxBodyBytes caps request bodies when Options.MaxBodyBytes is 0.
 const DefaultMaxBodyBytes = 1 << 20
 
+// retryAfter is the Retry-After hint, in seconds, on every shed (429) and
+// recovering (503) response.
+const retryAfter = "1"
+
 // Option configures a Server.
 type Option func(*Server)
 
@@ -38,10 +40,6 @@ func WithRequestTimeout(d time.Duration) Option { return func(s *Server) { s.req
 // server sheds load with 429 + Retry-After instead of queueing without
 // bound.
 func WithMaxInFlight(n int) Option { return func(s *Server) { s.maxInFlight = n } }
-
-// WithRetryAfter sets the Retry-After hint attached to shed (429)
-// responses. Default 1s.
-func WithRetryAfter(d time.Duration) Option { return func(s *Server) { s.retryAfter = d } }
 
 // WithIngest routes posts and check-ins through the batched asynchronous
 // ingest pipeline: the handler blocks until the write's group commit is
@@ -131,7 +129,7 @@ func (s *Server) withRecoveryGate(next http.Handler) http.Handler {
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if !s.recovery.Done() && !s.operatorPath(r.URL.Path) {
-			w.Header().Set("Retry-After", "1")
+			w.Header().Set("Retry-After", retryAfter)
 			msg := "server recovering"
 			if probs := s.recovery.Problems(); len(probs) > 0 {
 				msg = "server recovering: " + probs[0]
@@ -159,11 +157,7 @@ func (s *Server) withAdmission(next http.Handler) http.Handler {
 		if s.inFlight.Add(1) > int64(s.maxInFlight) {
 			s.inFlight.Add(-1)
 			s.shed.Add(1)
-			retry := s.retryAfter
-			if retry <= 0 {
-				retry = time.Second
-			}
-			w.Header().Set("Retry-After", strconv.FormatInt(int64(math.Ceil(retry.Seconds())), 10))
+			w.Header().Set("Retry-After", retryAfter)
 			httpError(w, http.StatusTooManyRequests, "server overloaded, retry later")
 			return
 		}

@@ -85,7 +85,7 @@ func TestPanicRecovery(t *testing.T) {
 func TestAdmissionControlSheds(t *testing.T) {
 	gate := make(chan struct{})
 	api := &slowAPI{API: testEngine(t), gate: gate}
-	srv := New(api, WithMaxInFlight(2), WithRetryAfter(3*time.Second))
+	srv := New(api, WithMaxInFlight(2))
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -124,8 +124,8 @@ func TestAdmissionControlSheds(t *testing.T) {
 		t.Fatalf("overflow request: status %d (%s), want 429", resp.StatusCode, body)
 	}
 	ra, err := strconv.Atoi(resp.Header.Get("Retry-After"))
-	if err != nil || ra != 3 {
-		t.Fatalf("Retry-After = %q, want 3", resp.Header.Get("Retry-After"))
+	if err != nil || ra != 1 {
+		t.Fatalf("Retry-After = %q, want 1", resp.Header.Get("Retry-After"))
 	}
 
 	// Health stays reachable while saturated.

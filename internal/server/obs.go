@@ -5,10 +5,8 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
-	"fmt"
 	"log/slog"
 	"net/http"
-	"runtime"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -301,60 +299,6 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusServiceUnavailable)
 	writeJSON(w, map[string]any{"status": "degraded", "reasons": problems})
-}
-
-// handleStatusz renders a human-readable operational summary — the page an
-// operator opens before reaching for the metrics.
-func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-
-	fmt.Fprintf(w, "caar adserver status\n====================\n\n")
-	b := obs.Build()
-	ver, rev := b.Version, b.ShortRev()
-	if ver == "" {
-		ver = "unknown"
-	}
-	if rev == "" {
-		rev = "unknown"
-	}
-	dirty := ""
-	if b.VCSDirty {
-		dirty = " (dirty)"
-	}
-	fmt.Fprintf(w, "build:         %s %s  rev %s%s\n", b.Module, ver, rev, dirty)
-	fmt.Fprintf(w, "uptime:        %s\n", time.Since(s.start).Round(time.Second))
-	fmt.Fprintf(w, "go:            %s  (%d goroutines, GOMAXPROCS %d)\n",
-		runtime.Version(), runtime.NumGoroutine(), runtime.GOMAXPROCS(0))
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	fmt.Fprintf(w, "heap:          %.1f MiB in use, %.1f MiB sys\n\n",
-		float64(ms.HeapInuse)/(1<<20), float64(ms.Sys)/(1<<20))
-
-	h := s.Health()
-	fmt.Fprintf(w, "health:        %s\n", h.Status)
-	for _, p := range h.Problems {
-		fmt.Fprintf(w, "  problem:     %s\n", p)
-	}
-	fmt.Fprintf(w, "in flight:     %d\n", h.InFlight)
-	fmt.Fprintf(w, "shed total:    %d\n", h.Shed)
-	fmt.Fprintf(w, "panics total:  %d\n\n", h.Panics)
-
-	st := s.eng.Stats()
-	fmt.Fprintf(w, "engine\n------\n")
-	fmt.Fprintf(w, "users:                    %d\n", st.Users)
-	fmt.Fprintf(w, "ads:                      %d\n", st.Ads)
-	fmt.Fprintf(w, "follow edges:             %d\n", st.FollowEdges)
-	fmt.Fprintf(w, "posts delivered:          %d\n", st.PostsDelivered)
-	fmt.Fprintf(w, "check-ins:                %d\n", st.CheckIns)
-	fmt.Fprintf(w, "shards:                   %d\n", st.Shards)
-	fmt.Fprintf(w, "candidate buffer entries: %d\n", st.CandidateBufferEntries)
-	fmt.Fprintf(w, "cached messages:          %d\n\n", st.CachedMessages)
-
-	fmt.Fprintf(w, "see /v1/metrics for the full Prometheus exposition\n")
 }
 
 // writeJSON mirrors ok()'s encoding for responses that set their own status

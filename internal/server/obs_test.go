@@ -12,11 +12,13 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	caar "caar"
 	"caar/internal/faultinject"
 	"caar/journal"
 	"caar/obs"
+	"caar/obs/capture"
 )
 
 func newObsTestServer(t *testing.T, opts ...Option) (*Server, *httptest.Server) {
@@ -179,8 +181,9 @@ func TestStatusClassCounters(t *testing.T) {
 
 // TestReadinessDegradation: a journal durability failure flips /v1/readyz
 // to 503 with a machine-readable reason while /v1/healthz keeps answering
-// 200 (liveness), and the shared registry's caar_journal_degraded gauge
-// flips to 1 for alerting.
+// 200 (liveness), the shared registry's caar_journal_degraded gauge flips
+// to 1 for alerting, and a capture bundle taken then carries the reason in
+// healthz.json — the one fact metrics.prom cannot.
 func TestReadinessDegradation(t *testing.T) {
 	reg := obs.NewRegistry()
 	cfg := caar.DefaultConfig()
@@ -192,8 +195,12 @@ func TestReadinessDegradation(t *testing.T) {
 	script := faultinject.NewScript(io.Discard)
 	jw := journal.NewWriter(script)
 	jw.SetMetrics(journal.NewMetrics(reg))
+	rec, err := capture.NewRecorder(capture.Config{Dir: t.TempDir(), CPUProfileDuration: 10 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
 	srv := New(journal.NewLogged(eng, jw),
-		WithLogger(log.New(io.Discard, "", 0)), WithMetrics(reg))
+		WithLogger(log.New(io.Discard, "", 0)), WithMetrics(reg), WithCapture(rec))
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -266,6 +273,22 @@ func TestReadinessDegradation(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics missing %q while degraded", want)
 		}
+	}
+
+	bundle, err := rec.Capture("manual", "journal degraded", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := rec.ReadFile(bundle, "healthz.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var captured Health
+	if err := json.Unmarshal(raw, &captured); err != nil {
+		t.Fatal(err)
+	}
+	if captured.Status != "degraded" || len(captured.Problems) == 0 || !strings.Contains(captured.Problems[0], "journal") {
+		t.Fatalf("bundle healthz.json = %s, want the journal named among its problems", raw)
 	}
 }
 

@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"log"
 	"log/slog"
-	"math"
 	"net/http"
 	netpprof "net/http/pprof"
 	"strconv"
@@ -90,7 +89,6 @@ type Server struct {
 	maxBody     int64
 	reqTimeout  time.Duration
 	maxInFlight int
-	retryAfter  time.Duration
 	logger      *log.Logger
 
 	inFlight atomic.Int64
@@ -194,7 +192,6 @@ func (s *Server) routeTable() []route {
 		{"/v1/healthz", s.handleHealth, true},
 		{"/v1/readyz", s.handleReady, true},
 		{"/v1/metrics", s.metrics.Handler().ServeHTTP, true},
-		{"/v1/statusz", s.handleStatusz, true},
 		{"/v1/traces", s.handleTraces, true},
 		{"/v1/traces/", s.handleTraces, true},
 		{"/v1/slo", s.handleSLO, true},
@@ -393,11 +390,7 @@ func (s *Server) finishWrite(w http.ResponseWriter, err error) {
 		return
 	}
 	if errors.Is(err, ingest.ErrQueueFull) {
-		retry := s.retryAfter
-		if retry <= 0 {
-			retry = time.Second
-		}
-		w.Header().Set("Retry-After", strconv.FormatInt(int64(math.Ceil(retry.Seconds())), 10))
+		w.Header().Set("Retry-After", retryAfter)
 		httpError(w, http.StatusTooManyRequests, "ingest queue full, retry later")
 		return
 	}

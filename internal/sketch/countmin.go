@@ -42,12 +42,6 @@ func NewCountMin(epsilon, delta float64) (*CountMin, error) {
 	}, nil
 }
 
-// Width returns the sketch width (counters per row).
-func (c *CountMin) Width() int { return c.width }
-
-// Depth returns the number of hash rows.
-func (c *CountMin) Depth() int { return c.depth }
-
 // Total returns the total added weight N.
 func (c *CountMin) Total() uint64 { return c.total }
 
@@ -102,22 +96,6 @@ func (c *CountMin) Reset() {
 // probability ≥ 1−δ, and Count(key) ≥ true always.
 func (c *CountMin) ErrorBound() uint64 {
 	return uint64(math.Ceil(math.E / float64(c.width) * float64(c.total)))
-}
-
-// Merge folds other into c element-wise. Both sketches must share the same
-// row-hash family, which NewCountMin guarantees for equal dimensions; the
-// merged sketch estimates the concatenated stream. Merging is commutative:
-// a.Merge(b) and b.Merge(a) yield identical counters.
-func (c *CountMin) Merge(other *CountMin) error {
-	if c.width != other.width || c.depth != other.depth {
-		return fmt.Errorf("sketch: merge dimension mismatch %dx%d vs %dx%d",
-			c.depth, c.width, other.depth, other.width)
-	}
-	for i := range c.counts {
-		c.counts[i] += other.counts[i]
-	}
-	c.total += other.total
-	return nil
 }
 
 // Counted is one heavy-hitter result.

@@ -16,8 +16,8 @@ func TestNewCountMinValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cm.Width() < 250 || cm.Depth() < 4 {
-		t.Fatalf("sizing: width=%d depth=%d", cm.Width(), cm.Depth())
+	if cm.width < 250 || cm.depth < 4 {
+		t.Fatalf("sizing: width=%d depth=%d", cm.width, cm.depth)
 	}
 }
 

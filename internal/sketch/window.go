@@ -17,11 +17,6 @@ const epochUnset = math.MinInt64
 // full weight until its sub-window leaves the ring, then disappears — which
 // keeps memory exactly bounded at n sketches regardless of stream rate.
 //
-// span == 0 disables windowing: a single sub-window accumulates forever and
-// timestamps are ignored. That mode serves callers that window by an
-// external key (the trending tracker buckets per time slot) but still want
-// the shared top-k machinery.
-//
 // Not safe for concurrent use.
 type Windowed struct {
 	k     int
@@ -34,14 +29,10 @@ type Windowed struct {
 // NewWindowed tracks the top k keys per query window with the given
 // per-sub-window sketch accuracy. span is the sub-window length and n the
 // number of sub-windows retained (so the maximum queryable window is
-// n×span). span == 0 means unwindowed: n is forced to 1 and time is
-// ignored.
+// n×span).
 func NewWindowed(k int, epsilon, delta float64, span time.Duration, n int) (*Windowed, error) {
-	if span < 0 {
-		return nil, fmt.Errorf("sketch: negative sub-window span %v", span)
-	}
-	if span == 0 {
-		n = 1
+	if span <= 0 {
+		return nil, fmt.Errorf("sketch: sub-window span %v must be positive", span)
 	}
 	if n < 1 {
 		return nil, fmt.Errorf("sketch: sub-window count %d < 1", n)
@@ -57,23 +48,11 @@ func NewWindowed(k int, epsilon, delta float64, span time.Duration, n int) (*Win
 	return &Windowed{k: k, span: span, subs: subs, epoch: epochUnset}, nil
 }
 
-// SubWindows returns the number of retained sub-windows.
-func (w *Windowed) SubWindows() int { return len(w.subs) }
-
-// MaxWindow returns the longest queryable window, n×span (0 when
-// unwindowed).
-func (w *Windowed) MaxWindow() time.Duration {
-	return w.span * time.Duration(len(w.subs))
-}
-
 // Advance rotates the ring so that subs[cur] is the sub-window containing
 // now, resetting any sub-windows that aged out. Time moving backwards (or
 // standing still) leaves the ring untouched, so out-of-order offers within
 // the resolution of a sub-window are absorbed rather than dropped.
 func (w *Windowed) Advance(now time.Time) {
-	if w.span == 0 {
-		return
-	}
 	e := now.UnixNano() / int64(w.span)
 	switch {
 	case w.epoch == epochUnset:
@@ -107,9 +86,6 @@ func (w *Windowed) Offer(key uint64, inc uint64, now time.Time) {
 // spans: ⌈window/span⌉ clamped to [1, n]. window ≤ 0 requests the full
 // ring.
 func (w *Windowed) covered(window time.Duration) int {
-	if w.span == 0 || len(w.subs) == 1 {
-		return 1
-	}
 	if window <= 0 {
 		return len(w.subs)
 	}
@@ -125,11 +101,8 @@ func (w *Windowed) covered(window time.Duration) int {
 
 // CoveredSpan returns the effective window a query for the given window
 // actually reads: covered×span, the requested window rounded up to whole
-// sub-windows and clamped to the ring (0 when unwindowed).
+// sub-windows and clamped to the ring.
 func (w *Windowed) CoveredSpan(window time.Duration) time.Duration {
-	if w.span == 0 {
-		return 0
-	}
 	return w.span * time.Duration(w.covered(window))
 }
 
@@ -212,13 +185,4 @@ func (w *Windowed) ErrorBound(now time.Time, window time.Duration) uint64 {
 		bound += w.sub(i).cm.ErrorBound()
 	}
 	return bound
-}
-
-// Reset clears the whole ring.
-func (w *Windowed) Reset() {
-	for _, s := range w.subs {
-		s.Reset()
-	}
-	w.cur = 0
-	w.epoch = epochUnset
 }

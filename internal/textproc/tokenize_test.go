@@ -6,7 +6,6 @@ import (
 )
 
 func TestTokenizeBasic(t *testing.T) {
-	tok := NewTokenizer()
 	tests := []struct {
 		name string
 		in   string
@@ -66,7 +65,7 @@ func TestTokenizeBasic(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			got := tok.Tokenize(tt.in)
+			got := Tokenize(tt.in)
 			if !reflect.DeepEqual(got, tt.want) {
 				t.Fatalf("Tokenize(%q) = %v, want %v", tt.in, got, tt.want)
 			}
@@ -74,30 +73,9 @@ func TestTokenizeBasic(t *testing.T) {
 	}
 }
 
-func TestTokenizeOptions(t *testing.T) {
-	tok := NewTokenizer(KeepMentions(), KeepNumbers(), MinTokenLen(1))
-	got := tok.Tokenize("@Bob scored 9 points")
-	want := []Token{
-		{"bob", KindMention}, {"scored", KindWord}, {"9", KindNumber}, {"points", KindWord},
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("got %v, want %v", got, want)
-	}
-}
-
 func TestTokenizeHashtagPunctuation(t *testing.T) {
-	tok := NewTokenizer()
-	got := tok.Tokenize("#Go-Lang! rocks")
+	got := Tokenize("#Go-Lang! rocks")
 	want := []Token{{"golang", KindHashtag}, {"rocks", KindWord}}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("got %v, want %v", got, want)
-	}
-}
-
-func TestWords(t *testing.T) {
-	tok := NewTokenizer()
-	got := tok.Words("Big Match tonight")
-	want := []string{"big", "match", "tonight"}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("got %v, want %v", got, want)
 	}
@@ -130,8 +108,7 @@ func TestRemoveStopwordsKeepsHashtags(t *testing.T) {
 }
 
 func TestTokenKindString(t *testing.T) {
-	if KindWord.String() != "word" || KindHashtag.String() != "hashtag" ||
-		KindMention.String() != "mention" || KindNumber.String() != "number" {
+	if KindWord.String() != "word" || KindHashtag.String() != "hashtag" {
 		t.Error("TokenKind.String mismatch")
 	}
 	if TokenKind(99).String() != "unknown" {

@@ -1,9 +1,6 @@
 package textproc
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // TermID is an interned vocabulary term identifier. Interning keeps the hot
 // scoring path free of string hashing.
@@ -36,33 +33,10 @@ func (v SparseVector) Norm() float64 {
 	return math.Sqrt(sum)
 }
 
-// Cosine returns the cosine similarity between v and w in [−1, 1]; zero when
-// either vector is empty or has zero norm.
-func (v SparseVector) Cosine(w SparseVector) float64 {
-	nv, nw := v.Norm(), w.Norm()
-	if nv == 0 || nw == 0 {
-		return 0
-	}
-	return v.Dot(w) / (nv * nw)
-}
-
 // AddScaled adds s·w into v in place.
 func (v SparseVector) AddScaled(w SparseVector, s float64) {
 	for id, x := range w {
 		v[id] += x * s
-	}
-}
-
-// SubScaled subtracts s·w from v in place, deleting entries that reach
-// (numerically) zero so stale terms do not accumulate.
-func (v SparseVector) SubScaled(w SparseVector, s float64) {
-	for id, x := range w {
-		nv := v[id] - x*s
-		if math.Abs(nv) < 1e-12 {
-			delete(v, id)
-		} else {
-			v[id] = nv
-		}
 	}
 }
 
@@ -90,30 +64,4 @@ func (v SparseVector) L2Normalize() {
 		return
 	}
 	v.Scale(1 / n)
-}
-
-// WeightedTerm pairs a term with its weight, used for ranked views of a
-// vector.
-type WeightedTerm struct {
-	ID     TermID
-	Weight float64
-}
-
-// TopTerms returns the n highest-weighted terms in descending weight order
-// (ties broken by ascending TermID for determinism).
-func (v SparseVector) TopTerms(n int) []WeightedTerm {
-	out := make([]WeightedTerm, 0, len(v))
-	for id, x := range v {
-		out = append(out, WeightedTerm{ID: id, Weight: x})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Weight != out[j].Weight {
-			return out[i].Weight > out[j].Weight
-		}
-		return out[i].ID < out[j].ID
-	})
-	if n < len(out) {
-		out = out[:n]
-	}
-	return out
 }

@@ -145,7 +145,6 @@ func (v *Vocabulary) IDF(id TermID) float64 {
 // Pipeline bundles tokenizer + vocabulary into the standard text → vector
 // transformation used for both messages and ads.
 type Pipeline struct {
-	Tok   *Tokenizer
 	Vocab *Vocabulary
 	// UseIDF selects TF-IDF weighting; plain normalized TF otherwise.
 	UseIDF bool
@@ -157,7 +156,6 @@ type Pipeline struct {
 // IDF on.
 func NewPipeline() *Pipeline {
 	return &Pipeline{
-		Tok:        NewTokenizer(),
 		Vocab:      NewVocabulary(),
 		UseIDF:     true,
 		StemTokens: true,
@@ -167,7 +165,7 @@ func NewPipeline() *Pipeline {
 // TermIDs normalizes text to a bag of interned term IDs (with duplicates,
 // preserving term frequency) and records the document for DF statistics.
 func (p *Pipeline) TermIDs(text string) []TermID {
-	toks := RemoveStopwords(p.Tok.Tokenize(text))
+	toks := RemoveStopwords(Tokenize(text))
 	if p.StemTokens {
 		toks = StemAll(toks)
 	}

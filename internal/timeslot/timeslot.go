@@ -112,9 +112,6 @@ func NewDecay(halfLife time.Duration) Decay {
 	return Decay{lambda: math.Ln2 / halfLife.Seconds()}
 }
 
-// Enabled reports whether any decay is applied.
-func (d Decay) Enabled() bool { return d.lambda > 0 }
-
 // WeightAt returns the decay factor for content aged `age`. Negative ages
 // (content "from the future", e.g. clock skew) clamp to weight 1.
 func (d Decay) WeightAt(age time.Duration) float64 {

@@ -58,9 +58,6 @@ func TestSet(t *testing.T) {
 
 func TestDecayDisabled(t *testing.T) {
 	d := NewDecay(0)
-	if d.Enabled() {
-		t.Fatal("zero half-life should disable decay")
-	}
 	if d.WeightAt(time.Hour) != 1 {
 		t.Fatal("disabled decay must weight 1")
 	}

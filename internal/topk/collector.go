@@ -87,9 +87,6 @@ func (c *Collector) Items() []Item {
 	return out
 }
 
-// Reset clears the collector for reuse without reallocating.
-func (c *Collector) Reset() { c.heap = c.heap[:0] }
-
 // itemHeap is a min-heap ordered so the WORST retained item is at the root.
 type itemHeap []Item
 

@@ -63,19 +63,6 @@ func TestCollectorOfferReturn(t *testing.T) {
 	}
 }
 
-func TestCollectorReset(t *testing.T) {
-	c := NewCollector(2)
-	c.Offer(1, 0.5)
-	c.Reset()
-	if c.Len() != 0 {
-		t.Fatal("Reset did not clear")
-	}
-	c.Offer(2, 0.1)
-	if got := c.Items(); len(got) != 1 || got[0].ID != 2 {
-		t.Fatalf("post-Reset Items = %v", got)
-	}
-}
-
 func TestWouldAccept(t *testing.T) {
 	c := NewCollector(2)
 	if !c.WouldAccept(0.0) {
@@ -157,7 +144,7 @@ func TestCollectorHugeKAllocatesNothingUpFront(t *testing.T) {
 func TestCollectorOfferDoesNotAllocate(t *testing.T) {
 	c := NewCollector(20)
 	allocs := testing.AllocsPerRun(100, func() {
-		c.Reset()
+		c.heap = c.heap[:0]
 		for i := 0; i < 100; i++ {
 			c.Offer(int64(i), float64(i*7%13))
 		}

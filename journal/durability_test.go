@@ -2,11 +2,15 @@ package journal
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
+
+	"caar/obs"
 )
 
 // writeFixture journals a few entries into a temp file and returns the file
@@ -341,5 +345,82 @@ func TestRecoverCleanLog(t *testing.T) {
 	after, _ := os.ReadFile(path)
 	if !bytes.Equal(before, after) {
 		t.Fatal("clean log modified by recovery")
+	}
+}
+
+// tearOnce writes through to buf, except that its tear-th write lands only
+// its first half and fails — a disk that fills mid-frame and frees up again.
+type tearOnce struct {
+	buf     bytes.Buffer
+	n, tear int
+}
+
+func (w *tearOnce) Write(p []byte) (int, error) {
+	if w.n++; w.n == w.tear {
+		k, _ := w.buf.Write(p[:len(p)/2])
+		return k, errors.New("short write")
+	}
+	return w.buf.Write(p)
+}
+
+// TestDurabilityFailureIsSticky: the first failed write or fsync poisons the
+// writer. A short write leaves a torn frame mid-file, and Recover cuts every
+// frame behind it, so an append acknowledged after the tear would be lost;
+// after a failed fsync the kernel may have dropped the dirty pages. Every
+// later append is refused, Degraded and caar_journal_degraded stay set, and
+// whatever was acknowledged survives recovery.
+func TestDurabilityFailureIsSticky(t *testing.T) {
+	out := &tearOnce{tear: 2}
+	w := NewWriter(out)
+	m := NewMetrics(obs.NewRegistry())
+	w.SetMetrics(m)
+	var acked []string
+	for _, u := range []string{"a", "b", "c"} {
+		if err := w.Append(Entry{Op: OpAddUser, User: u}); err == nil {
+			acked = append(acked, u)
+		} else if !errors.Is(err, ErrDurability) {
+			t.Fatalf("append %s: %v, want ErrDurability", u, err)
+		}
+	}
+	if !slices.Equal(acked, []string{"a"}) {
+		t.Fatalf("acknowledged %v, want only the append before the torn write", acked)
+	}
+	if bad, msg := w.Degraded(); !bad || !strings.Contains(msg, "short write") || m.degraded.Value() != 1 {
+		t.Fatalf("Degraded() = %v %q, gauge %v: want the first failure, still set", bad, msg, m.degraded.Value())
+	}
+
+	path := filepath.Join(t.TempDir(), "journal.log")
+	if err := os.WriteFile(path, out.buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	eng := newEngine(t)
+	stats, err := Recover(f, eng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := eng.Stats().Users; got != len(acked) {
+		t.Fatalf("recovery kept %d of %d acknowledged users (%+v)", got, len(acked), stats)
+	}
+
+	fsyncs := 0
+	w = NewWriter(&bytes.Buffer{})
+	w.syncFn = func() error {
+		if fsyncs++; fsyncs == 1 {
+			return errors.New("EIO")
+		}
+		return nil
+	}
+	for _, u := range []string{"a", "b"} {
+		if err := w.Append(Entry{Op: OpAddUser, User: u}); !errors.Is(err, ErrDurability) {
+			t.Fatalf("append %s after a failed fsync: %v, want ErrDurability", u, err)
+		}
+	}
+	if bad, _ := w.Degraded(); !bad || fsyncs != 1 {
+		t.Fatalf("Degraded() = %v after %d fsyncs, want set and no fsync retried", bad, fsyncs)
 	}
 }

@@ -166,12 +166,14 @@ type Writer struct {
 	// *next* append — indefinitely.
 	pendingSync bool // guarded by mu
 
-	// observability: degraded flips on a durability failure and clears on
-	// the next successful append; readers (the readiness probe) must not
-	// block on w.mu behind a hung fsync, hence atomics.
+	// degraded is set by the first durability failure and stays set: a short
+	// write leaves a torn frame that Recover cuts everything after, and after
+	// a failed fsync the kernel may have dropped the dirty pages, so nothing
+	// appended later could be acknowledged. Readers (the readiness probe)
+	// must not block on w.mu behind a hung fsync, hence atomics.
 	metrics  *Metrics
 	degraded atomic.Bool
-	lastErr  atomic.Value // string
+	lastErr  atomic.Value // string: the first failure
 }
 
 // NewWriter wraps w in a journal writer.
@@ -200,9 +202,9 @@ func (w *Writer) SetMetrics(m *Metrics) {
 	}
 }
 
-// Degraded reports whether the writer is in durability-error state — the
-// last append failed to persist — along with the failure message. The next
-// successful append clears it.
+// Degraded reports whether the writer is in durability-error state — an
+// append failed to persist — along with the first failure's message. It
+// stays set until the process restarts.
 func (w *Writer) Degraded() (bool, string) {
 	if !w.degraded.Load() {
 		return false, ""
@@ -211,10 +213,12 @@ func (w *Writer) Degraded() (bool, string) {
 	return true, msg
 }
 
-// noteAppendError flags the durability-error state and passes err through.
+// noteAppendError flags the durability-error state, keeping the first
+// failure's message, and passes err through.
 func (w *Writer) noteAppendError(err error) error {
-	w.degraded.Store(true)
-	w.lastErr.Store(err.Error())
+	if !w.degraded.Swap(true) {
+		w.lastErr.Store(err.Error())
+	}
 	if w.metrics != nil {
 		w.metrics.appendErrors.Inc()
 		w.metrics.degraded.Set(1)
@@ -233,6 +237,8 @@ func (w *Writer) Append(e Entry) error { return w.AppendBatch([]Entry{e}) }
 // is cut by Recover on restart). Entries are validated, encoded and framed
 // outside the lock; the one write and the single policy sync happen under
 // one lock acquisition, so concurrent callers can never interleave frames.
+// After the first durability failure every call returns ErrDurability
+// without writing.
 func (w *Writer) AppendBatch(entries []Entry) error {
 	if len(entries) == 0 {
 		return nil
@@ -261,6 +267,9 @@ func (w *Writer) AppendBatch(entries []Entry) error {
 	w.mu.Lock() //caarlint:allow readpathlock journal append order is the durability contract; this lock defines it
 	defer w.mu.Unlock()
 	defer faultinject.WatchLock("journal.Writer.mu")()
+	if bad, msg := w.Degraded(); bad {
+		return w.noteAppendError(fmt.Errorf("%w: writer failed earlier (%s)", ErrDurability, msg))
+	}
 	if _, err := w.out.Write(frames); err != nil {
 		return w.noteAppendError(fmt.Errorf("%w: append: %w", ErrDurability, err))
 	}
@@ -268,11 +277,9 @@ func (w *Writer) AppendBatch(entries []Entry) error {
 	if err := w.maybeSyncLocked(); err != nil {
 		return w.noteAppendError(fmt.Errorf("%w: sync: %w", ErrDurability, err))
 	}
-	w.degraded.Store(false)
 	if w.metrics != nil {
 		w.metrics.appends.Add(uint64(len(entries)))
 		w.metrics.appendBytes.Add(uint64(len(frames)))
-		w.metrics.degraded.Set(0)
 	}
 	return nil
 }
@@ -328,7 +335,6 @@ func (w *Writer) timedSync() error {
 	}
 	start := time.Now()
 	err := w.syncFn()
-	w.metrics.fsyncs.Inc()
 	w.metrics.fsyncSeconds.ObserveDuration(time.Since(start))
 	return err
 }

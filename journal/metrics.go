@@ -15,7 +15,6 @@ type Metrics struct {
 	appends      *obs.Counter
 	appendBytes  *obs.Counter
 	appendErrors *obs.Counter
-	fsyncs       *obs.Counter
 	fsyncSeconds *obs.Histogram
 	degraded     *obs.Gauge
 
@@ -35,12 +34,10 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 			"Bytes of framed journal records written."),
 		appendErrors: reg.Counter("caar_journal_append_errors_total",
 			"Appends that failed to persist (write, flush or fsync error)."),
-		fsyncs: reg.Counter("caar_journal_fsyncs_total",
-			"fsync calls issued by the journal writer."),
 		fsyncSeconds: reg.Histogram("caar_journal_fsync_seconds",
-			"Latency of journal fsync calls.", fsyncBuckets),
+			"Latency of journal fsync calls; its _count is the number of fsyncs.", fsyncBuckets),
 		degraded: reg.Gauge("caar_journal_degraded",
-			"1 while the journal writer is in durability-error state (last append failed to persist), else 0."),
+			"1 once the journal writer has failed to persist an append (it then refuses every append until restart), else 0."),
 		replayApplied: reg.Gauge("caar_journal_replay_applied",
 			"Entries applied by the startup journal replay."),
 		replaySkipped: reg.Gauge("caar_journal_replay_skipped",

@@ -9,8 +9,8 @@ import (
 // Build identity. Capture bundles and bench trajectories are only useful if
 // a result can be attributed to the build that produced it, so the module
 // version and VCS state read from the binary's embedded build info are
-// exposed in three places off this one struct: /v1/statusz, every capture
-// bundle's meta.json, and the caar_build_info metric.
+// exposed in two places off this one struct: every capture bundle's
+// meta.json and the caar_build_info metric.
 
 // BuildInfo identifies the running binary.
 type BuildInfo struct {

@@ -2,7 +2,7 @@
 // SLO watchdog trips (or an operator asks), it atomically captures a bundle
 // of everything needed to explain a latency regression after the fact —
 // pprof CPU/heap/goroutine/mutex/block profiles, the trace-ring tail, a
-// metrics snapshot, and the status page — into a timestamped directory.
+// metrics snapshot, and the health report — into a timestamped directory.
 //
 // The point is timing: by the time a human looks at a p99 alert, the spike
 // is usually over and the evidence gone. Tripping the capture from the
@@ -20,7 +20,7 @@
 //	    block.pprof     blocking profile
 //	    traces.json     trace-ring tail (when a trace source is wired)
 //	    metrics.prom    full Prometheus exposition (when a registry is wired)
-//	    statusz.txt     status page (when a statusz source is wired)
+//	    healthz.json    health report (when a health source is wired)
 //	    hotkeys.json    hot-key telemetry snapshot (when a hotkey source is wired)
 //
 // written first into a dot-prefixed temp directory, fsynced, and renamed
@@ -65,14 +65,6 @@ type Config struct {
 	// Metrics, when set, is snapshotted into metrics.prom and receives the
 	// caar_capture_ accounting metrics.
 	Metrics *obs.Registry
-	// TraceJSON, when set, renders the trace-ring tail for traces.json.
-	TraceJSON func() ([]byte, error)
-	// StatuszText, when set, renders statusz.txt.
-	StatuszText func() ([]byte, error)
-	// HotkeysJSON, when set, renders the hot-key telemetry snapshot for
-	// hotkeys.json — so an SLO-trip bundle names the hot user / poster /
-	// campaign behind the anomaly, not just its latency shape.
-	HotkeysJSON func() ([]byte, error)
 	// Now is the clock; tests substitute a fake for deterministic names.
 	Now func() time.Time
 }
@@ -108,9 +100,10 @@ type Meta struct {
 // Recorder writes capture bundles. Safe for concurrent use; at most one
 // capture runs at a time (a CPU profile is process-global).
 type Recorder struct {
-	cfg   Config
-	start time.Time
-	seq   atomic.Uint64
+	cfg     Config
+	start   time.Time
+	seq     atomic.Uint64
+	sources []source
 
 	inFlight atomic.Bool
 	lastUnix atomic.Int64 // completion time of the last successful capture
@@ -118,6 +111,12 @@ type Recorder struct {
 	bundles   *obs.CounterVec
 	throttled *obs.Counter
 	errorsC   *obs.Counter
+}
+
+// source renders one bundle file.
+type source struct {
+	file   string
+	render func() ([]byte, error)
 }
 
 // NewRecorder creates the bundle root and returns a recorder.
@@ -162,21 +161,15 @@ func NewRecorder(cfg Config) (*Recorder, error) {
 // Dir returns the bundle root.
 func (r *Recorder) Dir() string { return r.cfg.Dir }
 
-// SetSources wires the trace-tail, statusz, and hot-key renderers after
-// construction: adserver builds the recorder before the HTTP server that
-// owns those surfaces, and the server points them here when it is. nil
-// arguments leave the existing source in place. Call before the first
+// SetSources wires the renderers of traces.json (the trace-ring tail),
+// healthz.json (the health report) and hotkeys.json (the hot-key snapshot,
+// so an SLO-trip bundle names the hot user / poster / campaign behind the
+// anomaly, not just its latency shape). adserver builds the recorder before
+// the HTTP server that owns those surfaces, and the server points them here
+// when it is. A nil renderer leaves its file out. Call before the first
 // Capture; not synchronized with it.
-func (r *Recorder) SetSources(traceJSON, statusz, hotkeys func() ([]byte, error)) {
-	if traceJSON != nil {
-		r.cfg.TraceJSON = traceJSON
-	}
-	if statusz != nil {
-		r.cfg.StatuszText = statusz
-	}
-	if hotkeys != nil {
-		r.cfg.HotkeysJSON = hotkeys
-	}
+func (r *Recorder) SetSources(traceJSON, healthJSON, hotkeysJSON func() ([]byte, error)) {
+	r.sources = []source{{"traces.json", traceJSON}, {"healthz.json", healthJSON}, {"hotkeys.json", hotkeysJSON}}
 }
 
 // Capture writes one bundle and returns its name. trigger is a short label
@@ -234,12 +227,15 @@ func (r *Recorder) Capture(trigger, reason string, force bool) (string, error) {
 	fail("goroutine.pprof", writeLookupProfile(filepath.Join(tmp, "goroutine.pprof"), "goroutine"))
 	fail("mutex.pprof", writeLookupProfile(filepath.Join(tmp, "mutex.pprof"), "mutex"))
 	fail("block.pprof", writeLookupProfile(filepath.Join(tmp, "block.pprof"), "block"))
-	if r.cfg.TraceJSON != nil {
-		b, err := r.cfg.TraceJSON()
-		if err == nil {
-			err = writeFileSync(filepath.Join(tmp, "traces.json"), b)
+	for _, src := range r.sources {
+		if src.render == nil {
+			continue
 		}
-		fail("traces.json", err)
+		b, err := src.render()
+		if err == nil {
+			err = writeFileSync(filepath.Join(tmp, src.file), b)
+		}
+		fail(src.file, err)
 	}
 	if r.cfg.Metrics != nil {
 		var sb strings.Builder
@@ -248,20 +244,6 @@ func (r *Recorder) Capture(trigger, reason string, force bool) (string, error) {
 			err = writeFileSync(filepath.Join(tmp, "metrics.prom"), []byte(sb.String()))
 		}
 		fail("metrics.prom", err)
-	}
-	if r.cfg.StatuszText != nil {
-		b, err := r.cfg.StatuszText()
-		if err == nil {
-			err = writeFileSync(filepath.Join(tmp, "statusz.txt"), b)
-		}
-		fail("statusz.txt", err)
-	}
-	if r.cfg.HotkeysJSON != nil {
-		b, err := r.cfg.HotkeysJSON()
-		if err == nil {
-			err = writeFileSync(filepath.Join(tmp, "hotkeys.json"), b)
-		}
-		fail("hotkeys.json", err)
 	}
 	mb, err := json.MarshalIndent(meta, "", "  ")
 	if err == nil {

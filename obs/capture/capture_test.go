@@ -25,12 +25,12 @@ func TestCaptureWritesBundle(t *testing.T) {
 	reg.Counter("caar_test_probe_total", "t").Add(7)
 	cfg := fastConfig(t)
 	cfg.Metrics = reg
-	cfg.TraceJSON = func() ([]byte, error) { return []byte(`{"traces":[]}`), nil }
-	cfg.StatuszText = func() ([]byte, error) { return []byte("status ok\n"), nil }
 	r, err := NewRecorder(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	r.SetSources(func() ([]byte, error) { return []byte(`{"traces":[]}`), nil },
+		func() ([]byte, error) { return []byte(`{"status":"ok"}`), nil }, nil)
 
 	name, err := r.Capture("anomaly", "burn rate 20 on rec", false)
 	if err != nil {
@@ -52,7 +52,7 @@ func TestCaptureWritesBundle(t *testing.T) {
 	}
 
 	for _, f := range []string{"cpu.pprof", "heap.pprof", "goroutine.pprof",
-		"mutex.pprof", "block.pprof", "traces.json", "metrics.prom", "statusz.txt", "meta.json"} {
+		"mutex.pprof", "block.pprof", "traces.json", "metrics.prom", "healthz.json", "meta.json"} {
 		b, err := r.ReadFile(name, f)
 		if err != nil {
 			t.Errorf("%s: %v", f, err)

@@ -44,10 +44,9 @@ type Store struct {
 
 	sampleCtr atomic.Uint64
 
-	// capture accounting, exposed through RegisterMetrics.
-	started     atomic.Uint64
+	// capture accounting, exposed through RegisterMetrics: every Add lands
+	// in exactly one of the five.
 	dropped     atomic.Uint64
-	kept        atomic.Uint64
 	keptSampled atomic.Uint64
 	keptSlow    atomic.Uint64
 	keptError   atomic.Uint64
@@ -101,7 +100,6 @@ func (s *Store) SampleNext() bool {
 // (explain requests) are always captured. The trace must not be mutated
 // after Add returns true.
 func (s *Store) Add(t *Trace) bool {
-	s.started.Add(1)
 	var reason string
 	switch {
 	case t.Forced:
@@ -121,7 +119,6 @@ func (s *Store) Add(t *Trace) bool {
 		return false
 	}
 	t.CaptureReason = reason
-	s.kept.Add(1)
 
 	// Claim a slot, overwrite whatever is there. The evicted trace stays
 	// valid for readers that already loaded its pointer.
@@ -186,12 +183,10 @@ func (s *Store) Len() int {
 // cycles.
 func (s *Store) Capacity() int { return s.capacity }
 
-// RegisterMetrics exposes the store's capture accounting on reg.
+// RegisterMetrics exposes the store's capture accounting on reg. Traces
+// captured are the sum of the four caar_trace_captured_<reason>_total
+// families; traces considered, that plus caar_trace_dropped_total.
 func (s *Store) RegisterMetrics(reg *obs.Registry) {
-	reg.CounterFunc("caar_trace_requests_total",
-		"Recommend requests considered for trace capture.", s.started.Load)
-	reg.CounterFunc("caar_trace_captured_total",
-		"Traces captured into the ring buffer (all reasons).", s.kept.Load)
 	reg.CounterFunc("caar_trace_dropped_total",
 		"Finished traces dropped by head sampling.", s.dropped.Load)
 	reg.CounterFunc("caar_trace_captured_sampled_total",

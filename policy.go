@@ -11,11 +11,10 @@ import (
 // frequency capping (stop showing a user the same ad over and over) and
 // campaign diversity (avoid a single advertiser monopolizing a slate).
 //
-// Both constraints are applied by over-fetching OverfetchFactor·k candidates
-// from the engine and greedily selecting down to k. Under extreme skew
-// (e.g. thousands of same-campaign ads outranking everything) the slate can
-// come back shorter than k; raise OverfetchFactor if that matters more than
-// the extra query cost.
+// Both constraints are applied by over-fetching overfetch·k candidates from
+// the engine and greedily selecting down to k. Under extreme skew (e.g.
+// thousands of same-campaign ads outranking everything) the slate can come
+// back shorter than k.
 type ServingPolicy struct {
 	// FrequencyCap is the maximum impressions of one ad a single user may
 	// receive within FrequencyWindow. 0 disables capping.
@@ -25,21 +24,14 @@ type ServingPolicy struct {
 	// MaxPerCampaign bounds ads of one campaign in a single slate
 	// (campaign-less ads are never constrained). 0 disables.
 	MaxPerCampaign int
-	// OverfetchFactor scales the internal candidate fetch (default 4).
-	OverfetchFactor int
 }
+
+// overfetch scales the candidate fetch of a request with an active policy.
+const overfetch = 4
 
 // enabled reports whether any constraint is active.
 func (p ServingPolicy) enabled() bool {
 	return (p.FrequencyCap > 0 && p.FrequencyWindow > 0) || p.MaxPerCampaign > 0
-}
-
-// overfetch returns the effective candidate-fetch multiplier.
-func (p ServingPolicy) overfetch() int {
-	if p.OverfetchFactor < 1 {
-		return 4
-	}
-	return p.OverfetchFactor
 }
 
 // impressionLog tracks recent impression times per (user, ad) for frequency

@@ -3,7 +3,6 @@ package caar
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"caar/internal/sketch"
 	"caar/internal/textproc"
@@ -11,9 +10,8 @@ import (
 )
 
 // Trending: per-slot streaming term frequencies over the post stream,
-// tracked with the shared windowed-sketch primitive (count-min +
-// heavy-hitters candidate set; bounded memory regardless of vocabulary
-// size). Ad-ops uses this to steer keyword targeting: "what are people
+// tracked with the shared heavy-hitters primitive (count-min + candidate
+// set; bounded memory regardless of vocabulary size). Ad-ops uses this to steer keyword targeting: "what are people
 // talking about on weekday afternoons?"
 
 // TrendingTerm is one trending-term result.
@@ -22,14 +20,13 @@ type TrendingTerm struct {
 	Count uint64 `json:"count"` // sketch estimate; never under-counts
 }
 
-// trendTracker holds one windowed-sketch tracker per time slot. The slot
-// itself is the window — posts bucket by their timestamp's slot, and
-// counts accumulate across days — so each tracker runs in the primitive's
-// unwindowed mode (span 0: a single eternal sub-window, timestamps
-// ignored) rather than decaying by wall clock like the hot-key layer.
+// trendTracker holds one heavy-hitters tracker per time slot. The slot
+// itself is the window — posts bucket by their timestamp's slot, and counts
+// accumulate across days — so nothing decays by wall clock as in the hot-key
+// layer.
 type trendTracker struct {
 	mu    sync.Mutex
-	slots [timeslot.NumSlots]*sketch.Windowed
+	slots [timeslot.NumSlots]*sketch.HeavyHitters
 }
 
 // trendCapacity is how many top terms each slot retains (requests for
@@ -39,11 +36,11 @@ const trendCapacity = 50
 func newTrendTracker() *trendTracker {
 	t := &trendTracker{}
 	for i := range t.slots {
-		w, err := sketch.NewWindowed(trendCapacity, 0.001, 0.01, 0, 1)
+		hh, err := sketch.NewHeavyHitters(trendCapacity, 0.001, 0.01)
 		if err != nil {
 			panic("caar: trend tracker sizing: " + err.Error())
 		}
-		t.slots[i] = w
+		t.slots[i] = hh
 	}
 	return t
 }
@@ -55,9 +52,9 @@ func (t *trendTracker) observe(sl timeslot.Slot, vec textproc.SparseVector) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	w := t.slots[sl]
+	hh := t.slots[sl]
 	for term := range vec {
-		w.Offer(uint64(term), 1, time.Time{})
+		hh.Offer(uint64(term), 1)
 	}
 }
 
@@ -67,7 +64,7 @@ func (t *trendTracker) observe(sl timeslot.Slot, vec textproc.SparseVector) {
 func (t *trendTracker) top(sl timeslot.Slot) []sketch.Counted {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.slots[sl].TopK(time.Time{}, 0)
+	return t.slots[sl].TopK()
 }
 
 // Trending returns up to k terms most frequent in posts made during the

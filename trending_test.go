@@ -86,7 +86,7 @@ func TestTrendingUnresolvableKeyDoesNotUnderfill(t *testing.T) {
 	// outranking every real term in the slot.
 	sl, _ := Morning.internal()
 	e.trends.mu.Lock()
-	e.trends.slots[sl].Offer(1<<40, 100, time.Time{})
+	e.trends.slots[sl].Offer(1<<40, 100)
 	e.trends.mu.Unlock()
 
 	terms, err := e.Trending(Morning, 3)

@@ -173,14 +173,13 @@ func TestRenderedTextSurvivesTokenizer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tok := textproc.NewTokenizer()
 	for _, ev := range w.Events[:200] {
 		if ev.Kind != EventPost {
 			continue
 		}
-		words := tok.Words(ev.Text)
-		if len(words) != w.Cfg.TermsPerMsg {
-			t.Fatalf("rendered post text %q tokenized to %d words, want %d", ev.Text, len(words), w.Cfg.TermsPerMsg)
+		toks := textproc.Tokenize(ev.Text)
+		if len(toks) != w.Cfg.TermsPerMsg {
+			t.Fatalf("rendered post text %q tokenized to %d words, want %d", ev.Text, len(toks), w.Cfg.TermsPerMsg)
 		}
 	}
 }
