@@ -180,18 +180,6 @@ func (e *APIError) Error() string {
 	return fmt.Sprintf("client: server returned %d: %s", e.StatusCode, e.Message)
 }
 
-// IsNotFound reports whether err is an APIError with status 404.
-func IsNotFound(err error) bool {
-	var ae *APIError
-	return errors.As(err, &ae) && ae.StatusCode == http.StatusNotFound
-}
-
-// IsConflict reports whether err is an APIError with status 409.
-func IsConflict(err error) bool {
-	var ae *APIError
-	return errors.As(err, &ae) && ae.StatusCode == http.StatusConflict
-}
-
 // retryAfterCap bounds how long a server Retry-After hint is honored.
 const retryAfterCap = 30 * time.Second
 
@@ -399,41 +387,6 @@ func (c *Client) Recommend(ctx context.Context, user string, k int, at time.Time
 		return nil, err
 	}
 	return out.Recommendations, nil
-}
-
-// RecommendWithPolicy is Recommend with server-side serving-policy
-// constraints (frequency capping, campaign diversity).
-func (c *Client) RecommendWithPolicy(ctx context.Context, user string, k int, at time.Time, policy caar.ServingPolicy) ([]caar.Recommendation, error) {
-	q := url.Values{}
-	q.Set("user", user)
-	q.Set("k", strconv.Itoa(k))
-	q.Set("at", at.Format(time.RFC3339))
-	if policy.FrequencyCap > 0 {
-		q.Set("freq_cap", strconv.Itoa(policy.FrequencyCap))
-		q.Set("freq_window", policy.FrequencyWindow.String())
-	}
-	if policy.MaxPerCampaign > 0 {
-		q.Set("max_per_campaign", strconv.Itoa(policy.MaxPerCampaign))
-	}
-	var out struct {
-		Recommendations []caar.Recommendation `json:"recommendations"`
-	}
-	if err := c.do(ctx, http.MethodGet, "/v1/recommendations?"+q.Encode(), nil, &out); err != nil {
-		return nil, err
-	}
-	return out.Recommendations, nil
-}
-
-// RecordImpressionTo bills one impression seen by a specific user, feeding
-// server-side frequency capping.
-func (c *Client) RecordImpressionTo(ctx context.Context, user, adID string, at time.Time) (bool, error) {
-	var out struct {
-		Served bool `json:"served"`
-	}
-	err := c.do(ctx, http.MethodPost, "/v1/impressions", map[string]string{
-		"ad": adID, "user": user, "at": at.Format(time.RFC3339),
-	}, &out)
-	return out.Served, err
 }
 
 // ServeImpression bills one impression; served=false means the campaign is

@@ -109,26 +109,20 @@ func TestClientErrorClassification(t *testing.T) {
 	ctx := context.Background()
 	at := time.Now()
 
+	var ae *APIError
 	err := c.Post(ctx, "ghost", "hello", at)
-	if !IsNotFound(err) {
+	if !asAPIError(err, &ae) || ae.StatusCode != 404 {
 		t.Fatalf("posting as ghost: %v", err)
 	}
-	if _, err := c.Recommend(ctx, "ghost", 3, at); !IsNotFound(err) {
+	if _, err := c.Recommend(ctx, "ghost", 3, at); !asAPIError(err, &ae) || ae.StatusCode != 404 {
 		t.Fatalf("recommend ghost: %v", err)
 	}
 	if err := c.AddUser(ctx, "alice"); err != nil {
 		t.Fatal(err)
 	}
 	err = c.AddUser(ctx, "alice")
-	if !IsConflict(err) {
+	if !asAPIError(err, &ae) || ae.StatusCode != 409 {
 		t.Fatalf("duplicate user: %v", err)
-	}
-	if IsNotFound(err) {
-		t.Fatal("conflict classified as not-found")
-	}
-	var ae *APIError
-	if ok := asAPIError(err, &ae); !ok || ae.StatusCode != 409 {
-		t.Fatalf("APIError unwrap: %v", err)
 	}
 	if ae.Error() == "" {
 		t.Fatal("empty error message")
@@ -136,7 +130,7 @@ func TestClientErrorClassification(t *testing.T) {
 	// Context cancellation surfaces as a transport error, not APIError.
 	cancelled, cancel := context.WithCancel(ctx)
 	cancel()
-	if err := c.AddUser(cancelled, "bob"); err == nil || IsConflict(err) || IsNotFound(err) {
+	if err := c.AddUser(cancelled, "bob"); err == nil || asAPIError(err, &ae) {
 		t.Fatalf("cancelled context: %v", err)
 	}
 }

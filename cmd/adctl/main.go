@@ -239,9 +239,6 @@ func run(ctx context.Context, c *client.Client, cmd string, args []string, now t
 		for _, pa := range tr.Policy {
 			fmt.Printf("policy  %-24s %s\n", pa.AdID, pa.Action)
 		}
-		for k, v := range tr.Annotations {
-			fmt.Printf("note    %s=%s\n", k, v)
-		}
 		return nil
 	case "impression":
 		if err := need(1); err != nil {

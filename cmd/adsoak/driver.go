@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -30,6 +31,10 @@ type driver struct {
 	// recommended after its RemoveAd was acknowledged.
 	servedRemoved   atomic.Int64
 	recommendChecks atomic.Int64
+
+	// gate is held by run for each event, so whoever holds it has paused the
+	// stream with no send in flight.
+	gate sync.Mutex
 
 	done chan struct{}
 }
@@ -127,49 +132,56 @@ func (d *driver) run(ctx context.Context) {
 		if ctx.Err() != nil {
 			return
 		}
-		switch ev.Kind {
-		case workload.EventPost:
-			author, text, at := userHandle(uint32(ev.User)), ev.Text, ev.Time
-			d.led.recordPost(d.sendMut(ctx, func(c context.Context) error {
-				return d.cli.Post(c, author, text, at)
-			}))
-		case workload.EventCheckIn:
-			user, lat, lng, at := userHandle(uint32(ev.User)), ev.Loc.Lat, ev.Loc.Lng, ev.Time
-			d.sendMut(ctx, func(c context.Context) error {
-				return d.cli.CheckIn(c, user, lat, lng, at)
-			})
-		case workload.EventAddAd:
-			ad := d.toAPIAd(d.w.AdByID(ev.Ad))
-			d.led.recordAddAd(ad.ID, d.sendMut(ctx, func(c context.Context) error {
-				return d.cli.AddAd(c, ad)
-			}))
-		case workload.EventRemoveAd:
-			id := adName(ev.Ad)
-			o := d.sendMut(ctx, func(c context.Context) error {
-				return d.cli.RemoveAd(c, id)
-			})
-			// A 404 means the ad is gone (this delete retried after an
-			// ack-lost predecessor, or the add itself never applied): the
-			// server cannot serve it either way, which is all invariant 3
-			// asserts — but only a 2xx proves OUR remove took effect, so
-			// only that upgrades the ledger to acked.
-			d.led.recordRemoveAd(id, o)
-		case workload.EventImpression:
-			a := d.w.AdByID(ev.Ad)
-			id, at := adName(ev.Ad), ev.Time
-			var served bool
-			o := d.sendMut(ctx, func(c context.Context) error {
-				var err error
-				served, err = d.cli.ServeImpression(c, id, at)
-				return err
-			})
-			d.led.recordImpression(a.Campaign, a.Bid, served, o)
-		}
-		d.attempted.Add(1)
+		d.gate.Lock()
+		d.step(ctx, i, ev)
+		d.gate.Unlock()
+	}
+}
 
-		if i%53 == 0 {
-			d.recommendCheck(ctx, ev.Time)
-		}
+// step sends the i-th event of the timeline and settles its fate.
+func (d *driver) step(ctx context.Context, i int, ev workload.Event) {
+	switch ev.Kind {
+	case workload.EventPost:
+		author, text, at := userHandle(uint32(ev.User)), ev.Text, ev.Time
+		d.led.recordPost(d.sendMut(ctx, func(c context.Context) error {
+			return d.cli.Post(c, author, text, at)
+		}))
+	case workload.EventCheckIn:
+		user, lat, lng, at := userHandle(uint32(ev.User)), ev.Loc.Lat, ev.Loc.Lng, ev.Time
+		d.sendMut(ctx, func(c context.Context) error {
+			return d.cli.CheckIn(c, user, lat, lng, at)
+		})
+	case workload.EventAddAd:
+		ad := d.toAPIAd(d.w.AdByID(ev.Ad))
+		d.led.recordAddAd(ad.ID, d.sendMut(ctx, func(c context.Context) error {
+			return d.cli.AddAd(c, ad)
+		}))
+	case workload.EventRemoveAd:
+		id := adName(ev.Ad)
+		o := d.sendMut(ctx, func(c context.Context) error {
+			return d.cli.RemoveAd(c, id)
+		})
+		// A 404 means the ad is gone (this delete retried after an
+		// ack-lost predecessor, or the add itself never applied): the
+		// server cannot serve it either way, which is all invariant 3
+		// asserts — but only a 2xx proves OUR remove took effect, so
+		// only that upgrades the ledger to acked.
+		d.led.recordRemoveAd(id, o)
+	case workload.EventImpression:
+		a := d.w.AdByID(ev.Ad)
+		id, at := adName(ev.Ad), ev.Time
+		var served bool
+		o := d.sendMut(ctx, func(c context.Context) error {
+			var err error
+			served, err = d.cli.ServeImpression(c, id, at)
+			return err
+		})
+		d.led.recordImpression(a.Campaign, a.Bid, served, o)
+	}
+	d.attempted.Add(1)
+
+	if i%53 == 0 {
+		d.recommendCheck(ctx, ev.Time)
 	}
 }
 

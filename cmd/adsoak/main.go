@@ -207,12 +207,17 @@ func run() error {
 			}
 		}
 
-		state, err := fetchInvariants(ctx, cli)
+		// Check on a quiet server: with the stream paused and no send in
+		// flight the ledger cannot move under the report, and every acked
+		// post gets its asynchronous apply before the counts are compared.
+		drv.gate.Lock()
+		snap := led.snapshot()
+		state, err := settledInvariants(ctx, cli, snap.AckedPosts)
+		drv.gate.Unlock()
 		if err != nil {
 			return fmt.Errorf("cycle %d: invariants: %w", i, err)
 		}
 		reports = append(reports, state)
-		snap := led.snapshot()
 		verdicts := []verdict{
 			checkAckedWrites(state, snap),
 			checkSpendConservation(state, snap),
@@ -430,6 +435,24 @@ func fetchInvariants(ctx context.Context, cli *client.Client) (caar.InvariantRep
 		time.Sleep(200 * time.Millisecond)
 	}
 	return caar.InvariantReport{}, last
+}
+
+// applyDeadline bounds how long an acked post may stay unapplied on a quiet
+// server: one still missing after it is lost.
+const applyDeadline = 5 * time.Second
+
+// settledInvariants polls the invariant report until it shows at least
+// ackedPosts applied or applyDeadline passes; the checks judge the last
+// report either way.
+func settledInvariants(ctx context.Context, cli *client.Client, ackedPosts int) (caar.InvariantReport, error) {
+	deadline := time.Now().Add(applyDeadline)
+	for {
+		rep, err := fetchInvariants(ctx, cli)
+		if err != nil || rep.PostsDelivered >= uint64(ackedPosts) || time.Now().After(deadline) {
+			return rep, err
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
 }
 
 func verdictSummary(vs []verdict) string {

@@ -54,8 +54,8 @@ type Config struct {
 	// Metrics, when non-nil, is the observability registry the engine
 	// registers its collectors on — pass the process-wide registry to expose
 	// engine metrics alongside server and journal metrics on one scrape
-	// endpoint. nil gives the engine a private registry (reachable through
-	// Engine.Metrics), so instrumentation is always on.
+	// endpoint. nil gives the engine a private registry, so instrumentation
+	// is always on.
 	Metrics *obs.Registry
 
 	// Tracer, when non-nil, enables request-scoped flight recording: each

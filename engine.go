@@ -725,9 +725,9 @@ func (e *Engine) Recommend(user string, k int, at time.Time) ([]Recommendation, 
 	return recs, err
 }
 
-// recommend is the unified serving pipeline behind Recommend,
-// RecommendWithPolicy and RecommendTraced: lookup → (shard-lock wait) →
-// core ranking (retrieve/score/topk, timed by the shard engine into its
+// recommend is the unified serving pipeline behind Recommend and
+// RecommendTraced: lookup → (shard-lock wait) → core ranking
+// (retrieve/score/topk, timed by the shard engine into its
 // query record and copied out under the lock) → result mapping → policy
 // filtering. Every stage goes through engineMetrics.record once, in order:
 // its latency histogram — the policy stage too, even with a zero policy, so

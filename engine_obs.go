@@ -269,11 +269,6 @@ func (m *engineMetrics) snapshotResult(start time.Time, size int64, err error) {
 	m.snapshotSize.Set(float64(size))
 }
 
-// Metrics returns the engine's observability registry — the one passed in
-// Config.Metrics, or the engine's private registry otherwise. Expose it
-// over HTTP with obs.Registry.Handler or server.WithMetrics.
-func (e *Engine) Metrics() *obs.Registry { return e.metrics }
-
 // HealthProblems reports conditions that should mark the deployment
 // degraded (not dead): currently a failed last snapshot write. The server's
 // readiness probe aggregates these.

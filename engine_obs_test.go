@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"caar/obs"
 	"caar/obs/trace"
 )
 
@@ -15,7 +16,9 @@ import (
 // map and policy — so a stage that silently stops being measured fails
 // loudly here rather than as a flat line on a dashboard.
 func TestRecommendTouchesEveryStage(t *testing.T) {
-	e, err := Open(testConfig())
+	cfg := testConfig()
+	cfg.Metrics = obs.NewRegistry()
+	e, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +41,7 @@ func TestRecommendTouchesEveryStage(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := e.Metrics().WritePrometheus(&buf); err != nil {
+	if err := cfg.Metrics.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
 	body := buf.String()
@@ -66,6 +69,7 @@ func TestStageCountsAreRequests(t *testing.T) {
 	cfg := testConfig()
 	cfg.ContinuousK = 2
 	cfg.OnRecommend = func(string, []Recommendation) {}
+	cfg.Metrics = obs.NewRegistry()
 	e := openEngine(t, cfg)
 	for _, u := range []string{"poster", "f1", "f2", "f3"} {
 		if err := e.AddUser(u); err != nil {
@@ -93,7 +97,7 @@ func TestStageCountsAreRequests(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := e.Metrics().WritePrometheus(&buf); err != nil {
+	if err := cfg.Metrics.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
 	body := buf.String()
@@ -138,12 +142,13 @@ func TestExemplarRefreshThrottle(t *testing.T) {
 	mkTrace := func(id, reason string) *trace.Trace {
 		return &trace.Trace{ID: id, CaptureReason: reason, DurationSeconds: 0.002}
 	}
+	// The slowest exemplar of the recommend histogram, as /v1/traces lists it.
 	slowest := func() string {
-		ex, ok := m.recommendSeconds.SlowestExemplar()
-		if !ok {
+		ex := e.StageExemplars()["recommend"]
+		if len(ex) == 0 {
 			return ""
 		}
-		return ex.TraceID
+		return ex[len(ex)-1].TraceID
 	}
 
 	// First sampled trace lands: the gate starts at zero, so now-last is
@@ -180,12 +185,13 @@ func TestExemplarRefreshThrottle(t *testing.T) {
 // substantial family set (the acceptance floor for the whole process is 20
 // across engine + server + journal).
 func TestEngineExposesMetricFamilies(t *testing.T) {
-	e, err := Open(testConfig())
-	if err != nil {
+	cfg := testConfig()
+	cfg.Metrics = obs.NewRegistry()
+	if _, err := Open(cfg); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := e.Metrics().WritePrometheus(&buf); err != nil {
+	if err := cfg.Metrics.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
 	families := strings.Count(buf.String(), "# TYPE ")

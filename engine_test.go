@@ -15,6 +15,7 @@ import (
 
 	"caar/internal/core"
 	"caar/internal/feed"
+	"caar/obs"
 )
 
 var morning = time.Date(2026, 7, 6, 9, 0, 0, 0, time.UTC)
@@ -572,14 +573,14 @@ func TestKAboveMaxRejected(t *testing.T) {
 		if _, err := e.Recommend("alice", k, morning); !errors.Is(err, ErrBadConfig) {
 			t.Fatalf("Recommend k=%d: %v, want ErrBadConfig", k, err)
 		}
-		if _, err := e.RecommendWithPolicy("alice", k, morning, greedy); !errors.Is(err, ErrBadConfig) {
-			t.Fatalf("RecommendWithPolicy k=%d: %v, want ErrBadConfig", k, err)
+		if _, _, err := e.RecommendTraced("alice", k, morning, greedy, TraceRequest{}); !errors.Is(err, ErrBadConfig) {
+			t.Fatalf("RecommendTraced k=%d: %v, want ErrBadConfig", k, err)
 		}
 		if _, err := e.Trending(Morning, k); !errors.Is(err, ErrBadConfig) {
 			t.Fatalf("Trending k=%d: %v, want ErrBadConfig", k, err)
 		}
 	}
-	recs, err := e.RecommendWithPolicy("alice", MaxK, morning, greedy)
+	recs, _, err := e.RecommendTraced("alice", MaxK, morning, greedy, TraceRequest{})
 	if err != nil || len(recs) != 1 {
 		t.Fatalf("k=MaxK over-fetched: %v, %d ads, want the one ad", err, len(recs))
 	}
@@ -684,6 +685,7 @@ func TestContinuousCallbackIsTheRecommendAnswer(t *testing.T) {
 		got[user] = recs
 		mu.Unlock()
 	}
+	cfg.Metrics = obs.NewRegistry()
 	e := openEngine(t, cfg)
 
 	rng := rand.New(rand.NewSource(5))
@@ -759,7 +761,7 @@ func TestContinuousCallbackIsTheRecommendAnswer(t *testing.T) {
 	}
 
 	var buf strings.Builder
-	if err := e.Metrics().WritePrometheus(&buf); err != nil {
+	if err := cfg.Metrics.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
 	var view, rerank int

@@ -126,7 +126,10 @@ func TestTraceRecordsAnswerPath(t *testing.T) {
 		if len(tr.Spans) != 6 {
 			t.Fatalf("read %d (%s): %d spans %v, want one per stage", i, tr.Path, len(tr.Spans), tr.Spans)
 		}
-		retrieve, score, topk := tr.Span("retrieve"), tr.Span("score"), tr.Span("topk")
+		retrieve, score, topk := tr.Spans[1], tr.Spans[2], tr.Spans[3]
+		if retrieve.Stage != "retrieve" || score.Stage != "score" || topk.Stage != "topk" {
+			t.Fatalf("read %d: spans %v out of stage order", i, tr.Spans)
+		}
 		if score.Out > score.In || topk.In != score.Out || topk.Out != 2 {
 			t.Errorf("read %d (%s): funnel retrieve %+v score %+v topk %+v", i, tr.Path, retrieve, score, topk)
 		}

@@ -1,10 +1,8 @@
-// Package fca implements formal concept analysis: dyadic contexts with the
-// NextClosure concept enumeration and lattice construction, triadic contexts
-// with the TRIAS algorithm, fuzzy contexts with α-cut scaling, and the
-// community-detection and ad-matching operations built on triadic concepts
-// (the TFCA effectiveness baseline of the evaluation).
-//
-// The package is self-contained and reusable outside the recommender.
+// Package fca implements the triadic formal concept analysis behind the
+// TFCA effectiveness baseline of the evaluation: triadic contexts with the
+// TRIAS algorithm (over dyadic contexts and their NextClosure concept
+// enumeration), fuzzy contexts with α-cut scaling, and the community
+// detection and ad matching built on triadic concepts.
 package fca
 
 import (
@@ -29,9 +27,6 @@ func NewBitSet(n int) BitSet {
 	return BitSet{words: make([]uint64, (n+63)/64), n: n}
 }
 
-// Cap returns the universe size.
-func (b BitSet) Cap() int { return b.n }
-
 // Set adds element i. Out-of-range indices panic, as they indicate a
 // programming error in context construction.
 func (b BitSet) Set(i int) {
@@ -39,14 +34,6 @@ func (b BitSet) Set(i int) {
 		panic("fca: bitset index " + strconv.Itoa(i) + " out of range")
 	}
 	b.words[i/64] |= 1 << (i % 64)
-}
-
-// Clear removes element i.
-func (b BitSet) Clear(i int) {
-	if i < 0 || i >= b.n {
-		panic("fca: bitset index " + strconv.Itoa(i) + " out of range")
-	}
-	b.words[i/64] &^= 1 << (i % 64)
 }
 
 // Test reports whether element i is present.
@@ -102,20 +89,6 @@ func (b BitSet) trim() {
 func (b BitSet) AndWith(o BitSet) {
 	for i := range b.words {
 		b.words[i] &= o.words[i]
-	}
-}
-
-// OrWith unions o into b in place. Capacities must match.
-func (b BitSet) OrWith(o BitSet) {
-	for i := range b.words {
-		b.words[i] |= o.words[i]
-	}
-}
-
-// AndNotWith removes o's elements from b in place.
-func (b BitSet) AndNotWith(o BitSet) {
-	for i := range b.words {
-		b.words[i] &^= o.words[i]
 	}
 }
 

@@ -1,44 +1,25 @@
 package fca
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Context is a dyadic formal context (G, M, I): a set of objects G, a set of
-// attributes M, and an incidence relation I ⊆ G×M. Objects and attributes
-// carry string names; internally they are dense indexes.
+// attributes M, and an incidence relation I ⊆ G×M, over dense indexes. TRIAS
+// enumerates the triadic concepts through its dyadic projections.
 type Context struct {
-	objects    []string
-	attributes []string
-	objIndex   map[string]int
-	attrIndex  map[string]int
-	rows       []BitSet // per object: its attributes
-	cols       []BitSet // per attribute: its objects
+	rows []BitSet // per object: its attributes
+	cols []BitSet // per attribute: its objects
 }
 
-// NewContext creates a context with the given object and attribute names.
-// Names must be unique within their kind.
+// NewContext creates an empty context over the given object and attribute
+// names. Names must be unique within their kind.
 func NewContext(objects, attributes []string) (*Context, error) {
-	c := &Context{
-		objects:    append([]string(nil), objects...),
-		attributes: append([]string(nil), attributes...),
-		objIndex:   make(map[string]int, len(objects)),
-		attrIndex:  make(map[string]int, len(attributes)),
+	if _, err := indexNames("object", objects); err != nil {
+		return nil, err
 	}
-	for i, o := range objects {
-		if _, dup := c.objIndex[o]; dup {
-			return nil, fmt.Errorf("fca: duplicate object %q", o)
-		}
-		c.objIndex[o] = i
+	if _, err := indexNames("attribute", attributes); err != nil {
+		return nil, err
 	}
-	for j, a := range attributes {
-		if _, dup := c.attrIndex[a]; dup {
-			return nil, fmt.Errorf("fca: duplicate attribute %q", a)
-		}
-		c.attrIndex[a] = j
-	}
-	c.rows = make([]BitSet, len(objects))
+	c := &Context{rows: make([]BitSet, len(objects))}
 	for i := range c.rows {
 		c.rows[i] = NewBitSet(len(attributes))
 	}
@@ -49,55 +30,16 @@ func NewContext(objects, attributes []string) (*Context, error) {
 	return c, nil
 }
 
-// Objects returns the object names (shared slice; do not mutate).
-func (c *Context) Objects() []string { return c.objects }
-
-// Attributes returns the attribute names (shared slice; do not mutate).
-func (c *Context) Attributes() []string { return c.attributes }
-
-// NumObjects returns |G|.
-func (c *Context) NumObjects() int { return len(c.objects) }
-
-// NumAttributes returns |M|.
-func (c *Context) NumAttributes() int { return len(c.attributes) }
-
-// AddObject appends a new object with the given attribute set (a bitset
-// over this context's attributes). Used by attribute exploration to absorb
-// counterexamples.
-func (c *Context) AddObject(name string, attrs BitSet) error {
-	if _, dup := c.objIndex[name]; dup {
-		return fmt.Errorf("fca: duplicate object %q", name)
-	}
-	if attrs.Cap() != len(c.attributes) {
-		return fmt.Errorf("fca: attribute set capacity %d ≠ %d attributes", attrs.Cap(), len(c.attributes))
-	}
-	i := len(c.objects)
-	c.objIndex[name] = i
-	c.objects = append(c.objects, name)
-	c.rows = append(c.rows, attrs.Clone())
-	for j := range c.cols {
-		grown := NewBitSet(len(c.objects))
-		c.cols[j].ForEach(func(o int) { grown.Set(o) })
-		if attrs.Test(j) {
-			grown.Set(i)
+// indexNames maps each name to its position, rejecting a duplicate.
+func indexNames(kind string, names []string) (map[string]int, error) {
+	index := make(map[string]int, len(names))
+	for i, n := range names {
+		if _, dup := index[n]; dup {
+			return nil, fmt.Errorf("fca: duplicate %s %q", kind, n)
 		}
-		c.cols[j] = grown
+		index[n] = i
 	}
-	return nil
-}
-
-// Relate adds (object, attribute) to the incidence relation by name.
-func (c *Context) Relate(object, attribute string) error {
-	i, ok := c.objIndex[object]
-	if !ok {
-		return fmt.Errorf("fca: unknown object %q", object)
-	}
-	j, ok := c.attrIndex[attribute]
-	if !ok {
-		return fmt.Errorf("fca: unknown attribute %q", attribute)
-	}
-	c.RelateIdx(i, j)
-	return nil
+	return index, nil
 }
 
 // RelateIdx adds (object i, attribute j) by index.
@@ -106,13 +48,10 @@ func (c *Context) RelateIdx(i, j int) {
 	c.cols[j].Set(i)
 }
 
-// Incident reports whether object i has attribute j.
-func (c *Context) Incident(i, j int) bool { return c.rows[i].Test(j) }
-
 // ObjectsDerive returns the attributes common to all objects in ext (the ′
 // operator on object sets). For the empty set it returns all attributes.
 func (c *Context) ObjectsDerive(ext BitSet) BitSet {
-	out := NewBitSet(len(c.attributes))
+	out := NewBitSet(len(c.cols))
 	out.Fill()
 	ext.ForEach(func(i int) { out.AndWith(c.rows[i]) })
 	return out
@@ -122,7 +61,7 @@ func (c *Context) ObjectsDerive(ext BitSet) BitSet {
 // (the ′ operator on attribute sets). For the empty set it returns all
 // objects.
 func (c *Context) AttributesDerive(intent BitSet) BitSet {
-	out := NewBitSet(len(c.objects))
+	out := NewBitSet(len(c.rows))
 	out.Fill()
 	intent.ForEach(func(j int) { out.AndWith(c.cols[j]) })
 	return out
@@ -140,29 +79,12 @@ type Concept struct {
 	Intent BitSet // attributes
 }
 
-// ExtentNames resolves the extent to object names.
-func (c *Context) ExtentNames(cc Concept) []string {
-	return names(c.objects, cc.Extent)
-}
-
-// IntentNames resolves the intent to attribute names.
-func (c *Context) IntentNames(cc Concept) []string {
-	return names(c.attributes, cc.Intent)
-}
-
-func names(all []string, s BitSet) []string {
-	out := make([]string, 0, s.Count())
-	s.ForEach(func(i int) { out = append(out, all[i]) })
-	sort.Strings(out)
-	return out
-}
-
 // Concepts enumerates every formal concept of the context using Ganter's
 // NextClosure algorithm, in lectic order of intents. The number of concepts
 // can be exponential in the context size; callers working with adversarial
 // inputs should bound their contexts.
 func (c *Context) Concepts() []Concept {
-	m := len(c.attributes)
+	m := len(c.cols)
 	var out []Concept
 
 	intent := c.CloseAttributes(NewBitSet(m))
@@ -179,7 +101,7 @@ func (c *Context) Concepts() []Concept {
 // nextClosure computes the lectically next closed attribute set after the
 // given closed set, or ok=false when it was the last one (the full set).
 func (c *Context) nextClosure(a BitSet) (BitSet, bool) {
-	m := len(c.attributes)
+	m := len(c.cols)
 	for i := m - 1; i >= 0; i-- {
 		if a.Test(i) {
 			continue

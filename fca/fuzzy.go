@@ -22,28 +22,17 @@ func NewFuzzyTriContext(objects, attributes, conditions []string) (*FuzzyTriCont
 		objects:    append([]string(nil), objects...),
 		attributes: append([]string(nil), attributes...),
 		conditions: append([]string(nil), conditions...),
-		objIndex:   make(map[string]int, len(objects)),
-		attrIndex:  make(map[string]int, len(attributes)),
-		condIndex:  make(map[string]int, len(conditions)),
 		deg:        make(map[[3]int]float64),
 	}
-	for i, o := range objects {
-		if _, dup := f.objIndex[o]; dup {
-			return nil, fmt.Errorf("fca: duplicate object %q", o)
-		}
-		f.objIndex[o] = i
+	var err error
+	if f.objIndex, err = indexNames("object", objects); err != nil {
+		return nil, err
 	}
-	for j, a := range attributes {
-		if _, dup := f.attrIndex[a]; dup {
-			return nil, fmt.Errorf("fca: duplicate attribute %q", a)
-		}
-		f.attrIndex[a] = j
+	if f.attrIndex, err = indexNames("attribute", attributes); err != nil {
+		return nil, err
 	}
-	for k, b := range conditions {
-		if _, dup := f.condIndex[b]; dup {
-			return nil, fmt.Errorf("fca: duplicate condition %q", b)
-		}
-		f.condIndex[b] = k
+	if f.condIndex, err = indexNames("condition", conditions); err != nil {
+		return nil, err
 	}
 	return f, nil
 }
@@ -73,20 +62,6 @@ func (f *FuzzyTriContext) Set(object, attribute, condition string, degree float6
 	}
 	return nil
 }
-
-// Degree returns the membership of a triple (0 when absent or unknown).
-func (f *FuzzyTriContext) Degree(object, attribute, condition string) float64 {
-	i, ok1 := f.objIndex[object]
-	j, ok2 := f.attrIndex[attribute]
-	k, ok3 := f.condIndex[condition]
-	if !ok1 || !ok2 || !ok3 {
-		return 0
-	}
-	return f.deg[[3]int{i, j, k}]
-}
-
-// Len returns the number of non-zero triples.
-func (f *FuzzyTriContext) Len() int { return len(f.deg) }
 
 // AlphaCut returns the crisp triadic context containing the triples whose
 // degree is strictly greater than alpha (the "> α" convention of the

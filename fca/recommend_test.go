@@ -84,47 +84,3 @@ func TestRecommendNoMatch(t *testing.T) {
 		t.Fatalf("no URIs: %+v", recs)
 	}
 }
-
-func TestLatticeOnClassicContext(t *testing.T) {
-	c := classicContext(t)
-	l := NewLattice(c)
-	if l.Len() != 19 {
-		t.Fatalf("lattice size = %d", l.Len())
-	}
-	top := l.Concepts()[l.Top()]
-	if top.Extent.Count() != c.NumObjects() {
-		t.Fatal("top concept should have full extent")
-	}
-	bottom := l.Concepts()[l.Bottom()]
-	if bottom.Extent.Count() > top.Extent.Count() {
-		t.Fatal("bottom larger than top")
-	}
-	// Cover relation sanity: each concept's upper covers have strictly
-	// larger extents, and the top has none.
-	for i := 0; i < l.Len(); i++ {
-		for _, j := range l.UpperCovers(i) {
-			ci := l.Concepts()[i]
-			cj := l.Concepts()[j]
-			if !ci.Extent.IsSubsetOf(cj.Extent) || ci.Extent.Equal(cj.Extent) {
-				t.Fatalf("cover %d→%d is not a strict extent inclusion", i, j)
-			}
-		}
-	}
-	if len(l.UpperCovers(l.Top())) != 0 {
-		t.Fatal("top concept has upper covers")
-	}
-	if len(l.LowerCovers(l.Bottom())) != 0 {
-		t.Fatal("bottom concept has lower covers")
-	}
-	// ConceptFor: querying one attribute yields the attribute concept.
-	cc, ok := l.ConceptFor("suckles")
-	if !ok {
-		t.Fatal("ConceptFor failed")
-	}
-	if got := c.ExtentNames(Concept{Extent: cc.Extent, Intent: cc.Intent}); !reflect.DeepEqual(got, []string{"dog"}) {
-		t.Fatalf("suckles extent = %v", got)
-	}
-	if _, ok := l.ConceptFor("no-such-attribute"); ok {
-		t.Fatal("unknown attribute accepted")
-	}
-}

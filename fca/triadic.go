@@ -27,27 +27,16 @@ func NewTriContext(objects, attributes, conditions []string) (*TriContext, error
 		objects:    append([]string(nil), objects...),
 		attributes: append([]string(nil), attributes...),
 		conditions: append([]string(nil), conditions...),
-		objIndex:   make(map[string]int, len(objects)),
-		attrIndex:  make(map[string]int, len(attributes)),
-		condIndex:  make(map[string]int, len(conditions)),
 	}
-	for i, o := range objects {
-		if _, dup := t.objIndex[o]; dup {
-			return nil, fmt.Errorf("fca: duplicate object %q", o)
-		}
-		t.objIndex[o] = i
+	var err error
+	if t.objIndex, err = indexNames("object", objects); err != nil {
+		return nil, err
 	}
-	for j, a := range attributes {
-		if _, dup := t.attrIndex[a]; dup {
-			return nil, fmt.Errorf("fca: duplicate attribute %q", a)
-		}
-		t.attrIndex[a] = j
+	if t.attrIndex, err = indexNames("attribute", attributes); err != nil {
+		return nil, err
 	}
-	for k, b := range conditions {
-		if _, dup := t.condIndex[b]; dup {
-			return nil, fmt.Errorf("fca: duplicate condition %q", b)
-		}
-		t.condIndex[b] = k
+	if t.condIndex, err = indexNames("condition", conditions); err != nil {
+		return nil, err
 	}
 	t.inc = make([]BitSet, len(objects))
 	for i := range t.inc {
@@ -55,15 +44,6 @@ func NewTriContext(objects, attributes, conditions []string) (*TriContext, error
 	}
 	return t, nil
 }
-
-// Objects returns the object names.
-func (t *TriContext) Objects() []string { return t.objects }
-
-// Attributes returns the attribute names.
-func (t *TriContext) Attributes() []string { return t.attributes }
-
-// Conditions returns the condition names.
-func (t *TriContext) Conditions() []string { return t.conditions }
 
 // Relate adds (object, attribute, condition) to Y by name.
 func (t *TriContext) Relate(object, attribute, condition string) error {
@@ -88,11 +68,6 @@ func (t *TriContext) RelateIdx(i, j, k int) {
 	t.inc[i].Set(j*len(t.conditions) + k)
 }
 
-// Incident reports whether (i, j, k) ∈ Y.
-func (t *TriContext) Incident(i, j, k int) bool {
-	return t.inc[i].Test(j*len(t.conditions) + k)
-}
-
 // TriConcept is a triadic concept (A1, A2, A3): a maximal box
 // A1×A2×A3 ⊆ Y — no dimension can be enlarged without breaking inclusion
 // (Wille's triadic concepts).
@@ -110,6 +85,13 @@ func (t *TriContext) IntentNames(c TriConcept) []string { return names(t.attribu
 
 // ModusNames resolves A3 to condition names.
 func (t *TriContext) ModusNames(c TriConcept) []string { return names(t.conditions, c.Modus) }
+
+func names(all []string, s BitSet) []string {
+	out := make([]string, 0, s.Count())
+	s.ForEach(func(i int) { out = append(out, all[i]) })
+	sort.Strings(out)
+	return out
+}
 
 // boxExtent returns the objects g with {g}×A2×A3 ⊆ Y.
 func (t *TriContext) boxExtent(intent, modus BitSet) BitSet {
@@ -138,18 +120,7 @@ func (t *TriContext) Concepts() []TriConcept {
 	nm, nb := len(t.attributes), len(t.conditions)
 
 	// Projected dyadic context K1 = (G, M×B, Y¹).
-	k1 := &Context{
-		objects:    t.objects,
-		attributes: make([]string, nm*nb),
-		objIndex:   t.objIndex,
-		attrIndex:  map[string]int{},
-		rows:       t.inc,
-	}
-	for p := range k1.attributes {
-		k1.attributes[p] = fmt.Sprintf("p%d", p)
-		k1.attrIndex[k1.attributes[p]] = p
-	}
-	k1.cols = make([]BitSet, nm*nb)
+	k1 := &Context{rows: t.inc, cols: make([]BitSet, nm*nb)}
 	for p := 0; p < nm*nb; p++ {
 		col := NewBitSet(len(t.objects))
 		for i := range t.inc {

@@ -93,8 +93,8 @@ func TestTriContextValidation(t *testing.T) {
 	if err := tc.Relate("a", "m", "t"); err != nil {
 		t.Fatal(err)
 	}
-	if !tc.Incident(0, 0, 0) {
-		t.Error("Incident after Relate false")
+	if !tc.inc[0].Test(0) {
+		t.Error("triple absent after Relate")
 	}
 }
 
@@ -141,7 +141,7 @@ func maximalTriple(t *TriContext, a1, a2, a3 BitSet, ng, nm, nb int) bool {
 		a1.ForEach(func(i int) {
 			a2.ForEach(func(j int) {
 				a3.ForEach(func(k int) {
-					if !t.Incident(i, j, k) {
+					if !t.inc[i].Test(j*nb + k) {
 						ok = false
 					}
 				})
@@ -287,26 +287,21 @@ func join(xs []string) string { return strings.Join(xs, ",") }
 
 func TestAlphaCutThresholds(t *testing.T) {
 	f := paperTweetContext(t)
-	if f.Len() != 15 {
-		t.Fatalf("fuzzy triples = %d, want 15", f.Len())
+	if len(f.deg) != 15 {
+		t.Fatalf("fuzzy triples = %d, want 15", len(f.deg))
 	}
 	// α = 0.75 drops Sam-URI5-t2 (0.75, strict cut) and nothing else below 0.8.
 	cut := f.AlphaCut(0.75)
-	if cut.Incident(3, 4, 1) { // Sam, URI5, t2
+	if cut.inc[3].Test(4*3 + 1) { // Sam, URI5, t2
 		t.Fatal("0.75-degree triple survived α=0.75 strict cut")
 	}
-	if !cut.Incident(1, 3, 1) { // Luke, URI4, t2 at 0.8
+	if !cut.inc[1].Test(3*3 + 1) { // Luke, URI4, t2 at 0.8
 		t.Fatal("0.8-degree triple dropped at α=0.75")
 	}
 	// α = 1 keeps nothing.
-	empty := f.AlphaCut(1)
-	for i := 0; i < 5; i++ {
-		for j := 0; j < 5; j++ {
-			for k := 0; k < 3; k++ {
-				if empty.Incident(i, j, k) {
-					t.Fatal("α=1 cut should be empty")
-				}
-			}
+	for _, row := range f.AlphaCut(1).inc {
+		if !row.IsEmpty() {
+			t.Fatal("α=1 cut should be empty")
 		}
 	}
 }
@@ -326,10 +321,7 @@ func TestFuzzySetValidation(t *testing.T) {
 	f.Set("u", "m", "t", 0.4)
 	f.Set("u", "m", "t", 0.7)
 	f.Set("u", "m", "t", 0.2)
-	if got := f.Degree("u", "m", "t"); got != 0.7 {
-		t.Fatalf("Degree = %v, want max 0.7", got)
-	}
-	if f.Degree("zz", "m", "t") != 0 {
-		t.Fatal("unknown degree should be 0")
+	if got := f.deg[[3]int{0, 0, 0}]; got != 0.7 {
+		t.Fatalf("degree = %v, want max 0.7", got)
 	}
 }

@@ -15,6 +15,7 @@ import (
 
 	caar "caar"
 	"caar/journal"
+	"caar/obs"
 )
 
 var t0 = time.Date(2026, 7, 6, 9, 0, 0, 0, time.UTC)
@@ -381,6 +382,7 @@ func TestRecommendMatchesRSThroughIngest(t *testing.T) {
 	capCfg.Shards, capCfg.WindowSize, capCfg.DecayHalfLife = 2, 8, 30*time.Minute
 	rsCfg := capCfg
 	rsCfg.Algorithm = caar.AlgorithmRS
+	capCfg.Metrics = obs.NewRegistry()
 	var engines [2]*caar.Engine
 	for i, cfg := range []caar.Config{capCfg, rsCfg} {
 		eng, err := caar.Open(cfg)
@@ -466,15 +468,15 @@ func TestRecommendMatchesRSThroughIngest(t *testing.T) {
 			t.Fatal(err)
 		}
 		same(step, "Recommend", got, want)
-		wantP, err := rsEng.RecommendWithPolicy(who, k, at, policy)
+		wantP, _, err := rsEng.RecommendTraced(who, k, at, policy, caar.TraceRequest{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotP, err := capEng.RecommendWithPolicy(who, k, at, policy)
+		gotP, _, err := capEng.RecommendTraced(who, k, at, policy, caar.TraceRequest{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		same(step, "RecommendWithPolicy", gotP, wantP)
+		same(step, "RecommendTraced", gotP, wantP)
 		// Show the best ad: it is capped for this user for an hour, and
 		// campaign ads spend the paced budget down on both engines.
 		if len(want) > 0 {
@@ -511,7 +513,7 @@ func TestRecommendMatchesRSThroughIngest(t *testing.T) {
 	}
 
 	var buf strings.Builder
-	if err := capEng.Metrics().WritePrometheus(&buf); err != nil {
+	if err := capCfg.Metrics.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
 	var view, rerank, merges, rebuilds, merged, skipped int

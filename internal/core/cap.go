@@ -82,9 +82,6 @@ func NewCAP(s Scoring, store *adstore.Store, region geo.Rect, gridRows, gridCols
 	}, nil
 }
 
-// Name implements Recommender.
-func (e *CAP) Name() string { return "CAP" }
-
 // AddUser implements Recommender.
 func (e *CAP) AddUser(u feed.UserID) {
 	if _, ok := e.users[u]; ok {
@@ -175,19 +172,10 @@ func findDelta(deltas []index.Delta, id adstore.AdID) (int, bool) {
 	})
 }
 
-// RemoveAd implements Recommender with eager cleanup: stale buffer entries
-// or cached delta entries for a removed ID would corrupt scores if the ID
-// were ever reused.
-func (e *CAP) RemoveAd(id adstore.AdID) error {
-	if err := e.store.Remove(id); err != nil {
-		return err
-	}
-	e.UnregisterAd(id)
-	return nil
-}
-
 // UnregisterAd drops an ad from the engine's indexes, candidate buffers and
-// cached delta lists without touching the store. A view that tracks the ad
+// cached delta lists without touching the store. The cleanup is eager: stale
+// buffer entries or cached delta entries for a removed ID would corrupt
+// scores if the ID were ever reused. A view that tracks the ad
 // goes with it; any other stands, because removing an untracked ad raises no
 // score (a noted ID whose ad is gone is skipped by refreshView).
 func (e *CAP) UnregisterAd(id adstore.AdID) {

@@ -30,31 +30,31 @@ func testScoring() Scoring {
 	}
 }
 
-// makeEngines builds one of each engine with identical configuration and
-// private stores.
-func makeEngines(t *testing.T, s Scoring) []Recommender {
+// makeEngines builds one of each engine with identical configuration over
+// one shared store, as the facade's shards share theirs.
+func makeEngines(t *testing.T, s Scoring, store *adstore.Store) []Shardable {
 	t.Helper()
-	rs, err := NewRS(s, nil)
+	rs, err := NewRS(s, store)
 	if err != nil {
 		t.Fatal(err)
 	}
-	il, err := NewIL(s, nil, region, 8, 8)
+	il, err := NewIL(s, store, region, 8, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cap1, err := NewCAP(s, nil, region, 8, 8, DefaultCAPOptions())
+	cap1, err := NewCAP(s, store, region, 8, 8, DefaultCAPOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	capNoShare, err := NewCAP(s, nil, region, 8, 8, CAPOptions{FanoutSharing: false, RebuildEvery: 64})
+	capNoShare, err := NewCAP(s, store, region, 8, 8, CAPOptions{FanoutSharing: false, RebuildEvery: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
-	capNoRebuild, err := NewCAP(s, nil, region, 8, 8, CAPOptions{FanoutSharing: true, RebuildEvery: 0})
+	capNoRebuild, err := NewCAP(s, store, region, 8, 8, CAPOptions{FanoutSharing: true, RebuildEvery: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return []Recommender{rs, il, cap1, capNoShare, capNoRebuild}
+	return []Shardable{rs, il, cap1, capNoShare, capNoRebuild}
 }
 
 func randVec(rng *rand.Rand, nTerms, vocab int) textproc.SparseVector {
@@ -120,7 +120,8 @@ func TestEngineEquivalenceRandomWorkload(t *testing.T) {
 	for _, seed := range []int64{1, 2, 7, 42} {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
-			engines := makeEngines(t, testScoring())
+			store := adstore.NewStore()
+			engines := makeEngines(t, testScoring(), store)
 			oracle := engines[0]
 
 			const nUsers = 12
@@ -140,12 +141,11 @@ func TestEngineEquivalenceRandomWorkload(t *testing.T) {
 			var liveAds []adstore.AdID
 			addAd := func() {
 				a := randAd(rng, nextAd)
+				if err := store.Add(a); err != nil {
+					t.Fatal(err)
+				}
 				for _, e := range engines {
-					// Each engine gets its own copy: stores are private.
-					cp := *a
-					if err := e.AddAd(&cp); err != nil {
-						t.Fatalf("%s AddAd: %v", e.Name(), err)
-					}
+					e.RegisterAd(a)
 				}
 				liveAds = append(liveAds, nextAd)
 				nextAd++
@@ -165,11 +165,11 @@ func TestEngineEquivalenceRandomWorkload(t *testing.T) {
 					for _, e := range engines[1:] {
 						got, err := e.TopAds(u, k, now)
 						if err != nil {
-							t.Fatalf("%s TopAds: %v", e.Name(), err)
+							t.Fatalf("%T TopAds: %v", e, err)
 						}
 						if err := scoresCompatible(want, got, 1e-6); err != nil {
-							t.Fatalf("step %d user %d k %d: %s disagrees with RS: %v\nRS:  %+v\n%s: %+v",
-								step, u, k, e.Name(), err, want, e.Name(), got)
+							t.Fatalf("step %d user %d k %d: %T disagrees with RS: %v\nRS:  %+v\n%T: %+v",
+								step, u, k, e, err, want, e, got)
 						}
 					}
 				}, caps...)
@@ -199,7 +199,7 @@ func TestEngineEquivalenceRandomWorkload(t *testing.T) {
 					}
 					for _, e := range engines {
 						if err := e.Deliver(msg, followers); err != nil {
-							t.Fatalf("%s Deliver: %v", e.Name(), err)
+							t.Fatalf("%T Deliver: %v", e, err)
 						}
 					}
 					gaps.delivered(followers)
@@ -213,7 +213,7 @@ func TestEngineEquivalenceRandomWorkload(t *testing.T) {
 					p := geo.Point{Lat: rng.Float64() * 10, Lng: rng.Float64() * 10}
 					for _, e := range engines {
 						if err := e.CheckIn(u, p, now); err != nil {
-							t.Fatalf("%s CheckIn: %v", e.Name(), err)
+							t.Fatalf("%T CheckIn: %v", e, err)
 						}
 					}
 					gaps.churned()
@@ -225,10 +225,11 @@ func TestEngineEquivalenceRandomWorkload(t *testing.T) {
 						i := rng.Intn(len(liveAds))
 						id := liveAds[i]
 						liveAds = append(liveAds[:i], liveAds[i+1:]...)
+						if err := store.Remove(id); err != nil {
+							t.Fatal(err)
+						}
 						for _, e := range engines {
-							if err := e.RemoveAd(id); err != nil {
-								t.Fatalf("%s RemoveAd: %v", e.Name(), err)
-							}
+							e.UnregisterAd(id)
 						}
 						gaps.churned()
 					}
@@ -244,26 +245,26 @@ func TestEngineEquivalenceRandomWorkload(t *testing.T) {
 }
 
 func TestUnknownUserErrors(t *testing.T) {
-	for _, e := range makeEngines(t, testScoring()) {
+	for _, e := range makeEngines(t, testScoring(), nil) {
 		if _, err := e.TopAds(99, 5, base0); !errors.Is(err, ErrUnknownUser) {
-			t.Errorf("%s TopAds unknown user = %v", e.Name(), err)
+			t.Errorf("%T TopAds unknown user = %v", e, err)
 		}
 		if err := e.CheckIn(99, geo.Point{Lat: 5, Lng: 5}, base0); !errors.Is(err, ErrUnknownUser) {
-			t.Errorf("%s CheckIn unknown user = %v", e.Name(), err)
+			t.Errorf("%T CheckIn unknown user = %v", e, err)
 		}
 		msg := feed.Message{ID: 1, Time: base0, Vec: textproc.SparseVector{1: 1}}
 		if err := e.Deliver(msg, []feed.UserID{99}); !errors.Is(err, ErrUnknownUser) {
-			t.Errorf("%s Deliver unknown follower = %v", e.Name(), err)
+			t.Errorf("%T Deliver unknown follower = %v", e, err)
 		}
 		// All or nothing, in every engine: an unknown follower in last
 		// position fails the delivery before any window is pushed to.
 		e.AddUser(1)
 		e.AddUser(2)
 		if err := e.Deliver(msg, []feed.UserID{1, 2, 99}); !errors.Is(err, ErrUnknownUser) {
-			t.Errorf("%s Deliver with an unknown last follower = %v", e.Name(), err)
+			t.Errorf("%T Deliver with an unknown last follower = %v", e, err)
 		}
 		if _, entries := e.(interface{ WindowStats() (int, int) }).WindowStats(); entries != 0 {
-			t.Errorf("%s: %d window entries after a failed delivery, want none", e.Name(), entries)
+			t.Errorf("%T: %d window entries after a failed delivery, want none", e, entries)
 		}
 	}
 }

@@ -76,14 +76,6 @@ func (ix *indexed) addAd(a *adstore.Ad) error {
 	return nil
 }
 
-func (ix *indexed) removeAd(id adstore.AdID) error {
-	if err := ix.store.Remove(id); err != nil {
-		return err
-	}
-	ix.unregisterAd(id)
-	return nil
-}
-
 // CheckIn restricts user locations to the indexed region: a user outside the
 // grid coverage could match geo-targeted ads the cell index cannot see, so
 // the engine rejects the check-in rather than silently degrade to global ads.
@@ -154,14 +146,8 @@ func NewIL(s Scoring, store *adstore.Store, region geo.Rect, gridRows, gridCols 
 	return &IL{indexed: ix}, nil
 }
 
-// Name implements Recommender.
-func (e *IL) Name() string { return "IL" }
-
 // AddAd implements Recommender.
 func (e *IL) AddAd(a *adstore.Ad) error { return e.addAd(a) }
-
-// RemoveAd implements Recommender.
-func (e *IL) RemoveAd(id adstore.AdID) error { return e.removeAd(id) }
 
 // RegisterAd indexes an ad already present in a (shared) store.
 func (e *IL) RegisterAd(a *adstore.Ad) { e.registerAd(a) }

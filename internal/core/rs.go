@@ -26,14 +26,8 @@ func NewRS(s Scoring, store *adstore.Store) (*RS, error) {
 	return &RS{base: b}, nil
 }
 
-// Name implements Recommender.
-func (e *RS) Name() string { return "RS" }
-
 // AddAd implements Recommender. RS keeps no index; the store is the index.
 func (e *RS) AddAd(a *adstore.Ad) error { return e.store.Add(a) }
-
-// RemoveAd implements Recommender.
-func (e *RS) RemoveAd(id adstore.AdID) error { return e.store.Remove(id) }
 
 // RegisterAd indexes an ad that is already present in a (shared) store. RS
 // keeps no index, so this is a no-op.

@@ -87,17 +87,11 @@ type Scored struct {
 // safe for concurrent use; the public facade serializes access (or shards
 // users across engine instances).
 type Recommender interface {
-	// Name identifies the engine in experiment output ("RS", "IL", "CAP").
-	Name() string
-
 	// AddUser registers a user with an empty feed window.
 	AddUser(u feed.UserID)
 
 	// AddAd registers a servable ad.
 	AddAd(a *adstore.Ad) error
-
-	// RemoveAd withdraws an ad.
-	RemoveAd(id adstore.AdID) error
 
 	// CheckIn updates a user's location context.
 	CheckIn(u feed.UserID, p geo.Point, t time.Time) error

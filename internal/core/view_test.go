@@ -430,18 +430,20 @@ func TestViewDroppedByAdRemoval(t *testing.T) {
 	if v.tracks(5) || !v.tracks(1) {
 		t.Fatal("the scenario needs ad 1 tracked and ad 5 not")
 	}
-	if err := e.RemoveAd(5); err != nil {
+	if err := e.store.Remove(5); err != nil {
 		t.Fatal(err)
 	}
+	e.UnregisterAd(5)
 	if e.users[1].buf.view != v {
 		t.Fatal("withdrawing an untracked ad cost the view")
 	}
 	sameAsFullRanking(t, e, 1, base0)
 	wantPath(t, e, 1, 1)
 
-	if err := e.RemoveAd(1); err != nil {
+	if err := e.store.Remove(1); err != nil {
 		t.Fatal(err)
 	}
+	e.UnregisterAd(1)
 	if top := sameAsFullRanking(t, e, 1, base0); top[0].Ad != 2 {
 		t.Fatalf("top ad %d after ad 1 was withdrawn, want 2", top[0].Ad)
 	}

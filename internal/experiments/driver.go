@@ -13,7 +13,6 @@ import (
 	"caar/internal/core"
 	"caar/internal/feed"
 	"caar/internal/timeslot"
-	"caar/metrics"
 	"caar/workload"
 )
 
@@ -76,7 +75,7 @@ func (d *driver) prepare() error {
 type replayResult struct {
 	Events    int
 	Elapsed   time.Duration
-	Latency   metrics.Samples
+	Latency   Samples
 	TopKCalls int
 }
 

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	caar "caar"
-	"caar/metrics"
 )
 
 // facadeWorkload generates a text-level workload for facade experiments
@@ -121,16 +120,16 @@ func runFacadeParallel(r *Runner) error {
 				}
 			}
 		}
-		return metrics.Throughput{
+		return Throughput{
 			Events: uint64(reps * len(w.posts)), Elapsed: time.Since(start),
 		}.PerSecond(), nil
 	}
 
-	high := metrics.Series{Name: "high-fanout"}
-	low := metrics.Series{Name: "low-fanout"}
+	high := Series{Name: "high-fanout"}
+	low := Series{Name: "low-fanout"}
 	for _, shards := range []int{1, 2, 4, 8} {
 		for _, row := range []struct {
-			series *metrics.Series
+			series *Series
 			celebs bool
 			reps   int
 		}{{&high, true, 1}, {&low, false, 40}} {
@@ -146,6 +145,6 @@ func runFacadeParallel(r *Runner) error {
 		}
 	}
 	r.printf("posts/sec by shard count (continuous top-10; GOMAXPROCS bounds the attainable speedup)\n%s",
-		metrics.Table("shards", high, low))
+		Table("shards", high, low))
 	return nil
 }

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"caar/internal/core"
-	"caar/metrics"
 	"caar/workload"
 )
 
@@ -63,7 +62,7 @@ func runT1(r *Runner) error {
 // because its per-event cost is independent of the total ad count.
 func runF1(r *Runner) error {
 	adCounts := []int{1000, 2000, 5000, 10000}
-	series := make([]metrics.Series, len(engineNames))
+	series := make([]Series, len(engineNames))
 	for i, n := range engineNames {
 		series[i].Name = n
 	}
@@ -79,12 +78,12 @@ func runF1(r *Runner) error {
 			if err != nil {
 				return err
 			}
-			series[i].Add(float64(cfg.Ads), metrics.Throughput{
+			series[i].Add(float64(cfg.Ads), Throughput{
 				Events: uint64(res.Events), Elapsed: res.Elapsed,
 			}.PerSecond())
 		}
 	}
-	r.printf("events/sec by ad count (continuous top-5)\n%s", metrics.Table("ads", series...))
+	r.printf("events/sec by ad count (continuous top-5)\n%s", Table("ads", series...))
 	return nil
 }
 
@@ -94,7 +93,7 @@ func runF1(r *Runner) error {
 func runF2(r *Runner) error {
 	w := mustGenerate(scaledConfig(r.Scale))
 	ks := []int{1, 5, 10, 20, 50}
-	series := make([]metrics.Series, len(engineNames))
+	series := make([]Series, len(engineNames))
 	for i, n := range engineNames {
 		series[i].Name = n
 	}
@@ -107,7 +106,7 @@ func runF2(r *Runner) error {
 			series[i].Add(float64(k), float64(res.Latency.Quantile(0.99).Microseconds()))
 		}
 	}
-	r.printf("p99 event latency (µs) by k\n%s", metrics.Table("k", series...))
+	r.printf("p99 event latency (µs) by k\n%s", Table("k", series...))
 	return nil
 }
 
@@ -118,7 +117,7 @@ func runF3(r *Runner) error {
 	w := mustGenerate(scaledConfig(r.Scale))
 	wins := []int{8, 16, 32, 64, 128}
 	names := []string{"IL", "CAP"}
-	series := make([]metrics.Series, len(names))
+	series := make([]Series, len(names))
 	for i, n := range names {
 		series[i].Name = n
 	}
@@ -128,12 +127,12 @@ func runF3(r *Runner) error {
 			if err != nil {
 				return err
 			}
-			series[i].Add(float64(win), metrics.Throughput{
+			series[i].Add(float64(win), Throughput{
 				Events: uint64(res.Events), Elapsed: res.Elapsed,
 			}.PerSecond())
 		}
 	}
-	r.printf("events/sec by window size (continuous top-5)\n%s", metrics.Table("window", series...))
+	r.printf("events/sec by window size (continuous top-5)\n%s", Table("window", series...))
 	return nil
 }
 
@@ -143,7 +142,7 @@ func runF3(r *Runner) error {
 func runF4(r *Runner) error {
 	fans := []int{4, 8, 16, 32}
 	names := []string{"IL", "CAP", "CAP-noshare"}
-	series := make([]metrics.Series, len(names))
+	series := make([]Series, len(names))
 	for i, n := range names {
 		series[i].Name = n
 	}
@@ -165,12 +164,12 @@ func runF4(r *Runner) error {
 			if err != nil {
 				return err
 			}
-			series[i].Add(float64(fan), metrics.Throughput{
+			series[i].Add(float64(fan), Throughput{
 				Events: uint64(res.Events), Elapsed: res.Elapsed,
 			}.PerSecond())
 		}
 	}
-	r.printf("events/sec by average fan-out (continuous top-5)\n%s", metrics.Table("fanout", series...))
+	r.printf("events/sec by average fan-out (continuous top-5)\n%s", Table("fanout", series...))
 	return nil
 }
 
@@ -179,7 +178,7 @@ func runF4(r *Runner) error {
 // read once at the end).
 func runF5(r *Runner) error {
 	adCounts := []int{1000, 2000, 5000, 10000}
-	series := make([]metrics.Series, len(engineNames))
+	series := make([]Series, len(engineNames))
 	for i, n := range engineNames {
 		series[i].Name = n
 	}
@@ -218,7 +217,7 @@ func runF5(r *Runner) error {
 			series[i].Add(float64(cfg.Ads), float64(bytes)/float64(cfg.Ads))
 		}
 	}
-	r.printf("live-heap bytes per ad after warm-up\n%s", metrics.Table("ads", series...))
+	r.printf("live-heap bytes per ad after warm-up\n%s", Table("ads", series...))
 	return nil
 }
 
@@ -252,7 +251,7 @@ func runF9(r *Runner) error {
 		if err != nil {
 			return err
 		}
-		tp := metrics.Throughput{Events: uint64(res.Events), Elapsed: res.Elapsed}
+		tp := Throughput{Events: uint64(res.Events), Elapsed: res.Elapsed}
 		r.printf("%-24s %14.1f %14d\n", v.name, tp.PerSecond(), res.Latency.Quantile(0.99).Microseconds())
 	}
 	return nil

@@ -11,7 +11,6 @@ import (
 	"caar/internal/feed"
 	"caar/internal/geo"
 	"caar/internal/timeslot"
-	"caar/metrics"
 	"caar/workload"
 )
 
@@ -274,13 +273,13 @@ func (env *qualityEnv) buildTFCAContexts() (*fca.FuzzyTriContext, *fca.TriContex
 // evalF runs one micro-averaged F-score evaluation over the sampled ads for
 // one slot, with a caller-supplied predictor.
 func evalF(oracle *workload.Oracle, ads []*adstore.Ad, sl timeslot.Slot, predict func(*adstore.Ad) []feed.UserID) float64 {
-	var agg metrics.Retrieval
+	var agg Retrieval
 	for _, a := range ads {
 		truth := oracle.InterestedUsers(a.ID, sl)
 		if !a.Slots.Contains(sl) {
 			continue
 		}
-		agg.Merge(metrics.EvaluateSets(predict(a), truth))
+		agg.Merge(EvaluateSets(predict(a), truth))
 	}
 	return agg.FScore()
 }
@@ -306,10 +305,10 @@ func runF6(r *Runner) error {
 	checkinIdx := fca.NewConceptIndex(checkins)
 
 	alphas := []float64{0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.9, 1.0}
-	series := make([]metrics.Series, 0, 4)
+	series := make([]Series, 0, 4)
 	for _, sl := range evalSlots {
-		capSeries := metrics.Series{Name: "CAP-" + sl.String()}
-		tfcaSeries := metrics.Series{Name: "TFCA-" + sl.String()}
+		capSeries := Series{Name: "CAP-" + sl.String()}
+		tfcaSeries := Series{Name: "TFCA-" + sl.String()}
 		for _, alpha := range alphas {
 			tweetIdx := fca.NewConceptIndex(tweets.AlphaCut(alpha))
 			slName := slotName(sl)
@@ -336,7 +335,7 @@ func runF6(r *Runner) error {
 		}
 		series = append(series, tfcaSeries, capSeries)
 	}
-	r.printf("micro-averaged F-score vs threshold α (%d eval ads)\n%s", len(ads), metrics.Table("alpha", series...))
+	r.printf("micro-averaged F-score vs threshold α (%d eval ads)\n%s", len(ads), Table("alpha", series...))
 	return nil
 }
 
@@ -344,7 +343,7 @@ func runF6(r *Runner) error {
 // remainder split 60/40 between geo and bid. Claim: text-dominant mixing
 // maximizes targeting quality; pure bid/geo ranking cannot see interests.
 func runF7(r *Runner) error {
-	var series metrics.Series
+	var series Series
 	series.Name = "CAP F-score"
 	for _, at := range []float64{0, 0.2, 0.4, 0.6, 0.8, 1.0} {
 		scoring := defaultScoring(32)
@@ -369,7 +368,7 @@ func runF7(r *Runner) error {
 		}
 		series.Add(at, total/float64(n))
 	}
-	r.printf("F-score vs text mixing weight (threshold 0.15)\n%s", metrics.Table("alphaText", series))
+	r.printf("F-score vs text mixing weight (threshold 0.15)\n%s", Table("alphaText", series))
 	return nil
 }
 
@@ -378,7 +377,7 @@ func runF7(r *Runner) error {
 // context with stale interests; quality saturates at moderate values while
 // candidate-buffer footprint stays bounded by the window.
 func runF10(r *Runner) error {
-	var fSeries, bufSeries metrics.Series
+	var fSeries, bufSeries Series
 	fSeries.Name = "F-score"
 	bufSeries.Name = "buf entries/user"
 	for _, hl := range []time.Duration{15 * time.Minute, 30 * time.Minute, time.Hour, 2 * time.Hour, 4 * time.Hour, 0} {
@@ -405,6 +404,6 @@ func runF10(r *Runner) error {
 		bufSeries.Add(x, float64(env.eng.TotalBufferEntries())/float64(len(env.w.Users)))
 	}
 	r.printf("F-score and buffer footprint vs decay half-life (hours; 24 = no decay)\n%s",
-		metrics.Table("halfLife(h)", fSeries, bufSeries))
+		Table("halfLife(h)", fSeries, bufSeries))
 	return nil
 }

@@ -1,7 +1,8 @@
-// Package metrics provides the evaluation instrumentation of the
-// reproduction: set-retrieval quality (precision / recall / F-score),
-// exact latency quantiles over raw samples, and throughput meters.
-package metrics
+package experiments
+
+// The experiments' instrumentation: set-retrieval quality (precision /
+// recall / F-score), exact latency quantiles over raw samples, throughput
+// meters, and the text tables the figures print.
 
 import (
 	"fmt"
@@ -103,26 +104,8 @@ func (s *Samples) Observe(d time.Duration) {
 	s.sorted = false
 }
 
-// Count returns the number of samples.
-func (s *Samples) Count() uint64 { return uint64(len(s.d)) }
-
-// Mean returns the mean latency (0 with no samples).
-func (s *Samples) Mean() time.Duration {
-	if len(s.d) == 0 {
-		return 0
-	}
-	var sum time.Duration
-	for _, d := range s.d {
-		sum += d
-	}
-	return sum / time.Duration(len(s.d))
-}
-
-// Max returns the maximum observed latency (0 with no samples).
-func (s *Samples) Max() time.Duration { return s.Quantile(1) }
-
 // Quantile returns the sample at quantile q ∈ [0, 1] (clamped), sorting the
-// set on first use after an Observe or Merge. Returns 0 with no samples.
+// set on first use after an Observe. Returns 0 with no samples.
 func (s *Samples) Quantile(q float64) time.Duration {
 	if len(s.d) == 0 {
 		return 0
@@ -133,12 +116,6 @@ func (s *Samples) Quantile(q float64) time.Duration {
 	}
 	q = math.Min(math.Max(q, 0), 1)
 	return s.d[int(q*float64(len(s.d)-1))]
-}
-
-// Merge appends another set's samples.
-func (s *Samples) Merge(o *Samples) {
-	s.d = append(s.d, o.d...)
-	s.sorted = false
 }
 
 // Throughput measures events per second over a measured interval.

@@ -94,13 +94,6 @@ func (g *Graph) FollowerCount(poster UserID) int {
 	return len(g.followers[poster])
 }
 
-// Users returns the number of registered users.
-func (g *Graph) Users() int {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return len(g.users)
-}
-
 // Edges returns the number of follow edges.
 func (g *Graph) Edges() int {
 	g.mu.RLock()

@@ -21,8 +21,8 @@ func TestGraphFollowBasics(t *testing.T) {
 	if g.FollowerCount(2) != 2 || g.FollowerCount(1) != 0 {
 		t.Fatal("FollowerCount wrong")
 	}
-	if g.Users() != 3 || g.Edges() != 2 {
-		t.Fatalf("Users=%d Edges=%d", g.Users(), g.Edges())
+	if len(g.users) != 3 || g.Edges() != 2 {
+		t.Fatalf("users=%d Edges=%d", len(g.users), g.Edges())
 	}
 }
 
@@ -89,8 +89,8 @@ func TestGraphAddUser(t *testing.T) {
 	g := NewGraph()
 	g.AddUser(7)
 	g.AddUser(7) // idempotent
-	if g.Users() != 1 {
-		t.Fatalf("Users = %d", g.Users())
+	if len(g.users) != 1 {
+		t.Fatalf("users = %d", len(g.users))
 	}
 }
 

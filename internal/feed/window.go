@@ -70,9 +70,6 @@ func NewWindow(capacity int, decay timeslot.Decay) *Window {
 // Len returns the number of resident messages.
 func (w *Window) Len() int { return len(w.items) }
 
-// Cap returns the window capacity.
-func (w *Window) Cap() int { return w.cap }
-
 // Ref returns the current reference time (zero before the first push).
 func (w *Window) Ref() time.Time { return w.ref }
 
@@ -162,16 +159,6 @@ func (w *Window) maybeRebuild() {
 		agg.AddScaled(e.Msg.Vec, e.wRef)
 	}
 	w.agg = agg
-}
-
-// Context returns the decayed aggregate term vector as of time q. The result
-// is a fresh copy the caller may mutate. It is NOT L2-normalized: the engine
-// normalizes (or not) according to its scoring configuration.
-func (w *Window) Context(q time.Time) textproc.SparseVector {
-	agg, factor := w.ContextRef(q)
-	out := agg.Clone()
-	out.Scale(factor)
-	return out
 }
 
 // ContextRef returns the internal aggregate as stored, without copying, plus

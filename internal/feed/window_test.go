@@ -22,7 +22,7 @@ func msg(id int, author UserID, at time.Time, terms map[textproc.TermID]float64)
 
 func TestWindowPushAndEvict(t *testing.T) {
 	w := NewWindow(2, timeslot.NewDecay(0))
-	if w.Cap() != 2 || w.Len() != 0 {
+	if w.cap != 2 || w.Len() != 0 {
 		t.Fatal("fresh window state wrong")
 	}
 	if _, ok := w.Push(msg(1, 1, t0, map[textproc.TermID]float64{1: 1})); ok {
@@ -38,19 +38,19 @@ func TestWindowPushAndEvict(t *testing.T) {
 	if w.Len() != 2 {
 		t.Fatalf("Len = %d", w.Len())
 	}
-	ctx := w.Context(t0.Add(2 * time.Second))
+	ctx, f := w.ContextRef(t0.Add(2 * time.Second))
 	if _, has := ctx[1]; has {
 		t.Fatal("evicted message's terms still in context")
 	}
-	if ctx[2] != 1 || ctx[3] != 1 {
-		t.Fatalf("context = %v", ctx)
+	if ctx[2]*f != 1 || ctx[3]*f != 1 {
+		t.Fatalf("context = %v × %v", ctx, f)
 	}
 }
 
 func TestWindowMinCapacity(t *testing.T) {
 	w := NewWindow(0, timeslot.NewDecay(0))
-	if w.Cap() != 1 {
-		t.Fatalf("Cap = %d, want 1 (clamped)", w.Cap())
+	if w.cap != 1 {
+		t.Fatalf("cap = %d, want 1 (clamped)", w.cap)
 	}
 }
 
@@ -60,14 +60,14 @@ func TestWindowDecayedContext(t *testing.T) {
 	w.Push(msg(1, 1, t0, map[textproc.TermID]float64{1: 1}))
 	w.Push(msg(2, 1, t0.Add(hl), map[textproc.TermID]float64{2: 1}))
 	// At t0+1h: msg1 is one half-life old (0.5), msg2 fresh (1.0).
-	ctx := w.Context(t0.Add(hl))
-	if math.Abs(ctx[1]-0.5) > 1e-9 || math.Abs(ctx[2]-1) > 1e-9 {
-		t.Fatalf("context at t0+1h = %v", ctx)
+	ctx, f := w.ContextRef(t0.Add(hl))
+	if math.Abs(ctx[1]*f-0.5) > 1e-9 || math.Abs(ctx[2]*f-1) > 1e-9 {
+		t.Fatalf("context at t0+1h = %v × %v", ctx, f)
 	}
 	// One more half-life later everything halves again.
-	ctx = w.Context(t0.Add(2 * hl))
-	if math.Abs(ctx[1]-0.25) > 1e-9 || math.Abs(ctx[2]-0.5) > 1e-9 {
-		t.Fatalf("context at t0+2h = %v", ctx)
+	ctx, f = w.ContextRef(t0.Add(2 * hl))
+	if math.Abs(ctx[1]*f-0.25) > 1e-9 || math.Abs(ctx[2]*f-0.5) > 1e-9 {
+		t.Fatalf("context at t0+2h = %v × %v", ctx, f)
 	}
 }
 
@@ -78,25 +78,30 @@ func TestWindowOutOfOrderArrival(t *testing.T) {
 	// Late arrival: posted at t0, delivered after msg1. Its weight must
 	// reflect its true age, not its arrival order.
 	w.Push(msg(2, 1, t0, map[textproc.TermID]float64{2: 1}))
-	ctx := w.Context(t0.Add(hl))
-	if math.Abs(ctx[1]-1) > 1e-9 {
-		t.Fatalf("fresh msg weight = %v, want 1", ctx[1])
+	ctx, f := w.ContextRef(t0.Add(hl))
+	if math.Abs(ctx[1]*f-1) > 1e-9 {
+		t.Fatalf("fresh msg weight = %v, want 1", ctx[1]*f)
 	}
-	if math.Abs(ctx[2]-0.5) > 1e-9 {
-		t.Fatalf("late msg weight = %v, want 0.5", ctx[2])
+	if math.Abs(ctx[2]*f-0.5) > 1e-9 {
+		t.Fatalf("late msg weight = %v, want 0.5", ctx[2]*f)
 	}
 }
 
+// TestWindowContextRefConsistent: the stored aggregate times the factor
+// ContextRef returns is the context decayed to the query time.
 func TestWindowContextRefConsistent(t *testing.T) {
 	w := NewWindow(5, timeslot.NewDecay(30*time.Minute))
 	w.Push(msg(1, 1, t0, map[textproc.TermID]float64{1: 0.6, 2: 0.8}))
 	w.Push(msg(2, 1, t0.Add(10*time.Minute), map[textproc.TermID]float64{2: 1}))
-	q := t0.Add(45 * time.Minute)
-	direct := w.Context(q)
-	raw, factor := w.ContextRef(q)
-	for id, want := range direct {
-		if got := raw[id] * factor; math.Abs(got-want) > 1e-9 {
-			t.Fatalf("term %d: ContextRef gives %v, Context gives %v", id, got, want)
+	raw, factor := w.ContextRef(t0.Add(45 * time.Minute))
+	// msg 1 is 1.5 half-lives old at the query, msg 2 35/30 of one.
+	want := map[textproc.TermID]float64{
+		1: 0.6 * math.Pow(2, -1.5),
+		2: 0.8*math.Pow(2, -1.5) + math.Pow(2, -35.0/30),
+	}
+	for id, x := range want {
+		if got := raw[id] * factor; math.Abs(got-x) > 1e-9 {
+			t.Fatalf("term %d: ContextRef gives %v, want %v", id, got, x)
 		}
 	}
 }
@@ -133,7 +138,7 @@ func TestWindowAggregateMatchesDirectSum(t *testing.T) {
 		w.Push(msg(i, 1, postAt, terms))
 
 		q := now.Add(time.Duration(rng.Intn(300)) * time.Second)
-		got := w.Context(q)
+		got, f := w.ContextRef(q)
 		want := textproc.SparseVector{}
 		for _, e := range w.Entries() {
 			// Between is the pure (unclamped) exponential the window
@@ -141,14 +146,14 @@ func TestWindowAggregateMatchesDirectSum(t *testing.T) {
 			want.AddScaled(e.Msg.Vec, decay.Between(e.Msg.Time, q))
 		}
 		for id, x := range want {
-			if math.Abs(got[id]-x) > 1e-6 {
-				t.Fatalf("step %d term %d: incremental %v, direct %v", i, id, got[id], x)
+			if math.Abs(got[id]*f-x) > 1e-6 {
+				t.Fatalf("step %d term %d: incremental %v, direct %v", i, id, got[id]*f, x)
 			}
 		}
 		if len(got) > len(want) {
 			for id, x := range got {
-				if _, ok := want[id]; !ok && math.Abs(x) > 1e-6 {
-					t.Fatalf("step %d: stale term %d weight %v", i, id, x)
+				if _, ok := want[id]; !ok && math.Abs(x*f) > 1e-6 {
+					t.Fatalf("step %d: stale term %d weight %v", i, id, x*f)
 				}
 			}
 		}
@@ -165,14 +170,14 @@ func TestWindowRebuildCapsDrift(t *testing.T) {
 		now = now.Add(time.Second)
 		w.Push(msg(i, 1, now, map[textproc.TermID]float64{textproc.TermID(i % 5): 0.37}))
 	}
-	got := w.Context(now)
+	got, f := w.ContextRef(now)
 	want := textproc.SparseVector{}
 	for _, e := range w.Entries() {
 		want.AddScaled(e.Msg.Vec, decay.WeightAt(now.Sub(e.Msg.Time)))
 	}
 	for id, x := range want {
-		if math.Abs(got[id]-x) > 1e-9 {
-			t.Fatalf("term %d drifted: %v vs %v", id, got[id], x)
+		if math.Abs(got[id]*f-x) > 1e-9 {
+			t.Fatalf("term %d drifted: %v vs %v", id, got[id]*f, x)
 		}
 	}
 }
@@ -232,7 +237,6 @@ func TestWindowScaledAggregateMatchesBruteForce(t *testing.T) {
 		}
 
 		q := w.Ref().Add(time.Duration(rng.Intn(120)) * time.Second)
-		got := w.Context(q)
 		raw, factor := w.ContextRef(q)
 		want := textproc.SparseVector{}
 		for _, e := range w.Entries() {
@@ -243,9 +247,9 @@ func TestWindowScaledAggregateMatchesBruteForce(t *testing.T) {
 			}
 		}
 		for id := textproc.TermID(0); id < 40; id++ {
-			if !near(got[id], want[id]) || !near(raw[id]*factor, want[id]) {
-				t.Fatalf("push %d term %d: Context %v, ContextRef %v, direct sum %v (scale %v)",
-					i, id, got[id], raw[id]*factor, want[id], w.scale)
+			if !near(raw[id]*factor, want[id]) {
+				t.Fatalf("push %d term %d: ContextRef %v, direct sum %v (scale %v)",
+					i, id, raw[id]*factor, want[id], w.scale)
 			}
 		}
 	}

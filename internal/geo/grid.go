@@ -157,6 +157,3 @@ func (g *Grid) ItemsAt(p Point) []int64 {
 	}
 	return g.cells[id]
 }
-
-// Len returns the number of registered items.
-func (g *Grid) Len() int { return len(g.items) }

@@ -91,8 +91,8 @@ func TestGridInsertQueryRemove(t *testing.T) {
 	g := mustGrid(t, NewRect(Point{0, 0}, Point{10, 10}), 10, 10)
 	c := Circle{Center: Point{5, 5}, RadiusKm: 1} // tiny: a single cell
 	g.InsertCircle(7, c)
-	if g.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", g.Len())
+	if len(g.items) != 1 {
+		t.Fatalf("items = %d, want 1", len(g.items))
 	}
 	if !registeredAt(g, 7, Point{5, 5}) {
 		t.Error("item should be found at circle center")
@@ -105,7 +105,7 @@ func TestGridInsertQueryRemove(t *testing.T) {
 		t.Fatalf("ItemsAt = %v, want [7]", items)
 	}
 	g.Remove(7)
-	if g.Len() != 0 || registeredAt(g, 7, Point{5, 5}) {
+	if len(g.items) != 0 || registeredAt(g, 7, Point{5, 5}) {
 		t.Error("item should be gone after Remove")
 	}
 	g.Remove(7) // removing twice is a no-op
@@ -121,8 +121,8 @@ func TestGridReinsertReplaces(t *testing.T) {
 	if !registeredAt(g, 1, Point{9, 9}) {
 		t.Error("new registration missing")
 	}
-	if g.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", g.Len())
+	if len(g.items) != 1 {
+		t.Fatalf("items = %d, want 1", len(g.items))
 	}
 }
 
@@ -151,8 +151,8 @@ func TestGridCellsStaySortedSets(t *testing.T) {
 	g.InsertCircle(5, c) // the same registration twice
 	g.InsertCircle(5, c)
 	want(3, 5, 7, 9)
-	if g.Len() != 4 {
-		t.Fatalf("Len = %d after duplicate inserts, want 4", g.Len())
+	if len(g.items) != 4 {
+		t.Fatalf("items = %d after duplicate inserts, want 4", len(g.items))
 	}
 	g.Remove(3) // first, middle-after-shift, then put back
 	want(5, 7, 9)
@@ -166,8 +166,8 @@ func TestGridCellsStaySortedSets(t *testing.T) {
 		g.Remove(id)
 	}
 	want()
-	if g.Len() != 0 || len(g.cells) != 0 {
-		t.Fatalf("Len = %d with %d cells held after every item left", g.Len(), len(g.cells))
+	if len(g.items) != 0 || len(g.cells) != 0 {
+		t.Fatalf("items = %d with %d cells held after every item left", len(g.items), len(g.cells))
 	}
 	g.InsertCircle(5, c) // an emptied cell takes items again
 	want(5)
@@ -176,8 +176,8 @@ func TestGridCellsStaySortedSets(t *testing.T) {
 func TestGridInsertOutsideCoverage(t *testing.T) {
 	g := mustGrid(t, NewRect(Point{0, 0}, Point{10, 10}), 10, 10)
 	g.InsertCircle(5, Circle{Center: Point{80, 80}, RadiusKm: 10})
-	if g.Len() != 0 {
-		t.Fatalf("circle outside coverage should not register, Len=%d", g.Len())
+	if len(g.items) != 0 {
+		t.Fatalf("circle outside coverage should not register, items=%d", len(g.items))
 	}
 	if g.ItemsAt(Point{80, 80}) != nil {
 		t.Error("query outside coverage should be nil")

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	caar "caar"
+	"caar/obs"
 )
 
 // hotDoc mirrors the /v1/hot wire shape for decoding in tests.
@@ -46,11 +47,12 @@ func getHot(t *testing.T, ts *httptest.Server, query string) (*http.Response, ho
 func TestHotEndpointReportsPlantedHotKey(t *testing.T) {
 	cfg := caar.DefaultConfig()
 	cfg.DecayHalfLife = time.Hour
+	cfg.Metrics = obs.NewRegistry()
 	eng, err := caar.Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(New(eng, WithMetrics(eng.Metrics())).Handler())
+	ts := httptest.NewServer(New(eng, WithMetrics(cfg.Metrics)).Handler())
 	t.Cleanup(ts.Close)
 
 	fans := []string{"fan1", "fan2", "fan3", "fan4", "fan5", "fan6"}

@@ -42,15 +42,6 @@ func (v *Vocabulary) Intern(term string) TermID {
 	return id
 }
 
-// Lookup returns the TermID for term without interning. ok is false for
-// unknown terms.
-func (v *Vocabulary) Lookup(term string) (TermID, bool) {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	id, ok := v.ids[term]
-	return id, ok
-}
-
 // Term returns the string for a TermID; empty for out-of-range IDs.
 func (v *Vocabulary) Term(id TermID) string {
 	v.mu.RLock()

@@ -16,10 +16,10 @@ func TestVocabularyInternLookup(t *testing.T) {
 	if again := v.Intern("apple"); again != a {
 		t.Fatalf("re-intern gave %d, want %d", again, a)
 	}
-	if id, ok := v.Lookup("apple"); !ok || id != a {
-		t.Fatalf("Lookup(apple) = %d,%v", id, ok)
+	if id, ok := v.ids["apple"]; !ok || id != a {
+		t.Fatalf("ids[apple] = %d,%v", id, ok)
 	}
-	if _, ok := v.Lookup("cherry"); ok {
+	if _, ok := v.ids["cherry"]; ok {
 		t.Fatal("unknown term found")
 	}
 	if v.Term(a) != "apple" || v.Term(b) != "banana" {
@@ -111,7 +111,7 @@ func TestPipelineVector(t *testing.T) {
 		t.Fatalf("vector not normalized: %v", vec.Norm())
 	}
 	// "volleyball" appears twice → highest weight after stemming.
-	stemID, ok := p.Vocab.Lookup(Stem("volleyball"))
+	stemID, ok := p.Vocab.ids[Stem("volleyball")]
 	if !ok {
 		t.Fatal("volleyball stem not interned")
 	}
@@ -138,8 +138,7 @@ func TestPipelineWithoutIDFAndStem(t *testing.T) {
 	p.StemTokens = false
 	vec := p.Vector("running running walks")
 	// TF only: running has tf 2, walks tf 1 → after L2 norm ratio 2:1.
-	runID, _ := p.Vocab.Lookup("running")
-	walkID, _ := p.Vocab.Lookup("walks")
+	runID, walkID := p.Vocab.ids["running"], p.Vocab.ids["walks"]
 	if !almostEqual(vec[runID]/vec[walkID], 2) {
 		t.Fatalf("TF ratio = %v, want 2", vec[runID]/vec[walkID])
 	}

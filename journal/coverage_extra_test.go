@@ -57,8 +57,8 @@ func TestLoggedRecordImpressionTo(t *testing.T) {
 		t.Fatal(err)
 	}
 	recovered.Post("alice", "sneaker shopping", t0)
-	recs, err := recovered.RecommendWithPolicy("alice", 1, t0.Add(time.Minute),
-		caar.ServingPolicy{FrequencyCap: 1, FrequencyWindow: time.Hour})
+	recs, _, err := recovered.RecommendTraced("alice", 1, t0.Add(time.Minute),
+		caar.ServingPolicy{FrequencyCap: 1, FrequencyWindow: time.Hour}, caar.TraceRequest{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -56,16 +56,3 @@ func (h *Histogram) Exemplars() []BucketExemplar {
 	}
 	return out
 }
-
-// SlowestExemplar returns the exemplar of the highest annotated bucket —
-// the captured trace closest to the histogram's tail — or false when none.
-func (h *Histogram) SlowestExemplar() (BucketExemplar, bool) {
-	h.exMu.Lock()
-	defer h.exMu.Unlock()
-	for i := len(h.ex) - 1; i >= 0; i-- {
-		if h.ex[i].TraceID != "" {
-			return h.ex[i], true
-		}
-	}
-	return BucketExemplar{}, false
-}

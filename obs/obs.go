@@ -2,11 +2,11 @@
 // dependency-free, concurrency-safe metrics registry with Prometheus
 // text-format exposition.
 //
-// It exists because the repo's `metrics` package is an *offline* evaluation
-// toolkit (precision/recall, post-hoc histograms consumed by the experiment
-// harness), while a serving system needs *online* instrumentation: atomic
-// counters and gauges updated on the hot path, fixed-bucket histograms
-// scraped by Prometheus, and sampled gauges reading live engine state.
+// The experiment harness keeps its own *offline* instrumentation (precision
+// and recall, raw latency samples); a serving system needs *online*
+// instrumentation: atomic counters and gauges updated on the hot path,
+// fixed-bucket histograms scraped by Prometheus, and sampled gauges reading
+// live engine state.
 //
 // Metric types:
 //
@@ -244,17 +244,6 @@ type Gauge struct {
 
 // Set stores v.
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Add adds delta (negative to subtract) with a CAS loop.
-func (g *Gauge) Add(delta float64) {
-	for {
-		old := g.bits.Load()
-		nv := math.Float64bits(math.Float64frombits(old) + delta)
-		if g.bits.CompareAndSwap(old, nv) {
-			return
-		}
-	}
-}
 
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }

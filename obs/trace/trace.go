@@ -74,10 +74,9 @@ type PolicyAction struct {
 // single goroutine while the request runs and must not be mutated after it
 // is submitted to a Store, where concurrent readers may hold it.
 //
-// The hot-path request facts (Algorithm, Shard, LockWaitSeconds) are typed
-// fields, not Annotations entries: recording them is a plain store with no
-// map or formatting allocation, which keeps full-rate tracing cheap enough
-// to leave on. Annotations remains for ad-hoc notes off the hot path.
+// The request facts (Algorithm, Shard, LockWaitSeconds) are typed fields:
+// recording them is a plain store with no map or formatting allocation,
+// which keeps full-rate tracing cheap enough to leave on.
 type Trace struct {
 	ID              string    `json:"id"`
 	User            string    `json:"user"`
@@ -93,14 +92,13 @@ type Trace struct {
 	Shard int `json:"shard"`
 	// LockWaitSeconds is the time spent waiting for that shard's lock — the
 	// first suspect when a trace is slow but its stage spans are not.
-	LockWaitSeconds float64           `json:"lock_wait_seconds"`
-	Spans           []Span            `json:"spans"`
-	Ads             []AdScore         `json:"ads,omitempty"`
-	Policy          []PolicyAction    `json:"policy_actions,omitempty"`
-	Outcome         string            `json:"outcome"`
-	Error           string            `json:"error,omitempty"`
-	CaptureReason   string            `json:"capture_reason,omitempty"`
-	Annotations     map[string]string `json:"annotations,omitempty"`
+	LockWaitSeconds float64        `json:"lock_wait_seconds"`
+	Spans           []Span         `json:"spans"`
+	Ads             []AdScore      `json:"ads,omitempty"`
+	Policy          []PolicyAction `json:"policy_actions,omitempty"`
+	Outcome         string         `json:"outcome"`
+	Error           string         `json:"error,omitempty"`
+	CaptureReason   string         `json:"capture_reason,omitempty"`
 
 	// HeadSampled and Forced drive the store's capture decision. They are
 	// set before Store.Add and are not part of the serialized trace.
@@ -164,14 +162,6 @@ func (t *Trace) AddPolicyAction(adID, action string) {
 	t.Policy = append(t.Policy, PolicyAction{AdID: adID, Action: action})
 }
 
-// Annotate attaches a key/value annotation (shard index, lock wait, …).
-func (t *Trace) Annotate(key, value string) {
-	if t.Annotations == nil {
-		t.Annotations = make(map[string]string, 4)
-	}
-	t.Annotations[key] = value
-}
-
 // Finish seals the trace with its total duration and outcome.
 func (t *Trace) Finish(elapsed time.Duration, err error) {
 	t.DurationSeconds = elapsed.Seconds()
@@ -181,16 +171,6 @@ func (t *Trace) Finish(elapsed time.Duration, err error) {
 		return
 	}
 	t.Outcome = OutcomeOK
-}
-
-// Span returns the span of the named stage, or nil.
-func (t *Trace) Span(stage string) *Span {
-	for i := range t.Spans {
-		if t.Spans[i].Stage == stage {
-			return &t.Spans[i]
-		}
-	}
-	return nil
 }
 
 // Summary is the listing view of a stored trace (/v1/traces).

@@ -160,14 +160,10 @@ func TestSpanAccessorsAndSummary(t *testing.T) {
 	tr.AddSpan("score", time.Millisecond, 120, 40)
 	tr.AddAd(AdScore{AdID: "a1", Score: 1, Text: 0.5, Geo: 0.3, Bid: 0.2})
 	tr.AddPolicyAction("a2", "dropped_frequency_cap")
-	tr.Annotate("shard", "0")
 	tr.Finish(5*time.Millisecond, nil)
 
-	if sp := tr.Span("score"); sp == nil || sp.In != 120 || sp.Out != 40 {
-		t.Errorf("Span(score) = %+v", sp)
-	}
-	if tr.Span("nope") != nil {
-		t.Error("Span of unknown stage must be nil")
+	if sp := tr.Spans[1]; sp.Stage != "score" || sp.In != 120 || sp.Out != 40 {
+		t.Errorf("second span = %+v", sp)
 	}
 	sum := tr.Summary()
 	if sum.User != "alice" || sum.Ads != 1 || sum.Outcome != OutcomeOK ||

@@ -111,14 +111,6 @@ func (e *Engine) RecordImpressionTo(user, adID string, at time.Time) (bool, erro
 	return served, nil
 }
 
-// RecommendWithPolicy returns up to k ads for user, applying the serving
-// policy's frequency cap and campaign-diversity constraints on top of the
-// relevance ranking. With a zero policy it is equivalent to Recommend.
-func (e *Engine) RecommendWithPolicy(user string, k int, at time.Time, policy ServingPolicy) ([]Recommendation, error) {
-	recs, _, err := e.recommend(user, k, at, policy, TraceRequest{})
-	return recs, err
-}
-
 // applyPolicy greedily selects up to k recommendations from the over-fetched
 // candidate list under the policy's constraints. With no active constraint
 // the candidates pass through unchanged (the pipeline fetched exactly k).

@@ -41,7 +41,7 @@ func TestRecommendWithPolicyZeroPolicyEqualsRecommend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	withPolicy, err := e.RecommendWithPolicy("alice", 4, morning, ServingPolicy{})
+	withPolicy, _, err := e.RecommendTraced("alice", 4, morning, ServingPolicy{}, TraceRequest{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestRecommendWithPolicyZeroPolicyEqualsRecommend(t *testing.T) {
 
 func TestCampaignDiversity(t *testing.T) {
 	e := policyFixture(t)
-	recs, err := e.RecommendWithPolicy("alice", 4, morning, ServingPolicy{MaxPerCampaign: 2})
+	recs, _, err := e.RecommendTraced("alice", 4, morning, ServingPolicy{MaxPerCampaign: 2}, TraceRequest{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestFrequencyCap(t *testing.T) {
 	policy := ServingPolicy{FrequencyCap: 2, FrequencyWindow: time.Hour}
 
 	top := func(at time.Time) string {
-		recs, err := e.RecommendWithPolicy("alice", 1, at, policy)
+		recs, _, err := e.RecommendTraced("alice", 1, at, policy, TraceRequest{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,7 +122,7 @@ func TestFrequencyCap(t *testing.T) {
 	// ...but other users are unaffected.
 	e.AddUser("bob")
 	e.Post("bob", "sneaker marathon chatter", morning.Add(time.Minute))
-	recs, err := e.RecommendWithPolicy("bob", 1, morning.Add(2*time.Minute), policy)
+	recs, _, err := e.RecommendTraced("bob", 1, morning.Add(2*time.Minute), policy, TraceRequest{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestFrequencyCap(t *testing.T) {
 	// The cap expires with the window.
 	later := morning.Add(2 * time.Hour)
 	e.Post("alice", "sneaker marathon again", later)
-	recs, err = e.RecommendWithPolicy("alice", 1, later, policy)
+	recs, _, err = e.RecommendTraced("alice", 1, later, policy, TraceRequest{})
 	if err != nil {
 		t.Fatal(err)
 	}

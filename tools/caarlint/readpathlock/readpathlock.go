@@ -51,7 +51,7 @@ var Analyzer = &analysis.Analyzer{
 // roots names the serving-path entry points, comma separated. Overridable
 // so other repos (and the analyzer's own fixtures) can anchor the walk
 // elsewhere.
-var roots = "Recommend,RecommendWithPolicy,RecommendTraced,recommend,deliver,ServeImpression"
+var roots = "Recommend,RecommendTraced,recommend,deliver,ServeImpression"
 
 func init() {
 	Analyzer.Flags.StringVar(&roots, "roots", roots, "comma-separated root function names anchoring the read-path walk")

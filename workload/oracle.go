@@ -55,14 +55,3 @@ func (o *Oracle) InterestedUsers(id adstore.AdID, sl timeslot.Slot) []feed.UserI
 	}
 	return out
 }
-
-// IsInterested reports whether one user is interested in one ad during a
-// slot.
-func (o *Oracle) IsInterested(u feed.UserID, id adstore.AdID, sl timeslot.Slot) bool {
-	for _, v := range o.InterestedUsers(id, sl) {
-		if v == u {
-			return true
-		}
-	}
-	return false
-}
