@@ -7,6 +7,7 @@ import (
 	"caar/internal/adstore"
 	"caar/internal/feed"
 	"caar/internal/geo"
+	"caar/internal/textproc"
 	"caar/internal/timeslot"
 	"caar/internal/topk"
 )
@@ -25,8 +26,9 @@ type base struct {
 	scoring Scoring
 	store   *adstore.Store
 	users   map[feed.UserID]*userState
-	states  []*userState // recipients' reusable result
-	last    Query        // the last TopAds (stages.go)
+	states  []*userState          // recipients' reusable result
+	ctx     textproc.SparseVector // context's reusable result
+	last    Query                 // the last TopAds (stages.go)
 }
 
 func newBase(s Scoring, store *adstore.Store) (*base, error) {
@@ -40,7 +42,15 @@ func newBase(s Scoring, store *adstore.Store) (*base, error) {
 		scoring: s,
 		store:   store,
 		users:   make(map[feed.UserID]*userState),
+		ctx:     textproc.SparseVector{},
 	}, nil
+}
+
+// context sums a user's window aggregate into the engine's reusable vector
+// and returns it with the factor that takes it to time q. The vector is valid
+// until the next call.
+func (b *base) context(st *userState, q time.Time) (textproc.SparseVector, float64) {
+	return b.ctx, st.win.Aggregate(b.ctx, q)
 }
 
 // WindowStats reports the number of registered users and the total count of

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -231,6 +232,72 @@ func BenchmarkRepeatedReader(b *testing.B) {
 				view, rerank := c.TopAdsPaths()
 				b.ReportMetric(float64(rerank)/float64(view+rerank), "rerank-share")
 			}
+		})
+	}
+}
+
+// BenchmarkRegisterAd measures the one cost the canonical workloads cannot
+// see, an ad registered while users are warm: 2 000 users whose full windows
+// (32 messages) their buffers are up to date with, 5 000 ads, and one more ad
+// registered per operation (and withdrawn again, untimed). Each message
+// reaches 20 or 2 followers, so a resident message sits in that many windows:
+// CAP takes each ⟨ad, message⟩ product once per registration and shares it.
+// ns/warm-user is a registration's cost per warm user.
+func BenchmarkRegisterAd(b *testing.B) {
+	const users, ads = 2000, 5000
+	for _, fanout := range []int{20, 2} {
+		b.Run(fmt.Sprintf("fanout%d", fanout), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			s := defaultBenchScoring()
+			e, err := NewCAP(s, nil, region, 32, 32, DefaultCAPOptions())
+			if err != nil {
+				b.Fatal(err)
+			}
+			for u := feed.UserID(0); u < users; u++ {
+				e.AddUser(u)
+				if err := e.CheckIn(u, geo.Point{Lat: rng.Float64() * 10, Lng: rng.Float64() * 10}, base0); err != nil {
+					b.Fatal(err)
+				}
+			}
+			for id := adstore.AdID(1); id <= ads; id++ {
+				if err := e.AddAd(randAdB(rng, id)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			// Message i reaches the next fanout users round the ring, so every
+			// window ends up holding exactly WindowCap messages.
+			now, followers := base0, make([]feed.UserID, fanout)
+			for i := 0; i < users*s.WindowCap/fanout; i++ {
+				now = now.Add(time.Second)
+				for j := range followers {
+					followers[j] = feed.UserID((i*fanout + j) % users)
+				}
+				msg := feed.Message{ID: feed.MessageID(i + 1), Time: now, Vec: randVecB(rng, 8, 2000)}
+				if err := e.Deliver(msg, followers); err != nil {
+					b.Fatal(err)
+				}
+			}
+			for u := feed.UserID(0); u < users; u++ {
+				e.BufferSize(u)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				a := randAdB(rng, adstore.AdID(ads+1+i))
+				if err := e.store.Add(a); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				e.RegisterAd(a)
+				b.StopTimer()
+				e.UnregisterAd(a.ID)
+				if err := e.store.Remove(a.ID); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*users), "ns/warm-user")
 		})
 	}
 }

@@ -49,20 +49,22 @@ const maxFixups = 64
 
 // CAP is the Context-aware Ad Publishing engine — the reconstructed
 // contribution. It maintains, per user somebody reads, an incrementally
-// updated candidate buffer: a feed event costs a window push per follower,
-// the buffer is brought up to date by one merge of everything delivered since
-// when the user is next read, and a top-k query costs O(|buffer|),
-// independent of the total number of ads; a user whose top-k has been asked
-// for also has a view (view.go) that makes the next query cost what the
-// deliveries since changed.
+// updated candidate buffer: a feed event costs one ring store per follower
+// (feed.Window keeps no aggregate), the buffer is brought up to date by one
+// merge of everything delivered since when the user is next read, and a top-k
+// query costs O(|buffer|), independent of the total number of ads; a user
+// whose top-k has been asked for also has a view (view.go) that makes the
+// next query cost what the deliveries since changed.
 type CAP struct {
 	*indexed
 	opts  CAPOptions
 	cache map[feed.MessageID]*msgCache
 
-	// Reusable space: what catchUp lends to dynBuf.merge.
+	// Reusable space: what catchUp lends to dynBuf.merge, and RegisterAd's
+	// ⟨ad, message⟩ products by message.
 	lists   []weighted
 	scratch []bufEntry
+	dots    map[feed.MessageID]float64
 
 	viewAnswers, reranks uint64 // TopAds calls by how they were answered
 	merges, rebuilds     uint64 // catch-ups by kind
@@ -79,6 +81,7 @@ func NewCAP(s Scoring, store *adstore.Store, region geo.Rect, gridRows, gridCols
 		indexed: ix,
 		opts:    opts,
 		cache:   make(map[feed.MessageID]*msgCache),
+		dots:    make(map[feed.MessageID]float64),
 	}, nil
 }
 
@@ -94,9 +97,10 @@ func (e *CAP) AddUser(u feed.UserID) {
 // AddAd implements Recommender. Beyond indexing, a late-arriving ad is
 // back-filled: its text relevance against the window of every user whose
 // buffer is up to date, or who has a view to keep valid, is computed from the
-// window aggregate (one sparse dot product per such user), and its
-// coefficient is inserted into every cached delta list so future evictions
-// stay exact.
+// window's messages (textRel: one sparse dot product per distinct message,
+// however many windows hold it, and one multiply-add per resident message),
+// and its coefficient is inserted into every cached delta list so future
+// evictions stay exact.
 func (e *CAP) AddAd(a *adstore.Ad) error {
 	if err := e.store.Add(a); err != nil {
 		return err
@@ -112,18 +116,19 @@ func (e *CAP) AddAd(a *adstore.Ad) error {
 // raises (dynBuf.merge). A bound of -Inf — every eligible ad is tracked —
 // always notes.
 //
-// The ad's exact coefficient is its vector dotted with the window aggregate,
+// The ad's exact coefficient is its text relevance to the window (textRel),
 // which is always current; a buffer that is behind is not, so it takes the
 // value when it catches up (dynBuf.fix) — the note, which is about the
 // window, is made now. A cold user costs nothing.
 func (e *CAP) RegisterAd(a *adstore.Ad) {
 	e.registerAd(a)
+	clear(e.dots)
 	for _, st := range e.users {
 		buf := st.buf
 		behind := buf.applied < st.win.Len()
 		if behind && buf.applied > 0 {
 			if len(buf.fix) == maxFixups {
-				e.chill(st, buf, st.win.Entries())
+				e.chill(st, buf, st.win.Len())
 				continue
 			}
 			buf.fix = append(buf.fix, a.ID)
@@ -131,12 +136,9 @@ func (e *CAP) RegisterAd(a *adstore.Ad) {
 		if behind && buf.view == nil {
 			continue
 		}
-		coeff := 0.0
-		if st.win.Len() > 0 {
-			agg, factor := st.win.ContextRef(st.win.Ref())
-			if coeff = a.Vec.Dot(agg) * factor; !behind {
-				buf.set(a.ID, coeff)
-			}
+		coeff := e.textRel(st, a)
+		if !behind {
+			buf.set(a.ID, coeff)
 		}
 		e.noteRegistered(st, buf, a, coeff)
 	}
@@ -154,6 +156,26 @@ func (e *CAP) RegisterAd(a *adstore.Ad) {
 			}
 		}
 	}
+}
+
+// textRel is ad a's text relevance to st's window at its reference time,
+// Σ_i w_i·⟨a, m_i⟩ over the resident messages: the aggregate's dot product
+// without summing the aggregate. Each ⟨a, m⟩ is kept in dots, which the
+// caller clears for a new ad, because a post sits in every follower's window.
+func (e *CAP) textRel(st *userState, a *adstore.Ad) float64 {
+	sum, ref := 0.0, st.win.Ref()
+	for i := range st.win.Len() {
+		m := st.win.At(i)
+		d, ok := e.dots[m.ID]
+		if !ok {
+			d = a.Vec.Dot(m.Vec)
+			e.dots[m.ID] = d
+		}
+		if d != 0 {
+			sum += d * e.scoring.Decay.WeightAt(ref.Sub(m.Time))
+		}
+	}
+	return sum
 }
 
 // noteRegistered notes a registered ad whose text relevance is coeff if its
@@ -227,10 +249,9 @@ func (e *CAP) Deliver(msg feed.Message, followers []feed.UserID) error {
 		}
 		if wasEvicted {
 			buf.applied--
-			buf.gone = append(buf.gone, evicted.Msg)
+			buf.gone = append(buf.gone, evicted)
 			if buf.applied == 0 {
-				ents := st.win.Entries()
-				e.chill(st, buf, ents[:len(ents)-1]) // msg has taken no reference yet
+				e.chill(st, buf, st.win.Len()-1) // msg has taken no reference yet
 				continue
 			}
 		}
@@ -279,12 +300,12 @@ func (e *CAP) deltasOf(m feed.Message) []index.Delta {
 }
 
 // chill turns a buffer cold: it frees the entries, the view and the pending
-// lists, and releases the user's references — held are the resident messages
-// that took one, and everything in gone holds one. The arrivals the buffer
-// never merged are thereby skipped.
-func (e *CAP) chill(st *userState, buf *dynBuf, held []feed.Entry) {
-	for _, en := range held {
-		e.release(en.Msg.ID)
+// lists, and releases the user's references — the oldest held resident
+// messages took one, and everything in gone holds one. The arrivals the
+// buffer never merged are thereby skipped.
+func (e *CAP) chill(st *userState, buf *dynBuf, held int) {
+	for i := range held {
+		e.release(st.win.At(i).ID)
 	}
 	e.settleGone(buf)
 	e.skipped += uint64(st.win.Len() - buf.applied)
@@ -309,12 +330,12 @@ func (e *CAP) settleGone(buf *dynBuf) {
 // A cold buffer, and one that RebuildEvery deliveries have been merged into,
 // is rebuilt instead.
 func (e *CAP) catchUp(st *userState, buf *dynBuf) {
-	ents := st.win.Entries()
-	pending := ents[buf.applied:]
-	if len(pending) == 0 {
+	n := st.win.Len()
+	pending := n - buf.applied
+	if pending == 0 {
 		return
 	}
-	if buf.applied == 0 || (e.opts.RebuildEvery > 0 && buf.ops+len(pending) >= e.opts.RebuildEvery) {
+	if buf.applied == 0 || (e.opts.RebuildEvery > 0 && buf.ops+pending >= e.opts.RebuildEvery) {
 		e.rebuild(st, buf)
 		return
 	}
@@ -334,8 +355,9 @@ func (e *CAP) catchUp(st *userState, buf *dynBuf) {
 	for _, m := range buf.gone {
 		lists = append(lists, weighted{d: e.deltasOf(m), c: -e.scoring.Decay.WeightAt(ref.Sub(m.Time)) / buf.scale})
 	}
-	for _, en := range pending {
-		lists = append(lists, weighted{d: e.deltasOf(en.Msg), c: e.scoring.Decay.WeightAt(ref.Sub(en.Msg.Time)) / buf.scale})
+	for i := buf.applied; i < n; i++ {
+		m := st.win.At(i)
+		lists = append(lists, weighted{d: e.deltasOf(m), c: e.scoring.Decay.WeightAt(ref.Sub(m.Time)) / buf.scale})
 	}
 	e.scratch = buf.merge(e.scratch, lists, len(buf.gone), e.noteAt(buf))
 	clear(lists)
@@ -343,45 +365,47 @@ func (e *CAP) catchUp(st *userState, buf *dynBuf) {
 
 	e.settleGone(buf) // applied: only now can their shared lists go
 	if len(buf.fix) > 0 {
-		agg, factor := st.win.ContextRef(ref)
+		// One user and up to maxFixups ads: the aggregate is summed once.
+		agg, _ := e.context(st, ref) // factor 1 at the reference
 		for _, id := range buf.fix {
 			if a := e.ad(id); a != nil {
-				coeff := a.Vec.Dot(agg) * factor
+				coeff := a.Vec.Dot(agg)
 				buf.set(id, coeff)
 				e.noteRegistered(st, buf, a, coeff)
 			}
 		}
 		buf.fix = buf.fix[:0]
 	}
-	buf.applied, buf.ops = len(ents), buf.ops+len(pending)
-	e.merges, e.merged = e.merges+1, e.merged+uint64(len(pending))
+	buf.applied, buf.ops = n, buf.ops+pending
+	e.merges, e.merged = e.merges+1, e.merged+uint64(pending)
 }
 
-// rebuild recomputes the buffer exactly from the window aggregate: how a cold
-// buffer is warmed, and what caps a warm one's incremental floating-point
-// drift. The exact values can sit a rounding step above the drifted ones, so
-// the view goes. Warming takes a reference on every resident message — the
-// user's share of the delta lists their evictions will need.
+// rebuild recomputes the buffer exactly from the window aggregate, summed
+// from the window's messages: how a cold buffer is warmed, and what caps a
+// warm one's incremental floating-point drift. The exact values can sit a
+// rounding step above the drifted ones, so the view goes. Warming takes a
+// reference on every resident message — the user's share of the delta lists
+// their evictions will need.
 func (e *CAP) rebuild(st *userState, buf *dynBuf) {
-	ents := st.win.Entries()
+	n := st.win.Len()
 	if buf.applied > 0 {
-		e.merged += uint64(len(ents) - buf.applied)
+		e.merged += uint64(n - buf.applied)
 	} else if e.opts.FanoutSharing {
-		for _, en := range ents {
-			e.acquire(en.Msg, 1)
+		for i := range n {
+			e.acquire(st.win.At(i), 1)
 		}
 	}
 	e.settleGone(buf)
 	buf.fix = buf.fix[:0]
 
-	agg, factor := st.win.ContextRef(st.win.Ref())
+	agg, _ := e.context(st, st.win.Ref()) // factor 1 at the reference
 	deltas := e.inv.DeltaList(agg)
 	buf.fill(len(deltas))
 	for i, d := range deltas {
-		buf.e[i] = bufEntry{ad: d.Ad, v: d.Coeff * factor}
+		buf.e[i] = bufEntry{ad: d.Ad, v: d.Coeff}
 	}
 	buf.scale, buf.ops, buf.view = 1, 0, nil
-	buf.applied, buf.ref = len(ents), st.win.Ref()
+	buf.applied, buf.ref = n, st.win.Ref()
 	e.rebuilds++
 }
 

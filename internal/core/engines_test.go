@@ -115,7 +115,10 @@ func scoresCompatible(oracle, got []Scored, tol float64) error {
 // rankings throughout a randomized stream of posts, check-ins, ad
 // insertions, and ad removals. Half the users are read at every gap a
 // readGaps cycles through, so each CAP variant catches its lazy buffers up
-// in every regime; the rest are read at random, mostly cold.
+// in every regime; the rest are read at random, mostly cold. Twice the clock
+// jumps by 1 200 half-lives, which ages every resident message to a weight
+// of exactly zero (2^-1200 underflows): windows, buffers and views must all
+// come out of that exact.
 func TestEngineEquivalenceRandomWorkload(t *testing.T) {
 	for _, seed := range []int64{1, 2, 7, 42} {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
@@ -177,6 +180,9 @@ func TestEngineEquivalenceRandomWorkload(t *testing.T) {
 			var msgID feed.MessageID
 			for step := 0; step < 1200; step++ {
 				now = now.Add(time.Duration(rng.Intn(180)) * time.Second)
+				if step%400 == 399 { // idle gap: 1 200 of testScoring's half-lives
+					now = now.Add(1200 * 30 * time.Minute)
+				}
 				switch op := rng.Intn(10); {
 				case op < 6: // post
 					msgID++
@@ -241,6 +247,67 @@ func TestEngineEquivalenceRandomWorkload(t *testing.T) {
 			}
 			gaps.require(t)
 		})
+	}
+}
+
+// TestAggregateIsSummedIntoReusedVector: the readers of a window's aggregate
+// — RS and IL on every query, CAP when it rebuilds a buffer — sum it into a
+// vector the engine keeps. Measured on one engine before and after its window
+// grows from one one-term message to a full window of five-term ones, what
+// such a reader allocates stays the same; an aggregate map made per call
+// would allocate more for the larger one.
+func TestAggregateIsSummedIntoReusedVector(t *testing.T) {
+	s := testScoring()
+	store := adstore.NewStore()
+	engines := makeEngines(t, s, store)[:3] // RS, IL, CAP
+	for id := adstore.AdID(1); id <= 50; id++ {
+		a := simpleAd(id, textproc.TermID(id%25), 0.5)
+		if err := store.Add(a); err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range engines {
+			e.RegisterAd(a)
+		}
+	}
+	rng := rand.New(rand.NewSource(3))
+	now, id := base0, feed.MessageID(0)
+	deliver := func(vec textproc.SparseVector) {
+		id++
+		now = now.Add(time.Second)
+		for _, e := range engines {
+			e.AddUser(1)
+			if err := e.Deliver(feed.Message{ID: id, Time: now, Vec: vec}, []feed.UserID{1}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	allocs := func(e Shardable) float64 {
+		if c, ok := e.(*CAP); ok {
+			st := c.users[1]
+			return testing.AllocsPerRun(20, func() { c.rebuild(st, st.buf) })
+		}
+		return testing.AllocsPerRun(20, func() {
+			if _, err := e.TopAds(1, 5, now); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	deliver(textproc.SparseVector{7: 1})
+	before := make([]float64, len(engines))
+	for i, e := range engines {
+		before[i] = allocs(e)
+	}
+	for range s.WindowCap {
+		deliver(randVec(rng, 5, 25))
+	}
+	for i, e := range engines {
+		after := allocs(e)
+		if after != before[i] {
+			t.Errorf("%T: %v allocations with a full window, %v with one message", e, after, before[i])
+		}
+		if _, ok := e.(*CAP); ok && after > 1 {
+			t.Errorf("a CAP rebuild allocates %v times, want at most once: the delta list", after)
+		}
 	}
 }
 

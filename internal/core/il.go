@@ -165,29 +165,31 @@ func (e *IL) TopAds(u feed.UserID, k int, t time.Time) ([]Scored, error) {
 		return nil, err
 	}
 	span := time.Now()
-	ctx, factor := st.win.ContextRef(t)
+	ctx, factor := e.context(st, t)
 	sl := timeslot.Of(t)
 	c := topk.NewCollector(k)
 	deltas := e.inv.DeltaList(ctx)
 	span = e.stageDone(StageRetrieve, span, len(deltas), len(deltas))
 
 	offered := 0
-	textOf := make(map[adstore.AdID]float64, len(deltas))
 	for _, d := range deltas {
-		textRel := d.Coeff * factor
-		textOf[d.Ad] = textRel
-		if e.offer(c, e.ad(d.Ad), textRel, st, sl, t, true) {
+		if e.offer(c, e.ad(d.Ad), d.Coeff*factor, st, sl, t, true) {
 			offered++
 		}
 	}
 	examined, offeredStatic := e.offerStatic(c, st, sl, t, true, func(id adstore.AdID) bool {
-		_, seen := textOf[id]
+		_, seen := findDelta(deltas, id)
 		return seen
 	})
 	offered += offeredStatic
 	span = e.stageDone(StageScore, span, len(deltas)+examined, offered)
 
-	out := e.resolve(c.Items(), st, func(id adstore.AdID) float64 { return textOf[id] })
+	out := e.resolve(c.Items(), st, func(id adstore.AdID) float64 {
+		if i, ok := findDelta(deltas, id); ok {
+			return deltas[i].Coeff * factor
+		}
+		return 0
+	})
 	e.stageDone(StageTopK, span, offered, len(out))
 	return out, nil
 }

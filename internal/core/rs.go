@@ -47,7 +47,7 @@ func (e *RS) TopAds(u feed.UserID, k int, t time.Time) ([]Scored, error) {
 		return nil, err
 	}
 	span := time.Now()
-	ctx, factor := st.win.ContextRef(t)
+	ctx, factor := e.context(st, t)
 	sl := timeslot.Of(t)
 	c := topk.NewCollector(k)
 	universe := e.store.Len()

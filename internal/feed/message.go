@@ -1,6 +1,6 @@
 // Package feed implements the "high-speed social news feeding" substrate:
 // the follower graph along which posts fan out, and per-user sliding feed
-// windows that aggregate recent messages into a time-decayed context vector.
+// windows whose recent messages sum to a time-decayed context vector.
 package feed
 
 import (
