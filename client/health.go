@@ -8,6 +8,7 @@ import (
 	"net/http"
 
 	caar "caar"
+	"caar/journal"
 )
 
 // Health is the server's self-reported health document (GET /v1/healthz).
@@ -38,25 +39,13 @@ func (c *Client) Ready(ctx context.Context) (bool, []string, error) {
 	return r.Ready, r.Reasons, err
 }
 
-// ReplaySummary mirrors the journal-replay accounting a recovered server
-// embeds in its ready response.
-type ReplaySummary struct {
-	Records       int64   `json:"records"`
-	Applied       int     `json:"applied"`
-	Skipped       int     `json:"skipped"`
-	Bytes         int64   `json:"bytes"`
-	Seconds       float64 `json:"seconds"`
-	RecordsPerSec float64 `json:"records_per_sec"`
-	Torn          bool    `json:"torn,omitempty"`
-}
-
 // Readiness is the full readiness document: while the server recovers, the
 // Reasons include live journal-replay progress; once ready, Replay (when
 // present) carries the final replay accounting.
 type Readiness struct {
 	Ready   bool
 	Reasons []string
-	Replay  *ReplaySummary
+	Replay  *journal.ReplaySummary
 }
 
 // Readiness fetches the readiness document with replay detail. The error is
@@ -68,9 +57,9 @@ func (c *Client) Readiness(ctx context.Context) (Readiness, error) {
 	}
 	defer resp.Body.Close()
 	var body struct {
-		Status  string         `json:"status"`
-		Reasons []string       `json:"reasons"`
-		Replay  *ReplaySummary `json:"replay"`
+		Status  string                 `json:"status"`
+		Reasons []string               `json:"reasons"`
+		Replay  *journal.ReplaySummary `json:"replay"`
 	}
 	_ = json.NewDecoder(resp.Body).Decode(&body)
 	switch resp.StatusCode {

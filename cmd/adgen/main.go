@@ -1,20 +1,18 @@
 // Command adgen generates a synthetic social-ads workload (the substitute
-// for the original Twitter crawl; see DESIGN.md §4) and writes it as JSON
-// lines in the workload trace format, or inspects an existing trace.
+// for the original Twitter crawl; see DESIGN.md §4) and prints its
+// statistics. A workload is reproduced by its configuration and seed, so the
+// flags are all there is to save.
 //
 // Usage:
 //
-//	adgen -users 2000 -ads 10000 -messages 20000 -seed 1 > workload.jsonl
-//	adgen -stats                          # statistics of a fresh workload
-//	adgen -load workload.jsonl -stats     # statistics of a saved trace
+//	adgen                                            # the default workload
+//	adgen -users 2000 -ads 10000 -messages 20000 -seed 1
 package main
 
 import (
 	"flag"
 	"fmt"
 	"log"
-	"log/slog"
-	"os"
 	"time"
 
 	"caar/workload"
@@ -28,49 +26,15 @@ func main() {
 	flag.IntVar(&cfg.Messages, "messages", cfg.Messages, "number of posts")
 	flag.IntVar(&cfg.Topics, "topics", cfg.Topics, "latent topics")
 	flag.IntVar(&cfg.AvgFollowees, "followees", cfg.AvgFollowees, "average followees per user")
-	statsOnly := flag.Bool("stats", false, "print workload statistics instead of the trace")
-	load := flag.String("load", "", "load a trace file instead of generating")
-	verbose := flag.Bool("v", false, "log generation timing as JSON on stderr")
 	flag.Parse()
 
-	var (
-		w   *workload.Workload
-		err error
-	)
 	start := time.Now()
-	if *load != "" {
-		f, ferr := os.Open(*load)
-		if ferr != nil {
-			log.Fatalf("adgen: %v", ferr)
-		}
-		defer f.Close()
-		w, err = workload.LoadTrace(f)
-	} else {
-		w, err = workload.Generate(cfg)
-	}
+	w, err := workload.Generate(cfg)
 	if err != nil {
 		log.Fatalf("adgen: %v", err)
 	}
-	if *verbose {
-		// The trace goes to stdout; structured progress stays on stderr so
-		// `adgen -v > workload.jsonl` composes.
-		slog.New(slog.NewJSONHandler(os.Stderr, nil)).Info("workload ready",
-			slog.Int("users", len(w.Users)),
-			slog.Int("ads", len(w.Ads)),
-			slog.Int("events", len(w.Events)),
-			slog.Duration("took", time.Since(start)))
-	}
+	took := time.Since(start)
 
-	if *statsOnly {
-		printStats(w)
-		return
-	}
-	if err := w.ExportTrace(os.Stdout); err != nil {
-		log.Fatalf("adgen: export: %v", err)
-	}
-}
-
-func printStats(w *workload.Workload) {
 	posts, checkins := 0, 0
 	for _, e := range w.Events {
 		if e.Kind == workload.EventPost {
@@ -89,4 +53,5 @@ func printStats(w *workload.Workload) {
 	if len(w.Events) > 0 {
 		fmt.Printf("span           %v\n", w.Events[len(w.Events)-1].Time.Sub(w.Events[0].Time).Round(time.Second))
 	}
+	fmt.Printf("generated in   %v\n", took.Round(time.Millisecond))
 }

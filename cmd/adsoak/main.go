@@ -45,6 +45,7 @@ import (
 
 	caar "caar"
 	"caar/client"
+	"caar/journal"
 	"caar/workload"
 )
 
@@ -58,12 +59,12 @@ type cycleSpec struct {
 
 // cycleReport is one recovery cycle in BENCH_SOAK.json.
 type cycleReport struct {
-	Crash               string                `json:"crash"` // what killed the previous server
-	CrashedDuringReplay bool                  `json:"crashed_during_replay,omitempty"`
-	RecoveryMs          float64               `json:"recovery_ms,omitempty"`
-	Replay              *client.ReplaySummary `json:"replay,omitempty"`
-	Invariants          []verdict             `json:"invariants,omitempty"`
-	EventsSettled       int64                 `json:"events_settled"`
+	Crash               string                 `json:"crash"` // what killed the previous server
+	CrashedDuringReplay bool                   `json:"crashed_during_replay,omitempty"`
+	RecoveryMs          float64                `json:"recovery_ms,omitempty"`
+	Replay              *journal.ReplaySummary `json:"replay,omitempty"`
+	Invariants          []verdict              `json:"invariants,omitempty"`
+	EventsSettled       int64                  `json:"events_settled"`
 }
 
 // benchReport is the BENCH_SOAK.json document.

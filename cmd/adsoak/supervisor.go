@@ -10,6 +10,7 @@ import (
 
 	"caar/client"
 	"caar/internal/faultinject"
+	"caar/journal"
 )
 
 // supervisor owns the adserver child process: it starts it (optionally with
@@ -70,7 +71,7 @@ func (e errChildExited) Error() string {
 // returning the recovery duration and the replay accounting the server
 // embedded in its ready response. If the child dies first (an armed
 // mid-replay crash point), the error is errChildExited.
-func (s *supervisor) waitReady(ctx context.Context, cli *client.Client, timeout time.Duration) (time.Duration, *client.ReplaySummary, error) {
+func (s *supervisor) waitReady(ctx context.Context, cli *client.Client, timeout time.Duration) (time.Duration, *journal.ReplaySummary, error) {
 	begin := time.Now()
 	deadline := time.NewTimer(timeout)
 	defer deadline.Stop()

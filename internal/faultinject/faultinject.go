@@ -1,8 +1,9 @@
 // Package faultinject supplies deterministic fault models for chaos-style
-// testing of the serving path: writers that fail, stall, or tear records
-// mid-write (simulating full disks, slow devices, and kill -9 during an
-// append), and an http.RoundTripper that drops or delays requests
-// (simulating a flaky network or a dead server).
+// testing of the serving path: a writer that tears a record mid-write
+// (kill -9 during an append), a scripted writer that starts failing on cue,
+// a reader that fails at a byte offset (a bad sector), and http
+// RoundTrippers that drop or delay requests (a flaky network or a dead
+// server).
 //
 // Everything here is deterministic — faults trigger on exact byte or
 // request counts — so tests assert precise recovery behavior instead of
@@ -21,38 +22,6 @@ import (
 
 // ErrInjected is the default error returned by injected faults.
 var ErrInjected = errors.New("faultinject: injected fault")
-
-// FailingWriter writes through to W until Budget bytes have been accepted,
-// then every subsequent Write fails with Err (ErrInjected when nil) without
-// writing anything — a disk that goes read-only or fills exactly at a byte
-// boundary.
-type FailingWriter struct {
-	W      io.Writer
-	Budget int64 // bytes accepted before failing
-	Err    error
-
-	written atomic.Int64
-}
-
-// Write implements io.Writer.
-func (f *FailingWriter) Write(p []byte) (int, error) {
-	if f.written.Load()+int64(len(p)) > f.Budget {
-		return 0, f.err()
-	}
-	n, err := f.W.Write(p)
-	f.written.Add(int64(n))
-	return n, err
-}
-
-// Written reports bytes accepted so far.
-func (f *FailingWriter) Written() int64 { return f.written.Load() }
-
-func (f *FailingWriter) err() error {
-	if f.Err != nil {
-		return f.Err
-	}
-	return ErrInjected
-}
 
 // PartialWriter writes through to W until Budget bytes have been accepted;
 // the write that crosses the budget is torn — its prefix up to the budget
@@ -126,19 +95,6 @@ func (f *FailingReader) err() error {
 		return f.Err
 	}
 	return ErrInjected
-}
-
-// SlowWriter delays every write by Delay before passing it to W — a
-// saturated or degraded disk.
-type SlowWriter struct {
-	W     io.Writer
-	Delay time.Duration
-}
-
-// Write implements io.Writer.
-func (s *SlowWriter) Write(p []byte) (int, error) {
-	time.Sleep(s.Delay)
-	return s.W.Write(p)
 }
 
 // FlakyTransport is an http.RoundTripper that fails the first FailFirst

@@ -6,25 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
-	"time"
 )
-
-func TestFailingWriterBudget(t *testing.T) {
-	var buf bytes.Buffer
-	fw := &FailingWriter{W: &buf, Budget: 10}
-	if n, err := fw.Write([]byte("12345")); n != 5 || err != nil {
-		t.Fatalf("first write: %d %v", n, err)
-	}
-	if n, err := fw.Write([]byte("1234567890")); err == nil || n != 0 {
-		t.Fatalf("over-budget write accepted: %d %v", n, err)
-	}
-	if buf.String() != "12345" {
-		t.Fatalf("buffer = %q", buf.String())
-	}
-	if fw.Written() != 5 {
-		t.Fatalf("Written = %d", fw.Written())
-	}
-}
 
 func TestPartialWriterTearsMidWrite(t *testing.T) {
 	var buf bytes.Buffer
@@ -46,18 +28,6 @@ func TestPartialWriterTearsMidWrite(t *testing.T) {
 	// Fully spent: nothing more lands.
 	if n, err := pw.Write([]byte("x")); n != 0 || err == nil {
 		t.Fatalf("post-tear write: %d %v", n, err)
-	}
-}
-
-func TestSlowWriterDelays(t *testing.T) {
-	var buf bytes.Buffer
-	sw := &SlowWriter{W: &buf, Delay: 10 * time.Millisecond}
-	start := time.Now()
-	if _, err := sw.Write([]byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	if time.Since(start) < 10*time.Millisecond {
-		t.Fatal("write not delayed")
 	}
 }
 

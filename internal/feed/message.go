@@ -6,7 +6,6 @@ package feed
 import (
 	"time"
 
-	"caar/internal/geo"
 	"caar/internal/textproc"
 )
 
@@ -18,12 +17,11 @@ type UserID uint32
 type MessageID int64
 
 // Message is one social post after semantic processing: the author, the
-// TF-IDF term vector of the text, an optional geotag, and the post time.
+// TF-IDF term vector of the text, and the post time. Location reaches the
+// engine through check-ins, not through posts.
 type Message struct {
 	ID     MessageID
 	Author UserID
 	Time   time.Time
 	Vec    textproc.SparseVector
-	Loc    geo.Point
-	HasLoc bool
 }

@@ -12,7 +12,9 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -21,6 +23,7 @@ import (
 // keyed "dir" for a whole package or "dir: Recv.Name".
 var reachabilityAllowed = map[string]bool{
 	// The fault-injection harness exists for other packages' tests.
+	// A helper no other package's test uses is deleted, not kept here.
 	"internal/faultinject": true,
 	// The lazy-buffer tests' oracle.
 	"internal/core: CAP.BufferSize": true,
@@ -28,9 +31,10 @@ var reachabilityAllowed = map[string]bool{
 	"internal/server: WithLogger": true,
 }
 
-// TestModuleCodeHasNonTestReferences fails when a function, method or
-// interface method anywhere in the module is used only by tests: code
-// nothing runs is deleted along with its tests, not kept alive by them.
+// TestModuleCodeHasNonTestReferences fails when a function, method,
+// interface method or struct field anywhere in the module is used only by
+// tests: code nothing runs is deleted along with its tests, not kept alive
+// by them.
 // bench/ counts as a user, but its own declarations are not reported — they
 // change only with the benchmark.
 func TestModuleCodeHasNonTestReferences(t *testing.T) {
@@ -57,6 +61,8 @@ func TestReachabilityFixture(t *testing.T) {
 	}
 	want := []string{
 		"collide: A.Reset",        // (a) B.Reset's call does not cover it
+		"fields: T.Nobody",        // a field nothing references
+		"fields: T.tested",        // a field only a _test.go reads
 		"idle: Idle.Nobody",       // (d) an interface method nothing calls
 		"notsort: Sizes.Len",      // (c) a Len that is no sort.Interface's
 		"testonly: OnlyFromTests", // (e) its one caller is a _test.go
@@ -99,13 +105,16 @@ type (
 `
 
 // unreferenced type-checks every package of the module rooted at root and
-// returns, sorted, the functions and methods that no non-test code uses, as
-// "dir: Name" or "dir: Recv.Name". A method counts as used when something
-// calls or references it, when an interface method it implements is used,
-// or when it satisfies one of stdInterfaces; a use inside the declaration
-// itself (recursion) does not count. Packages for which quiet reports true
-// are type-checked and count as users, but their declarations are not
-// reported.
+// returns, sorted, the functions, methods and fields of named struct types
+// that no non-test code uses, as "dir: Name", "dir: Recv.Name" or
+// "dir: Type.Field". A method counts as used when something calls or
+// references it, when an interface method it implements is used, or when it
+// satisfies one of stdInterfaces; a use inside the declaration itself
+// (recursion) does not count. A field counts as used when a selector or a
+// keyed composite literal names it, or, embedded, when something is
+// selected or an interface method is satisfied through it. Packages for
+// which quiet reports true are type-checked and count as users, but their
+// declarations are not reported.
 func unreferenced(root string, quiet func(dir string) bool) ([]string, error) {
 	mod, err := os.ReadFile(filepath.Join(root, "go.mod"))
 	if err != nil {
@@ -179,7 +188,11 @@ func unreferenced(root string, quiet func(dir string) bool) ([]string, error) {
 		if p.types != nil {
 			return p.types, nil
 		}
-		p.info = &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
+		p.info = &types.Info{
+			Defs:       map[*ast.Ident]types.Object{},
+			Uses:       map[*ast.Ident]types.Object{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
+		}
 		tp, err := (&types.Config{Importer: imp}).Check(ip, sourceFset, p.syntax, p.info)
 		if err != nil {
 			return nil, err
@@ -210,6 +223,7 @@ func unreferenced(root string, quiet func(dir string) bool) ([]string, error) {
 		start, end token.Pos
 	}
 	decls := map[*types.Func]decl{}
+	fields := map[*types.Var]string{}
 	var named []*types.Named // every package-level defined type
 	for _, p := range order {
 		for _, name := range p.types.Scope().Names() {
@@ -231,7 +245,7 @@ func unreferenced(root string, quiet func(dir string) bool) ([]string, error) {
 						continue
 					}
 					if d.Recv != nil {
-						name = recvName(d.Recv.List[0].Type) + "." + name
+						name = typeName(d.Recv.List[0].Type).Name + "." + name
 					}
 					decls[p.info.Defs[d.Name].(*types.Func)] = decl{p.dir + ": " + name, d.Pos(), d.End()}
 				case *ast.GenDecl:
@@ -252,6 +266,39 @@ func unreferenced(root string, quiet func(dir string) bool) ([]string, error) {
 					}
 				}
 			}
+			ast.Inspect(file, func(n ast.Node) bool {
+				ts, ok := n.(*ast.TypeSpec)
+				if !ok {
+					return true
+				}
+				st, ok := ts.Type.(*ast.StructType)
+				if !ok {
+					return true
+				}
+				// encoding/json reads the exported fields of a struct whose
+				// fields carry json tags, and so do a library client's
+				// callers: those are never reported.
+				tagged := slices.ContainsFunc(st.Fields.List, func(f *ast.Field) bool {
+					if f.Tag == nil {
+						return false
+					}
+					tag, _ := strconv.Unquote(f.Tag.Value)
+					_, ok := reflect.StructTag(tag).Lookup("json")
+					return ok
+				})
+				for _, f := range st.Fields.List {
+					ids := f.Names
+					if len(ids) == 0 {
+						ids = []*ast.Ident{typeName(f.Type)}
+					}
+					for _, id := range ids {
+						if id.Name != "_" && !(tagged && id.IsExported()) {
+							fields[p.info.Defs[id].(*types.Var)] = p.dir + ": " + ts.Name.Name + "." + id.Name
+						}
+					}
+				}
+				return true
+			})
 		}
 	}
 
@@ -266,17 +313,49 @@ func unreferenced(root string, quiet func(dir string) bool) ([]string, error) {
 			ifaceUses = append(ifaceUses, fn)
 		}
 	}
+	// A field is used by a selector or a keyed composite literal, both of
+	// which Info.Uses records; an embedded field also by what is selected
+	// through it, which Info.Uses does not — it records only the final
+	// member of the index path.
+	usedField := map[*types.Var]bool{}
+	useEmbedded := func(t types.Type, index []int) {
+		for _, i := range index[:len(index)-1] {
+			if ptr, ok := t.Underlying().(*types.Pointer); ok {
+				t = ptr.Elem()
+			}
+			f := t.Underlying().(*types.Struct).Field(i)
+			usedField[f.Origin()] = true
+			t = f.Type()
+		}
+	}
+	// useMethodOf uses n's method — its own or promoted from an embedded
+	// field — that implements the interface method m.
+	useMethodOf := func(n *types.Named, m *types.Func) {
+		var t types.Type = n
+		if !types.IsInterface(n) {
+			t = types.NewPointer(n)
+		}
+		obj, index, _ := types.LookupFieldOrMethod(t, true, m.Pkg(), m.Name())
+		useEmbedded(t, index)
+		use(obj.(*types.Func).Origin())
+	}
 	for _, p := range order {
 		for id, obj := range p.info.Uses {
-			fn, ok := obj.(*types.Func)
-			if !ok {
-				continue
+			switch obj := obj.(type) {
+			case *types.Func:
+				fn := obj.Origin()
+				if d, ok := decls[fn]; ok && id.Pos() >= d.start && id.Pos() < d.end {
+					continue
+				}
+				use(fn)
+			case *types.Var:
+				if obj.IsField() {
+					usedField[obj.Origin()] = true
+				}
 			}
-			fn = fn.Origin()
-			if d, ok := decls[fn]; ok && id.Pos() >= d.start && id.Pos() < d.end {
-				continue
-			}
-			use(fn)
+		}
+		for _, s := range p.info.Selections {
+			useEmbedded(s.Recv(), s.Index())
 		}
 	}
 	// The standard library calls these through its own interfaces.
@@ -285,7 +364,7 @@ func unreferenced(root string, quiet func(dir string) bool) ([]string, error) {
 		for _, n := range named {
 			if implementor(n, iface) {
 				for i := 0; i < iface.NumMethods(); i++ {
-					use(methodOf(n, iface.Method(i)))
+					useMethodOf(n, iface.Method(i))
 				}
 			}
 		}
@@ -298,7 +377,7 @@ func unreferenced(root string, quiet func(dir string) bool) ([]string, error) {
 		iface := m.Type().(*types.Signature).Recv().Type().Underlying().(*types.Interface)
 		for _, n := range named {
 			if implementor(n, iface) {
-				use(methodOf(n, m))
+				useMethodOf(n, m)
 			}
 		}
 	}
@@ -307,6 +386,11 @@ func unreferenced(root string, quiet func(dir string) bool) ([]string, error) {
 	for fn, d := range decls {
 		if !used[fn] {
 			out = append(out, d.key)
+		}
+	}
+	for v, key := range fields {
+		if !usedField[v] {
+			out = append(out, key)
 		}
 	}
 	sort.Strings(out)
@@ -332,27 +416,19 @@ func implementor(n *types.Named, iface *types.Interface) bool {
 	return types.Implements(n, iface) || (!types.IsInterface(n) && types.Implements(types.NewPointer(n), iface))
 }
 
-// methodOf returns n's method — its own or promoted from an embedded
-// field — that implements the interface method m.
-func methodOf(n *types.Named, m *types.Func) *types.Func {
-	var t types.Type = n
-	if !types.IsInterface(n) {
-		t = types.NewPointer(n)
-	}
-	obj, _, _ := types.LookupFieldOrMethod(t, true, m.Pkg(), m.Name())
-	return obj.(*types.Func).Origin()
-}
-
-func recvName(e ast.Expr) string {
+// typeName returns the identifier of the type a receiver or an embedded
+// field names: T in T, *T, pkg.T and T[P]. An embedded field is declared
+// under it.
+func typeName(e ast.Expr) *ast.Ident {
 	switch x := e.(type) {
 	case *ast.StarExpr:
-		return recvName(x.X)
+		return typeName(x.X)
+	case *ast.SelectorExpr:
+		return x.Sel
 	case *ast.IndexExpr:
-		return recvName(x.X)
+		return typeName(x.X)
 	case *ast.IndexListExpr:
-		return recvName(x.X)
-	case *ast.Ident:
-		return x.Name
+		return typeName(x.X)
 	}
-	return "?"
+	return e.(*ast.Ident)
 }

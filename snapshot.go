@@ -255,8 +255,8 @@ func fsyncDir(dir string) error {
 // missing, corrupt, or fails verification it falls back to the previous
 // good snapshot at path+".prev"; only if both fail does it return an error.
 // The returned path names the file that actually loaded, so operators can
-// tell a fallback from a normal restore. Snapshots without a checksum
-// trailer (written by Snapshot directly) load unverified.
+// tell a fallback from a normal restore. A file without the checksum trailer
+// fails verification; Restore reads what Snapshot wrote directly.
 func LoadSnapshot(cfg Config, path string) (*Engine, string, error) {
 	eng, primaryErr := loadVerified(cfg, path)
 	if primaryErr == nil {
@@ -270,24 +270,25 @@ func LoadSnapshot(cfg Config, path string) (*Engine, string, error) {
 	return nil, "", fmt.Errorf("caar: snapshot %s: %w (previous: %v)", path, primaryErr, prevErr)
 }
 
-// loadVerified reads one snapshot file, checks the trailer checksum when
-// present, and restores from the payload.
+// loadVerified reads one snapshot file, checks its trailer checksum, and
+// restores from the payload.
 func loadVerified(cfg Config, path string) (*Engine, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	payload := raw
-	if i := bytes.LastIndex(raw, []byte(snapshotTrailer)); i >= 0 {
-		payload = raw[:i]
-		field := bytes.TrimSpace(raw[i+len(snapshotTrailer):])
-		want, err := strconv.ParseUint(string(field), 16, 32)
-		if err != nil {
-			return nil, fmt.Errorf("bad checksum trailer %q", field)
-		}
-		if got := crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)); got != uint32(want) {
-			return nil, fmt.Errorf("checksum mismatch (want %08x, got %08x)", want, got)
-		}
+	i := bytes.LastIndex(raw, []byte(snapshotTrailer))
+	if i < 0 {
+		return nil, errors.New("no checksum trailer")
+	}
+	payload := raw[:i]
+	field := bytes.TrimSpace(raw[i+len(snapshotTrailer):])
+	want, err := strconv.ParseUint(string(field), 16, 32)
+	if err != nil {
+		return nil, fmt.Errorf("bad checksum trailer %q", field)
+	}
+	if got := crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)); got != uint32(want) {
+		return nil, fmt.Errorf("checksum mismatch (want %08x, got %08x)", want, got)
 	}
 	return Restore(cfg, bytes.NewReader(payload))
 }

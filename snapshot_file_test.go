@@ -120,9 +120,17 @@ func TestLoadSnapshotBothCorrupt(t *testing.T) {
 	}
 }
 
+// TestLoadSnapshotLegacyWithoutTrailer: a primary without the checksum
+// trailer is rejected, and the previous snapshot loads instead.
 func TestLoadSnapshotLegacyWithoutTrailer(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "state.snap")
 	e := buildSnapshotEngine(t)
+	if err := e.SaveSnapshot(path + PrevSnapshotSuffix); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.AddUser("carol"); err != nil {
+		t.Fatal(err)
+	}
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
@@ -131,11 +139,14 @@ func TestLoadSnapshotLegacyWithoutTrailer(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
-	loaded, _, err := LoadSnapshot(DefaultConfig(), path)
+	loaded, src, err := LoadSnapshot(DefaultConfig(), path)
 	if err != nil {
-		t.Fatalf("legacy snapshot rejected: %v", err)
+		t.Fatalf("fallback to .prev failed: %v", err)
 	}
-	if loaded.Stats().Users != 2 {
-		t.Fatal("legacy snapshot state lost")
+	if src != path+PrevSnapshotSuffix {
+		t.Fatalf("loaded the trailer-less %s, want fallback %s", src, path+PrevSnapshotSuffix)
+	}
+	if got := loaded.Stats().Users; got != 2 {
+		t.Fatalf("loaded %d users, want 2 (previous snapshot)", got)
 	}
 }

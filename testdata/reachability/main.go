@@ -4,6 +4,7 @@ package main
 
 import (
 	"fixture/collide"
+	"fixture/fields"
 	"fixture/idle"
 	"fixture/notsort"
 	"fixture/promoted"
@@ -18,4 +19,6 @@ func main() {
 	idle.Call(idle.T{})
 	idle.Direct(idle.T{})
 	testonly.Used()
+	fields.Depth(fields.New())
+	_ = fields.Wire{}
 }

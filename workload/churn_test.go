@@ -1,10 +1,11 @@
 package workload
 
 import (
-	"bytes"
+	"reflect"
 	"testing"
 
 	"caar/internal/adstore"
+	"caar/internal/feed"
 	"caar/internal/textproc"
 )
 
@@ -23,23 +24,58 @@ func churnConfig() Config {
 }
 
 // TestChurnDeterministicByteIdentical is the soak harness's foundation: the
-// same seed must yield byte-identical traces and identical ad sets, or a
-// crash-recovery diff against the ledger means nothing.
+// same seed must yield the same workload, or a crash-recovery diff against
+// the ledger means nothing. The next seed must yield another, or the
+// equality proves nothing.
 func TestChurnDeterministicByteIdentical(t *testing.T) {
 	cfg := churnConfig()
-	var b1, b2 bytes.Buffer
-	for i, buf := range []*bytes.Buffer{&b1, &b2} {
-		w, err := Generate(cfg)
-		if err != nil {
-			t.Fatalf("generate %d: %v", i, err)
+	w := generate(t, cfg)
+	if part := firstDifference(w, generate(t, cfg)); part != "" {
+		t.Fatalf("same seed produced different %s", part)
+	}
+	cfg.Seed++
+	if firstDifference(w, generate(t, cfg)) == "" {
+		t.Fatal("seed+1 produced the same workload")
+	}
+}
+
+func generate(t *testing.T, cfg Config) *Workload {
+	t.Helper()
+	w, err := Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
+
+// firstDifference names the first part of the generated workload in which a
+// and b differ, or returns "" when they are deeply equal.
+func firstDifference(a, b *Workload) string {
+	followers := func(w *Workload) [][]feed.UserID {
+		out := make([][]feed.UserID, len(w.Users))
+		for i, u := range w.Users {
+			out[i] = w.Graph.Followers(u.ID)
 		}
-		if err := w.ExportTrace(buf); err != nil {
-			t.Fatalf("export %d: %v", i, err)
+		return out
+	}
+	for _, part := range []struct {
+		name string
+		a, b any
+	}{
+		{"users", a.Users, b.Users},
+		{"followers", followers(a), followers(b)},
+		{"ads", a.Ads, b.Ads},
+		{"ad topics", a.AdTopic, b.AdTopic},
+		{"ad texts", a.AdText, b.AdText},
+		{"late ads", a.LateAds, b.LateAds},
+		{"campaigns", a.Campaigns, b.Campaigns},
+		{"events", a.Events, b.Events},
+	} {
+		if !reflect.DeepEqual(part.a, part.b) {
+			return part.name
 		}
 	}
-	if !bytes.Equal(b1.Bytes(), b2.Bytes()) {
-		t.Fatalf("same seed produced different traces (%d vs %d bytes)", b1.Len(), b2.Len())
-	}
+	return ""
 }
 
 func TestChurnEventsConsistent(t *testing.T) {
@@ -122,46 +158,6 @@ func TestChurnEventsConsistent(t *testing.T) {
 	}
 	if impressions == 0 {
 		t.Fatal("no impression events")
-	}
-}
-
-// TestChurnTraceRoundTrip: export with all extensions on, load back, and the
-// churn bookkeeping (campaigns, late set, text, events) must survive.
-func TestChurnTraceRoundTrip(t *testing.T) {
-	w, err := Generate(churnConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := w.ExportTrace(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadTrace(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Campaigns) != len(w.Campaigns) || got.Campaigns[0] != w.Campaigns[0] {
-		t.Fatalf("campaigns did not round-trip: %+v", got.Campaigns)
-	}
-	if len(got.LateAds) != len(w.LateAds) {
-		t.Fatalf("late ads did not round-trip: %d vs %d", len(got.LateAds), len(w.LateAds))
-	}
-	if len(got.Events) != len(w.Events) {
-		t.Fatalf("events did not round-trip: %d vs %d", len(got.Events), len(w.Events))
-	}
-	for i, ev := range w.Events {
-		g := got.Events[i]
-		if g.Kind != ev.Kind || g.Ad != ev.Ad || g.Text != ev.Text {
-			t.Fatalf("event %d did not round-trip: %+v vs %+v", i, g, ev)
-		}
-	}
-	for id, text := range w.AdText {
-		if got.AdText[id] != text {
-			t.Fatalf("ad %d text did not round-trip", id)
-		}
-		if got.AdByID(id).Campaign != w.AdByID(id).Campaign {
-			t.Fatalf("ad %d campaign did not round-trip", id)
-		}
 	}
 }
 

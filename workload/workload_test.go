@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"reflect"
 	"testing"
 
 	"caar/internal/adstore"
@@ -22,28 +21,8 @@ func smallConfig() Config {
 
 func TestGenerateDeterministic(t *testing.T) {
 	cfg := smallConfig()
-	w1, err := Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w2, err := Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(w1.Events) != len(w2.Events) {
-		t.Fatalf("event counts differ: %d vs %d", len(w1.Events), len(w2.Events))
-	}
-	for i := range w1.Events {
-		a, b := w1.Events[i], w2.Events[i]
-		if a.Kind != b.Kind || a.User != b.User || !a.Time.Equal(b.Time) || a.Topic != b.Topic {
-			t.Fatalf("event %d differs: %+v vs %+v", i, a, b)
-		}
-		if a.Kind == EventPost && !reflect.DeepEqual(a.Msg.Vec, b.Msg.Vec) {
-			t.Fatalf("event %d message vectors differ", i)
-		}
-	}
-	if w1.Graph.Edges() != w2.Graph.Edges() {
-		t.Fatal("graphs differ")
+	if part := firstDifference(generate(t, cfg), generate(t, cfg)); part != "" {
+		t.Fatalf("same seed produced different %s", part)
 	}
 }
 
