@@ -4,32 +4,23 @@ GO ?= go
 # deliberately, with a pass over any new findings.
 STATICCHECK_VERSION ?= 2025.1
 
-CAARLINT := bin/caarlint
-
-# The full analyzer suite, in the order cmd/caarlint registers it. Used by
-# the per-analyzer finding summary below; keep in sync with
-# tools/cmd/caarlint/main.go (`caarlint -list` prints the same set).
-CAARLINT_ANALYZERS := cowmut readpathlock metricname fsyncrename errstatus lockorder goroutinelife atomicfield batchalias
-
-.PHONY: all check lint vet staticcheck caarlint tools-test build test race race-matrix fuzz-smoke bench bench-canonical soak-smoke clean
+.PHONY: all check lint vet staticcheck build test race race-matrix fuzz-smoke bench bench-canonical soak-smoke clean
 
 all: check
 
-# check is the full pre-merge gate: static analysis (go vet, staticcheck,
-# the project's own caarlint suite), compilation of every package, and the
-# test suite under the race detector — which holds the end-to-end hot-key,
-# ingest-backpressure and SLO-capture drills (internal/server).
+# check is the full pre-merge gate: static analysis (go vet, staticcheck),
+# compilation of every package, and the test suite under the race detector —
+# which holds the project's own analyzers and reachability guard
+# (internal/lint) and the end-to-end hot-key, ingest-backpressure and
+# SLO-capture drills (internal/server).
 check: lint build race
 
-# lint folds the three static-analysis layers into one gate.
-lint: vet staticcheck caarlint
+# lint runs the external static checkers. The project's own analyzers are
+# tests (go test ./internal/lint), so they run in test and race.
+lint: vet staticcheck
 
-# The grep keeps test harnesses in _test.go files: only bench/ may stand up
-# an httptest server from non-test code.
 vet:
 	$(GO) vet ./...
-	@! grep -rl --include='*.go' --exclude='*_test.go' --exclude-dir=bench --exclude-dir=vendor '"net/http/httptest"' . \
-		|| { echo "vet: non-test file outside bench/ imports net/http/httptest (listed above)"; exit 1; }
 
 # staticcheck runs honnef.co/go/tools checks when the binary is on PATH and
 # skips gracefully when it is not, so the gate works in minimal containers
@@ -40,33 +31,6 @@ staticcheck:
 	else \
 		echo "staticcheck: not installed, skipping (go install honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION))"; \
 	fi
-
-# caarlint builds the project's go/analysis suite (tools/ is a nested module
-# so the x/tools dependency stays out of the main module) and runs it over
-# the tree through go vet's -vettool protocol. The analyzers enforce the
-# invariants DESIGN.md documents under "Enforced invariants": COW snapshot
-# immutability, read-path lock-freedom, metric naming, fsync-before-rename,
-# and the error→status table.
-# Every diagnostic message carries its analyzer name as a "name: " prefix,
-# so the summary is a plain grep over the vet output. The target fails iff
-# go vet failed; the summary is printed either way.
-caarlint: $(CAARLINT)
-	@out=$$($(GO) vet -vettool=$(CAARLINT) ./... 2>&1); status=$$?; \
-	if [ -n "$$out" ]; then printf '%s\n' "$$out"; fi; \
-	echo "caarlint: findings per analyzer:"; \
-	for a in $(CAARLINT_ANALYZERS); do \
-		n=$$(printf '%s\n' "$$out" | grep -c ": $$a: "); \
-		printf '  %-14s %s\n' "$$a" "$$n"; \
-	done; \
-	exit $$status
-
-$(CAARLINT): $(wildcard tools/caarlint/*/*.go tools/cmd/caarlint/*.go)
-	cd tools && $(GO) build -o ../$(CAARLINT) ./cmd/caarlint
-
-# tools-test runs the analyzer suite's own golden tests (fixtures under
-# tools/caarlint/testdata/src, driven by the internal atest harness).
-tools-test:
-	cd tools && $(GO) test ./...
 
 build:
 	$(GO) build ./...
@@ -136,8 +100,9 @@ soak-smoke:
 		-users 80 -ads 200 -messages 2500 -events-per-cycle 150 \
 		-kills 3 -out BENCH_SOAK.json
 
-# clean owns bin/: everything in it is built by a target above (today only
-# the caarlint vettool), so the directory goes, not just the files we know.
+# clean owns bin/: everything in it is built by a target above (the
+# race-built smoke binaries), so the directory goes, not just the files we
+# know.
 clean:
 	$(GO) clean ./...
 	rm -rf bin
