@@ -4,7 +4,7 @@ GO ?= go
 # deliberately, with a pass over any new findings.
 STATICCHECK_VERSION ?= 2025.1
 
-.PHONY: all check lint vet staticcheck build test race race-matrix fuzz-smoke bench bench-canonical soak-smoke clean
+.PHONY: all check lint vet staticcheck build test test-1proc race race-matrix fuzz-smoke bench bench-canonical soak-smoke clean
 
 all: check
 
@@ -12,8 +12,9 @@ all: check
 # compilation of every package, and the test suite under the race detector —
 # which holds the project's own analyzers and reachability guard
 # (internal/lint) and the end-to-end hot-key, ingest-backpressure and
-# SLO-capture drills (internal/server).
-check: lint build race
+# SLO-capture drills (internal/server) — and the facade's packages once more on
+# one core.
+check: lint build race test-1proc
 
 # lint runs the external static checkers. The project's own analyzers are
 # tests (go test ./internal/lint), so they run in test and race.
@@ -37,6 +38,12 @@ build:
 
 test:
 	$(GO) test ./...
+
+# test-1proc runs the packages that drive the facade with GOMAXPROCS=1. The
+# shard count defaults to GOMAXPROCS, so on a multi-core machine the default
+# engine is never one shard; this keeps that path tested.
+test-1proc:
+	GOMAXPROCS=1 $(GO) test . ./ingest ./journal ./internal/server
 
 # race covers every package under the race detector; the root package and
 # internal/core carry the concurrency-sensitive paths (COW directory swaps,

@@ -86,7 +86,7 @@ func newFlagSet(s *settings) *flag.FlagSet {
 	fs := flag.NewFlagSet("adserver", flag.ExitOnError)
 	fs.StringVar(&s.addr, "addr", ":8080", "listen address")
 	fs.StringVar(&s.algorithm, "algorithm", "CAP", "engine: CAP, IL or RS")
-	fs.IntVar(&s.shards, "shards", 1, "user shards processed in parallel")
+	fs.IntVar(&s.shards, "shards", 0, "user shards processed in parallel (0 = one per core)")
 	fs.IntVar(&s.window, "window", 32, "feed window size in messages")
 	fs.DurationVar(&s.halfLife, "half-life", 2*time.Hour, "feed content decay half-life (0 = none)")
 	fs.StringVar(&s.journal, "journal", "", "append-only event log; recovered at startup, appended at runtime")
@@ -324,7 +324,7 @@ func run() error {
 	errc := make(chan error, 1)
 	go func() {
 		log.Printf("adserver listening on %s (algorithm=%s shards=%d fsync=%s)",
-			opt.addr, eng.Algorithm(), opt.shards, policy)
+			opt.addr, eng.Algorithm(), eng.Stats().Shards, policy)
 		if err := httpSrv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
 			errc <- err
 		}

@@ -35,9 +35,12 @@ type Config struct {
 	// spatial pre-filter.
 	Region Region
 
-	// Shards splits users across this many engine instances that share one
-	// budget store, letting posts fan out in parallel. 0 or 1 disables
-	// sharding. Only meaningful for CAP and IL.
+	// Shards splits users across this many engine instances, letting a
+	// post's continuous refreshes run in parallel. The shards share one
+	// budget store and one ad side (index, geo index, delta lists), so a
+	// shard costs its users' state, not a copy of the catalogue. 0, the
+	// default, means one shard per runtime.GOMAXPROCS(0) at Open; 1 disables
+	// sharding.
 	Shards int
 
 	// ContinuousK, when positive, keeps the top-ContinuousK ads of every
@@ -48,7 +51,8 @@ type Config struct {
 	// cost of what the post changed (DESIGN.md §3.1 item 5); IL and RS re-rank.
 	ContinuousK int
 	// OnRecommend receives continuous-mode results. It may be called from
-	// multiple goroutines when Shards > 1.
+	// multiple goroutines when there is more than one shard. It may keep
+	// recs: the slice is never written again.
 	OnRecommend func(user string, recs []Recommendation)
 
 	// Metrics, when non-nil, is the observability registry the engine

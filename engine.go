@@ -1,8 +1,10 @@
 package caar
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -23,7 +25,8 @@ import (
 // Engine is the public recommender. It is safe for concurrent use: the text
 // pipeline and ad store are concurrency-safe, per-shard locks serialize
 // engine-state mutation while allowing posts to fan out across shards in
-// parallel, and the name-resolution state (user handles, ad names,
+// parallel, the one ad index the shards share is written only with every
+// shard lock held, and the name-resolution state (user handles, ad names,
 // campaigns) lives in an immutable copy-on-write directory published with
 // an atomic pointer — the serving read path resolves names without taking
 // any global lock.
@@ -40,6 +43,11 @@ type Engine struct {
 	dirMu  sync.Mutex
 	nextAd adstore.AdID // guarded by dirMu
 
+	// ads is the ad side every shard reads (core.AdIndex): one inverted
+	// index, one geo index, one ad table and one delta list per message,
+	// whatever the shard count. Registration writes it holding every shard
+	// lock (lockShards); a reader holds its own shard's.
+	ads         *core.AdIndex
 	shards      []shard
 	msgSeq      atomic.Int64
 	impressions *impressionLog
@@ -168,8 +176,8 @@ func Open(cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	nShards := cfg.Shards
-	if nShards < 1 {
-		nShards = 1
+	if nShards == 0 {
+		nShards = runtime.GOMAXPROCS(0)
 	}
 	e := &Engine{
 		cfg:         cfg,
@@ -182,19 +190,19 @@ func Open(cfg Config) (*Engine, error) {
 	}
 	e.dir.Store(new(directory))
 	scoring := cfg.scoring()
-	region := geo.Rect(cfg.Region)
+	var err error
+	if e.ads, err = core.NewAdIndex(geo.Rect(cfg.Region), gridSize, gridSize); err != nil {
+		return nil, err
+	}
 	for i := 0; i < nShards; i++ {
-		var (
-			eng core.Shardable
-			err error
-		)
+		var eng core.Shardable
 		switch cfg.Algorithm {
 		case AlgorithmRS:
 			eng, err = core.NewRS(scoring, e.store)
 		case AlgorithmIL:
-			eng, err = core.NewIL(scoring, e.store, region, gridSize, gridSize)
+			eng, err = core.NewILOn(scoring, e.store, e.ads)
 		default:
-			eng, err = core.NewCAP(scoring, e.store, region, gridSize, gridSize, core.DefaultCAPOptions())
+			eng, err = core.NewCAPOn(scoring, e.store, e.ads, core.DefaultCAPOptions())
 		}
 		if err != nil {
 			return nil, err
@@ -245,6 +253,19 @@ func (e *Engine) Algorithm() Algorithm {
 
 func (e *Engine) shardOf(u feed.UserID) shard {
 	return e.shards[int(u)%len(e.shards)]
+}
+
+// lockShards takes every shard lock, in shard order — what writing the shared
+// ad side, or a consistent snapshot, needs — and returns the release.
+func (e *Engine) lockShards() (unlock func()) {
+	for _, sh := range e.shards {
+		sh.mu.Lock()
+	}
+	return func() {
+		for _, sh := range e.shards {
+			sh.mu.Unlock()
+		}
+	}
 }
 
 // AddUser registers a user handle. Duplicate handles are rejected.
@@ -367,8 +388,9 @@ func (e *Engine) AddAd(ad Ad) error {
 // publishAd is the tail AddAd and snapshot restore share: reserve the
 // internal ID and publish the name (one directory swap, so every
 // intermediate view stays consistent), validate and store (store.Add does
-// both), then register on every shard; a failure after the publish withdraws
-// the name again. Errors come back unwrapped — ErrDuplicate from the
+// both), then index the ad once and let every shard back-fill its users, all
+// under every shard lock; a failure after the publish withdraws the name
+// again. Errors come back unwrapped — ErrDuplicate from the
 // reservation, adstore's own from validation and the store — for the caller
 // to dress.
 func (e *Engine) publishAd(name string, ad *adstore.Ad) error {
@@ -380,11 +402,12 @@ func (e *Engine) publishAd(name string, ad *adstore.Ad) error {
 		e.unmapAd(name, ad.ID)
 		return err
 	}
+	unlock := e.lockShards()
+	e.ads.Register(ad)
 	for _, sh := range e.shards {
-		sh.mu.Lock()
 		sh.eng.RegisterAd(ad)
-		sh.mu.Unlock()
 	}
+	unlock()
 	return nil
 }
 
@@ -444,11 +467,12 @@ func (e *Engine) RemoveAd(id string) error {
 		e.dirMu.Unlock()
 		return err
 	}
+	unlock := e.lockShards()
+	e.ads.Unregister(internalID)
 	for _, sh := range e.shards {
-		sh.mu.Lock()
 		sh.eng.UnregisterAd(internalID)
-		sh.mu.Unlock()
 	}
+	unlock()
 	return nil
 }
 
@@ -472,23 +496,25 @@ func (e *Engine) CheckInBatch(reqs []CheckInRequest) []error {
 		item int
 		uid  feed.UserID
 	}
-	groups := make([][]slot, len(e.shards))
+	n := len(e.shards)
+	slots := make([]slot, 0, len(reqs))
 	for i, r := range reqs {
 		uid, err := d.lookup(r.User)
 		if err != nil {
 			errs[i] = err
 			continue
 		}
-		si := int(uid) % len(e.shards)
-		groups[si] = append(groups[si], slot{item: i, uid: uid})
+		slots = append(slots, slot{item: i, uid: uid})
 	}
-	for si, g := range groups {
-		if len(g) == 0 {
-			continue
+	// Grouped by shard, in request order within each (a stable sort, in place).
+	slices.SortStableFunc(slots, func(a, b slot) int { return cmp.Compare(int(a.uid)%n, int(b.uid)%n) })
+	for lo, hi := 0, 0; lo < len(slots); lo = hi {
+		si := int(slots[lo].uid) % n
+		for hi = lo + 1; hi < len(slots) && int(slots[hi].uid)%n == si; hi++ {
 		}
 		sh := e.shards[si]
 		sh.mu.Lock()
-		for _, s := range g {
+		for _, s := range slots[lo:hi] {
 			r := reqs[s.item]
 			if err := sh.eng.CheckIn(s.uid, geo.Point{Lat: r.Lat, Lng: r.Lng}, r.At); err != nil {
 				errs[s.item] = err
@@ -528,8 +554,9 @@ func (e *Engine) ValidateCheckIn(user string, lat, lng float64) error {
 
 // Post publishes a message: the text is semantically processed once and the
 // message fans out to the author's followers (and the author's own feed).
-// With Shards > 1, the fan-out is processed in parallel across shards. Post
-// is the single-message form of PostBatch and shares its implementation.
+// With more than one shard and ContinuousK > 0, the fan-out is processed in
+// parallel across shards. Post is the single-message form of PostBatch and
+// shares its implementation.
 func (e *Engine) Post(author, text string, at time.Time) error {
 	return e.PostBatch([]PostRequest{{Author: author, Text: text, At: at}})[0]
 }
@@ -583,10 +610,12 @@ func (e *Engine) PostBatch(reqs []PostRequest) []error {
 }
 
 // fanout is one shard's share of a batch: the recipients of every message
-// that reaches the shard, flat, and which stretch of them each message goes to.
+// that reaches the shard, flat, and which stretch of them each message goes
+// to; size counts the recipients before users is filled.
 type fanout struct {
 	users []feed.UserID
 	spans []span
+	size  int
 }
 
 // span says users[lo:hi] of a fanout receive msgs[item]; err is what the
@@ -607,21 +636,45 @@ type continuousRec struct {
 // each shard lock is acquired once per batch. Recipients are partitioned
 // straight from the graph's follower lists, which are immutable once handed
 // out (feed.Graph.Followers). Per-item errors land in errs (for an item split
-// across shards, the lowest failing shard's). Each shard runs on its own
-// goroutine unless only one has work, which runs inline.
+// across shards, the lowest failing shard's). A push-only batch (ContinuousK
+// 0) runs every busy shard inline, since its window pushes cost less than a
+// goroutine start; with continuous refreshes, one busy shard runs in the
+// caller and the others on goroutines of their own.
 func (e *Engine) deliver(d *directory, msgs []feed.Message, errs []error) {
 	n, busy := len(e.shards), 0
 	work := make([]fanout, n)
+	// Each message's follower list, and how many recipients each shard gets:
+	// the partition then fills one users and one spans array cut to size, so a
+	// batch allocates the same whatever its fan-out and the shard count.
+	var few [4][]feed.UserID
+	followerLists, total := few[:0], 0
 	for i := range msgs {
+		var followers []feed.UserID
+		if errs[i] == nil {
+			followers = e.graph.Followers(msgs[i].Author)
+			work[int(msgs[i].Author)%n].size++
+			for _, u := range followers {
+				work[int(u)%n].size++
+			}
+			total += len(followers) + 1
+		}
+		followerLists = append(followerLists, followers)
+	}
+	nSpans := 0 // a shard gets at most one span per message and per recipient
+	for si := range work {
+		nSpans += min(len(msgs), work[si].size)
+	}
+	users, spans := make([]feed.UserID, total), make([]span, nSpans)
+	for si := range work {
+		w, m := &work[si], min(len(msgs), work[si].size)
+		w.users, users = users[:0:w.size], users[w.size:]
+		w.spans, spans = spans[:0:m], spans[m:]
+	}
+	for i, followers := range followerLists {
 		if errs[i] != nil {
 			continue
 		}
 		author := msgs[i].Author
-		followers := e.graph.Followers(author)
-		for si := range work {
-			// Room for an even share; append takes what hashing adds to it.
-			work[si].users = slices.Grow(work[si].users, len(followers)/n+1)
-		}
 		own := &work[int(author)%n]
 		own.users = append(own.users, author) // the author sees their own post
 		for _, u := range followers {
@@ -643,20 +696,25 @@ func (e *Engine) deliver(d *directory, msgs []feed.Message, errs []error) {
 	}
 
 	var wg sync.WaitGroup
+	inline := -1 // the busy shard the caller runs
 	for si := range work {
 		w := &work[si]
-		if len(w.spans) == 0 {
-			continue
-		}
-		if busy == 1 {
+		switch {
+		case len(w.spans) == 0:
+		case busy == 1 || e.cfg.ContinuousK == 0:
 			e.runShard(d, e.shards[si], msgs, w)
-			continue
+		case inline < 0:
+			inline = si
+		default:
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				e.runShard(d, e.shards[si], msgs, w)
+			}()
 		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			e.runShard(d, e.shards[si], msgs, w)
-		}()
+	}
+	if inline >= 0 {
+		e.runShard(d, e.shards[inline], msgs, &work[inline])
 	}
 	wg.Wait()
 	for si := range work {
@@ -684,34 +742,65 @@ func (e *Engine) deliver(d *directory, msgs []feed.Message, errs []error) {
 // costs only its own goroutine, never the shard's fan-out or the writers
 // queued behind it. Each reached user gets one callback per batch (after its
 // last message of the batch), not one per message.
+//
+// The refreshes are handed out as capped sub-slices of one []core.Scored and
+// one []Recommendation slab per call, never reused, so a callback may keep
+// its slice: two allocations per shard batch instead of two per follower.
 func (e *Engine) runShard(d *directory, sh shard, msgs []feed.Message, w *fanout) {
-	var affected map[feed.UserID]time.Time
-	if e.cfg.ContinuousK > 0 {
-		affected = make(map[feed.UserID]time.Time, len(w.users))
-	}
+	k := e.cfg.ContinuousK
 	sh.mu.Lock() //caarlint:allow readpathlock per-shard core lock is the designed serialization point
 	for i := range w.spans {
 		sp := &w.spans[i]
-		users := w.users[sp.lo:sp.hi]
-		if sp.err = sh.eng.Deliver(msgs[sp.item], users); sp.err != nil || affected == nil {
-			continue
-		}
-		for _, u := range users {
-			affected[u] = msgs[sp.item].Time
-		}
+		sp.err = sh.eng.Deliver(msgs[sp.item], w.users[sp.lo:sp.hi])
 	}
-	out := make([]continuousRec, 0, len(affected))
-	for u, at := range affected {
-		recs, err := sh.eng.TopAds(u, e.cfg.ContinuousK, at)
+	if k == 0 {
+		sh.mu.Unlock()
+		return
+	}
+	var (
+		slab []core.Scored
+		out  []continuousRec
+	)
+	refresh := func(u feed.UserID, at time.Time) {
+		lo := len(slab)
+		recs, err := sh.eng.AppendTopAds(slab, u, k, at)
 		if err != nil {
 			e.obsm.continuousErrors.Inc()
-			continue
+			return
 		}
-		out = append(out, continuousRec{user: u, recs: recs})
+		slab = recs
+		out = append(out, continuousRec{user: u, recs: slab[lo:len(slab):len(slab)]})
+	}
+	if sp := w.spans[0]; len(w.spans) == 1 {
+		// One message: its recipients are distinct already.
+		if sp.err == nil {
+			slab = make([]core.Scored, 0, (sp.hi-sp.lo)*k)
+			out = make([]continuousRec, 0, sp.hi-sp.lo)
+			for _, u := range w.users[sp.lo:sp.hi] {
+				refresh(u, msgs[sp.item].Time)
+			}
+		}
+	} else {
+		affected := make(map[feed.UserID]time.Time, len(w.users))
+		for _, sp := range w.spans {
+			if sp.err == nil {
+				for _, u := range w.users[sp.lo:sp.hi] {
+					affected[u] = msgs[sp.item].Time
+				}
+			}
+		}
+		slab = make([]core.Scored, 0, len(affected)*k)
+		out = make([]continuousRec, 0, len(affected))
+		for u, at := range affected {
+			refresh(u, at)
+		}
 	}
 	sh.mu.Unlock()
+	recs := make([]Recommendation, 0, len(slab))
 	for _, c := range out {
-		e.cfg.OnRecommend(d.userName(c.user), e.toRecommendations(d, c.recs))
+		lo := len(recs)
+		recs = e.appendRecommendations(recs, d, c.recs)
+		e.cfg.OnRecommend(d.userName(c.user), recs[lo:len(recs):len(recs)])
 	}
 }
 
@@ -788,7 +877,7 @@ func (e *Engine) recommend(user string, k int, at time.Time, policy ServingPolic
 	}
 
 	span = time.Now()
-	recs := e.toRecommendations(d, scored)
+	recs := e.appendRecommendations(make([]Recommendation, 0, len(scored)), d, scored)
 	mapped := e.obsm.recordSince(tr, stageMap, span, len(scored), len(recs))
 	out := e.applyPolicy(d, user, k, at, policy, recs, tr)
 	e.obsm.recordSince(tr, stagePolicy, mapped, len(recs), len(out))
@@ -834,16 +923,16 @@ func (e *Engine) ServeImpression(adID string, at time.Time) (bool, error) {
 	return served, err
 }
 
-// toRecommendations maps core results to the public type using the
-// caller's directory snapshot — no locks, no lookups beyond the map reads.
-func (e *Engine) toRecommendations(d *directory, scored []core.Scored) []Recommendation {
-	out := make([]Recommendation, 0, len(scored))
+// appendRecommendations maps core results to the public type using the
+// caller's directory snapshot — no locks, no lookups beyond the map reads —
+// and appends them to dst.
+func (e *Engine) appendRecommendations(dst []Recommendation, d *directory, scored []core.Scored) []Recommendation {
 	for _, s := range scored {
 		ref, ok := d.ads.get(s.Ad)
 		if !ok {
 			continue // withdrawn concurrently
 		}
-		out = append(out, Recommendation{
+		dst = append(dst, Recommendation{
 			AdID:  ref.name,
 			Score: s.Score,
 			Text:  s.Text,
@@ -851,7 +940,7 @@ func (e *Engine) toRecommendations(d *directory, scored []core.Scored) []Recomme
 			Bid:   s.Bid,
 		})
 	}
-	return out
+	return dst
 }
 
 // Stats returns a monitoring snapshot.
@@ -864,8 +953,8 @@ func (e *Engine) Stats() Stats {
 		Shards:         len(e.shards),
 	}
 	st.Users = e.dir.Load().users.len()
+	st.CachedMessages = e.ads.CachedMessages() // shared: counted once
 	e.eachCAP(func(c *core.CAP) {
-		st.CachedMessages += c.CachedMessages()
 		st.CandidateBufferEntries += c.TotalBufferEntries()
 	})
 	return st

@@ -300,13 +300,14 @@ func TestPostBatchContinuousOncePerUser(t *testing.T) {
 // lists exist for the feeds somebody reads. Forty users in a ring of follows
 // each receive 4 × WindowSize posts through PostBatch with nobody reading:
 // nothing is materialised. Reading every user then builds what the eager
-// engine of the parent commit (63d71a1) held all along for the same sequence:
-// 1 789 buffer entries and 160 cached messages.
+// engine of commit 63d71a1 held all along for the same sequence: 1 789
+// buffer entries, and a delta list for each of the 80 resident messages
+// (that engine counted 160: every message once per shard holding it).
 func TestUnreadFeedsHoldNoBufferAndNoCache(t *testing.T) {
 	const (
 		users         = 40
 		parentEntries = 1789
-		parentCached  = 160
+		parentCached  = 80
 	)
 	cfg := testConfig()
 	cfg.Shards = 2
@@ -558,5 +559,66 @@ func TestPostBatchAllocationsDoNotGrowWithFanout(t *testing.T) {
 	small, big := allocs("small"), allocs("big")
 	if math.Abs(big-small) > 2 {
 		t.Fatalf("a post allocates %.0f times for 1 follower and %.0f for 200", small, big)
+	}
+}
+
+// TestContinuousPostAllocationsDoNotGrowWithFanout: the continuous refreshes
+// of a post are handed out as sub-slices of one results slab and one
+// recommendations slab per shard, so a post that refreshes 200 followers
+// allocates what one that refreshes 2 does. Each refresh used to allocate its
+// core result and its public copy: two per follower.
+func TestContinuousPostAllocationsDoNotGrowWithFanout(t *testing.T) {
+	cfg := testConfig()
+	cfg.Shards = 2
+	cfg.ContinuousK = 3
+	var (
+		mu   sync.Mutex
+		kept [][]Recommendation
+	)
+	cfg.OnRecommend = func(_ string, recs []Recommendation) {
+		mu.Lock()
+		defer mu.Unlock()
+		if len(kept) < 2 {
+			kept = append(kept, recs) // a callback may keep its slice
+		}
+	}
+	e := openEngine(t, cfg)
+	for _, u := range []string{"small", "big"} {
+		if err := e.AddUser(u); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 200; i++ {
+		f := fmt.Sprintf("f%03d", i)
+		if err := e.AddUser(f); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Follow(f, "big"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, f := range []string{"f000", "f001"} { // one follower on each shard
+		if err := e.Follow(f, "small"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, ad := range []string{"marathon shoes", "running socks", "trail shoes"} {
+		if err := e.AddAd(Ad{ID: ad, Text: ad, Bid: 0.5}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := func(author string) float64 {
+		reqs := []PostRequest{{Author: author, Text: "marathon shoes", At: morning}}
+		for i := 0; i < 2*cfg.WindowSize; i++ { // windows full, views built: steady state
+			e.PostBatch(reqs)
+		}
+		return testing.AllocsPerRun(50, func() { e.PostBatch(reqs) })
+	}
+	small, big := allocs("small"), allocs("big")
+	if math.Abs(big-small) > 2 {
+		t.Fatalf("a continuous post allocates %.0f times for 2 followers and %.0f for 200", small, big)
+	}
+	if len(kept) != 2 || len(kept[0]) == 0 || cap(kept[0]) != len(kept[0]) {
+		t.Fatalf("the first two refreshes handed out %v: want capped, non-empty slices", kept)
 	}
 }

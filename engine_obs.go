@@ -122,17 +122,13 @@ func newEngineMetrics(reg *obs.Registry, e *Engine) *engineMetrics {
 	reg.GaugeFunc("caar_engine_index_terms", "Distinct terms interned in the text pipeline's vocabulary.", func() float64 {
 		return float64(e.pipeline.Vocab.Size())
 	})
-	reg.GaugeFunc("caar_engine_index_postings", "Total (term, ad) postings across shard inverted indexes.", func() float64 {
-		total := 0
-		for _, sh := range e.shards {
-			sh.mu.Lock()
-			if is, ok := sh.eng.(interface{ IndexStats() (int, int) }); ok {
-				_, p := is.IndexStats()
-				total += p
-			}
-			sh.mu.Unlock()
-		}
-		return float64(total)
+	reg.GaugeFunc("caar_engine_index_postings", "Total (term, ad) postings in the inverted index the shards share.", func() float64 {
+		// Any one shard lock keeps registration out of the shared index.
+		sh := e.shards[0]
+		sh.mu.Lock()
+		_, postings := e.ads.IndexStats()
+		sh.mu.Unlock()
+		return float64(postings)
 	})
 	reg.GaugeFunc("caar_engine_window_messages", "Messages resident in user feed windows (context occupancy).", func() float64 {
 		total := 0
@@ -152,9 +148,7 @@ func newEngineMetrics(reg *obs.Registry, e *Engine) *engineMetrics {
 		return float64(total)
 	})
 	reg.GaugeFunc("caar_engine_cached_messages", "Messages with live shared delta lists (CAP fan-out sharing).", func() float64 {
-		total := 0
-		e.eachCAP(func(c *core.CAP) { total += c.CachedMessages() })
-		return float64(total)
+		return float64(e.ads.CachedMessages())
 	})
 	paths := reg.CounterVec("caar_engine_topads_total",
 		"Top-k queries (feed renders and continuous refreshes) by path: answered from the user's top-k view, or by re-ranking the candidate buffer (CAP; 0 for IL/RS).", "path")

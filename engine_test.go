@@ -602,6 +602,10 @@ func (failingTopAds) TopAds(feed.UserID, int, time.Time) ([]core.Scored, error) 
 	return nil, errors.New("stub: topads unavailable")
 }
 
+func (failingTopAds) AppendTopAds([]core.Scored, feed.UserID, int, time.Time) ([]core.Scored, error) {
+	return nil, errors.New("stub: topads unavailable")
+}
+
 // TestContinuousTopAdsErrorsCounted pins that per-user TopAds failures on
 // the continuous delivery path are counted instead of silently swallowed.
 func TestContinuousTopAdsErrorsCounted(t *testing.T) {
@@ -617,7 +621,9 @@ func TestContinuousTopAdsErrorsCounted(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Fail every TopAds, to reach the delivery path's per-user error branch.
-	e.shards[0].eng = failingTopAds{e.shards[0].eng}
+	for i := range e.shards {
+		e.shards[i].eng = failingTopAds{e.shards[i].eng}
+	}
 
 	if err := e.Post("bob", "running today", morning); err != nil {
 		t.Fatal(err)

@@ -72,21 +72,22 @@ func (a *Ad) Validate() error {
 	return nil
 }
 
-// Eligible reports whether the ad may be shown to a user at location loc
-// (hasLoc false = unknown location) during slot sl. Unknown locations match
+// Place reports whether the ad may be shown to a user at location loc
+// (hasLoc false = unknown location) during slot sl and, when it may, its geo
+// score (GeoScore), from one distance to the target. Unknown locations match
 // only global ads: showing a geo-targeted ad without knowing the user is in
 // range wastes the advertiser's budget.
-func (a *Ad) Eligible(loc geo.Point, hasLoc bool, sl timeslot.Slot) bool {
+func (a *Ad) Place(loc geo.Point, hasLoc bool, sl timeslot.Slot) (geoScore float64, eligible bool) {
 	if !a.Slots.Contains(sl) {
-		return false
+		return 0, false
 	}
 	if a.Global {
-		return true
+		return 1, true
 	}
 	if !hasLoc {
-		return false
+		return 0, false
 	}
-	return a.Target.Contains(loc)
+	return a.Target.Locate(loc)
 }
 
 // GeoScore returns the spatial proximity component in [0, 1]: 1 for global

@@ -57,26 +57,33 @@ func TestAdValidate(t *testing.T) {
 }
 
 func TestAdEligible(t *testing.T) {
+	eligible := func(a *Ad, loc geo.Point, hasLoc bool, sl timeslot.Slot) bool {
+		g, ok := a.Place(loc, hasLoc, sl)
+		if want := a.GeoScore(loc, hasLoc); ok && g != want {
+			t.Errorf("Place's geo score %v, GeoScore %v", g, want)
+		}
+		return ok
+	}
 	a := validAd(1)
 	a.Slots = timeslot.NewSet(timeslot.Morning)
 	inside := geo.Point{Lat: 1.35, Lng: 103.82}
 	outside := geo.Point{Lat: 51.5, Lng: -0.12}
-	if !a.Eligible(inside, true, timeslot.Morning) {
+	if !eligible(a, inside, true, timeslot.Morning) {
 		t.Error("in-range in-slot should be eligible")
 	}
-	if a.Eligible(inside, true, timeslot.Afternoon) {
+	if eligible(a, inside, true, timeslot.Afternoon) {
 		t.Error("wrong slot should be ineligible")
 	}
-	if a.Eligible(outside, true, timeslot.Morning) {
+	if eligible(a, outside, true, timeslot.Morning) {
 		t.Error("out-of-range should be ineligible")
 	}
-	if a.Eligible(inside, false, timeslot.Morning) {
+	if eligible(a, inside, false, timeslot.Morning) {
 		t.Error("unknown location should be ineligible for geo-targeted ad")
 	}
 	g := validAd(2)
 	g.Global = true
 	g.Target = geo.Circle{}
-	if !g.Eligible(outside, true, timeslot.Morning) || !g.Eligible(geo.Point{}, false, timeslot.Night) {
+	if !eligible(g, outside, true, timeslot.Morning) || !eligible(g, geo.Point{}, false, timeslot.Night) {
 		t.Error("global ad should be eligible anywhere, any known slot")
 	}
 }

@@ -1,0 +1,158 @@
+package core
+
+import (
+	"slices"
+	"sync"
+
+	"caar/internal/adstore"
+	"caar/internal/feed"
+	"caar/internal/geo"
+	"caar/internal/index"
+	"caar/internal/textproc"
+)
+
+// AdIndex is the ad side of the IL and CAP engines: the keyword inverted
+// index, the geographic/static pre-filter, the live-ad table the scoring paths
+// read, and the delta lists of fan-out sharing. The shards of one engine
+// share one AdIndex. They read it under their own lock; Register and
+// Unregister write it, and their caller holds every shard lock, so no reader
+// runs meanwhile. The delta-list table is the exception: shards take and drop
+// messages in it concurrently, under its own mutex (msgTable).
+type AdIndex struct {
+	inv    *index.Inverted
+	geoIdx *index.GeoAds
+	region geo.Rect
+	ads    map[adstore.AdID]*adstore.Ad
+	msgs   msgTable
+}
+
+// NewAdIndex creates an empty ad side over the given coverage region with a
+// gridRows × gridCols spatial grid.
+func NewAdIndex(region geo.Rect, gridRows, gridCols int) (*AdIndex, error) {
+	gi, err := index.NewGeoAds(region, gridRows, gridCols)
+	if err != nil {
+		return nil, err
+	}
+	return &AdIndex{
+		inv:    index.NewInverted(),
+		geoIdx: gi,
+		region: region,
+		ads:    make(map[adstore.AdID]*adstore.Ad),
+		msgs:   msgTable{m: make(map[feed.MessageID]*msgCache)},
+	}, nil
+}
+
+// Register indexes an ad already in the store and inserts its coefficient
+// into every computed delta list, so the evictions still to come stay exact.
+// The caller excludes every reader; each shard then back-fills its own users
+// (RegisterAd).
+func (x *AdIndex) Register(a *adstore.Ad) {
+	x.inv.Add(a.ID, a.Vec)
+	x.geoIdx.Add(a)
+	x.ads[a.ID] = a
+	x.msgs.mu.Lock()
+	defer x.msgs.mu.Unlock()
+	for _, mc := range x.msgs.m {
+		if !mc.computed {
+			continue // it will be computed with the ad
+		}
+		if c := a.Vec.Dot(mc.vec); c != 0 {
+			// At its sorted position, not the end: IDs need not be registered
+			// in order, and merge relies on the ascending order DeltaList gave
+			// the list.
+			i, _ := findDelta(mc.deltas, a.ID)
+			mc.deltas = slices.Insert(mc.deltas, i, index.Delta{Ad: a.ID, Coeff: c})
+		}
+	}
+}
+
+// Unregister drops an ad from the indexes, the table and every computed delta
+// list, without touching the store. The cleanup is eager: a stale delta entry
+// for a removed ID would corrupt scores if the ID were ever reused. The
+// caller excludes every reader; each shard then drops the ad from its own
+// users (UnregisterAd).
+func (x *AdIndex) Unregister(id adstore.AdID) {
+	x.inv.Remove(id)
+	x.geoIdx.Remove(id)
+	delete(x.ads, id)
+	x.msgs.mu.Lock()
+	defer x.msgs.mu.Unlock()
+	for _, mc := range x.msgs.m {
+		if i, ok := findDelta(mc.deltas, id); ok {
+			mc.deltas = slices.Delete(mc.deltas, i, i+1)
+		}
+	}
+}
+
+// ad returns the live ad record (nil when withdrawn).
+func (x *AdIndex) ad(id adstore.AdID) *adstore.Ad { return x.ads[id] }
+
+// IndexStats reports the keyword inverted index's size: indexed ads and
+// total (term, ad) postings. Callers hold a shard lock; the facade's
+// observability gauges sample it at scrape time.
+func (x *AdIndex) IndexStats() (ads, postings int) {
+	return x.inv.Len(), x.inv.Postings()
+}
+
+// CachedMessages returns the number of messages with live shared state, on
+// any shard (fan-out sharing memory diagnostic).
+func (x *AdIndex) CachedMessages() int {
+	x.msgs.mu.Lock()
+	defer x.msgs.mu.Unlock()
+	return len(x.msgs.m)
+}
+
+// msgCache is the shared state of one message under fan-out sharing: its
+// delta list, computed once — by the first catch-up on any shard that needs
+// it — and a count of the shards holding it.
+type msgCache struct {
+	vec      textproc.SparseVector
+	once     sync.Once
+	deltas   []index.Delta
+	computed bool // set inside once; read by Register and Unregister, which exclude every shard
+	shards   int  // under msgTable.mu
+}
+
+// deltaList returns the message's delta list, computing it in acc on the
+// first call from any shard.
+func (mc *msgCache) deltaList(inv *index.Inverted, acc *index.Accumulator) []index.Delta {
+	mc.once.Do(func() { mc.deltas, mc.computed = acc.DeltaList(inv, mc.vec), true })
+	return mc.deltas
+}
+
+// msgTable is the message → shared state map of one AdIndex. A shard comes
+// here only for its first reference to a message and for its last release
+// (CAP.held counts the references in between), so the mutex is taken twice
+// per message a shard holds, never per follower. It is the innermost engine
+// lock: taken under a shard lock, never around one.
+type msgTable struct {
+	mu sync.Mutex
+	m  map[feed.MessageID]*msgCache
+}
+
+// join returns a message's shared state for a shard taking its first
+// reference, creating it — the delta list left for whoever first needs it —
+// if no shard holds the message yet.
+func (t *msgTable) join(msg feed.Message) *msgCache {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	mc := t.m[msg.ID]
+	if mc == nil {
+		mc = &msgCache{vec: msg.Vec}
+		t.m[msg.ID] = mc
+	}
+	mc.shards++
+	return mc
+}
+
+// leave drops a shard's hold on a message, and the shared state with the
+// last shard's.
+func (t *msgTable) leave(id feed.MessageID) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if mc := t.m[id]; mc != nil {
+		if mc.shards--; mc.shards <= 0 {
+			delete(t.m, id)
+		}
+	}
+}

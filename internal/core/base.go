@@ -122,12 +122,14 @@ func (b *base) state(u feed.UserID) (*userState, error) {
 
 // offer gates eligibility and (when budget is set) budget, scores the ad
 // given its raw text relevance, and submits it to the collector. It reports
-// whether the ad was eligible (not necessarily retained).
+// whether the ad was eligible (not necessarily retained). Eligibility and the
+// geo score come from one distance to the target (adstore.Ad.Place).
 func (b *base) offer(c *topk.Collector, a *adstore.Ad, textRel float64, st *userState, sl timeslot.Slot, t time.Time, budget bool) bool {
 	if a == nil {
 		return false
 	}
-	if !a.Eligible(st.loc, st.hasLoc, sl) {
+	geoScore, ok := a.Place(st.loc, st.hasLoc, sl)
+	if !ok {
 		return false
 	}
 	// Campaign-less ads are always servable; only budgeted ads need the
@@ -135,21 +137,30 @@ func (b *base) offer(c *topk.Collector, a *adstore.Ad, textRel float64, st *user
 	if budget && a.Campaign != "" && !b.store.HasBudget(a.ID, t) {
 		return false
 	}
-	score := b.scoring.AlphaText*textRel + b.scoring.staticScore(a, st.loc, st.hasLoc)
+	score := b.scoring.AlphaText*textRel + b.scoring.static(a, geoScore)
 	c.Offer(int64(a.ID), score)
 	return true
 }
 
-// resolve converts collector output into Scored results with component
+// resolve appends collector output to dst as Scored results with component
 // decomposition, recomputing components for explainability.
-func (b *base) resolve(items []topk.Item, st *userState, textRelOf func(adstore.AdID) float64) []Scored {
-	out := make([]Scored, 0, len(items))
+func (b *base) resolve(dst []Scored, items []topk.Item, st *userState, textRelOf func(adstore.AdID) float64) []Scored {
+	out := grow(dst, len(items))
 	for _, it := range items {
 		if a := b.store.Get(adstore.AdID(it.ID)); a != nil {
 			out = append(out, b.decompose(a, it.Score, textRelOf(a.ID), st))
 		}
 	}
 	return out
+}
+
+// grow returns dst with room for n more results. (slices.Grow would do, but
+// allocates twice under the race detector.)
+func grow(dst []Scored, n int) []Scored {
+	if cap(dst)-len(dst) >= n {
+		return dst
+	}
+	return append(make([]Scored, 0, len(dst)+n), dst...)
 }
 
 // decompose is one result: the ad, its score, and the score's three parts.

@@ -289,8 +289,10 @@ func BenchmarkRegisterAd(b *testing.B) {
 					b.Fatal(err)
 				}
 				b.StartTimer()
+				e.Register(a)
 				e.RegisterAd(a)
 				b.StopTimer()
+				e.Unregister(a.ID)
 				e.UnregisterAd(a.ID)
 				if err := e.store.Remove(a.ID); err != nil {
 					b.Fatal(err)

@@ -9,7 +9,6 @@ import (
 	"caar/internal/feed"
 	"caar/internal/geo"
 	"caar/internal/index"
-	"caar/internal/textproc"
 	"caar/internal/timeslot"
 	"caar/internal/topk"
 )
@@ -32,15 +31,13 @@ func DefaultCAPOptions() CAPOptions {
 	return CAPOptions{FanoutSharing: true, RebuildEvery: 256}
 }
 
-// msgCache is the shared per-message state of fan-out sharing: the delta
-// list, computed when the first candidate buffer needs it, and a count of
-// what may still need it — one reference per warm user's window holding the
-// message, and one per warm user whose buffer still owes its subtraction.
-type msgCache struct {
-	vec      textproc.SparseVector
-	deltas   []index.Delta
-	computed bool
-	refs     int
+// heldMsg is a shard's hold on a message's shared state (AdIndex's msgCache):
+// a count of what on this shard may still need its delta list — one
+// reference per warm user's window holding the message, and one per warm user
+// whose buffer still owes its subtraction.
+type heldMsg struct {
+	mc   *msgCache
+	refs int
 }
 
 // maxFixups bounds dynBuf.fix: a buffer that falls this many ad
@@ -57,8 +54,8 @@ const maxFixups = 64
 // next query cost what the deliveries since changed.
 type CAP struct {
 	*indexed
-	opts  CAPOptions
-	cache map[feed.MessageID]*msgCache
+	opts CAPOptions
+	held map[feed.MessageID]heldMsg
 
 	// Reusable space: what catchUp lends to dynBuf.merge, and RegisterAd's
 	// ⟨ad, message⟩ products by message.
@@ -71,16 +68,26 @@ type CAP struct {
 	merged, skipped      uint64 // deliveries by fate
 }
 
-// NewCAP creates a CAP engine over the given region and grid resolution.
+// NewCAP creates a CAP engine over an ad side of its own, with the given
+// region and grid resolution. A nil store creates a private one.
 func NewCAP(s Scoring, store *adstore.Store, region geo.Rect, gridRows, gridCols int, opts CAPOptions) (*CAP, error) {
-	ix, err := newIndexed(s, store, region, gridRows, gridCols)
+	ads, err := NewAdIndex(region, gridRows, gridCols)
+	if err != nil {
+		return nil, err
+	}
+	return NewCAPOn(s, store, ads, opts)
+}
+
+// NewCAPOn creates a CAP engine — one shard — over a shared ad side.
+func NewCAPOn(s Scoring, store *adstore.Store, ads *AdIndex, opts CAPOptions) (*CAP, error) {
+	ix, err := newIndexed(s, store, ads)
 	if err != nil {
 		return nil, err
 	}
 	return &CAP{
 		indexed: ix,
 		opts:    opts,
-		cache:   make(map[feed.MessageID]*msgCache),
+		held:    make(map[feed.MessageID]heldMsg),
 		dots:    make(map[feed.MessageID]float64),
 	}, nil
 }
@@ -94,23 +101,23 @@ func (e *CAP) AddUser(u feed.UserID) {
 	e.users[u].buf = newDynBuf()
 }
 
-// AddAd implements Recommender. Beyond indexing, a late-arriving ad is
-// back-filled: its text relevance against the window of every user whose
-// buffer is up to date, or who has a view to keep valid, is computed from the
-// window's messages (textRel: one sparse dot product per distinct message,
-// however many windows hold it, and one multiply-add per resident message),
-// and its coefficient is inserted into every cached delta list so future
-// evictions stay exact.
+// AddAd implements Recommender. Beyond indexing — which also inserts the
+// ad's coefficient into every computed delta list, so future evictions stay
+// exact (AdIndex.Register) — a late-arriving ad is back-filled: its text
+// relevance against the window of every user whose buffer is up to date, or
+// who has a view to keep valid, is computed from the window's messages
+// (textRel: one sparse dot product per distinct message, however many windows
+// hold it, and one multiply-add per resident message).
 func (e *CAP) AddAd(a *adstore.Ad) error {
-	if err := e.store.Add(a); err != nil {
+	if err := e.addAd(a); err != nil {
 		return err
 	}
 	e.RegisterAd(a)
 	return nil
 }
 
-// RegisterAd indexes an ad already present in a (shared) store and
-// back-fills its candidate-buffer coefficients. A new ad is an untracked ad
+// RegisterAd implements Shardable: it back-fills the candidate-buffer
+// coefficients of an ad the store and the AdIndex hold. A new ad is an untracked ad
 // no view's bound accounts for; a view keeps its invariant by noting the ad
 // if its score could reach the bound, exactly as a delivery notes an ad it
 // raises (dynBuf.merge). A bound of -Inf — every eligible ad is tracked —
@@ -121,7 +128,6 @@ func (e *CAP) AddAd(a *adstore.Ad) error {
 // value when it catches up (dynBuf.fix) — the note, which is about the
 // window, is made now. A cold user costs nothing.
 func (e *CAP) RegisterAd(a *adstore.Ad) {
-	e.registerAd(a)
 	clear(e.dots)
 	for _, st := range e.users {
 		buf := st.buf
@@ -141,20 +147,6 @@ func (e *CAP) RegisterAd(a *adstore.Ad) {
 			buf.set(a.ID, coeff)
 		}
 		e.noteRegistered(st, buf, a, coeff)
-	}
-	if e.opts.FanoutSharing {
-		for _, mc := range e.cache {
-			if !mc.computed {
-				continue
-			}
-			if c := a.Vec.Dot(mc.vec); c != 0 {
-				// At its sorted position, not the end: shards register
-				// concurrently minted IDs in any order, and merge relies on
-				// the ascending order DeltaList gave the list.
-				i, _ := findDelta(mc.deltas, a.ID)
-				mc.deltas = slices.Insert(mc.deltas, i, index.Delta{Ad: a.ID, Coeff: c})
-			}
-		}
 	}
 }
 
@@ -194,26 +186,19 @@ func findDelta(deltas []index.Delta, id adstore.AdID) (int, bool) {
 	})
 }
 
-// UnregisterAd drops an ad from the engine's indexes, candidate buffers and
-// cached delta lists without touching the store. The cleanup is eager: stale
-// buffer entries or cached delta entries for a removed ID would corrupt
-// scores if the ID were ever reused. A view that tracks the ad
-// goes with it; any other stands, because removing an untracked ad raises no
-// score (a noted ID whose ad is gone is skipped by refreshView).
+// UnregisterAd implements Shardable: it drops an ad the AdIndex has
+// unregistered from the candidate buffers. The cleanup is eager: stale buffer
+// entries for a removed ID would corrupt scores if the ID were ever reused. A
+// view that tracks the ad goes with it; any other stands, because removing an
+// untracked ad raises no score (a noted ID whose ad is gone is skipped by
+// refreshView).
 func (e *CAP) UnregisterAd(id adstore.AdID) {
-	e.unregisterAd(id)
 	for _, st := range e.users {
 		b := st.buf
 		if b.view != nil && b.view.tracks(id) {
 			b.view = nil
 		}
 		b.remove(id)
-	}
-	for _, mc := range e.cache {
-		// A list not computed yet will be computed without the ad.
-		if i, ok := findDelta(mc.deltas, id); ok {
-			mc.deltas = slices.Delete(mc.deltas, i, i+1)
-		}
 	}
 }
 
@@ -263,40 +248,45 @@ func (e *CAP) Deliver(msg feed.Message, followers []feed.UserID) error {
 	return nil
 }
 
-// acquire takes n references on a message's shared state, creating it — the
-// delta list left for whoever first needs it — if no warm user holds it yet.
+// acquire takes n references on a message's shared state, joining it in the
+// AdIndex — which creates it if no shard holds the message yet — when no warm
+// user of this shard holds it.
 func (e *CAP) acquire(msg feed.Message, n int) {
-	mc := e.cache[msg.ID]
-	if mc == nil {
-		mc = &msgCache{vec: msg.Vec}
-		e.cache[msg.ID] = mc
+	h, ok := e.held[msg.ID]
+	if !ok {
+		h.mc = e.msgs.join(msg)
 	}
-	mc.refs += n
+	h.refs += n
+	e.held[msg.ID] = h
 }
 
-// release drops one reference, and the shared state with the last.
+// release drops one reference, and the shard's hold on the shared state with
+// the last.
 func (e *CAP) release(id feed.MessageID) {
-	if mc := e.cache[id]; mc != nil {
-		if mc.refs--; mc.refs <= 0 {
-			delete(e.cache, id)
-		}
+	h, ok := e.held[id]
+	if !ok {
+		return
 	}
+	if h.refs--; h.refs > 0 {
+		e.held[id] = h
+		return
+	}
+	delete(e.held, id)
+	e.msgs.leave(id)
 }
 
 // deltasOf returns a message's delta list: the shared one when fan-out
-// sharing is on (computed on first use), recomputed otherwise.
+// sharing is on (computed on first use, on whichever shard needs it first),
+// recomputed otherwise.
 func (e *CAP) deltasOf(m feed.Message) []index.Delta {
 	if !e.opts.FanoutSharing {
-		return e.inv.DeltaList(m.Vec)
+		return e.acc.DeltaList(e.inv, m.Vec)
 	}
-	mc := e.cache[m.ID]
-	if mc == nil {
+	h, ok := e.held[m.ID]
+	if !ok {
 		return nil
 	}
-	if !mc.computed {
-		mc.deltas, mc.computed = e.inv.DeltaList(mc.vec), true
-	}
-	return mc.deltas
+	return h.mc.deltaList(e.inv, &e.acc)
 }
 
 // chill turns a buffer cold: it frees the entries, the view and the pending
@@ -399,7 +389,7 @@ func (e *CAP) rebuild(st *userState, buf *dynBuf) {
 	buf.fix = buf.fix[:0]
 
 	agg, _ := e.context(st, st.win.Ref()) // factor 1 at the reference
-	deltas := e.inv.DeltaList(agg)
+	deltas := e.acc.DeltaList(e.inv, agg)
 	buf.fill(len(deltas))
 	for i, d := range deltas {
 		buf.e[i] = bufEntry{ad: d.Ad, v: d.Coeff}
@@ -416,17 +406,23 @@ func (e *CAP) rebuild(st *userState, buf *dynBuf) {
 // view, and the answer read off that. The budget-aware ranking is left with a
 // k too large for a view, and (timed as topk) a fresh view short of payable ads.
 func (e *CAP) TopAds(u feed.UserID, k int, t time.Time) ([]Scored, error) {
+	return e.AppendTopAds(nil, u, k, t)
+}
+
+// AppendTopAds implements Shardable.
+func (e *CAP) AppendTopAds(dst []Scored, u feed.UserID, k int, t time.Time) ([]Scored, error) {
 	st, err := e.state(u)
 	if err != nil {
 		return nil, err
 	}
+	dst = grow(dst, k)
 	buf, span := st.buf, time.Now()
 	e.catchUp(st, buf)
 	winFactor := e.scoring.Decay.Between(st.win.Ref(), t)
 	mult, sl := buf.scale*winFactor, timeslot.Of(t)
 	viewable := viewSlack*k <= viewMaxTracked
 	if viewable {
-		if out, ok := e.fromView(st, buf, mult, winFactor, k, sl, t, span); ok {
+		if out, ok := e.fromView(dst, st, buf, mult, winFactor, k, sl, t, span); ok {
 			return out, nil
 		}
 	}
@@ -435,8 +431,8 @@ func (e *CAP) TopAds(u feed.UserID, k int, t time.Time) ([]Scored, error) {
 	if viewable {
 		examined, offered := e.buildView(buf, st, mult, k, sl, t)
 		span = e.stageDone(StageScore, span, examined, offered)
-		if out, ok := e.emit(buf.view, st, buf, mult, k, t); ok {
-			e.stageDone(StageTopK, span, offered, len(out))
+		if out, ok := e.emit(dst, buf.view, st, buf, mult, k, t); ok {
+			e.stageDone(StageTopK, span, offered, len(out)-len(dst))
 			return out, nil
 		}
 	}
@@ -445,8 +441,8 @@ func (e *CAP) TopAds(u feed.UserID, k int, t time.Time) ([]Scored, error) {
 	if !viewable {
 		span = e.stageDone(StageScore, span, examined, offered)
 	}
-	out := e.resolve(c.Items(), st, func(id adstore.AdID) float64 { return buf.get(id) * mult })
-	e.stageDone(StageTopK, span, offered, len(out))
+	out := e.resolve(dst, c.Items(), st, func(id adstore.AdID) float64 { return buf.get(id) * mult })
+	e.stageDone(StageTopK, span, offered, len(out)-len(dst))
 	return out, nil
 }
 
@@ -477,10 +473,6 @@ func (e *CAP) BufferSize(u feed.UserID) int {
 	e.catchUp(st, st.buf)
 	return len(st.buf.e)
 }
-
-// CachedMessages returns the number of messages with live shared state
-// (fan-out sharing memory diagnostic).
-func (e *CAP) CachedMessages() int { return len(e.cache) }
 
 // TotalBufferEntries returns the summed size of the candidate buffers as
 // they are materialised — nothing is caught up, a cold user counts 0 (memory

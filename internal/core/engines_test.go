@@ -31,30 +31,49 @@ func testScoring() Scoring {
 }
 
 // makeEngines builds one of each engine with identical configuration over
-// one shared store, as the facade's shards share theirs.
-func makeEngines(t *testing.T, s Scoring, store *adstore.Store) []Shardable {
+// one shared store and one shared AdIndex, as the facade's shards share
+// theirs: the two CAPs with fan-out sharing also share their delta lists.
+// register and unregister change the ad side the way the facade does.
+func makeEngines(t *testing.T, s Scoring, store *adstore.Store) (engines []Shardable, register func(*adstore.Ad), unregister func(adstore.AdID)) {
 	t.Helper()
+	ads, err := NewAdIndex(region, 8, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
 	rs, err := NewRS(s, store)
 	if err != nil {
 		t.Fatal(err)
 	}
-	il, err := NewIL(s, store, region, 8, 8)
+	il, err := NewILOn(s, store, ads)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cap1, err := NewCAP(s, store, region, 8, 8, DefaultCAPOptions())
+	cap1, err := NewCAPOn(s, store, ads, DefaultCAPOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	capNoShare, err := NewCAP(s, store, region, 8, 8, CAPOptions{FanoutSharing: false, RebuildEvery: 64})
+	capNoShare, err := NewCAPOn(s, store, ads, CAPOptions{FanoutSharing: false, RebuildEvery: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
-	capNoRebuild, err := NewCAP(s, store, region, 8, 8, CAPOptions{FanoutSharing: true, RebuildEvery: 0})
+	capNoRebuild, err := NewCAPOn(s, store, ads, CAPOptions{FanoutSharing: true, RebuildEvery: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return []Shardable{rs, il, cap1, capNoShare, capNoRebuild}
+	engines = []Shardable{rs, il, cap1, capNoShare, capNoRebuild}
+	register = func(a *adstore.Ad) {
+		ads.Register(a)
+		for _, e := range engines {
+			e.RegisterAd(a)
+		}
+	}
+	unregister = func(id adstore.AdID) {
+		ads.Unregister(id)
+		for _, e := range engines {
+			e.UnregisterAd(id)
+		}
+	}
+	return engines, register, unregister
 }
 
 func randVec(rng *rand.Rand, nTerms, vocab int) textproc.SparseVector {
@@ -124,7 +143,7 @@ func TestEngineEquivalenceRandomWorkload(t *testing.T) {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			store := adstore.NewStore()
-			engines := makeEngines(t, testScoring(), store)
+			engines, register, unregister := makeEngines(t, testScoring(), store)
 			oracle := engines[0]
 
 			const nUsers = 12
@@ -147,9 +166,7 @@ func TestEngineEquivalenceRandomWorkload(t *testing.T) {
 				if err := store.Add(a); err != nil {
 					t.Fatal(err)
 				}
-				for _, e := range engines {
-					e.RegisterAd(a)
-				}
+				register(a)
 				liveAds = append(liveAds, nextAd)
 				nextAd++
 			}
@@ -234,9 +251,7 @@ func TestEngineEquivalenceRandomWorkload(t *testing.T) {
 						if err := store.Remove(id); err != nil {
 							t.Fatal(err)
 						}
-						for _, e := range engines {
-							e.UnregisterAd(id)
-						}
+						unregister(id)
 						gaps.churned()
 					}
 				}
@@ -259,15 +274,14 @@ func TestEngineEquivalenceRandomWorkload(t *testing.T) {
 func TestAggregateIsSummedIntoReusedVector(t *testing.T) {
 	s := testScoring()
 	store := adstore.NewStore()
-	engines := makeEngines(t, s, store)[:3] // RS, IL, CAP
+	engines, register, _ := makeEngines(t, s, store)
+	engines = engines[:3] // RS, IL, CAP
 	for id := adstore.AdID(1); id <= 50; id++ {
 		a := simpleAd(id, textproc.TermID(id%25), 0.5)
 		if err := store.Add(a); err != nil {
 			t.Fatal(err)
 		}
-		for _, e := range engines {
-			e.RegisterAd(a)
-		}
+		register(a)
 	}
 	rng := rand.New(rand.NewSource(3))
 	now, id := base0, feed.MessageID(0)
@@ -312,7 +326,8 @@ func TestAggregateIsSummedIntoReusedVector(t *testing.T) {
 }
 
 func TestUnknownUserErrors(t *testing.T) {
-	for _, e := range makeEngines(t, testScoring(), nil) {
+	engines, _, _ := makeEngines(t, testScoring(), nil)
+	for _, e := range engines {
 		if _, err := e.TopAds(99, 5, base0); !errors.Is(err, ErrUnknownUser) {
 			t.Errorf("%T TopAds unknown user = %v", e, err)
 		}

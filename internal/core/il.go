@@ -12,67 +12,30 @@ import (
 	"caar/internal/topk"
 )
 
-// indexed bundles the ad indexes shared by the IL and CAP engines: the
-// keyword inverted index and the geographic/static pre-filter.
+// indexed is what the IL and CAP engines share: the per-shard base, the
+// AdIndex every shard of the engine reads, and this shard's DeltaList
+// accumulator.
 type indexed struct {
 	*base
-	inv    *index.Inverted
-	geoIdx *index.GeoAds
-	region geo.Rect
-	// ads is a shard-local mirror of the store's live ads. Hot scoring paths
-	// read it lock-free (the engine's own mutex serializes mutation), so
-	// per-candidate lookups do not contend on the shared store's RWMutex
-	// when several shards score in parallel.
-	ads map[adstore.AdID]*adstore.Ad
+	*AdIndex
+	acc index.Accumulator
 }
 
-func newIndexed(s Scoring, store *adstore.Store, region geo.Rect, gridRows, gridCols int) (*indexed, error) {
+func newIndexed(s Scoring, store *adstore.Store, ads *AdIndex) (*indexed, error) {
 	b, err := newBase(s, store)
 	if err != nil {
 		return nil, err
 	}
-	gi, err := index.NewGeoAds(region, gridRows, gridCols)
-	if err != nil {
-		return nil, err
-	}
-	return &indexed{
-		base:   b,
-		inv:    index.NewInverted(),
-		geoIdx: gi,
-		region: region,
-		ads:    make(map[adstore.AdID]*adstore.Ad),
-	}, nil
+	return &indexed{base: b, AdIndex: ads}, nil
 }
 
-// registerAd indexes an ad assumed to exist in the (possibly shared) store.
-func (ix *indexed) registerAd(a *adstore.Ad) {
-	ix.inv.Add(a.ID, a.Vec)
-	ix.geoIdx.Add(a)
-	ix.ads[a.ID] = a
-}
-
-// unregisterAd drops an ad from the engine-local indexes only.
-func (ix *indexed) unregisterAd(id adstore.AdID) {
-	ix.inv.Remove(id)
-	ix.geoIdx.Remove(id)
-	delete(ix.ads, id)
-}
-
-// ad returns the shard-local ad record (nil when withdrawn).
-func (ix *indexed) ad(id adstore.AdID) *adstore.Ad { return ix.ads[id] }
-
-// IndexStats reports the keyword inverted index's size: indexed ads and
-// total (term, ad) postings. Callers hold the engine's lock; the facade's
-// observability gauges sample it at scrape time.
-func (ix *indexed) IndexStats() (ads, postings int) {
-	return ix.inv.Len(), ix.inv.Postings()
-}
-
+// addAd stores an ad and registers it, for an engine that is alone on its
+// AdIndex.
 func (ix *indexed) addAd(a *adstore.Ad) error {
 	if err := ix.store.Add(a); err != nil {
 		return err
 	}
-	ix.registerAd(a)
+	ix.Register(a)
 	return nil
 }
 
@@ -136,10 +99,20 @@ type IL struct {
 	*indexed
 }
 
-// NewIL creates an IL engine over the given coverage region with the given
-// spatial grid resolution. A nil store creates a private one.
+// NewIL creates an IL engine over an ad side of its own, with the given
+// coverage region and spatial grid resolution. A nil store creates a private
+// one.
 func NewIL(s Scoring, store *adstore.Store, region geo.Rect, gridRows, gridCols int) (*IL, error) {
-	ix, err := newIndexed(s, store, region, gridRows, gridCols)
+	ads, err := NewAdIndex(region, gridRows, gridCols)
+	if err != nil {
+		return nil, err
+	}
+	return NewILOn(s, store, ads)
+}
+
+// NewILOn creates an IL engine — one shard — over a shared ad side.
+func NewILOn(s Scoring, store *adstore.Store, ads *AdIndex) (*IL, error) {
+	ix, err := newIndexed(s, store, ads)
 	if err != nil {
 		return nil, err
 	}
@@ -149,17 +122,22 @@ func NewIL(s Scoring, store *adstore.Store, region geo.Rect, gridRows, gridCols 
 // AddAd implements Recommender.
 func (e *IL) AddAd(a *adstore.Ad) error { return e.addAd(a) }
 
-// RegisterAd indexes an ad already present in a (shared) store.
-func (e *IL) RegisterAd(a *adstore.Ad) { e.registerAd(a) }
+// RegisterAd implements Shardable. IL keeps nothing per user about ads, so
+// the AdIndex's registration is all there is.
+func (e *IL) RegisterAd(a *adstore.Ad) {}
 
-// UnregisterAd drops an ad from the engine's indexes without touching the
-// store.
-func (e *IL) UnregisterAd(id adstore.AdID) { e.unregisterAd(id) }
+// UnregisterAd implements Shardable; see RegisterAd.
+func (e *IL) UnregisterAd(id adstore.AdID) {}
 
 // TopAds implements Recommender: one inverted-index pass over the context's
 // terms yields the exact text relevance of every candidate; the static-only
 // remainder comes from the geo/bid index.
 func (e *IL) TopAds(u feed.UserID, k int, t time.Time) ([]Scored, error) {
+	return e.AppendTopAds(nil, u, k, t)
+}
+
+// AppendTopAds implements Shardable.
+func (e *IL) AppendTopAds(dst []Scored, u feed.UserID, k int, t time.Time) ([]Scored, error) {
 	st, err := e.state(u)
 	if err != nil {
 		return nil, err
@@ -168,7 +146,7 @@ func (e *IL) TopAds(u feed.UserID, k int, t time.Time) ([]Scored, error) {
 	ctx, factor := e.context(st, t)
 	sl := timeslot.Of(t)
 	c := topk.NewCollector(k)
-	deltas := e.inv.DeltaList(ctx)
+	deltas := e.acc.DeltaList(e.inv, ctx)
 	span = e.stageDone(StageRetrieve, span, len(deltas), len(deltas))
 
 	offered := 0
@@ -184,12 +162,12 @@ func (e *IL) TopAds(u feed.UserID, k int, t time.Time) ([]Scored, error) {
 	offered += offeredStatic
 	span = e.stageDone(StageScore, span, len(deltas)+examined, offered)
 
-	out := e.resolve(c.Items(), st, func(id adstore.AdID) float64 {
+	out := e.resolve(dst, c.Items(), st, func(id adstore.AdID) float64 {
 		if i, ok := findDelta(deltas, id); ok {
 			return deltas[i].Coeff * factor
 		}
 		return 0
 	})
-	e.stageDone(StageTopK, span, offered, len(out))
+	e.stageDone(StageTopK, span, offered, len(out)-len(dst))
 	return out, nil
 }

@@ -29,12 +29,11 @@ func NewRS(s Scoring, store *adstore.Store) (*RS, error) {
 // AddAd implements Recommender. RS keeps no index; the store is the index.
 func (e *RS) AddAd(a *adstore.Ad) error { return e.store.Add(a) }
 
-// RegisterAd indexes an ad that is already present in a (shared) store. RS
-// keeps no index, so this is a no-op.
+// RegisterAd implements Shardable. RS keeps no index and nothing per user
+// about ads, so this is a no-op.
 func (e *RS) RegisterAd(a *adstore.Ad) {}
 
-// UnregisterAd drops an ad from the engine's indexes without touching the
-// store. RS keeps no index, so this is a no-op.
+// UnregisterAd implements Shardable; see RegisterAd.
 func (e *RS) UnregisterAd(id adstore.AdID) {}
 
 // TopAds implements Recommender by exhaustive scan. RS has no retrieval
@@ -42,6 +41,11 @@ func (e *RS) UnregisterAd(id adstore.AdID) {}
 // all the work lands in the score stage — exactly the contrast the
 // per-stage spans exist to expose.
 func (e *RS) TopAds(u feed.UserID, k int, t time.Time) ([]Scored, error) {
+	return e.AppendTopAds(nil, u, k, t)
+}
+
+// AppendTopAds implements Shardable.
+func (e *RS) AppendTopAds(dst []Scored, u feed.UserID, k int, t time.Time) ([]Scored, error) {
 	st, err := e.state(u)
 	if err != nil {
 		return nil, err
@@ -62,13 +66,13 @@ func (e *RS) TopAds(u feed.UserID, k int, t time.Time) ([]Scored, error) {
 	})
 	span = e.stageDone(StageScore, span, universe, offered)
 
-	out := e.resolve(c.Items(), st, func(id adstore.AdID) float64 {
+	out := e.resolve(dst, c.Items(), st, func(id adstore.AdID) float64 {
 		a := e.store.Get(id)
 		if a == nil {
 			return 0
 		}
 		return a.Vec.Dot(ctx) * factor
 	})
-	e.stageDone(StageTopK, span, offered, len(out))
+	e.stageDone(StageTopK, span, offered, len(out)-len(dst))
 	return out, nil
 }

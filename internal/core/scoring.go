@@ -70,7 +70,12 @@ func (s Scoring) Validate() error {
 // fixed location: geography and bid. It ignores eligibility; callers gate
 // eligibility first.
 func (s Scoring) staticScore(a *adstore.Ad, loc geo.Point, hasLoc bool) float64 {
-	return s.BetaGeo*a.GeoScore(loc, hasLoc) + s.GammaBid*a.Bid
+	return s.static(a, a.GeoScore(loc, hasLoc))
+}
+
+// static is staticScore given the ad's geo score.
+func (s Scoring) static(a *adstore.Ad, geoScore float64) float64 {
+	return s.BetaGeo*geoScore + s.GammaBid*a.Bid
 }
 
 // Scored is one recommendation: the ad, its total score, and the score
@@ -110,15 +115,21 @@ type Recommender interface {
 // ErrUnknownUser reports an operation on an unregistered user.
 var ErrUnknownUser = errors.New("core: unknown user")
 
-// Shardable extends Recommender with index-only ad registration, used when
-// several engine shards share one (concurrency-safe) ad store: the facade
-// adds the ad to the store once and registers it with every shard.
+// Shardable extends Recommender with what an engine needs to be one shard of
+// several that share one (concurrency-safe) ad store and one AdIndex: the
+// facade adds the ad to the store and the AdIndex once, holding every shard
+// lock, and then tells each shard.
 type Shardable interface {
 	Recommender
-	// RegisterAd indexes an ad assumed to already exist in the store.
+	// RegisterAd brings the shard's per-user state up to an ad the store and
+	// the AdIndex have just registered.
 	RegisterAd(a *adstore.Ad)
-	// UnregisterAd removes an ad from the engine's indexes only.
+	// UnregisterAd drops an ad the AdIndex has just unregistered from the
+	// shard's per-user state.
 	UnregisterAd(id adstore.AdID)
+	// AppendTopAds is TopAds appending the answer to dst, which it grows
+	// only when dst has no room for k more.
+	AppendTopAds(dst []Scored, u feed.UserID, k int, t time.Time) ([]Scored, error)
 	// LastQuery returns the record of the last TopAds: its stage spans and
 	// answer path.
 	LastQuery() Query

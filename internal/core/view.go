@@ -68,7 +68,7 @@ type topView struct {
 // fromView answers a query from the user's view — re-scoring only the
 // tracked ads and the ads the catch-up noted — if the view covers the query
 // and can prove nothing outside it belongs in the top k, whatever k built it.
-func (e *CAP) fromView(st *userState, buf *dynBuf, mult, winFactor float64, k int, sl timeslot.Slot, t, span time.Time) ([]Scored, bool) {
+func (e *CAP) fromView(dst []Scored, st *userState, buf *dynBuf, mult, winFactor float64, k int, sl timeslot.Slot, t, span time.Time) ([]Scored, bool) {
 	v := buf.view
 	// A query before the window reference scales text UP (winFactor > 1),
 	// which the noted test — made in reference space — does not cover; so
@@ -79,12 +79,12 @@ func (e *CAP) fromView(st *userState, buf *dynBuf, mult, winFactor float64, k in
 	in, retrieved := len(v.tracked)+len(v.noted), time.Now()
 	e.refreshView(v, buf, st, mult)
 	scored := time.Now()
-	out, ok := e.emit(v, st, buf, mult, k, t)
+	out, ok := e.emit(dst, v, st, buf, mult, k, t)
 	if ok {
 		e.viewAnswers, e.last.Path = e.viewAnswers+1, "view"
 		e.stageSpan(StageRetrieve, span, retrieved, in, in)
 		e.stageSpan(StageScore, retrieved, scored, in, len(v.tracked))
-		e.stageDone(StageTopK, scored, len(v.tracked), len(out))
+		e.stageDone(StageTopK, scored, len(v.tracked), len(out)-len(dst))
 	}
 	return out, ok
 }
@@ -134,10 +134,14 @@ func (e *CAP) refreshView(v *topView, buf *dynBuf, st *userState, mult float64) 
 			continue
 		}
 		a := e.ad(id)
-		if a == nil || !a.Eligible(st.loc, st.hasLoc, v.slot) {
+		if a == nil {
 			continue
 		}
-		static := e.scoring.staticScore(a, st.loc, st.hasLoc)
+		geoScore, ok := a.Place(st.loc, st.hasLoc, v.slot)
+		if !ok {
+			continue
+		}
+		static := e.scoring.static(a, geoScore)
 		if sc := e.scoring.AlphaText*(buf.get(id)*mult) + static; sc > v.bound {
 			if len(v.tracked) == cap(v.tracked) {
 				v.cut()
@@ -169,19 +173,19 @@ func (v *topView) cut() {
 	}
 }
 
-// emit reads the answer off a refreshed view: the first k tracked ads with
-// budget left at t. It is THE answer only if no untracked ad can belong in
-// it: the k-th score must be strictly above the bound, because an untracked
-// ad scoring exactly the bound could still win the ID tie-break.
-func (e *CAP) emit(v *topView, st *userState, buf *dynBuf, mult float64, k int, t time.Time) ([]Scored, bool) {
-	out := make([]Scored, 0, k)
+// emit reads the answer off a refreshed view, appended to dst: the first k
+// tracked ads with budget left at t. It is THE answer only if no untracked ad
+// can belong in it: the k-th score must be strictly above the bound, because
+// an untracked ad scoring exactly the bound could still win the ID tie-break.
+func (e *CAP) emit(dst []Scored, v *topView, st *userState, buf *dynBuf, mult float64, k int, t time.Time) ([]Scored, bool) {
+	out := dst
 	for i := range v.tracked {
 		en := &v.tracked[i]
 		if en.a.Campaign != "" && !e.store.HasBudget(en.a.ID, t) {
 			continue
 		}
 		out = append(out, e.decompose(en.a, en.score, buf.get(en.a.ID)*mult, st))
-		if len(out) == k {
+		if len(out)-len(dst) == k {
 			return out, en.score > v.bound
 		}
 	}

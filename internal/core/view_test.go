@@ -96,6 +96,7 @@ func TestContinuousTopAdsMatchesRSAfterEveryDelivery(t *testing.T) {
 					t.Fatal(err)
 				}
 				before := views()
+				eng.Register(a)
 				eng.RegisterAd(a)
 				gaps.churned()
 				for u, v := range views() {
@@ -211,6 +212,7 @@ func TestContinuousTopAdsMatchesRSAfterEveryDelivery(t *testing.T) {
 						t.Fatal(err)
 					}
 					before := views()
+					eng.Unregister(id)
 					eng.UnregisterAd(id)
 					gaps.churned()
 					for u, v := range views() {
@@ -277,7 +279,7 @@ func sameAsFullRanking(t *testing.T, e *CAP, k int, at time.Time) []Scored {
 	mult := buf.scale * e.scoring.Decay.Between(st.win.Ref(), at)
 	c := topk.NewCollector(k)
 	e.rank(c, st, buf, mult, timeslot.Of(at), at, true)
-	want := e.resolve(c.Items(), st, func(id adstore.AdID) float64 { return buf.get(id) * mult })
+	want := e.resolve(nil, c.Items(), st, func(id adstore.AdID) float64 { return buf.get(id) * mult })
 
 	view0, _ := e.TopAdsPaths()
 	got, err := e.TopAds(1, k, at)
@@ -433,6 +435,7 @@ func TestViewDroppedByAdRemoval(t *testing.T) {
 	if err := e.store.Remove(5); err != nil {
 		t.Fatal(err)
 	}
+	e.Unregister(5)
 	e.UnregisterAd(5)
 	if e.users[1].buf.view != v {
 		t.Fatal("withdrawing an untracked ad cost the view")
@@ -443,6 +446,7 @@ func TestViewDroppedByAdRemoval(t *testing.T) {
 	if err := e.store.Remove(1); err != nil {
 		t.Fatal(err)
 	}
+	e.Unregister(1)
 	e.UnregisterAd(1)
 	if top := sameAsFullRanking(t, e, 1, base0); top[0].Ad != 2 {
 		t.Fatalf("top ad %d after ad 1 was withdrawn, want 2", top[0].Ad)

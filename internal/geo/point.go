@@ -113,10 +113,21 @@ const kmPerDegreeLat = EarthRadiusKm * math.Pi / 180
 // ads of a catalogue for any one user, and ranking tests them all. The margin
 // keeps the shortcut from disagreeing with the haversine's rounding.
 func (c Circle) Contains(p Point) bool {
+	_, inside := c.Locate(p)
+	return inside
+}
+
+// Locate is Contains and Proximity from one distance computation: whether p
+// lies within the circle and, when it does, its proximity.
+func (c Circle) Locate(p Point) (proximity float64, inside bool) {
 	if math.Abs(p.Lat-c.Center.Lat)*kmPerDegreeLat > c.RadiusKm*(1+1e-9) {
-		return false
+		return 0, false
 	}
-	return c.Center.DistanceKm(p) <= c.RadiusKm
+	d := c.Center.DistanceKm(p)
+	if d > c.RadiusKm {
+		return 0, false
+	}
+	return c.proximityAt(d), true
 }
 
 // Bounds returns a bounding rectangle that is guaranteed to contain the
@@ -149,13 +160,17 @@ func (c Circle) Bounds() Rect {
 // [0, 1]: 1 at the centre, decaying linearly to 0 at the radius, 0 outside.
 // This is the GeoProx term of the ad scoring function.
 func (c Circle) Proximity(p Point) float64 {
+	return c.proximityAt(c.Center.DistanceKm(p))
+}
+
+// proximityAt is Proximity at distance d from the centre.
+func (c Circle) proximityAt(d float64) float64 {
 	if c.RadiusKm <= 0 {
-		if c.Center.DistanceKm(p) == 0 {
+		if d == 0 {
 			return 1
 		}
 		return 0
 	}
-	d := c.Center.DistanceKm(p)
 	if d >= c.RadiusKm {
 		return 0
 	}

@@ -9,6 +9,7 @@ import (
 	"cmp"
 	"math/bits"
 	"slices"
+	"sync"
 
 	"caar/internal/adstore"
 	"caar/internal/textproc"
@@ -37,26 +38,37 @@ type indexedAd struct {
 
 // Inverted is the keyword inverted index over ad term vectors.
 //
-// Inverted is not safe for concurrent use, lookups included: DeltaList
-// accumulates in space the index owns. Every engine owns its index and calls
-// it under its shard lock.
+// Lookups only read the index — DeltaList accumulates in an Accumulator the
+// caller owns — so any number of them may run at once; Add and Remove need
+// the index to themselves. The engine's shards share one index, read it
+// under their own shard lock and write it holding every one.
 type Inverted struct {
 	lists    map[textproc.TermID][]posting
 	ads      map[adstore.AdID]indexedAd
 	postings int
 
-	// DeltaList's accumulator, indexed by slot. Slots are dense per index,
-	// not per AdID: an ID is an arbitrary int64 (the facade mints them
-	// densely; tests, and a catalogue restored in another order, need not be),
-	// and an array cannot be sized by one. sum[slot] is the running sum and
-	// touched has a bit per slot with a non-empty one; both are all zero
-	// between calls. Slots are handed out in registration order — ascending
-	// ad ID when IDs are minted in order, which is what makes the result
-	// nearly sorted before it is sorted — and a removed ad's slot is reused.
-	adOf    []adstore.AdID
+	// Accumulator slots. Slots are dense per index, not per AdID: an ID is an
+	// arbitrary int64 (the facade mints them densely; tests, and a catalogue
+	// restored in another order, need not be), and an array cannot be sized
+	// by one. Slots are handed out in registration order — ascending ad ID
+	// when IDs are minted in order, which is what makes a delta list nearly
+	// sorted before it is sorted — and a removed ad's slot is reused.
+	adOf []adstore.AdID
+	free []uint32
+
+	// spare lends Inverted.DeltaList an Accumulator, so a caller without one
+	// of its own pays for the working space once, not on every call.
+	spare sync.Pool
+}
+
+// Accumulator is DeltaList's working space, indexed by the index's slots:
+// sum[slot] is the running sum and touched has a bit per slot with a
+// non-empty one; both are all zero between calls. One caller at a time uses
+// an accumulator; each of an engine's shards owns one. It grows with the
+// index it is used on.
+type Accumulator struct {
 	sum     []float64
 	touched []uint64
-	free    []uint32
 	out     []Delta
 }
 
@@ -65,6 +77,7 @@ func NewInverted() *Inverted {
 	return &Inverted{
 		lists: make(map[textproc.TermID][]posting),
 		ads:   make(map[adstore.AdID]indexedAd),
+		spare: sync.Pool{New: func() any { return new(Accumulator) }},
 	}
 }
 
@@ -85,10 +98,7 @@ func (ix *Inverted) Add(id adstore.AdID, vec textproc.SparseVector) {
 		ix.adOf[slot] = id
 	} else {
 		slot = uint32(len(ix.adOf))
-		ix.adOf, ix.sum = append(ix.adOf, id), append(ix.sum, 0)
-		if int(slot>>6) == len(ix.touched) {
-			ix.touched = append(ix.touched, 0)
-		}
+		ix.adOf = append(ix.adOf, id)
 	}
 	ts := make([]textproc.TermID, 0, len(vec))
 	for term, w := range vec {
@@ -125,29 +135,41 @@ func (ix *Inverted) Remove(id adstore.AdID) {
 	ix.postings -= len(a.terms)
 }
 
-// DeltaList computes, for every ad sharing at least one term with vec, the
-// exact text-score contribution Σ_τ vec[τ]·ad[τ]. This runs once per message
-// some candidate buffer needs (fan-out sharing keeps the result for every
-// follower) and once per buffer rebuilt from a window aggregate. The result
-// is the caller's, ascending by ad ID.
+// DeltaList is Accumulator.DeltaList in an accumulator the index lends, for
+// a caller that keeps none of its own.
 func (ix *Inverted) DeltaList(vec textproc.SparseVector) []Delta {
+	acc := ix.spare.Get().(*Accumulator)
+	defer ix.spare.Put(acc)
+	return acc.DeltaList(ix, vec)
+}
+
+// DeltaList computes, for every ad of ix sharing at least one term with vec,
+// the exact text-score contribution Σ_τ vec[τ]·ad[τ]. This runs once per
+// message some candidate buffer needs (fan-out sharing keeps the result for
+// every follower on every shard) and once per buffer rebuilt from a window
+// aggregate. The result is the caller's, ascending by ad ID.
+func (acc *Accumulator) DeltaList(ix *Inverted, vec textproc.SparseVector) []Delta {
+	if n := len(ix.adOf); len(acc.sum) < n {
+		acc.sum = append(acc.sum, make([]float64, n-len(acc.sum))...)
+		acc.touched = append(acc.touched, make([]uint64, (n+63)>>6-len(acc.touched))...)
+	}
 	for term, mw := range vec {
 		for _, p := range ix.lists[term] {
-			ix.touched[p.slot>>6] |= 1 << (p.slot & 63)
-			ix.sum[p.slot] += mw * p.w
+			acc.touched[p.slot>>6] |= 1 << (p.slot & 63)
+			acc.sum[p.slot] += mw * p.w
 		}
 	}
 	// Collected in slot order, which the sort finds already ascending by ad
 	// — one pass — to the extent that ads were registered in ID order.
-	out := ix.out[:0]
-	for w, word := range ix.touched {
-		for ix.touched[w] = 0; word != 0; word &= word - 1 {
+	out := acc.out[:0]
+	for w, word := range acc.touched {
+		for acc.touched[w] = 0; word != 0; word &= word - 1 {
 			slot := w<<6 | bits.TrailingZeros64(word)
-			out = append(out, Delta{Ad: ix.adOf[slot], Coeff: ix.sum[slot]})
-			ix.sum[slot] = 0
+			out = append(out, Delta{Ad: ix.adOf[slot], Coeff: acc.sum[slot]})
+			acc.sum[slot] = 0
 		}
 	}
-	ix.out = out
+	acc.out = out
 	if len(out) == 0 {
 		return nil
 	}

@@ -105,12 +105,18 @@ type Counted struct {
 }
 
 // HeavyHitters tracks the approximate top-k most frequent keys of a stream
-// using a count-min sketch plus a bounded candidate map. Not safe for
+// using a count-min sketch plus a bounded candidate set. Not safe for
 // concurrent use.
 type HeavyHitters struct {
-	cm   *CountMin
-	k    int
-	cand map[uint64]uint64 // candidate key → sketch estimate at last touch
+	cm *CountMin
+	k  int
+	// cand holds up to 2k candidates with their sketch estimate at last
+	// touch, as a min-heap on (estimate, key descending): the root is the
+	// weakest candidate, and of equally weak ones the highest key, so which
+	// one an eviction picks is a function of the stream. pos is each
+	// candidate key's index in cand.
+	cand []Counted
+	pos  map[uint64]int
 }
 
 // NewHeavyHitters tracks the top k keys with the given sketch accuracy.
@@ -122,31 +128,71 @@ func NewHeavyHitters(k int, epsilon, delta float64) (*HeavyHitters, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &HeavyHitters{cm: cm, k: k, cand: make(map[uint64]uint64, 2*k)}, nil
+	return &HeavyHitters{cm: cm, k: k, cand: make([]Counted, 0, 2*k), pos: make(map[uint64]int, 2*k)}, nil
 }
 
-// Offer adds weight for a key and updates the candidate set.
+// Offer adds weight for a key and updates the candidate set: a tracked key
+// takes its new estimate, an untracked one joins while there is room and
+// otherwise replaces the weakest candidate if it beats it. O(log k).
 func (h *HeavyHitters) Offer(key uint64, inc uint64) {
 	h.cm.Add(key, inc)
 	est := h.cm.Count(key)
-	if _, tracked := h.cand[key]; tracked {
-		h.cand[key] = est
+	if i, tracked := h.pos[key]; tracked {
+		h.cand[i].Count = est // estimates only grow: the entry can only sink
+		h.down(i)
 		return
 	}
 	if len(h.cand) < 2*h.k {
-		h.cand[key] = est
+		h.cand = append(h.cand, Counted{Key: key, Count: est})
+		h.pos[key] = len(h.cand) - 1
+		h.up(len(h.cand) - 1)
 		return
 	}
-	// Evict the weakest candidate if the newcomer beats it.
-	weakestKey, weakest := uint64(0), uint64(math.MaxUint64)
-	for ck, cv := range h.cand {
-		if cv < weakest {
-			weakestKey, weakest = ck, cv
-		}
+	if est > h.cand[0].Count {
+		delete(h.pos, h.cand[0].Key)
+		h.cand[0] = Counted{Key: key, Count: est}
+		h.pos[key] = 0
+		h.down(0)
 	}
-	if est > weakest {
-		delete(h.cand, weakestKey)
-		h.cand[key] = est
+}
+
+// weaker orders the candidate heap: lower estimate first, higher key first
+// on a tie.
+func (h *HeavyHitters) weaker(i, j int) bool {
+	a, b := h.cand[i], h.cand[j]
+	return a.Count < b.Count || (a.Count == b.Count && a.Key > b.Key)
+}
+
+func (h *HeavyHitters) swap(i, j int) {
+	h.cand[i], h.cand[j] = h.cand[j], h.cand[i]
+	h.pos[h.cand[i].Key], h.pos[h.cand[j].Key] = i, j
+}
+
+func (h *HeavyHitters) up(i int) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if !h.weaker(i, p) {
+			return
+		}
+		h.swap(i, p)
+		i = p
+	}
+}
+
+func (h *HeavyHitters) down(i int) {
+	for {
+		m, l := i, 2*i+1
+		if l < len(h.cand) && h.weaker(l, m) {
+			m = l
+		}
+		if r := l + 1; r < len(h.cand) && h.weaker(r, m) {
+			m = r
+		}
+		if m == i {
+			return
+		}
+		h.swap(i, m)
+		i = m
 	}
 }
 
@@ -154,8 +200,8 @@ func (h *HeavyHitters) Offer(key uint64, inc uint64) {
 // (ascending key on ties).
 func (h *HeavyHitters) TopK() []Counted {
 	out := make([]Counted, 0, len(h.cand))
-	for key := range h.cand {
-		out = append(out, Counted{Key: key, Count: h.cm.Count(key)})
+	for _, c := range h.cand {
+		out = append(out, Counted{Key: c.Key, Count: h.cm.Count(c.Key)})
 	}
 	sortCounted(out)
 	if len(out) > h.k {
@@ -185,5 +231,6 @@ func (h *HeavyHitters) Total() uint64 { return h.cm.Total() }
 // Reset clears the tracker.
 func (h *HeavyHitters) Reset() {
 	h.cm.Reset()
-	h.cand = make(map[uint64]uint64, 2*h.k)
+	h.cand = h.cand[:0]
+	clear(h.pos)
 }

@@ -2,6 +2,7 @@ package sketch
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -166,5 +167,117 @@ func BenchmarkHeavyHittersOffer(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		hh.Offer(keys[i%len(keys)], 1)
+	}
+}
+
+// candidates returns a tracker's candidate set as key → estimate at last
+// touch.
+func candidates(h *HeavyHitters) map[uint64]uint64 {
+	out := make(map[uint64]uint64, len(h.cand))
+	for _, c := range h.cand {
+		out[c.Key] = c.Count
+	}
+	return out
+}
+
+// TestHeavyHittersMatchesBruteForce drives the heap-backed tracker and a
+// brute-force model of it — a map scanned for the weakest candidate, the
+// highest key of equally weak ones — with the same seeded streams, heavy in
+// repeated keys and in ties, and requires the same candidate set, with the
+// same estimates, after every offer.
+func TestHeavyHittersMatchesBruteForce(t *testing.T) {
+	for _, seed := range []int64{1, 2, 3, 901} {
+		rng := rand.New(rand.NewSource(seed))
+		const k = 4
+		h, err := NewHeavyHitters(k, 0.05, 0.01)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cm, err := NewCountMin(0.05, 0.01)
+		if err != nil {
+			t.Fatal(err)
+		}
+		model := map[uint64]uint64{}
+		for i := 0; i < 5000; i++ {
+			key, inc := uint64(rng.Intn(40)), uint64(1+rng.Intn(3))
+			if rng.Intn(3) == 0 {
+				inc = 1
+			}
+			h.Offer(key, inc)
+
+			cm.Add(key, inc)
+			est := cm.Count(key)
+			if _, ok := model[key]; ok || len(model) < 2*k {
+				model[key] = est
+			} else {
+				weakKey, weak := uint64(0), uint64(0)
+				first := true
+				for ck, cv := range model {
+					if first || cv < weak || (cv == weak && ck > weakKey) {
+						weakKey, weak, first = ck, cv, false
+					}
+				}
+				if est > weak {
+					delete(model, weakKey)
+					model[key] = est
+				}
+			}
+
+			got := candidates(h)
+			if len(got) != len(model) {
+				t.Fatalf("seed %d offer %d: %d candidates, model has %d", seed, i, len(got), len(model))
+			}
+			for ck, cv := range model {
+				if got[ck] != cv {
+					t.Fatalf("seed %d offer %d: key %d estimate %d, model %d (got %v, model %v)", seed, i, ck, got[ck], cv, got, model)
+				}
+			}
+		}
+	}
+}
+
+// TestHeavyHittersEvictionIsDeterministic: with every candidate tied, an
+// eviction takes the highest key, so two trackers fed the same stream agree
+// on their candidates and their top k every time — map iteration order used
+// to pick the victim.
+func TestHeavyHittersEvictionIsDeterministic(t *testing.T) {
+	const k = 8
+	run := func() *HeavyHitters {
+		h, err := NewHeavyHitters(k, 0.001, 0.001)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for round := uint64(0); round < 50; round++ {
+			// 2k tied keys fill the set; each newcomer beats them all by one.
+			for key := uint64(0); key < 2*k; key++ {
+				h.Offer(1000*round+key, 1)
+			}
+			h.Offer(1000*round+999, 2)
+		}
+		return h
+	}
+	first := run()
+	for i := 0; i < 20; i++ {
+		again := run()
+		if !reflect.DeepEqual(candidates(first), candidates(again)) || !reflect.DeepEqual(first.TopK(), again.TopK()) {
+			t.Fatalf("two runs of one stream disagree:\n%v\n%v", candidates(first), candidates(again))
+		}
+	}
+	// And which one goes: 2k tied keys fill the set, and a heavier newcomer
+	// evicts the highest of them.
+	h, err := NewHeavyHitters(k, 0.001, 0.001)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for key := uint64(1); key <= 2*k; key++ {
+		h.Offer(key, 1)
+	}
+	h.Offer(100, 2)
+	got := candidates(h)
+	if _, ok := got[2*k]; ok {
+		t.Fatalf("the highest of the tied keys, %d, should have been evicted: %v", 2*k, got)
+	}
+	if _, ok := got[100]; !ok || len(got) != 2*k {
+		t.Fatalf("newcomer not tracked, or the set changed size: %v", got)
 	}
 }

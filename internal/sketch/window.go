@@ -129,8 +129,8 @@ func (w *Windowed) TopK(now time.Time, window time.Duration) []Counted {
 	m := w.covered(window)
 	keys := make(map[uint64]struct{})
 	for i := 0; i < m; i++ {
-		for key := range w.sub(i).cand {
-			keys[key] = struct{}{}
+		for _, c := range w.sub(i).cand {
+			keys[c.Key] = struct{}{}
 		}
 	}
 	out := make([]Counted, 0, len(keys))
@@ -150,8 +150,8 @@ func (w *Windowed) TopK(now time.Time, window time.Duration) []Counted {
 func (w *Windowed) Candidates() []uint64 {
 	keys := make(map[uint64]struct{})
 	for _, s := range w.subs {
-		for key := range s.cand {
-			keys[key] = struct{}{}
+		for _, c := range s.cand {
+			keys[c.Key] = struct{}{}
 		}
 	}
 	out := make([]uint64, 0, len(keys))

@@ -92,10 +92,7 @@ func (e *Engine) Snapshot(w io.Writer) error {
 	e.dirMu.Lock()
 	defer e.dirMu.Unlock()
 	defer faultinject.WatchLock("engine.dirMu")()
-	for _, sh := range e.shards {
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-	}
+	defer e.lockShards()()
 	d := e.dir.Load()
 
 	sf := snapshotFile{Version: snapshotVersion, Algorithm: e.Algorithm()}
