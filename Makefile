@@ -69,13 +69,14 @@ race-matrix:
 		-kills 3 -out BENCH_SOAK_RACE.json
 
 # fuzz-smoke gives each fuzz target a short budget — enough to catch a
-# regression in the journal frame decoder, crash recovery, the request
-# parsers, the sketches, or CAP's candidate-buffer merge without holding up
-# the gate.
+# regression in the journal frame decoder, crash recovery, the ingest accept
+# contract, the request parsers, the sketches, or CAP's candidate-buffer
+# merge without holding up the gate.
 fuzz-smoke:
 	$(GO) test ./journal/ -fuzz FuzzDecodeLine -fuzztime 10s -run '^$$'
 	$(GO) test ./journal/ -fuzz FuzzRecoverTornTail -fuzztime 10s -run '^$$'
 	$(GO) test ./journal/ -fuzz FuzzAppendBatchRecover -fuzztime 10s -run '^$$'
+	$(GO) test ./ingest/ -fuzz FuzzAcceptedWritesEncode -fuzztime 10s -run '^$$'
 	$(GO) test ./internal/server/ -fuzz FuzzSanitizeRequestID -fuzztime 10s -run '^$$'
 	$(GO) test ./internal/server/ -fuzz FuzzParsePolicy -fuzztime 10s -run '^$$'
 	$(GO) test ./internal/sketch/ -fuzz FuzzCountMinEstimate -fuzztime 10s -run '^$$'

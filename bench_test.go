@@ -46,11 +46,9 @@ func BenchmarkF10Decay(b *testing.B)          { runExperiment(b, "F10") }
 // --- facade micro-benchmarks -------------------------------------------
 
 // benchEngine builds a loaded engine for the micro benches.
-func benchEngine(b *testing.B, alg caar.Algorithm, users, ads int) (*caar.Engine, []string, time.Time) {
+func benchEngine(b *testing.B, users, ads int) (*caar.Engine, []string, time.Time) {
 	b.Helper()
-	cfg := caar.DefaultConfig()
-	cfg.Algorithm = alg
-	eng, err := caar.Open(cfg)
+	eng, err := caar.Open(caar.DefaultConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -90,7 +88,7 @@ func benchEngine(b *testing.B, alg caar.Algorithm, users, ads int) (*caar.Engine
 // BenchmarkPostCAP measures one post fan-out through the CAP engine
 // (500 followers, 5k ads).
 func BenchmarkPostCAP(b *testing.B) {
-	eng, names, now := benchEngine(b, caar.AlgorithmCAP, 500, 5000)
+	eng, names, now := benchEngine(b, 500, 5000)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -109,7 +107,7 @@ func BenchmarkPostCAP(b *testing.B) {
 func BenchmarkAddAd(b *testing.B) {
 	for _, preload := range []int{1000, 8000} {
 		b.Run(fmt.Sprintf("%dk", preload/1000), func(b *testing.B) {
-			eng, _, _ := benchEngine(b, caar.AlgorithmCAP, 1, preload)
+			eng, _, _ := benchEngine(b, 1, preload)
 			name := func(i int) string { return fmt.Sprintf("ad%05d", i) } // benchEngine's, continued
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -125,19 +123,16 @@ func BenchmarkAddAd(b *testing.B) {
 	}
 }
 
-// BenchmarkRecommend measures one top-5 query per engine (5k ads).
+// BenchmarkRecommend measures one top-5 query (5k ads). The RS and IL
+// baselines are measured beside CAP in internal/core (BenchmarkTopAds).
 func BenchmarkRecommend(b *testing.B) {
-	for _, alg := range []caar.Algorithm{caar.AlgorithmRS, caar.AlgorithmIL, caar.AlgorithmCAP} {
-		b.Run(string(alg), func(b *testing.B) {
-			eng, names, now := benchEngine(b, alg, 200, 5000)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := eng.Recommend(names[i%100+1], 5, now); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	eng, names, now := benchEngine(b, 200, 5000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := eng.Recommend(names[i%100+1], 5, now); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -145,7 +140,7 @@ func BenchmarkRecommend(b *testing.B) {
 // goroutines at once while a writer churns AddAd/RemoveAd — the read path
 // must scale instead of serializing on global engine state.
 func BenchmarkRecommendParallel(b *testing.B) {
-	eng, names, now := benchEngine(b, caar.AlgorithmCAP, 200, 5000)
+	eng, names, now := benchEngine(b, 200, 5000)
 	stop := make(chan struct{})
 	var writerDone sync.WaitGroup
 	writerDone.Add(1)

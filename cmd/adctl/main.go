@@ -226,8 +226,7 @@ func run(ctx context.Context, c *client.Client, cmd string, args []string, now t
 		}
 		fmt.Printf("trace %s  user=%s k=%d  %.3fms  %s (%s)\n",
 			tr.ID, tr.User, tr.K, tr.DurationSeconds*1e3, tr.Outcome, tr.CaptureReason)
-		fmt.Printf("algo    %s  shard=%d  lock_wait=%.3fms\n",
-			tr.Algorithm, tr.Shard, tr.LockWaitSeconds*1e3)
+		fmt.Printf("shard   %d  lock_wait=%.3fms\n", tr.Shard, tr.LockWaitSeconds*1e3)
 		if tr.Error != "" {
 			fmt.Printf("error   %s\n", tr.Error)
 		}

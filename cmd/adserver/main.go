@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	adserver -addr :8080 -algorithm CAP -shards 4
+//	adserver -addr :8080 -shards 4
 //
 // The service starts empty; load users, follows, ads and campaigns through
 // the API. Optionally -demo preloads a small demo dataset.
@@ -74,18 +74,17 @@ const (
 
 // settings is adserver's command line, one field per flag.
 type settings struct {
-	addr, algorithm, journal, fsync, snapshot, logLevel, slo, captureDir string
-	shards, window, maxInFlight, ingestQueue, ingestBatch                int
-	halfLife, fsyncInterval, requestTimeout, shutdownGrace               time.Duration
-	maxBody                                                              int64
-	demo, pprof, hotOff                                                  bool
+	addr, journal, fsync, snapshot, logLevel, slo, captureDir string
+	shards, window, maxInFlight, ingestQueue, ingestBatch     int
+	halfLife, fsyncInterval, requestTimeout, shutdownGrace    time.Duration
+	maxBody                                                   int64
+	demo, pprof, hotOff                                       bool
 }
 
 // newFlagSet declares adserver's flags, bound to s.
 func newFlagSet(s *settings) *flag.FlagSet {
 	fs := flag.NewFlagSet("adserver", flag.ExitOnError)
 	fs.StringVar(&s.addr, "addr", ":8080", "listen address")
-	fs.StringVar(&s.algorithm, "algorithm", "CAP", "engine: CAP, IL or RS")
 	fs.IntVar(&s.shards, "shards", 0, "user shards processed in parallel (0 = one per core)")
 	fs.IntVar(&s.window, "window", 32, "feed window size in messages")
 	fs.DurationVar(&s.halfLife, "half-life", 2*time.Hour, "feed content decay half-life (0 = none)")
@@ -129,7 +128,6 @@ func run() error {
 	reg := obs.NewRegistry()
 
 	cfg := caar.DefaultConfig()
-	cfg.Algorithm = caar.Algorithm(opt.algorithm)
 	cfg.Shards = opt.shards
 	cfg.WindowSize = opt.window
 	cfg.DecayHalfLife = opt.halfLife
@@ -323,8 +321,8 @@ func run() error {
 
 	errc := make(chan error, 1)
 	go func() {
-		log.Printf("adserver listening on %s (algorithm=%s shards=%d fsync=%s)",
-			opt.addr, eng.Algorithm(), eng.Stats().Shards, policy)
+		log.Printf("adserver listening on %s (shards=%d fsync=%s)",
+			opt.addr, eng.Stats().Shards, policy)
 		if err := httpSrv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
 			errc <- err
 		}

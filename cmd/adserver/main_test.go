@@ -21,8 +21,8 @@ func TestFlagsMatchREADME(t *testing.T) {
 	newFlagSet(new(settings)).VisitAll(func(f *flag.Flag) { registered[f.Name] = true })
 	// The census: a flag is added only with a named consumer, and this
 	// number with it.
-	if len(registered) != 21 {
-		t.Errorf("%d flags registered, want 21", len(registered))
+	if len(registered) != 20 {
+		t.Errorf("%d flags registered, want 20", len(registered))
 	}
 
 	readme, err := os.ReadFile("../../README.md")

@@ -15,9 +15,6 @@ import (
 // Config configures an Engine. The zero value is not usable; start from
 // DefaultConfig.
 type Config struct {
-	// Algorithm selects the engine; default CAP.
-	Algorithm Algorithm
-
 	// AlphaText, BetaGeo and GammaBid are the non-negative mixing weights of
 	// the scoring function Score = α·TextRel + β·GeoProx + γ·Bid.
 	AlphaText float64
@@ -48,7 +45,7 @@ type Config struct {
 	// after each post. This is the paper's continuous "ads with every feed
 	// refresh" mode. The refresh is the TopAds a Recommend makes: CAP answers
 	// from the user's top-k view, which either kind of query creates, at the
-	// cost of what the post changed (DESIGN.md §3.1 item 5); IL and RS re-rank.
+	// cost of what the post changed (DESIGN.md §3.1 item 5).
 	ContinuousK int
 	// OnRecommend receives continuous-mode results. It may be called from
 	// multiple goroutines when there is more than one shard. It may keep
@@ -78,16 +75,15 @@ type Config struct {
 	DisableHotKeys bool
 }
 
-// gridSize is the resolution of IL's and CAP's spatial pre-filter: the
-// region is split into gridSize × gridSize cells.
+// gridSize is the resolution of CAP's spatial pre-filter: the region is
+// split into gridSize × gridSize cells.
 const gridSize = 64
 
-// DefaultConfig returns a production-shaped configuration: CAP engine,
-// text-dominant scoring, 2-hour half-life, 32-message windows, a city-scale
-// region. CAP runs with core.DefaultCAPOptions.
+// DefaultConfig returns a production-shaped configuration: text-dominant
+// scoring, 2-hour half-life, 32-message windows, a city-scale region. CAP
+// runs with core.DefaultCAPOptions.
 func DefaultConfig() Config {
 	return Config{
-		Algorithm:     AlgorithmCAP,
 		AlphaText:     0.6,
 		BetaGeo:       0.25,
 		GammaBid:      0.15,
@@ -101,11 +97,6 @@ func DefaultConfig() Config {
 var ErrBadConfig = errors.New("caar: invalid configuration")
 
 func (c Config) validate() error {
-	switch c.Algorithm {
-	case AlgorithmCAP, AlgorithmIL, AlgorithmRS, "":
-	default:
-		return fmt.Errorf("%w: unknown algorithm %q", ErrBadConfig, c.Algorithm)
-	}
 	if c.Shards < 0 {
 		return fmt.Errorf("%w: negative shard count %d", ErrBadConfig, c.Shards)
 	}

@@ -159,7 +159,23 @@ func (d *directory) campaignOf(adID string) string {
 // value; the pointer keeps all copies sharing one lock.
 type shard struct {
 	mu  *sync.Mutex
-	eng core.Shardable
+	eng shardEngine
+}
+
+// shardEngine is what the facade calls on a shard: a *core.CAP, which Open
+// always builds. It is an interface so that tests can put core.RS, the
+// exhaustive oracle, or a failing fake in a shard's place.
+type shardEngine interface {
+	AddUser(u feed.UserID)
+	CheckIn(u feed.UserID, p geo.Point, t time.Time) error
+	Deliver(msg feed.Message, followers []feed.UserID) error
+	AppendTopAds(dst []core.Scored, u feed.UserID, k int, t time.Time) ([]core.Scored, error)
+	LastQuery() core.Query
+	// RegisterAd and UnregisterAd bring the shard's per-user state up to an
+	// ad the store and the shared ad side have just registered or dropped.
+	RegisterAd(a *adstore.Ad)
+	UnregisterAd(id adstore.AdID)
+	WindowStats() (users, entries int)
 }
 
 // Common errors returned by Engine methods.
@@ -195,15 +211,7 @@ func Open(cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	for i := 0; i < nShards; i++ {
-		var eng core.Shardable
-		switch cfg.Algorithm {
-		case AlgorithmRS:
-			eng, err = core.NewRS(scoring, e.store)
-		case AlgorithmIL:
-			eng, err = core.NewILOn(scoring, e.store, e.ads)
-		default:
-			eng, err = core.NewCAPOn(scoring, e.store, e.ads, core.DefaultCAPOptions())
-		}
+		eng, err := core.NewCAPOn(scoring, e.store, e.ads, core.DefaultCAPOptions())
 		if err != nil {
 			return nil, err
 		}
@@ -241,14 +249,6 @@ func Open(cfg Config) (*Engine, error) {
 		e.hot = hot
 	}
 	return e, nil
-}
-
-// Algorithm returns the configured algorithm name.
-func (e *Engine) Algorithm() Algorithm {
-	if e.cfg.Algorithm == "" {
-		return AlgorithmCAP
-	}
-	return e.cfg.Algorithm
 }
 
 func (e *Engine) shardOf(u feed.UserID) shard {
@@ -545,8 +545,7 @@ func (e *Engine) ValidateCheckIn(user string, lat, lng float64) error {
 	if _, err := e.dir.Load().lookup(user); err != nil {
 		return err
 	}
-	r := e.cfg.Region
-	if lat < r.MinLat || lat > r.MaxLat || lng < r.MinLng || lng > r.MaxLng {
+	if !geo.Rect(e.cfg.Region).Contains(geo.Point{Lat: lat, Lng: lng}) {
 		return fmt.Errorf("caar: check-in (%v, %v) outside region", lat, lng)
 	}
 	return nil
@@ -857,7 +856,7 @@ func (e *Engine) recommend(user string, k int, at time.Time, policy ServingPolic
 	sh := e.shardOf(uid)
 	sh.mu.Lock() //caarlint:allow readpathlock per-shard core lock is the designed serialization point
 	locked := time.Now()
-	scored, err := sh.eng.TopAds(uid, fetch, at)
+	scored, err := sh.eng.AppendTopAds(nil, uid, fetch, at)
 	q := sh.eng.LastQuery()
 	sh.mu.Unlock()
 	e.obsm.lockWaitSeconds.ObserveDuration(locked.Sub(span))
@@ -960,7 +959,8 @@ func (e *Engine) Stats() Stats {
 	return st
 }
 
-// eachCAP calls f with each shard engine that is a CAP, under its lock.
+// eachCAP calls f with each shard engine that is a CAP (all but a test's
+// stand-in), under its lock.
 func (e *Engine) eachCAP(f func(*core.CAP)) {
 	for _, sh := range e.shards {
 		sh.mu.Lock()

@@ -134,15 +134,13 @@ func newEngineMetrics(reg *obs.Registry, e *Engine) *engineMetrics {
 		total := 0
 		for _, sh := range e.shards {
 			sh.mu.Lock()
-			if ws, ok := sh.eng.(interface{ WindowStats() (int, int) }); ok {
-				_, entries := ws.WindowStats()
-				total += entries
-			}
+			_, entries := sh.eng.WindowStats()
+			total += entries
 			sh.mu.Unlock()
 		}
 		return float64(total)
 	})
-	reg.GaugeFunc("caar_engine_candidate_buffer_entries", "CAP candidate-buffer entries summed over users (0 for IL/RS).", func() float64 {
+	reg.GaugeFunc("caar_engine_candidate_buffer_entries", "CAP candidate-buffer entries summed over users.", func() float64 {
 		total := 0
 		e.eachCAP(func(c *core.CAP) { total += c.TotalBufferEntries() })
 		return float64(total)
@@ -151,7 +149,7 @@ func newEngineMetrics(reg *obs.Registry, e *Engine) *engineMetrics {
 		return float64(e.ads.CachedMessages())
 	})
 	paths := reg.CounterVec("caar_engine_topads_total",
-		"Top-k queries (feed renders and continuous refreshes) by path: answered from the user's top-k view, or by re-ranking the candidate buffer (CAP; 0 for IL/RS).", "path")
+		"Top-k queries (feed renders and continuous refreshes) by path: answered from the user's top-k view, or by re-ranking the candidate buffer.", "path")
 	// sumCAP adds up a pair of counters every shard's CAP keeps under its lock.
 	sumCAP := func(read func(*core.CAP) (uint64, uint64)) (a, b uint64) {
 		e.eachCAP(func(c *core.CAP) {
@@ -166,11 +164,11 @@ func newEngineMetrics(reg *obs.Registry, e *Engine) *engineMetrics {
 	// skipped ÷ (merged + skipped) is the share of deliveries whose merge
 	// nobody would have read.
 	catchUps := reg.CounterVec("caar_engine_buffer_catchups_total",
-		"Candidate-buffer catch-ups before a read, by kind: one merge pass over everything delivered since the last, or a rebuild from the window aggregate (CAP; 0 for IL/RS).", "kind")
+		"Candidate-buffer catch-ups before a read, by kind: one merge pass over everything delivered since the last, or a rebuild from the window aggregate.", "kind")
 	catchUps.Func(func() uint64 { merge, _ := sumCAP((*core.CAP).CatchUps); return merge }, "merge")
 	catchUps.Func(func() uint64 { _, rebuild := sumCAP((*core.CAP).CatchUps); return rebuild }, "rebuild")
 	fates := reg.CounterVec("caar_engine_buffer_deliveries_total",
-		"Deliveries by what became of them in the follower's candidate buffer: merged by a catch-up, or skipped — the follower had no buffer, or it was freed unread (CAP; 0 for IL/RS).", "fate")
+		"Deliveries by what became of them in the follower's candidate buffer: merged by a catch-up, or skipped — the follower had no buffer, or it was freed unread.", "fate")
 	fates.Func(func() uint64 { merged, _ := sumCAP((*core.CAP).Deliveries); return merged }, "merged")
 	fates.Func(func() uint64 { _, skipped := sumCAP((*core.CAP).Deliveries); return skipped }, "skipped")
 	reg.GaugeFunc("caar_engine_shards", "Engine shard count.", func() float64 {

@@ -38,11 +38,6 @@ func openEngine(t *testing.T, cfg Config) *Engine {
 
 func TestOpenValidation(t *testing.T) {
 	cfg := testConfig()
-	cfg.Algorithm = "MAGIC"
-	if _, err := Open(cfg); !errors.Is(err, ErrBadConfig) {
-		t.Fatalf("bad algorithm: %v", err)
-	}
-	cfg = testConfig()
 	cfg.Region = Region{MinLat: 5, MaxLat: 1}
 	if _, err := Open(cfg); !errors.Is(err, ErrBadConfig) {
 		t.Fatalf("bad region: %v", err)
@@ -257,47 +252,6 @@ func TestRemoveAdDisappears(t *testing.T) {
 	}
 }
 
-func TestAlgorithmsAgreeThroughFacade(t *testing.T) {
-	build := func(alg Algorithm) *Engine {
-		cfg := testConfig()
-		cfg.Algorithm = alg
-		e := openEngine(t, cfg)
-		for _, u := range []string{"u0", "u1", "u2", "u3"} {
-			e.AddUser(u)
-		}
-		e.Follow("u0", "u1")
-		e.Follow("u2", "u1")
-		e.Follow("u3", "u0")
-		e.AddAd(Ad{ID: "run", Text: "running shoes marathon gear", Bid: 0.3})
-		e.AddAd(Ad{ID: "eat", Text: "pizza pasta dinner specials", Bid: 0.6})
-		e.AddAd(Ad{ID: "geo", Text: "running track downtown", Bid: 0.4,
-			Target: &Target{Lat: 1, Lng: 1, RadiusKm: 50}})
-		e.CheckIn("u0", 1.0, 1.0, morning)
-		e.CheckIn("u2", 3.5, 3.5, morning)
-		e.Post("u1", "marathon training with new running shoes", morning)
-		e.Post("u0", "pizza night after the run", morning.Add(time.Minute))
-		return e
-	}
-	var results [][]Recommendation
-	for _, alg := range []Algorithm{AlgorithmRS, AlgorithmIL, AlgorithmCAP} {
-		e := build(alg)
-		var all []Recommendation
-		for _, u := range []string{"u0", "u1", "u2", "u3"} {
-			recs, err := e.Recommend(u, 3, morning.Add(2*time.Minute))
-			if err != nil {
-				t.Fatalf("%s: %v", alg, err)
-			}
-			all = append(all, recs...)
-		}
-		results = append(results, all)
-	}
-	for i := 1; i < len(results); i++ {
-		if !reflect.DeepEqual(roundRecs(results[0]), roundRecs(results[i])) {
-			t.Fatalf("engine %d disagrees:\nRS:  %+v\ngot: %+v", i, results[0], results[i])
-		}
-	}
-}
-
 // roundRecs quantizes scores so cross-engine float noise cannot fail the
 // comparison.
 func roundRecs(recs []Recommendation) []string {
@@ -396,9 +350,6 @@ func TestStats(t *testing.T) {
 	}
 	if st = e.Stats(); st.CandidateBufferEntries == 0 {
 		t.Fatalf("CAP buffers empty after a read: %+v", st)
-	}
-	if e.Algorithm() != AlgorithmCAP {
-		t.Fatalf("Algorithm = %v", e.Algorithm())
 	}
 }
 
@@ -596,11 +547,7 @@ func TestKAboveMaxRejected(t *testing.T) {
 }
 
 // failingTopAds is a shard engine whose every query fails.
-type failingTopAds struct{ core.Shardable }
-
-func (failingTopAds) TopAds(feed.UserID, int, time.Time) ([]core.Scored, error) {
-	return nil, errors.New("stub: topads unavailable")
-}
+type failingTopAds struct{ shardEngine }
 
 func (failingTopAds) AppendTopAds([]core.Scored, feed.UserID, int, time.Time) ([]core.Scored, error) {
 	return nil, errors.New("stub: topads unavailable")

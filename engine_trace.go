@@ -55,7 +55,6 @@ func (e *Engine) beginTrace(treq TraceRequest, user string, k int, at, start tim
 	if e.tracer != nil {
 		tr.HeadSampled = e.tracer.SampleNext()
 	}
-	tr.Algorithm = string(e.Algorithm())
 	return tr
 }
 

@@ -13,10 +13,9 @@ import (
 // tracedEngine builds an engine with a trace store, a small social graph,
 // geo-targeted and global ads, and enough posted context that a recommend
 // returns several ads with non-trivial text, geo and bid components.
-func tracedEngine(t *testing.T, alg Algorithm, tcfg trace.Config) *Engine {
+func tracedEngine(t *testing.T, tcfg trace.Config) *Engine {
 	t.Helper()
 	cfg := testConfig()
-	cfg.Algorithm = alg
 	cfg.Tracer = trace.NewStore(tcfg)
 	e := openEngine(t, cfg)
 	for _, u := range []string{"alice", "bob"} {
@@ -53,63 +52,59 @@ func tracedEngine(t *testing.T, alg Algorithm, tcfg trace.Config) *Engine {
 // each stage consumes exactly what the previous stage produced and never
 // emits more than it consumed.
 func TestTracedRecommendStageSpanInvariant(t *testing.T) {
-	for _, alg := range []Algorithm{AlgorithmCAP, AlgorithmIL, AlgorithmRS} {
-		t.Run(string(alg), func(t *testing.T) {
-			e := tracedEngine(t, alg, trace.Config{SampleRate: 1})
-			recs, tr, err := e.RecommendTraced("alice", 2, morning.Add(time.Minute), ServingPolicy{}, TraceRequest{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(recs) == 0 {
-				t.Fatal("no recommendations")
-			}
-			if tr == nil {
-				t.Fatal("no trace captured at sample rate 1")
-			}
+	// The facade serves CAP; the subtest keeps the engine in the test name.
+	t.Run("CAP", func(t *testing.T) {
+		e := tracedEngine(t, trace.Config{SampleRate: 1})
+		recs, tr, err := e.RecommendTraced("alice", 2, morning.Add(time.Minute), ServingPolicy{}, TraceRequest{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(recs) == 0 {
+			t.Fatal("no recommendations")
+		}
+		if tr == nil {
+			t.Fatal("no trace captured at sample rate 1")
+		}
 
-			wantStages := []string{"lookup", "retrieve", "score", "topk", "map", "policy"}
-			if len(tr.Spans) != len(wantStages) {
-				t.Fatalf("got %d spans %v, want one per stage %v", len(tr.Spans), tr.Spans, wantStages)
+		wantStages := []string{"lookup", "retrieve", "score", "topk", "map", "policy"}
+		if len(tr.Spans) != len(wantStages) {
+			t.Fatalf("got %d spans %v, want one per stage %v", len(tr.Spans), tr.Spans, wantStages)
+		}
+		for i, want := range wantStages {
+			if tr.Spans[i].Stage != want {
+				t.Fatalf("span %d is %q, want %q (order must follow the pipeline)", i, tr.Spans[i].Stage, want)
 			}
-			for i, want := range wantStages {
-				if tr.Spans[i].Stage != want {
-					t.Fatalf("span %d is %q, want %q (order must follow the pipeline)", i, tr.Spans[i].Stage, want)
-				}
+		}
+		// Attrition funnel: after the score stage (which may widen the
+		// candidate set with the static/geo remainder), each stage's
+		// input equals the previous stage's output and output never
+		// exceeds input.
+		for i := 2; i < len(tr.Spans); i++ {
+			sp := tr.Spans[i]
+			if sp.Out > sp.In {
+				t.Errorf("stage %s emitted more than it consumed: in=%d out=%d", sp.Stage, sp.In, sp.Out)
 			}
-			// Attrition funnel: after the score stage (which may widen the
-			// candidate set with the static/geo remainder), each stage's
-			// input equals the previous stage's output and output never
-			// exceeds input.
-			for i := 2; i < len(tr.Spans); i++ {
-				sp := tr.Spans[i]
-				if sp.Out > sp.In {
-					t.Errorf("stage %s emitted more than it consumed: in=%d out=%d", sp.Stage, sp.In, sp.Out)
-				}
-				if i > 2 && sp.In != tr.Spans[i-1].Out {
-					t.Errorf("stage %s in=%d does not match %s out=%d",
-						sp.Stage, sp.In, tr.Spans[i-1].Stage, tr.Spans[i-1].Out)
-				}
+			if i > 2 && sp.In != tr.Spans[i-1].Out {
+				t.Errorf("stage %s in=%d does not match %s out=%d",
+					sp.Stage, sp.In, tr.Spans[i-1].Stage, tr.Spans[i-1].Out)
 			}
-			if final := tr.Spans[len(tr.Spans)-1].Out; final != len(recs) {
-				t.Errorf("policy stage out=%d, response has %d ads", final, len(recs))
-			}
-			if tr.Outcome != trace.OutcomeOK || tr.CaptureReason != trace.ReasonSampled {
-				t.Errorf("outcome=%q reason=%q", tr.Outcome, tr.CaptureReason)
-			}
-			if tr.Algorithm != string(alg) {
-				t.Errorf("trace algorithm = %q, want %q", tr.Algorithm, alg)
-			}
-		})
-	}
+		}
+		if final := tr.Spans[len(tr.Spans)-1].Out; final != len(recs) {
+			t.Errorf("policy stage out=%d, response has %d ads", final, len(recs))
+		}
+		if tr.Outcome != trace.OutcomeOK || tr.CaptureReason != trace.ReasonSampled {
+			t.Errorf("outcome=%q reason=%q", tr.Outcome, tr.CaptureReason)
+		}
+	})
 }
 
 // TestTraceRecordsAnswerPath: a CAP trace says whether the user's top-k view
 // answered or the candidate set was re-ranked, and on either path the three
 // core stages appear once each with counts that describe the work done —
 // buffer entries and eligible candidates for a re-rank, the view's tracked
-// and noted ads for a view answer. The baselines have no view and no path.
+// and noted ads for a view answer.
 func TestTraceRecordsAnswerPath(t *testing.T) {
-	e := tracedEngine(t, AlgorithmCAP, trace.Config{SampleRate: 1})
+	e := tracedEngine(t, trace.Config{SampleRate: 1})
 	at := morning.Add(time.Minute)
 	var paths []string
 	for i := 0; i < 3; i++ {
@@ -145,20 +140,13 @@ func TestTraceRecordsAnswerPath(t *testing.T) {
 	if want := []string{"rerank", "view", "view"}; !slices.Equal(paths, want) {
 		t.Fatalf("answer paths %v, want %v", paths, want)
 	}
-	for _, alg := range []Algorithm{AlgorithmIL, AlgorithmRS} {
-		_, tr, err := tracedEngine(t, alg, trace.Config{SampleRate: 1}).RecommendTraced("alice", 2, at, ServingPolicy{}, TraceRequest{})
-		if err != nil || tr.Path != "" {
-			t.Fatalf("%s: path %q, err %v; want no path", alg, tr.Path, err)
-		}
-	}
 }
 
 // TestStageSpansPerAnswerPath pins the six spans of a traced recommend — names,
 // order and candidate counts — on every answer path: CAP's re-rank (a first
 // read), its view (the same read again) and a k above the view ceiling
-// (viewSlack × 65 > viewMaxTracked, ranked without a view), and the same three
-// reads under IL and RS, which have one path. The fixture has three ads, all
-// eligible for alice; two share terms with bob's post.
+// (viewSlack × 65 > viewMaxTracked, ranked without a view). The fixture has
+// three ads, all eligible for alice; two share terms with bob's post.
 func TestStageSpansPerAnswerPath(t *testing.T) {
 	type span struct {
 		stage   string
@@ -169,45 +157,27 @@ func TestStageSpansPerAnswerPath(t *testing.T) {
 			{"topk", topk[0], topk[1]}, {"map", mapped[0], mapped[1]}, {"policy", mapped[0], mapped[1]}}
 	}
 	reads := []struct {
-		k    int
-		path map[Algorithm]string
+		k     int
+		path  string
+		spans []span
 	}{
-		{2, map[Algorithm]string{AlgorithmCAP: "rerank"}},
-		{2, map[Algorithm]string{AlgorithmCAP: "view"}},
-		{65, map[Algorithm]string{AlgorithmCAP: "rerank"}},
-	}
-	want := map[Algorithm][][]span{
-		AlgorithmCAP: {
-			spans([2]int{2, 2}, [2]int{3, 3}, [2]int{3, 2}, [2]int{2, 2}), // buffer entries; eligible with the static remainder
-			spans([2]int{3, 3}, [2]int{3, 3}, [2]int{3, 2}, [2]int{2, 2}), // tracked + noted ads re-scored
-			spans([2]int{2, 2}, [2]int{3, 3}, [2]int{3, 3}, [2]int{3, 3}),
-		},
-		AlgorithmIL: {
-			spans([2]int{2, 2}, [2]int{2, 2}, [2]int{2, 2}, [2]int{2, 2}), // the static walk stops at the collector's threshold
-			spans([2]int{2, 2}, [2]int{2, 2}, [2]int{2, 2}, [2]int{2, 2}),
-			spans([2]int{2, 2}, [2]int{3, 3}, [2]int{3, 3}, [2]int{3, 3}),
-		},
-		AlgorithmRS: {
-			spans([2]int{3, 3}, [2]int{3, 3}, [2]int{3, 2}, [2]int{2, 2}), // the whole store, every query
-			spans([2]int{3, 3}, [2]int{3, 3}, [2]int{3, 2}, [2]int{2, 2}),
-			spans([2]int{3, 3}, [2]int{3, 3}, [2]int{3, 3}, [2]int{3, 3}),
-		},
+		{2, "rerank", spans([2]int{2, 2}, [2]int{3, 3}, [2]int{3, 2}, [2]int{2, 2})}, // buffer entries; eligible with the static remainder
+		{2, "view", spans([2]int{3, 3}, [2]int{3, 3}, [2]int{3, 2}, [2]int{2, 2})},   // tracked + noted ads re-scored
+		{65, "rerank", spans([2]int{2, 2}, [2]int{3, 3}, [2]int{3, 3}, [2]int{3, 3})},
 	}
 	at := morning.Add(time.Minute)
-	for _, alg := range []Algorithm{AlgorithmCAP, AlgorithmIL, AlgorithmRS} {
-		e := tracedEngine(t, alg, trace.Config{SampleRate: 1})
-		for i, r := range reads {
-			_, tr, err := e.RecommendTraced("alice", r.k, at, ServingPolicy{}, TraceRequest{})
-			if err != nil || tr == nil {
-				t.Fatalf("%s read %d: trace %v, err %v", alg, i, tr != nil, err)
-			}
-			var got []span
-			for _, sp := range tr.Spans {
-				got = append(got, span{sp.Stage, sp.In, sp.Out})
-			}
-			if !slices.Equal(got, want[alg][i]) || tr.Path != r.path[alg] {
-				t.Errorf("%s read %d (k=%d): path %q spans %v, want path %q spans %v", alg, i, r.k, tr.Path, got, r.path[alg], want[alg][i])
-			}
+	e := tracedEngine(t, trace.Config{SampleRate: 1})
+	for i, r := range reads {
+		_, tr, err := e.RecommendTraced("alice", r.k, at, ServingPolicy{}, TraceRequest{})
+		if err != nil || tr == nil {
+			t.Fatalf("read %d: trace %v, err %v", i, tr != nil, err)
+		}
+		var got []span
+		for _, sp := range tr.Spans {
+			got = append(got, span{sp.Stage, sp.In, sp.Out})
+		}
+		if !slices.Equal(got, r.spans) || tr.Path != r.path {
+			t.Errorf("read %d (k=%d): path %q spans %v, want path %q spans %v", i, r.k, tr.Path, got, r.path, r.spans)
 		}
 	}
 }
@@ -217,45 +187,44 @@ func TestStageSpansPerAnswerPath(t *testing.T) {
 // tolerance) the score the ranking used — the acceptance criterion that
 // makes the explanation trustworthy.
 func TestScoreDecompositionSumsToScore(t *testing.T) {
-	for _, alg := range []Algorithm{AlgorithmCAP, AlgorithmIL, AlgorithmRS} {
-		t.Run(string(alg), func(t *testing.T) {
-			e := tracedEngine(t, alg, trace.Config{SampleRate: 1})
-			recs, tr, err := e.RecommendTraced("alice", 3, morning.Add(time.Minute), ServingPolicy{}, TraceRequest{})
-			if err != nil {
-				t.Fatal(err)
+	// The facade serves CAP; the subtest keeps the engine in the test name.
+	t.Run("CAP", func(t *testing.T) {
+		e := tracedEngine(t, trace.Config{SampleRate: 1})
+		recs, tr, err := e.RecommendTraced("alice", 3, morning.Add(time.Minute), ServingPolicy{}, TraceRequest{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tr == nil || len(tr.Ads) == 0 {
+			t.Fatal("no traced ads")
+		}
+		if len(tr.Ads) != len(recs) {
+			t.Fatalf("trace has %d ads, response has %d", len(tr.Ads), len(recs))
+		}
+		for i, ad := range tr.Ads {
+			sum := ad.Text + ad.Geo + ad.Bid
+			if diff := math.Abs(sum - ad.Score); diff > 1e-9 {
+				t.Errorf("ad %s: text %g + geo %g + bid %g = %g, score %g (diff %g)",
+					ad.AdID, ad.Text, ad.Geo, ad.Bid, sum, ad.Score, diff)
 			}
-			if tr == nil || len(tr.Ads) == 0 {
-				t.Fatal("no traced ads")
+			if ad.AdID != recs[i].AdID || ad.Score != recs[i].Score {
+				t.Errorf("trace ad %d = %+v does not match response %+v", i, ad, recs[i])
 			}
-			if len(tr.Ads) != len(recs) {
-				t.Fatalf("trace has %d ads, response has %d", len(tr.Ads), len(recs))
+		}
+		// The geo-targeted ad must carry a positive spatial component for
+		// the checked-in user, or the decomposition is vacuous.
+		for _, ad := range tr.Ads {
+			if ad.AdID == "espresso" && ad.Geo <= 0 {
+				t.Errorf("geo-targeted ad has geo component %g, want > 0", ad.Geo)
 			}
-			for i, ad := range tr.Ads {
-				sum := ad.Text + ad.Geo + ad.Bid
-				if diff := math.Abs(sum - ad.Score); diff > 1e-9 {
-					t.Errorf("ad %s: text %g + geo %g + bid %g = %g, score %g (diff %g)",
-						ad.AdID, ad.Text, ad.Geo, ad.Bid, sum, ad.Score, diff)
-				}
-				if ad.AdID != recs[i].AdID || ad.Score != recs[i].Score {
-					t.Errorf("trace ad %d = %+v does not match response %+v", i, ad, recs[i])
-				}
-			}
-			// The geo-targeted ad must carry a positive spatial component for
-			// the checked-in user, or the decomposition is vacuous.
-			for _, ad := range tr.Ads {
-				if ad.AdID == "espresso" && ad.Geo <= 0 {
-					t.Errorf("geo-targeted ad has geo component %g, want > 0", ad.Geo)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // TestErrorTailCaptureBypassesSampling: with head sampling off, a failed
 // recommend is still captured (reason "error"), while the successful one
 // right before it is not.
 func TestErrorTailCaptureBypassesSampling(t *testing.T) {
-	e := tracedEngine(t, AlgorithmCAP, trace.Config{SampleRate: 0})
+	e := tracedEngine(t, trace.Config{SampleRate: 0})
 
 	if _, tr, err := e.RecommendTraced("alice", 2, morning, ServingPolicy{}, TraceRequest{}); err != nil {
 		t.Fatal(err)
@@ -326,7 +295,7 @@ func TestExplainWithoutStore(t *testing.T) {
 // candidates were dropped — the frequency-capped ad appears as a policy
 // action, not silently missing.
 func TestPolicyActionsRecorded(t *testing.T) {
-	e := tracedEngine(t, AlgorithmCAP, trace.Config{SampleRate: 1})
+	e := tracedEngine(t, trace.Config{SampleRate: 1})
 	policy := ServingPolicy{FrequencyCap: 1, FrequencyWindow: time.Hour}
 
 	recs, _, err := e.RecommendTraced("alice", 1, morning.Add(time.Minute), policy, TraceRequest{})
@@ -365,7 +334,7 @@ func TestPolicyActionsRecorded(t *testing.T) {
 // histograms, and StageExemplars surfaces its ID for every pipeline stage
 // plus the end-to-end histogram.
 func TestStageExemplarsLinkToCapturedTraces(t *testing.T) {
-	e := tracedEngine(t, AlgorithmCAP, trace.Config{SampleRate: 1})
+	e := tracedEngine(t, trace.Config{SampleRate: 1})
 	_, tr, err := e.RecommendTraced("alice", 2, morning.Add(time.Minute), ServingPolicy{}, TraceRequest{ID: "req-ex-1"})
 	if err != nil || tr == nil {
 		t.Fatalf("traced recommend: %v, tr=%v", err, tr)

@@ -12,9 +12,11 @@
 // applied; the apply itself is asynchronous, so a read raced immediately
 // after the ack may not observe the write yet. Submission-time validation
 // (unknown user, out-of-region point) re-derives the same rejections the
-// synchronous path returns, so post-ack apply errors are an anomaly — they
-// are counted in caar_ingest_apply_errors_total and re-derived identically
-// by journal replay after a crash.
+// synchronous path returns, and a time the journal cannot encode is refused
+// too, so that it cannot fail its batch-mates' commit. Post-ack apply errors
+// are therefore an anomaly — they are counted in
+// caar_ingest_apply_errors_total and re-derived identically by journal
+// replay after a crash.
 //
 // Backpressure: a full ring fails fast with ErrQueueFull — the HTTP layer
 // turns it into 429 + Retry-After — so overload surfaces at the edge instead
@@ -154,6 +156,9 @@ func (p *Pipeline) SubmitCheckIn(user string, lat, lng float64, at time.Time) er
 }
 
 func (p *Pipeline) submit(e journal.Entry) error {
+	if err := journal.CheckTime(e.At); err != nil {
+		return err
+	}
 	// The producer count brackets only the closed-check-to-push window so
 	// Close can wait for racing pushes before the final drain; the ack wait
 	// below is outside it (those items are already in the ring and will be

@@ -6,6 +6,7 @@ package adstore
 import (
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"caar/internal/geo"
@@ -41,7 +42,7 @@ type Ad struct {
 var (
 	ErrEmptyVec    = errors.New("adstore: ad keyword vector is empty")
 	ErrBadBid      = errors.New("adstore: bid must be in (0, 1]")
-	ErrBadTarget   = errors.New("adstore: non-global ad needs a positive target radius")
+	ErrBadTarget   = errors.New("adstore: non-global ad needs a positive, finite target radius")
 	ErrNoSlots     = errors.New("adstore: ad targets no time slots")
 	ErrDuplicateID = errors.New("adstore: duplicate ad ID")
 	ErrUnknownAd   = errors.New("adstore: unknown ad")
@@ -55,11 +56,11 @@ func (a *Ad) Validate() error {
 	if len(a.Vec) == 0 {
 		return fmt.Errorf("ad %d: %w", a.ID, ErrEmptyVec)
 	}
-	if a.Bid <= 0 || a.Bid > 1 {
+	if !(a.Bid > 0 && a.Bid <= 1) { // NaN fails both
 		return fmt.Errorf("ad %d: %w (got %v)", a.ID, ErrBadBid, a.Bid)
 	}
 	if !a.Global {
-		if a.Target.RadiusKm <= 0 {
+		if !(a.Target.RadiusKm > 0) || math.IsInf(a.Target.RadiusKm, 1) {
 			return fmt.Errorf("ad %d: %w", a.ID, ErrBadTarget)
 		}
 		if err := a.Target.Center.Validate(); err != nil {
@@ -114,10 +115,11 @@ type Campaign struct {
 	spent  float64
 }
 
-// NewCampaign creates a campaign. End must be after Start; Budget positive.
+// NewCampaign creates a campaign. End must be after Start; Budget positive
+// and finite.
 func NewCampaign(name string, budget float64, start, end time.Time) (*Campaign, error) {
-	if budget <= 0 {
-		return nil, fmt.Errorf("adstore: campaign %q budget %v must be positive", name, budget)
+	if !(budget > 0) || math.IsInf(budget, 1) {
+		return nil, fmt.Errorf("adstore: campaign %q budget %v must be positive and finite", name, budget)
 	}
 	if !end.After(start) {
 		return nil, fmt.Errorf("adstore: campaign %q flight end %v not after start %v", name, end, start)

@@ -2,6 +2,7 @@ package adstore
 
 import (
 	"errors"
+	"math"
 	"testing"
 	"time"
 
@@ -33,7 +34,11 @@ func TestAdValidate(t *testing.T) {
 		{"zero bid", func(a *Ad) { a.Bid = 0 }, ErrBadBid},
 		{"negative bid", func(a *Ad) { a.Bid = -0.1 }, ErrBadBid},
 		{"bid above one", func(a *Ad) { a.Bid = 1.01 }, ErrBadBid},
+		{"NaN bid", func(a *Ad) { a.Bid = math.NaN() }, ErrBadBid},
+		{"infinite bid", func(a *Ad) { a.Bid = math.Inf(1) }, ErrBadBid},
 		{"no radius", func(a *Ad) { a.Target.RadiusKm = 0 }, ErrBadTarget},
+		{"NaN radius", func(a *Ad) { a.Target.RadiusKm = math.NaN() }, ErrBadTarget},
+		{"infinite radius", func(a *Ad) { a.Target.RadiusKm = math.Inf(1) }, ErrBadTarget},
 		{"bad center", func(a *Ad) { a.Target.Center.Lat = 95 }, geo.ErrInvalidCoordinate},
 		{"no slots", func(a *Ad) { a.Slots = 0 }, ErrNoSlots},
 		{"global ignores target", func(a *Ad) { a.Global = true; a.Target = geo.Circle{} }, nil},
@@ -108,14 +113,20 @@ func TestAdGeoScore(t *testing.T) {
 
 func TestCampaignValidation(t *testing.T) {
 	end := flightStart.Add(24 * time.Hour)
-	if _, err := NewCampaign("c", 0, flightStart, end); err == nil {
-		t.Error("zero budget accepted")
-	}
-	if _, err := NewCampaign("c", 10, end, flightStart); err == nil {
-		t.Error("inverted flight accepted")
-	}
-	if _, err := NewCampaign("c", 10, flightStart, flightStart); err == nil {
-		t.Error("zero-length flight accepted")
+	for _, c := range []struct {
+		name       string
+		budget     float64
+		start, end time.Time
+	}{
+		{"zero budget", 0, flightStart, end},
+		{"NaN budget", math.NaN(), flightStart, end},
+		{"infinite budget", math.Inf(1), flightStart, end},
+		{"inverted flight", 10, end, flightStart},
+		{"zero-length flight", 10, flightStart, flightStart},
+	} {
+		if _, err := NewCampaign("c", c.budget, c.start, c.end); err == nil {
+			t.Errorf("%s accepted", c.name)
+		}
 	}
 }
 

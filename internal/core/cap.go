@@ -116,8 +116,9 @@ func (e *CAP) AddAd(a *adstore.Ad) error {
 	return nil
 }
 
-// RegisterAd implements Shardable: it back-fills the candidate-buffer
-// coefficients of an ad the store and the AdIndex hold. A new ad is an untracked ad
+// RegisterAd back-fills the candidate-buffer coefficients of an ad the
+// store and the AdIndex hold; a shard of the facade is told of every ad this
+// way, once the ad side the shards share has it. A new ad is an untracked ad
 // no view's bound accounts for; a view keeps its invariant by noting the ad
 // if its score could reach the bound, exactly as a delivery notes an ad it
 // raises (dynBuf.merge). A bound of -Inf — every eligible ad is tracked —
@@ -186,7 +187,7 @@ func findDelta(deltas []index.Delta, id adstore.AdID) (int, bool) {
 	})
 }
 
-// UnregisterAd implements Shardable: it drops an ad the AdIndex has
+// UnregisterAd drops an ad the AdIndex has
 // unregistered from the candidate buffers. The cleanup is eager: stale buffer
 // entries for a removed ID would corrupt scores if the ID were ever reused. A
 // view that tracks the ad goes with it; any other stands, because removing an
@@ -409,7 +410,8 @@ func (e *CAP) TopAds(u feed.UserID, k int, t time.Time) ([]Scored, error) {
 	return e.AppendTopAds(nil, u, k, t)
 }
 
-// AppendTopAds implements Shardable.
+// AppendTopAds is TopAds appending the answer to dst, which it grows only
+// when dst has no room for k more.
 func (e *CAP) AppendTopAds(dst []Scored, u feed.UserID, k int, t time.Time) ([]Scored, error) {
 	st, err := e.state(u)
 	if err != nil {

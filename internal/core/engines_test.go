@@ -34,7 +34,7 @@ func testScoring() Scoring {
 // one shared store and one shared AdIndex, as the facade's shards share
 // theirs: the two CAPs with fan-out sharing also share their delta lists.
 // register and unregister change the ad side the way the facade does.
-func makeEngines(t *testing.T, s Scoring, store *adstore.Store) (engines []Shardable, register func(*adstore.Ad), unregister func(adstore.AdID)) {
+func makeEngines(t *testing.T, s Scoring, store *adstore.Store) (engines []Recommender, register func(*adstore.Ad), unregister func(adstore.AdID)) {
 	t.Helper()
 	ads, err := NewAdIndex(region, 8, 8)
 	if err != nil {
@@ -44,33 +44,30 @@ func makeEngines(t *testing.T, s Scoring, store *adstore.Store) (engines []Shard
 	if err != nil {
 		t.Fatal(err)
 	}
-	il, err := NewILOn(s, store, ads)
+	ix, err := newIndexed(s, store, ads)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cap1, err := NewCAPOn(s, store, ads, DefaultCAPOptions())
-	if err != nil {
-		t.Fatal(err)
+	engines = []Recommender{rs, &IL{indexed: ix}}
+	var caps []*CAP
+	for _, opts := range []CAPOptions{DefaultCAPOptions(), {FanoutSharing: false, RebuildEvery: 64}, {FanoutSharing: true, RebuildEvery: 0}} {
+		c, err := NewCAPOn(s, store, ads, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		caps = append(caps, c)
+		engines = append(engines, c)
 	}
-	capNoShare, err := NewCAPOn(s, store, ads, CAPOptions{FanoutSharing: false, RebuildEvery: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	capNoRebuild, err := NewCAPOn(s, store, ads, CAPOptions{FanoutSharing: true, RebuildEvery: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	engines = []Shardable{rs, il, cap1, capNoShare, capNoRebuild}
 	register = func(a *adstore.Ad) {
 		ads.Register(a)
-		for _, e := range engines {
-			e.RegisterAd(a)
+		for _, c := range caps {
+			c.RegisterAd(a)
 		}
 	}
 	unregister = func(id adstore.AdID) {
 		ads.Unregister(id)
-		for _, e := range engines {
-			e.UnregisterAd(id)
+		for _, c := range caps {
+			c.UnregisterAd(id)
 		}
 	}
 	return engines, register, unregister
@@ -295,7 +292,7 @@ func TestAggregateIsSummedIntoReusedVector(t *testing.T) {
 			}
 		}
 	}
-	allocs := func(e Shardable) float64 {
+	allocs := func(e Recommender) float64 {
 		if c, ok := e.(*CAP); ok {
 			st := c.users[1]
 			return testing.AllocsPerRun(20, func() { c.rebuild(st, st.buf) })

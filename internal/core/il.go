@@ -107,11 +107,6 @@ func NewIL(s Scoring, store *adstore.Store, region geo.Rect, gridRows, gridCols 
 	if err != nil {
 		return nil, err
 	}
-	return NewILOn(s, store, ads)
-}
-
-// NewILOn creates an IL engine — one shard — over a shared ad side.
-func NewILOn(s Scoring, store *adstore.Store, ads *AdIndex) (*IL, error) {
 	ix, err := newIndexed(s, store, ads)
 	if err != nil {
 		return nil, err
@@ -122,52 +117,29 @@ func NewILOn(s Scoring, store *adstore.Store, ads *AdIndex) (*IL, error) {
 // AddAd implements Recommender.
 func (e *IL) AddAd(a *adstore.Ad) error { return e.addAd(a) }
 
-// RegisterAd implements Shardable. IL keeps nothing per user about ads, so
-// the AdIndex's registration is all there is.
-func (e *IL) RegisterAd(a *adstore.Ad) {}
-
-// UnregisterAd implements Shardable; see RegisterAd.
-func (e *IL) UnregisterAd(id adstore.AdID) {}
-
 // TopAds implements Recommender: one inverted-index pass over the context's
 // terms yields the exact text relevance of every candidate; the static-only
 // remainder comes from the geo/bid index.
 func (e *IL) TopAds(u feed.UserID, k int, t time.Time) ([]Scored, error) {
-	return e.AppendTopAds(nil, u, k, t)
-}
-
-// AppendTopAds implements Shardable.
-func (e *IL) AppendTopAds(dst []Scored, u feed.UserID, k int, t time.Time) ([]Scored, error) {
 	st, err := e.state(u)
 	if err != nil {
 		return nil, err
 	}
-	span := time.Now()
 	ctx, factor := e.context(st, t)
 	sl := timeslot.Of(t)
 	c := topk.NewCollector(k)
 	deltas := e.acc.DeltaList(e.inv, ctx)
-	span = e.stageDone(StageRetrieve, span, len(deltas), len(deltas))
-
-	offered := 0
 	for _, d := range deltas {
-		if e.offer(c, e.ad(d.Ad), d.Coeff*factor, st, sl, t, true) {
-			offered++
-		}
+		e.offer(c, e.ad(d.Ad), d.Coeff*factor, st, sl, t, true)
 	}
-	examined, offeredStatic := e.offerStatic(c, st, sl, t, true, func(id adstore.AdID) bool {
+	e.offerStatic(c, st, sl, t, true, func(id adstore.AdID) bool {
 		_, seen := findDelta(deltas, id)
 		return seen
 	})
-	offered += offeredStatic
-	span = e.stageDone(StageScore, span, len(deltas)+examined, offered)
-
-	out := e.resolve(dst, c.Items(), st, func(id adstore.AdID) float64 {
+	return e.resolve(nil, c.Items(), st, func(id adstore.AdID) float64 {
 		if i, ok := findDelta(deltas, id); ok {
 			return deltas[i].Coeff * factor
 		}
 		return 0
-	})
-	e.stageDone(StageTopK, span, offered, len(out)-len(dst))
-	return out, nil
+	}), nil
 }

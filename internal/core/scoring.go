@@ -1,8 +1,10 @@
 // Package core implements the context-aware ad recommendation engines: the
-// exhaustive RS baseline, the inverted-list IL baseline, and the incremental
-// CAP engine (the reconstructed contribution of the target paper). All three
-// compute the same scoring function and return identical top-k results; they
-// differ only in the work they do per feed event and per query.
+// incremental CAP engine (the reconstructed contribution of the target paper),
+// which the caar facade serves, and the paper's two baselines, the exhaustive
+// RS and the inverted-list IL, which the evaluation (internal/experiments)
+// drives directly and the tests use as oracles. All three compute the same
+// scoring function and return identical top-k results; they differ only in
+// the work they do per feed event and per query.
 package core
 
 import (
@@ -88,9 +90,9 @@ type Scored struct {
 	Bid   float64 // GammaBid·Bid component
 }
 
-// Recommender is the interface all three engines implement. Methods are not
-// safe for concurrent use; the public facade serializes access (or shards
-// users across engine instances).
+// Recommender is the interface all three engines implement, and what the
+// evaluation harness drives. Methods are not safe for concurrent use; the
+// public facade serializes access to each of its CAP shards.
 type Recommender interface {
 	// AddUser registers a user with an empty feed window.
 	AddUser(u feed.UserID)
@@ -114,23 +116,3 @@ type Recommender interface {
 
 // ErrUnknownUser reports an operation on an unregistered user.
 var ErrUnknownUser = errors.New("core: unknown user")
-
-// Shardable extends Recommender with what an engine needs to be one shard of
-// several that share one (concurrency-safe) ad store and one AdIndex: the
-// facade adds the ad to the store and the AdIndex once, holding every shard
-// lock, and then tells each shard.
-type Shardable interface {
-	Recommender
-	// RegisterAd brings the shard's per-user state up to an ad the store and
-	// the AdIndex have just registered.
-	RegisterAd(a *adstore.Ad)
-	// UnregisterAd drops an ad the AdIndex has just unregistered from the
-	// shard's per-user state.
-	UnregisterAd(id adstore.AdID)
-	// AppendTopAds is TopAds appending the answer to dst, which it grows
-	// only when dst has no room for k more.
-	AppendTopAds(dst []Scored, u feed.UserID, k int, t time.Time) ([]Scored, error)
-	// LastQuery returns the record of the last TopAds: its stage spans and
-	// answer path.
-	LastQuery() Query
-}

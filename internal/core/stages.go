@@ -2,14 +2,13 @@ package core
 
 import "time"
 
-// Stage names one phase of a TopAds query, for per-stage latency spans.
-// The decomposition follows the serving pipeline all three engines share,
-// even though they distribute the work differently:
+// Stage names one phase of a CAP TopAds query, for the facade's per-stage
+// latency spans:
 //
-//   - StageRetrieve — obtaining the text-relevant candidate set. IL pays an
-//     inverted-index walk per query here; CAP reads its pre-materialized
-//     candidate buffer (the paper's contribution is precisely that this
-//     stage collapses to ~0); RS has no retrieval structure at all.
+//   - StageRetrieve — obtaining the text-relevant candidate set. CAP reads
+//     its pre-materialized candidate buffer, or its view, where IL would walk
+//     the inverted index per query: the paper's contribution is precisely
+//     that this stage collapses to ~0.
 //   - StageScore — eligibility gating (slot, geo, budget) plus scoring of
 //     every candidate, including the spatial/static remainder from the
 //     grid index, feeding the top-k collector.
@@ -35,16 +34,18 @@ type Span struct {
 	In, Out int
 }
 
-// Query is an engine's record of its last TopAds: one span per stage, and
-// how CAP answered it — "view" or "rerank" ("" for RS and IL). Every answer
-// path writes all of it, so it is valid after every TopAds that succeeded,
-// until the next; callers read it under the lock that serialized the query.
+// Query is CAP's record of its last TopAds: one span per stage, and how it
+// was answered — "view" or "rerank". Every answer path writes all of it, so
+// it is valid after every TopAds that succeeded, until the next; callers read
+// it under the lock that serialized the query. The baselines time nothing,
+// so the clock reads stay out of the evaluation's baseline timings; theirs is
+// the zero Query.
 type Query struct {
 	Stages [NumStages]Span
 	Path   string
 }
 
-// LastQuery implements Shardable.
+// LastQuery returns the record of the last TopAds.
 func (b *base) LastQuery() Query { return b.last }
 
 // stageDone records a stage as ending now and returns now, the start point

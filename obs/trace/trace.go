@@ -74,7 +74,7 @@ type PolicyAction struct {
 // single goroutine while the request runs and must not be mutated after it
 // is submitted to a Store, where concurrent readers may hold it.
 //
-// The request facts (Algorithm, Shard, LockWaitSeconds) are typed fields:
+// The request facts (Path, Shard, LockWaitSeconds) are typed fields:
 // recording them is a plain store with no map or formatting allocation,
 // which keeps full-rate tracing cheap enough to leave on.
 type Trace struct {
@@ -84,8 +84,6 @@ type Trace struct {
 	At              time.Time `json:"at"`
 	Start           time.Time `json:"start"`
 	DurationSeconds float64   `json:"duration_seconds"`
-	// Algorithm is the engine variant that served the request (CAP/IL/RS).
-	Algorithm string `json:"algorithm,omitempty"`
 	// Path is how CAP answered: from the user's "view", or by a "rerank".
 	Path string `json:"path,omitempty"`
 	// Shard is the user shard the request was serialized on.

@@ -48,7 +48,6 @@ const snapshotVersion = 1
 
 type snapshotFile struct {
 	Version   int                `json:"version"`
-	Algorithm Algorithm          `json:"algorithm"`
 	Vocab     snapshotVocab      `json:"vocab"`
 	Users     []string           `json:"users"` // handles in internal-ID order
 	Edges     [][2]uint32        `json:"edges"` // (follower, followee) internal IDs
@@ -95,7 +94,7 @@ func (e *Engine) Snapshot(w io.Writer) error {
 	defer e.lockShards()()
 	d := e.dir.Load()
 
-	sf := snapshotFile{Version: snapshotVersion, Algorithm: e.Algorithm()}
+	sf := snapshotFile{Version: snapshotVersion}
 	sf.Vocab.Terms, sf.Vocab.DF, sf.Vocab.Docs = e.pipeline.Vocab.Snapshot()
 	sf.Users = append([]string(nil), d.names...)
 
@@ -300,10 +299,7 @@ func SnapshotExists(path string) bool {
 	return err == nil
 }
 
-// Restore opens a fresh engine from cfg and loads a snapshot into it. The
-// snapshot's algorithm is informational; cfg.Algorithm decides the engine
-// actually built (so a snapshot taken with CAP can be reopened with RS for
-// debugging).
+// Restore opens a fresh engine from cfg and loads a snapshot into it.
 func Restore(cfg Config, r io.Reader) (*Engine, error) {
 	var sf snapshotFile
 	dec := json.NewDecoder(r)

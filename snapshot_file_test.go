@@ -1,6 +1,7 @@
 package caar
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
@@ -148,5 +149,28 @@ func TestLoadSnapshotLegacyWithoutTrailer(t *testing.T) {
 	}
 	if got := loaded.Stats().Users; got != 2 {
 		t.Fatalf("loaded %d users, want 2 (previous snapshot)", got)
+	}
+}
+
+// TestLoadSnapshotWithAlgorithmField: snapshots written while the facade
+// could run RS or IL name their engine ("algorithm": "CAP"). The fixture is
+// such a file, saved from buildSnapshotFixture's state; json.Decoder skips
+// the key and the trailer sums the bytes as written, so it loads, with the
+// same users, edges, campaigns (spend included) and ads as that state.
+func TestLoadSnapshotWithAlgorithmField(t *testing.T) {
+	path := filepath.Join("testdata", "snapshot_with_algorithm.snap")
+	loaded, src, err := LoadSnapshot(testConfig(), path)
+	if err != nil || src != path {
+		t.Fatalf("loaded %q: %v", src, err)
+	}
+	var want, got bytes.Buffer
+	if err := buildSnapshotFixture(t).Snapshot(&want); err != nil {
+		t.Fatal(err)
+	}
+	if err := loaded.Snapshot(&got); err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want.String() {
+		t.Fatalf("restored state differs from the state saved:\n%s\nwant:\n%s", got.String(), want.String())
 	}
 }

@@ -7,10 +7,9 @@
 // follower graph, and user check-ins — and continuously knows, for every
 // user, the top-k advertisements most relevant to the user's current
 // context: what they are reading now (a decayed window over their feed),
-// where they are, and what time of day it is. Three interchangeable
-// algorithms are provided: the incremental CAP engine (the paper's
-// contribution, default), and the RS and IL baselines used in the
-// evaluation.
+// where they are, and what time of day it is. It serves the incremental CAP
+// engine, the paper's contribution; the RS and IL baselines of the
+// evaluation live in internal/core, beside it.
 //
 // Basic use:
 //
@@ -27,21 +26,6 @@ import (
 	"time"
 
 	"caar/internal/timeslot"
-)
-
-// Algorithm selects the recommendation engine.
-type Algorithm string
-
-// Available algorithms.
-const (
-	// AlgorithmCAP is the incremental Context-aware Ad Publishing engine —
-	// the paper's contribution and the default.
-	AlgorithmCAP Algorithm = "CAP"
-	// AlgorithmIL is the inverted-list baseline: exact per-query index
-	// evaluation with no incremental reuse.
-	AlgorithmIL Algorithm = "IL"
-	// AlgorithmRS is the exhaustive re-scan baseline.
-	AlgorithmRS Algorithm = "RS"
 )
 
 // Slot is a coarse time-of-day bucket for ad targeting.
@@ -149,10 +133,10 @@ type Stats struct {
 	CheckIns       uint64
 	Shards         int
 	// CandidateBufferEntries is the total CAP candidate-buffer size across
-	// users as materialised (0 for other algorithms): a feed nobody has read
-	// for a window's worth of deliveries holds no buffer.
+	// users as materialised: a feed nobody has read for a window's worth of
+	// deliveries holds no buffer.
 	CandidateBufferEntries int
 	// CachedMessages is the number of messages whose shared delta list some
-	// read user's buffer may still need (CAP with fan-out sharing only).
+	// read user's buffer may still need.
 	CachedMessages int
 }
