@@ -601,8 +601,8 @@ func (e *Engine) PostBatch(reqs []PostRequest) []error {
 		// Telemetry strictly after successful delivery (a failed deliver used
 		// to leave phantom terms in Trending and /v1/hot?dim=terms).
 		e.trends.observe(timeslot.Of(reqs[i].At), msgs[i].Vec)
-		for term := range msgs[i].Vec {
-			e.hot.RecordKey(hotkey.DimTerms, uint64(term), 1)
+		for _, t := range msgs[i].Vec {
+			e.hot.RecordKey(hotkey.DimTerms, uint64(t.ID), 1)
 		}
 	}
 	return errs

@@ -252,12 +252,14 @@ func TestRemoveAdDisappears(t *testing.T) {
 	}
 }
 
-// roundRecs quantizes scores so cross-engine float noise cannot fail the
-// comparison.
-func roundRecs(recs []Recommendation) []string {
+// recStrings renders recommendations with their exact scores (%v prints the
+// shortest decimal that parses back to the same float), so two engines whose
+// answers compare equal agree to the bit: every sum over terms runs in one
+// order (textproc.SparseVector), whatever the shard count or batching.
+func recStrings(recs []Recommendation) []string {
 	out := make([]string, len(recs))
 	for i, r := range recs {
-		out[i] = fmt.Sprintf("%s:%.6f", r.AdID, r.Score)
+		out[i] = fmt.Sprintf("%s:%v", r.AdID, r.Score)
 	}
 	return out
 }
@@ -286,7 +288,7 @@ func TestShardedEngineMatchesSingle(t *testing.T) {
 			if err != nil {
 				panic(err)
 			}
-			out = append(out, roundRecs(recs)...)
+			out = append(out, recStrings(recs)...)
 		}
 		return out
 	}

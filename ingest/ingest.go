@@ -30,6 +30,7 @@ import (
 
 	caar "caar"
 	"caar/internal/ring"
+	"caar/internal/timeslot"
 	"caar/journal"
 	"caar/obs"
 )
@@ -156,7 +157,7 @@ func (p *Pipeline) SubmitCheckIn(user string, lat, lng float64, at time.Time) er
 }
 
 func (p *Pipeline) submit(e journal.Entry) error {
-	if err := journal.CheckTime(e.At); err != nil {
+	if err := timeslot.CheckTime(e.At); err != nil {
 		return err
 	}
 	// The producer count brackets only the closed-check-to-push window so

@@ -124,6 +124,9 @@ func NewCampaign(name string, budget float64, start, end time.Time) (*Campaign, 
 	if !end.After(start) {
 		return nil, fmt.Errorf("adstore: campaign %q flight end %v not after start %v", name, end, start)
 	}
+	if err := errors.Join(timeslot.CheckTime(start), timeslot.CheckTime(end)); err != nil {
+		return nil, fmt.Errorf("adstore: campaign %q flight: %w", name, err)
+	}
 	return &Campaign{Name: name, Budget: budget, Start: start, End: end}, nil
 }
 

@@ -16,7 +16,7 @@ var flightStart = time.Date(2026, 7, 6, 0, 0, 0, 0, time.UTC)
 func validAd(id AdID) *Ad {
 	return &Ad{
 		ID:     id,
-		Vec:    textproc.SparseVector{1: 0.6, 2: 0.8},
+		Vec:    textproc.SparseVector{{ID: 1, W: 0.6}, {ID: 2, W: 0.8}},
 		Target: geo.Circle{Center: geo.Point{Lat: 1.35, Lng: 103.82}, RadiusKm: 25},
 		Slots:  timeslot.AllSlots,
 		Bid:    0.5,
@@ -123,6 +123,11 @@ func TestCampaignValidation(t *testing.T) {
 		{"infinite budget", math.Inf(1), flightStart, end},
 		{"inverted flight", 10, end, flightStart},
 		{"zero-length flight", 10, flightStart, flightStart},
+		// Times a snapshot cannot encode (RFC 3339): accepted, they would fail
+		// every later Snapshot.
+		{"year-10000 end", 10, flightStart, time.Date(10000, 1, 1, 0, 0, 0, 0, time.UTC)},
+		{"year -1 start", 10, time.Date(-1, 1, 1, 0, 0, 0, 0, time.UTC), end},
+		{"25h zone offset", 10, flightStart, end.In(time.FixedZone("far", 25*3600))},
 	} {
 		if _, err := NewCampaign("c", c.budget, c.start, c.end); err == nil {
 			t.Errorf("%s accepted", c.name)

@@ -48,13 +48,13 @@ func TestSharedDeltaListComputedOnce(t *testing.T) {
 			}
 		}
 	}
-	deliverAll(1, base0, textproc.SparseVector{1: 1})
+	deliverAll(1, base0, textproc.SparseVector{{ID: 1, W: 1}})
 	for i, e := range shards { // warm every user
 		if _, err := e.TopAds(feed.UserID(i), 3, base0); err != nil {
 			t.Fatal(err)
 		}
 	}
-	msg := feed.Message{ID: 2, Time: base0.Add(time.Second), Vec: textproc.SparseVector{2: 1, 3: 0.5}}
+	msg := feed.Message{ID: 2, Time: base0.Add(time.Second), Vec: textproc.SparseVector{{ID: 2, W: 1}, {ID: 3, W: 0.5}}}
 	deliverAll(msg.ID, msg.Time, msg.Vec)
 	mc := shards[0].held[msg.ID].mc
 	for i, e := range shards {
@@ -89,7 +89,7 @@ func TestSharedDeltaListComputedOnce(t *testing.T) {
 	}
 
 	for j := range s.WindowCap + 1 { // nobody reads: every buffer turns cold
-		deliverAll(feed.MessageID(3+j), msg.Time.Add(time.Duration(j+1)*time.Second), textproc.SparseVector{4: 1})
+		deliverAll(feed.MessageID(3+j), msg.Time.Add(time.Duration(j+1)*time.Second), textproc.SparseVector{{ID: 4, W: 1}})
 	}
 	if n := ads.CachedMessages(); n != 0 {
 		t.Fatalf("%d messages cached after every buffer turned cold", n)

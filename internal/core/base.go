@@ -42,15 +42,15 @@ func newBase(s Scoring, store *adstore.Store) (*base, error) {
 		scoring: s,
 		store:   store,
 		users:   make(map[feed.UserID]*userState),
-		ctx:     textproc.SparseVector{},
 	}, nil
 }
 
 // context sums a user's window aggregate into the engine's reusable vector
 // and returns it with the factor that takes it to time q. The vector is valid
 // until the next call.
-func (b *base) context(st *userState, q time.Time) (textproc.SparseVector, float64) {
-	return b.ctx, st.win.Aggregate(b.ctx, q)
+func (b *base) context(st *userState, q time.Time) (_ textproc.SparseVector, factor float64) {
+	b.ctx, factor = st.win.Aggregate(b.ctx, q)
+	return b.ctx, factor
 }
 
 // WindowStats reports the number of registered users and the total count of

@@ -9,7 +9,6 @@ import (
 	"caar/internal/adstore"
 	"caar/internal/feed"
 	"caar/internal/geo"
-	"caar/internal/textproc"
 	"caar/internal/timeslot"
 )
 
@@ -38,7 +37,7 @@ func benchSetup(b *testing.B, name string, nUsers, nAds int) (Recommender, *rand
 	for i := 0; i < nUsers*4; i++ {
 		now = now.Add(time.Second)
 		msgID++
-		msg := feed.Message{ID: msgID, Time: now, Vec: randVecB(rng, 8, 2000)}
+		msg := feed.Message{ID: msgID, Time: now, Vec: randVec(rng, 8, 2000)}
 		fanout := []feed.UserID{feed.UserID(i % nUsers), feed.UserID((i + 1) % nUsers)}
 		if err := eng.Deliver(msg, fanout); err != nil {
 			b.Fatal(err)
@@ -65,19 +64,10 @@ func defaultBenchScoring() Scoring {
 	return s
 }
 
-func randVecB(rng *rand.Rand, n, vocab int) textproc.SparseVector {
-	v := textproc.SparseVector{}
-	for i := 0; i < n; i++ {
-		v[textproc.TermID(rng.Intn(vocab))] = 0.1 + rng.Float64()
-	}
-	v.L2Normalize()
-	return v
-}
-
 func randAdB(rng *rand.Rand, id adstore.AdID) *adstore.Ad {
 	a := &adstore.Ad{
 		ID:    id,
-		Vec:   randVecB(rng, 6, 2000),
+		Vec:   randVec(rng, 6, 2000),
 		Slots: timeslot.AllSlots,
 		Bid:   0.05 + 0.95*rng.Float64(),
 	}
@@ -121,7 +111,7 @@ func BenchmarkDeliver(b *testing.B) {
 				msg := feed.Message{
 					ID:   feed.MessageID(1<<30 + i),
 					Time: now,
-					Vec:  randVecB(rng, 8, 2000),
+					Vec:  randVec(rng, 8, 2000),
 				}
 				if err := eng.Deliver(msg, fanout); err != nil {
 					b.Fatal(err)
@@ -176,7 +166,7 @@ func BenchmarkContinuousRefresh(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				now = now.Add(time.Second)
-				msg := feed.Message{ID: feed.MessageID(1<<30 + i), Time: now, Vec: randVecB(rng, 8, 2000)}
+				msg := feed.Message{ID: feed.MessageID(1<<30 + i), Time: now, Vec: randVec(rng, 8, 2000)}
 				if err := eng.Deliver(msg, fanout); err != nil {
 					b.Fatal(err)
 				}
@@ -215,7 +205,7 @@ func BenchmarkRepeatedReader(b *testing.B) {
 				b.StopTimer()
 				for j := 0; j < 5; j++ {
 					now = now.Add(time.Second)
-					msg := feed.Message{ID: feed.MessageID(1<<30 + 5*i + j), Time: now, Vec: randVecB(rng, 8, 2000)}
+					msg := feed.Message{ID: feed.MessageID(1<<30 + 5*i + j), Time: now, Vec: randVec(rng, 8, 2000)}
 					if err := eng.Deliver(msg, readers); err != nil {
 						b.Fatal(err)
 					}
@@ -272,7 +262,7 @@ func BenchmarkRegisterAd(b *testing.B) {
 				for j := range followers {
 					followers[j] = feed.UserID((i*fanout + j) % users)
 				}
-				msg := feed.Message{ID: feed.MessageID(i + 1), Time: now, Vec: randVecB(rng, 8, 2000)}
+				msg := feed.Message{ID: feed.MessageID(i + 1), Time: now, Vec: randVec(rng, 8, 2000)}
 				if err := e.Deliver(msg, followers); err != nil {
 					b.Fatal(err)
 				}

@@ -24,7 +24,7 @@ func newTestCAP(t *testing.T, opts CAPOptions) *CAP {
 func simpleAd(id adstore.AdID, term textproc.TermID, bid float64) *adstore.Ad {
 	return &adstore.Ad{
 		ID:     id,
-		Vec:    textproc.SparseVector{term: 1},
+		Vec:    textproc.SparseVector{{ID: term, W: 1}},
 		Global: true,
 		Slots:  timeslot.AllSlots,
 		Bid:    bid,
@@ -32,7 +32,7 @@ func simpleAd(id adstore.AdID, term textproc.TermID, bid float64) *adstore.Ad {
 }
 
 func post(id feed.MessageID, at time.Time, term textproc.TermID, w float64) feed.Message {
-	return feed.Message{ID: id, Time: at, Vec: textproc.SparseVector{term: w}}
+	return feed.Message{ID: id, Time: at, Vec: textproc.SparseVector{{ID: term, W: w}}}
 }
 
 func TestCAPBufferGrowsAndShrinks(t *testing.T) {
@@ -189,14 +189,14 @@ func TestCAPGeoTargetedRanking(t *testing.T) {
 	e.AddUser(1)
 	near := &adstore.Ad{
 		ID:     1,
-		Vec:    textproc.SparseVector{7: 1},
+		Vec:    textproc.SparseVector{{ID: 7, W: 1}},
 		Target: geo.Circle{Center: geo.Point{Lat: 5, Lng: 5}, RadiusKm: 100},
 		Slots:  timeslot.AllSlots,
 		Bid:    0.1,
 	}
 	far := &adstore.Ad{
 		ID:     2,
-		Vec:    textproc.SparseVector{7: 1},
+		Vec:    textproc.SparseVector{{ID: 7, W: 1}},
 		Target: geo.Circle{Center: geo.Point{Lat: 9, Lng: 9}, RadiusKm: 100},
 		Slots:  timeslot.AllSlots,
 		Bid:    0.1,

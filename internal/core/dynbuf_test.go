@@ -184,7 +184,7 @@ func TestCAPBackfillKeepsCachedDeltasSorted(t *testing.T) {
 	e.AddUser(1)
 	e.AddAd(simpleAd(10, 7, 0.5))
 	now := base0
-	deliver(t, e, 1, now, textproc.SparseVector{7: 1})
+	deliver(t, e, 1, now, textproc.SparseVector{{ID: 7, W: 1}})
 	for _, id := range []adstore.AdID{30, 20, 5} { // not ascending
 		if err := e.AddAd(simpleAd(id, 7, 0.5)); err != nil {
 			t.Fatal(err)
@@ -196,7 +196,7 @@ func TestCAPBackfillKeepsCachedDeltasSorted(t *testing.T) {
 	// Six posts on another term fill the window and evict message 1.
 	for i := 0; i < 6; i++ {
 		now = now.Add(time.Minute)
-		deliver(t, e, feed.MessageID(2+i), now, textproc.SparseVector{8: 1})
+		deliver(t, e, feed.MessageID(2+i), now, textproc.SparseVector{{ID: 8, W: 1}})
 	}
 	if got := e.BufferSize(1); got != 0 {
 		t.Fatalf("%d ads still buffered after their only message left the window: %+v", got, e.users[1].buf.e)

@@ -73,12 +73,17 @@ func makeEngines(t *testing.T, s Scoring, store *adstore.Store) (engines []Recom
 	return engines, register, unregister
 }
 
+// randVec draws a unit vector of up to nTerms terms over IDs [0, vocab).
 func randVec(rng *rand.Rand, nTerms, vocab int) textproc.SparseVector {
-	v := textproc.SparseVector{}
-	for i := 0; i < nTerms; i++ {
-		v[textproc.TermID(rng.Intn(vocab))] = 0.1 + rng.Float64()
+	terms := make([]textproc.Term, nTerms)
+	for i := range terms {
+		terms[i] = textproc.Term{ID: textproc.TermID(rng.Intn(vocab)), W: 0.1 + rng.Float64()}
 	}
-	v.L2Normalize()
+	v := textproc.NewVector(terms)
+	norm := math.Sqrt(v.Dot(v))
+	for i := range v {
+		v[i].W /= norm
+	}
 	return v
 }
 
@@ -106,7 +111,13 @@ func randAd(rng *rand.Rand, id adstore.AdID) *adstore.Ad {
 
 // scoresCompatible verifies an engine's result against the oracle (RS)
 // result: same length, pairwise-equal scores within tolerance (membership
-// may differ only between score ties).
+// may differ only between score ties). The tolerance is not map-order noise —
+// every sum over terms runs in ascending term order — but different
+// arithmetic: RS sums the window into one aggregate and takes its dot
+// product, IL and CAP add per-message products scaled by decay weights, and
+// CAP's buffers are updated incrementally, so they drift by rounding until a
+// rebuild. Equal arithmetic is compared to the bit (the facade's shard and
+// replay tests).
 func scoresCompatible(oracle, got []Scored, tol float64) error {
 	if len(oracle) != len(got) {
 		return fmt.Errorf("length %d != oracle %d", len(got), len(oracle))
@@ -303,7 +314,7 @@ func TestAggregateIsSummedIntoReusedVector(t *testing.T) {
 			}
 		})
 	}
-	deliver(textproc.SparseVector{7: 1})
+	deliver(textproc.SparseVector{{ID: 7, W: 1}})
 	before := make([]float64, len(engines))
 	for i, e := range engines {
 		before[i] = allocs(e)
@@ -331,7 +342,7 @@ func TestUnknownUserErrors(t *testing.T) {
 		if err := e.CheckIn(99, geo.Point{Lat: 5, Lng: 5}, base0); !errors.Is(err, ErrUnknownUser) {
 			t.Errorf("%T CheckIn unknown user = %v", e, err)
 		}
-		msg := feed.Message{ID: 1, Time: base0, Vec: textproc.SparseVector{1: 1}}
+		msg := feed.Message{ID: 1, Time: base0, Vec: textproc.SparseVector{{ID: 1, W: 1}}}
 		if err := e.Deliver(msg, []feed.UserID{99}); !errors.Is(err, ErrUnknownUser) {
 			t.Errorf("%T Deliver unknown follower = %v", e, err)
 		}

@@ -317,18 +317,18 @@ func wantPath(t *testing.T, e *CAP, wantView, wantRerank uint64) {
 func TestViewAnswersUntilADeliveryRaisesAnOutsider(t *testing.T) {
 	e := viewFixture(t, DefaultCAPOptions())
 	e.AddAd(simpleAd(9, 2, 0.1)) // text-only outsider
-	deliver(t, e, 1, base0, textproc.SparseVector{1: 1})
+	deliver(t, e, 1, base0, textproc.SparseVector{{ID: 1, W: 1}})
 	sameAsFullRanking(t, e, 1, base0)
 	wantPath(t, e, 0, 1) // the first query builds the view
 
 	// A message that moves nothing near the top: answered from the view.
-	deliver(t, e, 2, base0.Add(time.Minute), textproc.SparseVector{2: 0.01})
+	deliver(t, e, 2, base0.Add(time.Minute), textproc.SparseVector{{ID: 2, W: 0.01}})
 	sameAsFullRanking(t, e, 1, base0.Add(time.Minute))
 	wantPath(t, e, 1, 1)
 
 	// A message that lifts the outsider past everything tracked: the view
 	// notes it, scores it, and still answers.
-	deliver(t, e, 3, base0.Add(2*time.Minute), textproc.SparseVector{2: 5})
+	deliver(t, e, 3, base0.Add(2*time.Minute), textproc.SparseVector{{ID: 2, W: 5}})
 	if top := sameAsFullRanking(t, e, 1, base0.Add(2*time.Minute)); top[0].Ad != 9 {
 		t.Fatalf("top ad %d, want the raised outsider 9", top[0].Ad)
 	}
@@ -339,7 +339,7 @@ func TestViewDroppedByCheckIn(t *testing.T) {
 	e := viewFixture(t, DefaultCAPOptions())
 	// Eligible only near (9, 9); the user starts at (1, 1).
 	if err := e.AddAd(&adstore.Ad{
-		ID: 9, Vec: textproc.SparseVector{1: 1}, Slots: timeslot.AllSlots, Bid: 1,
+		ID: 9, Vec: textproc.SparseVector{{ID: 1, W: 1}}, Slots: timeslot.AllSlots, Bid: 1,
 		Target: geo.Circle{Center: geo.Point{Lat: 9, Lng: 9}, RadiusKm: 50},
 	}); err != nil {
 		t.Fatal(err)
@@ -347,7 +347,7 @@ func TestViewDroppedByCheckIn(t *testing.T) {
 	if err := e.CheckIn(1, geo.Point{Lat: 1, Lng: 1}, base0); err != nil {
 		t.Fatal(err)
 	}
-	deliver(t, e, 1, base0, textproc.SparseVector{1: 1})
+	deliver(t, e, 1, base0, textproc.SparseVector{{ID: 1, W: 1}})
 	sameAsFullRanking(t, e, 1, base0)
 
 	if err := e.CheckIn(1, geo.Point{Lat: 9, Lng: 9}, base0); err != nil {
@@ -363,7 +363,7 @@ func TestViewDroppedByCheckIn(t *testing.T) {
 // serves it; one registered below the bound leaves the view alone.
 func TestViewNotesARegisteredAd(t *testing.T) {
 	e := viewFixture(t, DefaultCAPOptions())
-	deliver(t, e, 1, base0, textproc.SparseVector{1: 1})
+	deliver(t, e, 1, base0, textproc.SparseVector{{ID: 1, W: 1}})
 	sameAsFullRanking(t, e, 1, base0)
 	v := e.users[1].buf.view
 
@@ -406,7 +406,7 @@ func TestViewWithoutABoundNotesEveryRegisteredAd(t *testing.T) {
 	for id := adstore.AdID(1); id <= 3; id++ {
 		e.AddAd(simpleAd(id, 1, 1-0.1*float64(id)))
 	}
-	deliver(t, e, 1, base0, textproc.SparseVector{1: 1})
+	deliver(t, e, 1, base0, textproc.SparseVector{{ID: 1, W: 1}})
 	sameAsFullRanking(t, e, 4, base0)
 	if err := e.AddAd(simpleAd(9, 2, 0.01)); err != nil {
 		t.Fatal(err)
@@ -424,7 +424,7 @@ func TestViewDroppedByAdRemoval(t *testing.T) {
 	e := viewFixture(t, DefaultCAPOptions())
 	// No ad carries term 3: the ranking is by bid alone, so the ad about
 	// to go leads without any help from the buffer.
-	deliver(t, e, 1, base0, textproc.SparseVector{3: 1})
+	deliver(t, e, 1, base0, textproc.SparseVector{{ID: 3, W: 1}})
 	if top := sameAsFullRanking(t, e, 1, base0); top[0].Ad != 1 {
 		t.Fatalf("top ad %d, want 1", top[0].Ad)
 	}
@@ -464,14 +464,14 @@ func TestViewDroppedBySlotChange(t *testing.T) {
 	e.AddAd(morningOnly)
 
 	at := base0.Add(4*time.Hour + 50*time.Minute) // 12:50, morning
-	deliver(t, e, 1, at, textproc.SparseVector{1: 1})
+	deliver(t, e, 1, at, textproc.SparseVector{{ID: 1, W: 1}})
 	if top := sameAsFullRanking(t, e, 1, at); top[0].Ad != 10 {
 		t.Fatalf("morning top ad %d, want the morning-only ad 10", top[0].Ad)
 	}
 	// 13:10, afternoon. The message lifts every ad alike, which keeps the
 	// morning's tracked set well above its bound.
 	at = at.Add(20 * time.Minute)
-	deliver(t, e, 2, at, textproc.SparseVector{1: 1})
+	deliver(t, e, 2, at, textproc.SparseVector{{ID: 1, W: 1}})
 	if top := sameAsFullRanking(t, e, 1, at); top[0].Ad != 9 {
 		t.Fatalf("afternoon top ad %d, want the afternoon-only ad 9", top[0].Ad)
 	}
@@ -484,7 +484,7 @@ func TestViewNotUsedBeforeWindowReference(t *testing.T) {
 	e := viewFixture(t, DefaultCAPOptions())
 	e.AddAd(simpleAd(9, 2, 0.1)) // text-only outsider
 	ref := base0.Add(time.Hour)
-	deliver(t, e, 1, ref, textproc.SparseVector{1: 1})
+	deliver(t, e, 1, ref, textproc.SparseVector{{ID: 1, W: 1}})
 	// Built for a query an hour before the reference (two half-lives: ×4).
 	sameAsFullRanking(t, e, 1, base0)
 
@@ -492,7 +492,7 @@ func TestViewNotUsedBeforeWindowReference(t *testing.T) {
 	// score stays under the bound, so it is not noted; at the message's own
 	// time it is twice that and leads.
 	at := base0.Add(30 * time.Minute)
-	deliver(t, e, 2, at, textproc.SparseVector{1: 3, 2: 6.5})
+	deliver(t, e, 2, at, textproc.SparseVector{{ID: 1, W: 3}, {ID: 2, W: 6.5}})
 	if len(e.users[1].buf.view.noted) != 0 {
 		t.Fatalf("the scenario needs the outsider to go unnoted, noted %v", e.users[1].buf.view.noted)
 	}
@@ -506,7 +506,7 @@ func TestViewNotUsedBeforeWindowReference(t *testing.T) {
 func TestViewNotUsedBeforeItsOwnTime(t *testing.T) {
 	e := viewFixture(t, DefaultCAPOptions())
 	e.AddAd(simpleAd(9, 2, 0.1)) // text-only outsider
-	deliver(t, e, 1, base0, textproc.SparseVector{2: 0.4})
+	deliver(t, e, 1, base0, textproc.SparseVector{{ID: 2, W: 0.4}})
 	// An hour ahead the outsider's text is a quarter and it sits under the
 	// static-heavy five; now it leads.
 	sameAsFullRanking(t, e, 1, base0.Add(time.Hour))
@@ -519,12 +519,12 @@ func TestViewDroppedByExactRebuild(t *testing.T) {
 	// The first delivery finds no buffer and the read after it builds one, so
 	// the count to 2 starts with the second.
 	e := viewFixture(t, CAPOptions{FanoutSharing: true, RebuildEvery: 2})
-	deliver(t, e, 1, base0, textproc.SparseVector{1: 1})
+	deliver(t, e, 1, base0, textproc.SparseVector{{ID: 1, W: 1}})
 	sameAsFullRanking(t, e, 1, base0)
-	deliver(t, e, 2, base0, textproc.SparseVector{3: 1})
+	deliver(t, e, 2, base0, textproc.SparseVector{{ID: 3, W: 1}})
 	sameAsFullRanking(t, e, 1, base0)
 	wantPath(t, e, 1, 1)
-	deliver(t, e, 3, base0, textproc.SparseVector{3: 1}) // third update: rebuilt
+	deliver(t, e, 3, base0, textproc.SparseVector{{ID: 3, W: 1}}) // third update: rebuilt
 	sameAsFullRanking(t, e, 1, base0)
 	wantPath(t, e, 1, 2)
 }
@@ -537,16 +537,16 @@ func TestViewDroppedByRenormalization(t *testing.T) {
 	for id := adstore.AdID(1); id <= 3; id++ {
 		e.AddAd(simpleAd(id, 1, 1-0.1*float64(id)))
 	}
-	deliver(t, e, 1, base0, textproc.SparseVector{1: 1})
+	deliver(t, e, 1, base0, textproc.SparseVector{{ID: 1, W: 1}})
 	sameAsFullRanking(t, e, 1, base0)
-	deliver(t, e, 2, base0.Add(time.Minute), textproc.SparseVector{3: 1})
+	deliver(t, e, 2, base0.Add(time.Minute), textproc.SparseVector{{ID: 3, W: 1}})
 	sameAsFullRanking(t, e, 1, base0.Add(time.Minute))
 	wantPath(t, e, 1, 1)
 
 	// Eleven idle days at a 30-minute half-life age the buffer by e^-366:
 	// under the 1e-150 floor, short of the flush to zero.
 	later := base0.Add(11 * 24 * time.Hour)
-	deliver(t, e, 3, later, textproc.SparseVector{3: 1})
+	deliver(t, e, 3, later, textproc.SparseVector{{ID: 3, W: 1}})
 	e.BufferSize(1)
 	if e.users[1].buf.scale != 1 || len(e.users[1].buf.e) == 0 {
 		t.Fatalf("scale %v with %d entries: the scenario needs a renormalized, non-empty buffer", e.users[1].buf.scale, len(e.users[1].buf.e))
@@ -579,7 +579,7 @@ func budgetFixture(t *testing.T, budgeted int) (*CAP, *adstore.Store) {
 			t.Fatal(err)
 		}
 	}
-	deliver(t, e, 1, base0, textproc.SparseVector{1: 1})
+	deliver(t, e, 1, base0, textproc.SparseVector{{ID: 1, W: 1}})
 	return e, store
 }
 
@@ -644,20 +644,20 @@ func TestViewTieWithBoundForcesRerank(t *testing.T) {
 			a.Campaign = "later"
 		}
 		if id == 30 {
-			a.Vec = textproc.SparseVector{1: 1}
+			a.Vec = textproc.SparseVector{{ID: 1, W: 1}}
 		}
 		if err := e.AddAd(a); err != nil {
 			t.Fatal(err)
 		}
 	}
-	deliver(t, e, 1, base0, textproc.SparseVector{1: 1})
+	deliver(t, e, 1, base0, textproc.SparseVector{{ID: 1, W: 1}})
 	if top := sameAsFullRanking(t, e, 1, base0); top[0].Ad != 30 {
 		t.Fatalf("top ad %d, want 30", top[0].Ad)
 	}
 	// Push ad 30's message out of the six-message window: it falls back to
 	// the static score everything else has.
 	for i := 0; i < 6; i++ {
-		deliver(t, e, feed.MessageID(2+i), base0, textproc.SparseVector{3: 1})
+		deliver(t, e, feed.MessageID(2+i), base0, textproc.SparseVector{{ID: 3, W: 1}})
 	}
 	if top := sameAsFullRanking(t, e, 1, base0); top[0].Ad != 25 {
 		t.Fatalf("top ad %d, want 25 (ties 30 on score, smaller ID)", top[0].Ad)
@@ -670,7 +670,7 @@ func TestViewTieWithBoundForcesRerank(t *testing.T) {
 // refresher's next call still finds its view.
 func TestViewAnswersAnotherK(t *testing.T) {
 	e := viewFixture(t, DefaultCAPOptions())
-	deliver(t, e, 1, base0, textproc.SparseVector{1: 1})
+	deliver(t, e, 1, base0, textproc.SparseVector{{ID: 1, W: 1}})
 	sameAsFullRanking(t, e, 1, base0)
 	wantPath(t, e, 0, 1)
 	if top := sameAsFullRanking(t, e, 3, base0); len(top) != 3 {
@@ -690,7 +690,7 @@ func TestViewAnswersAnotherK(t *testing.T) {
 // reader taking turns do not rebuild it for each other.
 func TestViewRebuiltForADifferentK(t *testing.T) {
 	e := viewFixture(t, DefaultCAPOptions())
-	deliver(t, e, 1, base0, textproc.SparseVector{1: 1})
+	deliver(t, e, 1, base0, textproc.SparseVector{{ID: 1, W: 1}})
 	sameAsFullRanking(t, e, 1, base0)
 	if top := sameAsFullRanking(t, e, 4, base0); len(top) != 4 {
 		t.Fatalf("%d ads for k = 4", len(top))
@@ -700,7 +700,7 @@ func TestViewRebuiltForADifferentK(t *testing.T) {
 		t.Fatalf("view sized %d after a k = 4 re-rank, want %d", v.size, 4*viewSlack)
 	}
 	for i := 0; i < 3; i++ {
-		deliver(t, e, feed.MessageID(2+i), base0, textproc.SparseVector{2: 0.01})
+		deliver(t, e, feed.MessageID(2+i), base0, textproc.SparseVector{{ID: 2, W: 0.01}})
 		sameAsFullRanking(t, e, 1, base0)
 		sameAsFullRanking(t, e, 4, base0)
 	}
@@ -720,7 +720,7 @@ func TestViewRebuiltForADifferentK(t *testing.T) {
 // the classic way and leaves whatever view there is alone.
 func TestViewSkippedForALargeK(t *testing.T) {
 	e := viewFixture(t, DefaultCAPOptions())
-	deliver(t, e, 1, base0, textproc.SparseVector{1: 1})
+	deliver(t, e, 1, base0, textproc.SparseVector{{ID: 1, W: 1}})
 	large := viewMaxTracked/viewSlack + 1
 	if top := sameAsFullRanking(t, e, large, base0); len(top) != 5 {
 		t.Fatalf("%d ads for k = %d, want all 5", len(top), large)
@@ -767,13 +767,13 @@ func TestViewMemoryIsBounded(t *testing.T) {
 	}
 	// lift is a message that raises outsiders 101..last past everything tracked.
 	lift := func(last int) textproc.SparseVector {
-		vec := textproc.SparseVector{}
+		var vec textproc.SparseVector
 		for id := 101; id <= last; id++ {
-			vec[textproc.TermID(id)] = 5 + 0.01*float64(id) // no two alike: a tie with the bound would re-rank
+			vec = append(vec, textproc.Term{ID: textproc.TermID(id), W: 5 + 0.01*float64(id)}) // no two alike: a tie with the bound would re-rank
 		}
 		return vec
 	}
-	deliver(t, e, 1, base0, textproc.SparseVector{1: 1})
+	deliver(t, e, 1, base0, textproc.SparseVector{{ID: 1, W: 1}})
 	sameAsFullRanking(t, e, 2, base0)
 	// 60 joiners for a join room of 16.
 	deliver(t, e, 2, base0, lift(160))
@@ -802,7 +802,7 @@ func TestViewMemoryIsBounded(t *testing.T) {
 	for i := 0; i < 10000; i++ {
 		at = at.Add(time.Second)
 		id := textproc.TermID(101 + i%200)
-		deliver(t, e, feed.MessageID(4+i), at, textproc.SparseVector{id: 5, id + 1: 5, 1: 1})
+		deliver(t, e, feed.MessageID(4+i), at, textproc.SparseVector{{ID: 1, W: 1}, {ID: id, W: 5}, {ID: id + 1, W: 5}})
 		bounded("unread deliveries")
 		if e.users[1].buf.view == nil && dropped == 0 {
 			dropped = i + 1
@@ -820,7 +820,7 @@ func TestViewMemoryIsBounded(t *testing.T) {
 // allocates: the result slice and nothing else.
 func TestContinuousViewPathAllocations(t *testing.T) {
 	e := viewFixture(t, DefaultCAPOptions())
-	deliver(t, e, 1, base0, textproc.SparseVector{1: 1})
+	deliver(t, e, 1, base0, textproc.SparseVector{{ID: 1, W: 1}})
 	sameAsFullRanking(t, e, 1, base0)
 	allocs := testing.AllocsPerRun(100, func() {
 		if _, err := e.TopAds(1, 1, base0); err != nil {

@@ -64,15 +64,18 @@ func (w *Window) Push(m Message) (evicted Message, ok bool) {
 	return evicted, true
 }
 
-// Aggregate fills dst, cleared first, with the window's decayed term vector at
-// the reference time — Σ WeightAt(Ref − m.Time)·m.Vec over the resident
-// messages, oldest first — and returns the factor that takes it to query time
-// q, which is above 1 for a q before the reference.
-func (w *Window) Aggregate(dst textproc.SparseVector, q time.Time) (factor float64) {
-	clear(dst)
+// Aggregate returns the window's decayed term vector at the reference time,
+// Σ WeightAt(Ref − m.Time)·m.Vec over the resident messages, built in dst's
+// storage, and the factor that takes it to query time q, which is above 1 for
+// a q before the reference. Each term's weight is summed oldest message first.
+func (w *Window) Aggregate(dst textproc.SparseVector, q time.Time) (textproc.SparseVector, float64) {
+	dst = dst[:0]
 	for i := range w.n {
 		m := w.At(i)
-		dst.AddScaled(m.Vec, w.decay.WeightAt(w.ref.Sub(m.Time)))
+		s := w.decay.WeightAt(w.ref.Sub(m.Time))
+		for _, t := range m.Vec {
+			dst = append(dst, textproc.Term{ID: t.ID, W: t.W * s})
+		}
 	}
-	return w.decay.Between(w.ref, q)
+	return textproc.NewVector(dst), w.decay.Between(w.ref, q)
 }

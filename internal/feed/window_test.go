@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -14,18 +15,47 @@ import (
 var t0 = time.Date(2026, 7, 6, 8, 0, 0, 0, time.UTC)
 
 func msg(id int, author UserID, at time.Time, terms map[textproc.TermID]float64) Message {
-	vec := textproc.SparseVector{}
+	var vec []textproc.Term
 	for k, v := range terms {
-		vec[k] = v
+		vec = append(vec, textproc.Term{ID: k, W: v})
 	}
-	return Message{ID: MessageID(id), Author: author, Time: at, Vec: vec}
+	return Message{ID: MessageID(id), Author: author, Time: at, Vec: textproc.NewVector(vec)}
+}
+
+// scaled is ctx times factor, by term.
+func scaled(ctx textproc.SparseVector, factor float64) map[textproc.TermID]float64 {
+	out := map[textproc.TermID]float64{}
+	for _, t := range ctx {
+		out[t.ID] = t.W * factor
+	}
+	return out
 }
 
 // aggregate is the window's context at q, the factor applied.
-func aggregate(w *Window, q time.Time) textproc.SparseVector {
-	ctx := textproc.SparseVector{}
-	ctx.Scale(w.Aggregate(ctx, q))
-	return ctx
+func aggregate(w *Window, q time.Time) map[textproc.TermID]float64 {
+	return scaled(w.Aggregate(nil, q))
+}
+
+// directSum is Σ weight(m)·m.Vec over the window's resident messages, by term.
+func directSum(w *Window, weight func(Message) float64) map[textproc.TermID]float64 {
+	want := map[textproc.TermID]float64{}
+	for i := range w.Len() {
+		m := w.At(i)
+		for _, t := range m.Vec {
+			want[t.ID] += t.W * weight(m)
+		}
+	}
+	return want
+}
+
+// checkSorted fails unless v is a vector: ascending IDs, none twice.
+func checkSorted(t *testing.T, v textproc.SparseVector) {
+	t.Helper()
+	for i := 1; i < len(v); i++ {
+		if v[i-1].ID >= v[i].ID {
+			t.Fatalf("aggregate not ascending at %d: %v", i, v)
+		}
+	}
 }
 
 func TestWindowPushAndEvict(t *testing.T) {
@@ -125,12 +155,14 @@ func TestWindowEntryWeight(t *testing.T) {
 	for i, a := range at {
 		w.Push(msg(i, 1, a, map[textproc.TermID]float64{textproc.TermID(i): 1}))
 	}
-	ctx := textproc.SparseVector{}
+	var ctx textproc.SparseVector
 	for _, q := range []time.Time{t0.Add(3 * hl), t0.Add(4 * hl), t0.Add(2 * hl)} {
-		factor := w.Aggregate(ctx, q)
+		var factor float64
+		ctx, factor = w.Aggregate(ctx, q)
+		got := scaled(ctx, factor)
 		for i, a := range at {
 			want := decay.Between(a, q)
-			if got := ctx[textproc.TermID(i)] * factor; math.Abs(got-want) > 1e-12 {
+			if got := got[textproc.TermID(i)]; math.Abs(got-want) > 1e-12 {
 				t.Fatalf("query %v: message %d weighs %v, want %v", q.Sub(t0), i, got, want)
 			}
 		}
@@ -148,11 +180,7 @@ func TestWindowRebuildCapsDrift(t *testing.T) {
 		w.Push(msg(i, 1, now, map[textproc.TermID]float64{textproc.TermID(i % 5): 0.37}))
 	}
 	got := aggregate(w, now)
-	want := textproc.SparseVector{}
-	for i := range w.Len() {
-		m := w.At(i)
-		want.AddScaled(m.Vec, decay.WeightAt(now.Sub(m.Time)))
-	}
+	want := directSum(w, func(m Message) float64 { return decay.WeightAt(now.Sub(m.Time)) })
 	for id := textproc.TermID(0); id < 5; id++ {
 		if math.Abs(got[id]-want[id]) > 1e-12 {
 			t.Fatalf("term %d drifted: %v vs %v", id, got[id], want[id])
@@ -174,7 +202,7 @@ func TestWindowScaledAggregateMatchesBruteForce(t *testing.T) {
 	decay := timeslot.NewDecay(halfLife)
 	w := NewWindow(8, decay)
 	pushed := map[MessageID]textproc.SparseVector{}
-	ctx := textproc.SparseVector{}
+	var ctx textproc.SparseVector
 	now := t0
 	for i := 0; i < 10000; i++ {
 		now = now.Add(time.Duration(1+rng.Intn(90)) * time.Second)
@@ -193,37 +221,29 @@ func TestWindowScaledAggregateMatchesBruteForce(t *testing.T) {
 			terms[textproc.TermID(rng.Intn(vocab))] = 0.1 + rng.Float64()
 		}
 		m := msg(i, 1, at, terms)
-		pushed[m.ID] = terms
+		pushed[m.ID] = slices.Clone(m.Vec)
 
 		if ev, evicted := w.Push(m); evicted {
-			want := pushed[ev.ID]
-			if len(ev.Vec) != len(want) {
-				t.Fatalf("push %d: evicted message %d has %d terms, want %d", i, ev.ID, len(ev.Vec), len(want))
-			}
-			for id, x := range want {
-				if ev.Vec[id] != x {
-					t.Fatalf("push %d: evicted message %d term %d is %v, pushed as %v", i, ev.ID, id, ev.Vec[id], x)
-				}
+			if want := pushed[ev.ID]; !slices.Equal(ev.Vec, want) {
+				t.Fatalf("push %d: evicted message %d is %v, pushed as %v", i, ev.ID, ev.Vec, want)
 			}
 			delete(pushed, ev.ID)
 		}
 
 		q := w.Ref().Add(time.Duration(rng.Intn(120)) * time.Second)
-		factor := w.Aggregate(ctx, q)
-		want := textproc.SparseVector{}
-		for j := range w.Len() {
-			r := w.At(j)
-			want.AddScaled(r.Vec, decay.Between(r.Time, q))
-		}
+		var factor float64
+		ctx, factor = w.Aggregate(ctx, q)
+		got := scaled(ctx, factor)
+		want := directSum(w, func(r Message) float64 { return decay.Between(r.Time, q) })
 		for id := textproc.TermID(0); id < vocab; id++ {
-			if got := ctx[id] * factor; math.IsNaN(got) || math.Abs(got-want[id]) > 1e-12 {
+			if got := got[id]; math.IsNaN(got) || math.Abs(got-want[id]) > 1e-12 {
 				t.Fatalf("push %d term %d: aggregate %v, direct sum %v", i, id, got, want[id])
 			}
 		}
 		if i == 6000 {
-			factor := w.Aggregate(ctx, w.Ref())
+			got := aggregate(w, w.Ref())
 			for id := textproc.TermID(0); id < vocab; id++ {
-				if got := ctx[id] * factor; got != terms[id] {
+				if got := got[id]; got != terms[id] {
 					t.Fatalf("after the gap, term %d weighs %v, want the new message's %v alone", id, got, terms[id])
 				}
 			}
@@ -252,7 +272,7 @@ func TestWindowAggregateMatchesDirectSum(t *testing.T) {
 			w := NewWindow(shape.cap, decay)
 			var fifo []Message
 			var latest time.Time
-			ctx := textproc.SparseVector{}
+			var ctx textproc.SparseVector
 			now := t0
 			for i := 0; i < 4000; i++ {
 				now = now.Add(time.Duration(1+rng.Intn(90)) * time.Second)
@@ -283,18 +303,20 @@ func TestWindowAggregateMatchesDirectSum(t *testing.T) {
 				if w.Len() != len(fifo) || !w.Ref().Equal(latest) {
 					t.Fatalf("push %d: Len %d, Ref %v; want %d, %v", i, w.Len(), w.Ref(), len(fifo), latest)
 				}
-				want := textproc.SparseVector{}
 				q := latest.Add(time.Duration(rng.Intn(120)) * time.Second)
 				for j, f := range fifo {
 					if got := w.At(j); got.ID != f.ID {
 						t.Fatalf("push %d: At(%d) is message %d, want %d", i, j, got.ID, f.ID)
 					}
-					want.AddScaled(f.Vec, decay.WeightAt(q.Sub(f.Time)))
 				}
+				want := directSum(w, func(f Message) float64 { return decay.WeightAt(q.Sub(f.Time)) })
 
-				factor := w.Aggregate(ctx, q)
+				var factor float64
+				ctx, factor = w.Aggregate(ctx, q)
+				checkSorted(t, ctx)
+				got := scaled(ctx, factor)
 				for id := textproc.TermID(0); id < vocab; id++ {
-					if got := ctx[id] * factor; math.Abs(got-want[id]) > 1e-12 {
+					if got := got[id]; math.Abs(got-want[id]) > 1e-12 {
 						t.Fatalf("push %d term %d: aggregate %v, direct sum %v", i, id, got, want[id])
 					}
 				}

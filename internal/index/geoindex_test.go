@@ -12,7 +12,7 @@ import (
 func geoAd(id adstore.AdID, lat, lng, radiusKm, bid float64) *adstore.Ad {
 	return &adstore.Ad{
 		ID:     id,
-		Vec:    textproc.SparseVector{1: 1},
+		Vec:    textproc.SparseVector{{ID: 1, W: 1}},
 		Target: geo.Circle{Center: geo.Point{Lat: lat, Lng: lng}, RadiusKm: radiusKm},
 		Slots:  timeslot.AllSlots,
 		Bid:    bid,
@@ -22,7 +22,7 @@ func geoAd(id adstore.AdID, lat, lng, radiusKm, bid float64) *adstore.Ad {
 func globalAd(id adstore.AdID, bid float64) *adstore.Ad {
 	return &adstore.Ad{
 		ID:     id,
-		Vec:    textproc.SparseVector{1: 1},
+		Vec:    textproc.SparseVector{{ID: 1, W: 1}},
 		Global: true,
 		Slots:  timeslot.AllSlots,
 		Bid:    bid,

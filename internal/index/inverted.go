@@ -29,11 +29,11 @@ type Delta struct {
 	Coeff float64
 }
 
-// indexedAd is what the index remembers per ad: its term IDs, so removal is
-// O(|ad terms|·list), and its accumulator slot.
+// indexedAd is what the index remembers per ad: its (immutable) vector, whose
+// terms make removal O(|ad terms|·list), and its accumulator slot.
 type indexedAd struct {
-	terms []textproc.TermID
-	slot  uint32
+	vec  textproc.SparseVector
+	slot uint32
 }
 
 // Inverted is the keyword inverted index over ad term vectors.
@@ -100,13 +100,11 @@ func (ix *Inverted) Add(id adstore.AdID, vec textproc.SparseVector) {
 		slot = uint32(len(ix.adOf))
 		ix.adOf = append(ix.adOf, id)
 	}
-	ts := make([]textproc.TermID, 0, len(vec))
-	for term, w := range vec {
-		ix.lists[term] = append(ix.lists[term], posting{slot: slot, w: w})
-		ts = append(ts, term)
+	for _, t := range vec {
+		ix.lists[t.ID] = append(ix.lists[t.ID], posting{slot: slot, w: t.W})
 	}
-	ix.ads[id] = indexedAd{terms: ts, slot: slot}
-	ix.postings += len(ts)
+	ix.ads[id] = indexedAd{vec: vec, slot: slot}
+	ix.postings += len(vec)
 }
 
 // Remove un-indexes an ad. Removing an unknown ad is a no-op.
@@ -115,8 +113,8 @@ func (ix *Inverted) Remove(id adstore.AdID) {
 	if !ok {
 		return
 	}
-	for _, term := range a.terms {
-		list := ix.lists[term]
+	for _, t := range a.vec {
+		list := ix.lists[t.ID]
 		for i := range list {
 			if list[i].slot == a.slot {
 				list[i] = list[len(list)-1]
@@ -125,14 +123,14 @@ func (ix *Inverted) Remove(id adstore.AdID) {
 			}
 		}
 		if len(list) == 0 {
-			delete(ix.lists, term)
+			delete(ix.lists, t.ID)
 		} else {
-			ix.lists[term] = list
+			ix.lists[t.ID] = list
 		}
 	}
 	delete(ix.ads, id)
 	ix.free = append(ix.free, a.slot)
-	ix.postings -= len(a.terms)
+	ix.postings -= len(a.vec)
 }
 
 // DeltaList is Accumulator.DeltaList in an accumulator the index lends, for
@@ -147,16 +145,18 @@ func (ix *Inverted) DeltaList(vec textproc.SparseVector) []Delta {
 // the exact text-score contribution Σ_τ vec[τ]·ad[τ]. This runs once per
 // message some candidate buffer needs (fan-out sharing keeps the result for
 // every follower on every shard) and once per buffer rebuilt from a window
-// aggregate. The result is the caller's, ascending by ad ID.
+// aggregate. Terms are walked in ascending order and each product is rounded
+// before it is added, as in textproc.SparseVector.Dot, so a coefficient is
+// bit for bit ad.Vec.Dot(vec). The result is the caller's, ascending by ad ID.
 func (acc *Accumulator) DeltaList(ix *Inverted, vec textproc.SparseVector) []Delta {
 	if n := len(ix.adOf); len(acc.sum) < n {
 		acc.sum = append(acc.sum, make([]float64, n-len(acc.sum))...)
 		acc.touched = append(acc.touched, make([]uint64, (n+63)>>6-len(acc.touched))...)
 	}
-	for term, mw := range vec {
-		for _, p := range ix.lists[term] {
+	for _, t := range vec {
+		for _, p := range ix.lists[t.ID] {
 			acc.touched[p.slot>>6] |= 1 << (p.slot & 63)
-			acc.sum[p.slot] += mw * p.w
+			acc.sum[p.slot] += float64(t.W * p.w)
 		}
 	}
 	// Collected in slot order, which the sort finds already ascending by ad

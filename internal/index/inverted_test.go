@@ -1,7 +1,6 @@
 package index
 
 import (
-	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -10,18 +9,31 @@ import (
 	"caar/internal/textproc"
 )
 
-func vec(kv map[textproc.TermID]float64) textproc.SparseVector {
-	v := textproc.SparseVector{}
-	for k, x := range kv {
-		v[k] = x
+// randVec draws 1..maxTerms terms over IDs [0, ids) with random weights.
+func randVec(rng *rand.Rand, maxTerms, ids int) textproc.SparseVector {
+	terms := make([]textproc.Term, 1+rng.Intn(maxTerms))
+	for i := range terms {
+		terms[i] = textproc.Term{ID: textproc.TermID(rng.Intn(ids)), W: rng.Float64()}
 	}
-	return v
+	return textproc.NewVector(terms)
+}
+
+// shares reports whether v and w have a term in common.
+func shares(v, w textproc.SparseVector) bool {
+	for _, t := range v {
+		for _, u := range w {
+			if t.ID == u.ID {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 func TestInvertedAddRemove(t *testing.T) {
 	ix := NewInverted()
-	ix.Add(1, vec(map[textproc.TermID]float64{10: 0.5, 20: 0.5}))
-	ix.Add(2, vec(map[textproc.TermID]float64{20: 1.0}))
+	ix.Add(1, textproc.SparseVector{{ID: 10, W: 0.5}, {ID: 20, W: 0.5}})
+	ix.Add(2, textproc.SparseVector{{ID: 20, W: 1.0}})
 	if ix.Len() != 2 || ix.Postings() != 3 {
 		t.Fatalf("Len=%d Postings=%d", ix.Len(), ix.Postings())
 	}
@@ -43,12 +55,12 @@ func TestInvertedAddRemove(t *testing.T) {
 
 func TestInvertedReAddReplaces(t *testing.T) {
 	ix := NewInverted()
-	ix.Add(1, vec(map[textproc.TermID]float64{10: 0.5}))
-	ix.Add(1, vec(map[textproc.TermID]float64{20: 0.7}))
+	ix.Add(1, textproc.SparseVector{{ID: 10, W: 0.5}})
+	ix.Add(1, textproc.SparseVector{{ID: 20, W: 0.7}})
 	if ix.Len() != 1 || ix.Postings() != 1 {
 		t.Fatalf("Len=%d Postings=%d", ix.Len(), ix.Postings())
 	}
-	ds := ix.DeltaList(vec(map[textproc.TermID]float64{10: 1}))
+	ds := ix.DeltaList(textproc.SparseVector{{ID: 10, W: 1}})
 	if len(ds) != 0 {
 		t.Fatalf("old terms still indexed: %v", ds)
 	}
@@ -56,10 +68,10 @@ func TestInvertedReAddReplaces(t *testing.T) {
 
 func TestDeltaListExact(t *testing.T) {
 	ix := NewInverted()
-	ix.Add(1, vec(map[textproc.TermID]float64{10: 0.6, 20: 0.8}))
-	ix.Add(2, vec(map[textproc.TermID]float64{20: 1.0}))
-	ix.Add(3, vec(map[textproc.TermID]float64{30: 1.0}))
-	msg := vec(map[textproc.TermID]float64{10: 0.5, 20: 0.5})
+	ix.Add(1, textproc.SparseVector{{ID: 10, W: 0.6}, {ID: 20, W: 0.8}})
+	ix.Add(2, textproc.SparseVector{{ID: 20, W: 1.0}})
+	ix.Add(3, textproc.SparseVector{{ID: 30, W: 1.0}})
+	msg := textproc.SparseVector{{ID: 10, W: 0.5}, {ID: 20, W: 0.5}}
 	ds := ix.DeltaList(msg)
 	want := []Delta{
 		{Ad: 1, Coeff: 0.5*0.6 + 0.5*0.8},
@@ -68,7 +80,7 @@ func TestDeltaListExact(t *testing.T) {
 	if !reflect.DeepEqual(ds, want) {
 		t.Fatalf("DeltaList = %v, want %v", ds, want)
 	}
-	if ds := ix.DeltaList(vec(map[textproc.TermID]float64{99: 1})); ds != nil {
+	if ds := ix.DeltaList(textproc.SparseVector{{ID: 99, W: 1}}); ds != nil {
 		t.Fatalf("unmatched message: %v", ds)
 	}
 	if ds := ix.DeltaList(textproc.SparseVector{}); ds != nil {
@@ -76,38 +88,32 @@ func TestDeltaListExact(t *testing.T) {
 	}
 }
 
-// TestDeltaListMatchesBruteForce: the delta coefficient must equal the exact
-// sparse dot product for every ad, on random ad sets and messages.
+// TestDeltaListMatchesBruteForce: the delta coefficient must equal the
+// sparse dot product for every ad, to the bit, on random ad sets and
+// messages. Both add the same rounded products in ascending term order; that
+// equality is what lets a delta list patched by a registration (a Dot) and
+// one computed later (a DeltaList) agree.
 func TestDeltaListMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	ix := NewInverted()
 	ads := map[adstore.AdID]textproc.SparseVector{}
 	for id := adstore.AdID(1); id <= 150; id++ {
-		v := textproc.SparseVector{}
-		for j := 0; j < 1+rng.Intn(6); j++ {
-			v[textproc.TermID(rng.Intn(40))] = rng.Float64()
-		}
-		ads[id] = v
-		ix.Add(id, v)
+		ads[id] = randVec(rng, 12, 40)
+		ix.Add(id, ads[id])
 	}
 	for trial := 0; trial < 100; trial++ {
-		msg := textproc.SparseVector{}
-		for j := 0; j < 1+rng.Intn(8); j++ {
-			msg[textproc.TermID(rng.Intn(40))] = rng.Float64()
-		}
+		msg := randVec(rng, 12, 40)
 		got := map[adstore.AdID]float64{}
 		for _, d := range ix.DeltaList(msg) {
 			got[d.Ad] = d.Coeff
 		}
 		for id, av := range ads {
 			want := av.Dot(msg)
-			if math.Abs(got[id]-want) > 1e-9 {
+			if got[id] != want {
 				t.Fatalf("trial %d ad %d: delta %v, dot %v", trial, id, got[id], want)
 			}
-			if want == 0 {
-				if _, present := got[id]; present {
-					t.Fatalf("ad %d with zero overlap appears in delta list", id)
-				}
+			if _, present := got[id]; present != shares(av, msg) {
+				t.Fatalf("trial %d ad %d: in delta list %v, shares a term %v", trial, id, present, !present)
 			}
 		}
 	}
@@ -123,12 +129,8 @@ func TestDeltaListAscendingWhateverTheRegistrationOrder(t *testing.T) {
 	ix := NewInverted()
 	ads := map[adstore.AdID]textproc.SparseVector{}
 	add := func(id adstore.AdID) {
-		v := textproc.SparseVector{}
-		for j := 0; j < 1+rng.Intn(6); j++ {
-			v[textproc.TermID(rng.Intn(30))] = rng.Float64()
-		}
-		ads[id] = v
-		ix.Add(id, v)
+		ads[id] = randVec(rng, 6, 30)
+		ix.Add(id, ads[id])
 	}
 	for _, i := range rng.Perm(300) {
 		add(adstore.AdID(1000 - 3*i)) // sparse IDs, no order
@@ -143,18 +145,12 @@ func TestDeltaListAscendingWhateverTheRegistrationOrder(t *testing.T) {
 		for i := 0; i < 10; i++ {
 			add(adstore.AdID(rng.Intn(5000)))
 		}
-		msg := textproc.SparseVector{}
-		for j := 0; j < 1+rng.Intn(12); j++ {
-			msg[textproc.TermID(rng.Intn(30))] = rng.Float64()
-		}
+		msg := randVec(rng, 12, 30)
 		ds := ix.DeltaList(msg)
 		matched := 0
 		for _, av := range ads {
-			for term := range av {
-				if _, shared := msg[term]; shared {
-					matched++
-					break
-				}
+			if shares(av, msg) {
+				matched++
 			}
 		}
 		if len(ds) != matched {
@@ -164,7 +160,7 @@ func TestDeltaListAscendingWhateverTheRegistrationOrder(t *testing.T) {
 			if i > 0 && ds[i-1].Ad >= d.Ad {
 				t.Fatalf("round %d: not ascending at %d: %v", round, i, ds)
 			}
-			if want := ads[d.Ad].Dot(msg); math.Abs(d.Coeff-want) > 1e-9 {
+			if want := ads[d.Ad].Dot(msg); d.Coeff != want {
 				t.Fatalf("round %d ad %d: delta %v, dot %v", round, d.Ad, d.Coeff, want)
 			}
 		}
@@ -175,16 +171,9 @@ func BenchmarkDeltaList(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	ix := NewInverted()
 	for id := adstore.AdID(0); id < 10000; id++ {
-		v := textproc.SparseVector{}
-		for j := 0; j < 5; j++ {
-			v[textproc.TermID(rng.Intn(2000))] = rng.Float64()
-		}
-		ix.Add(id, v)
+		ix.Add(id, randVec(rng, 5, 2000))
 	}
-	msg := textproc.SparseVector{}
-	for j := 0; j < 8; j++ {
-		msg[textproc.TermID(rng.Intn(2000))] = rng.Float64()
-	}
+	msg := randVec(rng, 8, 2000)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

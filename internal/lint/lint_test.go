@@ -34,6 +34,7 @@ var analyzers = []analyzer{
 	{"goroutinelife", goroutinelife},
 	{"atomicfield", atomicfield},
 	{"batchalias", batchalias},
+	{"maporder", maporder},
 	{"httptest", httptestImport},
 }
 

@@ -134,63 +134,26 @@ func (v *Vocabulary) IDF(id TermID) float64 {
 }
 
 // Pipeline bundles tokenizer + vocabulary into the standard text → vector
-// transformation used for both messages and ads.
+// transformation used for both messages and ads: stopwords removed, tokens
+// Porter-stemmed, terms weighted by TF-IDF.
 type Pipeline struct {
 	Vocab *Vocabulary
-	// UseIDF selects TF-IDF weighting; plain normalized TF otherwise.
-	UseIDF bool
-	// StemTokens applies Porter stemming before interning.
-	StemTokens bool
 }
 
-// NewPipeline returns a pipeline with tweet-appropriate defaults: stemming on,
-// IDF on.
+// NewPipeline returns a pipeline over an empty vocabulary.
 func NewPipeline() *Pipeline {
-	return &Pipeline{
-		Vocab:      NewVocabulary(),
-		UseIDF:     true,
-		StemTokens: true,
-	}
+	return &Pipeline{Vocab: NewVocabulary()}
 }
 
-// TermIDs normalizes text to a bag of interned term IDs (with duplicates,
-// preserving term frequency) and records the document for DF statistics.
-func (p *Pipeline) TermIDs(text string) []TermID {
-	toks := RemoveStopwords(Tokenize(text))
-	if p.StemTokens {
-		toks = StemAll(toks)
-	}
+// Vector converts text into an L2-normalized TF-IDF sparse vector and
+// records the document for DF statistics. Empty or all-stopword text yields
+// an empty vector.
+func (p *Pipeline) Vector(text string) SparseVector {
+	toks := StemAll(RemoveStopwords(Tokenize(text)))
 	ids := make([]TermID, 0, len(toks))
 	for _, tok := range toks {
 		ids = append(ids, p.Vocab.Intern(tok.Text))
 	}
 	p.Vocab.ObserveDoc(ids)
-	return ids
-}
-
-// Vector converts text into an L2-normalized TF or TF-IDF sparse vector.
-// Empty or all-stopword text yields an empty vector.
-func (p *Pipeline) Vector(text string) SparseVector {
-	ids := p.TermIDs(text)
-	return p.VectorFromIDs(ids)
-}
-
-// VectorFromIDs builds the weighted vector from a bag of term IDs without
-// re-tokenizing (used when the caller already has IDs, e.g. generated
-// workloads).
-func (p *Pipeline) VectorFromIDs(ids []TermID) SparseVector {
-	if len(ids) == 0 {
-		return SparseVector{}
-	}
-	vec := make(SparseVector, len(ids))
-	for _, id := range ids {
-		vec[id]++
-	}
-	if p.UseIDF {
-		for id, tf := range vec {
-			vec[id] = tf * p.Vocab.IDF(id)
-		}
-	}
-	vec.L2Normalize()
-	return vec
+	return Bag(ids, p.Vocab.IDF)
 }

@@ -107,17 +107,17 @@ func TestPipelineVector(t *testing.T) {
 	if len(vec) == 0 {
 		t.Fatal("vector should not be empty")
 	}
-	if !almostEqual(vec.Norm(), 1) {
-		t.Fatalf("vector not normalized: %v", vec.Norm())
+	if !almostEqual(norm(vec), 1) {
+		t.Fatalf("vector not normalized: %v", norm(vec))
 	}
 	// "volleyball" appears twice → highest weight after stemming.
 	stemID, ok := p.Vocab.ids[Stem("volleyball")]
 	if !ok {
 		t.Fatal("volleyball stem not interned")
 	}
-	for id, w := range vec {
-		if w > vec[stemID] {
-			t.Fatalf("term %q outweighs the volleyball stem", p.Vocab.Term(id))
+	for _, term := range vec {
+		if term.W > weight(vec, stemID) {
+			t.Fatalf("term %q outweighs the volleyball stem", p.Vocab.Term(term.ID))
 		}
 	}
 }
@@ -129,17 +129,5 @@ func TestPipelineEmptyAndStopwordOnly(t *testing.T) {
 	}
 	if vec := p.Vector("the and of to"); len(vec) != 0 {
 		t.Fatalf("stopword-only vector = %v", vec)
-	}
-}
-
-func TestPipelineWithoutIDFAndStem(t *testing.T) {
-	p := NewPipeline()
-	p.UseIDF = false
-	p.StemTokens = false
-	vec := p.Vector("running running walks")
-	// TF only: running has tf 2, walks tf 1 → after L2 norm ratio 2:1.
-	runID, walkID := p.Vocab.ids["running"], p.Vocab.ids["walks"]
-	if !almostEqual(vec[runID]/vec[walkID], 2) {
-		t.Fatalf("TF ratio = %v, want 2", vec[runID]/vec[walkID])
 	}
 }

@@ -130,3 +130,17 @@ func (d Decay) Between(a, b time.Time) float64 {
 	}
 	return math.Exp(-d.lambda * b.Sub(a).Seconds())
 }
+
+// CheckTime reports whether t can be encoded: the journal and the snapshot
+// write times as RFC 3339 (time.Time.MarshalJSON), which holds only years
+// 0–9999 and zone offsets under a day. A time that cannot be encoded fails
+// every write that carries it — a journal group commit, every later
+// snapshot — so it is refused where it enters: at ingest's accept and by
+// adstore.NewCampaign.
+func CheckTime(t time.Time) error {
+	_, offset := t.Zone()
+	if y := t.Year(); y < 0 || y > 9999 || offset <= -86400 || offset >= 86400 {
+		return fmt.Errorf("time %v not encodable: RFC 3339 needs a year in 0-9999 and a zone offset under 24h", t)
+	}
+	return nil
+}

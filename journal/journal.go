@@ -668,19 +668,6 @@ func CheckInEntry(user string, lat, lng float64, at time.Time) Entry {
 	return Entry{Op: OpCheckIn, User: user, Lat: lat, Lng: lng, At: at}
 }
 
-// CheckTime reports whether an entry stamped at can be encoded: the time is
-// written as RFC 3339 (time.Time.MarshalJSON), which holds only years 0–9999
-// and zone offsets under a day. AppendBatch fails a whole batch on one entry
-// it cannot encode, so the accept path (package ingest) refuses such a write
-// before it can share a group commit.
-func CheckTime(at time.Time) error {
-	_, offset := at.Zone()
-	if y := at.Year(); y < 0 || y > 9999 || offset <= -86400 || offset >= 86400 {
-		return fmt.Errorf("journal: time %v not encodable: RFC 3339 needs a year in 0-9999 and a zone offset under 24h", at)
-	}
-	return nil
-}
-
 // ApplyRuns applies post and check-in entries to a through its batched entry
 // points, one call per maximal run of the same op, in log order, and returns
 // each entry's own error. It is the one mapping from a data-plane Entry to the

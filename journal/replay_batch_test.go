@@ -6,11 +6,11 @@ package journal
 import (
 	"bytes"
 	"fmt"
-	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -130,13 +130,7 @@ func TestBatchedReplayMatchesOneApplyAtATime(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Scores to a rounding step: a cold buffer is rebuilt by summing over
-		// a map, so two engines in one state can differ in the last bit.
-		same := len(w) > 0 && len(g) == len(w)
-		for i := 0; same && i < len(w); i++ {
-			same = g[i].AdID == w[i].AdID && math.Abs(g[i].Score-w[i].Score) < 1e-9
-		}
-		if !same {
+		if len(w) == 0 || !slices.Equal(g, w) {
 			t.Fatalf("%s: top-k\n got %+v\nwant %+v", u, g, w)
 		}
 	}

@@ -82,6 +82,10 @@ func TestRecommendMatchesRSThroughIngest(t *testing.T) {
 	defer p.Close()
 	applied := func() uint64 { st := capEng.Stats(); return st.PostsDelivered + st.CheckIns }
 	policy := caar.ServingPolicy{FrequencyCap: 1, FrequencyWindow: time.Hour}
+	// Scores agree to a tolerance, ties may rank either way: RS takes the dot
+	// product of the window's aggregate, CAP sums per-message products into
+	// incrementally updated buffers — different arithmetic, so different
+	// rounding. CAP against CAP compares bits (shards_test.go).
 	same := func(step int, what string, got, want []caar.Recommendation) {
 		t.Helper()
 		if len(got) != len(want) {

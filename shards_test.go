@@ -50,7 +50,7 @@ func TestShardCountDoesNotChangeAnswers(t *testing.T) {
 				cfg.Shards = shards
 				cfg.ContinuousK = 3
 				cfg.OnRecommend = func(user string, recs []Recommendation) {
-					call := user + "→" + strings.Join(roundRecs(recs), ",")
+					call := user + "→" + strings.Join(recStrings(recs), ",")
 					s.mu.Lock()
 					s.calls = append(s.calls, call)
 					s.mu.Unlock()
@@ -116,7 +116,7 @@ func TestShardCountDoesNotChangeAnswers(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					answers = append(answers, roundRecs(recs))
+					answers = append(answers, recStrings(recs))
 				}
 				if !reflect.DeepEqual(answers[0], answers[1]) {
 					t.Fatalf("step %d: Recommend(%s, %d): one shard %v, four %v", step, u, k, answers[0], answers[1])

@@ -131,13 +131,13 @@ func (e *Engine) Snapshot(w io.Writer) error {
 		for _, sl := range a.Slots.Slots() {
 			sa.Slots = append(sa.Slots, sl.String())
 		}
-		for termID, weight := range a.Vec {
-			term := e.pipeline.Vocab.Term(termID)
+		for _, t := range a.Vec {
+			term := e.pipeline.Vocab.Term(t.ID)
 			if term == "" {
-				adErr = fmt.Errorf("caar: snapshot: ad %q references unknown term %d", name, termID)
+				adErr = fmt.Errorf("caar: snapshot: ad %q references unknown term %d", name, t.ID)
 				return
 			}
-			sa.Terms[term] = weight
+			sa.Terms[term] = t.W
 		}
 		sf.Ads = append(sf.Ads, sa)
 	})
@@ -356,11 +356,12 @@ func (e *Engine) restoreAd(sa snapshotAd) error {
 		Campaign: sa.Campaign,
 		Bid:      sa.Bid,
 		Global:   sa.Global,
-		Vec:      make(textproc.SparseVector, len(sa.Terms)),
 	}
+	terms := make([]textproc.Term, 0, len(sa.Terms))
 	for term, weight := range sa.Terms {
-		internal.Vec[e.pipeline.Vocab.Intern(term)] = weight
+		terms = append(terms, textproc.Term{ID: e.pipeline.Vocab.Intern(term), W: weight})
 	}
+	internal.Vec = textproc.NewVector(terms)
 	if !sa.Global {
 		internal.Target = geo.Circle{
 			Center:   geo.Point{Lat: sa.Lat, Lng: sa.Lng},

@@ -53,8 +53,8 @@ func (t *trendTracker) observe(sl timeslot.Slot, vec textproc.SparseVector) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	hh := t.slots[sl]
-	for term := range vec {
-		hh.Offer(uint64(term), 1)
+	for _, term := range vec {
+		hh.Offer(uint64(term.ID), 1)
 	}
 }
 

@@ -483,12 +483,7 @@ func (w *Workload) sampleTerms(rng *rand.Rand, topic, n int) []textproc.TermID {
 
 // vecFromTerms builds the L2-normalized TF vector over a term draw.
 func vecFromTerms(terms []textproc.TermID) textproc.SparseVector {
-	vec := textproc.SparseVector{}
-	for _, t := range terms {
-		vec[t]++
-	}
-	vec.L2Normalize()
-	return vec
+	return textproc.Bag(terms, func(textproc.TermID) float64 { return 1 })
 }
 
 // textFromTerms renders a term draw as deterministic tokens ("t0042 …") that
@@ -627,13 +622,13 @@ func (w *Workload) genEvents(rng *rand.Rand) {
 	}
 }
 
-// CloneAds returns deep copies of the generated ads, so that multiple engine
-// instances can own private stores without sharing pointers.
+// CloneAds returns copies of the generated ads, so that multiple engine
+// instances can own private stores without sharing pointers. The copies share
+// each ad's term vector, which is never modified.
 func (w *Workload) CloneAds() []*adstore.Ad {
 	out := make([]*adstore.Ad, len(w.Ads))
 	for i, a := range w.Ads {
 		cp := *a
-		cp.Vec = a.Vec.Clone()
 		out[i] = &cp
 	}
 	return out

