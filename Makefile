@@ -96,9 +96,9 @@ bench-canonical:
 	done
 
 # soak-smoke is the crash-recovery soak in its CI-sized configuration: both
-# binaries built with the race detector, 3 random SIGKILL cycles plus the 3
-# named crash points (journal pre-fsync, snapshot post-fsync-pre-rename,
-# journal mid-replay), every restart machine-checked against the client-side
+# binaries built with the race detector, 3 random SIGKILL cycles plus the 4
+# named crash points (journal pre-fsync, snapshot post-rename, snapshot
+# post-fsync-pre-rename, journal mid-replay), every restart machine-checked against the client-side
 # ack ledger, and the double-replay self-test at the end. Exits non-zero if
 # any invariant fails; writes BENCH_SOAK.json. Runs in well under a minute.
 soak-smoke:

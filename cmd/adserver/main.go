@@ -15,13 +15,13 @@
 // anomaly capture (-capture-dir) run with their packages' defaults, and
 // -hot-off is the one hot-key switch.
 //
-// Durability: -snapshot restores engine state from an atomic snapshot at
-// startup and writes a fresh one on shutdown; -journal recovers the event
-// log (truncating a torn tail left by a crash) and appends every mutation
-// at runtime with the fsync policy chosen by -fsync. On SIGINT/SIGTERM the
-// server drains in-flight requests, flushes the journal, writes the final
-// snapshot, and — with both flags set — resets the journal, whose events the
-// snapshot now embeds, so the next startup doesn't double-apply them.
+// Durability: -journal names the one state file, a snapshot head followed
+// by journal records. At startup the head is restored and the records are
+// recovered (a torn tail left by a crash is truncated); at runtime every
+// mutation is appended with the fsync policy chosen by -fsync. On
+// SIGINT/SIGTERM the server drains in-flight requests, flushes the journal,
+// and replaces the state file with a fresh head in one atomic rename.
+// Without -journal nothing is persisted.
 //
 // Ingest: posts and check-ins go through the batched asynchronous pipeline —
 // accepted into a bounded ring, group-committed to the journal (one fsync per
@@ -47,6 +47,7 @@ import (
 
 	caar "caar"
 	"caar/ingest"
+	"caar/internal/durable"
 	"caar/internal/faultinject"
 	"caar/internal/server"
 	"caar/journal"
@@ -74,11 +75,11 @@ const (
 
 // settings is adserver's command line, one field per flag.
 type settings struct {
-	addr, journal, fsync, snapshot, logLevel, slo, captureDir string
-	shards, window, maxInFlight, ingestQueue, ingestBatch     int
-	halfLife, fsyncInterval, requestTimeout, shutdownGrace    time.Duration
-	maxBody                                                   int64
-	demo, pprof, hotOff                                       bool
+	addr, journal, fsync, logLevel, slo, captureDir        string
+	shards, window, maxInFlight, ingestQueue, ingestBatch  int
+	halfLife, fsyncInterval, requestTimeout, shutdownGrace time.Duration
+	maxBody                                                int64
+	demo, pprof, hotOff                                    bool
 }
 
 // newFlagSet declares adserver's flags, bound to s.
@@ -88,10 +89,9 @@ func newFlagSet(s *settings) *flag.FlagSet {
 	fs.IntVar(&s.shards, "shards", 0, "user shards processed in parallel (0 = one per core)")
 	fs.IntVar(&s.window, "window", 32, "feed window size in messages")
 	fs.DurationVar(&s.halfLife, "half-life", 2*time.Hour, "feed content decay half-life (0 = none)")
-	fs.StringVar(&s.journal, "journal", "", "append-only event log; recovered at startup, appended at runtime")
+	fs.StringVar(&s.journal, "journal", "", "state file: snapshot head plus event log; recovered at startup, appended at runtime, compacted on shutdown")
 	fs.StringVar(&s.fsync, "fsync", "always", "journal fsync policy: always, interval or never")
 	fs.DurationVar(&s.fsyncInterval, "fsync-interval", time.Second, "fsync at most once per interval (with -fsync interval)")
-	fs.StringVar(&s.snapshot, "snapshot", "", "engine snapshot; loaded at startup, written atomically on shutdown")
 	fs.IntVar(&s.maxInFlight, "max-inflight", 256, "max concurrent requests before shedding with 429 (0 = unlimited)")
 	fs.DurationVar(&s.requestTimeout, "request-timeout", 10*time.Second, "per-request handling deadline (0 = none)")
 	fs.Int64Var(&s.maxBody, "max-body", server.DefaultMaxBodyBytes, "max request body bytes (-1 = unlimited)")
@@ -139,29 +139,28 @@ func run() error {
 		SlowThreshold: traceSlow,
 	})
 
-	// Restore durable state: snapshot first (compact), then journal replay
-	// on top. After a graceful shutdown the journal is empty (its events are
-	// embedded in the final snapshot); after a crash it holds everything
-	// since the last snapshot.
+	// Restore durable state: the state file's head now; its records are
+	// recovered after the listener opens (below), behind the server's
+	// recovery gate.
 	var eng *caar.Engine
-	snapRestored := false
-	if opt.snapshot != "" && caar.SnapshotExists(opt.snapshot) {
-		var loaded string
-		eng, loaded, err = caar.LoadSnapshot(cfg, opt.snapshot)
-		if err != nil {
-			return fmt.Errorf("snapshot: %w", err)
-		}
-		if loaded != opt.snapshot {
-			log.Printf("snapshot: primary %s failed verification, restored from fallback %s", opt.snapshot, loaded)
-		} else {
-			log.Printf("snapshot restored from %s", loaded)
-		}
-		snapRestored = true
-	} else {
+	var jf *os.File
+	if opt.journal == "" {
 		eng, err = caar.Open(cfg)
+	} else {
+		jf, err = os.OpenFile(opt.journal, os.O_CREATE|os.O_RDWR, 0o644)
 		if err != nil {
+			return fmt.Errorf("journal: %w", err)
+		}
+		defer jf.Close()
+		// O_CREATE may have minted the directory entry; make it durable
+		// before acknowledging anything written through it.
+		if err := durable.FsyncDir(filepath.Dir(opt.journal)); err != nil {
 			return err
 		}
+		eng, err = caar.OpenState(cfg, jf)
+	}
+	if err != nil {
+		return err
 	}
 
 	// Fault injection: the soak harness arms named crash points through the
@@ -187,27 +186,15 @@ func run() error {
 		log.Printf("faultinject: lock watchdog armed: bound %s", spec)
 	}
 
-	// The journal is recovered AFTER the listener opens (below), behind the
+	// The records are recovered AFTER the listener opens (below), behind the
 	// server's recovery gate: API traffic gets 503 + Retry-After and
 	// /v1/readyz reports live replay progress, so a supervisor can tell a
-	// long replay from a wedged process. Here we only open the file and
-	// build the write path.
+	// long replay from a wedged process. Here we only build the write path.
 	var api server.API = eng
 	var jw *journal.Writer
-	var jf *os.File
 	var jm *journal.Metrics
 	var recovery *journal.RecoveryProgress
-	if opt.journal != "" {
-		jf, err = os.OpenFile(opt.journal, os.O_CREATE|os.O_RDWR, 0o644)
-		if err != nil {
-			return fmt.Errorf("journal: %w", err)
-		}
-		defer jf.Close()
-		// O_CREATE may have minted the directory entry; make it durable
-		// before acknowledging anything written through it.
-		if err := journal.FsyncDir(filepath.Dir(opt.journal)); err != nil {
-			return err
-		}
+	if jf != nil {
 		jm = journal.NewMetrics(reg)
 		jw = journal.NewFileWriter(jf, policy, opt.fsyncInterval)
 		jw.SetMetrics(jm)
@@ -343,13 +330,10 @@ func run() error {
 		if stats.Torn {
 			log.Printf("journal: torn tail truncated, %d bytes discarded", stats.DiscardedBytes)
 		}
-		// After a snapshot restore, duplicate skips are expected (events from
-		// the crash window already in the snapshot); only dump samples when
-		// something other than a duplicate was skipped.
-		if !snapRestored || stats.Skipped > stats.SkippedDuplicate {
-			for _, e := range stats.SkipErrors {
-				log.Printf("journal: skipped entry: %s", e)
-			}
+		// The head and the records never overlap, so a skip is a write
+		// that was rejected when it was made.
+		for _, e := range stats.SkipErrors {
+			log.Printf("journal: skipped entry: %s", e)
 		}
 	}
 
@@ -372,12 +356,13 @@ func run() error {
 	log.Printf("shutting down: draining for up to %v", opt.shutdownGrace)
 	drainCtx, cancel := context.WithTimeout(context.Background(), opt.shutdownGrace)
 	defer cancel()
-	if err := httpSrv.Shutdown(drainCtx); err != nil {
-		log.Printf("shutdown: drain incomplete: %v", err)
+	drainErr := httpSrv.Shutdown(drainCtx)
+	if drainErr != nil {
+		log.Printf("shutdown: drain incomplete: %v", drainErr)
 	}
 	// Drain order matters: the listener is down (no new submissions), so the
 	// pipeline drains everything already acked through commit AND apply
-	// BEFORE the journal is flushed and the snapshot captures final state.
+	// BEFORE the journal is flushed and the new head captures final state.
 	if err := ing.Close(); err != nil {
 		log.Printf("shutdown: ingest drain: %v", err)
 	} else {
@@ -387,25 +372,18 @@ func run() error {
 		if err := jw.Close(); err != nil {
 			return fmt.Errorf("journal flush on shutdown: %w", err)
 		}
-		log.Print("journal flushed")
-	}
-	if opt.snapshot != "" {
-		if err := eng.SaveSnapshot(opt.snapshot); err != nil {
+		// Once writes have stopped, one atomic rename replaces head plus
+		// records with a head that holds them all. A handler still running
+		// could append after the cut and be lost with the old file, so an
+		// incomplete drain leaves the file to be replayed instead.
+		if drainErr != nil {
+			log.Printf("state file %s left uncompacted: requests still in flight", opt.journal)
+			return nil
+		}
+		if err := eng.SaveSnapshot(opt.journal); err != nil {
 			return fmt.Errorf("final snapshot: %w", err)
 		}
-		log.Printf("snapshot written to %s", opt.snapshot)
-		// Every journaled event is now embedded in the snapshot (including
-		// campaign spend and vocabulary counts, which are NOT idempotent to
-		// replay). Reset the journal so the next startup restores the
-		// snapshot alone instead of double-applying the log on top. A crash
-		// in the instant between SaveSnapshot and Reset re-opens that window;
-		// duplicate-tolerant ops are skipped on replay and the gap is logged.
-		if jf != nil {
-			if err := journal.Reset(jf); err != nil {
-				return fmt.Errorf("journal reset after snapshot: %w", err)
-			}
-			log.Print("journal reset (state captured in snapshot)")
-		}
+		log.Printf("state file %s compacted to a snapshot head", opt.journal)
 	}
 	log.Print("adserver stopped")
 	return nil

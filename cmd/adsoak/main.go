@@ -4,7 +4,8 @@
 // kills the server over and over — SIGKILL at random moments, and
 // surgically at named crash points armed via CAAR_CRASHPOINTS
 // (journal.pre-fsync, journal.mid-replay during recovery itself,
-// snapshot.pre-fsync / snapshot.post-fsync-pre-rename during shutdown).
+// snapshot.pre-fsync / snapshot.post-fsync-pre-rename / snapshot.post-rename
+// while shutdown compacts the state file).
 //
 // After every restart it machine-checks four invariants against its own
 // acknowledged-write ledger via GET /v1/invariants:
@@ -15,17 +16,17 @@
 //  4. memory stays bounded: windows, trace ring and candidate buffers within
 //     capacity, heap flat across crash cycles.
 //
-// It finishes with a deliberate-fault self-test — replaying the journal
-// twice into a fresh engine, the exact double-application the shutdown
-// snapshot+reset protocol exists to prevent — and requires the budget
-// checker to flag it. Results land in BENCH_SOAK.json; the exit status is
+// It finishes with a deliberate-fault self-test — restoring the state
+// file's head and replaying its records twice, the exact double-application
+// the one-file protocol rules out — and requires the budget checker to flag
+// it. Results land in BENCH_SOAK.json; the exit status is
 // non-zero if any invariant or the self-test fails.
 //
 // Usage (see also `make soak-smoke`):
 //
 //	go build -o bin/adserver ./cmd/adserver
 //	go run ./cmd/adsoak -server-bin bin/adserver -kills 3 \
-//	    -crashpoints journal.pre-fsync,snapshot.post-fsync-pre-rename,journal.mid-replay
+//	    -crashpoints journal.pre-fsync,snapshot.post-rename,snapshot.post-fsync-pre-rename,journal.mid-replay
 package main
 
 import (
@@ -96,15 +97,18 @@ func main() {
 func run() error {
 	serverBin := flag.String("server-bin", "bin/adserver", "adserver binary to supervise")
 	addr := flag.String("addr", "127.0.0.1:9784", "address the child listens on")
-	dir := flag.String("dir", "", "working directory for journal/snapshot/logs (default: a temp dir)")
+	dir := flag.String("dir", "", "working directory for the state file and logs (default: a temp dir)")
 	out := flag.String("out", "BENCH_SOAK.json", "benchmark report path")
 	seed := flag.Int64("seed", 1, "workload seed")
 	users := flag.Int("users", 150, "workload users")
 	ads := flag.Int("ads", 300, "workload ads")
 	messages := flag.Int("messages", 4000, "workload posts")
 	kills := flag.Int("kills", 3, "random SIGKILL cycles")
+	// snapshot.post-rename leaves a head-only state file, so it goes early:
+	// journal.mid-replay needs records to replay, and the self-test needs
+	// impressions after the last head.
 	crashpoints := flag.String("crashpoints",
-		"journal.pre-fsync,snapshot.post-fsync-pre-rename,journal.mid-replay",
+		"journal.pre-fsync,snapshot.post-rename,snapshot.post-fsync-pre-rename,journal.mid-replay",
 		"comma-separated named crash-point cycles (append :n to fire on the n-th hit)")
 	eventsPerCycle := flag.Int("events-per-cycle", 250, "minimum settled events between crashes")
 	window := flag.Int("window", 32, "server feed window size")
@@ -145,12 +149,11 @@ func run() error {
 	}
 
 	sup := &supervisor{
-		bin:      *serverBin,
-		addr:     *addr,
-		journal:  filepath.Join(workDir, "soak.journal"),
-		snapshot: filepath.Join(workDir, "soak.snapshot"),
-		logPath:  filepath.Join(workDir, "server.log"),
-		window:   *window,
+		bin:     *serverBin,
+		addr:    *addr,
+		journal: filepath.Join(workDir, "soak.state"),
+		logPath: filepath.Join(workDir, "server.log"),
+		window:  *window,
 	}
 
 	led := newLedger()
@@ -307,7 +310,7 @@ func run() error {
 		}
 	}
 
-	// Final graceful shutdown: drain, snapshot, journal reset.
+	// Final graceful shutdown: drain, flush, compact the state file.
 	if err := sup.terminate(60 * time.Second); err != nil {
 		return err
 	}

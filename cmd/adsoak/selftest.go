@@ -10,9 +10,9 @@ import (
 	"caar/journal"
 )
 
-// selftestReport documents the deliberate-fault self-test: the journal is
-// replayed TWICE into a fresh engine — exactly the double-application bug
-// the graceful-shutdown snapshot+reset dance prevents — and the same
+// selftestReport documents the deliberate-fault self-test: the state file's
+// head is restored and its records are replayed TWICE — exactly the
+// double-application the one-file protocol rules out — and the same
 // budget-conservation checker used live must flag the resulting over-spend.
 // If it doesn't, the checker is too weak to trust and the whole run fails.
 type selftestReport struct {
@@ -24,12 +24,13 @@ type selftestReport struct {
 	Acked   float64 `json:"ledger_acked_spend"`
 }
 
-// runSelfTest copies the soak journal aside (Recover truncates torn tails in
-// place), replays it twice into a fresh engine, and runs the spend checker.
-func runSelfTest(journalPath, dir string, window int, led ledgerSnapshot) (selftestReport, error) {
+// runSelfTest copies the soak state file aside (Recover truncates torn tails
+// in place), opens its head, replays its records twice, and runs the spend
+// checker.
+func runSelfTest(statePath, dir string, window int, led ledgerSnapshot) (selftestReport, error) {
 	rep := selftestReport{Ran: true}
-	cp := filepath.Join(dir, "selftest.journal")
-	if err := copyFile(journalPath, cp); err != nil {
+	cp := filepath.Join(dir, "selftest.state")
+	if err := copyFile(statePath, cp); err != nil {
 		return rep, err
 	}
 	f, err := os.OpenFile(cp, os.O_RDWR, 0o644)
@@ -40,7 +41,11 @@ func runSelfTest(journalPath, dir string, window int, led ledgerSnapshot) (selft
 
 	cfg := caar.DefaultConfig()
 	cfg.WindowSize = window
-	eng, err := caar.Open(cfg)
+	eng, err := caar.OpenState(cfg, f)
+	if err != nil {
+		return rep, err
+	}
+	records, err := f.Seek(0, io.SeekCurrent)
 	if err != nil {
 		return rep, err
 	}
@@ -48,7 +53,7 @@ func runSelfTest(journalPath, dir string, window int, led ledgerSnapshot) (selft
 	if err != nil {
 		return rep, fmt.Errorf("selftest: first replay: %w", err)
 	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
+	if _, err := f.Seek(records, io.SeekStart); err != nil {
 		return rep, err
 	}
 	second, err := journal.Replay(f, eng)

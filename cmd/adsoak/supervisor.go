@@ -17,12 +17,11 @@ import (
 // crash points armed through the environment), kills it, and watches for the
 // self-inflicted deaths the armed crash points produce.
 type supervisor struct {
-	bin      string
-	addr     string
-	journal  string
-	snapshot string
-	logPath  string
-	window   int
+	bin     string
+	addr    string
+	journal string // the state file: snapshot head plus journal records
+	logPath string
+	window  int
 
 	cmd    *exec.Cmd
 	exited chan error
@@ -39,7 +38,6 @@ func (s *supervisor) start(crashSpec string) error {
 	cmd := exec.Command(s.bin,
 		"-addr", s.addr,
 		"-journal", s.journal,
-		"-snapshot", s.snapshot,
 		"-fsync", "always",
 		"-window", fmt.Sprint(s.window),
 		"-shutdown-grace", "5s",

@@ -840,8 +840,12 @@ func (e *Engine) recommend(user string, k int, at time.Time, policy ServingPolic
 		return nil, e.finishTrace(tr, time.Since(start), err), err
 	}
 	if k < 1 || k > MaxK {
+		err = fmt.Errorf("%w: k=%d, want 1..%d", ErrBadConfig, k, MaxK)
+	} else if policy.FrequencyWindow > maxFrequencyWindow {
+		err = fmt.Errorf("%w: frequency window %v, want at most %v", ErrBadConfig, policy.FrequencyWindow, maxFrequencyWindow)
+	}
+	if err != nil {
 		e.obsm.recommendErrors.Inc()
-		err := fmt.Errorf("%w: k=%d, want 1..%d", ErrBadConfig, k, MaxK)
 		return nil, e.finishTrace(tr, time.Since(start), err), err
 	}
 	// Hot-key telemetry: one lock-free bounded-queue enqueue (nil-safe
@@ -892,10 +896,17 @@ func (e *Engine) recommend(user string, k int, at time.Time, policy ServingPolic
 }
 
 // ServeImpression bills one impression of an ad against its campaign's
-// paced budget. It reports whether the impression may be shown; false means
-// the campaign is out of (released) budget.
-func (e *Engine) ServeImpression(adID string, at time.Time) (bool, error) {
+// paced budget and, when billed to a named user, notes it for that user's
+// frequency cap; an empty user is an anonymous impression. It reports
+// whether the impression may be shown; false means the campaign is out of
+// (released) budget.
+func (e *Engine) ServeImpression(user, adID string, at time.Time) (bool, error) {
 	d := e.dir.Load()
+	if user != "" {
+		if _, err := d.lookup(user); err != nil {
+			return false, err
+		}
+	}
 	internalID, ok := d.adIDs.get(adID)
 	if !ok {
 		e.obsm.impressions.With("error").Inc()
@@ -907,6 +918,9 @@ func (e *Engine) ServeImpression(adID string, at time.Time) (bool, error) {
 		e.obsm.impressions.With("error").Inc()
 	case served:
 		e.obsm.impressions.With("billed").Inc()
+		if user != "" {
+			e.impressions.record(user, adID, at)
+		}
 		// Spend telemetry per campaign (per ad name for campaign-less
 		// ads): lock-free enqueue against the directory snapshot already
 		// loaded above.

@@ -213,11 +213,11 @@ func TestHotUsersAndCampaignDimensions(t *testing.T) {
 	}
 
 	for i := 0; i < 25; i++ {
-		if _, err := e.ServeImpression("ad-mega", morning); err != nil {
+		if _, err := e.ServeImpression("", "ad-mega", morning); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := e.ServeImpression("ad-solo", morning); err != nil {
+	if _, err := e.ServeImpression("", "ad-solo", morning); err != nil {
 		t.Fatal(err)
 	}
 	crep, err := e.Hot("campaigns", 3, 0)

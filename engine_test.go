@@ -138,7 +138,7 @@ func TestEngineErrors(t *testing.T) {
 	if err := e.RemoveAd("nope"); !errors.Is(err, ErrUnknownAd) {
 		t.Fatalf("remove unknown: %v", err)
 	}
-	if _, err := e.ServeImpression("nope", morning); !errors.Is(err, ErrUnknownAd) {
+	if _, err := e.ServeImpression("", "nope", morning); !errors.Is(err, ErrUnknownAd) {
 		t.Fatalf("serve unknown: %v", err)
 	}
 	if err := e.CheckIn("alice", 99, 0, morning); err == nil {
@@ -211,12 +211,12 @@ func TestCampaignBudgetIntegration(t *testing.T) {
 		t.Fatal(err)
 	}
 	mid := morning.Add(40 * time.Minute)
-	ok, err := e.ServeImpression("sale", mid)
+	ok, err := e.ServeImpression("", "sale", mid)
 	if err != nil || !ok {
 		t.Fatalf("first impression: %v %v", ok, err)
 	}
 	// 0.5 of 1.0 spent; at 40 min only ~0.67 released → next 0.5 denied.
-	ok, err = e.ServeImpression("sale", mid)
+	ok, err = e.ServeImpression("", "sale", mid)
 	if err != nil || ok {
 		t.Fatalf("second impression should be paced out: %v %v", ok, err)
 	}

@@ -303,7 +303,7 @@ func TestPolicyActionsRecorded(t *testing.T) {
 		t.Fatalf("first policy recommend: %v (%d recs)", err, len(recs))
 	}
 	top := recs[0].AdID
-	if _, err := e.RecordImpressionTo("alice", top, morning.Add(time.Minute)); err != nil {
+	if _, err := e.ServeImpression("alice", top, morning.Add(time.Minute)); err != nil {
 		t.Fatal(err)
 	}
 

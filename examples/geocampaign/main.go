@@ -82,7 +82,7 @@ func main() {
 	// exactly one 0.3-bid impression can be billed.
 	noon := day.Add(12 * time.Hour)
 	for i := 1; i <= 2; i++ {
-		served, err := eng.ServeImpression("river-espresso", noon)
+		served, err := eng.ServeImpression("", "river-espresso", noon)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -26,7 +26,7 @@ func main() {
 	day := time.Date(2026, 7, 6, 0, 0, 0, 0, time.UTC)
 	morning := day.Add(9 * time.Hour)
 
-	// ----- phase 1: build the pre-snapshot world ------------------------
+	// ----- phase 1: build the world the snapshot captures --------------
 	eng, err := caar.Open(caar.DefaultConfig())
 	if err != nil {
 		log.Fatal(err)
@@ -38,7 +38,7 @@ func main() {
 	must(eng.AddCampaign("spring", 100, day, day.Add(48*time.Hour)))
 	must(eng.AddAd(caar.Ad{ID: "shoes", Text: "marathon running shoes", Campaign: "spring", Bid: 0.4}))
 	must(eng.AddAd(caar.Ad{ID: "vpn", Text: "fast vpn anywhere", Bid: 0.6}))
-	if _, err := eng.ServeImpression("shoes", morning); err != nil {
+	if _, err := eng.ServeImpression("", "shoes", morning); err != nil {
 		log.Fatal(err)
 	}
 
@@ -53,7 +53,7 @@ func main() {
 	must(live.Follow("carol", "bob"))
 	must(live.Post("bob", "marathon training with new shoes", morning))
 	must(live.CheckIn("carol", 1.5, 1.5, morning))
-	fmt.Printf("journal captured %d bytes of post-snapshot traffic\n", wal.Len())
+	fmt.Printf("journal captured %d bytes of traffic after the snapshot\n", wal.Len())
 
 	before, err := live.Recommend("carol", 2, morning.Add(time.Minute))
 	must(err)

@@ -8,7 +8,7 @@ import (
 
 // fsyncrename enforces the write-fsync-rename durability protocol.
 //
-// Atomically replacing a file (the snapshot, a rotated journal) only
+// Atomically replacing a file (the state file's new head) only
 // guarantees the *new* contents survive a crash if the data is fsynced
 // before the rename: rename is a metadata operation, and most filesystems
 // will happily commit the rename while the file's blocks are still dirty in
@@ -27,14 +27,13 @@ import (
 // itself is a directory-entry operation, durable only once the parent
 // directory is fsynced. A function's last os.Rename must therefore be
 // followed (position-wise, same function) by either another (*os.File).Sync
-// — the opened-directory sync — or a call to a helper named FsyncDir /
-// fsyncDir, the codebase's canonical directory-fsync wrappers
-// (journal.FsyncDir and the snapshot-local fsyncDir).
+// — the opened-directory sync — or a call to a helper named FsyncDir, the
+// codebase's one directory-fsync wrapper (internal/durable).
 func fsyncrename(pass *pass) {
 	for _, fd := range pass.funcs() {
 		var renames []*ast.CallExpr
 		var syncs []token.Pos    // File.Sync calls, in token order
-		var dirSyncs []token.Pos // File.Sync or FsyncDir/fsyncDir helper calls
+		var dirSyncs []token.Pos // File.Sync or FsyncDir helper calls
 
 		ast.Inspect(fd.Body, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
@@ -75,9 +74,8 @@ func fsyncrename(pass *pass) {
 
 		// Directory-fsync half of the protocol: the rename is a
 		// directory-entry operation, durable only once the parent directory
-		// is fsynced after it. Checking only the function's last rename keeps
-		// rotate-then-publish sequences (rename old aside, rename new in,
-		// one dir sync) to a single required sync.
+		// is fsynced after it. Checking only the function's last rename lets
+		// a sequence of renames share one directory sync.
 		if len(renames) > 0 {
 			last := renames[len(renames)-1]
 			dirSynced := false
@@ -96,12 +94,11 @@ func fsyncrename(pass *pass) {
 	}
 }
 
-// isFsyncDirHelper matches the codebase's directory-fsync wrappers by name:
-// journal.FsyncDir and package-local fsyncDir helpers. Name-based on
-// purpose — the helpers live in different packages and the analyzer must
-// not import them.
+// isFsyncDirHelper matches the directory-fsync wrapper by name. Name-based
+// on purpose: the analyzer must not import the packages it checks, and the
+// fixture declares its own.
 func isFsyncDirHelper(fn *types.Func) bool {
-	return fn.Name() == "FsyncDir" || fn.Name() == "fsyncDir"
+	return fn.Name() == "FsyncDir"
 }
 
 // isOSRename matches the os.Rename function.

@@ -66,9 +66,9 @@ func conforming(dir, tmp, dst string) error {
 	return d.Sync()
 }
 
-// fsyncDir is the canonical directory-fsync wrapper shape the analyzer
-// recognizes by name.
-func fsyncDir(dir string) error {
+// FsyncDir is the directory-fsync wrapper shape the analyzer recognizes by
+// name.
+func FsyncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
 		return err
@@ -93,12 +93,12 @@ func conformingViaHelper(dir, tmp, dst string) error {
 	if err := os.Rename(tmp, dst); err != nil {
 		return err
 	}
-	return fsyncDir(dir)
+	return FsyncDir(dir)
 }
 
-// rotateThenPublish uses two renames and one trailing dir sync: only the
-// last rename needs to be followed by the directory fsync.
-func rotateThenPublish(dir, tmp, dst string) error {
+// twoRenames uses two renames and one trailing dir sync: only the last
+// rename needs to be followed by the directory fsync.
+func twoRenames(dir, tmp, dst string) error {
 	f, err := os.Create(tmp)
 	if err != nil {
 		return err
@@ -109,13 +109,13 @@ func rotateThenPublish(dir, tmp, dst string) error {
 	if err := f.Close(); err != nil {
 		return err
 	}
-	if err := os.Rename(dst, dst+".prev"); err != nil {
+	if err := os.Rename(dst, dst+".old"); err != nil {
 		return err
 	}
 	if err := os.Rename(tmp, dst); err != nil {
 		return err
 	}
-	return fsyncDir(dir)
+	return FsyncDir(dir)
 }
 
 // annotated documents a rename whose data was synced by the caller and

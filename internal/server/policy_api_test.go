@@ -77,6 +77,7 @@ func TestPolicyParamValidation(t *testing.T) {
 		"/v1/recommendations?user=alice&freq_cap=2", // cap without window
 		"/v1/recommendations?user=alice&freq_window=1h",
 		"/v1/recommendations?user=alice&freq_cap=2&freq_window=-1h",
+		"/v1/recommendations?user=alice&freq_cap=2&freq_window=25h", // beyond the impression log's memory
 		"/v1/recommendations?user=alice&max_per_campaign=0",
 	}
 	for _, path := range cases {

@@ -55,8 +55,7 @@ type API interface {
 	AddAd(ad caar.Ad) error
 	RemoveAd(id string) error
 	RecommendTraced(user string, k int, at time.Time, policy caar.ServingPolicy, treq caar.TraceRequest) ([]caar.Recommendation, *trace.Trace, error)
-	ServeImpression(adID string, at time.Time) (bool, error)
-	RecordImpressionTo(user, adID string, at time.Time) (bool, error)
+	ServeImpression(user, adID string, at time.Time) (bool, error)
 	Trending(slot caar.Slot, k int) ([]caar.TrendingTerm, error)
 	Stats() caar.Stats
 	Invariants() caar.InvariantReport
@@ -610,12 +609,7 @@ func (s *Server) handleImpression(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	var served bool
-	if req.User != "" {
-		served, err = s.eng.RecordImpressionTo(req.User, req.Ad, at)
-	} else {
-		served, err = s.eng.ServeImpression(req.Ad, at)
-	}
+	served, err := s.eng.ServeImpression(req.User, req.Ad, at)
 	if err != nil {
 		fail(w, err)
 		return

@@ -3,6 +3,7 @@ package journal
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -189,6 +190,9 @@ func TestConcurrentAppendBatchFrameIntegrity(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	if _, err := f.Seek(0, io.SeekStart); err != nil {
+		t.Fatal(err)
+	}
 	eng := newEngine(t)
 	stats, err := Recover(f, eng)
 	if err != nil {

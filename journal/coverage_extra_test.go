@@ -42,7 +42,7 @@ func TestLoggedRecordImpressionTo(t *testing.T) {
 	l := NewLogged(newEngine(t), NewWriter(&log))
 	l.AddUser("alice")
 	l.AddAd(caar.Ad{ID: "x", Text: "sneaker sale", Bid: 0.5})
-	served, err := l.RecordImpressionTo("alice", "x", t0)
+	served, err := l.ServeImpression("alice", "x", t0)
 	if err != nil || !served {
 		t.Fatalf("impression: %v %v", served, err)
 	}
@@ -66,7 +66,7 @@ func TestLoggedRecordImpressionTo(t *testing.T) {
 		t.Fatalf("frequency state lost across replay: %+v", recs)
 	}
 	// Errors propagate.
-	if _, err := l.RecordImpressionTo("ghost", "x", t0); err == nil {
+	if _, err := l.ServeImpression("ghost", "x", t0); err == nil {
 		t.Fatal("ghost user accepted")
 	}
 }

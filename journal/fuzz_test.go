@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -120,6 +121,9 @@ func FuzzRecoverTornTail(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if _, err := fh.Seek(0, io.SeekStart); err != nil {
+			t.Fatal(err)
+		}
 		stats2, err := Recover(fh, eng2)
 		if err != nil {
 			t.Fatalf("second Recover failed after truncation: %v", err)
@@ -205,6 +209,9 @@ func FuzzAppendBatchRecover(f *testing.F) {
 		// The truncated file must be fully valid on a second pass.
 		eng2, err := caar.Open(caar.DefaultConfig())
 		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fh.Seek(0, io.SeekStart); err != nil {
 			t.Fatal(err)
 		}
 		stats2, err := Recover(fh, eng2)

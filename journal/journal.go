@@ -1,9 +1,10 @@
 // Package journal provides an append-only event log for the recommender: a
 // durable record of every state-changing API call (users, follows, ads,
 // campaigns, posts, check-ins, impressions), replayable into a fresh engine
-// at startup. It complements caar.Snapshot: a snapshot captures durable
-// state compactly, the journal additionally recovers the ephemeral feed
-// context by replaying recent events.
+// at startup. Its records follow a snapshot head in one state file:
+// caar.OpenState restores the head, Recover replays the records after it,
+// and a graceful shutdown replaces the file with a new head alone
+// (caar.Engine.SaveSnapshot).
 //
 // Format: one framed record per line —
 //
@@ -28,7 +29,6 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"path/filepath"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -376,8 +376,8 @@ type ReplayStats struct {
 
 	Torn bool // the log tail was incomplete or corrupt (crash during append)
 
-	// ValidBytes is the byte offset just past the last structurally valid
-	// record; Recover truncates the file to this offset.
+	// ValidBytes is the byte count, from where replay started, just past
+	// the last structurally valid record; Recover truncates the file there.
 	ValidBytes int64
 	// DiscardedBytes counts bytes Recover cut from a torn or corrupt tail.
 	DiscardedBytes int64
@@ -492,7 +492,7 @@ func replay(r io.Reader, eng *caar.Engine, recoverMode bool, progress func(recor
 		if len(line) == 0 && readErr != nil {
 			break
 		}
-		lineEnd := offset + int64(len(line))
+		lineStart, lineEnd := offset, offset+int64(len(line))
 		offset = lineEnd
 		content := bytes.TrimSuffix(line, []byte("\n"))
 		content = bytes.TrimSuffix(content, []byte("\r"))
@@ -518,6 +518,10 @@ func replay(r io.Reader, eng *caar.Engine, recoverMode bool, progress func(recor
 		if err != nil {
 			flush()
 			if recoverMode {
+				if lineStart == 0 && content[0] == '{' {
+					// A head: the caller skipped caar.OpenState.
+					return stats, errors.New("journal: a snapshot head where the first record should be; open the file with caar.OpenState first")
+				}
 				// Truncation point: everything from this record on is cut.
 				stats.Torn = true
 				return stats, nil
@@ -554,12 +558,14 @@ func replay(r io.Reader, eng *caar.Engine, recoverMode bool, progress func(recor
 	return stats, nil
 }
 
-// Recover replays a journal file in recovery mode: a torn or corrupt tail
-// is truncated to the last valid record instead of refusing to start, and
-// the file is left positioned at its end, ready for appending. Records
-// after a corrupt one (possible only after in-place corruption, never after
-// a crash mid-append) are discarded with the tail; DiscardedBytes reports
-// how much was cut.
+// Recover replays a journal file in recovery mode from f's current offset
+// (where caar.OpenState left a state file, after its head): a torn or
+// corrupt tail is truncated to the last valid record instead of refusing to
+// start, and the file is left positioned at its end, ready for appending.
+// Records after a corrupt one (possible only after in-place corruption,
+// never after a crash mid-append) are discarded with the tail;
+// DiscardedBytes reports how much was cut. A snapshot head where the first
+// record should be is an error, never a truncation point.
 func Recover(f *os.File, eng *caar.Engine) (ReplayStats, error) {
 	return RecoverWithProgress(f, eng, nil)
 }
@@ -569,16 +575,17 @@ func Recover(f *os.File, eng *caar.Engine) (ReplayStats, error) {
 // the file is truncated and repositioned, so a readiness probe can report
 // "recovering, N records / M bytes replayed" instead of a bare 503.
 func RecoverWithProgress(f *os.File, eng *caar.Engine, p *RecoveryProgress) (ReplayStats, error) {
+	start, err := f.Seek(0, io.SeekCurrent)
+	if err != nil {
+		return ReplayStats{}, fmt.Errorf("journal: recover seek: %w", err)
+	}
 	var progress func(records, bytes int64)
 	if p != nil {
 		p.start()
 		if fi, err := f.Stat(); err == nil {
-			p.setTotal(fi.Size())
+			p.setTotal(fi.Size() - start)
 		}
 		progress = p.observe
-	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return ReplayStats{}, fmt.Errorf("journal: recover seek: %w", err)
 	}
 	stats, err := replay(f, eng, true, progress)
 	if err != nil {
@@ -588,9 +595,9 @@ func RecoverWithProgress(f *os.File, eng *caar.Engine, p *RecoveryProgress) (Rep
 	if err != nil {
 		return stats, fmt.Errorf("journal: recover stat: %w", err)
 	}
-	if stats.ValidBytes < fi.Size() {
-		stats.DiscardedBytes = fi.Size() - stats.ValidBytes
-		if err := f.Truncate(stats.ValidBytes); err != nil {
+	if end := start + stats.ValidBytes; end < fi.Size() {
+		stats.DiscardedBytes = fi.Size() - end
+		if err := f.Truncate(end); err != nil {
 			return stats, fmt.Errorf("journal: truncate torn tail: %w", err)
 		}
 		if err := f.Sync(); err != nil {
@@ -604,49 +611,6 @@ func RecoverWithProgress(f *os.File, eng *caar.Engine, p *RecoveryProgress) (Rep
 		p.finish(stats)
 	}
 	return stats, nil
-}
-
-// Reset truncates a journal file to empty and syncs it, leaving it
-// positioned for appending. Call it after the journaled state has been
-// durably captured elsewhere (a successful snapshot): the events in the log
-// are then already embedded in the snapshot, and replaying them on top at
-// the next startup would double-apply non-idempotent ops — re-charging
-// campaign spend and re-counting vocabulary document frequencies.
-func Reset(f *os.File) error {
-	if err := f.Truncate(0); err != nil {
-		return fmt.Errorf("journal: reset truncate: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		return fmt.Errorf("journal: reset sync: %w", err)
-	}
-	// The reset only matters when the snapshot that subsumes the log was
-	// just renamed into place in the same directory. Syncing the parent
-	// pins both directory operations; without it an OS crash can surface
-	// the old directory state — a pre-reset journal next to (or without)
-	// the new snapshot — and the next startup would double-apply spend.
-	if err := FsyncDir(filepath.Dir(f.Name())); err != nil {
-		return fmt.Errorf("journal: reset: %w", err)
-	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return fmt.Errorf("journal: reset seek: %w", err)
-	}
-	return nil
-}
-
-// FsyncDir fsyncs a directory, making directory-entry operations within it
-// (file creation, rename, truncate-to-empty) durable. File fsync alone
-// persists the bytes and the inode; the *name* pointing at them lives in
-// the directory, which crashes can otherwise roll back.
-func FsyncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("journal: open dir for fsync: %w", err)
-	}
-	defer d.Close()
-	if err := d.Sync(); err != nil {
-		return fmt.Errorf("journal: fsync dir %s: %w", dir, err)
-	}
-	return nil
 }
 
 func truncate(b []byte) string {
@@ -733,11 +697,7 @@ func apply(eng *caar.Engine, e Entry) error {
 	case OpPost, OpCheckIn:
 		return ApplyRuns(eng, []Entry{e})[0]
 	case OpImpression:
-		if e.User != "" {
-			_, err := eng.RecordImpressionTo(e.User, e.AdID, e.At)
-			return err
-		}
-		_, err := eng.ServeImpression(e.AdID, e.At)
+		_, err := eng.ServeImpression(e.User, e.AdID, e.At)
 		return err
 	default:
 		return fmt.Errorf("journal: unknown op %q", e.Op)
@@ -841,19 +801,10 @@ func (l *Logged) Invariants() caar.InvariantReport {
 	return rep
 }
 
-// ServeImpression journals (when billable) and applies.
-func (l *Logged) ServeImpression(adID string, at time.Time) (bool, error) {
-	served, err := l.Engine.ServeImpression(adID, at)
-	if err != nil || !served {
-		return served, err
-	}
-	return served, l.w.Append(Entry{Op: OpImpression, AdID: adID, At: at})
-}
-
-// RecordImpressionTo journals (when billable) and applies a per-user
-// impression, preserving frequency-capping state across recovery.
-func (l *Logged) RecordImpressionTo(user, adID string, at time.Time) (bool, error) {
-	served, err := l.Engine.RecordImpressionTo(user, adID, at)
+// ServeImpression applies and, when billable, journals the impression, the
+// user's included, so frequency-capping state survives recovery.
+func (l *Logged) ServeImpression(user, adID string, at time.Time) (bool, error) {
+	served, err := l.Engine.ServeImpression(user, adID, at)
 	if err != nil || !served {
 		return served, err
 	}

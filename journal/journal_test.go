@@ -53,7 +53,7 @@ func driveLogged(t *testing.T, l *Logged) {
 		},
 		func() error { return l.CheckIn("alice", 1.5, 1.5, t0) },
 		func() error { return l.Post("bob", "marathon day with espresso", t0) },
-		func() error { _, err := l.ServeImpression("shoes", t0); return err },
+		func() error { _, err := l.ServeImpression("", "shoes", t0); return err },
 		func() error { return l.AddAd(caar.Ad{ID: "tmp", Text: "temporary promo", Bid: 0.2}) },
 		func() error { return l.RemoveAd("tmp") },
 		func() error { return l.Unfollow("alice", "bob") },
@@ -241,7 +241,7 @@ func TestLoggedJournalFirst(t *testing.T) {
 	l.AddCampaign("c", 0.1, t0, t0.Add(time.Hour))
 	l.AddAd(caar.Ad{ID: "x", Text: "sneaker promo", Campaign: "c", Bid: 0.1})
 	before := log.Len()
-	served, err := l.ServeImpression("x", t0) // pacing: nothing released at start
+	served, err := l.ServeImpression("", "x", t0) // pacing: nothing released at start
 	if err != nil || served {
 		t.Fatalf("impression should be paced out: %v %v", served, err)
 	}

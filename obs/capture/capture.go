@@ -44,6 +44,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"caar/internal/durable"
 	"caar/obs"
 )
 
@@ -276,7 +277,7 @@ func (r *Recorder) publish(tmp, final string) error {
 	if err := os.Rename(tmp, final); err != nil {
 		return fmt.Errorf("capture: publish: %w", err)
 	}
-	return fsyncDir(r.cfg.Dir)
+	return durable.FsyncDir(r.cfg.Dir)
 }
 
 // count increments c when metrics are wired.
@@ -346,17 +347,6 @@ func writeFileSync(path string, b []byte) error {
 	return f.Close()
 }
 
-// fsyncDir makes directory-entry changes (bundle renames, deletions)
-// durable.
-func fsyncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
-}
-
 // enforceRetention deletes the oldest bundles beyond Retain. Bundle names
 // start with a UTC timestamp, so lexicographic order is chronological.
 func (r *Recorder) enforceRetention() {
@@ -367,7 +357,7 @@ func (r *Recorder) enforceRetention() {
 	for _, name := range names[:len(names)-r.cfg.Retain] {
 		_ = os.RemoveAll(filepath.Join(r.cfg.Dir, name))
 	}
-	_ = fsyncDir(r.cfg.Dir)
+	_ = durable.FsyncDir(r.cfg.Dir)
 }
 
 // bundleNames lists published bundle directory names, oldest first.

@@ -140,7 +140,7 @@ func TestRecommendMatchesRSThroughIngest(t *testing.T) {
 		// Show the best ad: it is capped for this user for an hour, and
 		// campaign ads spend the paced budget down on both engines.
 		if len(want) > 0 {
-			both(func(e *caar.Engine) error { _, err := e.RecordImpressionTo(who, want[0].AdID, at); return err })
+			both(func(e *caar.Engine) error { _, err := e.ServeImpression(who, want[0].AdID, at); return err })
 		}
 	}
 	for step := 0; step < steps; step++ {

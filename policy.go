@@ -19,7 +19,8 @@ type ServingPolicy struct {
 	// FrequencyCap is the maximum impressions of one ad a single user may
 	// receive within FrequencyWindow. 0 disables capping.
 	FrequencyCap int
-	// FrequencyWindow is the sliding period the cap applies to.
+	// FrequencyWindow is the sliding period the cap applies to, at most
+	// maxFrequencyWindow.
 	FrequencyWindow time.Duration
 	// MaxPerCampaign bounds ads of one campaign in a single slate
 	// (campaign-less ads are never constrained). 0 disables.
@@ -34,8 +35,12 @@ func (p ServingPolicy) enabled() bool {
 	return (p.FrequencyCap > 0 && p.FrequencyWindow > 0) || p.MaxPerCampaign > 0
 }
 
+// maxFrequencyWindow bounds ServingPolicy.FrequencyWindow, and with it how
+// long the impression log keeps an impression.
+const maxFrequencyWindow = 24 * time.Hour
+
 // impressionLog tracks recent impression times per (user, ad) for frequency
-// capping. Old entries are pruned lazily on access.
+// capping. A pair's old entries are pruned when it is recorded or counted.
 type impressionLog struct {
 	mu   sync.Mutex
 	byUA map[string]map[string][]time.Time
@@ -45,16 +50,18 @@ func newImpressionLog() *impressionLog {
 	return &impressionLog{byUA: make(map[string]map[string][]time.Time)}
 }
 
-// record notes one impression of ad for user at time t.
+// record notes one impression of ad for user at time t, dropping the pair's
+// entries older than maxFrequencyWindow.
 func (l *impressionLog) record(user, ad string, t time.Time) {
-	l.mu.Lock()
+	l.mu.Lock() //caarlint:allow readpathlock impression log is mutable frequency-cap state; serialization here is the design
 	defer l.mu.Unlock()
+	live := l.prune(user, ad, t.Add(-maxFrequencyWindow))
 	ads := l.byUA[user]
 	if ads == nil {
 		ads = make(map[string][]time.Time)
 		l.byUA[user] = ads
 	}
-	ads[ad] = append(ads[ad], t)
+	ads[ad] = append(live, t)
 }
 
 // countSince returns the impressions of ad seen by user within [t−window, t],
@@ -62,18 +69,23 @@ func (l *impressionLog) record(user, ad string, t time.Time) {
 func (l *impressionLog) countSince(user, ad string, t time.Time, window time.Duration) int {
 	l.mu.Lock() //caarlint:allow readpathlock impression log is mutable frequency-cap state; serialization here is the design
 	defer l.mu.Unlock()
-	ads := l.byUA[user]
-	if ads == nil {
-		return 0
+	n := 0
+	for _, ts := range l.prune(user, ad, t.Add(-window)) {
+		if !ts.After(t) { // future-stamped entries (clock skew) are kept but not counted
+			n++
+		}
 	}
+	return n
+}
+
+// prune keeps the pair's entries after cutoff, deletes the maps that become
+// empty, and returns what is kept. Callers hold l.mu.
+func (l *impressionLog) prune(user, ad string, cutoff time.Time) []time.Time {
+	ads := l.byUA[user]
 	times := ads[ad]
-	cutoff := t.Add(-window)
 	live := times[:0]
 	for _, ts := range times {
-		if ts.After(cutoff) && !ts.After(t) {
-			live = append(live, ts)
-		} else if ts.After(t) {
-			// future-stamped entries (clock skew) are kept but not counted
+		if ts.After(cutoff) {
 			live = append(live, ts)
 		}
 	}
@@ -82,33 +94,10 @@ func (l *impressionLog) countSince(user, ad string, t time.Time, window time.Dur
 		if len(ads) == 0 {
 			delete(l.byUA, user)
 		}
-		return 0
+		return nil
 	}
 	ads[ad] = live
-	n := 0
-	for _, ts := range live {
-		if !ts.After(t) {
-			n++
-		}
-	}
-	return n
-}
-
-// RecordImpressionTo registers that user actually saw ad at time t (for
-// frequency capping) and bills the impression against the ad's campaign
-// budget. It reports whether the impression was billable.
-func (e *Engine) RecordImpressionTo(user, adID string, at time.Time) (bool, error) {
-	if _, err := e.lookupUser(user); err != nil {
-		return false, err
-	}
-	served, err := e.ServeImpression(adID, at)
-	if err != nil {
-		return false, err
-	}
-	if served {
-		e.impressions.record(user, adID, at)
-	}
-	return served, nil
+	return live
 }
 
 // applyPolicy greedily selects up to k recommendations from the over-fetched

@@ -106,13 +106,13 @@ func TestFrequencyCap(t *testing.T) {
 
 	first := top(morning)
 	// Two impressions: still under cap after one.
-	if ok, err := e.RecordImpressionTo("alice", first, morning); err != nil || !ok {
+	if ok, err := e.ServeImpression("alice", first, morning); err != nil || !ok {
 		t.Fatalf("impression 1: %v %v", ok, err)
 	}
 	if got := top(morning.Add(time.Second)); got != first {
 		t.Fatalf("after 1 impression: top = %s, want %s", got, first)
 	}
-	if ok, err := e.RecordImpressionTo("alice", first, morning.Add(time.Minute)); err != nil || !ok {
+	if ok, err := e.ServeImpression("alice", first, morning.Add(time.Minute)); err != nil || !ok {
 		t.Fatalf("impression 2: %v %v", ok, err)
 	}
 	// Cap reached: the ad disappears from alice's slate...
@@ -143,10 +143,10 @@ func TestFrequencyCap(t *testing.T) {
 
 func TestRecordImpressionToErrors(t *testing.T) {
 	e := policyFixture(t)
-	if _, err := e.RecordImpressionTo("ghost", "indie-1", morning); !errors.Is(err, ErrUnknownUser) {
+	if _, err := e.ServeImpression("ghost", "indie-1", morning); !errors.Is(err, ErrUnknownUser) {
 		t.Fatalf("ghost user: %v", err)
 	}
-	if _, err := e.RecordImpressionTo("alice", "nope", morning); !errors.Is(err, ErrUnknownAd) {
+	if _, err := e.ServeImpression("alice", "nope", morning); !errors.Is(err, ErrUnknownAd) {
 		t.Fatalf("ghost ad: %v", err)
 	}
 }
@@ -159,12 +159,12 @@ func TestFrequencyCapOnlyCountsBillableImpressions(t *testing.T) {
 	e.AddAd(Ad{ID: "x", Text: "sneaker sale", Campaign: "tiny", Bid: 0.5})
 	e.Post("alice", "sneaker shopping", morning)
 
-	if ok, _ := e.RecordImpressionTo("alice", "x", morning); !ok {
+	if ok, _ := e.ServeImpression("alice", "x", morning); !ok {
 		t.Fatal("first impression should bill")
 	}
 	// Second attempt is paced out: not billable, must NOT count toward the
 	// frequency cap.
-	if ok, _ := e.RecordImpressionTo("alice", "x", morning); ok {
+	if ok, _ := e.ServeImpression("alice", "x", morning); ok {
 		t.Fatal("second impression should be paced out")
 	}
 	if got := e.impressions.countSince("alice", "x", morning, time.Hour); got != 1 {
@@ -189,5 +189,24 @@ func TestImpressionLogPruning(t *testing.T) {
 	}
 	if got := l.countSince("ghost", "a", base, time.Hour); got != 0 {
 		t.Fatal("unknown user count should be 0")
+	}
+}
+
+// TestImpressionLogForgetsBeyondMaxWindow: a pair billed hourly for 83 days
+// keeps only the impressions a frequency cap can still count, and a window
+// longer than the log remembers is rejected.
+func TestImpressionLogForgetsBeyondMaxWindow(t *testing.T) {
+	l := newImpressionLog()
+	for i := 0; i < 2000; i++ {
+		l.record("u", "a", morning.Add(time.Duration(i)*time.Hour))
+	}
+	if n := len(l.byUA["u"]["a"]); n > int(maxFrequencyWindow/time.Hour)+1 {
+		t.Fatalf("%d impressions kept, want at most %d", n, int(maxFrequencyWindow/time.Hour)+1)
+	}
+
+	e := policyFixture(t)
+	policy := ServingPolicy{FrequencyCap: 1, FrequencyWindow: maxFrequencyWindow + time.Second}
+	if _, _, err := e.RecommendTraced("alice", 1, morning, policy, TraceRequest{}); !errors.Is(err, ErrBadConfig) {
+		t.Fatalf("window above %v: %v, want ErrBadConfig", maxFrequencyWindow, err)
 	}
 }

@@ -152,7 +152,7 @@ func TestShardCountDoesNotChangeAnswers(t *testing.T) {
 					id := live[rng.Intn(len(live))]
 					var served []bool
 					for _, s := range sides {
-						ok, err := s.e.ServeImpression(id, now)
+						ok, err := s.e.ServeImpression("", id, now)
 						if err != nil {
 							t.Fatal(err)
 						}

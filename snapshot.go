@@ -1,6 +1,7 @@
 package caar
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"caar/internal/adstore"
+	"caar/internal/durable"
 	"caar/internal/faultinject"
 	"caar/internal/feed"
 	"caar/internal/geo"
@@ -22,15 +24,17 @@ import (
 
 // Crash points on the snapshot publish path, consulted through the
 // faultinject registry (one atomic load each when disarmed). The soak
-// harness arms them to kill the process at the two moments a buggy
-// save protocol would lose or corrupt a snapshot.
+// harness arms them to kill the process at each step of a save.
 const (
 	// CrashSnapshotPreFsync fires after the temp file is written but before
 	// its fsync: the bytes may still be only in the page cache.
 	CrashSnapshotPreFsync = "snapshot.pre-fsync"
 	// CrashSnapshotPreRename fires after the temp file is durable but
-	// before any rename: the snapshot exists under its temp name only.
+	// before the rename: the new head exists under its temp name only.
 	CrashSnapshotPreRename = "snapshot.post-fsync-pre-rename"
+	// CrashSnapshotPostRename fires after the rename but before the
+	// directory fsync: the new head is the state file.
+	CrashSnapshotPostRename = "snapshot.post-rename"
 )
 
 // Snapshot persistence serializes the engine's durable state — users, the
@@ -155,19 +159,18 @@ func (e *Engine) Snapshot(w io.Writer) error {
 
 // snapshotTrailer prefixes the checksum line SaveSnapshot appends after the
 // JSON document. json.Decoder stops at the end of the JSON value, so the
-// trailer is invisible to plain Restore.
+// trailer is invisible to plain Restore. After the checksum comes
+// " posts <n>", Stats.PostsDelivered for the posts the head compacts, and
+// the checksum covers it too. Older trailers lack it and restore zero.
 const snapshotTrailer = "//caar-snapshot-crc32c "
 
-// PrevSnapshotSuffix is appended to the previous good snapshot's path when
-// SaveSnapshot replaces it; LoadSnapshot falls back to that file when the
-// primary fails verification.
-const PrevSnapshotSuffix = ".prev"
-
-// SaveSnapshot atomically writes the engine's durable state to path:
-// serialize to a temp file in the same directory, append a CRC32C trailer,
-// fsync, then rename over path. Any existing snapshot at path is first
-// preserved as path+".prev" so a verification failure on load can fall back
-// to the previous good state.
+// SaveSnapshot makes path a head-only state file holding the engine's
+// durable state: the head goes to a temp file in the same directory, is
+// fsynced, and is renamed over path. A crash before the rename leaves the
+// old file, head and records, whole; a crash after it leaves the new head
+// alone, so nothing is ever applied twice. Compacting a live state file
+// this way is safe only after writes to it have stopped: a record appended
+// to the old file after the cut is lost with it.
 func (e *Engine) SaveSnapshot(path string) error {
 	start := time.Now()
 	size, err := e.saveSnapshot(path)
@@ -181,8 +184,9 @@ func (e *Engine) saveSnapshot(path string) (int64, error) {
 	if err := e.Snapshot(&buf); err != nil {
 		return 0, err
 	}
-	crc := crc32.Checksum(buf.Bytes(), crc32.MakeTable(crc32.Castagnoli))
-	fmt.Fprintf(&buf, "%s%08x\n", snapshotTrailer, crc)
+	// Writes have stopped (see above), so the count matches the document.
+	posts := fmt.Sprintf(" posts %d", e.postsDelivered.Load())
+	fmt.Fprintf(&buf, "%s%08x%s\n", snapshotTrailer, headSum(buf.Bytes(), posts), posts)
 	size := int64(buf.Len())
 
 	dir := filepath.Dir(path)
@@ -210,93 +214,130 @@ func (e *Engine) saveSnapshot(path string) (int64, error) {
 		return 0, fmt.Errorf("caar: snapshot close: %w", err)
 	}
 	faultinject.CrashPoint(CrashSnapshotPreRename)
-	if _, err := os.Stat(path); err == nil {
-		if err := os.Rename(path, path+PrevSnapshotSuffix); err != nil {
-			os.Remove(tmpName)
-			return 0, fmt.Errorf("caar: snapshot rotate previous: %w", err)
-		}
-	}
 	if err := os.Rename(tmpName, path); err != nil {
 		os.Remove(tmpName)
 		return 0, fmt.Errorf("caar: snapshot rename: %w", err)
 	}
-	// Persist the renames themselves: the file's bytes are fsynced, but the
-	// name pointing at them lives in the directory. An OS crash before the
-	// directory hits disk can resurrect the old snapshot (or no snapshot)
-	// next to a journal that was reset on the strength of this one — so a
-	// failure here is a durability error, not best-effort noise.
-	if err := fsyncDir(dir); err != nil {
+	faultinject.CrashPoint(CrashSnapshotPostRename)
+	// The file's bytes are fsynced, but the name pointing at them lives in
+	// the directory: an OS crash before it reaches the disk can bring back
+	// the old file, so a failure here is a durability error.
+	if err := durable.FsyncDir(dir); err != nil {
 		return 0, fmt.Errorf("caar: snapshot publish: %w", err)
 	}
 	return size, nil
 }
 
-// fsyncDir makes directory-entry operations (the snapshot renames) durable.
-// Kept local rather than shared with journal.FsyncDir because journal
-// imports caar, not the other way around.
-func fsyncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("open dir for fsync: %w", err)
-	}
-	defer d.Close()
-	if err := d.Sync(); err != nil {
-		return fmt.Errorf("fsync dir %s: %w", dir, err)
-	}
-	return nil
-}
-
-// LoadSnapshot reads a snapshot written by SaveSnapshot, verifying its
-// checksum, and restores an engine from it. When the primary file is
-// missing, corrupt, or fails verification it falls back to the previous
-// good snapshot at path+".prev"; only if both fail does it return an error.
-// The returned path names the file that actually loaded, so operators can
-// tell a fallback from a normal restore. A file without the checksum trailer
-// fails verification; Restore reads what Snapshot wrote directly.
+// LoadSnapshot opens the head-only state file SaveSnapshot wrote at path.
+// Records after the head are an error: recovering them is journal.Recover's
+// job. The returned path is always path.
 func LoadSnapshot(cfg Config, path string) (*Engine, string, error) {
-	eng, primaryErr := loadVerified(cfg, path)
-	if primaryErr == nil {
-		return eng, path, nil
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, "", err
 	}
-	prev := path + PrevSnapshotSuffix
-	eng, prevErr := loadVerified(cfg, prev)
-	if prevErr == nil {
-		return eng, prev, nil
+	defer f.Close()
+	e, err := OpenState(cfg, f)
+	if err != nil {
+		return nil, "", err
 	}
-	return nil, "", fmt.Errorf("caar: snapshot %s: %w (previous: %v)", path, primaryErr, prevErr)
+	switch n, err := f.Read(make([]byte, 1)); {
+	case n > 0:
+		return nil, "", fmt.Errorf("caar: snapshot %s: records follow the head", path)
+	case !errors.Is(err, io.EOF):
+		return nil, "", fmt.Errorf("caar: snapshot %s: %w", path, err)
+	}
+	return e, path, nil
 }
 
-// loadVerified reads one snapshot file, checks its trailer checksum, and
-// restores from the payload.
-func loadVerified(cfg Config, path string) (*Engine, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
+// OpenState opens the engine the state file f holds. A state file is a head
+// — the document Snapshot writes plus SaveSnapshot's checksum trailer line —
+// followed by journal records, so an old snapshot, an old journal and the
+// two concatenated are each one. A file whose first byte is the '{' of a
+// head is restored from it, after its checksum is checked, and f is left at
+// the first record for journal.Recover to replay. Any other file opens a
+// fresh engine with f at its start, and Recover truncates whatever there is
+// no valid record. A head that fails the check is an error naming the file:
+// nothing falls back and nothing is truncated. JSON lines never start with
+// "//", so the first line that does ends the head.
+func OpenState(cfg Config, f *os.File) (*Engine, error) {
+	fail := func(err error) (*Engine, error) {
+		return nil, fmt.Errorf("caar: state file %s: %w", f.Name(), err)
 	}
-	i := bytes.LastIndex(raw, []byte(snapshotTrailer))
-	if i < 0 {
-		return nil, errors.New("no checksum trailer")
+	if _, err := f.Seek(0, io.SeekStart); err != nil {
+		return fail(err)
 	}
-	payload := raw[:i]
-	field := bytes.TrimSpace(raw[i+len(snapshotTrailer):])
-	want, err := strconv.ParseUint(string(field), 16, 32)
-	if err != nil {
-		return nil, fmt.Errorf("bad checksum trailer %q", field)
+	br := bufio.NewReaderSize(f, 1<<16)
+	if first, err := br.Peek(1); errors.Is(err, io.EOF) || (err == nil && first[0] != '{') {
+		if _, err := f.Seek(0, io.SeekStart); err != nil {
+			return fail(err)
+		}
+		return Open(cfg)
+	} else if err != nil {
+		return fail(err)
 	}
-	if got := crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)); got != uint32(want) {
-		return nil, fmt.Errorf("checksum mismatch (want %08x, got %08x)", want, got)
+	var head []byte
+	for {
+		start := len(head)
+		var err error
+		for {
+			var part []byte
+			part, err = br.ReadSlice('\n')
+			head = append(head, part...)
+			if !errors.Is(err, bufio.ErrBufferFull) {
+				break
+			}
+		}
+		if errors.Is(err, io.EOF) {
+			return fail(errors.New("head without a complete checksum trailer line"))
+		} else if err != nil {
+			return fail(err)
+		}
+		if !bytes.HasPrefix(head[start:], []byte("//")) {
+			continue
+		}
+		doc := head[:start]
+		posts, err := checkHead(doc, head[start:])
+		if err != nil {
+			return fail(err)
+		}
+		e, err := Restore(cfg, bytes.NewReader(doc))
+		if err != nil {
+			return fail(err)
+		}
+		e.postsDelivered.Store(posts)
+		if _, err := f.Seek(int64(len(head)), io.SeekStart); err != nil {
+			return fail(err)
+		}
+		return e, nil
 	}
-	return Restore(cfg, bytes.NewReader(payload))
 }
 
-// SnapshotExists reports whether a loadable snapshot (primary or previous)
-// is present at path.
-func SnapshotExists(path string) bool {
-	if _, err := os.Stat(path); err == nil {
-		return true
+// checkHead verifies the trailer line's checksum against the head's
+// document and the count after it, and returns the count.
+func checkHead(doc, trailer []byte) (posts uint64, err error) {
+	field, ok := bytes.CutPrefix(bytes.TrimSpace(trailer), []byte(snapshotTrailer))
+	sum, count, _ := bytes.Cut(field, []byte(" "))
+	want, err := strconv.ParseUint(string(sum), 16, 32)
+	if n, found := bytes.CutPrefix(count, []byte("posts ")); found && err == nil {
+		posts, err = strconv.ParseUint(string(n), 10, 64)
+	} else if len(count) > 0 {
+		ok = false
 	}
-	_, err := os.Stat(path + PrevSnapshotSuffix)
-	return err == nil
+	if !ok || err != nil {
+		return 0, fmt.Errorf("bad checksum trailer %q", trailer)
+	}
+	if got := headSum(doc, string(field[len(sum):])); got != uint32(want) {
+		return 0, fmt.Errorf("head checksum mismatch (want %08x, got %08x)", want, got)
+	}
+	return posts, nil
+}
+
+// headSum is the trailer's checksum: CRC32C over the document, then the
+// trailer's text after the checksum.
+func headSum(doc []byte, rest string) uint32 {
+	table := crc32.MakeTable(crc32.Castagnoli)
+	return crc32.Update(crc32.Checksum(doc, table), table, []byte(rest))
 }
 
 // Restore opens a fresh engine from cfg and loads a snapshot into it.

@@ -2,6 +2,7 @@ package caar
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -41,9 +42,6 @@ func TestSaveLoadSnapshotRoundTrip(t *testing.T) {
 	if err := e.SaveSnapshot(path); err != nil {
 		t.Fatal(err)
 	}
-	if !SnapshotExists(path) {
-		t.Fatal("SnapshotExists = false after save")
-	}
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -76,38 +74,143 @@ func TestSaveLoadSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-func TestLoadSnapshotFallsBackToPrevOnCorruption(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "state.snap")
+// TestOpenStateRejectsCorruptHead: after two saves, a bit flip in the
+// newest head makes startup fail with an error naming the file. Nothing
+// falls back to an older state, nothing is truncated, and the save left no
+// second file to fall back to.
+func TestOpenStateRejectsCorruptHead(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "state")
 	e := buildSnapshotEngine(t)
 	if err := e.SaveSnapshot(path); err != nil {
 		t.Fatal(err)
 	}
-	// Second save: the first becomes .prev, then corrupt the primary.
 	if err := e.AddUser("carol"); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.SaveSnapshot(path); err != nil {
 		t.Fatal(err)
 	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 1 {
+		t.Fatalf("two saves left %d files (%v), want the state file alone", len(entries), err)
+	}
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw[len(raw)/2] ^= 0x20 // bit flip inside the payload
+	raw[len(raw)/2] ^= 0x20 // bit flip inside the head's document
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	loaded, src, err := LoadSnapshot(DefaultConfig(), path)
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
 	if err != nil {
-		t.Fatalf("fallback to .prev failed: %v", err)
+		t.Fatal(err)
 	}
-	if src != path+PrevSnapshotSuffix {
-		t.Fatalf("loaded from %s, want fallback %s", src, path+PrevSnapshotSuffix)
+	defer f.Close()
+	if _, err := OpenState(DefaultConfig(), f); err == nil || !strings.Contains(err.Error(), path) {
+		t.Fatalf("OpenState on a corrupt head: %v, want an error naming %s", err, path)
 	}
-	// The fallback is the pre-carol state.
-	if got := loaded.Stats().Users; got != 2 {
-		t.Fatalf("loaded %d users, want 2 (previous good snapshot)", got)
+	if _, _, err := LoadSnapshot(DefaultConfig(), path); err == nil {
+		t.Fatal("LoadSnapshot accepted a corrupt head")
+	}
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, raw) {
+		t.Fatalf("a failed head check changed the file (%v)", err)
+	}
+}
+
+// TestOpenStateWithoutHead: an empty file and a file of records alone open a
+// fresh engine, with the file left at its start for the records to replay.
+func TestOpenStateWithoutHead(t *testing.T) {
+	for name, content := range map[string]string{
+		"empty":        "",
+		"records only": "j2 2 00000000 {}\n",
+		// A power loss can leave the first append as a zero-filled block.
+		"zero-filled first record": strings.Repeat("\x00", 24) + "\n",
+	} {
+		path := filepath.Join(t.TempDir(), "state")
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := OpenState(DefaultConfig(), f)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if at, _ := f.Seek(0, io.SeekCurrent); at != 0 || e.Stats().Users != 0 {
+			t.Fatalf("%s: at byte %d with %d users, want a fresh engine at byte 0", name, at, e.Stats().Users)
+		}
+		f.Close()
+	}
+}
+
+// TestHeadKeepsPostCount: a head compacts the posts applied before it, so
+// its trailer carries their count, covered by the checksum, and OpenState
+// restores Stats.PostsDelivered from it.
+func TestHeadKeepsPostCount(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "state")
+	e := buildSnapshotFixture(t)
+	e.Post("alice", "espresso before the marathon", morning)
+	if err := e.SaveSnapshot(path); err != nil {
+		t.Fatal(err)
+	}
+	loaded, _, err := LoadSnapshot(testConfig(), path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := loaded.Stats().PostsDelivered, e.Stats().PostsDelivered; got != want || want != 2 {
+		t.Fatalf("restored post count %d, want %d (2 posts)", got, want)
+	}
+
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tampered := bytes.Replace(raw, []byte(" posts 2\n"), []byte(" posts 3\n"), 1)
+	if bytes.Equal(tampered, raw) {
+		t.Fatalf("trailer without the post count:\n%s", raw[bytes.LastIndex(raw, []byte("//")):])
+	}
+	if err := os.WriteFile(path, tampered, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := LoadSnapshot(testConfig(), path); err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
+		t.Fatalf("a changed post count loaded: %v", err)
+	}
+}
+
+// TestOpenStateStopsAtFirstRecord: records after a head are left for replay,
+// so OpenState positions the file just past the trailer line, and
+// LoadSnapshot, which restores a head alone, refuses the file.
+func TestOpenStateStopsAtFirstRecord(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "state")
+	if err := buildSnapshotEngine(t).SaveSnapshot(path); err != nil {
+		t.Fatal(err)
+	}
+	head, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	record := "j2 2 00000000 {}\n"
+	if err := os.WriteFile(path, append(head, record...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	e, err := OpenState(DefaultConfig(), f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if at, _ := f.Seek(0, io.SeekCurrent); at != int64(len(head)) || e.Stats().Users != 2 {
+		t.Fatalf("at byte %d with %d users, want byte %d with the head's 2", at, e.Stats().Users, len(head))
+	}
+	if _, _, err := LoadSnapshot(DefaultConfig(), path); err == nil {
+		t.Fatal("LoadSnapshot accepted records after the head")
 	}
 }
 
@@ -121,34 +224,20 @@ func TestLoadSnapshotBothCorrupt(t *testing.T) {
 	}
 }
 
-// TestLoadSnapshotLegacyWithoutTrailer: a primary without the checksum
-// trailer is rejected, and the previous snapshot loads instead.
+// TestLoadSnapshotLegacyWithoutTrailer: a head without the checksum
+// trailer is rejected.
 func TestLoadSnapshotLegacyWithoutTrailer(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "state.snap")
-	e := buildSnapshotEngine(t)
-	if err := e.SaveSnapshot(path + PrevSnapshotSuffix); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.AddUser("carol"); err != nil {
-		t.Fatal(err)
-	}
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Snapshot(f); err != nil {
+	if err := buildSnapshotEngine(t).Snapshot(f); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
-	loaded, src, err := LoadSnapshot(DefaultConfig(), path)
-	if err != nil {
-		t.Fatalf("fallback to .prev failed: %v", err)
-	}
-	if src != path+PrevSnapshotSuffix {
-		t.Fatalf("loaded the trailer-less %s, want fallback %s", src, path+PrevSnapshotSuffix)
-	}
-	if got := loaded.Stats().Users; got != 2 {
-		t.Fatalf("loaded %d users, want 2 (previous snapshot)", got)
+	if _, _, err := LoadSnapshot(DefaultConfig(), path); err == nil {
+		t.Fatal("head without a checksum trailer accepted")
 	}
 }
 

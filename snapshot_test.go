@@ -34,7 +34,7 @@ func buildSnapshotFixture(t *testing.T) *Engine {
 		}
 	}
 	// Spend some budget so pacing state is non-trivial.
-	if ok, err := e.ServeImpression("shoes", morning); err != nil || !ok {
+	if ok, err := e.ServeImpression("", "shoes", morning); err != nil || !ok {
 		t.Fatalf("impression: %v %v", ok, err)
 	}
 	// Posts build vocabulary DF state (persisted) and windows (not).
@@ -96,7 +96,7 @@ func TestSnapshotRestoreState(t *testing.T) {
 
 	// Budget spend survived the round trip: pacing continues from the
 	// recorded spend and still allows a later impression.
-	if ok, err := restored.ServeImpression("shoes", morning.Add(12*time.Hour)); err != nil || !ok {
+	if ok, err := restored.ServeImpression("", "shoes", morning.Add(12*time.Hour)); err != nil || !ok {
 		t.Fatalf("post-restore impression: %v %v", ok, err)
 	}
 }
@@ -129,8 +129,8 @@ func TestSnapshotAdVectorsExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Feed windows legitimately differ (the original engine still holds its
-	// pre-snapshot post), so ranks may differ; what must round-trip exactly
+	// Feed windows legitimately differ (the original engine still holds the
+	// post it saw before the snapshot), so ranks may differ; what must round-trip exactly
 	// is the ad set and the context-independent bid component per ad.
 	if len(a) != len(b) {
 		t.Fatalf("lengths differ: %d vs %d", len(a), len(b))

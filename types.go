@@ -126,9 +126,11 @@ type Recommendation struct {
 
 // Stats is a snapshot of engine state for monitoring.
 type Stats struct {
-	Users          int
-	Ads            int
-	FollowEdges    int
+	Users       int
+	Ads         int
+	FollowEdges int
+	// PostsDelivered counts the posts applied to this state, also those
+	// compacted into the state file's head (see SaveSnapshot).
 	PostsDelivered uint64
 	CheckIns       uint64
 	Shards         int
