@@ -12,7 +12,7 @@ all: check
 # compilation of every package, and the test suite under the race detector —
 # which holds the project's own analyzers and reachability guard
 # (internal/lint) and the end-to-end hot-key, ingest-backpressure and
-# SLO-capture drills (internal/server) — and the facade's packages once more on
+# SLO-trip drills (internal/server) — and the facade's packages once more on
 # one core.
 check: lint build race test-1proc
 

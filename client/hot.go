@@ -7,12 +7,11 @@ import (
 	"strconv"
 	"time"
 
-	caar "caar"
 	"caar/obs/hotkey"
 )
 
 // Hot fetches heavy-hitter telemetry from /v1/hot. dim filters to one
-// dimension ("users", "posters", "campaigns", "terms"; empty = all), k
+// dimension ("users", "posters", "campaigns"; empty = all), k
 // bounds keys per dimension (0 = server default), window narrows the query
 // to the trailing duration (0 = full retained window).
 func (c *Client) Hot(ctx context.Context, dim string, k int, window time.Duration) ([]hotkey.DimReport, error) {
@@ -33,17 +32,4 @@ func (c *Client) Hot(ctx context.Context, dim string, k int, window time.Duratio
 		return nil, err
 	}
 	return out.Dimensions, nil
-}
-
-// HotPartitionReport fetches the per-dimension skew summary a router tier
-// would consume (/v1/hot?view=partition).
-func (c *Client) HotPartitionReport(ctx context.Context, window time.Duration) (caar.HotPartitionReport, error) {
-	q := url.Values{}
-	q.Set("view", "partition")
-	if window > 0 {
-		q.Set("window", window.String())
-	}
-	var rep caar.HotPartitionReport
-	err := c.do(ctx, http.MethodGet, "/v1/hot?"+q.Encode(), nil, &rep)
-	return rep, err
 }

@@ -26,7 +26,7 @@ func TestClientHot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(dims) != 4 {
+	if len(dims) != 3 {
 		t.Fatalf("dimensions = %+v", dims)
 	}
 
@@ -41,11 +41,8 @@ func TestClientHot(t *testing.T) {
 		t.Fatalf("hot user count = %+v", users[0].Keys[0])
 	}
 
-	rep, err := c.HotPartitionReport(ctx, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Dimensions) != 4 {
-		t.Fatalf("partition report = %+v", rep)
+	// Terms are counted per slot by Trending, not by the hot-key tracker.
+	if _, err := c.Hot(ctx, "terms", 0, 0); err == nil {
+		t.Fatal("dim=terms accepted")
 	}
 }

@@ -1,22 +1,19 @@
 package client
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
 
-	"caar/obs/capture"
 	"caar/obs/slo"
 )
 
-// SLO and capture clients — the adctl surface over GET /v1/slo and
-// /v1/capturez. Like the other observability calls these bypass the
-// retry/breaker machinery: burn rates and capture bundles are read exactly
-// when the server is misbehaving, and a retried stale answer would lie.
+// SLO client — the adctl surface over GET /v1/slo. Like the other
+// observability calls it bypasses the retry/breaker machinery: burn rates
+// are read exactly when the server is misbehaving, and a retried stale
+// answer would lie.
 
 // SLOStatus fetches the burn-rate report (GET /v1/slo). refresh asks the
 // server to take a fresh sample first, so the report covers traffic sent
@@ -40,88 +37,4 @@ func (c *Client) SLOStatus(ctx context.Context, refresh bool) (slo.Status, error
 		return slo.Status{}, fmt.Errorf("client: slo: decode: %w", err)
 	}
 	return st, nil
-}
-
-// CaptureList fetches the retained capture bundles, newest first
-// (GET /v1/capturez).
-func (c *Client) CaptureList(ctx context.Context) ([]capture.BundleInfo, error) {
-	resp, err := c.rawGet(ctx, "/v1/capturez")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(resp.Body)
-		return nil, fmt.Errorf("client: capturez: status %d: %s", resp.StatusCode, body)
-	}
-	var out struct {
-		Bundles []capture.BundleInfo `json:"bundles"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, fmt.Errorf("client: capturez: decode: %w", err)
-	}
-	return out.Bundles, nil
-}
-
-// CaptureNow forces a capture bundle (POST /v1/capturez) and returns its
-// name. Blocks for the server's CPU-profile duration (seconds). A 409 means
-// another capture is already in flight.
-func (c *Client) CaptureNow(ctx context.Context) (string, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/v1/capturez",
-		bytes.NewReader(nil))
-	if err != nil {
-		return "", err
-	}
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(resp.Body)
-		return "", fmt.Errorf("client: capture now: status %d: %s", resp.StatusCode, body)
-	}
-	var out struct {
-		Bundle string `json:"bundle"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return "", fmt.Errorf("client: capture now: decode: %w", err)
-	}
-	return out.Bundle, nil
-}
-
-// CaptureMeta fetches one bundle's meta document (GET /v1/capturez/{name}).
-func (c *Client) CaptureMeta(ctx context.Context, name string) (capture.Meta, error) {
-	resp, err := c.rawGet(ctx, "/v1/capturez/"+url.PathEscape(name))
-	if err != nil {
-		return capture.Meta{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(resp.Body)
-		return capture.Meta{}, fmt.Errorf("client: capture meta: status %d: %s", resp.StatusCode, body)
-	}
-	var m capture.Meta
-	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
-		return capture.Meta{}, fmt.Errorf("client: capture meta: decode: %w", err)
-	}
-	return m, nil
-}
-
-// CaptureFile fetches one artifact from a bundle
-// (GET /v1/capturez/{name}/{file}).
-func (c *Client) CaptureFile(ctx context.Context, name, file string) ([]byte, error) {
-	resp, err := c.rawGet(ctx, "/v1/capturez/"+url.PathEscape(name)+"/"+url.PathEscape(file))
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("client: capture file: status %d: %s", resp.StatusCode, body)
-	}
-	return body, nil
 }

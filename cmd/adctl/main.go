@@ -21,16 +21,12 @@
 //	impression <ad-id>
 //	trending [slot] [k]
 //	hot [dim] [k] [window]   (heavy-hitter telemetry; dim "" = all dimensions)
-//	hot partition [window]   (per-dimension shard-skew summary)
 //	stats
 //	health
 //	ready
 //	invariants
 //	metrics
 //	slo [-refresh]
-//	capture now
-//	capture list
-//	capture get <bundle> [file]
 package main
 
 import (
@@ -274,28 +270,6 @@ func run(ctx context.Context, c *client.Client, cmd string, args []string, now t
 		}
 		return nil
 	case "hot":
-		if len(args) > 0 && args[0] == "partition" {
-			window := time.Duration(0)
-			if len(args) > 1 {
-				var err error
-				if window, err = time.ParseDuration(args[1]); err != nil {
-					return fmt.Errorf("window: %w", err)
-				}
-			}
-			rep, err := c.HotPartitionReport(ctx, window)
-			if err != nil {
-				return err
-			}
-			fmt.Printf("window  %.0fs over %d shards\n", rep.WindowSeconds, rep.Shards)
-			for _, d := range rep.Dimensions {
-				fmt.Printf("%-10s top=%s count=%d (±%d) share=%.2f", d.Dimension, d.TopKey, d.TopCount, d.ErrorBound, d.TopShare)
-				if d.ShardWeight != nil {
-					fmt.Printf(" max-shard-share=%.2f shard-weight=%v", d.MaxShardShare, d.ShardWeight)
-				}
-				fmt.Println()
-			}
-			return nil
-		}
 		dim := ""
 		if len(args) > 0 {
 			dim = args[0]
@@ -428,69 +402,6 @@ func run(ctx context.Context, c *client.Client, cmd string, args []string, now t
 			}
 		}
 		return nil
-	case "capture":
-		if err := need(1); err != nil {
-			return err
-		}
-		switch args[0] {
-		case "now":
-			fmt.Println("capturing (blocks for the CPU-profile duration)...")
-			name, err := c.CaptureNow(ctx)
-			if err != nil {
-				return err
-			}
-			fmt.Printf("bundle %s\n", name)
-			return nil
-		case "list":
-			list, err := c.CaptureList(ctx)
-			if err != nil {
-				return err
-			}
-			if len(list) == 0 {
-				fmt.Println("(no capture bundles)")
-				return nil
-			}
-			for _, b := range list {
-				var total int64
-				for _, f := range b.Files {
-					total += f.Bytes
-				}
-				fmt.Printf("%-40s trigger=%-10s files=%-2d %8.1f KiB  %s\n",
-					b.Name, b.Trigger, len(b.Files), float64(total)/1024,
-					b.CapturedAt.Format(time.RFC3339))
-			}
-			return nil
-		case "get":
-			if len(args) < 2 {
-				return fmt.Errorf("usage: capture get <bundle> [file]")
-			}
-			if len(args) == 2 {
-				m, err := c.CaptureMeta(ctx, args[1])
-				if err != nil {
-					return err
-				}
-				fmt.Printf("bundle      %s\n", m.Name)
-				fmt.Printf("trigger     %s\n", m.Trigger)
-				fmt.Printf("reason      %s\n", m.Reason)
-				fmt.Printf("captured    %s  (uptime %.0fs)\n", m.CapturedAt.Format(time.RFC3339), m.UptimeSeconds)
-				fmt.Printf("build       %s %s rev %s\n", m.Build.Module, m.Build.Version, m.Build.ShortRev())
-				fmt.Printf("goroutines  %d (GOMAXPROCS %d)\n", m.Goroutines, m.GOMAXPROCS)
-				for _, e := range m.Errors {
-					fmt.Printf("error       %s\n", e)
-				}
-				return nil
-			}
-			b, err := c.CaptureFile(ctx, args[1], args[2])
-			if err != nil {
-				return err
-			}
-			// Raw bytes to stdout so `adctl capture get <b> cpu.pprof > cpu.pprof`
-			// composes with `go tool pprof`.
-			_, err = os.Stdout.Write(b)
-			return err
-		default:
-			return fmt.Errorf("unknown capture subcommand %q (want now, list or get)", args[0])
-		}
 	default:
 		return fmt.Errorf("unknown command %q", cmd)
 	}

@@ -11,9 +11,8 @@
 // Observability is always on, with fixed settings: the request-scoped flight
 // recorder keeps the newest 512 traces, head-sampling 1% of recommends and
 // always capturing those slower than 250ms and errored ones (inspect them via
-// GET /v1/traces, force one with ?explain=1); the SLO watchdog (-slo) and
-// anomaly capture (-capture-dir) run with their packages' defaults, and
-// -hot-off is the one hot-key switch.
+// GET /v1/traces, force one with ?explain=1); the SLO watchdog (-slo) runs
+// with its package's defaults, and -hot-off is the one hot-key switch.
 //
 // Durability: -journal names the one state file, a snapshot head followed
 // by journal records. At startup the head is restored and the records are
@@ -52,7 +51,6 @@ import (
 	"caar/internal/server"
 	"caar/journal"
 	"caar/obs"
-	"caar/obs/capture"
 	"caar/obs/slo"
 	"caar/obs/trace"
 )
@@ -66,7 +64,7 @@ func main() {
 // The flight recorder's capture policy: the newest trace.DefaultCapacity
 // traces are kept, 1% of recommends head-sampled, and every one at least
 // traceSlow slow tail-captured. The other observability settings are their
-// packages' defaults (obs/slo, obs/capture, obs/hotkey, the server's
+// packages' defaults (obs/slo, obs/hotkey, the server's
 // slow-request log).
 const (
 	traceSampleRate = 0.01
@@ -75,7 +73,7 @@ const (
 
 // settings is adserver's command line, one field per flag.
 type settings struct {
-	addr, journal, fsync, logLevel, slo, captureDir        string
+	addr, journal, fsync, logLevel, slo                    string
 	shards, window, maxInFlight, ingestQueue, ingestBatch  int
 	halfLife, fsyncInterval, requestTimeout, shutdownGrace time.Duration
 	maxBody                                                int64
@@ -100,7 +98,6 @@ func newFlagSet(s *settings) *flag.FlagSet {
 	fs.StringVar(&s.logLevel, "log-level", "info", "structured log level: debug, info, warn or error")
 	fs.BoolVar(&s.pprof, "pprof", false, "expose net/http/pprof profiling under /debug/pprof/")
 	fs.StringVar(&s.slo, "slo", slo.DefaultObjectivesSpec, "SLO objectives: endpoint:latency:target or endpoint:errors:target, comma-separated (empty = tracking off)")
-	fs.StringVar(&s.captureDir, "capture-dir", "", "write anomaly capture bundles under this directory (empty = capture off)")
 	fs.BoolVar(&s.hotOff, "hot-off", false, "disable hot-key telemetry (/v1/hot)")
 	fs.IntVar(&s.ingestQueue, "ingest-queue", 4096, "ingest ring capacity, rounded up to a power of two; a full ring sheds with 429")
 	fs.IntVar(&s.ingestBatch, "ingest-batch", 256, "max writes per ingest group commit (one fsync per batch, policy permitting)")
@@ -164,18 +161,12 @@ func run() error {
 	}
 
 	// Fault injection: the soak harness arms named crash points through the
-	// environment; the capture smoke test arms serving-path delay points the
-	// same way. Production runs leave both variables unset and every hook
+	// environment. Production runs leave the variable unset and every hook
 	// stays a single atomic load.
 	if spec, err := faultinject.ArmCrashPointsFromEnv(); err != nil {
 		return err
 	} else if spec != "" {
 		log.Printf("faultinject: crash points armed: %s", spec)
-	}
-	if spec, err := faultinject.ArmDelaysFromEnv(); err != nil {
-		return err
-	} else if spec != "" {
-		log.Printf("faultinject: delay points armed: %s", spec)
 	}
 	// Lock watchdog: a no-op outside `-tags caarlockwatch` builds; the
 	// race-matrix smokes build with the tag and set CAAR_LOCKWATCH so a
@@ -192,12 +183,10 @@ func run() error {
 	// long replay from a wedged process. Here we only build the write path.
 	var api server.API = eng
 	var jw *journal.Writer
-	var jm *journal.Metrics
 	var recovery *journal.RecoveryProgress
 	if jf != nil {
-		jm = journal.NewMetrics(reg)
 		jw = journal.NewFileWriter(jf, policy, opt.fsyncInterval)
-		jw.SetMetrics(jm)
+		jw.SetMetrics(journal.NewMetrics(reg))
 		api = journal.NewLogged(eng, jw)
 		recovery = journal.NewRecoveryProgress()
 	}
@@ -238,21 +227,10 @@ func run() error {
 		logger.Info("pprof enabled", slog.String("path", "/debug/pprof/"))
 	}
 
-	// Anomaly flight recorder: when the SLO watchdog below trips, profiles
-	// are captured while the anomaly is still happening.
-	var recorder *capture.Recorder
-	if opt.captureDir != "" {
-		recorder, err = capture.NewRecorder(capture.Config{Dir: opt.captureDir, Metrics: reg})
-		if err != nil {
-			return err
-		}
-		srvOpts = append(srvOpts, server.WithCapture(recorder))
-		logger.Info("capture enabled", slog.String("dir", opt.captureDir))
-	}
-
-	// SLO watchdog: multi-window burn rates over the serving histograms,
-	// wired to the recorder so a trip produces a bundle (at most one a
-	// minute; a trip during an in-flight capture is dropped).
+	// SLO watchdog: multi-window burn rates over the serving histograms. A
+	// trip is logged here, counted in caar_slo_trips_total and reported by
+	// /v1/slo; the evidence is read live from /v1/traces, /v1/hot and
+	// /debug/pprof (README's SLO run-book).
 	if opt.slo != "" {
 		objectives, err := slo.ParseObjectives(opt.slo)
 		if err != nil {
@@ -265,19 +243,6 @@ func run() error {
 					slog.String("endpoint", tp.Endpoint),
 					slog.Float64("fast_burn", tp.FastBurn),
 					slog.Float64("slow_burn", tp.SlowBurn))
-				if recorder == nil {
-					return
-				}
-				go func() {
-					reason := fmt.Sprintf("slo %s on %s: fast burn %.1f, slow burn %.1f (threshold %.1f)",
-						tp.Objective, tp.Endpoint, tp.FastBurn, tp.SlowBurn, tp.Threshold)
-					name, err := recorder.Capture("anomaly", reason, false)
-					if err != nil {
-						logger.Warn("anomaly capture skipped", slog.String("error", err.Error()))
-						return
-					}
-					logger.Info("anomaly capture written", slog.String("bundle", name))
-				}()
 			},
 		}
 		srvOpts = append(srvOpts, server.WithSLO(sloCfg, objectives...))
@@ -324,7 +289,6 @@ func run() error {
 		if err != nil {
 			return fmt.Errorf("journal recovery: %w", err)
 		}
-		jm.ObserveReplay(stats)
 		log.Printf("journal recovered: %d applied, %d skipped (%d duplicate, %d unknown ref, %d invalid)",
 			stats.Applied, stats.Skipped, stats.SkippedDuplicate, stats.SkippedUnknownRef, stats.SkippedInvalid)
 		if stats.Torn {

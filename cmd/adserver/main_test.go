@@ -10,7 +10,8 @@ import (
 )
 
 // TestFlagsMatchREADME holds README.md to adserver's command line, both ways:
-// the flag table lists exactly the registered flags, and every flag README.md
+// the flag table lists exactly the registered flags, each with a reader — who
+// sets the flag or turns it, and why — and every flag README.md
 // gives adserver anywhere — a backticked span that starts with one, or a
 // token on a line that runs adserver (and that line's `\` continuations) —
 // is registered, so a removed flag cannot stay documented. Other commands'
@@ -21,15 +22,15 @@ func TestFlagsMatchREADME(t *testing.T) {
 	newFlagSet(new(settings)).VisitAll(func(f *flag.Flag) { registered[f.Name] = true })
 	// The census: a flag is added only with a named consumer, and this
 	// number with it.
-	if len(registered) != 19 {
-		t.Errorf("%d flags registered, want 19", len(registered))
+	if len(registered) != 18 {
+		t.Errorf("%d flags registered, want 18", len(registered))
 	}
 
 	readme, err := os.ReadFile("../../README.md")
 	if err != nil {
 		t.Fatal(err)
 	}
-	row := regexp.MustCompile("^\\| `-([a-z][a-z0-9-]*)` \\|")
+	row := regexp.MustCompile("^\\| `-([a-z][a-z0-9-]*)` \\|[^|]*\\|([^|]*)\\|")
 	spanned := regexp.MustCompile("`-([a-z][a-z0-9-]*)")
 	runs := regexp.MustCompile("(^|[\\s`/])adserver\\s+-")
 	token := regexp.MustCompile(`(?:^|\s)-([a-z][a-z0-9-]*)`)
@@ -38,6 +39,9 @@ func TestFlagsMatchREADME(t *testing.T) {
 	for _, line := range strings.Split(string(readme), "\n") {
 		if m := row.FindStringSubmatch(line); m != nil {
 			table[m[1]] = true
+			if strings.TrimSpace(m[2]) == "" {
+				t.Errorf("README.md's row for -%s names no reader", m[1])
+			}
 		}
 		for _, m := range spanned.FindAllStringSubmatch(line, -1) {
 			mentioned[m[1]] = true

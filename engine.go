@@ -175,7 +175,6 @@ type shardEngine interface {
 	// ad the store and the shared ad side have just registered or dropped.
 	RegisterAd(a *adstore.Ad)
 	UnregisterAd(id adstore.AdID)
-	WindowStats() (users, entries int)
 }
 
 // Common errors returned by Engine methods.
@@ -235,16 +234,12 @@ func Open(cfg Config) (*Engine, error) {
 		}
 		// Display names resolve at query time against whatever directory
 		// snapshot is current then — one lock-free atomic load, no
-		// serving-path locks. Terms resolve through the vocabulary's
-		// read lock, which only queries (never record sites) pay.
+		// serving-path locks.
 		hot.SetResolver(hotkey.DimUsers, func(key uint64) string {
 			return e.dir.Load().userName(feed.UserID(key))
 		})
 		hot.SetResolver(hotkey.DimPosters, func(key uint64) string {
 			return e.dir.Load().userName(feed.UserID(key))
-		})
-		hot.SetResolver(hotkey.DimTerms, func(key uint64) string {
-			return e.pipeline.Vocab.Term(textproc.TermID(key))
 		})
 		e.hot = hot
 	}
@@ -599,11 +594,8 @@ func (e *Engine) PostBatch(reqs []PostRequest) []error {
 			continue
 		}
 		// Telemetry strictly after successful delivery (a failed deliver used
-		// to leave phantom terms in Trending and /v1/hot?dim=terms).
+		// to leave phantom terms in Trending).
 		e.trends.observe(timeslot.Of(reqs[i].At), msgs[i].Vec)
-		for _, t := range msgs[i].Vec {
-			e.hot.RecordKey(hotkey.DimTerms, uint64(t.ID), 1)
-		}
 	}
 	return errs
 }
@@ -825,11 +817,6 @@ func (e *Engine) Recommend(user string, k int, at time.Time) ([]Recommendation, 
 // stays nil and the extra cost is one nil check per stage.
 func (e *Engine) recommend(user string, k int, at time.Time, policy ServingPolicy, treq TraceRequest) ([]Recommendation, *trace.Trace, error) {
 	start := time.Now()
-	// Serving-path latency fault: disarmed this is one atomic load. The soak
-	// and capture-smoke harnesses arm it (CAAR_DELAYS=serve.recommend:5ms) to
-	// verify the SLO watchdog trips and the resulting capture bundle's CPU
-	// profile attributes the stall to the injected site.
-	faultinject.DelayPoint("serve.recommend")
 	tr := e.beginTrace(treq, user, k, at, start)
 	// One atomic load pins the name-resolution view for the whole request;
 	// no stage below takes a global lock.

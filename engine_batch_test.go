@@ -133,9 +133,9 @@ func TestCheckInBatchPerItemErrors(t *testing.T) {
 }
 
 // TestFailedDeliveryLeavesNoTrendingTelemetry is the regression test for the
-// telemetry-ordering bug: Engine.Post used to record trending terms (and
-// hot-key term telemetry) before delivery, so a failed fan-out polluted
-// Trending with phantom counts for a post that no feed ever received.
+// telemetry-ordering bug: Engine.Post used to record trending terms before
+// delivery, so a failed fan-out polluted Trending with phantom counts for a
+// post that no feed ever received.
 func TestFailedDeliveryLeavesNoTrendingTelemetry(t *testing.T) {
 	e := openEngine(t, testConfig())
 	for _, u := range []string{"bob", "carol"} {

@@ -12,7 +12,7 @@ import (
 var ErrHotKeysDisabled = errors.New("caar: hot-key telemetry disabled")
 
 // Hot returns the top-k heavy hitters of one telemetry dimension
-// ("users", "posters", "campaigns", "terms") over the requested window
+// ("users", "posters", "campaigns") over the requested window
 // (0 = the full retained window). Estimates carry one-sided error bounds:
 // the true count lies in [Count−ErrorBound, Count].
 func (e *Engine) Hot(dim string, k int, window time.Duration) (hotkey.DimReport, error) {
@@ -26,77 +26,3 @@ func (e *Engine) Hot(dim string, k int, window time.Duration) (hotkey.DimReport,
 // loop keeps gauges and window decay fresh between queries). nil when
 // hot-key telemetry is disabled.
 func (e *Engine) HotTracker() *hotkey.Tracker { return e.hot }
-
-// DimensionSkew summarizes one dimension's load concentration for the
-// hot-partition signal.
-type DimensionSkew struct {
-	Dimension    string `json:"dimension"`
-	WindowWeight uint64 `json:"window_weight"`
-	TopKey       string `json:"top_key,omitempty"`
-	TopCount     uint64 `json:"top_count,omitempty"`
-	ErrorBound   uint64 `json:"error_bound,omitempty"`
-	// TopShare is the hottest key's fraction of the window weight. Sketch
-	// overestimation can push it marginally above the true share (never
-	// below it by more than ErrorBound/WindowWeight).
-	TopShare float64 `json:"top_share"`
-	// ShardWeight attributes heavy-hitter weight to engine shards by the
-	// serving shard function (user-keyed dimensions only; nil otherwise).
-	// It sums tracked candidates, not total load, so it is a lower bound
-	// on each shard's hot-key mass.
-	ShardWeight   []uint64 `json:"shard_weight,omitempty"`
-	MaxShardShare float64  `json:"max_shard_share,omitempty"`
-}
-
-// HotPartitionReport is the engine-level skew signal for a router tier:
-// per-dimension load concentration plus the shard-level imbalance the
-// current hash partitioning yields. A router consumes it to decide when a
-// hot user/poster justifies a partition split or migration (ROADMAP:
-// adaptive scale-out); the contract is documented in DESIGN.md §11.
-type HotPartitionReport struct {
-	WindowSeconds float64         `json:"window_seconds"`
-	Shards        int             `json:"shards"`
-	Dimensions    []DimensionSkew `json:"dimensions"`
-}
-
-// HotPartitionReport computes the skew signal over the requested window
-// (0 = the full retained window).
-func (e *Engine) HotPartitionReport(window time.Duration) (HotPartitionReport, error) {
-	if e.hot == nil {
-		return HotPartitionReport{}, ErrHotKeysDisabled
-	}
-	rep := HotPartitionReport{Shards: len(e.shards)}
-	for _, dim := range hotkey.Dimensions() {
-		// Pull the tracker's full candidate capacity so shard attribution
-		// sees every tracked heavy hitter, not just the default top 10.
-		dr, err := e.hot.Report(dim, 1<<20, window)
-		if err != nil {
-			return HotPartitionReport{}, err
-		}
-		rep.WindowSeconds = dr.WindowSeconds
-		sk := DimensionSkew{Dimension: dr.Dimension, WindowWeight: dr.WindowWeight}
-		if len(dr.Keys) > 0 {
-			top := dr.Keys[0]
-			sk.TopKey, sk.TopCount, sk.ErrorBound = top.Key, top.Count, top.ErrorBound
-			if dr.WindowWeight > 0 {
-				sk.TopShare = float64(top.Count) / float64(dr.WindowWeight)
-			}
-		}
-		if dim == hotkey.DimUsers || dim == hotkey.DimPosters {
-			sw := make([]uint64, len(e.shards))
-			var max uint64
-			for _, k := range dr.Keys {
-				si := int(k.RawKey) % len(e.shards)
-				sw[si] += k.Count
-				if sw[si] > max {
-					max = sw[si]
-				}
-			}
-			sk.ShardWeight = sw
-			if dr.WindowWeight > 0 {
-				sk.MaxShardShare = float64(max) / float64(dr.WindowWeight)
-			}
-		}
-		rep.Dimensions = append(rep.Dimensions, sk)
-	}
-	return rep, nil
-}

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"caar/internal/feed"
-	"caar/obs/hotkey"
 	"caar/workload"
 )
 
@@ -60,6 +59,16 @@ func feedHotWorkload(t *testing.T, e *Engine, w *workload.Workload) (handles []s
 		truth[ev.User] += uint64(w.Graph.FollowerCount(ev.User) + 1)
 	}
 	return handles, truth
+}
+
+// handleIDs inverts feedHotWorkload's handles: a reported key back to the
+// workload user it names.
+func handleIDs(handles []string) map[string]feed.UserID {
+	ids := make(map[string]feed.UserID, len(handles))
+	for i, h := range handles {
+		ids[h] = feed.UserID(i)
+	}
+	return ids
 }
 
 func trueRanking(truth map[feed.UserID]uint64) []feed.UserID {
@@ -115,24 +124,19 @@ func TestHotPostersRecallOnCelebrityTail(t *testing.T) {
 
 	// Error bounds must cover the true counts: estimates are one-sided
 	// (never below truth) and within truth+bound.
+	ids := handleIDs(handles)
 	for _, hk := range rep.Keys {
-		want := truth[feed.UserID(hk.RawKey)]
+		id, named := ids[hk.Key]
+		if !named {
+			t.Fatalf("reported poster %q is no workload user", hk.Key)
+		}
+		want := truth[id]
 		if hk.Count < want {
 			t.Errorf("poster %s under-estimated: %d < true %d", hk.Key, hk.Count, want)
 		}
 		if hk.Count > want+hk.ErrorBound {
 			t.Errorf("poster %s outside bound: est %d true %d bound %d", hk.Key, hk.Count, want, hk.ErrorBound)
 		}
-	}
-
-	// The terms dimension saw the same stream; it must be populated and
-	// resolve display names through the vocabulary.
-	trep, err := e.Hot("terms", 5, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(trep.Keys) == 0 || trep.Keys[0].Key == "" {
-		t.Fatalf("terms dimension empty or unresolved: %+v", trep)
 	}
 }
 
@@ -146,7 +150,7 @@ func TestHotNoSpuriousHeavyHittersOnUniformTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, truth := feedHotWorkload(t, e, w)
+	handles, truth := feedHotWorkload(t, e, w)
 
 	rep, err := e.Hot("posters", 10, 0)
 	if err != nil {
@@ -157,10 +161,11 @@ func TestHotNoSpuriousHeavyHittersOnUniformTrace(t *testing.T) {
 	for i, id := range ranking {
 		rankOf[id] = i
 	}
+	ids := handleIDs(handles)
 	for _, hk := range rep.Keys {
-		id := feed.UserID(hk.RawKey)
+		id, named := ids[hk.Key]
 		want, known := truth[id]
-		if !known {
+		if !named || !known {
 			t.Fatalf("spurious heavy hitter %q: key never posted", hk.Key)
 		}
 		if hk.Count < want || hk.Count > want+hk.ErrorBound {
@@ -233,53 +238,6 @@ func TestHotUsersAndCampaignDimensions(t *testing.T) {
 	}
 }
 
-func TestHotPartitionReportSkewSignal(t *testing.T) {
-	cfg := testConfig()
-	cfg.Shards = 4
-	e := openEngine(t, cfg)
-	w, err := workload.Generate(hotWorkloadConfig(10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	handles, truth := feedHotWorkload(t, e, w)
-
-	rep, err := e.HotPartitionReport(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Shards != 4 || len(rep.Dimensions) != len(hotkey.Dimensions()) {
-		t.Fatalf("report shape: %+v", rep)
-	}
-	var posters *DimensionSkew
-	for i := range rep.Dimensions {
-		if rep.Dimensions[i].Dimension == "posters" {
-			posters = &rep.Dimensions[i]
-		}
-	}
-	if posters == nil {
-		t.Fatal("posters dimension missing")
-	}
-	if posters.TopKey != handles[trueRanking(truth)[0]] {
-		t.Fatalf("top poster = %q, want %q", posters.TopKey, handles[trueRanking(truth)[0]])
-	}
-	if len(posters.ShardWeight) != 4 {
-		t.Fatalf("shard weights = %+v", posters.ShardWeight)
-	}
-	var sum uint64
-	for _, sw := range posters.ShardWeight {
-		sum += sw
-	}
-	if sum == 0 || posters.MaxShardShare <= 0 || posters.TopShare <= 0 {
-		t.Fatalf("skew signal empty: %+v", posters)
-	}
-	// Campaign dimension is string-keyed: no shard attribution.
-	for _, d := range rep.Dimensions {
-		if d.Dimension == "campaigns" && d.ShardWeight != nil {
-			t.Fatalf("string-keyed dimension got shard weights: %+v", d)
-		}
-	}
-}
-
 func TestHotDisabled(t *testing.T) {
 	cfg := testConfig()
 	cfg.DisableHotKeys = true
@@ -299,9 +257,6 @@ func TestHotDisabled(t *testing.T) {
 	}
 	if _, err := e.Hot("users", 5, 0); !errors.Is(err, ErrHotKeysDisabled) {
 		t.Fatalf("Hot on disabled engine: %v", err)
-	}
-	if _, err := e.HotPartitionReport(0); !errors.Is(err, ErrHotKeysDisabled) {
-		t.Fatalf("HotPartitionReport on disabled engine: %v", err)
 	}
 }
 

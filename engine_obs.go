@@ -4,7 +4,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"caar/internal/adstore"
 	"caar/internal/core"
 	"caar/internal/textproc"
 	"caar/obs"
@@ -14,17 +13,16 @@ import (
 // Engine observability: every engine carries a metrics registry (its own
 // private one unless Config.Metrics supplies a shared registry) and records
 // the serving pipeline's per-stage latency spans plus sampled gauges over
-// live state. Metric names are stable API — they are documented in
-// README.md §Observability and scraped by dashboards; renaming one is a
-// breaking change.
+// live state. Every family has a reader — a run-book step, a bench probe,
+// an SLO objective or a test that asserts its value — and README.md
+// §Observability names it; a family without one is deleted. The numbers
+// /v1/stats already serves (users, ads, edges, shards, posts, check-ins)
+// have no gauge twin.
 
 // StageBuckets is the bucket layout of per-stage recommend spans: finer
 // than request-level LatencyBuckets because CAP's retrieve stage sits in
 // the sub-microsecond range its incremental design was built for.
 var stageBuckets = obs.ExpBuckets(1e-6, 2, 22) // 1 µs .. ~2.1 s
-
-// fsyncBuckets covers journal fsync and snapshot write latencies.
-var fsyncBuckets = obs.ExpBuckets(10e-6, 2, 20) // 10 µs .. ~5.2 s
 
 // The recommend pipeline's stages, in order. The core times the three from
 // stageRetrieve on, in its own order (core.Stage); the facade the rest.
@@ -57,12 +55,7 @@ type engineMetrics struct {
 	vectorizeSeconds *obs.Histogram
 	impressions      *obs.CounterVec
 
-	snapshotSeconds *obs.Histogram
-	snapshotSize    *obs.Gauge
-	snapshotErrors  *obs.Counter
-
-	lastSnapshotUnix atomic.Int64
-	lastSnapshotErr  atomic.Value // string; "" after a successful save
+	lastSnapshotErr atomic.Value // string; "" after a successful save
 
 	// lastExemplarNano gates how often ordinary sampled traces refresh the
 	// histogram exemplars (see attachExemplars).
@@ -85,12 +78,6 @@ func newEngineMetrics(reg *obs.Registry, e *Engine) *engineMetrics {
 			"Text pipeline vectorization latency (posts and ad copy).", stageBuckets),
 		impressions: reg.CounterVec("caar_engine_impressions_total",
 			"Impression billing attempts by outcome.", "result"),
-		snapshotSeconds: reg.Histogram("caar_snapshot_write_seconds",
-			"Wall time of SaveSnapshot (serialize, fsync, rename).", fsyncBuckets),
-		snapshotSize: reg.Gauge("caar_snapshot_size_bytes",
-			"Size of the last successfully written snapshot."),
-		snapshotErrors: reg.Counter("caar_snapshot_errors_total",
-			"Failed snapshot writes."),
 	}
 	stageSeconds := reg.HistogramVec("caar_engine_recommend_stage_seconds",
 		"Latency of each recommend pipeline stage (lookup, retrieve, score, topk, map, policy).",
@@ -100,28 +87,6 @@ func newEngineMetrics(reg *obs.Registry, e *Engine) *engineMetrics {
 	}
 	m.lastSnapshotErr.Store("")
 
-	reg.GaugeFunc("caar_engine_users", "Registered users.", func() float64 {
-		return float64(e.dir.Load().users.len())
-	})
-	reg.GaugeFunc("caar_engine_ads", "Live advertisements.", func() float64 {
-		return float64(e.store.Len())
-	})
-	reg.GaugeFunc("caar_engine_follow_edges", "Follow edges in the social graph.", func() float64 {
-		return float64(e.graph.Edges())
-	})
-	reg.GaugeFunc("caar_engine_campaigns", "Registered campaigns.", func() float64 {
-		n := 0
-		e.store.ForEachCampaign(func(*adstore.Campaign) { n++ })
-		return float64(n)
-	})
-	reg.GaugeFunc("caar_engine_campaign_budget_remaining", "Unspent budget summed over all campaigns.", func() float64 {
-		var left float64
-		e.store.ForEachCampaign(func(c *adstore.Campaign) { left += c.Remaining() })
-		return left
-	})
-	reg.GaugeFunc("caar_engine_index_terms", "Distinct terms interned in the text pipeline's vocabulary.", func() float64 {
-		return float64(e.pipeline.Vocab.Size())
-	})
 	reg.GaugeFunc("caar_engine_index_postings", "Total (term, ad) postings in the inverted index the shards share.", func() float64 {
 		// Any one shard lock keeps registration out of the shared index.
 		sh := e.shards[0]
@@ -129,16 +94,6 @@ func newEngineMetrics(reg *obs.Registry, e *Engine) *engineMetrics {
 		_, postings := e.ads.IndexStats()
 		sh.mu.Unlock()
 		return float64(postings)
-	})
-	reg.GaugeFunc("caar_engine_window_messages", "Messages resident in user feed windows (context occupancy).", func() float64 {
-		total := 0
-		for _, sh := range e.shards {
-			sh.mu.Lock()
-			_, entries := sh.eng.WindowStats()
-			total += entries
-			sh.mu.Unlock()
-		}
-		return float64(total)
 	})
 	reg.GaugeFunc("caar_engine_candidate_buffer_entries", "CAP candidate-buffer entries summed over users.", func() float64 {
 		total := 0
@@ -171,22 +126,6 @@ func newEngineMetrics(reg *obs.Registry, e *Engine) *engineMetrics {
 		"Deliveries by what became of them in the follower's candidate buffer: merged by a catch-up, or skipped — the follower had no buffer, or it was freed unread.", "fate")
 	fates.Func(func() uint64 { merged, _ := sumCAP((*core.CAP).Deliveries); return merged }, "merged")
 	fates.Func(func() uint64 { _, skipped := sumCAP((*core.CAP).Deliveries); return skipped }, "skipped")
-	reg.GaugeFunc("caar_engine_shards", "Engine shard count.", func() float64 {
-		return float64(len(e.shards))
-	})
-	reg.CounterFunc("caar_engine_posts_delivered_total", "Posts fanned out to follower windows.", func() uint64 {
-		return e.postsDelivered.Load()
-	})
-	reg.CounterFunc("caar_engine_checkins_total", "User location check-ins.", func() uint64 {
-		return e.checkIns.Load()
-	})
-	reg.GaugeFunc("caar_snapshot_age_seconds", "Seconds since the last successful snapshot write (-1 before the first).", func() float64 {
-		last := m.lastSnapshotUnix.Load()
-		if last == 0 {
-			return -1
-		}
-		return time.Since(time.Unix(last, 0)).Seconds()
-	})
 	return m
 }
 
@@ -245,20 +184,6 @@ func (e *Engine) vectorize(text string) textproc.SparseVector {
 	vec := e.pipeline.Vector(text)
 	e.obsm.vectorizeSeconds.ObserveDuration(time.Since(start))
 	return vec
-}
-
-// snapshotResult records the outcome of one SaveSnapshot for the snapshot
-// metrics and the readiness probe.
-func (m *engineMetrics) snapshotResult(start time.Time, size int64, err error) {
-	m.snapshotSeconds.ObserveDuration(time.Since(start))
-	if err != nil {
-		m.snapshotErrors.Inc()
-		m.lastSnapshotErr.Store(err.Error())
-		return
-	}
-	m.lastSnapshotErr.Store("")
-	m.lastSnapshotUnix.Store(time.Now().Unix())
-	m.snapshotSize.Set(float64(size))
 }
 
 // HealthProblems reports conditions that should mark the deployment

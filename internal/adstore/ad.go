@@ -143,9 +143,6 @@ func (c *Campaign) SetSpent(amount float64) error {
 	return nil
 }
 
-// Remaining returns the unspent budget.
-func (c *Campaign) Remaining() float64 { return c.Budget - c.spent }
-
 // allowedAt returns the pacing cap: the budget fraction released by time t.
 // Before the flight nothing is released; after the flight everything is.
 func (c *Campaign) allowedAt(t time.Time) float64 {

@@ -54,8 +54,8 @@ func (b *base) context(st *userState, q time.Time) (_ textproc.SparseVector, fac
 }
 
 // WindowStats reports the number of registered users and the total count of
-// window-resident messages — the live feed-context occupancy, sampled by
-// the facade's observability gauges. Callers hold the engine's lock.
+// window-resident messages — the live feed-context occupancy, which tests
+// check delivery against. Callers hold the engine's lock.
 func (b *base) WindowStats() (users, entries int) {
 	for _, st := range b.users {
 		entries += st.win.Len()

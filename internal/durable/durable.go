@@ -1,5 +1,5 @@
-// Package durable holds the one directory-fsync helper the snapshot, the
-// journal and the capture recorder share. It imports nothing from the
+// Package durable holds the one directory-fsync helper the snapshot writer
+// and adserver's state-file open share. It imports nothing from the
 // module, so every package may use it.
 package durable
 

@@ -16,14 +16,13 @@ import (
 	"caar/ingest"
 	"caar/journal"
 	"caar/obs"
-	"caar/obs/capture"
 	"caar/obs/slo"
 	"caar/obs/trace"
 )
 
 // TestMetricCatalogueMatchesREADME wires a server the way cmd/adserver does —
-// engine with tracer and hot keys, journal metrics, ingest, SLO and capture on
-// one registry — scrapes /v1/metrics, and holds the README to it: every family
+// engine with tracer and hot keys, journal metrics, ingest and SLO on one
+// registry — scrapes /v1/metrics, and holds the README to it: every family
 // registered is documented by its full name, and every full caar_ name the
 // README mentions is registered. When it fails, fix the README.
 func TestMetricCatalogueMatchesREADME(t *testing.T) {
@@ -44,10 +43,6 @@ func TestMetricCatalogueMatchesREADME(t *testing.T) {
 	jw.SetMetrics(journal.NewMetrics(reg))
 	ing := ingest.New(eng, jw, reg, ingest.Config{})
 	defer ing.Close()
-	rec, err := capture.NewRecorder(capture.Config{Dir: t.TempDir(), Metrics: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
 	objectives, err := slo.ParseObjectives(slo.DefaultObjectivesSpec)
 	if err != nil {
 		t.Fatal(err)
@@ -55,7 +50,6 @@ func TestMetricCatalogueMatchesREADME(t *testing.T) {
 	srv := New(journal.NewLogged(eng, jw),
 		WithMetrics(reg),
 		WithIngest(ing),
-		WithCapture(rec),
 		WithSLO(slo.Config{FastWindow: time.Minute, SlowWindow: time.Hour, SampleEvery: time.Second, BurnThreshold: 14.4}, objectives...),
 	)
 	ts := httptest.NewServer(srv.Handler())
@@ -110,8 +104,10 @@ func TestMetricCatalogueMatchesREADME(t *testing.T) {
 // TestRouteTableMatchesREADME holds README.md's endpoint table to the route
 // table, both ways: every pattern the server serves (pprof included) is a
 // row, and every row is served. A row's path is a pattern once its query is
-// dropped and a {placeholder} tail becomes the subtree's slash, and its
-// operator column is the route's. When it fails, fix the README.
+// dropped and a {placeholder} tail becomes the subtree's slash, its operator
+// column is the route's, and its reader column names who reads the path: a
+// path nobody reads is deleted, not documented. When it fails, fix the
+// README.
 func TestRouteTableMatchesREADME(t *testing.T) {
 	eng, err := caar.Open(caar.DefaultConfig())
 	if err != nil {
@@ -127,8 +123,11 @@ func TestRouteTableMatchesREADME(t *testing.T) {
 		t.Fatal(err)
 	}
 	documented := map[string]bool{}
-	for _, m := range regexp.MustCompile("(?m)^\\| `(/[^`?{]*)[^`]*` \\| (yes)? *\\|").FindAllStringSubmatch(string(readme), -1) {
+	for _, m := range regexp.MustCompile("(?m)^\\| `(/[^`?{]*)[^`]*` \\| (yes)? *\\|([^|]*)\\|").FindAllStringSubmatch(string(readme), -1) {
 		documented[m[1]] = m[2] == "yes"
+		if strings.TrimSpace(m[3]) == "" {
+			t.Errorf("README.md's row for %s names no reader", m[1])
+		}
 	}
 	for pattern, operator := range served {
 		if op, ok := documented[pattern]; !ok || op != operator {

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
 	"net/http"
 	"strconv"
@@ -16,12 +15,11 @@ import (
 //	GET /v1/hot                          — all dimensions, top 10 each
 //	GET /v1/hot?dim=posters&k=5          — one dimension
 //	GET /v1/hot?window=30s               — narrower sliding window
-//	GET /v1/hot?view=partition           — engine HotPartitionReport (router signal)
 //
 // An operator path: it is read exactly when a shard is melting down under a
 // hot key, so it must stay reachable on a saturated server.
 
-// hotResponse is the /v1/hot wire shape for dimension queries.
+// hotResponse is the /v1/hot wire shape.
 type hotResponse struct {
 	WindowSeconds float64            `json:"window_seconds"`
 	Dimensions    []hotkey.DimReport `json:"dimensions"`
@@ -43,29 +41,10 @@ func (s *Server) handleHot(w http.ResponseWriter, r *http.Request) {
 		}
 		window = d
 	}
-
-	if view := q.Get("view"); view != "" {
-		if view != "partition" {
-			httpError(w, http.StatusBadRequest, "unknown view "+strconv.Quote(view)+` (want "partition")`)
-			return
-		}
-		rep, err := s.eng.HotPartitionReport(window)
-		if err != nil {
-			failHot(w, err)
-			return
-		}
-		ok(w, rep)
+	k, err := kParam(q.Get("k"), 10)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, err.Error())
 		return
-	}
-
-	k := 10
-	if raw := q.Get("k"); raw != "" {
-		n, err := strconv.Atoi(raw)
-		if err != nil || n < 1 {
-			httpError(w, http.StatusBadRequest, "invalid k "+strconv.Quote(raw))
-			return
-		}
-		k = n
 	}
 
 	dims := hotkey.Dimensions()
@@ -99,23 +78,4 @@ func failHot(w http.ResponseWriter, err error) {
 		return
 	}
 	fail(w, err)
-}
-
-// captureHotkeysJSON renders the hot-key snapshot for SLO-trip capture
-// bundles: every dimension's top 10 over the full retained window, same
-// shape as GET /v1/hot — so a burn-rate trip names the offending key.
-func (s *Server) captureHotkeysJSON() ([]byte, error) {
-	resp := hotResponse{Dimensions: []hotkey.DimReport{}}
-	for _, dim := range hotkey.Dimensions() {
-		rep, err := s.eng.Hot(string(dim), 10, 0)
-		if err != nil {
-			if errors.Is(err, caar.ErrHotKeysDisabled) {
-				return []byte(`{"dimensions":[]}` + "\n"), nil
-			}
-			return nil, err
-		}
-		resp.WindowSeconds = rep.WindowSeconds
-		resp.Dimensions = append(resp.Dimensions, rep)
-	}
-	return json.Marshal(resp)
 }

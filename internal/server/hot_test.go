@@ -95,7 +95,7 @@ func TestHotEndpointReportsPlantedHotKey(t *testing.T) {
 	if resp2.StatusCode != http.StatusOK {
 		t.Fatalf("GET /v1/hot: status %d", resp2.StatusCode)
 	}
-	if len(doc.Dimensions) != 4 {
+	if len(doc.Dimensions) != 3 {
 		t.Fatalf("dimensions = %+v", doc.Dimensions)
 	}
 	found := false
@@ -144,30 +144,6 @@ func TestHotEndpointReportsPlantedHotKey(t *testing.T) {
 	}
 }
 
-func TestHotEndpointPartitionView(t *testing.T) {
-	ts, _ := newTestServer(t)
-	resp, body := do(t, ts, http.MethodPost, "/v1/users", map[string]any{"handle": "alice"})
-	expectStatus(t, resp, http.StatusNoContent, body)
-	for i := 0; i < 5; i++ {
-		do(t, ts, http.MethodGet, "/v1/recommendations?user=alice&k=3", nil)
-	}
-	resp2, err := http.Get(ts.URL + "/v1/hot?view=partition")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp2.Body.Close()
-	if resp2.StatusCode != http.StatusOK {
-		t.Fatalf("partition view: status %d", resp2.StatusCode)
-	}
-	var rep caar.HotPartitionReport
-	if err := json.NewDecoder(resp2.Body).Decode(&rep); err != nil {
-		t.Fatal(err)
-	}
-	if rep.Shards < 1 || len(rep.Dimensions) != 4 {
-		t.Fatalf("partition report = %+v", rep)
-	}
-}
-
 func TestHotEndpointValidation(t *testing.T) {
 	ts, _ := newTestServer(t)
 	for _, tc := range []struct {
@@ -179,7 +155,8 @@ func TestHotEndpointValidation(t *testing.T) {
 		{"?k=nope", http.StatusBadRequest},
 		{"?window=yesterday", http.StatusBadRequest},
 		{"?window=-5s", http.StatusBadRequest},
-		{"?view=sideways", http.StatusBadRequest},
+		{"?k=1001", http.StatusBadRequest},
+		{"?dim=terms", http.StatusBadRequest},
 	} {
 		resp, doc := getHot(t, ts, tc.query)
 		if resp.StatusCode != tc.want {
@@ -202,7 +179,7 @@ func TestHotEndpointDisabled(t *testing.T) {
 	}
 	ts := httptest.NewServer(New(eng).Handler())
 	defer ts.Close()
-	for _, query := range []string{"", "?dim=users", "?view=partition"} {
+	for _, query := range []string{"", "?dim=users"} {
 		resp, err := http.Get(ts.URL + "/v1/hot" + query)
 		if err != nil {
 			t.Fatal(err)

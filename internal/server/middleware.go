@@ -172,9 +172,9 @@ func (s *Server) withAdmission(next http.Handler) http.Handler {
 // writes its timeout body with no Content-Type (it would be sniffed as
 // text/html), so the response writer is wrapped to default the header to
 // JSON, keeping the 503 consistent with every other error response.
-// Operator paths bypass the deadline: a forced capture or a
-// /debug/pprof/profile collection runs for seconds by design, and cutting
-// it off would break the tools reached for exactly when the server is slow.
+// Operator paths bypass the deadline: a /debug/pprof/profile collection
+// runs for seconds by design, and cutting it off would break the tool
+// reached for exactly when the server is slow.
 func (s *Server) withDeadline(next http.Handler) http.Handler {
 	if s.reqTimeout <= 0 {
 		return next

@@ -46,6 +46,14 @@ func WithRecoveryProgress(p *journal.RecoveryProgress) Option {
 	return func(s *Server) { s.recovery = p }
 }
 
+// WithDebugPprof mounts the net/http/pprof handlers at /debug/pprof/ on the
+// server's mux, as operator paths. Opt-in: profiling handlers can run
+// seconds-long collections, so deployments enable them deliberately
+// (adserver's -pprof flag).
+func WithDebugPprof() Option {
+	return func(s *Server) { s.debugPprof = true }
+}
+
 // serverMetrics bundles the HTTP-layer collectors.
 type serverMetrics struct {
 	requests *obs.CounterVec   // {endpoint, class}
@@ -66,17 +74,11 @@ func newServerMetrics(s *Server) *serverMetrics {
 		timeouts: reg.Counter("caar_http_timeouts_total",
 			"Requests cut off by the per-request deadline."),
 	}
-	reg.GaugeFunc("caar_http_in_flight", "Requests currently being served.", func() float64 {
-		return float64(s.obsInFlight.Load())
-	})
 	reg.CounterFunc("caar_http_shed_total", "Requests shed by admission control (429).", func() uint64 {
 		return s.shed.Load()
 	})
 	reg.CounterFunc("caar_http_panics_total", "Handler panics converted to 500s.", func() uint64 {
 		return s.panics.Load()
-	})
-	reg.GaugeFunc("caar_process_uptime_seconds", "Seconds since the server was constructed.", func() float64 {
-		return time.Since(s.start).Seconds()
 	})
 	reg.GaugeFunc("caar_ready", "1 while the readiness probe passes, 0 while degraded.", func() float64 {
 		if len(s.healthProblems()) > 0 {
@@ -220,8 +222,6 @@ func statusClass(code int) string {
 func (s *Server) withObservability(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		s.obsInFlight.Add(1)
-		defer s.obsInFlight.Add(-1)
 		reqID := sanitizeRequestID(r.Header.Get("X-Request-Id"))
 		if reqID == "" {
 			reqID = newRequestID()

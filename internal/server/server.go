@@ -32,7 +32,6 @@ import (
 	"caar/ingest"
 	"caar/journal"
 	"caar/obs"
-	"caar/obs/capture"
 	"caar/obs/hotkey"
 	"caar/obs/slo"
 	"caar/obs/trace"
@@ -63,7 +62,6 @@ type API interface {
 	Tracer() *trace.Store
 	StageExemplars() map[string][]obs.BucketExemplar
 	Hot(dim string, k int, window time.Duration) (hotkey.DimReport, error)
-	HotPartitionReport(window time.Duration) (caar.HotPartitionReport, error)
 }
 
 // IngestQueue is the asynchronous write path for posts and check-ins
@@ -94,14 +92,10 @@ type Server struct {
 	shed     atomic.Uint64
 	panics   atomic.Uint64
 
-	// observability (see obs.go). obsInFlight counts every request in the
-	// chain, unlike inFlight which belongs to admission control (and stays 0
-	// when admission is disabled).
-	metrics     *obs.Registry
-	sm          *serverMetrics
-	accessLog   *slog.Logger
-	start       time.Time
-	obsInFlight atomic.Int64
+	// observability (see obs.go).
+	metrics   *obs.Registry
+	sm        *serverMetrics
+	accessLog *slog.Logger
 
 	// recovery, when set, gates API traffic until journal replay finishes
 	// and feeds replay progress into the readiness probe (see obs.go).
@@ -111,12 +105,11 @@ type Server struct {
 	// asynchronous write path (see IngestQueue).
 	ingest IngestQueue
 
-	// SLO tracking (see slo.go) and the anomaly flight recorder (see
-	// capture.go). debugPprof mounts net/http/pprof on the main mux.
+	// SLO tracking (see slo.go). debugPprof mounts net/http/pprof on the
+	// main mux.
 	sloCfg     slo.Config
 	sloObjs    []slo.Objective
 	sloTracker *slo.Tracker
-	capture    *capture.Recorder
 	debugPprof bool
 }
 
@@ -124,7 +117,7 @@ type Server struct {
 // options the server still recovers from handler panics and caps request
 // bodies at DefaultMaxBodyBytes; deadlines and admission control are off.
 func New(eng API, opts ...Option) *Server {
-	s := &Server{eng: eng, mux: http.NewServeMux(), now: time.Now, start: time.Now()}
+	s := &Server{eng: eng, mux: http.NewServeMux(), now: time.Now}
 	for _, opt := range opts {
 		opt(s)
 	}
@@ -137,9 +130,6 @@ func New(eng API, opts ...Option) *Server {
 		s.mux.HandleFunc(r.pattern, r.handler)
 	}
 	s.initSLO()
-	if s.capture != nil {
-		s.wireCaptureSources()
-	}
 	return s
 }
 
@@ -163,7 +153,7 @@ func (s *Server) Handler() http.Handler {
 // handler, and whether it is an operator path. Operator paths — health and
 // observability — skip the recovery gate, admission control and the request
 // deadline: they are read exactly when the server is misbehaving, and a
-// capture or a pprof collection legitimately runs for seconds.
+// pprof collection legitimately runs for seconds.
 type route struct {
 	pattern  string
 	handler  http.HandlerFunc
@@ -194,8 +184,6 @@ func (s *Server) routeTable() []route {
 		{"/v1/traces", s.handleTraces, true},
 		{"/v1/traces/", s.handleTraces, true},
 		{"/v1/slo", s.handleSLO, true},
-		{"/v1/capturez", s.handleCapturez, true},
-		{"/v1/capturez/", s.handleCapturez, true},
 	}
 	if s.debugPprof {
 		// The index serves the named profiles; these four it does not.

@@ -22,8 +22,8 @@ import (
 // WithSLO declares the server's objectives and enables burn-rate tracking.
 // The tracker registers its caar_slo_ metrics on the server's registry and
 // binds each objective to the serving-layer collectors for its endpoint;
-// cfg.OnTrip (typically wired to a capture recorder) fires when an
-// objective's fast AND slow windows burn above cfg.BurnThreshold.
+// cfg.OnTrip (adserver logs the trip) fires when an objective's fast AND
+// slow windows burn above cfg.BurnThreshold, at most once per cooldown.
 //
 // The caller owns the sampling cadence: either run SLO().Run in a goroutine
 // (adserver does) or drive SLO().Sample directly (tests, harnesses).

@@ -109,6 +109,11 @@ func TestWindowedSlidingQueryWindows(t *testing.T) {
 	if w.CoveredSpan(15*time.Second) != 2*span {
 		t.Fatalf("CoveredSpan(15s) = %v", w.CoveredSpan(15*time.Second))
 	}
+	// A window near the largest Duration reads the whole ring; rounding it
+	// up must not overflow into the smallest window.
+	if huge := 9223372036 * time.Second; w.CoveredSpan(huge) != 6*span || w.Total(now, huge) != w.Total(now, 0) {
+		t.Fatalf("CoveredSpan(%v) = %v, want the full %v ring", huge, w.CoveredSpan(huge), 6*span)
+	}
 }
 
 func TestWindowedErrorBoundCoversEstimates(t *testing.T) {

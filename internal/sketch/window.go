@@ -89,14 +89,16 @@ func (w *Windowed) covered(window time.Duration) int {
 	if window <= 0 {
 		return len(w.subs)
 	}
-	m := int((window + w.span - 1) / w.span)
-	if m < 1 {
-		m = 1
+	// Divide first: window + span − 1 overflows for windows near the
+	// largest Duration.
+	m := window / w.span
+	if window%w.span != 0 {
+		m++
 	}
-	if m > len(w.subs) {
-		m = len(w.subs)
+	if m > time.Duration(len(w.subs)) {
+		return len(w.subs)
 	}
-	return m
+	return int(m)
 }
 
 // CoveredSpan returns the effective window a query for the given window

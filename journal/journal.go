@@ -277,10 +277,6 @@ func (w *Writer) AppendBatch(entries []Entry) error {
 	if err := w.maybeSyncLocked(); err != nil {
 		return w.noteAppendError(fmt.Errorf("%w: sync: %w", ErrDurability, err))
 	}
-	if w.metrics != nil {
-		w.metrics.appends.Add(uint64(len(entries)))
-		w.metrics.appendBytes.Add(uint64(len(frames)))
-	}
 	return nil
 }
 

@@ -2,7 +2,8 @@
 // memory sliding-window sketches over the serving and ingest paths that
 // answer "which key is hot right now" per dimension — the user drawing
 // recommendation traffic, the poster with the costliest fan-out, the
-// campaign burning impressions, the keyword term flooding the post stream.
+// campaign burning impressions. (Keyword terms are counted per time slot by
+// the engine's trending tracker, which does not drop observations.)
 //
 // The design splits the hot path from aggregation. Record sites (inside
 // Recommend/deliver/ServeImpression, which caarlint's readpathlock analyzer
@@ -43,18 +44,16 @@ const (
 	// DimCampaigns counts served impressions per campaign (per ad for
 	// campaign-less ads).
 	DimCampaigns Dimension = "campaigns"
-	// DimTerms counts keyword-term occurrences in the post stream.
-	DimTerms Dimension = "terms"
 )
 
 // Dimensions lists every tracked dimension in reporting order.
 func Dimensions() []Dimension {
-	return []Dimension{DimUsers, DimPosters, DimCampaigns, DimTerms}
+	return []Dimension{DimUsers, DimPosters, DimCampaigns}
 }
 
 // Valid reports whether d names a tracked dimension.
 func Valid(d Dimension) bool {
-	return d == DimUsers || d == DimPosters || d == DimCampaigns || d == DimTerms
+	return d == DimUsers || d == DimPosters || d == DimCampaigns
 }
 
 // Resolver maps a raw key to a display name at query time (e.g. user ID →
@@ -94,10 +93,6 @@ type HotKey struct {
 	Key        string `json:"key"`
 	Count      uint64 `json:"count"`
 	ErrorBound uint64 `json:"error_bound"`
-	// RawKey is the underlying sketch key (user/term ID, or the hash of a
-	// string key) for programmatic consumers like the hot-partition
-	// report; it is not part of the wire format.
-	RawKey uint64 `json:"-"`
 }
 
 // DimReport is the query result for one dimension.
@@ -143,7 +138,7 @@ type dimension struct {
 // unconditionally and disable it by leaving it nil.
 type Tracker struct {
 	now  func() time.Time
-	dims [4]*dimension // users, posters, campaigns, terms
+	dims [3]*dimension // users, posters, campaigns
 }
 
 // New builds a tracker from cfg.
@@ -213,8 +208,6 @@ func (t *Tracker) dim(d Dimension) *dimension {
 		return t.dims[1]
 	case DimCampaigns:
 		return t.dims[2]
-	case DimTerms:
-		return t.dims[3]
 	}
 	return nil
 }
@@ -363,7 +356,7 @@ func (t *Tracker) Report(dim Dimension, k int, window time.Duration) (DimReport,
 		Keys:          make([]HotKey, 0, len(top)),
 	}
 	for _, c := range top {
-		rep.Keys = append(rep.Keys, HotKey{Key: d.displayLocked(c.Key), Count: c.Count, ErrorBound: bound, RawKey: c.Key})
+		rep.Keys = append(rep.Keys, HotKey{Key: d.displayLocked(c.Key), Count: c.Count, ErrorBound: bound})
 	}
 	return rep, nil
 }

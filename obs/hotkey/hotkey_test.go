@@ -102,13 +102,13 @@ func TestTrackerWindowDecay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr.RecordKey(DimTerms, 5, 100)
+	tr.RecordKey(DimPosters, 5, 100)
 	tr.Sync()
-	if rep, _ := tr.Report(DimTerms, 3, 0); len(rep.Keys) != 1 {
+	if rep, _ := tr.Report(DimPosters, 3, 0); len(rep.Keys) != 1 {
 		t.Fatalf("key not visible: %+v", rep)
 	}
 	advance(10 * time.Second) // past the whole ring
-	rep, err := tr.Report(DimTerms, 3, 0)
+	rep, err := tr.Report(DimPosters, 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,10 +26,9 @@
 //
 // The watchdog trips when BOTH the fast (default 5m) and slow (default 1h)
 // windows burn above the threshold: the fast window makes detection quick,
-// the slow window keeps a brief blip from paging. A trip invokes OnTrip —
-// wired by adserver to the capture recorder (obs/capture) so the profiles
-// are taken while the anomaly is still happening — at most once per
-// cooldown per objective.
+// the slow window keeps a brief blip from paging. A trip bumps
+// caar_slo_trips_total and invokes OnTrip — adserver logs it — at most once
+// per cooldown per objective; /v1/slo reports the breach while it lasts.
 //
 // # Quantization
 //
@@ -168,8 +167,9 @@ type Config struct {
 	// TripCooldown bounds how often one objective may trip. Default 10m.
 	TripCooldown time.Duration
 	// OnTrip is invoked synchronously from Sample when an objective's fast
-	// AND slow burn rates cross BurnThreshold. Wire slow work (profile
-	// capture) through a goroutine.
+	// AND slow burn rates cross BurnThreshold, at most once per
+	// TripCooldown per objective. adserver logs the trip through it; it
+	// must not block, since Sample waits for it.
 	OnTrip func(Trip)
 	// Now is the clock; tests substitute a fake. Default time.Now.
 	Now func() time.Time

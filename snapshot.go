@@ -172,60 +172,62 @@ const snapshotTrailer = "//caar-snapshot-crc32c "
 // this way is safe only after writes to it have stopped: a record appended
 // to the old file after the cut is lost with it.
 func (e *Engine) SaveSnapshot(path string) error {
-	start := time.Now()
-	size, err := e.saveSnapshot(path)
-	e.obsm.snapshotResult(start, size, err)
+	err := e.saveSnapshot(path)
+	msg := ""
+	if err != nil {
+		msg = err.Error()
+	}
+	e.obsm.lastSnapshotErr.Store(msg) // read by HealthProblems
 	return err
 }
 
-// saveSnapshot does the work of SaveSnapshot and reports the bytes written.
-func (e *Engine) saveSnapshot(path string) (int64, error) {
+// saveSnapshot does the work of SaveSnapshot.
+func (e *Engine) saveSnapshot(path string) error {
 	var buf bytes.Buffer
 	if err := e.Snapshot(&buf); err != nil {
-		return 0, err
+		return err
 	}
 	// Writes have stopped (see above), so the count matches the document.
 	posts := fmt.Sprintf(" posts %d", e.postsDelivered.Load())
 	fmt.Fprintf(&buf, "%s%08x%s\n", snapshotTrailer, headSum(buf.Bytes(), posts), posts)
-	size := int64(buf.Len())
 
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
 	if err != nil {
-		return 0, fmt.Errorf("caar: snapshot temp file: %w", err)
+		return fmt.Errorf("caar: snapshot temp file: %w", err)
 	}
 	tmpName := tmp.Name()
 	cleanup := func() { tmp.Close(); os.Remove(tmpName) }
 	if _, err := tmp.Write(buf.Bytes()); err != nil {
 		cleanup()
-		return 0, fmt.Errorf("caar: snapshot write: %w", err)
+		return fmt.Errorf("caar: snapshot write: %w", err)
 	}
 	faultinject.CrashPoint(CrashSnapshotPreFsync)
 	if err := tmp.Sync(); err != nil {
 		cleanup()
-		return 0, fmt.Errorf("caar: snapshot fsync: %w", err)
+		return fmt.Errorf("caar: snapshot fsync: %w", err)
 	}
 	if err := tmp.Chmod(0o644); err != nil {
 		cleanup()
-		return 0, fmt.Errorf("caar: snapshot chmod: %w", err)
+		return fmt.Errorf("caar: snapshot chmod: %w", err)
 	}
 	if err := tmp.Close(); err != nil {
 		os.Remove(tmpName)
-		return 0, fmt.Errorf("caar: snapshot close: %w", err)
+		return fmt.Errorf("caar: snapshot close: %w", err)
 	}
 	faultinject.CrashPoint(CrashSnapshotPreRename)
 	if err := os.Rename(tmpName, path); err != nil {
 		os.Remove(tmpName)
-		return 0, fmt.Errorf("caar: snapshot rename: %w", err)
+		return fmt.Errorf("caar: snapshot rename: %w", err)
 	}
 	faultinject.CrashPoint(CrashSnapshotPostRename)
 	// The file's bytes are fsynced, but the name pointing at them lives in
 	// the directory: an OS crash before it reaches the disk can bring back
 	// the old file, so a failure here is a durability error.
 	if err := durable.FsyncDir(dir); err != nil {
-		return 0, fmt.Errorf("caar: snapshot publish: %w", err)
+		return fmt.Errorf("caar: snapshot publish: %w", err)
 	}
-	return size, nil
+	return nil
 }
 
 // LoadSnapshot opens the head-only state file SaveSnapshot wrote at path.
