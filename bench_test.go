@@ -6,6 +6,7 @@ package caar_test
 // <id>` to see the actual rows/series, and raise -scale for full-size runs.
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"sync"
@@ -116,6 +117,30 @@ func BenchmarkAddAd(b *testing.B) {
 					b.Fatal(err)
 				}
 				if err := eng.RemoveAd(name(i)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkRestore measures loading a snapshot of 5 000 ads and 200, 2 000
+// or 20 000 users. Restore adds the users before the ads, so an ad
+// registration that cost anything per user would make it O(|ads|·|users|):
+// 20 000 users must stay within ~4× of 2 000, what AddUser's own linear cost
+// gives.
+func BenchmarkRestore(b *testing.B) {
+	for _, users := range []int{200, 2000, 20000} {
+		b.Run(fmt.Sprintf("users%d", users), func(b *testing.B) {
+			eng, _, _ := benchEngine(b, users, 5000)
+			var snap bytes.Buffer
+			if err := eng.Snapshot(&snap); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := caar.Restore(caar.DefaultConfig(), bytes.NewReader(snap.Bytes())); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -46,7 +46,8 @@ type Engine struct {
 	// ads is the ad side every shard reads (core.AdIndex): one inverted
 	// index, one geo index, one ad table and one delta list per message,
 	// whatever the shard count. Registration writes it holding every shard
-	// lock (lockShards); a reader holds its own shard's.
+	// lock (lockShards); a reader holds its own shard's, and settles what
+	// registration changed for its user then (core.AdIndex).
 	ads         *core.AdIndex
 	shards      []shard
 	msgSeq      atomic.Int64
@@ -164,17 +165,15 @@ type shard struct {
 
 // shardEngine is what the facade calls on a shard: a *core.CAP, which Open
 // always builds. It is an interface so that tests can put core.RS, the
-// exhaustive oracle, or a failing fake in a shard's place.
+// exhaustive oracle, or a failing fake in a shard's place. Ads are not on
+// it: they are written to the store and the shared ad side, and a shard
+// reads both.
 type shardEngine interface {
 	AddUser(u feed.UserID)
 	CheckIn(u feed.UserID, p geo.Point, t time.Time) error
 	Deliver(msg feed.Message, followers []feed.UserID) error
 	AppendTopAds(dst []core.Scored, u feed.UserID, k int, t time.Time) ([]core.Scored, error)
 	LastQuery() core.Query
-	// RegisterAd and UnregisterAd bring the shard's per-user state up to an
-	// ad the store and the shared ad side have just registered or dropped.
-	RegisterAd(a *adstore.Ad)
-	UnregisterAd(id adstore.AdID)
 }
 
 // Common errors returned by Engine methods.
@@ -383,11 +382,11 @@ func (e *Engine) AddAd(ad Ad) error {
 // publishAd is the tail AddAd and snapshot restore share: reserve the
 // internal ID and publish the name (one directory swap, so every
 // intermediate view stays consistent), validate and store (store.Add does
-// both), then index the ad once and let every shard back-fill its users, all
-// under every shard lock; a failure after the publish withdraws the name
-// again. Errors come back unwrapped — ErrDuplicate from the
-// reservation, adstore's own from validation and the store — for the caller
-// to dress.
+// both), then index the ad once under every shard lock — each user's
+// candidate buffer takes it at the user's next read; a failure after the
+// publish withdraws the name again. Errors come back unwrapped —
+// ErrDuplicate from the reservation, adstore's own from validation and the
+// store — for the caller to dress.
 func (e *Engine) publishAd(name string, ad *adstore.Ad) error {
 	var err error
 	if ad.ID, err = e.mapAd(name, ad.Campaign); err != nil {
@@ -399,9 +398,6 @@ func (e *Engine) publishAd(name string, ad *adstore.Ad) error {
 	}
 	unlock := e.lockShards()
 	e.ads.Register(ad)
-	for _, sh := range e.shards {
-		sh.eng.RegisterAd(ad)
-	}
 	unlock()
 	return nil
 }
@@ -434,7 +430,8 @@ func (e *Engine) unmapAd(name string, id adstore.AdID) {
 // ad is published *before* the store and shard indexes are torn down: the
 // moment RemoveAd commits, no in-flight recommend can resolve the name in
 // toRecommendations, so a withdrawn ad is never served even while its
-// index entries are still being cleaned up. (The reverse order — the seed
+// index entries are still being cleaned up, or while a candidate buffer
+// still holds it until its user's next read. (The reverse order — the seed
 // behavior — let a concurrent recommend serve an ad that RemoveAd had
 // already deleted from the store.)
 func (e *Engine) RemoveAd(id string) error {
@@ -464,9 +461,6 @@ func (e *Engine) RemoveAd(id string) error {
 	}
 	unlock := e.lockShards()
 	e.ads.Unregister(internalID)
-	for _, sh := range e.shards {
-		sh.eng.UnregisterAd(internalID)
-	}
 	unlock()
 	return nil
 }

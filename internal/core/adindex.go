@@ -13,7 +13,8 @@ import (
 
 // AdIndex is the ad side of the IL and CAP engines: the keyword inverted
 // index, the geographic/static pre-filter, the live-ad table the scoring paths
-// read, and the delta lists of fan-out sharing. The shards of one engine
+// read, the delta lists of fan-out sharing, and the record of ad churn the
+// candidate buffers settle at their next read. The shards of one engine
 // share one AdIndex. They read it under their own lock; Register and
 // Unregister write it, and their caller holds every shard lock, so no reader
 // runs meanwhile. The delta-list table is the exception: shards take and drop
@@ -24,7 +25,19 @@ type AdIndex struct {
 	region geo.Rect
 	ads    map[adstore.AdID]*adstore.Ad
 	msgs   msgTable
+
+	// churn holds the last churnCap ad IDs registered or unregistered, the
+	// i-th of them (counting from 0) at churn[i%churnCap]; churned counts
+	// them all. Nothing per user happens at registration: a buffer that
+	// accounts for fewer than churned settles the rest when it is next read
+	// (CAP.catchUp), and one more than churnCap behind is rebuilt instead.
+	churn   [churnCap]adstore.AdID
+	churned uint64
 }
+
+// churnCap bounds how far behind the churn record a candidate buffer can
+// settle ad by ad; one further behind is rebuilt by its next read.
+const churnCap = 64
 
 // NewAdIndex creates an empty ad side over the given coverage region with a
 // gridRows × gridCols spatial grid.
@@ -44,12 +57,13 @@ func NewAdIndex(region geo.Rect, gridRows, gridCols int) (*AdIndex, error) {
 
 // Register indexes an ad already in the store and inserts its coefficient
 // into every computed delta list, so the evictions still to come stay exact.
-// The caller excludes every reader; each shard then back-fills its own users
-// (RegisterAd).
+// The caller excludes every reader; each candidate buffer takes the ad's
+// exact value when it is next read.
 func (x *AdIndex) Register(a *adstore.Ad) {
 	x.inv.Add(a.ID, a.Vec)
 	x.geoIdx.Add(a)
 	x.ads[a.ID] = a
+	x.record(a.ID)
 	x.msgs.mu.Lock()
 	defer x.msgs.mu.Unlock()
 	for _, mc := range x.msgs.m {
@@ -69,12 +83,13 @@ func (x *AdIndex) Register(a *adstore.Ad) {
 // Unregister drops an ad from the indexes, the table and every computed delta
 // list, without touching the store. The cleanup is eager: a stale delta entry
 // for a removed ID would corrupt scores if the ID were ever reused. The
-// caller excludes every reader; each shard then drops the ad from its own
-// users (UnregisterAd).
+// caller excludes every reader; each candidate buffer drops the ad when it is
+// next read, and until then ranking skips it (CAP.rank).
 func (x *AdIndex) Unregister(id adstore.AdID) {
 	x.inv.Remove(id)
 	x.geoIdx.Remove(id)
 	delete(x.ads, id)
+	x.record(id)
 	x.msgs.mu.Lock()
 	defer x.msgs.mu.Unlock()
 	for _, mc := range x.msgs.m {
@@ -82,6 +97,12 @@ func (x *AdIndex) Unregister(id adstore.AdID) {
 			mc.deltas = slices.Delete(mc.deltas, i, i+1)
 		}
 	}
+}
+
+// record appends an ad ID to the churn record.
+func (x *AdIndex) record(id adstore.AdID) {
+	x.churn[x.churned%churnCap] = id
+	x.churned++
 }
 
 // ad returns the live ad record (nil when withdrawn).

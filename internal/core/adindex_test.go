@@ -37,9 +37,6 @@ func TestSharedDeltaListComputedOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 		ads.Register(a)
-		for _, e := range shards {
-			e.RegisterAd(a)
-		}
 	}
 	deliverAll := func(id feed.MessageID, at time.Time, vec textproc.SparseVector) {
 		for i, e := range shards {

@@ -124,7 +124,7 @@ func (b *base) state(u feed.UserID) (*userState, error) {
 // given its raw text relevance, and submits it to the collector. It reports
 // whether the ad was eligible (not necessarily retained). Eligibility and the
 // geo score come from one distance to the target (adstore.Ad.Place).
-func (b *base) offer(c *topk.Collector, a *adstore.Ad, textRel float64, st *userState, sl timeslot.Slot, t time.Time, budget bool) bool {
+func (b *base) offer(c *topk.Collector, a *adstore.Ad, relevance float64, st *userState, sl timeslot.Slot, t time.Time, budget bool) bool {
 	if a == nil {
 		return false
 	}
@@ -137,18 +137,18 @@ func (b *base) offer(c *topk.Collector, a *adstore.Ad, textRel float64, st *user
 	if budget && a.Campaign != "" && !b.store.HasBudget(a.ID, t) {
 		return false
 	}
-	score := b.scoring.AlphaText*textRel + b.scoring.static(a, geoScore)
+	score := b.scoring.AlphaText*relevance + b.scoring.static(a, geoScore)
 	c.Offer(int64(a.ID), score)
 	return true
 }
 
 // resolve appends collector output to dst as Scored results with component
 // decomposition, recomputing components for explainability.
-func (b *base) resolve(dst []Scored, items []topk.Item, st *userState, textRelOf func(adstore.AdID) float64) []Scored {
+func (b *base) resolve(dst []Scored, items []topk.Item, st *userState, relevanceOf func(adstore.AdID) float64) []Scored {
 	out := grow(dst, len(items))
 	for _, it := range items {
 		if a := b.store.Get(adstore.AdID(it.ID)); a != nil {
-			out = append(out, b.decompose(a, it.Score, textRelOf(a.ID), st))
+			out = append(out, b.decompose(a, it.Score, relevanceOf(a.ID), st))
 		}
 	}
 	return out
@@ -164,7 +164,7 @@ func grow(dst []Scored, n int) []Scored {
 }
 
 // decompose is one result: the ad, its score, and the score's three parts.
-func (b *base) decompose(a *adstore.Ad, score, textRel float64, st *userState) Scored {
-	return Scored{Ad: a.ID, Score: score, Text: b.scoring.AlphaText * textRel,
+func (b *base) decompose(a *adstore.Ad, score, relevance float64, st *userState) Scored {
+	return Scored{Ad: a.ID, Score: score, Text: b.scoring.AlphaText * relevance,
 		Geo: b.scoring.BetaGeo * a.GeoScore(st.loc, st.hasLoc), Bid: b.scoring.GammaBid * a.Bid}
 }

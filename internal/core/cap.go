@@ -40,10 +40,6 @@ type heldMsg struct {
 	refs int
 }
 
-// maxFixups bounds dynBuf.fix: a buffer that falls this many ad
-// registrations behind is freed, and rebuilt by its next read.
-const maxFixups = 64
-
 // CAP is the Context-aware Ad Publishing engine — the reconstructed
 // contribution. It maintains, per user somebody reads, an incrementally
 // updated candidate buffer: a feed event costs one ring store per follower
@@ -57,11 +53,9 @@ type CAP struct {
 	opts CAPOptions
 	held map[feed.MessageID]heldMsg
 
-	// Reusable space: what catchUp lends to dynBuf.merge, and RegisterAd's
-	// ⟨ad, message⟩ products by message.
+	// Reusable space: what catchUp lends to dynBuf.merge.
 	lists   []weighted
 	scratch []bufEntry
-	dots    map[feed.MessageID]float64
 
 	viewAnswers, reranks uint64 // TopAds calls by how they were answered
 	merges, rebuilds     uint64 // catch-ups by kind
@@ -88,7 +82,6 @@ func NewCAPOn(s Scoring, store *adstore.Store, ads *AdIndex, opts CAPOptions) (*
 		indexed: ix,
 		opts:    opts,
 		held:    make(map[feed.MessageID]heldMsg),
-		dots:    make(map[feed.MessageID]float64),
 	}, nil
 }
 
@@ -101,80 +94,13 @@ func (e *CAP) AddUser(u feed.UserID) {
 	e.users[u].buf = newDynBuf()
 }
 
-// AddAd implements Recommender. Beyond indexing — which also inserts the
-// ad's coefficient into every computed delta list, so future evictions stay
-// exact (AdIndex.Register) — a late-arriving ad is back-filled: its text
-// relevance against the window of every user whose buffer is up to date, or
-// who has a view to keep valid, is computed from the window's messages
-// (textRel: one sparse dot product per distinct message, however many windows
-// hold it, and one multiply-add per resident message).
-func (e *CAP) AddAd(a *adstore.Ad) error {
-	if err := e.addAd(a); err != nil {
-		return err
-	}
-	e.RegisterAd(a)
-	return nil
-}
-
-// RegisterAd back-fills the candidate-buffer coefficients of an ad the
-// store and the AdIndex hold; a shard of the facade is told of every ad this
-// way, once the ad side the shards share has it. A new ad is an untracked ad
-// no view's bound accounts for; a view keeps its invariant by noting the ad
-// if its score could reach the bound, exactly as a delivery notes an ad it
-// raises (dynBuf.merge). A bound of -Inf — every eligible ad is tracked —
-// always notes.
-//
-// The ad's exact coefficient is its text relevance to the window (textRel),
-// which is always current; a buffer that is behind is not, so it takes the
-// value when it catches up (dynBuf.fix) — the note, which is about the
-// window, is made now. A cold user costs nothing.
-func (e *CAP) RegisterAd(a *adstore.Ad) {
-	clear(e.dots)
-	for _, st := range e.users {
-		buf := st.buf
-		behind := buf.applied < st.win.Len()
-		if behind && buf.applied > 0 {
-			if len(buf.fix) == maxFixups {
-				e.chill(st, buf, st.win.Len())
-				continue
-			}
-			buf.fix = append(buf.fix, a.ID)
-		}
-		if behind && buf.view == nil {
-			continue
-		}
-		coeff := e.textRel(st, a)
-		if !behind {
-			buf.set(a.ID, coeff)
-		}
-		e.noteRegistered(st, buf, a, coeff)
-	}
-}
-
-// textRel is ad a's text relevance to st's window at its reference time,
-// Σ_i w_i·⟨a, m_i⟩ over the resident messages: the aggregate's dot product
-// without summing the aggregate. Each ⟨a, m⟩ is kept in dots, which the
-// caller clears for a new ad, because a post sits in every follower's window.
-func (e *CAP) textRel(st *userState, a *adstore.Ad) float64 {
-	sum, ref := 0.0, st.win.Ref()
-	for i := range st.win.Len() {
-		m := st.win.At(i)
-		d, ok := e.dots[m.ID]
-		if !ok {
-			d = a.Vec.Dot(m.Vec)
-			e.dots[m.ID] = d
-		}
-		if d != 0 {
-			sum += d * e.scoring.Decay.WeightAt(ref.Sub(m.Time))
-		}
-	}
-	return sum
-}
-
 // noteRegistered notes a registered ad whose text relevance is coeff if its
-// score could reach the view's bound. In reference space, like merge's test:
-// a query the view answers is not before the reference, where text scores are
-// at their highest.
+// score could reach the view's bound: a new ad is an untracked ad no view's
+// bound accounts for, so a view keeps its invariant by noting it exactly as a
+// delivery notes an ad it raises (dynBuf.merge). In reference space, like
+// merge's test: a query the view answers is not before the reference, where
+// text scores are at their highest. A bound of -Inf — every eligible ad is
+// tracked — always notes.
 func (e *CAP) noteRegistered(st *userState, buf *dynBuf, a *adstore.Ad, coeff float64) {
 	if v := buf.view; v != nil && e.scoring.AlphaText*coeff+e.scoring.staticScore(a, st.loc, st.hasLoc) >= v.bound {
 		buf.note(a.ID)
@@ -185,22 +111,6 @@ func findDelta(deltas []index.Delta, id adstore.AdID) (int, bool) {
 	return slices.BinarySearchFunc(deltas, id, func(d index.Delta, id adstore.AdID) int {
 		return cmp.Compare(d.Ad, id)
 	})
-}
-
-// UnregisterAd drops an ad the AdIndex has
-// unregistered from the candidate buffers. The cleanup is eager: stale buffer
-// entries for a removed ID would corrupt scores if the ID were ever reused. A
-// view that tracks the ad goes with it; any other stands, because removing an
-// untracked ad raises no score (a noted ID whose ad is gone is skipped by
-// refreshView).
-func (e *CAP) UnregisterAd(id adstore.AdID) {
-	for _, st := range e.users {
-		b := st.buf
-		if b.view != nil && b.view.tracks(id) {
-			b.view = nil
-		}
-		b.remove(id)
-	}
 }
 
 // CheckIn implements Recommender. Moving changes which geo-targeted ads are
@@ -314,61 +224,89 @@ func (e *CAP) settleGone(buf *dynBuf) {
 	buf.gone = buf.gone[:0]
 }
 
-// catchUp brings a user's buffer up to the window before something reads it.
-// The buffer is linear in the window's weighted term vector, so applying
-// every pending eviction and arrival in one pass, each at its weight in the
-// current reference space, gives what applying them one by one would have.
-// A cold buffer, and one that RebuildEvery deliveries have been merged into,
-// is rebuilt instead.
+// catchUp brings a user's buffer up to the window and to the ad side before
+// something reads it. The buffer is linear in the window's weighted term
+// vector, so applying every pending eviction and arrival in one pass, each at
+// its weight in the current reference space, gives what applying them one by
+// one would have. A cold buffer, one that RebuildEvery deliveries have been
+// merged into, and one more than churnCap ad registrations behind are
+// rebuilt instead; an empty window that far behind only drops its view.
+// Otherwise the pass ends by settling the ad churn since the buffer last
+// looked (settleChurn).
 func (e *CAP) catchUp(st *userState, buf *dynBuf) {
 	n := st.win.Len()
-	pending := n - buf.applied
-	if pending == 0 {
+	pending, churn := n-buf.applied, e.churned-buf.churned
+	if pending == 0 && churn == 0 {
 		return
 	}
-	if buf.applied == 0 || (e.opts.RebuildEvery > 0 && buf.ops+pending >= e.opts.RebuildEvery) {
+	if n > 0 && (buf.applied == 0 || churn > churnCap || (e.opts.RebuildEvery > 0 && buf.ops+pending >= e.opts.RebuildEvery)) {
 		e.rebuild(st, buf)
 		return
 	}
-	// Age the buffer into the current reference space. Renormalizing
-	// rewrites every stored value, which can move an untracked score up by a
-	// rounding step: the view goes.
+	if churn > churnCap {
+		buf.view, buf.churned = nil, e.churned
+		return
+	}
 	ref := st.win.Ref()
-	if ref.After(buf.ref) {
-		if buf.age(e.scoring.Decay.Between(buf.ref, ref)) {
+	if pending > 0 {
+		// Age the buffer into the current reference space. Renormalizing
+		// rewrites every stored value, which can move an untracked score up
+		// by a rounding step: the view goes.
+		if ref.After(buf.ref) {
+			if buf.age(e.scoring.Decay.Between(buf.ref, ref)) {
+				buf.view = nil
+			}
+			buf.ref = ref
+		}
+		// Weights are the pure exponential of ref − post time, so an
+		// eviction that happened under an earlier reference is re-derived at
+		// this one.
+		lists := e.lists[:0]
+		for _, m := range buf.gone {
+			lists = append(lists, weighted{d: e.deltasOf(m), c: -e.scoring.Decay.WeightAt(ref.Sub(m.Time)) / buf.scale})
+		}
+		for i := buf.applied; i < n; i++ {
+			m := st.win.At(i)
+			lists = append(lists, weighted{d: e.deltasOf(m), c: e.scoring.Decay.WeightAt(ref.Sub(m.Time)) / buf.scale})
+		}
+		e.scratch = buf.merge(e.scratch, lists, len(buf.gone), e.noteAt(buf))
+		clear(lists)
+		e.lists = lists
+
+		e.settleGone(buf) // applied: only now can their shared lists go
+		buf.applied, buf.ops = n, buf.ops+pending
+		e.merges, e.merged = e.merges+1, e.merged+uint64(pending)
+	}
+	if churn > 0 {
+		e.settleChurn(st, buf, ref)
+	}
+}
+
+// settleChurn brings an up-to-date buffer to the ads registered or withdrawn
+// since it last looked, at most churnCap of them. A live ad gets its exact
+// coefficient from the window aggregate, summed once: neither what the buffer
+// held nor what a merge added accounts for it consistently. A new ad is then
+// noted if it could reach the view's bound. A withdrawn ad leaves the buffer.
+// A view that tracks a churned ad goes — a withdrawn ad's record would stay in
+// the answer, a re-registered ID's would be stale — and any other stands,
+// because removing an untracked ad raises no score.
+func (e *CAP) settleChurn(st *userState, buf *dynBuf, ref time.Time) {
+	agg, _ := e.context(st, ref) // factor 1 at the reference
+	for i := buf.churned; i < e.churned; i++ {
+		id := e.churn[i%churnCap]
+		if v := buf.view; v != nil && v.tracks(id) {
 			buf.view = nil
 		}
-		buf.ref = ref
-	}
-	// Weights are the pure exponential of ref − post time, so an eviction
-	// that happened under an earlier reference is re-derived at this one.
-	lists := e.lists[:0]
-	for _, m := range buf.gone {
-		lists = append(lists, weighted{d: e.deltasOf(m), c: -e.scoring.Decay.WeightAt(ref.Sub(m.Time)) / buf.scale})
-	}
-	for i := buf.applied; i < n; i++ {
-		m := st.win.At(i)
-		lists = append(lists, weighted{d: e.deltasOf(m), c: e.scoring.Decay.WeightAt(ref.Sub(m.Time)) / buf.scale})
-	}
-	e.scratch = buf.merge(e.scratch, lists, len(buf.gone), e.noteAt(buf))
-	clear(lists)
-	e.lists = lists
-
-	e.settleGone(buf) // applied: only now can their shared lists go
-	if len(buf.fix) > 0 {
-		// One user and up to maxFixups ads: the aggregate is summed once.
-		agg, _ := e.context(st, ref) // factor 1 at the reference
-		for _, id := range buf.fix {
-			if a := e.ad(id); a != nil {
-				coeff := a.Vec.Dot(agg)
-				buf.set(id, coeff)
-				e.noteRegistered(st, buf, a, coeff)
-			}
+		a := e.ad(id)
+		if a == nil {
+			buf.remove(id)
+			continue
 		}
-		buf.fix = buf.fix[:0]
+		coeff := a.Vec.Dot(agg)
+		buf.set(id, coeff)
+		e.noteRegistered(st, buf, a, coeff)
 	}
-	buf.applied, buf.ops = n, buf.ops+pending
-	e.merges, e.merged = e.merges+1, e.merged+uint64(pending)
+	buf.churned = e.churned
 }
 
 // rebuild recomputes the buffer exactly from the window aggregate, summed
@@ -387,7 +325,7 @@ func (e *CAP) rebuild(st *userState, buf *dynBuf) {
 		}
 	}
 	e.settleGone(buf)
-	buf.fix = buf.fix[:0]
+	buf.churned = e.churned
 
 	agg, _ := e.context(st, st.win.Ref()) // factor 1 at the reference
 	deltas := e.acc.DeltaList(e.inv, agg)

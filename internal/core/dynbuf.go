@@ -31,7 +31,8 @@ const dropBelow = 1e-12
 // multiplication instead of a sweep.
 //
 // The buffer is lazy (DESIGN.md §3.1 item 3): a delivery only records what
-// the buffer now owes, and CAP.catchUp settles it when something reads. What
+// the buffer now owes, and CAP.catchUp settles it — and any ad registered or
+// withdrawn since (AdIndex's churn record) — when something reads. What
 // the buffer reflects is the first applied resident messages of the user's
 // window plus the messages in gone; the window's later entries are the
 // arrivals it has yet to add. applied == 0 is the cold state — the buffer
@@ -46,10 +47,7 @@ type dynBuf struct {
 	applied int
 	ref     time.Time      // the window reference e and scale are relative to
 	gone    []feed.Message // applied messages evicted since: owed a subtraction
-	// fix lists the ads registered while the buffer was behind; the catch-up
-	// ends by setting each to its exact value, because neither what the buffer
-	// holds nor what the pass adds accounts for them consistently.
-	fix []adstore.AdID
+	churned uint64         // the AdIndex churn count e and view account for
 
 	// view is the user's materialised top-k (view.go); nil until the user's
 	// first query, and again after anything that invalidates it.
@@ -83,7 +81,7 @@ func (b *dynBuf) get(ad adstore.AdID) float64 {
 
 // set makes ad's coefficient refCoeff (in reference space), dropping an entry
 // set to (numerical) zero. Deliveries go through merge; this is the single-ad
-// form ad registration uses.
+// form settling ad churn uses.
 func (b *dynBuf) set(ad adstore.AdID, refCoeff float64) {
 	i, ok := b.find(ad)
 	switch zero := math.Abs(refCoeff) < dropBelow; {

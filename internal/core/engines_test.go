@@ -49,28 +49,14 @@ func makeEngines(t *testing.T, s Scoring, store *adstore.Store) (engines []Recom
 		t.Fatal(err)
 	}
 	engines = []Recommender{rs, &IL{indexed: ix}}
-	var caps []*CAP
 	for _, opts := range []CAPOptions{DefaultCAPOptions(), {FanoutSharing: false, RebuildEvery: 64}, {FanoutSharing: true, RebuildEvery: 0}} {
 		c, err := NewCAPOn(s, store, ads, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		caps = append(caps, c)
 		engines = append(engines, c)
 	}
-	register = func(a *adstore.Ad) {
-		ads.Register(a)
-		for _, c := range caps {
-			c.RegisterAd(a)
-		}
-	}
-	unregister = func(id adstore.AdID) {
-		ads.Unregister(id)
-		for _, c := range caps {
-			c.UnregisterAd(id)
-		}
-	}
-	return engines, register, unregister
+	return engines, ads.Register, ads.Unregister
 }
 
 // randVec draws a unit vector of up to nTerms terms over IDs [0, vocab).

@@ -29,9 +29,10 @@ func newIndexed(s Scoring, store *adstore.Store, ads *AdIndex) (*indexed, error)
 	return &indexed{base: b, AdIndex: ads}, nil
 }
 
-// addAd stores an ad and registers it, for an engine that is alone on its
-// AdIndex.
-func (ix *indexed) addAd(a *adstore.Ad) error {
+// AddAd implements Recommender for an engine that is alone on its AdIndex:
+// it stores the ad and registers it. A CAP buffer takes the ad at its next
+// read (CAP.catchUp).
+func (ix *indexed) AddAd(a *adstore.Ad) error {
 	if err := ix.store.Add(a); err != nil {
 		return err
 	}
@@ -113,9 +114,6 @@ func NewIL(s Scoring, store *adstore.Store, region geo.Rect, gridRows, gridCols 
 	}
 	return &IL{indexed: ix}, nil
 }
-
-// AddAd implements Recommender.
-func (e *IL) AddAd(a *adstore.Ad) error { return e.addAd(a) }
 
 // TopAds implements Recommender: one inverted-index pass over the context's
 // terms yields the exact text relevance of every candidate; the static-only

@@ -78,7 +78,7 @@ func (g *readGaps) observe(t *testing.T, u feed.UserID, read func(), caps ...*CA
 	was := make([]before, len(caps))
 	for i, e := range caps {
 		m, r := e.CatchUps()
-		was[i] = before{uint64(len(e.users[u].buf.fix)), m, r}
+		was[i] = before{e.churned - e.users[u].buf.churned, m, r}
 	}
 	read()
 	gap := g.since[u]
@@ -121,12 +121,12 @@ func (g *readGaps) observe(t *testing.T, u feed.UserID, read func(), caps ...*CA
 // require fails unless every CAP observed showed every regime: a read with
 // nothing pending, a merge at every gap from 1 (the subscribed user's) to
 // W−1, a cold buffer rebuilt, one that messages passed through unseen, a
-// merge that ended with ad fix-ups — and churn landed while a buffer was
+// merge that ended by settling ad churn — and churn landed while a buffer was
 // behind.
 func (g *readGaps) require(t *testing.T) {
 	t.Helper()
 	for e, seen := range g.seen {
-		t.Logf("%+v reads by regime: %d up to date, merges by gap %v, %d cold (%d with messages never seen), %d merges with ad fix-ups; %d churn events behind",
+		t.Logf("%+v reads by regime: %d up to date, merges by gap %v, %d cold (%d with messages never seen), %d merges that settled ad churn; %d churn events behind",
 			e.opts, seen.upToDate, seen.batched[1:], seen.cold, seen.unseen, seen.fixedUp, g.churnBehind)
 		ok := seen.upToDate > 0 && seen.cold > 0 && seen.unseen > 0 && seen.fixedUp > 0 && g.churnBehind > 0
 		for _, n := range seen.batched[1:] {
@@ -234,10 +234,10 @@ func TestCAPEvictionHoldsItsReferenceUntilApplied(t *testing.T) {
 	}
 }
 
-// TestCAPRegisterAdWhileBehind: registering an ad runs no merge and does not
+// TestCAPAdRegisteredWhileBehind: registering an ad runs no merge and does not
 // touch a buffer that is behind; the buffer gets the ad's exact value — over
 // the messages applied before, pending and evicted alike — when it catches up.
-func TestCAPRegisterAdWhileBehind(t *testing.T) {
+func TestCAPAdRegisteredWhileBehind(t *testing.T) {
 	rs, err := NewRS(testScoring(), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -330,7 +330,10 @@ func TestCAPRebuildEveryCountsMergedDeliveries(t *testing.T) {
 // capacity. With every follower subscribed — read after each delivery — what
 // a Deliver allocates is the message's shared state, one object; with nobody
 // reading it allocates nothing. Neither grows with the follower count.
+// MemStats counts the whole process's allocations, so the test runs on one P,
+// as testing.AllocsPerRun does: nothing else allocates during a Deliver.
 func TestCAPDeliverAllocatesPerMessageNotPerFollower(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const users = 50
 	for _, subscribed := range []bool{true, false} {
 		e := newTestCAP(t, DefaultCAPOptions())
@@ -371,27 +374,33 @@ func TestCAPDeliverAllocatesPerMessageNotPerFollower(t *testing.T) {
 	}
 }
 
-// TestCAPRegisterAdFixupsAreBounded: a buffer that is behind and never read
-// does not collect ad registrations without limit; past maxFixups it is freed
-// like any buffer nobody reads, and the next read rebuilds it exactly.
-func TestCAPRegisterAdFixupsAreBounded(t *testing.T) {
+// TestCAPChurnPastTheRecordRebuilds: registration touches no buffer, and a
+// buffer settles ad by ad only as far back as the AdIndex's churn record
+// reaches: churnCap ads behind, its next read settles them without a
+// rebuild; one more, and that read rebuilds it exactly.
+func TestCAPChurnPastTheRecordRebuilds(t *testing.T) {
 	e := newTestCAP(t, DefaultCAPOptions())
 	e.AddUser(1)
 	mustDeliver(t, e, 1, base0, 7, 1)
 	e.BufferSize(1)
-	mustDeliver(t, e, 2, base0, 7, 1) // behind by one, for good
-	for id := adstore.AdID(1); id <= maxFixups+1; id++ {
-		if err := e.AddAd(simpleAd(id, 7, 0.5)); err != nil {
-			t.Fatal(err)
+	id := adstore.AdID(0)
+	for _, n := range []int{churnCap, churnCap + 1} {
+		for range n {
+			id++
+			if err := e.AddAd(simpleAd(id, 7, 0.5)); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if n := len(e.users[1].buf.fix); n > maxFixups {
-			t.Fatalf("%d fix-ups pending, limit %d", n, maxFixups)
+		if got := e.TotalBufferEntries(); got != int(id)-n {
+			t.Fatalf("registering %d ads wrote to a buffer nobody read: %d entries", n, got)
 		}
-	}
-	if e.CachedMessages() != 0 || e.users[1].buf.applied != 0 {
-		t.Fatalf("the buffer should have been freed: %d cached messages, %d messages applied", e.CachedMessages(), e.users[1].buf.applied)
-	}
-	if got := e.BufferSize(1); got != maxFixups+1 {
-		t.Fatalf("%d buffer entries after the rebuild, want all %d ads", got, maxFixups+1)
+		merges, rebuilds := e.CatchUps()
+		if got := e.BufferSize(1); got != int(id) {
+			t.Fatalf("%d ads behind: %d buffer entries after the read, want all %d ads", n, got, id)
+		}
+		m, r := e.CatchUps()
+		if wantRebuilds := rebuilds + uint64(n/(churnCap+1)); m != merges || r != wantRebuilds {
+			t.Fatalf("%d ads behind: the read made %d merges and %d rebuilds, want 0 and %d", n, m-merges, r-rebuilds, wantRebuilds-rebuilds)
+		}
 	}
 }

@@ -29,20 +29,14 @@ func NewRS(s Scoring, store *adstore.Store) (*RS, error) {
 // AddAd implements Recommender. RS keeps no index; the store is the index.
 func (e *RS) AddAd(a *adstore.Ad) error { return e.store.Add(a) }
 
-// RegisterAd is a no-op: RS keeps no index and nothing per user about ads.
-// It, UnregisterAd and AppendTopAds are what lets RS stand in for a CAP shard
-// of the caar facade, whose tests run the whole stack over RS as their oracle.
-func (e *RS) RegisterAd(a *adstore.Ad) {}
-
-// UnregisterAd is a no-op; see RegisterAd.
-func (e *RS) UnregisterAd(id adstore.AdID) {}
-
 // TopAds implements Recommender by exhaustive scan.
 func (e *RS) TopAds(u feed.UserID, k int, t time.Time) ([]Scored, error) {
 	return e.AppendTopAds(nil, u, k, t)
 }
 
-// AppendTopAds is TopAds appending the answer to dst.
+// AppendTopAds is TopAds appending the answer to dst: what lets RS stand in
+// for a CAP shard of the caar facade, whose tests run the whole stack over RS
+// as their oracle.
 func (e *RS) AppendTopAds(dst []Scored, u feed.UserID, k int, t time.Time) ([]Scored, error) {
 	st, err := e.state(u)
 	if err != nil {

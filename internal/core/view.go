@@ -54,8 +54,8 @@ type viewEntry struct {
 // renormalization, a full noted list, a buffer freed a window behind) or
 // fails the guard in TopAds (another slot, a query time the bound does not
 // cover). Ad churn is not on that
-// list: a registered ad is noted like a raised one, and an unregistered ad
-// takes along only the views that track it.
+// list: the catch-up that settles a registered ad notes it like a raised
+// one, and an unregistered ad takes along only the views that track it.
 type topView struct {
 	size    int // tracked ads kept by a cut: viewSlack × the k it was made for
 	slot    timeslot.Slot

@@ -32,9 +32,9 @@ import (
 // buffer (readGaps.require), with the churn landing while buffers are behind;
 // take the view path and the re-rank path and answer from a view at a k other
 // than the one that sized it; and ad churn must show each of its rules at
-// work: a view that stands through a register and one through an unregister,
-// a registered ad noted and then served from the view, and a view dropped
-// because it tracked the ad withdrawn.
+// work in the read that settles it: a view that stands through a register
+// and one through an unregister, a registered ad noted and then served from
+// the view, and a view dropped because it tracked the ad withdrawn.
 func TestContinuousTopAdsMatchesRSAfterEveryDelivery(t *testing.T) {
 	const (
 		nUsers = 12
@@ -77,16 +77,10 @@ func TestContinuousTopAdsMatchesRSAfterEveryDelivery(t *testing.T) {
 			nextAd := adstore.AdID(1)
 			var liveAds []adstore.AdID
 			var survivedRegister, survivedUnregister, notedServed, droppedTracker int
-			// notedNew is, per user, the ads a register put on the view's noted
-			// list since the user's last query.
-			notedNew := make(map[feed.UserID][]adstore.AdID)
-			views := func() []*topView {
-				vs := make([]*topView, nUsers)
-				for u := range vs {
-					vs[u] = eng.users[feed.UserID(u)].buf.view
-				}
-				return vs
-			}
+			// churnLog is every ad registered or withdrawn, in the order the
+			// AdIndex counts them: what a buffer has yet to settle starts at
+			// its churned count.
+			var churnLog []adstore.AdID
 			addAd := func() {
 				a := randAd(rng, nextAd)
 				if rng.Intn(4) == 0 {
@@ -95,19 +89,9 @@ func TestContinuousTopAdsMatchesRSAfterEveryDelivery(t *testing.T) {
 				if err := store.Add(a); err != nil {
 					t.Fatal(err)
 				}
-				before := views()
 				eng.Register(a)
-				eng.RegisterAd(a)
+				churnLog = append(churnLog, a.ID)
 				gaps.churned()
-				for u, v := range views() {
-					if v == nil || v != before[u] {
-						continue
-					}
-					survivedRegister++
-					if n := len(v.noted); n > 0 && v.noted[n-1] == a.ID {
-						notedNew[feed.UserID(u)] = append(notedNew[feed.UserID(u)], a.ID)
-					}
-				}
 				liveAds = append(liveAds, nextAd)
 				nextAd++
 			}
@@ -120,6 +104,16 @@ func TestContinuousTopAdsMatchesRSAfterEveryDelivery(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				// The ad churn this read settles, and which of the withdrawn
+				// ads the view tracks going in.
+				buf := eng.users[u].buf
+				view, churn := buf.view, churnLog[buf.churned:]
+				var tracked []adstore.AdID
+				for _, id := range churn {
+					if view != nil && eng.ad(id) == nil && view.tracks(id) {
+						tracked = append(tracked, id)
+					}
+				}
 				fromView := eng.viewAnswers
 				var got []Scored
 				gaps.observe(t, u, func() { got, err = eng.TopAds(u, k, at) }, eng)
@@ -130,14 +124,26 @@ func TestContinuousTopAdsMatchesRSAfterEveryDelivery(t *testing.T) {
 					t.Fatalf("step %d user %d k %d at %v: TopAds is not the RS ranking: %v\nRS:  %+v\nCAP: %+v",
 						step, u, k, at, err, want, got)
 				}
-				if eng.viewAnswers > fromView {
-					for _, sc := range got {
-						if slices.Contains(notedNew[u], sc.Ad) {
+				// A view dropped for any reason is replaced by a new one, so
+				// the same pointer after the read is a view that stood.
+				stood := view != nil && buf.view == view
+				if stood && len(tracked) > 0 {
+					t.Fatalf("step %d: user %d's view tracks withdrawn ads %v and outlived the read that settled them", step, u, tracked)
+				}
+				for _, id := range churn {
+					switch live := eng.ad(id) != nil; {
+					case view == nil:
+					case slices.Contains(tracked, id):
+						droppedTracker++
+					case stood && live:
+						survivedRegister++
+						if eng.viewAnswers > fromView && slices.ContainsFunc(got, func(sc Scored) bool { return sc.Ad == id }) {
 							notedServed++
 						}
+					case stood:
+						survivedUnregister++
 					}
 				}
-				delete(notedNew, u)
 				return got
 			}
 			now := base0
@@ -211,22 +217,9 @@ func TestContinuousTopAdsMatchesRSAfterEveryDelivery(t *testing.T) {
 					if err := store.Remove(id); err != nil {
 						t.Fatal(err)
 					}
-					before := views()
 					eng.Unregister(id)
-					eng.UnregisterAd(id)
+					churnLog = append(churnLog, id)
 					gaps.churned()
-					for u, v := range views() {
-						switch old := before[u]; {
-						case old == nil:
-						case old.tracks(id):
-							if v != nil {
-								t.Fatalf("step %d: user %d's view tracks ad %d and outlived its withdrawal", step, u, id)
-							}
-							droppedTracker++
-						case v == old:
-							survivedUnregister++
-						}
-					}
 				}
 			}
 			view, rerank := eng.TopAdsPaths()
@@ -359,8 +352,9 @@ func TestViewDroppedByCheckIn(t *testing.T) {
 }
 
 // TestViewNotesARegisteredAd: an ad registered at a score that could reach
-// the bound is noted, and the next query — still from the view — scores and
-// serves it; one registered below the bound leaves the view alone.
+// the bound is noted by the catch-up that settles it, and the query — still
+// from the view — scores and serves it; one registered below the bound leaves
+// the view alone.
 func TestViewNotesARegisteredAd(t *testing.T) {
 	e := viewFixture(t, DefaultCAPOptions())
 	deliver(t, e, 1, base0, textproc.SparseVector{{ID: 1, W: 1}})
@@ -370,10 +364,11 @@ func TestViewNotesARegisteredAd(t *testing.T) {
 	if err := e.AddAd(simpleAd(8, 2, 0.01)); err != nil { // no text match, lowest bid
 		t.Fatal(err)
 	}
+	e.catchUp(e.users[1], e.users[1].buf)
 	if e.users[1].buf.view != v || len(v.noted) != 0 {
 		t.Fatalf("an ad under the bound was noted (%v) or cost the view", v.noted)
 	}
-	// Back-filled from the window at a higher score than anything tracked.
+	// Valued from the window at a higher score than anything tracked.
 	if err := e.AddAd(simpleAd(9, 1, 1)); err != nil {
 		t.Fatal(err)
 	}
@@ -383,8 +378,8 @@ func TestViewNotesARegisteredAd(t *testing.T) {
 	wantPath(t, e, 1, 1)
 }
 
-// TestViewOfAnEmptyWindowNotesARegisteredAd: registration skips the dot
-// product for a user who has received nothing, not the note — that user's view
+// TestViewOfAnEmptyWindowNotesARegisteredAd: a user who has received nothing
+// has no buffer to settle a new ad into, but still the note — that user's view
 // ranks by static score, which a new ad can lead.
 func TestViewOfAnEmptyWindowNotesARegisteredAd(t *testing.T) {
 	e := viewFixture(t, DefaultCAPOptions())
@@ -436,7 +431,7 @@ func TestViewDroppedByAdRemoval(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.Unregister(5)
-	e.UnregisterAd(5)
+	e.catchUp(e.users[1], e.users[1].buf)
 	if e.users[1].buf.view != v {
 		t.Fatal("withdrawing an untracked ad cost the view")
 	}
@@ -447,7 +442,6 @@ func TestViewDroppedByAdRemoval(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.Unregister(1)
-	e.UnregisterAd(1)
 	if top := sameAsFullRanking(t, e, 1, base0); top[0].Ad != 2 {
 		t.Fatalf("top ad %d after ad 1 was withdrawn, want 2", top[0].Ad)
 	}

@@ -20,8 +20,10 @@ import (
 // must render the same feeds — plain, and under a frequency cap with
 // over-fetch 4 — as an engine whose shards run RS (OpenRS) applying the same
 // operations directly. CAP answers most of these reads from per-user views
-// that the batched applies keep noting into; RS has nothing of the kind to
-// get wrong.
+// that the batched applies keep noting into, and settles the ads added and
+// withdrawn meanwhile — some of them campaign-less with bids high enough to
+// enter a top k on static score alone — at each user's next read; RS has
+// nothing of the kind to get wrong.
 func TestRecommendMatchesRSThroughIngest(t *testing.T) {
 	const nUsers, nAds, steps = 24, 90, 1500
 	t0 := time.Date(2026, 7, 6, 9, 0, 0, 0, time.UTC)
@@ -67,7 +69,8 @@ func TestRecommendMatchesRSThroughIngest(t *testing.T) {
 		}
 	}
 	both(func(e *caar.Engine) error { return e.AddCampaign("spring", 40, t0, t0.Add(48*time.Hour)) })
-	for i := 0; i < nAds; i++ {
+	var liveAds []string
+	addAd := func(i int) {
 		ad := caar.Ad{ID: fmt.Sprintf("ad%02d", i), Text: text(3), Bid: 0.05 + 0.9*rng.Float64()}
 		if i%2 == 0 {
 			ad.Target = &caar.Target{Lat: 4 * rng.Float64(), Lng: 4 * rng.Float64(), RadiusKm: 100 + 200*rng.Float64()}
@@ -75,8 +78,16 @@ func TestRecommendMatchesRSThroughIngest(t *testing.T) {
 		if i%5 == 0 {
 			ad.Campaign = "spring"
 		}
+		if i >= nAds && i%3 == 0 { // global, campaign-less, a bid near the top
+			ad.Target, ad.Campaign, ad.Bid = nil, "", 0.9+0.1*rng.Float64()
+		}
 		both(func(e *caar.Engine) error { return e.AddAd(ad) })
+		liveAds = append(liveAds, ad.ID)
 	}
+	for i := 0; i < nAds; i++ {
+		addAd(i)
+	}
+	nextAd, churned := nAds, 0
 
 	p := ingest.New(capEng, journal.NewWriter(io.Discard), nil, ingest.Config{MaxBatch: 16})
 	defer p.Close()
@@ -110,8 +121,10 @@ func TestRecommendMatchesRSThroughIngest(t *testing.T) {
 		}
 		submitted++
 	}
-	// render is a feed render, once the applier has caught up.
-	render := func(step int, who string, k int) {
+	// drain waits for the applier to catch up. An ad write waits too: a
+	// post's and an ad's TF-IDF weights depend on the documents the
+	// vocabulary saw before them, so both engines must vectorize in one order.
+	drain := func(step int) {
 		t.Helper()
 		for deadline := time.Now().Add(10 * time.Second); applied() < submitted; {
 			if time.Now().After(deadline) {
@@ -119,6 +132,11 @@ func TestRecommendMatchesRSThroughIngest(t *testing.T) {
 			}
 			time.Sleep(50 * time.Microsecond)
 		}
+	}
+	// render is a feed render, once the applier has caught up.
+	render := func(step int, who string, k int) {
+		t.Helper()
+		drain(step)
 		want, err := rsEng.Recommend(who, k, at)
 		if err != nil {
 			t.Fatal(err)
@@ -145,10 +163,10 @@ func TestRecommendMatchesRSThroughIngest(t *testing.T) {
 	}
 	for step := 0; step < steps; step++ {
 		at = at.Add(time.Duration(rng.Intn(60)) * time.Second)
-		switch op := rng.Intn(10); {
-		case op < 6:
+		switch op := rng.Intn(20); {
+		case op < 12:
 			post(user(rng.Intn(nUsers)), text(4))
-		case op == 6:
+		case op < 14:
 			who, lat, lng := user(rng.Intn(nUsers)), 4*rng.Float64(), 4*rng.Float64()
 			if err := p.SubmitCheckIn(who, lat, lng, at); err != nil {
 				t.Fatal(err)
@@ -157,6 +175,16 @@ func TestRecommendMatchesRSThroughIngest(t *testing.T) {
 				t.Fatal(err)
 			}
 			submitted++
+		case op == 14 && rng.Intn(2) == 0: // a new ad, while users are warm
+			drain(step)
+			addAd(nextAd)
+			nextAd, churned = nextAd+1, churned+1
+		case op == 14: // an ad withdrawn
+			i := rng.Intn(len(liveAds))
+			id := liveAds[i]
+			liveAds = append(liveAds[:i], liveAds[i+1:]...)
+			both(func(e *caar.Engine) error { return e.RemoveAd(id) })
+			churned++
 		default:
 			render(step, user(rng.Intn(nUsers)), 1+rng.Intn(12))
 		}
@@ -187,8 +215,9 @@ func TestRecommendMatchesRSThroughIngest(t *testing.T) {
 	}
 	t.Logf("caar_engine_topads_total: view %d, rerank %d; buffer catch-ups: %d merges of %d deliveries, %d rebuilds, %d deliveries skipped",
 		view, rerank, merges, merged, rebuilds, skipped)
-	if view == 0 || rerank == 0 {
-		t.Fatalf("both paths must serve reads: view %d, rerank %d", view, rerank)
+	t.Logf("%d ads added or withdrawn among the reads", churned)
+	if view == 0 || rerank == 0 || churned == 0 {
+		t.Fatalf("both paths must serve reads, with ad churn among them: view %d, rerank %d, churn %d", view, rerank, churned)
 	}
 	// A merge took several deliveries at once, and the burst went unmerged.
 	if merges == 0 || merged <= merges || rebuilds < nUsers || skipped < 25*nUsers {
