@@ -226,6 +226,57 @@ func BenchmarkRepeatedReader(b *testing.B) {
 	}
 }
 
+// BenchmarkRerank measures the re-rank a continuous top-5 refresh falls back
+// to: one user with a full window (32 messages) over 2 000 ads, so about
+// 1 100 buffered candidates, and a check-in (untimed) before each TopAds that
+// drops the user's view. records/rerank is the score stage's out-count, the
+// ads whose records the ranking read because their score ceiling could still
+// enter the collector; near the buffer's size means the ceiling is not
+// skipping.
+func BenchmarkRerank(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	e, err := NewCAP(defaultBenchScoring(), nil, region, 32, 32, DefaultCAPOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
+	for id := adstore.AdID(1); id <= 2000; id++ {
+		if err := e.AddAd(randAdB(rng, id)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	e.AddUser(0)
+	loc, now := geo.Point{Lat: 5, Lng: 5}, base0
+	if err := e.CheckIn(0, loc, now); err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < e.scoring.WindowCap; i++ {
+		now = now.Add(time.Second)
+		if err := e.Deliver(feed.Message{ID: feed.MessageID(i + 1), Time: now, Vec: randVec(rng, 8, 2000)}, []feed.UserID{0}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if _, err := e.TopAds(0, 5, now); err != nil { // warms the buffer
+		b.Fatal(err)
+	}
+	records := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		if err := e.CheckIn(0, loc, now); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if _, err := e.TopAds(0, 5, now); err != nil {
+			b.Fatal(err)
+		}
+		records += e.LastQuery().Stages[StageScore].Out
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/rerank")
+	b.ReportMetric(float64(records)/float64(b.N), "records/rerank")
+	b.ReportMetric(float64(e.BufferSize(0)), "entries")
+}
+
 // BenchmarkRegisterAd measures the one cost the canonical workloads cannot
 // see, an ad registered while users are warm: 2 000 users whose full windows
 // (32 messages) their buffers are up to date with, 5 000 ads, and one more ad

@@ -387,12 +387,17 @@ func (e *CAP) AppendTopAds(dst []Scored, u feed.UserID, k int, t time.Time) ([]S
 }
 
 // rank offers the user's whole candidate set to c: every buffered ad at its
-// text relevance, then the static-only remainder. budget false ranks as if
-// every campaign could pay (a view applies budget when it emits). It
-// reports how many candidates it examined and how many were eligible.
+// text relevance, then the static-only remainder. An entry is read only if
+// its score ceiling, α·text + maxStatic (DESIGN §3.1 item 5), could still
+// enter c: one that cannot would be turned away, so skipping it leaves c as
+// it was. budget false ranks as if every campaign
+// could pay (a view applies budget when it emits). It reports how many
+// candidates it examined and how many eligible ones reached c.
 func (e *CAP) rank(c *topk.Collector, st *userState, buf *dynBuf, mult float64, sl timeslot.Slot, t time.Time, budget bool) (examined, offered int) {
+	maxStatic := e.scoring.maxStatic()
 	for _, en := range buf.e {
-		if e.offer(c, e.ad(en.ad), en.v*mult, st, sl, t, budget) {
+		rel := en.v * mult
+		if c.WouldAccept(e.scoring.AlphaText*rel+maxStatic) && e.offer(c, e.ad(en.ad), rel, st, sl, t, budget) {
 			offered++
 		}
 	}

@@ -51,14 +51,15 @@ func (ix *indexed) CheckIn(u feed.UserID, p geo.Point, t time.Time) error {
 }
 
 // offerStatic submits the candidates whose text relevance is zero: the
-// geo-targeted ads registered in the user's grid cell plus global ads in
-// descending bid order, stopping as soon as no further global ad can enter
+// geo-targeted ads registered in the user's grid cell, unless the collector
+// already turns away their score ceiling (Scoring.maxStatic), plus global ads
+// in descending bid order, stopping as soon as no further global ad can enter
 // the collector. skip filters ads already offered through the text path;
 // budget is offer's. It reports how many static candidates it examined and
 // how many passed eligibility gating into the collector, for the score
 // stage's trace span.
 func (ix *indexed) offerStatic(c *topk.Collector, st *userState, sl timeslot.Slot, t time.Time, budget bool, skip func(adstore.AdID) bool) (examined, offered int) {
-	if st.hasLoc {
+	if st.hasLoc && c.WouldAccept(ix.scoring.maxStatic()) {
 		for _, id := range ix.geoIdx.LocalCandidates(st.loc) {
 			if skip != nil && skip(id) {
 				continue

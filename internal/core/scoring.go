@@ -75,6 +75,10 @@ func (s Scoring) staticScore(a *adstore.Ad, loc geo.Point, hasLoc bool) float64 
 	return s.static(a, a.GeoScore(loc, hasLoc))
 }
 
+// maxStatic is the static part's ceiling: proximity is in [0, 1] and bid in
+// (0, 1], so no ad's static part exceeds β + γ, computed or exact.
+func (s Scoring) maxStatic() float64 { return s.BetaGeo + s.GammaBid }
+
 // static is staticScore given the ad's geo score.
 func (s Scoring) static(a *adstore.Ad, geoScore float64) float64 {
 	return s.BetaGeo*geoScore + s.GammaBid*a.Bid

@@ -10,8 +10,9 @@ import "time"
 //     the inverted index per query: the paper's contribution is precisely
 //     that this stage collapses to ~0.
 //   - StageScore — eligibility gating (slot, geo, budget) plus scoring of
-//     every candidate, including the spatial/static remainder from the
-//     grid index, feeding the top-k collector.
+//     the candidates, including the spatial/static remainder from the grid
+//     index, feeding the top-k collector. A ranking skips, unread, every
+//     candidate whose score ceiling the collector already turns away.
 //   - StageTopK — extracting the ranked top-k from the collector and
 //     resolving score decompositions.
 type Stage uint8
@@ -28,7 +29,9 @@ const (
 // flowing into (In) and out of (Out) it — the attrition funnel a request
 // trace renders (retrieve 4312 → score 987 → topk 10). The score stage's
 // in-count may exceed retrieve's out-count: the static/geo remainder adds
-// candidates the text path never saw.
+// candidates the text path never saw. Its out-count is the eligible
+// candidates that reached the collector: a ranking does not read, and does
+// not count, one whose score ceiling could not enter it.
 type Span struct {
 	D       time.Duration
 	In, Out int

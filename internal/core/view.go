@@ -200,8 +200,7 @@ func (e *CAP) noteAt(buf *dynBuf) float64 {
 	if buf.view == nil || e.scoring.AlphaText == 0 {
 		return math.Inf(1)
 	}
-	maxStatic := e.scoring.BetaGeo + e.scoring.GammaBid
-	return (buf.view.bound - maxStatic) / (e.scoring.AlphaText * buf.scale)
+	return (buf.view.bound - e.scoring.maxStatic()) / (e.scoring.AlphaText * buf.scale)
 }
 
 // TopAdsPaths counts TopAds calls by answer path. Callers hold the engine's lock.

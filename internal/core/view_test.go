@@ -307,6 +307,51 @@ func wantPath(t *testing.T, e *CAP, wantView, wantRerank uint64) {
 	}
 }
 
+// TestRerankReadsOnlyTheRecordsThatCanWin: a re-rank reads an ad's record
+// only if the ad's score ceiling, α·text + β + γ, could still enter the
+// collector. A warm user's buffer holds 300 ads; the five text-heavy ones
+// come first in ID order and fill the view's collector above every weak ad's
+// ceiling, and above β + γ, so the static-only ads of the user's grid cell are
+// not read either. The answer is still the full ranking's, and the score
+// stage counts only the ads that reached the collector.
+func TestRerankReadsOnlyTheRecordsThatCanWin(t *testing.T) {
+	e := newTestCAP(t, DefaultCAPOptions())
+	e.AddUser(1)
+	near := geo.Circle{Center: geo.Point{Lat: 5, Lng: 5}, RadiusKm: 300}
+	for id := adstore.AdID(1); id <= 310; id++ {
+		a := simpleAd(id, 2, 0.05+0.15*float64(id%7))
+		switch {
+		case id <= 5:
+			a.Vec = textproc.SparseVector{{ID: 1, W: 1}}
+		case id > 300: // static-only: no term any message carries
+			a.Vec, a.Bid = textproc.SparseVector{{ID: 3, W: 1}}, 1
+		}
+		if id%2 == 0 || id > 300 {
+			a.Global, a.Target = false, near
+		}
+		if err := e.AddAd(a); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.CheckIn(1, geo.Point{Lat: 5, Lng: 5}, base0); err != nil {
+		t.Fatal(err)
+	}
+	deliver(t, e, 1, base0, textproc.SparseVector{{ID: 1, W: 1}, {ID: 2, W: 0.01}})
+	sameAsFullRanking(t, e, 1, base0)
+
+	at := base0.Add(time.Minute)
+	if err := e.CheckIn(1, geo.Point{Lat: 5.01, Lng: 5}, at); err != nil {
+		t.Fatal(err)
+	}
+	sameAsFullRanking(t, e, 1, at)
+	wantPath(t, e, 0, 2) // the check-in dropped the view: both re-ranked
+	buffered, score := len(e.users[1].buf.e), e.LastQuery().Stages[StageScore]
+	if buffered != 300 || score.In != buffered || score.Out > buffered/20 {
+		t.Fatalf("a re-rank of %d buffered ads: score stage %d in, %d reached the collector; want %d in and at most %d out",
+			buffered, score.In, score.Out, 300, 300/20)
+	}
+}
+
 func TestViewAnswersUntilADeliveryRaisesAnOutsider(t *testing.T) {
 	e := viewFixture(t, DefaultCAPOptions())
 	e.AddAd(simpleAd(9, 2, 0.1)) // text-only outsider

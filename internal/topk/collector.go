@@ -5,8 +5,9 @@
 package topk
 
 import (
+	"cmp"
 	"container/heap"
-	"sort"
+	"slices"
 )
 
 // Item is one scored candidate. Ties are broken by ascending ID so rankings
@@ -79,11 +80,15 @@ func (c *Collector) WouldAccept(score float64) bool {
 }
 
 // Items returns the retained items in final ranked order (best first),
-// leaving the collector intact.
+// leaving the collector intact. The result is its one allocation.
 func (c *Collector) Items() []Item {
-	out := make([]Item, len(c.heap))
-	copy(out, c.heap)
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
+	out := slices.Clone(c.heap)
+	slices.SortFunc(out, func(a, b Item) int {
+		if o := cmp.Compare(b.Score, a.Score); o != 0 {
+			return o
+		}
+		return cmp.Compare(a.ID, b.ID)
+	})
 	return out
 }
 

@@ -153,3 +153,19 @@ func TestCollectorOfferDoesNotAllocate(t *testing.T) {
 		t.Fatalf("100 offers to a collector of 20 allocate %.0f times and keep %d, want 0 and 20", allocs, c.Len())
 	}
 }
+
+// TestCollectorItemsAllocatesItsResult: every re-rank reads its collector
+// once, so Items pays for the slice it returns and nothing else (sort.Slice's
+// reflection would add three).
+func TestCollectorItemsAllocatesItsResult(t *testing.T) {
+	c := NewCollector(20)
+	for i := 0; i < 100; i++ {
+		c.Offer(int64(i), float64(i*7%13))
+	}
+	var items []Item
+	allocs := testing.AllocsPerRun(100, func() { items = c.Items() })
+	ranked := sort.SliceIsSorted(items, func(i, j int) bool { return items[i].Less(items[j]) })
+	if allocs != 1 || len(items) != 20 || !ranked {
+		t.Fatalf("Items allocates %.0f times for %d items (ranked: %v), want 1 for 20 in ranked order", allocs, len(items), ranked)
+	}
+}

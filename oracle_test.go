@@ -23,7 +23,9 @@ import (
 // that the batched applies keep noting into, and settles the ads added and
 // withdrawn meanwhile — some of them campaign-less with bids high enough to
 // enter a top k on static score alone — at each user's next read; RS has
-// nothing of the kind to get wrong.
+// nothing of the kind to get wrong. Geo-targeted ads that share no keyword
+// with any post compete from the users' grid cells throughout, and decide the
+// top once quiet hours have decayed the windows' text.
 func TestRecommendMatchesRSThroughIngest(t *testing.T) {
 	const nUsers, nAds, steps = 24, 90, 1500
 	t0 := time.Date(2026, 7, 6, 9, 0, 0, 0, time.UTC)
@@ -86,6 +88,16 @@ func TestRecommendMatchesRSThroughIngest(t *testing.T) {
 	}
 	for i := 0; i < nAds; i++ {
 		addAd(i)
+	}
+	// Static-only competitors: geo-targeted ads that share no keyword with
+	// any post, with bids near 1 and circles that cover every check-in. They
+	// reach a top k on proximity and bid alone, from the user's grid cell
+	// rather than the candidate buffer.
+	locals := []caar.Target{{Lat: 1, Lng: 1}, {Lat: 1, Lng: 3}, {Lat: 3, Lng: 1}, {Lat: 3, Lng: 3}}
+	for i := range locals {
+		locals[i].RadiusKm = 450
+		ad := caar.Ad{ID: fmt.Sprintf("local%d", i), Text: "lighthouse ferry harbour", Target: &locals[i], Bid: 0.97 + 0.01*float64(i)}
+		both(func(e *caar.Engine) error { return e.AddAd(ad) })
 	}
 	nextAd, churned := nAds, 0
 
@@ -198,6 +210,22 @@ func TestRecommendMatchesRSThroughIngest(t *testing.T) {
 	}
 	for i := 0; i < nUsers; i++ {
 		render(steps, user(i), 1+rng.Intn(12))
+	}
+	// Quiet hours: six hours on, the windows' text has decayed to 1/4096, so a
+	// buffered ad scores its static part and next to nothing more — just under
+	// β+γ at best — and the static-only ads decide the top. Each user checks
+	// in at the centre of one of their circles and renders.
+	at = at.Add(6 * time.Hour)
+	for i := 0; i < nUsers; i++ {
+		c := locals[i%len(locals)]
+		if err := p.SubmitCheckIn(user(i), c.Lat, c.Lng, at); err != nil {
+			t.Fatal(err)
+		}
+		if err := rsEng.CheckIn(user(i), c.Lat, c.Lng, at); err != nil {
+			t.Fatal(err)
+		}
+		submitted++
+		render(steps+1, user(i), 1+i%4)
 	}
 
 	var buf strings.Builder
