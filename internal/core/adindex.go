@@ -1,6 +1,8 @@
 package core
 
 import (
+	"cmp"
+	"math"
 	"slices"
 	"sync"
 
@@ -22,8 +24,9 @@ import (
 type AdIndex struct {
 	inv    *index.Inverted
 	geoIdx *index.GeoAds
+	grid   *geo.Grid // geoIdx's, for the reach of an ad and the cell of a user
 	region geo.Rect
-	ads    map[adstore.AdID]*adstore.Ad
+	ads    map[adstore.AdID]liveAd
 	msgs   msgTable
 
 	// churn holds the last churnCap ad IDs registered or unregistered, the
@@ -39,6 +42,22 @@ type AdIndex struct {
 // settle ad by ad; one further behind is rebuilt by its next read.
 const churnCap = 64
 
+// liveAd is a registered ad and its reach, the cells whose users it can be
+// shown to: those the grid registers its target circle under, every cell for
+// a global ad. A candidate buffer holds an ad only if its reach holds the
+// user's cell.
+type liveAd struct {
+	a     *adstore.Ad
+	reach geo.Reach
+}
+
+// everywhere is a global ad's reach, and noCell the cell of a user with no
+// location, which only everywhere holds: no grid row is negative.
+var (
+	everywhere = geo.Reach{MinRow: math.MinInt16, MaxRow: math.MaxInt16, MinCol: math.MinInt16, MaxCol: math.MaxInt16}
+	noCell     = geo.Reach{MinRow: -1, MaxRow: -1, MinCol: -1, MaxCol: -1}
+)
+
 // NewAdIndex creates an empty ad side over the given coverage region with a
 // gridRows × gridCols spatial grid.
 func NewAdIndex(region geo.Rect, gridRows, gridCols int) (*AdIndex, error) {
@@ -49,20 +68,25 @@ func NewAdIndex(region geo.Rect, gridRows, gridCols int) (*AdIndex, error) {
 	return &AdIndex{
 		inv:    index.NewInverted(),
 		geoIdx: gi,
+		grid:   gi.Grid(),
 		region: region,
-		ads:    make(map[adstore.AdID]*adstore.Ad),
+		ads:    make(map[adstore.AdID]liveAd),
 		msgs:   msgTable{m: make(map[feed.MessageID]*msgCache)},
 	}, nil
 }
 
-// Register indexes an ad already in the store and inserts its coefficient
-// into every computed delta list, so the evictions still to come stay exact.
-// The caller excludes every reader; each candidate buffer takes the ad's
-// exact value when it is next read.
+// Register indexes an ad already in the store and inserts its coefficient,
+// with its reach, into every computed delta list, so the evictions still to
+// come stay exact. The caller excludes every reader; each candidate buffer
+// takes the ad's exact value when it is next read.
 func (x *AdIndex) Register(a *adstore.Ad) {
 	x.inv.Add(a.ID, a.Vec)
 	x.geoIdx.Add(a)
-	x.ads[a.ID] = a
+	reach := everywhere
+	if !a.Global {
+		reach = x.grid.Reach(a.Target.Bounds())
+	}
+	x.ads[a.ID] = liveAd{a: a, reach: reach}
 	x.record(a.ID)
 	x.msgs.mu.Lock()
 	defer x.msgs.mu.Unlock()
@@ -74,8 +98,8 @@ func (x *AdIndex) Register(a *adstore.Ad) {
 			// At its sorted position, not the end: IDs need not be registered
 			// in order, and merge relies on the ascending order DeltaList gave
 			// the list.
-			i, _ := findDelta(mc.deltas, a.ID)
-			mc.deltas = slices.Insert(mc.deltas, i, index.Delta{Ad: a.ID, Coeff: c})
+			i, _ := mc.find(a.ID)
+			mc.deltas = slices.Insert(mc.deltas, i, reachDelta{Delta: index.Delta{Ad: a.ID, Coeff: c}, reach: reach})
 		}
 	}
 }
@@ -93,7 +117,7 @@ func (x *AdIndex) Unregister(id adstore.AdID) {
 	x.msgs.mu.Lock()
 	defer x.msgs.mu.Unlock()
 	for _, mc := range x.msgs.m {
-		if i, ok := findDelta(mc.deltas, id); ok {
+		if i, ok := mc.find(id); ok {
 			mc.deltas = slices.Delete(mc.deltas, i, i+1)
 		}
 	}
@@ -106,7 +130,16 @@ func (x *AdIndex) record(id adstore.AdID) {
 }
 
 // ad returns the live ad record (nil when withdrawn).
-func (x *AdIndex) ad(id adstore.AdID) *adstore.Ad { return x.ads[id] }
+func (x *AdIndex) ad(id adstore.AdID) *adstore.Ad { return x.ads[id].a }
+
+// withReach returns a delta list with each entry's reach, in one allocation.
+func (x *AdIndex) withReach(deltas []index.Delta) []reachDelta {
+	out := make([]reachDelta, len(deltas))
+	for i, d := range deltas {
+		out[i] = reachDelta{Delta: d, reach: x.ads[d.Ad].reach}
+	}
+	return out
+}
 
 // IndexStats reports the keyword inverted index's size: indexed ads and
 // total (term, ad) postings. Callers hold a shard lock; the facade's
@@ -123,22 +156,35 @@ func (x *AdIndex) CachedMessages() int {
 	return len(x.msgs.m)
 }
 
+// reachDelta is one entry of a message's delta list with the ad's reach,
+// which decides the candidate buffers the entry enters.
+type reachDelta struct {
+	index.Delta
+	reach geo.Reach
+}
+
 // msgCache is the shared state of one message under fan-out sharing: its
-// delta list, computed once — by the first catch-up on any shard that needs
-// it — and a count of the shards holding it.
+// delta list with reaches, computed once — by the first catch-up on any shard
+// that needs it — and a count of the shards holding it.
 type msgCache struct {
 	vec      textproc.SparseVector
 	once     sync.Once
-	deltas   []index.Delta
+	deltas   []reachDelta
 	computed bool // set inside once; read by Register and Unregister, which exclude every shard
 	shards   int  // under msgTable.mu
 }
 
 // deltaList returns the message's delta list, computing it in acc on the
 // first call from any shard.
-func (mc *msgCache) deltaList(inv *index.Inverted, acc *index.Accumulator) []index.Delta {
-	mc.once.Do(func() { mc.deltas, mc.computed = acc.DeltaList(inv, mc.vec), true })
+func (x *AdIndex) deltaList(mc *msgCache, acc *index.Accumulator) []reachDelta {
+	mc.once.Do(func() { mc.deltas, mc.computed = x.withReach(acc.Deltas(x.inv, mc.vec)), true })
 	return mc.deltas
+}
+
+// find returns the position of ad in the delta list, or the position it
+// would be inserted at and false.
+func (mc *msgCache) find(ad adstore.AdID) (int, bool) {
+	return slices.BinarySearchFunc(mc.deltas, ad, func(d reachDelta, ad adstore.AdID) int { return cmp.Compare(d.Ad, ad) })
 }
 
 // msgTable is the message → shared state map of one AdIndex. A shard comes

@@ -7,7 +7,6 @@ import (
 
 	"caar/internal/adstore"
 	"caar/internal/feed"
-	"caar/internal/index"
 	"caar/internal/textproc"
 )
 
@@ -63,7 +62,7 @@ func TestSharedDeltaListComputedOnce(t *testing.T) {
 		t.Fatalf("shared state held by %d shards, %d messages cached; want %d and 2", mc.shards, ads.CachedMessages(), len(shards))
 	}
 
-	lists := make([][]index.Delta, len(shards))
+	lists := make([][]reachDelta, len(shards))
 	var wg sync.WaitGroup
 	start := make(chan struct{})
 	for i, e := range shards {

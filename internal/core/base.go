@@ -13,11 +13,13 @@ import (
 )
 
 // userState is the one per-user record of every engine: the feed window, the
-// last known location and, under CAP, the candidate buffer (nil for RS and IL).
+// last known location and, under CAP, the location's grid cell (noCell
+// without one) and the candidate buffer (nil for RS and IL).
 type userState struct {
 	win    *feed.Window
 	loc    geo.Point
 	hasLoc bool
+	cell   geo.Reach
 	buf    *dynBuf
 }
 

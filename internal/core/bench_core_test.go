@@ -152,7 +152,9 @@ func BenchmarkTopAds(b *testing.B) {
 // delivery: one top-5 TopAds for each of the 100 followers a message
 // reached, the delivery itself untimed (BenchmarkDeliver has it). CAP
 // answers from its per-user views; IL re-ranks, which is also what CAP did
-// before it had them.
+// before it had them. entries/user is the size of a refreshed user's
+// candidate buffer: the users are located and two ads in three are
+// geo-targeted, so it shows how much of the text match a cell scopes away.
 func BenchmarkContinuousRefresh(b *testing.B) {
 	for _, name := range []string{"IL", "CAP"} {
 		b.Run(name, func(b *testing.B) {
@@ -181,6 +183,7 @@ func BenchmarkContinuousRefresh(b *testing.B) {
 			if c, ok := eng.(*CAP); ok {
 				view, rerank := c.TopAdsPaths()
 				b.ReportMetric(float64(rerank)/float64(view+rerank), "rerank-share")
+				b.ReportMetric(float64(c.TotalBufferEntries())/float64(len(fanout)), "entries/user")
 			}
 		})
 	}
@@ -227,9 +230,10 @@ func BenchmarkRepeatedReader(b *testing.B) {
 }
 
 // BenchmarkRerank measures the re-rank a continuous top-5 refresh falls back
-// to: one user with a full window (32 messages) over 2 000 ads, so about
-// 1 100 buffered candidates, and a check-in (untimed) before each TopAds that
-// drops the user's view. records/rerank is the score stage's out-count, the
+// to: one user with a full window (32 messages) over 2 000 ads, of which
+// about 1 100 share a term with the window and the ~490 that can reach the
+// user's cell are buffered, and a check-in (untimed, in the same cell) before
+// each TopAds that drops the user's view. records/rerank is the score stage's out-count, the
 // ads whose records the ranking read because their score ceiling could still
 // enter the collector; near the buffer's size means the ceiling is not
 // skipping.

@@ -53,9 +53,11 @@ type CAP struct {
 	opts CAPOptions
 	held map[feed.MessageID]heldMsg
 
-	// Reusable space: what catchUp lends to dynBuf.merge.
+	// Reusable space: what catchUp lends to dynBuf.merge, and the arena its
+	// lists are scoped into.
 	lists   []weighted
 	scratch []bufEntry
+	arena   []index.Delta
 
 	viewAnswers, reranks uint64 // TopAds calls by how they were answered
 	merges, rebuilds     uint64 // catch-ups by kind
@@ -91,7 +93,8 @@ func (e *CAP) AddUser(u feed.UserID) {
 		return
 	}
 	e.base.AddUser(u)
-	e.users[u].buf = newDynBuf()
+	st := e.users[u]
+	st.cell, st.buf = noCell, newDynBuf()
 }
 
 // noteRegistered notes a registered ad whose text relevance is coeff if its
@@ -114,12 +117,15 @@ func findDelta(deltas []index.Delta, id adstore.AdID) (int, bool) {
 }
 
 // CheckIn implements Recommender. Moving changes which geo-targeted ads are
-// eligible and every static score, so the user's view goes.
+// eligible and every static score, so the user's view goes. A move to another
+// grid cell also changes which ads the candidate buffer may hold: its next
+// read rebuilds it (catchUp).
 func (e *CAP) CheckIn(u feed.UserID, p geo.Point, t time.Time) error {
 	if err := e.indexed.CheckIn(u, p, t); err != nil {
 		return err
 	}
-	e.users[u].buf.view = nil
+	st := e.users[u]
+	st.cell, st.buf.view = e.grid.Reach(geo.NewRect(p, p)), nil
 	return nil
 }
 
@@ -186,18 +192,18 @@ func (e *CAP) release(id feed.MessageID) {
 	e.msgs.leave(id)
 }
 
-// deltasOf returns a message's delta list: the shared one when fan-out
-// sharing is on (computed on first use, on whichever shard needs it first),
-// recomputed otherwise.
-func (e *CAP) deltasOf(m feed.Message) []index.Delta {
+// deltasOf returns a message's delta list with reaches: the shared one when
+// fan-out sharing is on (computed on first use, on whichever shard needs it
+// first), recomputed otherwise.
+func (e *CAP) deltasOf(m feed.Message) []reachDelta {
 	if !e.opts.FanoutSharing {
-		return e.acc.DeltaList(e.inv, m.Vec)
+		return e.withReach(e.acc.Deltas(e.inv, m.Vec))
 	}
 	h, ok := e.held[m.ID]
 	if !ok {
 		return nil
 	}
-	return h.mc.deltaList(e.inv, &e.acc)
+	return e.deltaList(h.mc, &e.acc)
 }
 
 // chill turns a buffer cold: it frees the entries, the view and the pending
@@ -228,7 +234,9 @@ func (e *CAP) settleGone(buf *dynBuf) {
 // something reads it. The buffer is linear in the window's weighted term
 // vector, so applying every pending eviction and arrival in one pass, each at
 // its weight in the current reference space, gives what applying them one by
-// one would have. A cold buffer, one that RebuildEvery deliveries have been
+// one would have; each list is first scoped to the ads whose reach holds the
+// user's cell, the only ones the buffer holds. A cold buffer, one scoped to
+// another cell than the user's, one that RebuildEvery deliveries have been
 // merged into, and one more than churnCap ad registrations behind are
 // rebuilt instead; an empty window that far behind only drops its view.
 // Otherwise the pass ends by settling the ad churn since the buffer last
@@ -236,10 +244,11 @@ func (e *CAP) settleGone(buf *dynBuf) {
 func (e *CAP) catchUp(st *userState, buf *dynBuf) {
 	n := st.win.Len()
 	pending, churn := n-buf.applied, e.churned-buf.churned
-	if pending == 0 && churn == 0 {
+	moved := buf.applied > 0 && buf.cell != st.cell
+	if pending == 0 && churn == 0 && !moved {
 		return
 	}
-	if n > 0 && (buf.applied == 0 || churn > churnCap || (e.opts.RebuildEvery > 0 && buf.ops+pending >= e.opts.RebuildEvery)) {
+	if n > 0 && (buf.applied == 0 || moved || churn > churnCap || (e.opts.RebuildEvery > 0 && buf.ops+pending >= e.opts.RebuildEvery)) {
 		e.rebuild(st, buf)
 		return
 	}
@@ -261,14 +270,20 @@ func (e *CAP) catchUp(st *userState, buf *dynBuf) {
 		// Weights are the pure exponential of ref − post time, so an
 		// eviction that happened under an earlier reference is re-derived at
 		// this one.
-		lists := e.lists[:0]
+		lists, arena := e.lists[:0], e.arena[:0]
+		add := func(m feed.Message, c float64) {
+			start := len(arena) // a list keeps the array it was scoped into if the arena outgrows it
+			arena = scope(arena, e.deltasOf(m), st.cell)
+			lists = append(lists, weighted{d: arena[start:], c: c})
+		}
 		for _, m := range buf.gone {
-			lists = append(lists, weighted{d: e.deltasOf(m), c: -e.scoring.Decay.WeightAt(ref.Sub(m.Time)) / buf.scale})
+			add(m, -e.scoring.Decay.WeightAt(ref.Sub(m.Time))/buf.scale)
 		}
 		for i := buf.applied; i < n; i++ {
 			m := st.win.At(i)
-			lists = append(lists, weighted{d: e.deltasOf(m), c: e.scoring.Decay.WeightAt(ref.Sub(m.Time)) / buf.scale})
+			add(m, e.scoring.Decay.WeightAt(ref.Sub(m.Time))/buf.scale)
 		}
+		e.arena = arena
 		e.scratch = buf.merge(e.scratch, lists, len(buf.gone), e.noteAt(buf))
 		clear(lists)
 		e.lists = lists
@@ -286,7 +301,8 @@ func (e *CAP) catchUp(st *userState, buf *dynBuf) {
 // since it last looked, at most churnCap of them. A live ad gets its exact
 // coefficient from the window aggregate, summed once: neither what the buffer
 // held nor what a merge added accounts for it consistently. A new ad is then
-// noted if it could reach the view's bound. A withdrawn ad leaves the buffer.
+// noted if it could reach the view's bound. A withdrawn ad leaves the buffer,
+// and so does one whose reach does not hold the user's cell.
 // A view that tracks a churned ad goes — a withdrawn ad's record would stay in
 // the answer, a re-registered ID's would be stale — and any other stands,
 // because removing an untracked ad raises no score.
@@ -297,21 +313,22 @@ func (e *CAP) settleChurn(st *userState, buf *dynBuf, ref time.Time) {
 		if v := buf.view; v != nil && v.tracks(id) {
 			buf.view = nil
 		}
-		a := e.ad(id)
-		if a == nil {
+		live, ok := e.ads[id]
+		if !ok || !live.reach.Holds(st.cell) {
 			buf.remove(id)
 			continue
 		}
-		coeff := a.Vec.Dot(agg)
+		coeff := live.a.Vec.Dot(agg)
 		buf.set(id, coeff)
-		e.noteRegistered(st, buf, a, coeff)
+		e.noteRegistered(st, buf, live.a, coeff)
 	}
 	buf.churned = e.churned
 }
 
 // rebuild recomputes the buffer exactly from the window aggregate, summed
-// from the window's messages: how a cold buffer is warmed, and what caps a
-// warm one's incremental floating-point drift. The exact values can sit a
+// from the window's messages and scoped to the user's cell: how a cold buffer
+// is warmed, how a warm one follows its user to another cell, and what caps
+// its incremental floating-point drift. The exact values can sit a
 // rounding step above the drifted ones, so the view goes. Warming takes a
 // reference on every resident message — the user's share of the delta lists
 // their evictions will need.
@@ -328,13 +345,19 @@ func (e *CAP) rebuild(st *userState, buf *dynBuf) {
 	buf.churned = e.churned
 
 	agg, _ := e.context(st, st.win.Ref()) // factor 1 at the reference
-	deltas := e.acc.DeltaList(e.inv, agg)
-	buf.fill(len(deltas))
-	for i, d := range deltas {
+	deltas, kept := e.acc.Deltas(e.inv, agg), 0
+	for _, d := range deltas {
+		deltas[kept] = d
+		if e.ads[d.Ad].reach.Holds(st.cell) {
+			kept++
+		}
+	}
+	buf.fill(kept)
+	for i, d := range deltas[:kept] {
 		buf.e[i] = bufEntry{ad: d.Ad, v: d.Coeff}
 	}
 	buf.scale, buf.ops, buf.view = 1, 0, nil
-	buf.applied, buf.ref = n, st.win.Ref()
+	buf.applied, buf.cell, buf.ref = n, st.cell, st.win.Ref()
 	e.rebuilds++
 }
 

@@ -2,10 +2,12 @@ package core
 
 import (
 	"math"
+	"slices"
 	"time"
 
 	"caar/internal/adstore"
 	"caar/internal/feed"
+	"caar/internal/geo"
 	"caar/internal/index"
 )
 
@@ -21,8 +23,9 @@ type bufEntry struct {
 const dropBelow = 1e-12
 
 // dynBuf is one user's incremental candidate buffer: for every ad that
-// shares at least one term with a message it reflects, the exact text
-// relevance coefficient in the reference space of ref.
+// shares at least one term with a message it reflects and whose reach holds
+// the user's cell, the exact text relevance coefficient in the reference
+// space of ref.
 //
 // Entries are kept in one slice sorted by ad ID — 16 bytes an entry, read
 // sequentially by a query and rewritten by one merge per catch-up (delta
@@ -45,6 +48,7 @@ type dynBuf struct {
 	ops   int // deliveries merged since the last exact rebuild
 
 	applied int
+	cell    geo.Reach      // the user's cell e is scoped to
 	ref     time.Time      // the window reference e and scale are relative to
 	gone    []feed.Message // applied messages evicted since: owed a subtraction
 	churned uint64         // the AdIndex churn count e and view account for
@@ -153,6 +157,22 @@ type weighted struct {
 	d    []index.Delta
 	c    float64
 	head adstore.AdID
+}
+
+// scope appends to dst the entries of list whose reach holds cell. About a
+// third are kept, in no order a branch predictor could learn, so every entry
+// is written and only a kept one moves the end on, by a conditional move the
+// compiler makes of the increment: no branch.
+func scope(dst []index.Delta, list []reachDelta, cell geo.Reach) []index.Delta {
+	n := len(dst)
+	dst = slices.Grow(dst, len(list))[:n+len(list)]
+	for _, d := range list {
+		dst[n] = d.Delta
+		if d.reach.Holds(cell) {
+			n++
+		}
+	}
+	return dst[:n]
 }
 
 // merge applies any number of delta lists in one pass over the buffer: every

@@ -9,6 +9,7 @@ import (
 
 	"caar/internal/adstore"
 	"caar/internal/feed"
+	"caar/internal/geo"
 	"caar/internal/index"
 	"caar/internal/textproc"
 )
@@ -43,11 +44,26 @@ func (m *bufModel) age(factor float64) {
 	m.scale = 1
 }
 
+// scopeReaches are the reaches of the scoped buffer runDynBufModel keeps,
+// over a 3 × 3 grid, and scopeCells the cells it is scoped to.
+var (
+	scopeReaches = []geo.Reach{everywhere, {MinRow: 0, MaxRow: -1, MinCol: 0, MaxCol: -1}, {MinRow: 0, MaxRow: 1, MinCol: 0, MaxCol: 1}, {MinRow: 1, MaxRow: 2, MinCol: 0, MaxCol: 2}}
+	scopeCells   = []geo.Reach{noCell, {MinRow: 0, MaxRow: 0, MinCol: 0, MaxCol: 0}, {MinRow: 1, MaxRow: 1, MinCol: 1, MaxCol: 1}, {MinRow: 2, MaxRow: 2, MinCol: 2, MaxCol: 2}}
+)
+
 // runDynBufModel decodes data into a sequence of merges (of zero to three
 // evictions and zero to three arrivals in one pass, as a catch-up makes them),
 // agings, single sets and removes, applies each to a dynBuf and to the map
 // model, and compares them after every step.
-func runDynBufModel(t *testing.T, data []byte) {
+//
+// It also keeps a second dynBuf scoped to one cell, as a catch-up scopes a
+// user's: its merges take the lists scope keeps, and a set of an ad whose
+// reach does not hold the cell removes it, as settleChurn does. scoping picks
+// the cell (its low two bits) and each ad's reach (two bits an ad). Scoping
+// must commute with the merge: after every step the scoped buffer is the
+// in-scope part of the unscoped one, entry for entry and bit for bit, and a
+// merge notes the in-scope part of what the unscoped one notes, in order.
+func runDynBufModel(t *testing.T, data []byte, scoping uint64) {
 	next := func() int {
 		if len(data) == 0 {
 			return 0
@@ -71,7 +87,11 @@ func runDynBufModel(t *testing.T, data []byte) {
 		return weighted{d: out, c: factors[next()%len(factors)]}
 	}
 
-	b := newDynBuf()
+	cell := scopeCells[scoping&3]
+	reach := func(ad adstore.AdID) geo.Reach { return scopeReaches[scoping>>(2+2*(ad%31))&3] }
+	inScope := func(ad adstore.AdID) bool { return reach(ad).Holds(cell) }
+
+	b, sb := newDynBuf(), newDynBuf()
 	m := &bufModel{u: map[adstore.AdID]float64{}, scale: 1}
 	var scratch []bufEntry
 	for step := 0; len(data) > 0; step++ {
@@ -89,6 +109,18 @@ func runDynBufModel(t *testing.T, data []byte) {
 			view := &topView{noted: slices.Clone(wantNoted)}
 			b.view = view
 			scratch = b.merge(scratch, slices.Clone(lists), evictions, noteAt)
+			scoped := make([]weighted, len(lists))
+			for l, w := range lists {
+				rl := make([]reachDelta, len(w.d))
+				for i, d := range w.d {
+					rl[i] = reachDelta{Delta: d, reach: reach(d.Ad)}
+				}
+				scoped[l] = weighted{d: scope(nil, rl, cell), c: w.c}
+			}
+			sview := &topView{noted: slices.Clone(wantNoted)}
+			sb.view = sview
+			scratch = sb.merge(scratch, scoped, evictions, noteAt)
+			wantScoped := slices.Clone(wantNoted)
 
 			// The model adds in the order merge does: list after list.
 			touched := map[adstore.AdID]float64{}
@@ -112,26 +144,44 @@ func runDynBufModel(t *testing.T, data []byte) {
 			for _, ad := range raised {
 				if v, kept := m.u[ad]; kept && v >= noteAt {
 					wantNoted = append(wantNoted, ad)
+					if inScope(ad) {
+						wantScoped = append(wantScoped, ad)
+					}
 				}
 			}
-			if len(wantNoted) > viewMaxNoted {
-				if b.view != nil {
-					t.Fatalf("step %d: view kept with %d ads to note, limit %d", step, len(wantNoted), viewMaxNoted)
+			for _, c := range []struct {
+				name      string
+				b         *dynBuf
+				view      *topView
+				wantNoted []adstore.AdID
+			}{{"", b, view, wantNoted}, {"scoped ", sb, sview, wantScoped}} {
+				if len(c.wantNoted) > viewMaxNoted {
+					if c.b.view != nil {
+						t.Fatalf("step %d: %sview kept with %d ads to note, limit %d", step, c.name, len(c.wantNoted), viewMaxNoted)
+					}
+				} else if c.b.view != c.view || !slices.Equal(c.view.noted, c.wantNoted) {
+					t.Fatalf("step %d: %snoted %v, want %v (noteAt %v, view kept %v)", step, c.name, c.view.noted, c.wantNoted, noteAt, c.b.view == c.view)
 				}
-			} else if b.view != view || !slices.Equal(view.noted, wantNoted) {
-				t.Fatalf("step %d: noted %v, want %v (noteAt %v, view kept %v)", step, view.noted, wantNoted, noteAt, b.view == view)
 			}
 		case 1:
 			f := ages[next()%len(ages)]
-			b.age(f)
+			if b.age(f) != sb.age(f) {
+				t.Fatalf("step %d: one buffer renormalised and the other not", step)
+			}
 			m.age(f)
 		case 2:
 			ad := adstore.AdID(next() % 32)
 			b.remove(ad)
+			sb.remove(ad)
 			delete(m.u, ad)
 		case 3:
 			ad, c := adstore.AdID(next()%32), coeff()
 			b.set(ad, c)
+			if inScope(ad) {
+				sb.set(ad, c)
+			} else {
+				sb.remove(ad)
+			}
 			m.set(ad, c/m.scale)
 		}
 
@@ -152,6 +202,15 @@ func runDynBufModel(t *testing.T, data []byte) {
 				t.Fatalf("step %d: get(%d) = %v, entry holds %v", step, en.ad, got, en.v)
 			}
 		}
+		var want []bufEntry
+		for _, en := range b.e {
+			if inScope(en.ad) {
+				want = append(want, en)
+			}
+		}
+		if sb.scale != b.scale || !slices.EqualFunc(sb.e, want, func(x, y bufEntry) bool { return x.ad == y.ad && math.Float64bits(x.v) == math.Float64bits(y.v) }) {
+			t.Fatalf("step %d: scoped buffer %v (scale %v), in-scope part of the unscoped one %v (scale %v)", step, sb.e, sb.scale, want, b.scale)
+		}
 	}
 }
 
@@ -160,17 +219,19 @@ func TestDynBufMatchesMapModel(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		data := make([]byte, 50+rng.Intn(400))
 		rng.Read(data)
-		runDynBufModel(t, data)
+		runDynBufModel(t, data, rng.Uint64())
 	}
 }
 
+// FuzzDynBufMerge runs runDynBufModel; a seed's second argument picks the
+// scoped buffer's cell and the ads' reaches.
 func FuzzDynBufMerge(f *testing.F) {
-	f.Add([]byte{0, 1, 1, 2, 1, 5, 2, 6, 1, 1, 1, 7, 0, 0, 0}) // one eviction and one arrival that share ad 2
-	f.Add([]byte{3, 4, 8, 0, 1, 0, 1, 3, 8, 1, 0, 0})          // set ad 4 to 1.0, merge it back to zero
-	f.Add([]byte{3, 7, 8, 1, 3, 1, 3, 3, 7, 5, 1, 4})          // 1e-80 twice: renormalised; then 5e-324
-	f.Add([]byte{3, 9, 6, 1, 5, 3, 9, 6, 2, 9, 2, 9})          // flush to zero, set, remove twice
+	f.Add([]byte{0, 1, 1, 2, 1, 5, 2, 6, 1, 1, 1, 7, 0, 0, 0}, uint64(0x9E3779B97F4A7C15)) // one eviction and one arrival that share ad 2
+	f.Add([]byte{3, 4, 8, 0, 1, 0, 1, 3, 8, 1, 0, 0}, uint64(0x94D049BB133111EB))          // set ad 4 to 1.0, merge it back to zero
+	f.Add([]byte{3, 7, 8, 1, 3, 1, 3, 3, 7, 5, 1, 4}, uint64(0x2545F4914F6CDD1E))          // 1e-80 twice: renormalised; then 5e-324
+	f.Add([]byte{3, 9, 6, 1, 5, 3, 9, 6, 2, 9, 2, 9}, uint64(0xBF58476D1CE4E5BC))          // flush to zero, set, remove twice
 	// Three evictions and three arrivals in one pass, ad 2 in five of the lists.
-	f.Add([]byte{0, 3, 3, 1, 1, 5, 1, 2, 1, 6, 1, 7, 3, 1, 2, 8, 0, 1, 1, 5, 0, 2, 1, 6, 1, 2, 2, 1, 1, 8, 5, 1, 0})
+	f.Add([]byte{0, 3, 3, 1, 1, 5, 1, 2, 1, 6, 1, 7, 3, 1, 2, 8, 0, 1, 1, 5, 0, 2, 1, 6, 1, 2, 2, 1, 1, 8, 5, 1, 0}, uint64(0xD6E8FEB86659FD93))
 	f.Fuzz(runDynBufModel)
 }
 

@@ -33,10 +33,10 @@ type Grid struct {
 }
 
 // NewGrid creates a grid over cover with the given resolution. rows and cols
-// must be positive; cover must be valid with positive area.
+// must be positive and fit a Reach; cover must be valid with positive area.
 func NewGrid(cover Rect, rows, cols int) (*Grid, error) {
-	if rows <= 0 || cols <= 0 {
-		return nil, fmt.Errorf("geo: grid resolution %dx%d must be positive", rows, cols)
+	if rows <= 0 || cols <= 0 || rows > math.MaxInt16 || cols > math.MaxInt16 {
+		return nil, fmt.Errorf("geo: grid resolution %dx%d must be positive and at most %d", rows, cols, math.MaxInt16)
 	}
 	if !cover.Valid() {
 		return nil, fmt.Errorf("geo: invalid cover rect %+v", cover)
@@ -72,44 +72,55 @@ func (g *Grid) CellOf(p Point) CellID {
 	return CellID(row*g.cols + col)
 }
 
-// CellsIntersecting returns the IDs of all cells overlapping r, clipped to the
-// coverage rectangle. The result is empty when r misses the coverage entirely.
-func (g *Grid) CellsIntersecting(r Rect) []CellID {
+// Reach is a block of grid cells: rows MinRow through MaxRow by columns
+// MinCol through MaxCol. One with MaxRow below MinRow holds no cell.
+type Reach struct{ MinRow, MaxRow, MinCol, MaxCol int16 }
+
+// Holds reports whether every cell of s, which is not empty, lies in r. It is
+// one sign test and no branch: a bound of s outside r makes one of the four
+// differences negative.
+func (r Reach) Holds(s Reach) bool {
+	return (int32(s.MinRow)-int32(r.MinRow))|(int32(r.MaxRow)-int32(s.MaxRow))|
+		(int32(s.MinCol)-int32(r.MinCol))|(int32(r.MaxCol)-int32(s.MaxCol)) >= 0
+}
+
+// Reach returns the block of cells r overlaps, clipped to the coverage
+// rectangle; it is empty when r misses the coverage. The reach of a circle's
+// Bounds is the block InsertCircle registers the circle under, and holds the
+// cell of every covered point the circle contains
+// (FuzzGridCoversContainedPoints); the reach of a covered point is its cell.
+func (g *Grid) Reach(r Rect) Reach {
 	if !r.Intersects(g.cover) {
+		return Reach{MinRow: 0, MaxRow: -1, MinCol: 0, MaxCol: -1}
+	}
+	return Reach{
+		MinRow: g.clampRow(math.Floor((r.MinLat - g.cover.MinLat) / g.cellH)),
+		MaxRow: g.clampRow(math.Floor((r.MaxLat - g.cover.MinLat) / g.cellH)),
+		MinCol: g.clampCol(math.Floor((r.MinLng - g.cover.MinLng) / g.cellW)),
+		MaxCol: g.clampCol(math.Floor((r.MaxLng - g.cover.MinLng) / g.cellW)),
+	}
+}
+
+// CellsIntersecting returns the IDs of all cells overlapping r, clipped to the
+// coverage rectangle: the cells of its Reach. The result is empty when r
+// misses the coverage entirely.
+func (g *Grid) CellsIntersecting(r Rect) []CellID {
+	b := g.Reach(r)
+	if b.MaxRow < b.MinRow {
 		return nil
 	}
-	minRow := g.clampRow(int(math.Floor((r.MinLat - g.cover.MinLat) / g.cellH)))
-	maxRow := g.clampRow(int(math.Floor((r.MaxLat - g.cover.MinLat) / g.cellH)))
-	minCol := g.clampCol(int(math.Floor((r.MinLng - g.cover.MinLng) / g.cellW)))
-	maxCol := g.clampCol(int(math.Floor((r.MaxLng - g.cover.MinLng) / g.cellW)))
-	out := make([]CellID, 0, (maxRow-minRow+1)*(maxCol-minCol+1))
-	for row := minRow; row <= maxRow; row++ {
-		for col := minCol; col <= maxCol; col++ {
+	out := make([]CellID, 0, int(b.MaxRow-b.MinRow+1)*int(b.MaxCol-b.MinCol+1))
+	for row := int(b.MinRow); row <= int(b.MaxRow); row++ {
+		for col := int(b.MinCol); col <= int(b.MaxCol); col++ {
 			out = append(out, CellID(row*g.cols+col))
 		}
 	}
 	return out
 }
 
-func (g *Grid) clampRow(r int) int {
-	if r < 0 {
-		return 0
-	}
-	if r >= g.rows {
-		return g.rows - 1
-	}
-	return r
-}
+func (g *Grid) clampRow(r float64) int16 { return int16(max(0, min(r, float64(g.rows-1)))) }
 
-func (g *Grid) clampCol(c int) int {
-	if c < 0 {
-		return 0
-	}
-	if c >= g.cols {
-		return g.cols - 1
-	}
-	return c
-}
+func (g *Grid) clampCol(c float64) int16 { return int16(max(0, min(c, float64(g.cols-1)))) }
 
 // InsertCircle registers item in every cell its circle's bounding box
 // overlaps. Re-inserting an existing item replaces its registration.

@@ -1,6 +1,7 @@
 package geo
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -222,4 +223,57 @@ func sortedIDs(ids []int64) []int64 {
 	out := append([]int64(nil), ids...)
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
+}
+
+// FuzzGridCoversContainedPoints checks the property a candidate buffer's
+// scope rests on: a circle contains no covered point outside its reach, the
+// block of cells the grid registers it under. It also checks that a point's
+// reach is its cell. shape picks the coverage and the resolution.
+func FuzzGridCoversContainedPoints(f *testing.F) {
+	const rimLat = 0.5 * kmPerDegreeLat                // a radius of half a degree of latitude
+	f.Add(4.5, 5.0, rimLat, 5.0, 5.0, uint8(1))        // rim on a row edge
+	f.Add(5.0, 4.5, 60.0, 5.0, 5.0, uint8(1))          // point on a cell corner
+	f.Add(3.0, 3.0, 50.0, 3.0, 3.0+50/111.2, uint8(9)) // rim due east
+	f.Add(0.0, 0.0, 10.0, 0.0, 0.0, uint8(0))          // the region's south-west corner
+	f.Add(4.0, 4.0, 200.0, 4.0, 4.0, uint8(64))        // its north-east corner
+	f.Add(10.0, 0.0, 80.0, 10.0, 0.0, uint8(1))        // a corner of the 10° region
+	f.Add(-0.5, 5.0, rimLat, 0.0, 5.0, uint8(1))       // centre outside, rim on the south edge
+	// Contains accepts (1.25, lng), a rounding step beyond the latitude of the
+	// rim, and a row edge lies between the two.
+	f.Add(-1.3278793859136615, 2.1091300205422283, 286.6475051490401, 1.25, 2.1091300205422283, uint8(124))
+	f.Add(0.0, 179.9, 100.0, 0.0, -179.95, uint8(2))    // across the antimeridian
+	f.Add(89.9, 0.0, 50.0, 89.95, 180.0, uint8(2))      // around the pole
+	f.Add(-90.0, -180.0, 1.0, -90.0, -180.0, uint8(2))  // the world's corner
+	f.Add(45.0, 90.0, 20000.0, -45.0, -90.0, uint8(66)) // a circle wider than the Earth
+	covers := []Rect{
+		NewRect(Point{0, 0}, Point{4, 4}),
+		NewRect(Point{0, 0}, Point{10, 10}),
+		worldRect,
+	}
+	f.Fuzz(func(t *testing.T, cLat, cLng, radiusKm, pLat, pLng float64, shape uint8) {
+		cover := covers[int(shape)%len(covers)]
+		rows, cols := 1+int(shape>>2)%64, 1+int(shape)%61
+		c, p := Circle{Center: Point{cLat, cLng}, RadiusKm: radiusKm}, Point{pLat, pLng}
+		// An ad's target is a valid centre and a positive, finite radius.
+		if c.Center.Validate() != nil || !(radiusKm > 0) || math.IsInf(radiusKm, 1) || !cover.Contains(p) {
+			return
+		}
+		g := mustGrid(t, cover, rows, cols)
+		id := g.CellOf(p)
+		row, col := int16(int(id)/cols), int16(int(id)%cols)
+		cell := g.Reach(NewRect(p, p))
+		if cell != (Reach{row, row, col, col}) {
+			t.Fatalf("reach of %v is %+v, its cell %d is row %d col %d", p, cell, id, row, col)
+		}
+		if !c.Contains(p) {
+			return
+		}
+		if reach := g.Reach(c.Bounds()); !reach.Holds(cell) {
+			t.Fatalf("%+v contains %v (cell %+v) outside its reach %+v", c, p, cell, reach)
+		}
+		g.InsertCircle(1, c)
+		if !registeredAt(g, 1, p) {
+			t.Fatalf("%+v contains %v but is not registered in its cell", c, p)
+		}
+	})
 }

@@ -132,9 +132,12 @@ func (c Circle) Locate(p Point) (proximity float64, inside bool) {
 
 // Bounds returns a bounding rectangle that is guaranteed to contain the
 // circle. The rectangle is conservative (may be larger than the tight bound)
-// near the poles, which only costs extra candidate checks, never misses.
+// near the poles, and spans every longitude for a circle that crosses the
+// antimeridian, which only costs extra candidate checks, never misses.
 func (c Circle) Bounds() Rect {
-	dLat := (c.RadiusKm / EarthRadiusKm) * 180 / math.Pi
+	// Wider than the radius by more than Contains's own margin, so a point it
+	// accepts a rounding step beyond the rim is inside too.
+	dLat := (c.RadiusKm / EarthRadiusKm) * 180 / math.Pi * (1 + 1e-8)
 	// Longitude degrees shrink with cos(lat); use the worst (largest |lat|)
 	// edge of the circle for a conservative bound.
 	maxAbsLat := math.Min(90, math.Max(math.Abs(c.Center.Lat-dLat), math.Abs(c.Center.Lat+dLat)))
@@ -148,11 +151,15 @@ func (c Circle) Bounds() Rect {
 			dLng = 180
 		}
 	}
+	minLng, maxLng := c.Center.Lng-dLng, c.Center.Lng+dLng
+	if minLng < -180 || maxLng > 180 {
+		minLng, maxLng = -180, 180 // across the antimeridian, which a Rect cannot wrap
+	}
 	return Rect{
 		MinLat: math.Max(-90, c.Center.Lat-dLat),
 		MaxLat: math.Min(90, c.Center.Lat+dLat),
-		MinLng: math.Max(-180, c.Center.Lng-dLng),
-		MaxLng: math.Min(180, c.Center.Lng+dLng),
+		MinLng: minLng,
+		MaxLng: maxLng,
 	}
 }
 

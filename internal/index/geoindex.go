@@ -77,6 +77,9 @@ func (g *GeoAds) LocalCandidates(p geo.Point) []adstore.AdID {
 	return out
 }
 
+// Grid returns the grid geo-targeted ads are registered in, for reading.
+func (g *GeoAds) Grid() *geo.Grid { return g.grid }
+
 // GlobalByBid returns global ads in descending bid order (ascending ID on
 // ties). The slice is shared; callers must not mutate it.
 func (g *GeoAds) GlobalByBid() []adstore.AdID { return g.global }

@@ -149,6 +149,15 @@ func (ix *Inverted) DeltaList(vec textproc.SparseVector) []Delta {
 // before it is added, as in textproc.SparseVector.Dot, so a coefficient is
 // bit for bit ad.Vec.Dot(vec). The result is the caller's, ascending by ad ID.
 func (acc *Accumulator) DeltaList(ix *Inverted, vec textproc.SparseVector) []Delta {
+	if out := acc.Deltas(ix, vec); len(out) > 0 {
+		return slices.Clone(out)
+	}
+	return nil
+}
+
+// Deltas is DeltaList in the accumulator's own space: the result is the
+// caller's to read and overwrite until the accumulator's next call.
+func (acc *Accumulator) Deltas(ix *Inverted, vec textproc.SparseVector) []Delta {
 	if n := len(ix.adOf); len(acc.sum) < n {
 		acc.sum = append(acc.sum, make([]float64, n-len(acc.sum))...)
 		acc.touched = append(acc.touched, make([]uint64, (n+63)>>6-len(acc.touched))...)
@@ -169,10 +178,7 @@ func (acc *Accumulator) DeltaList(ix *Inverted, vec textproc.SparseVector) []Del
 			acc.sum[slot] = 0
 		}
 	}
-	acc.out = out
-	if len(out) == 0 {
-		return nil
-	}
 	slices.SortFunc(out, func(x, y Delta) int { return cmp.Compare(x.Ad, y.Ad) })
-	return slices.Clone(out)
+	acc.out = out
+	return out
 }
