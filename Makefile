@@ -71,8 +71,8 @@ race-matrix:
 # fuzz-smoke gives each fuzz target a short budget — enough to catch a
 # regression in the journal frame decoder, crash recovery, the ingest accept
 # contract, the request parsers, the sketches, CAP's candidate-buffer merge
-# and its scoping to a grid cell, or the grid's cover of every point a
-# target circle contains, without holding up the gate.
+# and its scoping to a grid cell, the window aggregate's merge, or the grid's
+# cover of every point a target circle contains, without holding up the gate.
 fuzz-smoke:
 	$(GO) test ./journal/ -fuzz FuzzDecodeLine -fuzztime 10s -run '^$$'
 	$(GO) test ./journal/ -fuzz FuzzRecoverTornTail -fuzztime 10s -run '^$$'
@@ -83,6 +83,7 @@ fuzz-smoke:
 	$(GO) test ./internal/sketch/ -fuzz FuzzCountMinEstimate -fuzztime 10s -run '^$$'
 	$(GO) test ./internal/sketch/ -fuzz FuzzWindowedDecay -fuzztime 10s -run '^$$'
 	$(GO) test ./internal/core/ -fuzz FuzzDynBufMerge -fuzztime 10s -run '^$$'
+	$(GO) test ./internal/feed/ -fuzz FuzzAggregateMergeMatchesSort -fuzztime 10s -run '^$$'
 	$(GO) test ./internal/geo/ -fuzz FuzzGridCoversContainedPoints -fuzztime 10s -run '^$$'
 
 bench:

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"cmp"
-	"math"
 	"slices"
 	"sync"
 
@@ -21,42 +19,57 @@ import (
 // Unregister write it, and their caller holds every shard lock, so no reader
 // runs meanwhile. The delta-list table is the exception: shards take and drop
 // messages in it concurrently, under its own mutex (msgTable).
+//
+// Every ad has a slot, which the inverted index assigns, and everything on
+// the ad side past registration names the ad by it: the live-ad table, the
+// delta lists, the grid, the churn record, and the candidate buffers and
+// views built from them. An ad's ID is read only to rank ties and to answer.
 type AdIndex struct {
 	inv    *index.Inverted
 	geoIdx *index.GeoAds
-	grid   *geo.Grid // geoIdx's, for the reach of an ad and the cell of a user
+	grid   *geo.Grid // geoIdx's, for the cell of a user
 	region geo.Rect
-	ads    map[adstore.AdID]liveAd
 	msgs   msgTable
 
-	// churn holds the last churnCap ad IDs registered or unregistered, the
-	// i-th of them (counting from 0) at churn[i%churnCap]; churned counts
-	// them all. Nothing per user happens at registration: a buffer that
-	// accounts for fewer than churned settles the rest when it is next read
-	// (CAP.catchUp), and one more than churnCap behind is rebuilt instead.
-	churn   [churnCap]adstore.AdID
+	// ads and reach are indexed by slot: the live ad (nil when the slot is
+	// free or retired) and its reach, the cells whose users it can be shown
+	// to — those the grid registers its target circle under, every cell for a
+	// global ad. A candidate buffer holds an ad only if its reach holds the
+	// user's cell. The reach is a table of its own, 8 bytes an ad, because
+	// scope reads it for every delta entry of every catch-up.
+	ads   []*adstore.Ad
+	reach []geo.Reach
+
+	// churn holds the slots of the last churnCap ads registered or
+	// unregistered, the i-th of them (counting from 0) at churn[i%churnCap];
+	// churned counts them all. Nothing per user happens at registration: a
+	// buffer that accounts for fewer than churned settles the rest when it is
+	// next read (CAP.catchUp), and one more than churnCap behind is rebuilt
+	// instead.
+	churn   [churnCap]uint32
 	churned uint64
+
+	// retired holds the slots of withdrawn ads, oldest first, each with the
+	// churn count its withdrawal was recorded at. A slot is released for reuse
+	// only once the churn count has moved churnCap past that, so that every
+	// buffer that has not settled the withdrawal is more than churnCap behind
+	// when a new ad takes the slot, and rebuilds: no buffer holds a slot under
+	// two identities.
+	retired []retiredSlot
+}
+
+type retiredSlot struct {
+	slot uint32
+	at   uint64
 }
 
 // churnCap bounds how far behind the churn record a candidate buffer can
 // settle ad by ad; one further behind is rebuilt by its next read.
 const churnCap = 64
 
-// liveAd is a registered ad and its reach, the cells whose users it can be
-// shown to: those the grid registers its target circle under, every cell for
-// a global ad. A candidate buffer holds an ad only if its reach holds the
-// user's cell.
-type liveAd struct {
-	a     *adstore.Ad
-	reach geo.Reach
-}
-
-// everywhere is a global ad's reach, and noCell the cell of a user with no
-// location, which only everywhere holds: no grid row is negative.
-var (
-	everywhere = geo.Reach{MinRow: math.MinInt16, MaxRow: math.MaxInt16, MinCol: math.MinInt16, MaxCol: math.MaxInt16}
-	noCell     = geo.Reach{MinRow: -1, MaxRow: -1, MinCol: -1, MaxCol: -1}
-)
+// noCell is the cell of a user with no location, which only geo.Everywhere
+// holds: no grid row is negative.
+var noCell = geo.Reach{MinRow: -1, MaxRow: -1, MinCol: -1, MaxCol: -1}
 
 // NewAdIndex creates an empty ad side over the given coverage region with a
 // gridRows × gridCols spatial grid.
@@ -70,24 +83,26 @@ func NewAdIndex(region geo.Rect, gridRows, gridCols int) (*AdIndex, error) {
 		geoIdx: gi,
 		grid:   gi.Grid(),
 		region: region,
-		ads:    make(map[adstore.AdID]liveAd),
 		msgs:   msgTable{m: make(map[feed.MessageID]*msgCache)},
 	}, nil
 }
 
-// Register indexes an ad already in the store and inserts its coefficient,
-// with its reach, into every computed delta list, so the evictions still to
-// come stay exact. The caller excludes every reader; each candidate buffer
-// takes the ad's exact value when it is next read.
+// Register indexes an ad already in the store, whose ID is not registered,
+// and inserts its coefficient into every computed delta list, so the
+// evictions still to come stay exact. The caller excludes every reader; each
+// candidate buffer takes the ad's exact value when it is next read.
 func (x *AdIndex) Register(a *adstore.Ad) {
-	x.inv.Add(a.ID, a.Vec)
-	x.geoIdx.Add(a)
-	reach := everywhere
-	if !a.Global {
-		reach = x.grid.Reach(a.Target.Bounds())
+	for len(x.retired) > 0 && x.churned-x.retired[0].at >= churnCap {
+		x.inv.Release(x.retired[0].slot)
+		x.retired = x.retired[1:]
 	}
-	x.ads[a.ID] = liveAd{a: a, reach: reach}
-	x.record(a.ID)
+	slot := x.inv.Add(a.ID, a.Vec)
+	if n := int(slot) + 1; n > len(x.ads) {
+		x.ads = slices.Grow(x.ads, n-len(x.ads))[:n]
+		x.reach = slices.Grow(x.reach, n-len(x.reach))[:n]
+	}
+	x.ads[slot], x.reach[slot] = a, x.geoIdx.Add(slot, a)
+	x.record(slot)
 	x.msgs.mu.Lock()
 	defer x.msgs.mu.Unlock()
 	for _, mc := range x.msgs.m {
@@ -95,50 +110,42 @@ func (x *AdIndex) Register(a *adstore.Ad) {
 			continue // it will be computed with the ad
 		}
 		if c := a.Vec.Dot(mc.vec); c != 0 {
-			// At its sorted position, not the end: IDs need not be registered
-			// in order, and merge relies on the ascending order DeltaList gave
+			// At its sorted position, not the end: a released slot is below
+			// others, and merge relies on the ascending order DeltaList gave
 			// the list.
-			i, _ := mc.find(a.ID)
-			mc.deltas = slices.Insert(mc.deltas, i, reachDelta{Delta: index.Delta{Ad: a.ID, Coeff: c}, reach: reach})
+			i, _ := findDelta(mc.deltas, slot)
+			mc.deltas = slices.Insert(mc.deltas, i, index.Delta{Slot: slot, Coeff: index.Pack(c)})
 		}
 	}
 }
 
 // Unregister drops an ad from the indexes, the table and every computed delta
-// list, without touching the store. The cleanup is eager: a stale delta entry
-// for a removed ID would corrupt scores if the ID were ever reused. The
-// caller excludes every reader; each candidate buffer drops the ad when it is
-// next read, and until then ranking skips it (CAP.rank).
+// list, without touching the store, and retires its slot. The cleanup is
+// eager: a stale delta entry would corrupt scores once the slot is reused.
+// The caller excludes every reader; each candidate buffer drops the ad when
+// it is next read, and until then ranking skips it (CAP.rank).
 func (x *AdIndex) Unregister(id adstore.AdID) {
-	x.inv.Remove(id)
-	x.geoIdx.Remove(id)
-	delete(x.ads, id)
-	x.record(id)
+	slot, ok := x.inv.Remove(id)
+	if !ok {
+		return
+	}
+	x.geoIdx.Remove(slot, x.reach[slot])
+	x.ads[slot] = nil
+	x.retired = append(x.retired, retiredSlot{slot: slot, at: x.churned})
+	x.record(slot)
 	x.msgs.mu.Lock()
 	defer x.msgs.mu.Unlock()
 	for _, mc := range x.msgs.m {
-		if i, ok := mc.find(id); ok {
+		if i, ok := findDelta(mc.deltas, slot); ok {
 			mc.deltas = slices.Delete(mc.deltas, i, i+1)
 		}
 	}
 }
 
-// record appends an ad ID to the churn record.
-func (x *AdIndex) record(id adstore.AdID) {
-	x.churn[x.churned%churnCap] = id
+// record appends a slot to the churn record.
+func (x *AdIndex) record(slot uint32) {
+	x.churn[x.churned%churnCap] = slot
 	x.churned++
-}
-
-// ad returns the live ad record (nil when withdrawn).
-func (x *AdIndex) ad(id adstore.AdID) *adstore.Ad { return x.ads[id].a }
-
-// withReach returns a delta list with each entry's reach, in one allocation.
-func (x *AdIndex) withReach(deltas []index.Delta) []reachDelta {
-	out := make([]reachDelta, len(deltas))
-	for i, d := range deltas {
-		out[i] = reachDelta{Delta: d, reach: x.ads[d.Ad].reach}
-	}
-	return out
 }
 
 // IndexStats reports the keyword inverted index's size: indexed ads and
@@ -156,35 +163,22 @@ func (x *AdIndex) CachedMessages() int {
 	return len(x.msgs.m)
 }
 
-// reachDelta is one entry of a message's delta list with the ad's reach,
-// which decides the candidate buffers the entry enters.
-type reachDelta struct {
-	index.Delta
-	reach geo.Reach
-}
-
 // msgCache is the shared state of one message under fan-out sharing: its
-// delta list with reaches, computed once — by the first catch-up on any shard
-// that needs it — and a count of the shards holding it.
+// delta list, computed once — by the first catch-up on any shard that needs
+// it — and a count of the shards holding it.
 type msgCache struct {
 	vec      textproc.SparseVector
 	once     sync.Once
-	deltas   []reachDelta
+	deltas   []index.Delta
 	computed bool // set inside once; read by Register and Unregister, which exclude every shard
 	shards   int  // under msgTable.mu
 }
 
 // deltaList returns the message's delta list, computing it in acc on the
 // first call from any shard.
-func (x *AdIndex) deltaList(mc *msgCache, acc *index.Accumulator) []reachDelta {
-	mc.once.Do(func() { mc.deltas, mc.computed = x.withReach(acc.Deltas(x.inv, mc.vec)), true })
+func (x *AdIndex) deltaList(mc *msgCache, acc *index.Accumulator) []index.Delta {
+	mc.once.Do(func() { mc.deltas, mc.computed = acc.DeltaList(x.inv, mc.vec), true })
 	return mc.deltas
-}
-
-// find returns the position of ad in the delta list, or the position it
-// would be inserted at and false.
-func (mc *msgCache) find(ad adstore.AdID) (int, bool) {
-	return slices.BinarySearchFunc(mc.deltas, ad, func(d reachDelta, ad adstore.AdID) int { return cmp.Compare(d.Ad, ad) })
 }
 
 // msgTable is the message → shared state map of one AdIndex. A shard comes

@@ -123,10 +123,11 @@ func (b *base) state(u feed.UserID) (*userState, error) {
 }
 
 // offer gates eligibility and (when budget is set) budget, scores the ad
-// given its raw text relevance, and submits it to the collector. It reports
-// whether the ad was eligible (not necessarily retained). Eligibility and the
-// geo score come from one distance to the target (adstore.Ad.Place).
-func (b *base) offer(c *topk.Collector, a *adstore.Ad, relevance float64, st *userState, sl timeslot.Slot, t time.Time, budget bool) bool {
+// given its raw text relevance, and submits it to the collector with its slot
+// (0 for an engine without slots). It reports whether the ad was eligible
+// (not necessarily retained). Eligibility and the geo score come from one
+// distance to the target (adstore.Ad.Place).
+func (b *base) offer(c *topk.Collector, a *adstore.Ad, slot uint32, relevance float64, st *userState, sl timeslot.Slot, t time.Time, budget bool) bool {
 	if a == nil {
 		return false
 	}
@@ -140,17 +141,17 @@ func (b *base) offer(c *topk.Collector, a *adstore.Ad, relevance float64, st *us
 		return false
 	}
 	score := b.scoring.AlphaText*relevance + b.scoring.static(a, geoScore)
-	c.Offer(int64(a.ID), score)
+	c.OfferSlot(int64(a.ID), slot, score)
 	return true
 }
 
 // resolve appends collector output to dst as Scored results with component
 // decomposition, recomputing components for explainability.
-func (b *base) resolve(dst []Scored, items []topk.Item, st *userState, relevanceOf func(adstore.AdID) float64) []Scored {
+func (b *base) resolve(dst []Scored, items []topk.Item, st *userState, relevanceOf func(topk.Item) float64) []Scored {
 	out := grow(dst, len(items))
 	for _, it := range items {
 		if a := b.store.Get(adstore.AdID(it.ID)); a != nil {
-			out = append(out, b.decompose(a, it.Score, relevanceOf(a.ID), st))
+			out = append(out, b.decompose(a, it.Score, relevanceOf(it), st))
 		}
 	}
 	return out

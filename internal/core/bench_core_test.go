@@ -5,11 +5,13 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+	"unsafe"
 
 	"caar/internal/adstore"
 	"caar/internal/feed"
 	"caar/internal/geo"
 	"caar/internal/timeslot"
+	"caar/workload"
 )
 
 // benchSetup loads an engine with nAds random ads and nUsers users, each
@@ -351,4 +353,73 @@ func BenchmarkRegisterAd(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*users), "ns/warm-user")
 		})
 	}
+}
+
+// BenchmarkWarmUserBytes is the per-user memory probe: the bytes of the
+// candidate buffers of the users whose buffers are warm, split into the
+// entries they hold (len) and the room they keep (cap), and the bytes of
+// the shared delta lists, per warm user. It replays the canonical
+// benchmark's dataset in fanout_stream's shape — 2 000 users, 5 000 ads, a
+// post delivered to its author and followers and every recipient's top 5
+// refreshed, a check-in now and then — for 8 000 posts, and measures at the
+// end. Element sizes are read off the slices, so the probe runs unchanged
+// on any layout of the entries. b.N is ignored: the probe runs once.
+func BenchmarkWarmUserBytes(b *testing.B) {
+	cfg := workload.DefaultConfig()
+	cfg.Ads, cfg.Celebrities, cfg.CelebrityFollowFrac = 5000, 3, 0.2
+	w, err := workload.Generate(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	e, err := NewCAP(defaultBenchScoring(), nil, cfg.Region, 64, 64, DefaultCAPOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, u := range w.Users {
+		e.AddUser(u.ID)
+		if err := e.CheckIn(u.ID, u.Home, cfg.Start); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, a := range w.InitialAds() {
+		if err := e.AddAd(a); err != nil {
+			b.Fatal(err)
+		}
+	}
+	var fanout []feed.UserID
+	for i, posts := 0, 0; i < len(w.Events) && posts < 8000; i++ {
+		switch ev := &w.Events[i]; ev.Kind {
+		case workload.EventCheckIn:
+			if err := e.CheckIn(ev.User, ev.Loc, ev.Time); err != nil {
+				b.Fatal(err)
+			}
+		case workload.EventPost:
+			posts++
+			fanout = append(append(fanout[:0], ev.User), w.Graph.Followers(ev.User)...)
+			if err := e.Deliver(ev.Msg, fanout); err != nil {
+				b.Fatal(err)
+			}
+			for _, u := range fanout {
+				if _, err := e.TopAds(u, 5, ev.Time); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+	warm, bufLen, bufCap, deltas := 0, 0, 0, 0
+	for _, st := range e.users {
+		if buf := st.buf; buf.applied > 0 {
+			size := int(unsafe.Sizeof(buf.e[0]))
+			warm, bufLen, bufCap = warm+1, bufLen+len(buf.e)*size, bufCap+cap(buf.e)*size
+		}
+	}
+	for _, mc := range e.msgs.m {
+		deltas += cap(mc.deltas) * int(unsafe.Sizeof(mc.deltas[0]))
+	}
+	per := func(bytes int) float64 { return float64(bytes) / float64(warm) }
+	b.ReportMetric(float64(warm), "warm-users")
+	b.ReportMetric(per(bufLen), "buf-len-B/warm-user")
+	b.ReportMetric(per(bufCap), "buf-cap-B/warm-user")
+	b.ReportMetric(per(deltas), "delta-B/warm-user")
+	b.ReportMetric(per(bufCap+deltas), "B/warm-user")
 }

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"cmp"
-	"slices"
 	"time"
 
 	"caar/internal/adstore"
@@ -56,7 +54,7 @@ type CAP struct {
 	// Reusable space: what catchUp lends to dynBuf.merge, and the arena its
 	// lists are scoped into.
 	lists   []weighted
-	scratch []bufEntry
+	scratch []index.Delta
 	arena   []index.Delta
 
 	viewAnswers, reranks uint64 // TopAds calls by how they were answered
@@ -104,16 +102,10 @@ func (e *CAP) AddUser(u feed.UserID) {
 // merge's test: a query the view answers is not before the reference, where
 // text scores are at their highest. A bound of -Inf — every eligible ad is
 // tracked — always notes.
-func (e *CAP) noteRegistered(st *userState, buf *dynBuf, a *adstore.Ad, coeff float64) {
+func (e *CAP) noteRegistered(st *userState, buf *dynBuf, a *adstore.Ad, slot uint32, coeff float64) {
 	if v := buf.view; v != nil && e.scoring.AlphaText*coeff+e.scoring.staticScore(a, st.loc, st.hasLoc) >= v.bound {
-		buf.note(a.ID)
+		buf.note(slot)
 	}
-}
-
-func findDelta(deltas []index.Delta, id adstore.AdID) (int, bool) {
-	return slices.BinarySearchFunc(deltas, id, func(d index.Delta, id adstore.AdID) int {
-		return cmp.Compare(d.Ad, id)
-	})
 }
 
 // CheckIn implements Recommender. Moving changes which geo-targeted ads are
@@ -192,12 +184,12 @@ func (e *CAP) release(id feed.MessageID) {
 	e.msgs.leave(id)
 }
 
-// deltasOf returns a message's delta list with reaches: the shared one when
-// fan-out sharing is on (computed on first use, on whichever shard needs it
-// first), recomputed otherwise.
-func (e *CAP) deltasOf(m feed.Message) []reachDelta {
+// deltasOf returns a message's delta list: the shared one when fan-out
+// sharing is on (computed on first use, on whichever shard needs it first),
+// recomputed otherwise.
+func (e *CAP) deltasOf(m feed.Message) []index.Delta {
 	if !e.opts.FanoutSharing {
-		return e.withReach(e.acc.Deltas(e.inv, m.Vec))
+		return e.acc.Deltas(e.inv, m.Vec)
 	}
 	h, ok := e.held[m.ID]
 	if !ok {
@@ -273,7 +265,7 @@ func (e *CAP) catchUp(st *userState, buf *dynBuf) {
 		lists, arena := e.lists[:0], e.arena[:0]
 		add := func(m feed.Message, c float64) {
 			start := len(arena) // a list keeps the array it was scoped into if the arena outgrows it
-			arena = scope(arena, e.deltasOf(m), st.cell)
+			arena = scope(arena, e.deltasOf(m), e.reach, st.cell)
 			lists = append(lists, weighted{d: arena[start:], c: c})
 		}
 		for _, m := range buf.gone {
@@ -309,18 +301,18 @@ func (e *CAP) catchUp(st *userState, buf *dynBuf) {
 func (e *CAP) settleChurn(st *userState, buf *dynBuf, ref time.Time) {
 	agg, _ := e.context(st, ref) // factor 1 at the reference
 	for i := buf.churned; i < e.churned; i++ {
-		id := e.churn[i%churnCap]
-		if v := buf.view; v != nil && v.tracks(id) {
+		slot := e.churn[i%churnCap]
+		if v := buf.view; v != nil && v.tracks(slot) {
 			buf.view = nil
 		}
-		live, ok := e.ads[id]
-		if !ok || !live.reach.Holds(st.cell) {
-			buf.remove(id)
+		a := e.ads[slot]
+		if a == nil || !e.reach[slot].Holds(st.cell) {
+			buf.remove(slot)
 			continue
 		}
-		coeff := live.a.Vec.Dot(agg)
-		buf.set(id, coeff)
-		e.noteRegistered(st, buf, live.a, coeff)
+		coeff := a.Vec.Dot(agg)
+		buf.set(slot, coeff)
+		e.noteRegistered(st, buf, a, slot, coeff)
 	}
 	buf.churned = e.churned
 }
@@ -345,17 +337,9 @@ func (e *CAP) rebuild(st *userState, buf *dynBuf) {
 	buf.churned = e.churned
 
 	agg, _ := e.context(st, st.win.Ref()) // factor 1 at the reference
-	deltas, kept := e.acc.Deltas(e.inv, agg), 0
-	for _, d := range deltas {
-		deltas[kept] = d
-		if e.ads[d.Ad].reach.Holds(st.cell) {
-			kept++
-		}
-	}
-	buf.fill(kept)
-	for i, d := range deltas[:kept] {
-		buf.e[i] = bufEntry{ad: d.Ad, v: d.Coeff}
-	}
+	e.arena = scope(e.arena[:0], e.acc.Deltas(e.inv, agg), e.reach, st.cell)
+	buf.fill(len(e.arena))
+	copy(buf.e, e.arena)
 	buf.scale, buf.ops, buf.view = 1, 0, nil
 	buf.applied, buf.cell, buf.ref = n, st.cell, st.win.Ref()
 	e.rebuilds++
@@ -404,7 +388,7 @@ func (e *CAP) AppendTopAds(dst []Scored, u feed.UserID, k int, t time.Time) ([]S
 	if !viewable {
 		span = e.stageDone(StageScore, span, examined, offered)
 	}
-	out := e.resolve(dst, c.Items(), st, func(id adstore.AdID) float64 { return buf.get(id) * mult })
+	out := e.resolve(dst, c.Items(), st, func(it topk.Item) float64 { return buf.get(it.Slot) * mult })
 	e.stageDone(StageTopK, span, offered, len(out)-len(dst))
 	return out, nil
 }
@@ -419,13 +403,13 @@ func (e *CAP) AppendTopAds(dst []Scored, u feed.UserID, k int, t time.Time) ([]S
 func (e *CAP) rank(c *topk.Collector, st *userState, buf *dynBuf, mult float64, sl timeslot.Slot, t time.Time, budget bool) (examined, offered int) {
 	maxStatic := e.scoring.maxStatic()
 	for _, en := range buf.e {
-		rel := en.v * mult
-		if c.WouldAccept(e.scoring.AlphaText*rel+maxStatic) && e.offer(c, e.ad(en.ad), rel, st, sl, t, budget) {
+		rel := en.Coeff.Float64() * mult
+		if c.WouldAccept(e.scoring.AlphaText*rel+maxStatic) && e.offer(c, e.ads[en.Slot], en.Slot, rel, st, sl, t, budget) {
 			offered++
 		}
 	}
-	examined, offeredStatic := e.offerStatic(c, st, sl, t, budget, func(id adstore.AdID) bool {
-		_, seen := buf.find(id)
+	examined, offeredStatic := e.offerStatic(c, st, sl, t, budget, func(slot uint32) bool {
+		_, seen := buf.find(slot)
 		return seen
 	})
 	return len(buf.e) + examined, offered + offeredStatic

@@ -5,18 +5,10 @@ import (
 	"slices"
 	"time"
 
-	"caar/internal/adstore"
 	"caar/internal/feed"
 	"caar/internal/geo"
 	"caar/internal/index"
 )
-
-// bufEntry is one buffered ad with its stored (scale-divided) text
-// relevance coefficient.
-type bufEntry struct {
-	ad adstore.AdID
-	v  float64
-}
 
 // dropBelow is the magnitude under which a touched coefficient counts as
 // having returned to zero and leaves the buffer.
@@ -27,10 +19,11 @@ const dropBelow = 1e-12
 // the user's cell, the exact text relevance coefficient in the reference
 // space of ref.
 //
-// Entries are kept in one slice sorted by ad ID — 16 bytes an entry, read
-// sequentially by a query and rewritten by one merge per catch-up (delta
-// lists arrive in the same order). Values are stored divided by scale, so
-// aging the whole buffer when the reference time advances is one O(1)
+// Entries are kept in one slice sorted by ad slot — index.Deltas, 12 bytes an
+// entry, read sequentially by a query and rewritten by one merge per catch-up
+// (delta lists arrive in the same order). The slot is storage order only:
+// ranking orders ties by ad ID. Values are stored divided by scale, so aging
+// the whole buffer when the reference time advances is one O(1)
 // multiplication instead of a sweep.
 //
 // The buffer is lazy (DESIGN.md §3.1 item 3): a delivery only records what
@@ -43,7 +36,7 @@ const dropBelow = 1e-12
 // unless the window is empty too, no pending lists and no message-cache
 // reference — and the next read rebuilds it from the window aggregate.
 type dynBuf struct {
-	e     []bufEntry // ascending by ad
+	e     []index.Delta // ascending by slot; Coeff is the stored value
 	scale float64
 	ops   int // deliveries merged since the last exact rebuild
 
@@ -60,49 +53,51 @@ type dynBuf struct {
 
 func newDynBuf() *dynBuf { return &dynBuf{scale: 1} }
 
-// find returns the position of ad in the buffer, or the position it would
+// find returns the position of slot in the buffer, or the position it would
 // be inserted at and false.
-func (b *dynBuf) find(ad adstore.AdID) (int, bool) {
-	lo, hi := 0, len(b.e)
+func (b *dynBuf) find(slot uint32) (int, bool) { return findDelta(b.e, slot) }
+
+// findDelta returns the position of slot in a list ascending by slot — a
+// buffer or a delta list — or the position it would be inserted at and false.
+func findDelta(list []index.Delta, slot uint32) (int, bool) {
+	lo, hi := 0, len(list)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if b.e[mid].ad < ad {
+		if list[mid].Slot < slot {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	return lo, lo < len(b.e) && b.e[lo].ad == ad
+	return lo, lo < len(list) && list[lo].Slot == slot
 }
 
-// get returns the stored coefficient of ad (0 when not buffered).
-func (b *dynBuf) get(ad adstore.AdID) float64 {
-	if i, ok := b.find(ad); ok {
-		return b.e[i].v
+// get returns the stored coefficient of the ad in slot (0 when not buffered).
+func (b *dynBuf) get(slot uint32) float64 {
+	if i, ok := b.find(slot); ok {
+		return b.e[i].Coeff.Float64()
 	}
 	return 0
 }
 
-// set makes ad's coefficient refCoeff (in reference space), dropping an entry
-// set to (numerical) zero. Deliveries go through merge; this is the single-ad
-// form settling ad churn uses.
-func (b *dynBuf) set(ad adstore.AdID, refCoeff float64) {
-	i, ok := b.find(ad)
+// set makes the coefficient of the ad in slot refCoeff (in reference space),
+// dropping an entry set to (numerical) zero. Deliveries go through merge;
+// this is the single-ad form settling ad churn uses.
+func (b *dynBuf) set(slot uint32, refCoeff float64) {
+	i, ok := b.find(slot)
 	switch zero := math.Abs(refCoeff) < dropBelow; {
 	case ok && zero:
 		b.e = append(b.e[:i], b.e[i+1:]...)
 	case ok:
-		b.e[i].v = refCoeff / b.scale
+		b.e[i].Coeff = index.Pack(refCoeff / b.scale)
 	case !zero:
-		b.e = append(b.e, bufEntry{})
-		copy(b.e[i+1:], b.e[i:])
-		b.e[i] = bufEntry{ad: ad, v: refCoeff / b.scale}
+		b.e = slices.Insert(b.e, i, index.Delta{Slot: slot, Coeff: index.Pack(refCoeff / b.scale)})
 	}
 }
 
 // remove drops one ad from the buffer (no-op when absent).
-func (b *dynBuf) remove(ad adstore.AdID) {
-	if i, ok := b.find(ad); ok {
+func (b *dynBuf) remove(slot uint32) {
+	if i, ok := b.find(slot); ok {
 		b.e = append(b.e[:i], b.e[i+1:]...)
 	}
 }
@@ -122,7 +117,7 @@ func (b *dynBuf) age(factor float64) (renormalized bool) {
 	}
 	if b.scale > 0 {
 		for i := range b.e {
-			b.e[i].v *= b.scale
+			b.e[i].Coeff = index.Pack(b.e[i].Coeff.Float64() * b.scale)
 		}
 	} else {
 		b.e = b.e[:0]
@@ -131,44 +126,45 @@ func (b *dynBuf) age(factor float64) (renormalized bool) {
 	return true
 }
 
-// note puts ad on the view's noted list for the next query to score exactly;
-// a list already at viewMaxNoted drops the view instead, which it reports as
-// false. The caller has checked that there is a view. The list starts at the
-// size a delivered-to view's list reaches anyway (a message notes up to ~100
-// ads), not grown to it eight appends at a time.
-func (b *dynBuf) note(ad adstore.AdID) bool {
+// note puts the ad in slot on the view's noted list for the next query to
+// score exactly; a list already at viewMaxNoted drops the view instead, which
+// it reports as false. The caller has checked that there is a view. The list
+// starts at the size a delivered-to view's list reaches anyway (a message
+// notes up to ~100 ads), not grown to it eight appends at a time.
+func (b *dynBuf) note(slot uint32) bool {
 	if len(b.view.noted) == viewMaxNoted {
 		b.view = nil
 		return false
 	}
 	if b.view.noted == nil {
-		b.view.noted = make([]adstore.AdID, 0, viewMaxNoted/2)
+		b.view.noted = make([]uint32, 0, viewMaxNoted/2)
 	}
-	b.view.noted = append(b.view.noted, ad)
+	b.view.noted = append(b.view.noted, slot)
 	return true
 }
 
 // weighted is one message's delta list with the stored-space factor (already
 // divided by scale) its coefficients enter the buffer at: negative for an
-// evicted message. merge consumes d from the front, keeping its first ad in
-// head, where the scan for the next ad to write finds it without a load
+// evicted message. merge consumes d from the front, keeping its first slot
+// in head, where the scan for the next slot to write finds it without a load
 // through d.
 type weighted struct {
 	d    []index.Delta
 	c    float64
-	head adstore.AdID
+	head uint32
 }
 
-// scope appends to dst the entries of list whose reach holds cell. About a
-// third are kept, in no order a branch predictor could learn, so every entry
-// is written and only a kept one moves the end on, by a conditional move the
-// compiler makes of the increment: no branch.
-func scope(dst []index.Delta, list []reachDelta, cell geo.Reach) []index.Delta {
+// scope appends to dst the entries of list whose ad's reach, read from the
+// table indexed by slot, holds cell. About a third are kept, in no order a
+// branch predictor could learn, so every entry is written and only a kept one
+// moves the end on, by a conditional move the compiler makes of the
+// increment: no branch.
+func scope(dst []index.Delta, list []index.Delta, reach []geo.Reach, cell geo.Reach) []index.Delta {
 	n := len(dst)
 	dst = slices.Grow(dst, len(list))[:n+len(list)]
 	for _, d := range list {
-		dst[n] = d.Delta
-		if d.reach.Holds(cell) {
+		dst[n] = d
+		if reach[d.Slot].Holds(cell) {
 			n++
 		}
 	}
@@ -178,7 +174,7 @@ func scope(dst []index.Delta, list []reachDelta, cell geo.Reach) []index.Delta {
 // merge applies any number of delta lists in one pass over the buffer: every
 // ad of a list gains c·Coeff, list after list in the order given. A catch-up
 // passes the evicted messages first and the arrivals from lists[arrivals:]
-// on. Every list is ascending by ad, as index.Inverted.DeltaList returns
+// on. Every list is ascending by slot, as index.Inverted.DeltaList returns
 // them. A touched entry that ends at (numerical) zero is dropped. Every ad of
 // an arrival whose stored value ends at or above noteAt goes on the view's
 // noted list: how the view learns which raised ads could now beat its bound
@@ -187,7 +183,7 @@ func scope(dst []index.Delta, list []reachDelta, cell geo.Reach) []index.Delta {
 //
 // lists is consumed. scratch is the caller's reusable merge space; it is
 // returned, possibly grown, for the next call.
-func (b *dynBuf) merge(scratch []bufEntry, lists []weighted, arrivals int, noteAt float64) []bufEntry {
+func (b *dynBuf) merge(scratch []index.Delta, lists []weighted, arrivals int, noteAt float64) []index.Delta {
 	// Only lists with something left to apply stay in lists, in their order.
 	drop := func(l int) {
 		lists = append(lists[:l], lists[l+1:]...)
@@ -199,46 +195,46 @@ func (b *dynBuf) merge(scratch []bufEntry, lists []weighted, arrivals int, noteA
 		if t := &lists[l]; len(t.d) == 0 {
 			drop(l)
 		} else {
-			t.head = t.d[0].Ad
+			t.head = t.d[0].Slot
 		}
 	}
 	src, out := b.e, scratch[:0]
 	i := 0
 	for len(lists) > 0 {
-		ad := lists[0].head
+		slot := lists[0].head
 		for l := 1; l < len(lists); l++ {
-			ad = min(ad, lists[l].head)
+			slot = min(slot, lists[l].head)
 		}
 		start := i
-		for i < len(src) && src[i].ad < ad {
+		for i < len(src) && src[i].Slot < slot {
 			i++
 		}
 		out = append(out, src[start:i]...)
 		v := 0.0
-		if i < len(src) && src[i].ad == ad {
-			v = src[i].v
+		if i < len(src) && src[i].Slot == slot {
+			v = src[i].Coeff.Float64()
 			i++
 		}
 		raised := false
 		for l := 0; l < len(lists); l++ {
 			t := &lists[l]
-			if t.head != ad {
+			if t.head != slot {
 				continue
 			}
-			v += t.c * t.d[0].Coeff
+			v += t.c * t.d[0].Coeff.Float64()
 			raised = raised || l >= arrivals
 			if t.d = t.d[1:]; len(t.d) == 0 {
 				drop(l)
 				l--
 			} else {
-				t.head = t.d[0].Ad
+				t.head = t.d[0].Slot
 			}
 		}
 		if math.Abs(v*b.scale) < dropBelow {
 			continue
 		}
-		out = append(out, bufEntry{ad: ad, v: v})
-		if raised && v >= noteAt && !b.note(ad) {
+		out = append(out, index.Delta{Slot: slot, Coeff: index.Pack(v)})
+		if raised && v >= noteAt && !b.note(slot) {
 			noteAt = math.Inf(1)
 		}
 	}
@@ -253,7 +249,7 @@ func (b *dynBuf) merge(scratch []bufEntry, lists []weighted, arrivals int, noteA
 // doubling would keep up to twice that.
 func (b *dynBuf) fill(n int) {
 	if cap(b.e) < n {
-		b.e = make([]bufEntry, n, n+n/8+8)
+		b.e = make([]index.Delta, n, n+n/8+8)
 	}
 	b.e = b.e[:n]
 }

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 	"time"
+	"unsafe"
 
 	"caar/internal/adstore"
 	"caar/internal/feed"
@@ -17,11 +18,11 @@ import (
 // bufModel is the reference dynBuf: the map it replaced, with the same
 // arithmetic in the same order, so stored values must agree bit for bit.
 type bufModel struct {
-	u     map[adstore.AdID]float64
+	u     map[uint32]float64
 	scale float64
 }
 
-func (m *bufModel) set(ad adstore.AdID, nv float64) {
+func (m *bufModel) set(ad uint32, nv float64) {
 	if math.Abs(nv*m.scale) < dropBelow {
 		delete(m.u, ad)
 		return
@@ -47,7 +48,7 @@ func (m *bufModel) age(factor float64) {
 // scopeReaches are the reaches of the scoped buffer runDynBufModel keeps,
 // over a 3 × 3 grid, and scopeCells the cells it is scoped to.
 var (
-	scopeReaches = []geo.Reach{everywhere, {MinRow: 0, MaxRow: -1, MinCol: 0, MaxCol: -1}, {MinRow: 0, MaxRow: 1, MinCol: 0, MaxCol: 1}, {MinRow: 1, MaxRow: 2, MinCol: 0, MaxCol: 2}}
+	scopeReaches = []geo.Reach{geo.Everywhere, {MinRow: 0, MaxRow: -1, MinCol: 0, MaxCol: -1}, {MinRow: 0, MaxRow: 1, MinCol: 0, MaxCol: 1}, {MinRow: 1, MaxRow: 2, MinCol: 0, MaxCol: 2}}
 	scopeCells   = []geo.Reach{noCell, {MinRow: 0, MaxRow: 0, MinCol: 0, MaxCol: 0}, {MinRow: 1, MaxRow: 1, MinCol: 1, MaxCol: 1}, {MinRow: 2, MaxRow: 2, MinCol: 2, MaxCol: 2}}
 )
 
@@ -79,21 +80,24 @@ func runDynBufModel(t *testing.T, data []byte, scoping uint64) {
 	ages := []float64{1, 0.5, 0.25, 1e-80, 5e-324, 0}
 	list := func() weighted {
 		var out []index.Delta
-		ad := adstore.AdID(0)
+		ad := uint32(0)
 		for n := next() % 6; n > 0; n-- {
-			ad += adstore.AdID(1 + next()%5)
-			out = append(out, index.Delta{Ad: ad, Coeff: coeff()})
+			ad += uint32(1 + next()%5)
+			out = append(out, index.Delta{Slot: ad, Coeff: index.Pack(coeff())})
 		}
 		return weighted{d: out, c: factors[next()%len(factors)]}
 	}
 
 	cell := scopeCells[scoping&3]
-	reach := func(ad adstore.AdID) geo.Reach { return scopeReaches[scoping>>(2+2*(ad%31))&3] }
-	inScope := func(ad adstore.AdID) bool { return reach(ad).Holds(cell) }
+	reach := make([]geo.Reach, 32) // by slot; lists reach slot 25, sets 31
+	for ad := range reach {
+		reach[ad] = scopeReaches[scoping>>(2+2*(ad%31))&3]
+	}
+	inScope := func(ad uint32) bool { return reach[ad].Holds(cell) }
 
 	b, sb := newDynBuf(), newDynBuf()
-	m := &bufModel{u: map[adstore.AdID]float64{}, scale: 1}
-	var scratch []bufEntry
+	m := &bufModel{u: map[uint32]float64{}, scale: 1}
+	var scratch []index.Delta
 	for step := 0; len(data) > 0; step++ {
 		switch next() % 4 {
 		case 0:
@@ -105,17 +109,13 @@ func runDynBufModel(t *testing.T, data []byte, scoping uint64) {
 			noteAt := []float64{math.Inf(1), 0.5, -1}[next()%3]
 			// The view comes in empty, one short of full, or full: the noted
 			// list holds viewMaxNoted ads and the next one drops the view.
-			wantNoted := make([]adstore.AdID, []int{0, viewMaxNoted - 1, viewMaxNoted}[next()%3])
+			wantNoted := make([]uint32, []int{0, viewMaxNoted - 1, viewMaxNoted}[next()%3])
 			view := &topView{noted: slices.Clone(wantNoted)}
 			b.view = view
 			scratch = b.merge(scratch, slices.Clone(lists), evictions, noteAt)
 			scoped := make([]weighted, len(lists))
 			for l, w := range lists {
-				rl := make([]reachDelta, len(w.d))
-				for i, d := range w.d {
-					rl[i] = reachDelta{Delta: d, reach: reach(d.Ad)}
-				}
-				scoped[l] = weighted{d: scope(nil, rl, cell), c: w.c}
+				scoped[l] = weighted{d: scope(nil, w.d, reach, cell), c: w.c}
 			}
 			sview := &topView{noted: slices.Clone(wantNoted)}
 			sb.view = sview
@@ -123,17 +123,17 @@ func runDynBufModel(t *testing.T, data []byte, scoping uint64) {
 			wantScoped := slices.Clone(wantNoted)
 
 			// The model adds in the order merge does: list after list.
-			touched := map[adstore.AdID]float64{}
-			var raised []adstore.AdID
+			touched := map[uint32]float64{}
+			var raised []uint32
 			for l, w := range lists {
 				for _, d := range w.d {
-					v, ok := touched[d.Ad]
+					v, ok := touched[d.Slot]
 					if !ok {
-						v = m.u[d.Ad]
+						v = m.u[d.Slot]
 					}
-					touched[d.Ad] = v + w.c*d.Coeff
-					if l >= evictions && !slices.Contains(raised, d.Ad) {
-						raised = append(raised, d.Ad)
+					touched[d.Slot] = v + w.c*d.Coeff.Float64()
+					if l >= evictions && !slices.Contains(raised, d.Slot) {
+						raised = append(raised, d.Slot)
 					}
 				}
 			}
@@ -153,7 +153,7 @@ func runDynBufModel(t *testing.T, data []byte, scoping uint64) {
 				name      string
 				b         *dynBuf
 				view      *topView
-				wantNoted []adstore.AdID
+				wantNoted []uint32
 			}{{"", b, view, wantNoted}, {"scoped ", sb, sview, wantScoped}} {
 				if len(c.wantNoted) > viewMaxNoted {
 					if c.b.view != nil {
@@ -170,12 +170,12 @@ func runDynBufModel(t *testing.T, data []byte, scoping uint64) {
 			}
 			m.age(f)
 		case 2:
-			ad := adstore.AdID(next() % 32)
+			ad := uint32(next() % 32)
 			b.remove(ad)
 			sb.remove(ad)
 			delete(m.u, ad)
 		case 3:
-			ad, c := adstore.AdID(next()%32), coeff()
+			ad, c := uint32(next()%32), coeff()
 			b.set(ad, c)
 			if inScope(ad) {
 				sb.set(ad, c)
@@ -192,23 +192,24 @@ func runDynBufModel(t *testing.T, data []byte, scoping uint64) {
 			t.Fatalf("step %d: %d entries, model %d\n%v\n%v", step, len(b.e), len(m.u), b.e, m.u)
 		}
 		for i, en := range b.e {
-			if i > 0 && b.e[i-1].ad >= en.ad {
+			if i > 0 && b.e[i-1].Slot >= en.Slot {
 				t.Fatalf("step %d: entries out of order at %d: %v", step, i, b.e)
 			}
-			if want, ok := m.u[en.ad]; !ok || want != en.v {
-				t.Fatalf("step %d: ad %d = %v, model %v (present %v)", step, en.ad, en.v, want, ok)
+			if want, ok := m.u[en.Slot]; !ok || want != en.Coeff.Float64() {
+				t.Fatalf("step %d: ad %d = %v, model %v (present %v)", step, en.Slot, en.Coeff.Float64(), want, ok)
 			}
-			if got := b.get(en.ad); got != en.v {
-				t.Fatalf("step %d: get(%d) = %v, entry holds %v", step, en.ad, got, en.v)
+			if got := b.get(en.Slot); got != en.Coeff.Float64() {
+				t.Fatalf("step %d: get(%d) = %v, entry holds %v", step, en.Slot, got, en.Coeff.Float64())
 			}
 		}
-		var want []bufEntry
+		var want []index.Delta
 		for _, en := range b.e {
-			if inScope(en.ad) {
+			if inScope(en.Slot) {
 				want = append(want, en)
 			}
 		}
-		if sb.scale != b.scale || !slices.EqualFunc(sb.e, want, func(x, y bufEntry) bool { return x.ad == y.ad && math.Float64bits(x.v) == math.Float64bits(y.v) }) {
+		// Packing copies the bits, so entries compare bit for bit.
+		if sb.scale != b.scale || !slices.Equal(sb.e, want) {
 			t.Fatalf("step %d: scoped buffer %v (scale %v), in-scope part of the unscoped one %v (scale %v)", step, sb.e, sb.scale, want, b.scale)
 		}
 	}
@@ -235,31 +236,65 @@ func FuzzDynBufMerge(f *testing.F) {
 	f.Fuzz(runDynBufModel)
 }
 
-// TestCAPBackfillKeepsCachedDeltasSorted is the regression test for late
-// ads registered out of ID order (shards register concurrently minted IDs in
-// any order): the back-fill into a cached message's delta list has to land
-// at its sorted position, or the merge that later evicts the message walks
-// past it and leaves the ad's contribution in the buffer.
+// TestCAPBackfillKeepsCachedDeltasSorted is the regression test for a late
+// ad that takes a released slot, below the slot of an ad already in a cached
+// message's delta list: the back-fill has to land at its sorted position, or
+// the merge that later evicts the message walks past it and leaves the ad's
+// contribution in the buffer.
 func TestCAPBackfillKeepsCachedDeltasSorted(t *testing.T) {
 	e := newTestCAP(t, DefaultCAPOptions())
 	e.AddUser(1)
-	e.AddAd(simpleAd(10, 7, 0.5))
-	now := base0
-	deliver(t, e, 1, now, textproc.SparseVector{{ID: 7, W: 1}})
-	for _, id := range []adstore.AdID{30, 20, 5} { // not ascending
-		if err := e.AddAd(simpleAd(id, 7, 0.5)); err != nil {
+	for _, a := range []*adstore.Ad{simpleAd(1, 9, 0.5), simpleAd(10, 7, 0.5)} {
+		if err := e.AddAd(a); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := e.BufferSize(1); got != 4 {
-		t.Fatalf("buffer holds %d ads, want all 4", got)
+	// A warm buffer merges message 2, which computes its shared delta list.
+	now := base0
+	deliver(t, e, 1, now, textproc.SparseVector{{ID: 8, W: 1}})
+	e.BufferSize(1)
+	now = now.Add(time.Minute)
+	deliver(t, e, 2, now, textproc.SparseVector{{ID: 7, W: 1}})
+	if got := e.BufferSize(1); got != 1 || !e.msgs.m[2].computed {
+		t.Fatalf("buffer holds %d ads, want ad 10, merged from message 2's delta list", got)
 	}
-	// Six posts on another term fill the window and evict message 1.
+	// Ad 1 goes; once its slot is released, ad 5 takes it.
+	if err := e.store.Remove(1); err != nil {
+		t.Fatal(err)
+	}
+	e.Unregister(1)
+	for id := adstore.AdID(100); id < 100+churnCap-1; id++ {
+		if err := e.AddAd(simpleAd(id, 11, 0.1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.AddAd(simpleAd(5, 7, 0.5)); err != nil {
+		t.Fatal(err)
+	}
+	if s5, _ := e.slotOf(5); s5 != 0 {
+		t.Fatalf("ad 5 took slot %d, the scenario needs ad 1's slot 0, below ad 10's", s5)
+	}
+	if got := e.BufferSize(1); got != 2 {
+		t.Fatalf("buffer holds %d ads, want ads 5 and 10", got)
+	}
+	// Posts on another term, each read, fill the window and evict message 2.
 	for i := 0; i < 6; i++ {
 		now = now.Add(time.Minute)
-		deliver(t, e, feed.MessageID(2+i), now, textproc.SparseVector{{ID: 8, W: 1}})
+		deliver(t, e, feed.MessageID(3+i), now, textproc.SparseVector{{ID: 8, W: 1}})
+		e.BufferSize(1)
 	}
 	if got := e.BufferSize(1); got != 0 {
 		t.Fatalf("%d ads still buffered after their only message left the window: %+v", got, e.users[1].buf.e)
+	}
+}
+
+// TestEntriesAreTwelveBytes pins the per-entry bytes that buffers per reader
+// and delta lists per post multiply: a slot and a packed coefficient, with no
+// padding.
+func TestEntriesAreTwelveBytes(t *testing.T) {
+	var buf dynBuf
+	var mc msgCache
+	if b, d := unsafe.Sizeof(buf.e[0]), unsafe.Sizeof(mc.deltas[0]); b != 12 || d != 12 {
+		t.Fatalf("a buffer entry is %d bytes and a delta entry %d, want 12 each", b, d)
 	}
 }

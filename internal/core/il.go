@@ -51,21 +51,21 @@ func (ix *indexed) CheckIn(u feed.UserID, p geo.Point, t time.Time) error {
 }
 
 // offerStatic submits the candidates whose text relevance is zero: the
-// geo-targeted ads registered in the user's grid cell, unless the collector
-// already turns away their score ceiling (Scoring.maxStatic), plus global ads
-// in descending bid order, stopping as soon as no further global ad can enter
-// the collector. skip filters ads already offered through the text path;
-// budget is offer's. It reports how many static candidates it examined and
-// how many passed eligibility gating into the collector, for the score
-// stage's trace span.
-func (ix *indexed) offerStatic(c *topk.Collector, st *userState, sl timeslot.Slot, t time.Time, budget bool, skip func(adstore.AdID) bool) (examined, offered int) {
+// geo-targeted ads registered in the user's grid cell, read from the grid in
+// place, unless the collector already turns away their score ceiling
+// (Scoring.maxStatic), plus global ads in descending bid order, stopping as
+// soon as no further global ad can enter the collector. skip filters the
+// slots of ads already offered through the text path; budget is offer's. It
+// reports how many static candidates it examined and how many passed
+// eligibility gating into the collector, for the score stage's trace span.
+func (ix *indexed) offerStatic(c *topk.Collector, st *userState, sl timeslot.Slot, t time.Time, budget bool, skip func(uint32) bool) (examined, offered int) {
 	if st.hasLoc && c.WouldAccept(ix.scoring.maxStatic()) {
-		for _, id := range ix.geoIdx.LocalCandidates(st.loc) {
-			if skip != nil && skip(id) {
+		for _, slot := range ix.geoIdx.LocalCandidates(st.loc) {
+			if skip(slot) {
 				continue
 			}
 			examined++
-			if ix.offer(c, ix.ad(id), 0, st, sl, t, budget) {
+			if ix.offer(c, ix.ads[slot], slot, 0, st, sl, t, budget) {
 				offered++
 			}
 		}
@@ -73,20 +73,17 @@ func (ix *indexed) offerStatic(c *topk.Collector, st *userState, sl timeslot.Slo
 	// Global ads: bid-descending, so static scores are non-increasing. Once
 	// the collector is full and the best remaining static score cannot beat
 	// the threshold, no later entry can either.
-	for _, id := range ix.geoIdx.GlobalByBid() {
-		a := ix.ad(id)
-		if a == nil {
-			continue
-		}
+	for _, g := range ix.geoIdx.GlobalByBid() {
+		a := ix.ads[g.Slot]
 		bound := ix.scoring.staticScore(a, st.loc, st.hasLoc)
 		if !c.WouldAccept(bound) {
 			break
 		}
-		if skip != nil && skip(id) {
+		if skip(g.Slot) {
 			continue
 		}
 		examined++
-		if ix.offer(c, a, 0, st, sl, t, budget) {
+		if ix.offer(c, a, g.Slot, 0, st, sl, t, budget) {
 			offered++
 		}
 	}
@@ -129,15 +126,15 @@ func (e *IL) TopAds(u feed.UserID, k int, t time.Time) ([]Scored, error) {
 	c := topk.NewCollector(k)
 	deltas := e.acc.DeltaList(e.inv, ctx)
 	for _, d := range deltas {
-		e.offer(c, e.ad(d.Ad), d.Coeff*factor, st, sl, t, true)
+		e.offer(c, e.ads[d.Slot], d.Slot, d.Coeff.Float64()*factor, st, sl, t, true)
 	}
-	e.offerStatic(c, st, sl, t, true, func(id adstore.AdID) bool {
-		_, seen := findDelta(deltas, id)
+	e.offerStatic(c, st, sl, t, true, func(slot uint32) bool {
+		_, seen := findDelta(deltas, slot)
 		return seen
 	})
-	return e.resolve(nil, c.Items(), st, func(id adstore.AdID) float64 {
-		if i, ok := findDelta(deltas, id); ok {
-			return deltas[i].Coeff * factor
+	return e.resolve(nil, c.Items(), st, func(it topk.Item) float64 {
+		if i, ok := findDelta(deltas, it.Slot); ok {
+			return deltas[i].Coeff.Float64() * factor
 		}
 		return 0
 	}), nil

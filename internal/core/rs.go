@@ -46,10 +46,10 @@ func (e *RS) AppendTopAds(dst []Scored, u feed.UserID, k int, t time.Time) ([]Sc
 	sl := timeslot.Of(t)
 	c := topk.NewCollector(k)
 	e.store.ForEach(func(a *adstore.Ad) {
-		e.offer(c, a, a.Vec.Dot(ctx)*factor, st, sl, t, true)
+		e.offer(c, a, 0, a.Vec.Dot(ctx)*factor, st, sl, t, true)
 	})
-	return e.resolve(dst, c.Items(), st, func(id adstore.AdID) float64 {
-		a := e.store.Get(id)
+	return e.resolve(dst, c.Items(), st, func(it topk.Item) float64 {
+		a := e.store.Get(adstore.AdID(it.ID))
 		if a == nil {
 			return 0
 		}

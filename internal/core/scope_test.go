@@ -84,7 +84,7 @@ func TestBufferScopedToTheUserCell(t *testing.T) {
 			st := e.users[u]
 			held := 0
 			for _, en := range st.buf.e {
-				a := store.Get(en.ad)
+				a := e.ads[en.Slot]
 				switch {
 				case !st.hasLoc && !a.Global:
 					t.Fatalf("%s: CAP %d buffers geo-targeted ad %d for a user with no location", step, i, a.ID)

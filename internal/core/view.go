@@ -29,11 +29,13 @@ const (
 	viewMaxNoted   = 256
 )
 
-// viewEntry is one tracked ad: what sorting needs. static depends on the
-// user's location only, which is fixed for the life of a view; the text and
-// geo parts of the k ads an answer emits are recomputed then.
+// viewEntry is one tracked ad: its slot, where the buffer keeps its value,
+// and what sorting needs. static depends on the user's location only, which
+// is fixed for the life of a view; the text and geo parts of the k ads an
+// answer emits are recomputed then.
 type viewEntry struct {
 	a      *adstore.Ad
+	slot   uint32
 	static float64 // β·geo + γ·bid
 	score  float64 // α·text + static at the last query
 }
@@ -60,9 +62,9 @@ type topView struct {
 	size    int // tracked ads kept by a cut: viewSlack × the k it was made for
 	slot    timeslot.Slot
 	asOf    time.Time
-	bound   float64        // -Inf: every eligible ad is tracked
-	tracked []viewEntry    // capacity size + viewJoinRoom, never more
-	noted   []adstore.AdID // at most viewMaxNoted
+	bound   float64     // -Inf: every eligible ad is tracked
+	tracked []viewEntry // capacity size + viewJoinRoom, never more
+	noted   []uint32    // slots, at most viewMaxNoted
 }
 
 // fromView answers a query from the user's view — re-scoring only the
@@ -105,8 +107,8 @@ func (e *CAP) buildView(buf *dynBuf, st *userState, mult float64, k int, sl time
 	v.slot, v.asOf = sl, t
 	v.noted, v.tracked = v.noted[:0], v.tracked[:0]
 	for _, it := range items {
-		a := e.ad(adstore.AdID(it.ID))
-		v.tracked = append(v.tracked, viewEntry{a: a, static: e.scoring.staticScore(a, st.loc, st.hasLoc), score: it.Score})
+		a := e.ads[it.Slot]
+		v.tracked = append(v.tracked, viewEntry{a: a, slot: it.Slot, static: e.scoring.staticScore(a, st.loc, st.hasLoc), score: it.Score})
 	}
 	// Whatever the collector turned away or pushed out scored no higher
 	// than the weakest ad it kept; a collector that never filled saw every
@@ -127,13 +129,13 @@ func (e *CAP) buildView(buf *dynBuf, st *userState, mult float64, k int, sl time
 func (e *CAP) refreshView(v *topView, buf *dynBuf, st *userState, mult float64) {
 	for i := range v.tracked {
 		en := &v.tracked[i]
-		en.score = e.scoring.AlphaText*(buf.get(en.a.ID)*mult) + en.static
+		en.score = e.scoring.AlphaText*(buf.get(en.slot)*mult) + en.static
 	}
-	for _, id := range v.noted {
-		if v.tracks(id) {
+	for _, slot := range v.noted {
+		if v.tracks(slot) {
 			continue
 		}
-		a := e.ad(id)
+		a := e.ads[slot]
 		if a == nil {
 			continue
 		}
@@ -142,20 +144,20 @@ func (e *CAP) refreshView(v *topView, buf *dynBuf, st *userState, mult float64) 
 			continue
 		}
 		static := e.scoring.static(a, geoScore)
-		if sc := e.scoring.AlphaText*(buf.get(id)*mult) + static; sc > v.bound {
+		if sc := e.scoring.AlphaText*(buf.get(slot)*mult) + static; sc > v.bound {
 			if len(v.tracked) == cap(v.tracked) {
 				v.cut()
 			}
-			v.tracked = append(v.tracked, viewEntry{a: a, static: static, score: sc})
+			v.tracked = append(v.tracked, viewEntry{a: a, slot: slot, static: static, score: sc})
 		}
 	}
 	v.noted = v.noted[:0]
 	v.cut()
 }
 
-// tracks reports whether ad is in the tracked set.
-func (v *topView) tracks(ad adstore.AdID) bool {
-	return slices.ContainsFunc(v.tracked, func(en viewEntry) bool { return en.a.ID == ad })
+// tracks reports whether the ad in slot is in the tracked set.
+func (v *topView) tracks(slot uint32) bool {
+	return slices.ContainsFunc(v.tracked, func(en viewEntry) bool { return en.slot == slot })
 }
 
 // cut sorts the tracked ads into the collector's order — score descending,
@@ -184,7 +186,7 @@ func (e *CAP) emit(dst []Scored, v *topView, st *userState, buf *dynBuf, mult fl
 		if en.a.Campaign != "" && !e.store.HasBudget(en.a.ID, t) {
 			continue
 		}
-		out = append(out, e.decompose(en.a, en.score, buf.get(en.a.ID)*mult, st))
+		out = append(out, e.decompose(en.a, en.score, buf.get(en.slot)*mult, st))
 		if len(out)-len(dst) == k {
 			return out, en.score > v.bound
 		}

@@ -110,7 +110,7 @@ func TestContinuousTopAdsMatchesRSAfterEveryDelivery(t *testing.T) {
 				view, churn := buf.view, churnLog[buf.churned:]
 				var tracked []adstore.AdID
 				for _, id := range churn {
-					if view != nil && eng.ad(id) == nil && view.tracks(id) {
+					if view != nil && eng.ad(id) == nil && view.tracksAd(id) {
 						tracked = append(tracked, id)
 					}
 				}
@@ -272,7 +272,7 @@ func sameAsFullRanking(t *testing.T, e *CAP, k int, at time.Time) []Scored {
 	mult := buf.scale * e.scoring.Decay.Between(st.win.Ref(), at)
 	c := topk.NewCollector(k)
 	e.rank(c, st, buf, mult, timeslot.Of(at), at, true)
-	want := e.resolve(nil, c.Items(), st, func(id adstore.AdID) float64 { return buf.get(id) * mult })
+	want := e.resolve(nil, c.Items(), st, func(it topk.Item) float64 { return buf.get(it.Slot) * mult })
 
 	view0, _ := e.TopAdsPaths()
 	got, err := e.TopAds(1, k, at)
@@ -469,7 +469,7 @@ func TestViewDroppedByAdRemoval(t *testing.T) {
 		t.Fatalf("top ad %d, want 1", top[0].Ad)
 	}
 	v := e.users[1].buf.view
-	if v.tracks(5) || !v.tracks(1) {
+	if v.tracksAd(5) || !v.tracksAd(1) {
 		t.Fatal("the scenario needs ad 1 tracked and ad 5 not")
 	}
 	if err := e.store.Remove(5); err != nil {

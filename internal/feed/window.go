@@ -1,6 +1,7 @@
 package feed
 
 import (
+	"slices"
 	"time"
 
 	"caar/internal/textproc"
@@ -64,18 +65,72 @@ func (w *Window) Push(m Message) (evicted Message, ok bool) {
 	return evicted, true
 }
 
+// mergeOnStack is the largest window Aggregate merges in stack space; a
+// larger one allocates its merge state.
+const mergeOnStack = 64
+
 // Aggregate returns the window's decayed term vector at the reference time,
 // Σ WeightAt(Ref − m.Time)·m.Vec over the resident messages, built in dst's
 // storage, and the factor that takes it to query time q, which is above 1 for
 // a q before the reference. Each term's weight is summed oldest message first.
+//
+// The message vectors are sorted already, so the sum is a W-way merge, not a
+// sort: a min-heap holds each message's next term keyed by term ID and then
+// by the message's position, oldest first, so the terms of one ID come out
+// oldest message first and are added in that order — the order a stable sort
+// of every weighted term would add them in.
 func (w *Window) Aggregate(dst textproc.SparseVector, q time.Time) (textproc.SparseVector, float64) {
-	dst = dst[:0]
+	var (
+		keysOn   [mergeOnStack]uint64
+		restOn   [mergeOnStack]textproc.SparseVector
+		weightOn [mergeOnStack]float64
+	)
+	keys, rest, weight := keysOn[:0], restOn[:], weightOn[:]
+	if w.n > mergeOnStack {
+		keys, rest, weight = make([]uint64, 0, w.n), make([]textproc.SparseVector, w.n), make([]float64, w.n)
+	}
 	for i := range w.n {
 		m := w.At(i)
-		s := w.decay.WeightAt(w.ref.Sub(m.Time))
-		for _, t := range m.Vec {
-			dst = append(dst, textproc.Term{ID: t.ID, W: t.W * s})
+		rest[i], weight[i] = m.Vec, w.decay.WeightAt(w.ref.Sub(m.Time))
+		if len(m.Vec) > 0 {
+			keys = append(keys, uint64(m.Vec[0].ID)<<32|uint64(i))
 		}
 	}
-	return textproc.NewVector(dst), w.decay.Between(w.ref, q)
+	slices.Sort(keys) // a sorted slice is a heap
+	dst = dst[:0]
+	for len(keys) > 0 {
+		id, i := textproc.TermID(keys[0]>>32), uint32(keys[0])
+		x := float64(rest[i][0].W * weight[i])
+		if n := len(dst); n > 0 && dst[n-1].ID == id {
+			dst[n-1].W += x
+		} else {
+			dst = append(dst, textproc.Term{ID: id, W: x})
+		}
+		if rest[i] = rest[i][1:]; len(rest[i]) > 0 {
+			keys[0] = uint64(rest[i][0].ID)<<32 | uint64(i)
+		} else {
+			keys[0] = keys[len(keys)-1]
+			keys = keys[:len(keys)-1]
+		}
+		siftDown(keys)
+	}
+	return dst, w.decay.Between(w.ref, q)
+}
+
+// siftDown restores the min-heap h after its root was replaced.
+func siftDown(h []uint64) {
+	for i := 0; ; {
+		l := 2*i + 1
+		if l >= len(h) {
+			return
+		}
+		if r := l + 1; r < len(h) && h[r] < h[l] {
+			l = r
+		}
+		if h[i] <= h[l] {
+			return
+		}
+		h[i], h[l] = h[l], h[i]
+		i = l
+	}
 }

@@ -324,3 +324,65 @@ func TestWindowAggregateMatchesDirectSum(t *testing.T) {
 		})
 	}
 }
+
+// sortedAggregate is the aggregate as a sort makes it: every resident
+// message's terms times its weight, oldest message first, through
+// textproc.NewVector's stable sort and fold.
+func sortedAggregate(w *Window) textproc.SparseVector {
+	var terms []textproc.Term
+	for i := range w.Len() {
+		m := w.At(i)
+		s := w.decay.WeightAt(w.ref.Sub(m.Time))
+		for _, t := range m.Vec {
+			terms = append(terms, textproc.Term{ID: t.ID, W: t.W * s})
+		}
+	}
+	return textproc.NewVector(terms)
+}
+
+// FuzzAggregateMergeMatchesSort decodes data into a window's capacity and a
+// stream of pushes — post times that move on or fall back, vectors over a
+// small vocabulary so that messages share terms — and requires the merged
+// aggregate, summed into one reused vector, to equal the sorted one term for
+// term and bit for bit after every push.
+func FuzzAggregateMergeMatchesSort(f *testing.F) {
+	f.Add([]byte{3, 1, 2, 1, 5, 9, 0, 3, 2, 5, 7, 200, 4, 1, 2, 3, 4})
+	// Three posts on the same two terms: summed newest first, term 0 comes
+	// out a rounding step off.
+	f.Add([]byte{2, 30, 1, 2, 0, 10, 1, 20, 40, 1, 2, 0, 100, 1, 33, 50, 1, 2, 0, 250, 1, 77})
+	f.Add([]byte{1, 0, 1, 7, 0, 1, 7, 0, 1, 7})                             // a one-slot window, one term over and over
+	f.Add([]byte{8, 5, 9, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 250, 2, 9, 8, 255}) // wide vectors, a step back in time
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() int {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return int(b)
+		}
+		w := NewWindow(1+next()%12, timeslot.NewDecay(time.Minute))
+		var ctx textproc.SparseVector
+		now := t0
+		for id := 0; len(data) > 0; id++ {
+			// Mostly forward, by up to four minutes; one step in eight back.
+			step := time.Duration(next()%240) * time.Second
+			if next()%8 == 0 {
+				step = -step
+			}
+			now = now.Add(step)
+			var terms []textproc.Term
+			for n := next() % 10; n > 0; n-- {
+				terms = append(terms, textproc.Term{ID: textproc.TermID(next() % 16), W: float64(1+next()) / 7})
+			}
+			w.Push(Message{ID: MessageID(id), Time: now, Vec: textproc.NewVector(terms)})
+			ctx, _ = w.Aggregate(ctx, now)
+			want := sortedAggregate(w)
+			if !slices.EqualFunc(ctx, want, func(x, y textproc.Term) bool {
+				return x.ID == y.ID && math.Float64bits(x.W) == math.Float64bits(y.W)
+			}) {
+				t.Fatalf("push %d: merged aggregate %v, sorted %v", id, ctx, want)
+			}
+		}
+	})
+}

@@ -14,11 +14,14 @@ type CellID int32
 const InvalidCell CellID = -1
 
 // Grid partitions a coverage rectangle into Rows × Cols equal cells and keeps
-// the item IDs of each cell in one ascending slice: 8 bytes an item (an ad
-// with a wide circle sits in hundreds of cells), membership by binary search.
-// It is the coarse spatial pre-filter of the ad pipeline: ads register the
-// cells their target circles overlap, and a user location maps to exactly one
-// cell, so eligibility checks touch only the ads registered there.
+// the items of each cell in one ascending slice: 4 bytes an item (an ad with
+// a wide circle sits in hundreds of cells), membership by binary search.
+// Items are uint32 handles, the engine's ad slots. It is the coarse spatial
+// pre-filter of the ad pipeline: ads register under the block of cells their
+// target circles overlap (Reach), and a user location maps to exactly one
+// cell, so eligibility checks touch only the ads registered there. The grid
+// keeps no reverse map: the caller, which keeps each item's reach anyway,
+// names it again to remove the item.
 //
 // Grid is not safe for concurrent mutation; the engine guards it with its own
 // lock. Reads concurrent with reads are safe.
@@ -26,10 +29,9 @@ type Grid struct {
 	cover Rect
 	rows  int
 	cols  int
-	cellH float64            // latitude degrees per row
-	cellW float64            // longitude degrees per column
-	cells map[CellID][]int64 // ascending
-	items map[int64][]CellID // reverse map for O(cells) removal
+	cellH float64             // latitude degrees per row
+	cellW float64             // longitude degrees per column
+	cells map[CellID][]uint32 // ascending
 }
 
 // NewGrid creates a grid over cover with the given resolution. rows and cols
@@ -50,8 +52,7 @@ func NewGrid(cover Rect, rows, cols int) (*Grid, error) {
 		cols:  cols,
 		cellH: (cover.MaxLat - cover.MinLat) / float64(rows),
 		cellW: (cover.MaxLng - cover.MinLng) / float64(cols),
-		cells: make(map[CellID][]int64),
-		items: make(map[int64][]CellID),
+		cells: make(map[CellID][]uint32),
 	}, nil
 }
 
@@ -76,6 +77,10 @@ func (g *Grid) CellOf(p Point) CellID {
 // MinCol through MaxCol. One with MaxRow below MinRow holds no cell.
 type Reach struct{ MinRow, MaxRow, MinCol, MaxCol int16 }
 
+// Everywhere is the reach that holds every cell of any grid, and every block
+// of cells: no grid reaches past the int16 bounds.
+var Everywhere = Reach{MinRow: math.MinInt16, MaxRow: math.MaxInt16, MinCol: math.MinInt16, MaxCol: math.MaxInt16}
+
 // Holds reports whether every cell of s, which is not empty, lies in r. It is
 // one sign test and no branch: a bound of s outside r makes one of the four
 // differences negative.
@@ -86,7 +91,7 @@ func (r Reach) Holds(s Reach) bool {
 
 // Reach returns the block of cells r overlaps, clipped to the coverage
 // rectangle; it is empty when r misses the coverage. The reach of a circle's
-// Bounds is the block InsertCircle registers the circle under, and holds the
+// Bounds is the block an ad's circle is inserted under, and holds the
 // cell of every covered point the circle contains
 // (FuzzGridCoversContainedPoints); the reach of a covered point is its cell.
 func (g *Grid) Reach(r Rect) Reach {
@@ -101,17 +106,14 @@ func (g *Grid) Reach(r Rect) Reach {
 	}
 }
 
-// CellsIntersecting returns the IDs of all cells overlapping r, clipped to the
-// coverage rectangle: the cells of its Reach. The result is empty when r
-// misses the coverage entirely.
-func (g *Grid) CellsIntersecting(r Rect) []CellID {
-	b := g.Reach(r)
-	if b.MaxRow < b.MinRow {
+// Cells returns the IDs of the cells of r, a reach of this grid, row by row.
+func (g *Grid) Cells(r Reach) []CellID {
+	if r.MaxRow < r.MinRow || r.MaxCol < r.MinCol {
 		return nil
 	}
-	out := make([]CellID, 0, int(b.MaxRow-b.MinRow+1)*int(b.MaxCol-b.MinCol+1))
-	for row := int(b.MinRow); row <= int(b.MaxRow); row++ {
-		for col := int(b.MinCol); col <= int(b.MaxCol); col++ {
+	out := make([]CellID, 0, int(r.MaxRow-r.MinRow+1)*int(r.MaxCol-r.MinCol+1))
+	for row := int(r.MinRow); row <= int(r.MaxRow); row++ {
+		for col := int(r.MinCol); col <= int(r.MaxCol); col++ {
 			out = append(out, CellID(row*g.cols+col))
 		}
 	}
@@ -122,30 +124,21 @@ func (g *Grid) clampRow(r float64) int16 { return int16(max(0, min(r, float64(g.
 
 func (g *Grid) clampCol(c float64) int16 { return int16(max(0, min(c, float64(g.cols-1)))) }
 
-// InsertCircle registers item in every cell its circle's bounding box
-// overlaps. Re-inserting an existing item replaces its registration.
-func (g *Grid) InsertCircle(item int64, c Circle) {
-	g.Remove(item)
-	ids := g.CellsIntersecting(c.Bounds())
-	if len(ids) == 0 {
-		return
-	}
-	for _, id := range ids {
+// Insert registers item in every cell of r, which is one of the grid's
+// reaches; a cell that holds it already is left as it is.
+func (g *Grid) Insert(item uint32, r Reach) {
+	for _, id := range g.Cells(r) {
 		cell := g.cells[id]
 		if i, found := slices.BinarySearch(cell, item); !found {
 			g.cells[id] = slices.Insert(cell, i, item)
 		}
 	}
-	g.items[item] = ids
 }
 
-// Remove deletes an item's registration. Removing an unknown item is a no-op.
-func (g *Grid) Remove(item int64) {
-	ids, ok := g.items[item]
-	if !ok {
-		return
-	}
-	for _, id := range ids {
+// Remove deletes item from every cell of r, the reach it was inserted under.
+// A cell that does not hold it is left as it is.
+func (g *Grid) Remove(item uint32, r Reach) {
+	for _, id := range g.Cells(r) {
 		cell := g.cells[id]
 		if i, found := slices.BinarySearch(cell, item); found {
 			cell = slices.Delete(cell, i, i+1)
@@ -156,12 +149,11 @@ func (g *Grid) Remove(item int64) {
 			g.cells[id] = cell
 		}
 	}
-	delete(g.items, item)
 }
 
 // ItemsAt returns the items registered in the cell containing p, ascending.
 // The slice is the grid's own: read-only, and valid until the next mutation.
-func (g *Grid) ItemsAt(p Point) []int64 {
+func (g *Grid) ItemsAt(p Point) []uint32 {
 	id := g.CellOf(p)
 	if id == InvalidCell {
 		return nil

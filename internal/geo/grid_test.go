@@ -12,9 +12,27 @@ import (
 var worldRect = Rect{MinLat: -90, MinLng: -180, MaxLat: 90, MaxLng: 180}
 
 // registeredAt reports whether item is registered in the cell containing p.
-func registeredAt(g *Grid, item int64, p Point) bool {
+func registeredAt(g *Grid, item uint32, p Point) bool {
 	_, ok := slices.BinarySearch(g.ItemsAt(p), item)
 	return ok
+}
+
+// insertCircle registers item under the reach of c's bounds, as the ad index
+// registers a geo-targeted ad, and returns the reach.
+func insertCircle(g *Grid, item uint32, c Circle) Reach {
+	r := g.Reach(c.Bounds())
+	g.Insert(item, r)
+	return r
+}
+
+// items returns the distinct items registered in any cell.
+func items(g *Grid) []uint32 {
+	var out []uint32
+	for _, cell := range g.cells {
+		out = append(out, cell...)
+	}
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 func mustGrid(t *testing.T, cover Rect, rows, cols int) *Grid {
@@ -68,22 +86,23 @@ func TestCellOfCorners(t *testing.T) {
 
 func TestCellsIntersecting(t *testing.T) {
 	g := mustGrid(t, NewRect(Point{0, 0}, Point{10, 10}), 10, 10)
+	cells := func(r Rect) []CellID { return g.Cells(g.Reach(r)) }
 	// A rect covering cells (2,2)..(4,5) inclusive => 3 rows × 4 cols = 12.
-	got := g.CellsIntersecting(NewRect(Point{2.1, 2.1}, Point{4.9, 5.9}))
+	got := cells(NewRect(Point{2.1, 2.1}, Point{4.9, 5.9}))
 	if len(got) != 12 {
 		t.Fatalf("got %d cells, want 12: %v", len(got), got)
 	}
 	// Rect entirely off coverage.
-	if got := g.CellsIntersecting(NewRect(Point{20, 20}, Point{30, 30})); got != nil {
+	if got := cells(NewRect(Point{20, 20}, Point{30, 30})); got != nil {
 		t.Fatalf("off-cover rect should yield nil, got %v", got)
 	}
 	// Rect partially off coverage clips.
-	got = g.CellsIntersecting(NewRect(Point{-5, -5}, Point{0.5, 0.5}))
+	got = cells(NewRect(Point{-5, -5}, Point{0.5, 0.5}))
 	if len(got) != 1 || got[0] != 0 {
 		t.Fatalf("clipped rect = %v, want [0]", got)
 	}
 	// World-size rect covers every cell.
-	if got := g.CellsIntersecting(worldRect); len(got) != 100 {
+	if got := cells(worldRect); len(got) != 100 {
 		t.Fatalf("world rect covers %d cells, want 100", len(got))
 	}
 }
@@ -91,9 +110,9 @@ func TestCellsIntersecting(t *testing.T) {
 func TestGridInsertQueryRemove(t *testing.T) {
 	g := mustGrid(t, NewRect(Point{0, 0}, Point{10, 10}), 10, 10)
 	c := Circle{Center: Point{5, 5}, RadiusKm: 1} // tiny: a single cell
-	g.InsertCircle(7, c)
-	if len(g.items) != 1 {
-		t.Fatalf("items = %d, want 1", len(g.items))
+	r := insertCircle(g, 7, c)
+	if got := items(g); len(got) != 1 {
+		t.Fatalf("items = %v, want [7]", got)
 	}
 	if !registeredAt(g, 7, Point{5, 5}) {
 		t.Error("item should be found at circle center")
@@ -101,29 +120,31 @@ func TestGridInsertQueryRemove(t *testing.T) {
 	if registeredAt(g, 7, Point{9.9, 9.9}) {
 		t.Error("item should not be registered far away")
 	}
-	items := g.ItemsAt(Point{5, 5})
-	if len(items) != 1 || items[0] != 7 {
-		t.Fatalf("ItemsAt = %v, want [7]", items)
+	if at := g.ItemsAt(Point{5, 5}); len(at) != 1 || at[0] != 7 {
+		t.Fatalf("ItemsAt = %v, want [7]", at)
 	}
-	g.Remove(7)
-	if len(g.items) != 0 || registeredAt(g, 7, Point{5, 5}) {
+	g.Remove(7, r)
+	if len(items(g)) != 0 || len(g.cells) != 0 || registeredAt(g, 7, Point{5, 5}) {
 		t.Error("item should be gone after Remove")
 	}
-	g.Remove(7) // removing twice is a no-op
+	g.Remove(7, r) // removing twice is a no-op
 }
 
+// TestGridReinsertReplaces: an item removed under its old reach and inserted
+// under a new one is registered under the new one only.
 func TestGridReinsertReplaces(t *testing.T) {
 	g := mustGrid(t, NewRect(Point{0, 0}, Point{10, 10}), 10, 10)
-	g.InsertCircle(1, Circle{Center: Point{1, 1}, RadiusKm: 1})
-	g.InsertCircle(1, Circle{Center: Point{9, 9}, RadiusKm: 1})
+	old := insertCircle(g, 1, Circle{Center: Point{1, 1}, RadiusKm: 1})
+	g.Remove(1, old)
+	now := insertCircle(g, 1, Circle{Center: Point{9, 9}, RadiusKm: 1})
 	if registeredAt(g, 1, Point{1, 1}) {
 		t.Error("old registration should be replaced")
 	}
 	if !registeredAt(g, 1, Point{9, 9}) {
 		t.Error("new registration missing")
 	}
-	if len(g.items) != 1 {
-		t.Fatalf("items = %d, want 1", len(g.items))
+	if got := items(g); len(got) != 1 || len(g.cells) != len(g.Cells(now)) {
+		t.Fatalf("items = %v in %d cells, want [1] in the %d of its new reach", got, len(g.cells), len(g.Cells(now)))
 	}
 }
 
@@ -133,52 +154,53 @@ func TestGridCellsStaySortedSets(t *testing.T) {
 	g := mustGrid(t, NewRect(Point{0, 0}, Point{10, 10}), 10, 10)
 	at := Point{5, 5}
 	c := Circle{Center: at, RadiusKm: 1}
-	want := func(ids ...int64) {
+	r := g.Reach(c.Bounds())
+	want := func(ids ...uint32) {
 		t.Helper()
 		got := g.ItemsAt(at)
 		if !slices.Equal(got, ids) {
 			t.Fatalf("ItemsAt = %v, want %v", got, ids)
 		}
-		for _, id := range []int64{1, 3, 5, 7, 9} {
+		for _, id := range []uint32{1, 3, 5, 7, 9} {
 			if registeredAt(g, id, at) != slices.Contains(ids, id) {
 				t.Fatalf("registeredAt(%d) = %v with cell %v", id, registeredAt(g, id, at), got)
 			}
 		}
 	}
-	for _, id := range []int64{7, 3, 9, 5} { // not ascending
-		g.InsertCircle(id, c)
+	for _, id := range []uint32{7, 3, 9, 5} { // not ascending
+		g.Insert(id, r)
 	}
 	want(3, 5, 7, 9)
-	g.InsertCircle(5, c) // the same registration twice
-	g.InsertCircle(5, c)
+	g.Insert(5, r) // the same registration twice
+	g.Insert(5, r)
 	want(3, 5, 7, 9)
-	if len(g.items) != 4 {
-		t.Fatalf("items = %d after duplicate inserts, want 4", len(g.items))
+	if got := items(g); len(got) != 4 {
+		t.Fatalf("items = %v after duplicate inserts, want 4", got)
 	}
-	g.Remove(3) // first, middle-after-shift, then put back
+	g.Remove(3, r) // first, middle-after-shift, then put back
 	want(5, 7, 9)
-	g.Remove(7)
+	g.Remove(7, r)
 	want(5, 9)
-	g.InsertCircle(7, c)
-	g.InsertCircle(3, c)
-	g.InsertCircle(1, c)
+	g.Insert(7, r)
+	g.Insert(3, r)
+	g.Insert(1, r)
 	want(1, 3, 5, 7, 9)
-	for _, id := range []int64{9, 1, 5, 3, 7} {
-		g.Remove(id)
+	for _, id := range []uint32{9, 1, 5, 3, 7} {
+		g.Remove(id, r)
 	}
 	want()
-	if len(g.items) != 0 || len(g.cells) != 0 {
-		t.Fatalf("items = %d with %d cells held after every item left", len(g.items), len(g.cells))
+	if len(g.cells) != 0 {
+		t.Fatalf("%d cells held after every item left", len(g.cells))
 	}
-	g.InsertCircle(5, c) // an emptied cell takes items again
+	g.Insert(5, r) // an emptied cell takes items again
 	want(5)
 }
 
 func TestGridInsertOutsideCoverage(t *testing.T) {
 	g := mustGrid(t, NewRect(Point{0, 0}, Point{10, 10}), 10, 10)
-	g.InsertCircle(5, Circle{Center: Point{80, 80}, RadiusKm: 10})
-	if len(g.items) != 0 {
-		t.Fatalf("circle outside coverage should not register, items=%d", len(g.items))
+	insertCircle(g, 5, Circle{Center: Point{80, 80}, RadiusKm: 10})
+	if len(g.cells) != 0 {
+		t.Fatalf("circle outside coverage should not register, cells=%d", len(g.cells))
 	}
 	if g.ItemsAt(Point{80, 80}) != nil {
 		t.Error("query outside coverage should be nil")
@@ -193,7 +215,7 @@ func TestGridAgainstExhaustive(t *testing.T) {
 	cover := NewRect(Point{0, 0}, Point{10, 10})
 	g := mustGrid(t, cover, 16, 16)
 	type entry struct {
-		id int64
+		id uint32
 		c  Circle
 	}
 	var entries []entry
@@ -202,12 +224,12 @@ func TestGridAgainstExhaustive(t *testing.T) {
 			Center:   Point{Lat: rng.Float64() * 10, Lng: rng.Float64() * 10},
 			RadiusKm: rng.Float64() * 120,
 		}
-		g.InsertCircle(int64(i), c)
-		entries = append(entries, entry{int64(i), c})
+		insertCircle(g, uint32(i), c)
+		entries = append(entries, entry{uint32(i), c})
 	}
 	for q := 0; q < 500; q++ {
 		p := Point{Lat: rng.Float64() * 10, Lng: rng.Float64() * 10}
-		cellItems := map[int64]bool{}
+		cellItems := map[uint32]bool{}
 		for _, id := range g.ItemsAt(p) {
 			cellItems[id] = true
 		}
@@ -271,7 +293,7 @@ func FuzzGridCoversContainedPoints(f *testing.F) {
 		if reach := g.Reach(c.Bounds()); !reach.Holds(cell) {
 			t.Fatalf("%+v contains %v (cell %+v) outside its reach %+v", c, p, cell, reach)
 		}
-		g.InsertCircle(1, c)
+		insertCircle(g, 1, c)
 		if !registeredAt(g, 1, p) {
 			t.Fatalf("%+v contains %v but is not registered in its cell", c, p)
 		}

@@ -40,8 +40,8 @@ func newGeoAds(t *testing.T) *GeoAds {
 
 func TestGeoAdsLocalCandidates(t *testing.T) {
 	g := newGeoAds(t)
-	g.Add(geoAd(1, 5, 5, 10, 0.5))
-	g.Add(geoAd(2, 9, 9, 10, 0.5))
+	g.Add(1, geoAd(1, 5, 5, 10, 0.5))
+	g.Add(2, geoAd(2, 9, 9, 10, 0.5))
 	here := geo.Point{Lat: 5, Lng: 5}
 	cands := g.LocalCandidates(here)
 	found := false
@@ -63,42 +63,46 @@ func TestGeoAdsLocalCandidates(t *testing.T) {
 
 func TestGeoAdsGlobalByBidOrder(t *testing.T) {
 	g := newGeoAds(t)
-	g.Add(globalAd(1, 0.3))
-	g.Add(globalAd(2, 0.9))
-	g.Add(globalAd(3, 0.9)) // tie: lower ID first
-	g.Add(globalAd(4, 0.5))
+	// Slots in another order than IDs: the list follows bid, then ID.
+	g.Add(4, globalAd(1, 0.3))
+	g.Add(3, globalAd(2, 0.9))
+	if r := g.Add(2, globalAd(3, 0.9)); r != geo.Everywhere { // tie: lower ID first
+		t.Fatalf("a global ad's reach is %+v", r)
+	}
+	g.Add(1, globalAd(4, 0.5))
 	got := g.GlobalByBid()
 	want := []adstore.AdID{2, 3, 4, 1}
 	if len(got) != len(want) {
-		t.Fatalf("GlobalByBid = %v, want %v", got, want)
+		t.Fatalf("GlobalByBid = %v, want IDs %v", got, want)
 	}
 	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("GlobalByBid = %v, want %v", got, want)
+		if got[i].id != want[i] || got[i].Slot != uint32(5-want[i]) {
+			t.Fatalf("GlobalByBid = %v, want IDs %v", got, want)
 		}
 	}
 }
 
 func TestGeoAdsRemove(t *testing.T) {
 	g := newGeoAds(t)
-	g.Add(geoAd(1, 5, 5, 10, 0.5))
-	g.Add(globalAd(2, 0.7))
-	g.Remove(1)
-	g.Remove(2)
+	r1 := g.Add(1, geoAd(1, 5, 5, 10, 0.5))
+	r2 := g.Add(2, globalAd(2, 0.7))
+	g.Remove(1, r1)
+	g.Remove(2, r2)
 	if got := g.LocalCandidates(geo.Point{Lat: 5, Lng: 5}); len(got) != 0 {
 		t.Fatalf("removed geo ad still indexed: %v", got)
 	}
 	if got := g.GlobalByBid(); len(got) != 0 {
 		t.Fatalf("removed global ad still listed: %v", got)
 	}
-	g.Remove(99) // unknown: no-op
+	g.Remove(99, geo.Everywhere) // unknown: no-op
+	g.Remove(99, r1)
 }
 
 func TestGeoAdsNoFalseNegatives(t *testing.T) {
 	g := newGeoAds(t)
 	// An ad whose circle covers the query point must always be in the
 	// candidate cell list (the grid guarantee).
-	g.Add(geoAd(7, 3, 3, 200, 0.5))
+	g.Add(7, geoAd(7, 3, 3, 200, 0.5))
 	probes := []geo.Point{{Lat: 3, Lng: 3}, {Lat: 3.9, Lng: 3}, {Lat: 3, Lng: 4.5}}
 	for _, p := range probes {
 		ad := geoAd(7, 3, 3, 200, 0.5)

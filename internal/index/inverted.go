@@ -3,10 +3,15 @@
 // whose text score it moves (the delta lists at the heart of the CAP
 // engine), and a spatial/static index that pre-filters ads by geographic
 // cell and ranks the text-silent remainder by static score.
+//
+// Both name an ad by its slot: a dense uint32 the inverted index assigns at
+// registration, which the engine's per-ad tables are indexed by. A delta
+// list is ordered by slot, and so is every structure built from one; the ad
+// ID stays at the edges, where an ad is registered, withdrawn or ranked.
 package index
 
 import (
-	"cmp"
+	"math"
 	"math/bits"
 	"slices"
 	"sync"
@@ -23,11 +28,27 @@ type posting struct {
 }
 
 // Delta is the text-score contribution of one message (or one query context)
-// to one ad: Coeff = Σ_τ msg[τ]·ad[τ] over the terms they share.
+// to the ad in Slot: Coeff = Σ_τ msg[τ]·ad[τ] over the terms they share. It is
+// 12 bytes: a candidate buffer's entries are Deltas too, and per-entry bytes
+// are what a buffer per reader and a list per post multiply.
 type Delta struct {
-	Ad    adstore.AdID
-	Coeff float64
+	Slot  uint32
+	Coeff Packed
 }
+
+// Packed is a float64 kept as two 32-bit halves, so that it needs only 4-byte
+// alignment and a Delta packs into 12 bytes instead of 16. Packing and
+// unpacking copy the bits: nothing is rounded.
+type Packed [2]uint32
+
+// Pack returns x packed.
+func Pack(x float64) Packed {
+	b := math.Float64bits(x)
+	return Packed{uint32(b), uint32(b >> 32)}
+}
+
+// Float64 returns the packed value.
+func (p Packed) Float64() float64 { return math.Float64frombits(uint64(p[0]) | uint64(p[1])<<32) }
 
 // indexedAd is what the index remembers per ad: its (immutable) vector, whose
 // terms make removal O(|ad terms|·list), and its accumulator slot.
@@ -36,25 +57,26 @@ type indexedAd struct {
 	slot uint32
 }
 
-// Inverted is the keyword inverted index over ad term vectors.
+// Inverted is the keyword inverted index over ad term vectors, and the one
+// allocator of ad slots.
 //
 // Lookups only read the index — DeltaList accumulates in an Accumulator the
-// caller owns — so any number of them may run at once; Add and Remove need
-// the index to themselves. The engine's shards share one index, read it
-// under their own shard lock and write it holding every one.
+// caller owns — so any number of them may run at once; Add, Remove and
+// Release need the index to themselves. The engine's shards share one index,
+// read it under their own shard lock and write it holding every one.
 type Inverted struct {
 	lists    map[textproc.TermID][]posting
 	ads      map[adstore.AdID]indexedAd
 	postings int
 
-	// Accumulator slots. Slots are dense per index, not per AdID: an ID is an
-	// arbitrary int64 (the facade mints them densely; tests, and a catalogue
-	// restored in another order, need not be), and an array cannot be sized
-	// by one. Slots are handed out in registration order — ascending ad ID
-	// when IDs are minted in order, which is what makes a delta list nearly
-	// sorted before it is sorted — and a removed ad's slot is reused.
-	adOf []adstore.AdID
-	free []uint32
+	// Slots are dense per index, not per AdID: an ID is an arbitrary int64
+	// (the facade mints them densely; tests, and a catalogue restored in
+	// another order, need not be), and an array cannot be sized by one. A
+	// removed ad's slot is retired, not freed: it goes back to free only when
+	// the owner of the tables indexed by slot releases it, because until then
+	// something may still hold the slot under the removed ad's identity.
+	slots int // slots ever handed out
+	free  []uint32
 
 	// spare lends Inverted.DeltaList an Accumulator, so a caller without one
 	// of its own pays for the working space once, not on every call.
@@ -87,31 +109,34 @@ func (ix *Inverted) Len() int { return len(ix.ads) }
 // Postings returns the total number of (term, ad) pairs, a memory diagnostic.
 func (ix *Inverted) Postings() int { return ix.postings }
 
-// Add indexes an ad's term vector. Re-adding an ad replaces its entry.
-func (ix *Inverted) Add(id adstore.AdID, vec textproc.SparseVector) {
+// Add indexes an ad's term vector and returns the slot it assigned: a
+// released one if there is one, else the next new one. Re-adding an ad
+// replaces its entry, in a new slot.
+func (ix *Inverted) Add(id adstore.AdID, vec textproc.SparseVector) uint32 {
 	if _, exists := ix.ads[id]; exists {
 		ix.Remove(id)
 	}
 	var slot uint32
 	if n := len(ix.free); n > 0 {
 		slot, ix.free = ix.free[n-1], ix.free[:n-1]
-		ix.adOf[slot] = id
 	} else {
-		slot = uint32(len(ix.adOf))
-		ix.adOf = append(ix.adOf, id)
+		slot = uint32(ix.slots)
+		ix.slots++
 	}
 	for _, t := range vec {
 		ix.lists[t.ID] = append(ix.lists[t.ID], posting{slot: slot, w: t.W})
 	}
 	ix.ads[id] = indexedAd{vec: vec, slot: slot}
 	ix.postings += len(vec)
+	return slot
 }
 
-// Remove un-indexes an ad. Removing an unknown ad is a no-op.
-func (ix *Inverted) Remove(id adstore.AdID) {
+// Remove un-indexes an ad and returns the slot it had, which stays retired
+// until Release. Removing an unknown ad is a no-op that reports false.
+func (ix *Inverted) Remove(id adstore.AdID) (slot uint32, ok bool) {
 	a, ok := ix.ads[id]
 	if !ok {
-		return
+		return 0, false
 	}
 	for _, t := range a.vec {
 		list := ix.lists[t.ID]
@@ -129,9 +154,12 @@ func (ix *Inverted) Remove(id adstore.AdID) {
 		}
 	}
 	delete(ix.ads, id)
-	ix.free = append(ix.free, a.slot)
 	ix.postings -= len(a.vec)
+	return a.slot, true
 }
+
+// Release lets Add hand a retired slot out again.
+func (ix *Inverted) Release(slot uint32) { ix.free = append(ix.free, slot) }
 
 // DeltaList is Accumulator.DeltaList in an accumulator the index lends, for
 // a caller that keeps none of its own.
@@ -147,7 +175,7 @@ func (ix *Inverted) DeltaList(vec textproc.SparseVector) []Delta {
 // every follower on every shard) and once per buffer rebuilt from a window
 // aggregate. Terms are walked in ascending order and each product is rounded
 // before it is added, as in textproc.SparseVector.Dot, so a coefficient is
-// bit for bit ad.Vec.Dot(vec). The result is the caller's, ascending by ad ID.
+// bit for bit ad.Vec.Dot(vec). The result is the caller's, ascending by slot.
 func (acc *Accumulator) DeltaList(ix *Inverted, vec textproc.SparseVector) []Delta {
 	if out := acc.Deltas(ix, vec); len(out) > 0 {
 		return slices.Clone(out)
@@ -158,7 +186,7 @@ func (acc *Accumulator) DeltaList(ix *Inverted, vec textproc.SparseVector) []Del
 // Deltas is DeltaList in the accumulator's own space: the result is the
 // caller's to read and overwrite until the accumulator's next call.
 func (acc *Accumulator) Deltas(ix *Inverted, vec textproc.SparseVector) []Delta {
-	if n := len(ix.adOf); len(acc.sum) < n {
+	if n := ix.slots; len(acc.sum) < n {
 		acc.sum = append(acc.sum, make([]float64, n-len(acc.sum))...)
 		acc.touched = append(acc.touched, make([]uint64, (n+63)>>6-len(acc.touched))...)
 	}
@@ -168,17 +196,14 @@ func (acc *Accumulator) Deltas(ix *Inverted, vec textproc.SparseVector) []Delta 
 			acc.sum[p.slot] += float64(t.W * p.w)
 		}
 	}
-	// Collected in slot order, which the sort finds already ascending by ad
-	// — one pass — to the extent that ads were registered in ID order.
 	out := acc.out[:0]
 	for w, word := range acc.touched {
 		for acc.touched[w] = 0; word != 0; word &= word - 1 {
 			slot := w<<6 | bits.TrailingZeros64(word)
-			out = append(out, Delta{Ad: ix.adOf[slot], Coeff: acc.sum[slot]})
+			out = append(out, Delta{Slot: uint32(slot), Coeff: Pack(acc.sum[slot])})
 			acc.sum[slot] = 0
 		}
 	}
-	slices.SortFunc(out, func(x, y Delta) int { return cmp.Compare(x.Ad, y.Ad) })
 	acc.out = out
 	return out
 }

@@ -1,8 +1,10 @@
 package index
 
 import (
+	"maps"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"caar/internal/adstore"
@@ -68,14 +70,14 @@ func TestInvertedReAddReplaces(t *testing.T) {
 
 func TestDeltaListExact(t *testing.T) {
 	ix := NewInverted()
-	ix.Add(1, textproc.SparseVector{{ID: 10, W: 0.6}, {ID: 20, W: 0.8}})
-	ix.Add(2, textproc.SparseVector{{ID: 20, W: 1.0}})
+	s1 := ix.Add(1, textproc.SparseVector{{ID: 10, W: 0.6}, {ID: 20, W: 0.8}})
+	s2 := ix.Add(2, textproc.SparseVector{{ID: 20, W: 1.0}})
 	ix.Add(3, textproc.SparseVector{{ID: 30, W: 1.0}})
 	msg := textproc.SparseVector{{ID: 10, W: 0.5}, {ID: 20, W: 0.5}}
 	ds := ix.DeltaList(msg)
 	want := []Delta{
-		{Ad: 1, Coeff: 0.5*0.6 + 0.5*0.8},
-		{Ad: 2, Coeff: 0.5},
+		{Slot: s1, Coeff: Pack(0.5*0.6 + 0.5*0.8)},
+		{Slot: s2, Coeff: Pack(0.5)},
 	}
 	if !reflect.DeepEqual(ds, want) {
 		t.Fatalf("DeltaList = %v, want %v", ds, want)
@@ -96,73 +98,143 @@ func TestDeltaListExact(t *testing.T) {
 func TestDeltaListMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	ix := NewInverted()
-	ads := map[adstore.AdID]textproc.SparseVector{}
+	ads := map[uint32]textproc.SparseVector{} // by slot
 	for id := adstore.AdID(1); id <= 150; id++ {
-		ads[id] = randVec(rng, 12, 40)
-		ix.Add(id, ads[id])
+		vec := randVec(rng, 12, 40)
+		ads[ix.Add(id, vec)] = vec
 	}
 	for trial := 0; trial < 100; trial++ {
 		msg := randVec(rng, 12, 40)
-		got := map[adstore.AdID]float64{}
+		got := map[uint32]float64{}
 		for _, d := range ix.DeltaList(msg) {
-			got[d.Ad] = d.Coeff
+			got[d.Slot] = d.Coeff.Float64()
 		}
-		for id, av := range ads {
+		for slot, av := range ads {
 			want := av.Dot(msg)
-			if got[id] != want {
-				t.Fatalf("trial %d ad %d: delta %v, dot %v", trial, id, got[id], want)
+			if got[slot] != want {
+				t.Fatalf("trial %d slot %d: delta %v, dot %v", trial, slot, got[slot], want)
 			}
-			if _, present := got[id]; present != shares(av, msg) {
-				t.Fatalf("trial %d ad %d: in delta list %v, shares a term %v", trial, id, present, !present)
+			if _, present := got[slot]; present != shares(av, msg) {
+				t.Fatalf("trial %d slot %d: in delta list %v, shares a term %v", trial, slot, present, !present)
 			}
 		}
 	}
 }
 
 // TestDeltaListAscendingWhateverTheRegistrationOrder: DeltaList collects in
-// accumulator-slot order, which is ad-ID order only when ads arrive in ID
-// order and no slot has been reused. Registered shuffled, with removals and
-// late re-adds, the result is still exact and ascending, and the accumulator
-// is left clean for the next call.
+// slot order, and a slot is handed out again only once it is released. Two
+// indexes get the same ads in different orders — sparse IDs, shuffled, with
+// removals, releases and re-adds — so their slots differ; yet each delta list
+// is ascending by slot with the exact coefficient of the ad in each slot, the
+// two indexes give every ad the same coefficient, and a retired slot is never
+// reused before its release. The accumulator is left clean for the next call.
 func TestDeltaListAscendingWhateverTheRegistrationOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	ix := NewInverted()
-	ads := map[adstore.AdID]textproc.SparseVector{}
-	add := func(id adstore.AdID) {
-		ads[id] = randVec(rng, 6, 30)
-		ix.Add(id, ads[id])
+	type side struct {
+		ix      *Inverted
+		at      map[uint32]adstore.AdID // live slot → ad
+		retired []uint32
 	}
-	for _, i := range rng.Perm(300) {
-		add(adstore.AdID(1000 - 3*i)) // sparse IDs, no order
+	sides := [2]*side{}
+	for i := range sides {
+		sides[i] = &side{ix: NewInverted(), at: map[uint32]adstore.AdID{}}
+	}
+	vecs := map[adstore.AdID]textproc.SparseVector{}
+	add := func(s *side, id adstore.AdID) {
+		slot := s.ix.Add(id, vecs[id])
+		if _, taken := s.at[slot]; taken || slices.Contains(s.retired, slot) {
+			t.Fatalf("slot %d handed to ad %d while still live or retired", slot, id)
+		}
+		s.at[slot] = id
+	}
+	ids := make([]adstore.AdID, 300)
+	for i := range ids {
+		ids[i] = adstore.AdID(1000 - 3*i) // sparse IDs
+		vecs[ids[i]] = randVec(rng, 6, 30)
+	}
+	for i, s := range sides {
+		order := slices.Clone(ids)
+		if i == 1 {
+			rng.Shuffle(len(order), func(a, b int) { order[a], order[b] = order[b], order[a] })
+		}
+		for _, id := range order {
+			add(s, id)
+		}
 	}
 	for round := 0; round < 50; round++ {
-		for id := range ads { // drop a few, then hand their slots to other IDs
+		var gone []adstore.AdID // drop a few, then let other IDs in
+		for _, id := range sides[0].at {
 			if rng.Intn(20) == 0 {
-				ix.Remove(id)
-				delete(ads, id)
+				gone = append(gone, id)
 			}
 		}
+		var fresh []adstore.AdID
 		for i := 0; i < 10; i++ {
-			add(adstore.AdID(rng.Intn(5000)))
+			id := adstore.AdID(rng.Intn(5000))
+			if _, live := vecs[id]; live || slices.Contains(fresh, id) {
+				continue
+			}
+			vecs[id] = randVec(rng, 6, 30)
+			fresh = append(fresh, id)
+		}
+		for i, s := range sides {
+			for _, id := range gone {
+				slot, ok := s.ix.Remove(id)
+				if !ok || s.at[slot] != id {
+					t.Fatalf("round %d: removing ad %d gave slot %d (%v), which holds %d", round, id, slot, ok, s.at[slot])
+				}
+				delete(s.at, slot)
+				s.retired = append(s.retired, slot)
+			}
+			if i == 0 { // one side releases at once, the other a round later
+				for _, slot := range s.retired {
+					s.ix.Release(slot)
+				}
+				s.retired = nil
+			} else if round%2 == 1 {
+				for _, slot := range s.retired {
+					s.ix.Release(slot)
+				}
+				s.retired = nil
+			}
+			order := slices.Clone(fresh)
+			if i == 1 {
+				slices.Reverse(order)
+			}
+			for _, id := range order {
+				add(s, id)
+			}
+		}
+		for _, id := range gone {
+			delete(vecs, id)
 		}
 		msg := randVec(rng, 12, 30)
-		ds := ix.DeltaList(msg)
 		matched := 0
-		for _, av := range ads {
+		for _, av := range vecs {
 			if shares(av, msg) {
 				matched++
 			}
 		}
-		if len(ds) != matched {
-			t.Fatalf("round %d: %d deltas, %d ads share a term with the message", round, len(ds), matched)
+		var coeffs [2]map[adstore.AdID]float64
+		for i, s := range sides {
+			ds := s.ix.DeltaList(msg)
+			if len(ds) != matched {
+				t.Fatalf("round %d side %d: %d deltas, %d ads share a term with the message", round, i, len(ds), matched)
+			}
+			coeffs[i] = map[adstore.AdID]float64{}
+			for j, d := range ds {
+				if j > 0 && ds[j-1].Slot >= d.Slot {
+					t.Fatalf("round %d side %d: not ascending at %d: %v", round, i, j, ds)
+				}
+				id := s.at[d.Slot]
+				if want := vecs[id].Dot(msg); d.Coeff.Float64() != want {
+					t.Fatalf("round %d side %d ad %d: delta %v, dot %v", round, i, id, d.Coeff.Float64(), want)
+				}
+				coeffs[i][id] = d.Coeff.Float64()
+			}
 		}
-		for i, d := range ds {
-			if i > 0 && ds[i-1].Ad >= d.Ad {
-				t.Fatalf("round %d: not ascending at %d: %v", round, i, ds)
-			}
-			if want := ads[d.Ad].Dot(msg); d.Coeff != want {
-				t.Fatalf("round %d ad %d: delta %v, dot %v", round, d.Ad, d.Coeff, want)
-			}
+		if !maps.Equal(coeffs[0], coeffs[1]) {
+			t.Fatalf("round %d: the registration order changed the answer", round)
 		}
 	}
 }

@@ -35,6 +35,7 @@ var analyzers = []analyzer{
 	{"atomicfield", atomicfield},
 	{"batchalias", batchalias},
 	{"maporder", maporder},
+	{"hotpathmap", hotpathmap},
 	{"httptest", httptestImport},
 }
 

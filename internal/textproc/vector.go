@@ -25,9 +25,12 @@ type SparseVector []Term
 
 // NewVector sorts terms by ID in place, stably, and folds each run of one ID
 // into one term whose weight is the run's sum, added in input order. It
-// returns the folded prefix of terms.
+// returns the folded prefix of terms. Terms already in order are not sorted.
 func NewVector(terms []Term) SparseVector {
-	slices.SortStableFunc(terms, func(x, y Term) int { return cmp.Compare(x.ID, y.ID) })
+	byID := func(x, y Term) int { return cmp.Compare(x.ID, y.ID) }
+	if !slices.IsSortedFunc(terms, byID) {
+		slices.SortStableFunc(terms, byID)
+	}
 	n := 0
 	for i, t := range terms {
 		if i > 0 && t.ID == terms[n-1].ID {

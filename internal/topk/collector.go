@@ -12,10 +12,12 @@ import (
 
 // Item is one scored candidate. Ties are broken by ascending ID so rankings
 // are deterministic across engines, which lets the test suite compare exact
-// result sets between CAP and the baselines.
+// result sets between CAP and the baselines. Slot is the caller's dense handle
+// for the candidate (the engines' ad slot), carried along and never compared.
 type Item struct {
 	ID    int64
 	Score float64
+	Slot  uint32
 }
 
 // Less orders items by descending score, ascending ID on ties.
@@ -52,8 +54,11 @@ func (c *Collector) Len() int { return len(c.heap) }
 
 // Offer submits a candidate; it is retained only if it beats the current
 // weakest (or the collector is not yet full). Returns true when retained.
-func (c *Collector) Offer(id int64, score float64) bool {
-	it := Item{ID: id, Score: score}
+func (c *Collector) Offer(id int64, score float64) bool { return c.OfferSlot(id, 0, score) }
+
+// OfferSlot is Offer for a candidate with a slot.
+func (c *Collector) OfferSlot(id int64, slot uint32, score float64) bool {
+	it := Item{ID: id, Score: score, Slot: slot}
 	if len(c.heap) < c.k {
 		// Appended and sifted up in place: heap.Push would box it, one
 		// allocation per retained item of every ranking.

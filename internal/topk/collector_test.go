@@ -16,7 +16,7 @@ func TestCollectorBasics(t *testing.T) {
 		c.Offer(id, score)
 	}
 	items := c.Items()
-	want := []Item{{2, 0.9}, {4, 0.7}, {1, 0.5}}
+	want := []Item{{ID: 2, Score: 0.9}, {ID: 4, Score: 0.7}, {ID: 1, Score: 0.5}}
 	if !reflect.DeepEqual(items, want) {
 		t.Fatalf("Items = %v, want %v", items, want)
 	}
@@ -28,7 +28,7 @@ func TestCollectorTieBreakByID(t *testing.T) {
 	c.Offer(3, 1.0)
 	c.Offer(9, 1.0)
 	items := c.Items()
-	want := []Item{{3, 1.0}, {5, 1.0}}
+	want := []Item{{ID: 3, Score: 1.0}, {ID: 5, Score: 1.0}}
 	if !reflect.DeepEqual(items, want) {
 		t.Fatalf("Items = %v, want %v", items, want)
 	}
