@@ -40,8 +40,9 @@ test:
 	$(GO) test ./...
 
 # test-1proc runs the packages that drive the facade with GOMAXPROCS=1. The
-# shard count defaults to GOMAXPROCS, so on a multi-core machine the default
-# engine is never one shard; this keeps that path tested.
+# shard count defaults to four per core and to one on a single core, so on a
+# multi-core machine the default engine is never one shard; one core runs
+# the default engine as one shard, which keeps that path tested.
 test-1proc:
 	GOMAXPROCS=1 $(GO) test . ./ingest ./journal ./internal/server
 

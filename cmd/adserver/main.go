@@ -84,7 +84,7 @@ type settings struct {
 func newFlagSet(s *settings) *flag.FlagSet {
 	fs := flag.NewFlagSet("adserver", flag.ExitOnError)
 	fs.StringVar(&s.addr, "addr", ":8080", "listen address")
-	fs.IntVar(&s.shards, "shards", 0, "user shards processed in parallel (0 = one per core)")
+	fs.IntVar(&s.shards, "shards", 0, "user shards processed in parallel (0 = four per core; one on a single core)")
 	fs.IntVar(&s.window, "window", 32, "feed window size in messages")
 	fs.DurationVar(&s.halfLife, "half-life", 2*time.Hour, "feed content decay half-life (0 = none)")
 	fs.StringVar(&s.journal, "journal", "", "state file: snapshot head plus event log; recovered at startup, appended at runtime, compacted on shutdown")

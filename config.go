@@ -36,8 +36,10 @@ type Config struct {
 	// post's continuous refreshes run in parallel. The shards share one
 	// budget store and one ad side (index, geo index, delta lists), so a
 	// shard costs its users' state, not a copy of the catalogue. 0, the
-	// default, means one shard per runtime.GOMAXPROCS(0) at Open; 1 disables
-	// sharding.
+	// default, means four shards per runtime.GOMAXPROCS(0) at Open — one
+	// when that is 1 — so a post's refreshes split into more tasks than
+	// there are cores and none waits idle at the fan-out barrier; 1
+	// disables sharding.
 	Shards int
 
 	// ContinuousK, when positive, keeps the top-ContinuousK ads of every

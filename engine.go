@@ -191,7 +191,7 @@ func Open(cfg Config) (*Engine, error) {
 	}
 	nShards := cfg.Shards
 	if nShards == 0 {
-		nShards = runtime.GOMAXPROCS(0)
+		nShards = defaultShards(runtime.GOMAXPROCS(0))
 	}
 	e := &Engine{
 		cfg:         cfg,
@@ -243,6 +243,21 @@ func Open(cfg Config) (*Engine, error) {
 		e.hot = hot
 	}
 	return e, nil
+}
+
+// shardsPerCore is how many shards Open makes per core when Config.Shards is
+// 0. One shard per core leaves a core idle at a post's fan-out barrier while
+// the other's goroutine starts; four give the caller's core more of a post's
+// refreshes to run meanwhile (DESIGN.md §3.3).
+const shardsPerCore = 4
+
+// defaultShards is the shard count Config.Shards 0 resolves to on procs
+// cores: one on a single core, where there is nothing to run in parallel.
+func defaultShards(procs int) int {
+	if procs == 1 {
+		return 1
+	}
+	return shardsPerCore * procs
 }
 
 func (e *Engine) shardOf(u feed.UserID) shard {
@@ -594,13 +609,36 @@ func (e *Engine) PostBatch(reqs []PostRequest) []error {
 	return errs
 }
 
+// batch is what every shard's share of one deliver call reads: the engine,
+// the directory snapshot, the messages, and the wait for the shares run on
+// goroutines of their own.
+type batch struct {
+	e    *Engine
+	d    *directory
+	msgs []feed.Message
+	wg   sync.WaitGroup
+}
+
 // fanout is one shard's share of a batch: the recipients of every message
 // that reaches the shard, flat, and which stretch of them each message goes
 // to; size counts the recipients before users is filled.
+//
+// In continuous mode it also carries the shard's refreshes: affected, for a
+// shard more than one message reaches, maps each distinct recipient to the
+// time of the last message that reached it (one message's recipients are
+// distinct already), and scored, out and recs are the shard's pieces of the
+// batch's three refresh slabs, each cut to its distinct recipients.
 type fanout struct {
+	b     *batch
+	sh    shard
 	users []feed.UserID
 	spans []span
 	size  int
+
+	affected map[feed.UserID]time.Time
+	scored   []core.Scored
+	out      []continuousRec
+	recs     []Recommendation
 }
 
 // span says users[lo:hi] of a fanout receive msgs[item]; err is what the
@@ -617,6 +655,27 @@ type continuousRec struct {
 	recs []core.Scored
 }
 
+// distinct is how many distinct users the shard refreshes.
+func (w *fanout) distinct() int {
+	if w.affected == nil {
+		return w.spans[0].hi - w.spans[0].lo
+	}
+	return len(w.affected)
+}
+
+// collectAffected fills affected from the spans delivered without error —
+// before the shard delivers, every span.
+func (w *fanout) collectAffected(msgs []feed.Message) {
+	clear(w.affected)
+	for _, sp := range w.spans {
+		if sp.err == nil {
+			for _, u := range w.users[sp.lo:sp.hi] {
+				w.affected[u] = msgs[sp.item].Time
+			}
+		}
+	}
+}
+
 // deliver fans a batch of messages out to their follower windows, grouped so
 // each shard lock is acquired once per batch. Recipients are partitioned
 // straight from the graph's follower lists, which are immutable once handed
@@ -626,7 +685,8 @@ type continuousRec struct {
 // goroutine start; with continuous refreshes, one busy shard runs in the
 // caller and the others on goroutines of their own.
 func (e *Engine) deliver(d *directory, msgs []feed.Message, errs []error) {
-	n, busy := len(e.shards), 0
+	n, busy, k := len(e.shards), 0, e.cfg.ContinuousK
+	b := &batch{e: e, d: d, msgs: msgs}
 	work := make([]fanout, n)
 	// Each message's follower list, and how many recipients each shard gets:
 	// the partition then fills one users and one spans array cut to size, so a
@@ -652,6 +712,7 @@ func (e *Engine) deliver(d *directory, msgs []feed.Message, errs []error) {
 	users, spans := make([]feed.UserID, total), make([]span, nSpans)
 	for si := range work {
 		w, m := &work[si], min(len(msgs), work[si].size)
+		w.b, w.sh = b, e.shards[si]
 		w.users, users = users[:0:w.size], users[w.size:]
 		w.spans, spans = spans[:0:m], spans[m:]
 	}
@@ -679,29 +740,32 @@ func (e *Engine) deliver(d *directory, msgs []feed.Message, errs []error) {
 			}
 		}
 	}
+	if k > 0 {
+		cutRefreshSlabs(b, work, k)
+	}
 
-	var wg sync.WaitGroup
 	inline := -1 // the busy shard the caller runs
 	for si := range work {
 		w := &work[si]
 		switch {
 		case len(w.spans) == 0:
-		case busy == 1 || e.cfg.ContinuousK == 0:
-			e.runShard(d, e.shards[si], msgs, w)
+		case busy == 1 || k == 0:
+			e.runShard(w)
 		case inline < 0:
 			inline = si
 		default:
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				e.runShard(d, e.shards[si], msgs, w)
-			}()
+			// Queued before its goroutine starts, a share is there when
+			// the goroutine looks. Every share in a full queue has its
+			// goroutine started already, so a send waits, never deadlocks.
+			b.wg.Add(1)
+			shardTasks <- w
+			go runShardTask()
 		}
 	}
 	if inline >= 0 {
-		e.runShard(d, e.shards[inline], msgs, &work[inline])
+		e.runShard(&work[inline])
 	}
-	wg.Wait()
+	b.wg.Wait()
 	for si := range work {
 		for _, sp := range work[si].spans {
 			if sp.err != nil && errs[sp.item] == nil {
@@ -721,6 +785,58 @@ func (e *Engine) deliver(d *directory, msgs []feed.Message, errs []error) {
 	}
 }
 
+// cutRefreshSlabs gives every busy shard its pieces of the batch's refresh
+// slabs: one []core.Scored, one []continuousRec and one []Recommendation per
+// batch, whatever the shard count, each piece capped so that a shard that
+// outgrows it reallocates rather than writes into the next. A piece is sized
+// by the shard's distinct recipients, not its deliveries: a batch that
+// reaches a user many times refreshes them once.
+func cutRefreshSlabs(b *batch, work []fanout, k int) {
+	// A shard holds at most every n-th user: a bound on its distinct
+	// recipients that keeps a large batch's maps from being sized by repeats.
+	perShard := (len(b.d.names) + len(work) - 1) / len(work)
+	refreshes := 0
+	for si := range work {
+		w := &work[si]
+		if len(w.spans) == 0 {
+			continue
+		}
+		if len(w.spans) > 1 {
+			w.affected = make(map[feed.UserID]time.Time, min(len(w.users), perShard))
+			w.collectAffected(b.msgs)
+		}
+		refreshes += w.distinct()
+	}
+	scored := make([]core.Scored, refreshes*k)
+	out := make([]continuousRec, refreshes)
+	recs := make([]Recommendation, refreshes*k)
+	for si := range work {
+		w := &work[si]
+		if len(w.spans) == 0 {
+			continue
+		}
+		r := w.distinct()
+		w.scored, scored = scored[:0:r*k], scored[r*k:]
+		w.out, out = out[:0:r], out[r:]
+		w.recs, recs = recs[:0:r*k], recs[r*k:]
+	}
+}
+
+// shardTasks hands a busy shard's share of a batch to the goroutine deliver
+// starts for it (runShardTask). Every engine in the process shares it: a
+// share carries its engine, and each goroutine takes exactly one share,
+// whichever was queued first.
+var shardTasks = make(chan *fanout, 64)
+
+// runShardTask is the goroutine deliver starts for a busy shard. A function
+// started with no arguments allocates nothing, where a closure over the
+// share, or a method value, would allocate once per shard and post.
+func runShardTask() {
+	w := <-shardTasks
+	w.b.e.runShard(w)
+	w.b.wg.Done()
+}
+
 // runShard delivers one shard's share of a batch under a single acquisition
 // of the shard lock, recording each span's result in it. The continuous-mode
 // OnRecommend callback is invoked strictly outside the lock: a slow consumer
@@ -728,64 +844,51 @@ func (e *Engine) deliver(d *directory, msgs []feed.Message, errs []error) {
 // queued behind it. Each reached user gets one callback per batch (after its
 // last message of the batch), not one per message.
 //
-// The refreshes are handed out as capped sub-slices of one []core.Scored and
-// one []Recommendation slab per call, never reused, so a callback may keep
-// its slice: two allocations per shard batch instead of two per follower.
-func (e *Engine) runShard(d *directory, sh shard, msgs []feed.Message, w *fanout) {
-	k := e.cfg.ContinuousK
+// The refreshes are handed out as capped sub-slices of the shard's pieces of
+// the batch's slabs (cutRefreshSlabs), never reused, so a callback may keep
+// its slice: a refresh allocates nothing of its own.
+func (e *Engine) runShard(w *fanout) {
+	d, sh, msgs, k := w.b.d, w.sh, w.b.msgs, e.cfg.ContinuousK
 	sh.mu.Lock() //caarlint:allow readpathlock per-shard core lock is the designed serialization point
+	failed := false
 	for i := range w.spans {
 		sp := &w.spans[i]
 		sp.err = sh.eng.Deliver(msgs[sp.item], w.users[sp.lo:sp.hi])
+		failed = failed || sp.err != nil
 	}
 	if k == 0 {
 		sh.mu.Unlock()
 		return
 	}
-	var (
-		slab []core.Scored
-		out  []continuousRec
-	)
 	refresh := func(u feed.UserID, at time.Time) {
-		lo := len(slab)
-		recs, err := sh.eng.AppendTopAds(slab, u, k, at)
+		lo := len(w.scored)
+		recs, err := sh.eng.AppendTopAds(w.scored, u, k, at)
 		if err != nil {
 			e.obsm.continuousErrors.Inc()
 			return
 		}
-		slab = recs
-		out = append(out, continuousRec{user: u, recs: slab[lo:len(slab):len(slab)]})
+		w.scored = recs
+		w.out = append(w.out, continuousRec{user: u, recs: w.scored[lo:len(w.scored):len(w.scored)]})
 	}
-	if sp := w.spans[0]; len(w.spans) == 1 {
-		// One message: its recipients are distinct already.
-		if sp.err == nil {
-			slab = make([]core.Scored, 0, (sp.hi-sp.lo)*k)
-			out = make([]continuousRec, 0, sp.hi-sp.lo)
+	if w.affected == nil {
+		if sp := w.spans[0]; sp.err == nil {
 			for _, u := range w.users[sp.lo:sp.hi] {
 				refresh(u, msgs[sp.item].Time)
 			}
 		}
 	} else {
-		affected := make(map[feed.UserID]time.Time, len(w.users))
-		for _, sp := range w.spans {
-			if sp.err == nil {
-				for _, u := range w.users[sp.lo:sp.hi] {
-					affected[u] = msgs[sp.item].Time
-				}
-			}
+		if failed {
+			w.collectAffected(msgs) // without the failed spans' recipients
 		}
-		slab = make([]core.Scored, 0, len(affected)*k)
-		out = make([]continuousRec, 0, len(affected))
-		for u, at := range affected {
+		for u, at := range w.affected {
 			refresh(u, at)
 		}
 	}
 	sh.mu.Unlock()
-	recs := make([]Recommendation, 0, len(slab))
-	for _, c := range out {
-		lo := len(recs)
-		recs = e.appendRecommendations(recs, d, c.recs)
-		e.cfg.OnRecommend(d.userName(c.user), recs[lo:len(recs):len(recs)])
+	for _, c := range w.out {
+		lo := len(w.recs)
+		w.recs = e.appendRecommendations(w.recs, d, c.recs)
+		e.cfg.OnRecommend(d.userName(c.user), w.recs[lo:len(w.recs):len(w.recs)])
 	}
 }
 

@@ -3,6 +3,7 @@ package caar
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"runtime"
 	"sync"
@@ -293,6 +294,50 @@ func TestPostBatchContinuousOncePerUser(t *testing.T) {
 		if calls[u] != 1 {
 			t.Errorf("user %s got %d continuous callbacks for one batch, want 1", u, calls[u])
 		}
+	}
+}
+
+// TestPostBatchContinuousSkipsFailedItems: in a batch of several messages, a
+// shard refreshes the recipients of the messages it delivered and no one
+// reached only by a message whose delivery failed — though the refresh slabs
+// were sized, before delivery, for every recipient.
+func TestPostBatchContinuousSkipsFailedItems(t *testing.T) {
+	calls := map[string]int{}
+	cfg := testConfig()
+	cfg.Shards = 1
+	cfg.ContinuousK = 2
+	cfg.OnRecommend = func(user string, _ []Recommendation) { calls[user]++ }
+	e := openEngine(t, cfg)
+	for _, u := range []string{"alice", "bob", "carol", "dave"} {
+		if err := e.AddUser(u); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, f := range [][2]string{{"alice", "bob"}, {"dave", "carol"}} {
+		if err := e.Follow(f[0], f[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A follower no shard knows fails carol's delivery inside the core engine.
+	ghost := feed.UserID(1 << 20)
+	e.graph.AddUser(ghost)
+	carol, err := e.lookupUser("carol")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.graph.Follow(ghost, carol); err != nil {
+		t.Fatal(err)
+	}
+	errs := e.PostBatch([]PostRequest{
+		{Author: "bob", Text: "running shoes", At: morning},
+		{Author: "carol", Text: "running socks", At: morning},
+	})
+	if errs[0] != nil || errs[1] == nil {
+		t.Fatalf("errors %v, want bob's post delivered and carol's failed", errs)
+	}
+	want := map[string]int{"alice": 1, "bob": 1}
+	if !maps.Equal(calls, want) {
+		t.Fatalf("continuous callbacks %v, want %v", calls, want)
 	}
 }
 
@@ -620,5 +665,50 @@ func TestContinuousPostAllocationsDoNotGrowWithFanout(t *testing.T) {
 	}
 	if len(kept) != 2 || len(kept[0]) == 0 || cap(kept[0]) != len(kept[0]) {
 		t.Fatalf("the first two refreshes handed out %v: want capped, non-empty slices", kept)
+	}
+}
+
+// TestContinuousPostAllocationsDoNotGrowWithShards: a batch's refresh slabs
+// are cut once per batch, one piece per shard, so a continuous post that
+// reaches all of 2, 4 or 8 shards allocates what it does on one plus at most
+// one allocation per extra busy shard, its goroutine's: none in a normal
+// build, where a goroutine takes its share from a queue rather than a
+// closure, and one under the race detector. Slabs made per shard cost three
+// allocations a busy shard.
+func TestContinuousPostAllocationsDoNotGrowWithShards(t *testing.T) {
+	allocs := func(shards int) float64 {
+		cfg := testConfig()
+		cfg.Shards = shards
+		cfg.ContinuousK = 3
+		cfg.OnRecommend = func(string, []Recommendation) {}
+		e := openEngine(t, cfg)
+		if err := e.AddUser("big"); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 64; i++ { // eight followers on each of eight shards
+			f := fmt.Sprintf("f%03d", i)
+			if err := e.AddUser(f); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Follow(f, "big"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, ad := range []string{"marathon shoes", "running socks", "trail shoes"} {
+			if err := e.AddAd(Ad{ID: ad, Text: ad, Bid: 0.5}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		reqs := []PostRequest{{Author: "big", Text: "marathon shoes", At: morning}}
+		for i := 0; i < 2*cfg.WindowSize; i++ { // windows full, views built: steady state
+			e.PostBatch(reqs)
+		}
+		return testing.AllocsPerRun(50, func() { e.PostBatch(reqs) })
+	}
+	one := allocs(1)
+	for _, shards := range []int{2, 4, 8} {
+		if got := allocs(shards); got > one+float64(shards-1) {
+			t.Errorf("a continuous post allocates %.1f times on %d shards and %.1f on one: want at most one more per extra shard", got, shards, one)
+		}
 	}
 }

@@ -97,7 +97,7 @@ func TestSharedDeltaListComputedOnce(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-start
-			lists[i] = e.deltasOf(msg)
+			lists[i] = e.deltasOf(msg, new(index.Accumulator))
 		}()
 	}
 	close(start)

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 	"unsafe"
@@ -10,6 +13,7 @@ import (
 	"caar/internal/adstore"
 	"caar/internal/feed"
 	"caar/internal/geo"
+	"caar/internal/index"
 	"caar/internal/timeslot"
 	"caar/workload"
 )
@@ -352,6 +356,56 @@ func BenchmarkRegisterAd(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*users), "ns/warm-user")
 		})
+	}
+}
+
+// BenchmarkMerge times dynBuf.merge alone, per merge, in the shape of a
+// catch-up after one delivery: one evicted and one arriving delta list of 40
+// entries each, into a buffer of 460. The merges cycle through 2 000 buffers,
+// about 11 MB, so each finds its buffer and lists cold in cache, as a
+// catch-up after a fan-out does. Each buffer swaps two lists back and forth —
+// the one it holds is evicted, the other arrives — so every merge does the
+// same work.
+func BenchmarkMerge(b *testing.B) {
+	const buffers, held, moved = 2000, 420, 40
+	rng := rand.New(rand.NewSource(1))
+	type pair struct {
+		buf dynBuf
+		in  []index.Delta // held, evicted by the next merge
+		out []index.Delta // not held, arriving at the next merge
+	}
+	pairs := make([]pair, buffers)
+	for p := range pairs {
+		slots := rng.Perm(5000)[:held+2*moved]
+		list := func(ss []int) []index.Delta {
+			slices.Sort(ss)
+			l := make([]index.Delta, len(ss))
+			for i, s := range ss {
+				l[i] = index.Delta{Slot: uint32(s), Coeff: index.Pack(0.01 + rng.Float64())}
+			}
+			return l
+		}
+		base, in, out := list(slots[:held]), list(slots[held:held+moved]), list(slots[held+moved:])
+		pr := &pairs[p]
+		pr.buf = dynBuf{scale: 1}
+		pr.buf.fill(held + moved)
+		pr.buf.e = append(append(pr.buf.e[:0], base...), in...)
+		slices.SortFunc(pr.buf.e, func(x, y index.Delta) int { return cmp.Compare(x.Slot, y.Slot) })
+		pr.in, pr.out = in, out
+	}
+	var scratch []index.Delta
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pr := &pairs[i%buffers]
+		lists := []weighted{{d: pr.in, c: -1}, {d: pr.out, c: 1}}
+		scratch = pr.buf.merge(scratch, lists, 1, math.Inf(1))
+		pr.in, pr.out = pr.out, pr.in
+	}
+	b.StopTimer()
+	for _, pr := range pairs {
+		if len(pr.buf.e) != held+moved {
+			b.Fatalf("a buffer holds %d entries after its merges, want %d", len(pr.buf.e), held+moved)
+		}
 	}
 }
 

@@ -51,12 +51,6 @@ type CAP struct {
 	opts CAPOptions
 	held map[feed.MessageID]heldMsg
 
-	// Reusable space: what catchUp lends to dynBuf.merge, and the arena its
-	// lists are scoped into.
-	lists   []weighted
-	scratch []index.Delta
-	arena   []index.Delta
-
 	viewAnswers, reranks uint64 // TopAds calls by how they were answered
 	merges, rebuilds     uint64 // catch-ups by kind
 	merged, skipped      uint64 // deliveries by fate
@@ -185,17 +179,17 @@ func (e *CAP) release(id feed.MessageID) {
 }
 
 // deltasOf returns a message's delta list: the shared one when fan-out
-// sharing is on (computed on first use, on whichever shard needs it first),
-// recomputed otherwise.
-func (e *CAP) deltasOf(m feed.Message) []index.Delta {
+// sharing is on (computed in acc on first use, on whichever shard needs it
+// first), recomputed in acc otherwise.
+func (e *CAP) deltasOf(m feed.Message, acc *index.Accumulator) []index.Delta {
 	if !e.opts.FanoutSharing {
-		return e.acc.Deltas(e.inv, m.Vec)
+		return acc.Deltas(e.inv, m.Vec)
 	}
 	h, ok := e.held[m.ID]
 	if !ok {
 		return nil
 	}
-	return e.deltaList(h.mc, &e.acc)
+	return e.deltaList(h.mc, acc)
 }
 
 // chill turns a buffer cold: it frees the entries, the view and the pending
@@ -262,10 +256,11 @@ func (e *CAP) catchUp(st *userState, buf *dynBuf) {
 		// Weights are the pure exponential of ref − post time, so an
 		// eviction that happened under an earlier reference is re-derived at
 		// this one.
-		lists, arena := e.lists[:0], e.arena[:0]
+		ws := e.borrow()
+		lists, arena := ws.lists[:0], ws.arena[:0]
 		add := func(m feed.Message, c float64) {
 			start := len(arena) // a list keeps the array it was scoped into if the arena outgrows it
-			arena = scope(arena, e.deltasOf(m), e.reach, st.cell)
+			arena = scope(arena, e.deltasOf(m, &ws.acc), e.reach, st.cell)
 			lists = append(lists, weighted{d: arena[start:], c: c})
 		}
 		for _, m := range buf.gone {
@@ -275,10 +270,11 @@ func (e *CAP) catchUp(st *userState, buf *dynBuf) {
 			m := st.win.At(i)
 			add(m, e.scoring.Decay.WeightAt(ref.Sub(m.Time))/buf.scale)
 		}
-		e.arena = arena
-		e.scratch = buf.merge(e.scratch, lists, len(buf.gone), e.noteAt(buf))
+		ws.arena = arena
+		ws.scratch = buf.merge(ws.scratch, lists, len(buf.gone), e.noteAt(buf))
 		clear(lists)
-		e.lists = lists
+		ws.lists = lists
+		e.giveBack(ws)
 
 		e.settleGone(buf) // applied: only now can their shared lists go
 		buf.applied, buf.ops = n, buf.ops+pending
@@ -337,9 +333,11 @@ func (e *CAP) rebuild(st *userState, buf *dynBuf) {
 	buf.churned = e.churned
 
 	agg, _ := e.context(st, st.win.Ref()) // factor 1 at the reference
-	e.arena = scope(e.arena[:0], e.acc.Deltas(e.inv, agg), e.reach, st.cell)
-	buf.fill(len(e.arena))
-	copy(buf.e, e.arena)
+	ws := e.borrow()
+	ws.arena = scope(ws.arena[:0], ws.acc.Deltas(e.inv, agg), e.reach, st.cell)
+	buf.fill(len(ws.arena))
+	copy(buf.e, ws.arena)
+	e.giveBack(ws)
 	buf.scale, buf.ops, buf.view = 1, 0, nil
 	buf.applied, buf.cell, buf.ref = n, st.cell, st.win.Ref()
 	e.rebuilds++

@@ -129,15 +129,17 @@ func (b *dynBuf) age(factor float64) (renormalized bool) {
 // note puts the ad in slot on the view's noted list for the next query to
 // score exactly; a list already at viewMaxNoted drops the view instead, which
 // it reports as false. The caller has checked that there is a view. The list
-// starts at the size a delivered-to view's list reaches anyway (a message
-// notes up to ~100 ads), not grown to it eight appends at a time.
+// starts at a quarter of viewMaxNoted rather than growing append by append:
+// between two queries a view's list passes 16 ads about every other time, 32
+// one time in 17 and 64 almost never, and a view keeps its list's capacity
+// for life, so room for 128 would idle on nearly every view.
 func (b *dynBuf) note(slot uint32) bool {
 	if len(b.view.noted) == viewMaxNoted {
 		b.view = nil
 		return false
 	}
 	if b.view.noted == nil {
-		b.view.noted = make([]uint32, 0, viewMaxNoted/2)
+		b.view.noted = make([]uint32, 0, viewMaxNoted/4)
 	}
 	b.view.noted = append(b.view.noted, slot)
 	return true
@@ -205,11 +207,12 @@ func (b *dynBuf) merge(scratch []index.Delta, lists []weighted, arrivals int, no
 		for l := 1; l < len(lists); l++ {
 			slot = min(slot, lists[l].head)
 		}
-		start := i
+		// Untouched entries are copied as the scan passes them: a run is a
+		// few entries, too short to pay for a copy call of its own.
 		for i < len(src) && src[i].Slot < slot {
+			out = append(out, src[i])
 			i++
 		}
-		out = append(out, src[start:i]...)
 		v := 0.0
 		if i < len(src) && src[i].Slot == slot {
 			v = src[i].Coeff.Float64()
@@ -246,7 +249,10 @@ func (b *dynBuf) merge(scratch []index.Delta, lists []weighted, arrivals int, no
 
 // fill sizes e for n entries, with an eighth of headroom when it has to
 // grow: a buffer hovers around one size once its window is full, and append's
-// doubling would keep up to twice that.
+// doubling would keep up to twice that. Nothing shrinks a buffer: a shrink
+// costs an allocation, and shrinking at four fifths of the capacity cost
+// fanout_stream five to six percent more allocations for the bytes it
+// returned (DESIGN.md §3.1 item 3).
 func (b *dynBuf) fill(n int) {
 	if cap(b.e) < n {
 		b.e = make([]index.Delta, n, n+n/8+8)

@@ -12,13 +12,11 @@ import (
 	"caar/internal/topk"
 )
 
-// indexed is what the IL and CAP engines share: the per-shard base, the
-// AdIndex every shard of the engine reads, and this shard's DeltaList
-// accumulator.
+// indexed is what the IL and CAP engines share: the per-shard base and the
+// AdIndex every shard of the engine reads.
 type indexed struct {
 	*base
 	*AdIndex
-	acc index.Accumulator
 }
 
 func newIndexed(s Scoring, store *adstore.Store, ads *AdIndex) (*indexed, error) {
@@ -96,6 +94,7 @@ func (ix *indexed) offerStatic(c *topk.Collector, st *userState, sl timeslot.Slo
 // the stream of feed events.
 type IL struct {
 	*indexed
+	acc index.Accumulator
 }
 
 // NewIL creates an IL engine over an ad side of its own, with the given

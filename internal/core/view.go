@@ -25,7 +25,7 @@ import (
 const (
 	viewSlack      = 4
 	viewMaxTracked = 256
-	viewJoinRoom   = 16
+	viewJoinRoom   = 8
 	viewMaxNoted   = 256
 )
 
@@ -161,17 +161,26 @@ func (v *topView) tracks(slot uint32) bool {
 }
 
 // cut sorts the tracked ads into the collector's order — score descending,
-// ad ID ascending on a tie — and keeps the best size of them.
+// ad ID ascending on a tie — and keeps the best size of them. The sort is an
+// insertion pass: between queries the set is nearly in order already (the
+// scores move a little, and a few joiners wait at the end), so it moves
+// little, and the order is total, so the result is the one any sort gives.
 func (v *topView) cut() {
-	slices.SortFunc(v.tracked, func(x, y viewEntry) int {
-		if c := cmp.Compare(y.score, x.score); c != 0 {
-			return c
+	t := v.tracked
+	for i := 1; i < len(t); i++ {
+		en, j := t[i], i
+		for ; j > 0; j-- {
+			c := cmp.Compare(t[j-1].score, en.score)
+			if c > 0 || c == 0 && t[j-1].a.ID < en.a.ID {
+				break
+			}
+			t[j] = t[j-1]
 		}
-		return cmp.Compare(x.a.ID, y.a.ID)
-	})
-	if len(v.tracked) > v.size {
-		v.bound = max(v.bound, v.tracked[v.size].score)
-		v.tracked = v.tracked[:v.size]
+		t[j] = en
+	}
+	if len(t) > v.size {
+		v.bound = max(v.bound, t[v.size].score)
+		v.tracked = t[:v.size]
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -814,12 +815,12 @@ func TestViewMemoryIsBounded(t *testing.T) {
 	}
 	deliver(t, e, 1, base0, textproc.SparseVector{{ID: 1, W: 1}})
 	sameAsFullRanking(t, e, 2, base0)
-	// 60 joiners for a join room of 16.
+	// 60 joiners for a join room of 8.
 	deliver(t, e, 2, base0, lift(160))
 	e.BufferSize(1)
 	// The list is allocated once, by the first note, not grown append by append.
-	if v := e.users[1].buf.view; len(v.noted) != 60 || cap(v.noted) != viewMaxNoted/2 {
-		t.Fatalf("%d ads noted in room for %d, the scenario needs all 60 in a list of %d", len(v.noted), cap(v.noted), viewMaxNoted/2)
+	if v := e.users[1].buf.view; len(v.noted) != 60 || cap(v.noted) != viewMaxNoted/4 {
+		t.Fatalf("%d ads noted in room for %d, the scenario needs all 60 in a list of %d", len(v.noted), cap(v.noted), viewMaxNoted/4)
 	}
 	if top := sameAsFullRanking(t, e, 2, base0); top[0].Ad < 101 {
 		t.Fatalf("top ad %d, want a lifted outsider", top[0].Ad)
@@ -872,4 +873,44 @@ func TestContinuousViewPathAllocations(t *testing.T) {
 	if allocs > 1 {
 		t.Fatalf("view-path TopAds allocates %.0f times, want at most 1 (the result)", allocs)
 	}
+}
+
+// TestViewCutOrdersAsASort: cut's insertion pass leaves the tracked set in
+// the order a sort by score descending, then ad ID ascending, gives — from
+// any starting order, with tied scores — keeps the same best size and raises
+// the bound to the best ad it cuts.
+func TestViewCutOrdersAsASort(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 500; trial++ {
+		n, size := 1+rng.Intn(40), 1+rng.Intn(30)
+		v, ids := &topView{size: size, bound: -1}, rng.Perm(1000)
+		for i := 0; i < n; i++ {
+			a := &adstore.Ad{ID: adstore.AdID(1 + ids[i])}
+			v.tracked = append(v.tracked, viewEntry{a: a, slot: uint32(i), score: float64(rng.Intn(8)) / 4})
+		}
+		if trial%2 == 0 { // nearly sorted, as between queries
+			slices.SortFunc(v.tracked, cmpViewEntries)
+			for s := 0; s < 3; s++ {
+				v.tracked[rng.Intn(n)].score += 0.25
+			}
+		}
+		want := slices.Clone(v.tracked)
+		slices.SortFunc(want, cmpViewEntries)
+		wantBound := v.bound
+		if len(want) > size {
+			wantBound = max(wantBound, want[size].score)
+			want = want[:size]
+		}
+		v.cut()
+		if !slices.Equal(v.tracked, want) || v.bound != wantBound {
+			t.Fatalf("trial %d: cut gives %v, bound %v; a sort %v, bound %v", trial, v.tracked, v.bound, want, wantBound)
+		}
+	}
+}
+
+func cmpViewEntries(x, y viewEntry) int {
+	if c := cmp.Compare(y.score, x.score); c != 0 {
+		return c
+	}
+	return cmp.Compare(x.a.ID, y.a.ID)
 }

@@ -330,11 +330,16 @@ func TestSharedStructuresCountedOnce(t *testing.T) {
 	}
 }
 
-// TestShardsDefaultToTheCores: Shards 0 means one shard per GOMAXPROCS.
+// TestShardsDefaultToTheCores: Shards 0 means one shard on a single core and
+// shardsPerCore per GOMAXPROCS above that.
 func TestShardsDefaultToTheCores(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	cfg := testConfig()
 	cfg.Shards = 0
-	if st := openEngine(t, cfg).Stats(); st.Shards != runtime.GOMAXPROCS(0) {
-		t.Fatalf("%d shards, want GOMAXPROCS = %d", st.Shards, runtime.GOMAXPROCS(0))
+	for procs, want := range map[int]int{1: 1, 2: 2 * shardsPerCore, 3: 3 * shardsPerCore} {
+		runtime.GOMAXPROCS(procs)
+		if st := openEngine(t, cfg).Stats(); st.Shards != want {
+			t.Errorf("GOMAXPROCS %d: %d shards, want %d", procs, st.Shards, want)
+		}
 	}
 }
