@@ -71,7 +71,8 @@ race-matrix:
 
 # fuzz-smoke gives each fuzz target a short budget — enough to catch a
 # regression in the journal frame decoder, crash recovery, the ingest accept
-# contract, the request parsers, the sketches, CAP's candidate-buffer merge
+# contract, the request parsers and the query scanner, the hand-written
+# recommend body, the sketches, CAP's candidate-buffer merge
 # and its scoping to a grid cell, the window aggregate's merge, or the grid's
 # cover of every point a target circle contains, without holding up the gate.
 fuzz-smoke:
@@ -81,6 +82,8 @@ fuzz-smoke:
 	$(GO) test ./ingest/ -fuzz FuzzAcceptedWritesEncode -fuzztime 10s -run '^$$'
 	$(GO) test ./internal/server/ -fuzz FuzzSanitizeRequestID -fuzztime 10s -run '^$$'
 	$(GO) test ./internal/server/ -fuzz FuzzParsePolicy -fuzztime 10s -run '^$$'
+	$(GO) test ./internal/server/ -fuzz FuzzQueryGetMatchesURLValues -fuzztime 10s -run '^$$'
+	$(GO) test ./internal/server/ -fuzz FuzzRecommendResponseMatchesEncodingJSON -fuzztime 10s -run '^$$'
 	$(GO) test ./internal/sketch/ -fuzz FuzzCountMinEstimate -fuzztime 10s -run '^$$'
 	$(GO) test ./internal/sketch/ -fuzz FuzzWindowedDecay -fuzztime 10s -run '^$$'
 	$(GO) test ./internal/core/ -fuzz FuzzDynBufMerge -fuzztime 10s -run '^$$'

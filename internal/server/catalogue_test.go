@@ -145,14 +145,14 @@ func TestRouteTableMatchesREADME(t *testing.T) {
 	paths := []string{"/v1/recommendations", "/v1/ads/a1", "/debug/pprof/profile", "/unknown"}
 	if allocs := testing.AllocsPerRun(100, func() {
 		for _, p := range paths {
-			_ = srv.endpointLabel(p)
+			_ = srv.seriesOf(p)
 			_ = srv.operatorPath(p)
 		}
 	}); allocs != 0 {
 		t.Errorf("route lookups allocate %.1f times per 4 paths, want 0", allocs)
 	}
 	for path, want := range map[string]string{"/v1/ads/a1": "/v1/ads", "/debug/pprof/profile": "/debug/pprof", "/unknown": "other"} {
-		if got := srv.endpointLabel(path); got != want {
+		if got := srv.seriesOf(path).label; got != want {
 			t.Errorf("endpoint label of %s = %q, want %q", path, got, want)
 		}
 	}

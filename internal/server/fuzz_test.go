@@ -1,9 +1,14 @@
 package server
 
 import (
+	"bytes"
+	"encoding/json"
+	"math"
 	"net/url"
 	"strings"
 	"testing"
+
+	caar "caar"
 )
 
 // FuzzSanitizeRequestID checks the request-ID laundering invariants on
@@ -32,10 +37,10 @@ func FuzzSanitizeRequestID(f *testing.F) {
 	})
 }
 
-// FuzzParsePolicy feeds arbitrary query strings to the serving-policy
-// parser: it must never panic, and whenever it accepts input the resulting
-// policy must honor its documented bounds (positive cap and window,
-// non-negative per-campaign limit).
+// FuzzParsePolicy feeds arbitrary query strings, read through the query
+// scanner, to the serving-policy parser: it must never panic, and whenever
+// it accepts input the resulting policy must honor its documented bounds
+// (positive cap and window, non-negative per-campaign limit).
 func FuzzParsePolicy(f *testing.F) {
 	f.Add("freq_cap=3&freq_window=1h")
 	f.Add("freq_cap=-1")
@@ -44,22 +49,84 @@ func FuzzParsePolicy(f *testing.F) {
 	f.Add("freq_window=-5s&freq_cap=0")
 	f.Add("")
 	f.Fuzz(func(t *testing.T, rawQuery string) {
-		q, err := url.ParseQuery(rawQuery)
-		if err != nil {
-			t.Skip()
-		}
-		p, perr := parsePolicy(q)
+		q := query(rawQuery)
+		p, perr := parsePolicy(q.get)
 		if perr != nil {
 			return
 		}
-		if q.Get("freq_cap") != "" && p.FrequencyCap < 1 {
+		if q.get("freq_cap") != "" && p.FrequencyCap < 1 {
 			t.Fatalf("accepted freq_cap below 1: %+v", p)
 		}
-		if q.Get("freq_window") != "" && p.FrequencyWindow <= 0 {
+		if q.get("freq_window") != "" && p.FrequencyWindow <= 0 {
 			t.Fatalf("accepted non-positive freq_window: %+v", p)
 		}
-		if q.Get("max_per_campaign") != "" && p.MaxPerCampaign < 1 {
+		if q.get("max_per_campaign") != "" && p.MaxPerCampaign < 1 {
 			t.Fatalf("accepted max_per_campaign below 1: %+v", p)
+		}
+	})
+}
+
+// FuzzQueryGetMatchesURLValues holds the query scanner to net/url: for any
+// raw query and key it returns what r.URL.Query().Get returns — the first
+// value, unescaped, with pairs holding a ';' or a bad escape dropped.
+func FuzzQueryGetMatchesURLValues(f *testing.F) {
+	f.Add("user=alice&k=3", "k")
+	f.Add("a=1&a=2", "a")
+	f.Add("a=%zz&a=ok", "a")
+	f.Add("a;b=1&a=2", "a")
+	f.Add("a+b=c+d&a%20b=x", "a b")
+	f.Add("%61=1&a=2", "a")
+	f.Add("%zz=1&a", "a")
+	f.Add("=x&&a=&a=y", "")
+	f.Add("a=1%2", "a")
+	f.Fuzz(func(t *testing.T, raw, key string) {
+		want, _ := url.ParseQuery(raw)
+		if got := query(raw).get(key); got != want.Get(key) {
+			t.Fatalf("query(%q).get(%q) = %q, url.Values gives %q", raw, key, got, want.Get(key))
+		}
+	})
+}
+
+// FuzzRecommendResponseMatchesEncodingJSON holds the hand-written recommend
+// body to the bytes json.Encoder writes for the map the route used to
+// encode: it panics exactly where encoding/json fails, on a score JSON
+// cannot hold.
+func FuzzRecommendResponseMatchesEncodingJSON(f *testing.F) {
+	f.Add("alice", "ad-1", 0.5, 0.25, 0.125, 0.0625, uint8(3))
+	f.Add(`q"u\ote`, "<b>&amp;</b>", math.Copysign(0, -1), 1e-7, 1e21, 5e-324, uint8(2))
+	f.Add("ctl\x00\x1f\x7f", "line\u2028sep\u2029", -1e-7, 123456789.125, 1e20, 2.2250738585072014e-308, uint8(1))
+	f.Add("bad\xff\xfeutf8", "é", 1e-6, 9.999999e-7, -1e21, 0.1, uint8(4))
+	f.Add("nil", "x", 0.0, 0.0, 0.0, 0.0, uint8(0))
+	f.Add("empty", "x", 0.0, 0.0, 0.0, 0.0, uint8(5))
+	f.Add("nan", "x", math.NaN(), 0.0, math.Inf(1), 0.0, uint8(1))
+	f.Fuzz(func(t *testing.T, user, adID string, a, b, c, d float64, n uint8) {
+		// n%5 recommendations; none is a nil slice when n is 0, empty when
+		// n is any other multiple of 5.
+		var recs []caar.Recommendation
+		if n%5 == 0 && n > 0 {
+			recs = []caar.Recommendation{}
+		}
+		v := []float64{a, b, c, d}
+		for i := 0; i < int(n%5); i++ {
+			id := adID
+			if i%2 == 1 {
+				id = user
+			}
+			recs = append(recs, caar.Recommendation{AdID: id, Score: v[i%4], Text: v[(i+1)%4], Geo: v[(i+2)%4], Bid: v[(i+3)%4]})
+		}
+		var want bytes.Buffer
+		wantErr := json.NewEncoder(&want).Encode(map[string]any{"recommendations": recs, "user": user})
+		var got []byte
+		panicked := func() (p any) {
+			defer func() { p = recover() }()
+			got = appendRecommendBody(nil, user, recs)
+			return nil
+		}()
+		if (panicked != nil) != (wantErr != nil) {
+			t.Fatalf("panic %v, encoding/json's error %v", panicked, wantErr)
+		}
+		if wantErr == nil && !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("body\n%s\nencoding/json writes\n%s", got, want.Bytes())
 		}
 	})
 }

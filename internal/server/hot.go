@@ -30,10 +30,10 @@ func (s *Server) handleHot(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusMethodNotAllowed, "GET required")
 		return
 	}
-	q := r.URL.Query()
+	q := query(r.URL.RawQuery)
 
 	window := time.Duration(0)
-	if raw := q.Get("window"); raw != "" {
+	if raw := q.get("window"); raw != "" {
 		d, err := time.ParseDuration(raw)
 		if err != nil || d < 0 {
 			httpError(w, http.StatusBadRequest, "invalid window "+strconv.Quote(raw))
@@ -41,14 +41,14 @@ func (s *Server) handleHot(w http.ResponseWriter, r *http.Request) {
 		}
 		window = d
 	}
-	k, err := kParam(q.Get("k"), 10)
+	k, err := kParam(q.get("k"), 10)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 
 	dims := hotkey.Dimensions()
-	if raw := q.Get("dim"); raw != "" {
+	if raw := q.get("dim"); raw != "" {
 		if !hotkey.Valid(hotkey.Dimension(raw)) {
 			httpError(w, http.StatusBadRequest, "unknown dimension "+strconv.Quote(raw))
 			return

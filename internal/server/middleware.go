@@ -204,7 +204,8 @@ func (w jsonByDefault) WriteHeader(code int) {
 }
 
 // withBodyLimit caps request body size; the JSON decoder surfaces the
-// overflow as *http.MaxBytesError, mapped to 413 by decodeBody.
+// overflow as *http.MaxBytesError, mapped to 413 by decodeBody. A GET's
+// http.NoBody has nothing to cap.
 func (s *Server) withBodyLimit(next http.Handler) http.Handler {
 	if s.maxBody < 0 {
 		return next
@@ -214,7 +215,7 @@ func (s *Server) withBodyLimit(next http.Handler) http.Handler {
 		limit = DefaultMaxBodyBytes
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Body != nil {
+		if r.Body != nil && r.Body != http.NoBody {
 			r.Body = http.MaxBytesReader(w, r.Body, limit)
 		}
 		next.ServeHTTP(w, r)

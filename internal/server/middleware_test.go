@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"io"
 	"log"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -76,6 +77,45 @@ func TestPanicRecovery(t *testing.T) {
 	}
 	if got := srv.Health().Panics; got != 1 {
 		t.Fatalf("panic counter = %d, want 1", got)
+	}
+}
+
+// nanAPI wraps an API and answers every recommend with a score JSON
+// cannot hold.
+type nanAPI struct {
+	API
+}
+
+func (nanAPI) RecommendTraced(user string, k int, at time.Time, p caar.ServingPolicy, treq caar.TraceRequest) ([]caar.Recommendation, *trace.Trace, error) {
+	return []caar.Recommendation{{AdID: "a1", Score: math.NaN()}}, &trace.Trace{}, nil
+}
+
+// TestUnencodableBodyIs500: a response that cannot be encoded is a 500
+// from the recovery middleware, counted as a panic, and not an empty 200 —
+// on the hand-encoded recommend body and on the encoding/json path that
+// ?explain=1 takes.
+func TestUnencodableBodyIs500(t *testing.T) {
+	srv := New(nanAPI{testEngine(t)}, WithLogger(log.New(io.Discard, "", 0)))
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	for i, path := range []string{"/v1/recommendations?user=alice", "/v1/recommendations?user=alice&explain=1"} {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body errorBody
+		derr := json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusInternalServerError || derr != nil || body.Error == "" {
+			t.Fatalf("%s: status %d, body %+v (%v), want a 500 with an error body", path, resp.StatusCode, body, derr)
+		}
+		if got := srv.Health().Panics; got != uint64(i+1) {
+			t.Fatalf("%s: panic counter = %d, want %d", path, got, i+1)
+		}
+	}
+	if m := scrape(t, ts.URL); !strings.Contains(m, "caar_http_panics_total 2") {
+		t.Fatalf("metrics do not count the two panics:\n%s", m)
 	}
 }
 

@@ -4,11 +4,9 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
-	"encoding/json"
 	"log/slog"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -107,8 +105,11 @@ var reqIDPrefix = func() string {
 
 var reqIDSeq atomic.Uint64
 
+// newRequestID mints "<prefix>-<seq>" in one allocation.
 func newRequestID() string {
-	return reqIDPrefix + "-" + strconv.FormatUint(reqIDSeq.Add(1), 10)
+	var buf [len("00000000-") + 20]byte
+	b := append(append(buf[:0], reqIDPrefix...), '-')
+	return string(strconv.AppendUint(b, reqIDSeq.Add(1), 10))
 }
 
 // maxRequestIDLen caps adopted client request IDs; anything longer is
@@ -148,19 +149,39 @@ type ctxKey int
 
 const requestIDKey ctxKey = iota
 
+// idContext is a request's context with its ID attached. It lives in the
+// request's statusRecorder, so the ID costs no allocation of its own, where
+// context.WithValue would allocate a node and box the string.
+type idContext struct {
+	context.Context
+	id string
+}
+
+func (c *idContext) Value(key any) any {
+	if key == requestIDKey {
+		return c
+	}
+	return c.Context.Value(key)
+}
+
 // RequestID returns the request's ID (generated by the observability
 // middleware or supplied by the client in X-Request-Id), or "".
 func RequestID(ctx context.Context) string {
-	id, _ := ctx.Value(requestIDKey).(string)
-	return id
+	if c, _ := ctx.Value(requestIDKey).(*idContext); c != nil {
+		return c.id
+	}
+	return ""
 }
 
 // statusRecorder captures the response status and body size for metrics and
-// the access log.
+// the access log. It also holds the request's context and the value of its
+// X-Request-Id header, so the middleware allocates once for all three.
 type statusRecorder struct {
 	http.ResponseWriter
-	code  int
-	bytes int64
+	ctx      idContext
+	idHeader [1]string
+	code     int
+	bytes    int64
 }
 
 func (r *statusRecorder) WriteHeader(code int) {
@@ -190,29 +211,41 @@ func (r *statusRecorder) status() int {
 // underlying writer.
 func (r *statusRecorder) Unwrap() http.ResponseWriter { return r.ResponseWriter }
 
-// endpointLabel is path's value of the per-endpoint series' label: its
-// route's pattern without a trailing slash. Anything the route table does not
-// serve collapses into "other", so a path-scanning client cannot explode the
-// metric cardinality.
-func (s *Server) endpointLabel(path string) string {
-	if r := s.routeOf(path); r != nil {
-		return strings.TrimSuffix(r.pattern, "/")
-	}
-	return "other"
+// routeSeries is one endpoint label's request counters and latency
+// histogram. They are resolved from their families on the first request
+// that needs them and held after that, so a request takes no family lock and
+// builds no label key, and /v1/metrics shows no zero series for a route
+// nobody called.
+type routeSeries struct {
+	label   string
+	latency atomic.Pointer[obs.Histogram]
+	byClass [4]atomic.Pointer[obs.Counter] // 2xx, 3xx, 4xx, 5xx
 }
 
-func statusClass(code int) string {
-	switch {
-	case code < 300:
-		return "2xx"
-	case code < 400:
-		return "3xx"
-	case code < 500:
-		return "4xx"
-	default:
-		return "5xx"
+var statusClasses = [4]string{"2xx", "3xx", "4xx", "5xx"}
+
+// observe counts one request that answered code after d.
+func (rs *routeSeries) observe(m *serverMetrics, code int, d time.Duration) {
+	class := min(max(code/100-2, 0), 3)
+	c := rs.byClass[class].Load()
+	if c == nil {
+		c = m.requests.With(rs.label, statusClasses[class])
+		rs.byClass[class].Store(c)
 	}
+	c.Inc()
+	h := rs.latency.Load()
+	if h == nil {
+		h = m.latency.With(rs.label)
+		rs.latency.Store(h)
+	}
+	h.ObserveDuration(d)
 }
+
+// seriesOf returns the series of the route serving path, labeled with its
+// pattern without a trailing slash. Anything the route table does not serve
+// shares the "other" series, so a path-scanning client cannot explode the
+// metric cardinality.
+func (s *Server) seriesOf(path string) *routeSeries { return &s.series[s.routeOf(path)] }
 
 // withObservability is the outermost middleware: one monotonic clock
 // capture at entry feeds the per-endpoint latency histogram, the access log
@@ -226,16 +259,14 @@ func (s *Server) withObservability(next http.Handler) http.Handler {
 		if reqID == "" {
 			reqID = newRequestID()
 		}
-		w.Header().Set("X-Request-Id", reqID)
-		r = r.WithContext(context.WithValue(r.Context(), requestIDKey, reqID))
+		rec := &statusRecorder{ResponseWriter: w, ctx: idContext{r.Context(), reqID}, idHeader: [1]string{reqID}}
+		w.Header()["X-Request-Id"] = rec.idHeader[:]
+		r = r.WithContext(&rec.ctx)
 
-		rec := &statusRecorder{ResponseWriter: w}
 		next.ServeHTTP(rec, r)
 		elapsed := time.Since(start)
 
-		ep := s.endpointLabel(r.URL.Path)
-		s.sm.requests.With(ep, statusClass(rec.status())).Inc()
-		s.sm.latency.With(ep).ObserveDuration(elapsed)
+		s.seriesOf(r.URL.Path).observe(s.sm, rec.status(), elapsed)
 		// The deadline middleware answers 503 after reqTimeout; a 503 that
 		// took at least that long is a deadline cut, not a handler error.
 		if s.reqTimeout > 0 && rec.status() == http.StatusServiceUnavailable && elapsed >= s.reqTimeout {
@@ -296,13 +327,5 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 		ok(w, body)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusServiceUnavailable)
-	writeJSON(w, map[string]any{"status": "degraded", "reasons": problems})
-}
-
-// writeJSON mirrors ok()'s encoding for responses that set their own status
-// code first.
-func writeJSON(w http.ResponseWriter, body any) {
-	_ = json.NewEncoder(w).Encode(body)
+	writeJSON(w, http.StatusServiceUnavailable, map[string]any{"status": "degraded", "reasons": problems})
 }

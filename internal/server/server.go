@@ -13,6 +13,12 @@
 // the response.
 //
 // Timestamps default to the server's current time when omitted.
+//
+// The hot route is encoded by hand: a recommend appends its body into a
+// pooled buffer, and every handler reads its query by scanning the raw
+// string (wire.go). Fuzz tests hold both byte for byte to encoding/json and
+// net/url. Every other body, and a recommend with explain=1, goes through
+// encoding/json.
 package server
 
 import (
@@ -95,6 +101,7 @@ type Server struct {
 	// observability (see obs.go).
 	metrics   *obs.Registry
 	sm        *serverMetrics
+	series    []routeSeries // one per route, then "other"
 	accessLog *slog.Logger
 
 	// recovery, when set, gates API traffic until journal replay finishes
@@ -126,9 +133,12 @@ func New(eng API, opts ...Option) *Server {
 	}
 	s.sm = newServerMetrics(s)
 	s.routes = s.routeTable()
-	for _, r := range s.routes {
+	s.series = make([]routeSeries, len(s.routes)+1)
+	for i, r := range s.routes {
 		s.mux.HandleFunc(r.pattern, r.handler)
+		s.series[i].label = strings.TrimSuffix(r.pattern, "/")
 	}
+	s.series[len(s.routes)].label = "other"
 	s.initSLO()
 	return s
 }
@@ -197,22 +207,21 @@ func (s *Server) routeTable() []route {
 	return rs
 }
 
-// routeOf returns the first route serving path — its pattern is path, or a
-// subtree pattern path lies under — or nil.
-func (s *Server) routeOf(path string) *route {
-	for i := range s.routes {
-		r := &s.routes[i]
+// routeOf returns the index of the first route serving path — its pattern
+// is path, or a subtree pattern path lies under — or len(s.routes).
+func (s *Server) routeOf(path string) int {
+	for i, r := range s.routes {
 		if path == r.pattern || strings.HasSuffix(r.pattern, "/") && strings.HasPrefix(path, r.pattern) {
-			return r
+			return i
 		}
 	}
-	return nil
+	return len(s.routes)
 }
 
 // operatorPath reports whether path is served by an operator route.
 func (s *Server) operatorPath(path string) bool {
-	r := s.routeOf(path)
-	return r != nil && r.operator
+	i := s.routeOf(path)
+	return i < len(s.routes) && s.routes[i].operator
 }
 
 // post wraps a handler with a method check.
@@ -231,9 +240,7 @@ type errorBody struct {
 }
 
 func httpError(w http.ResponseWriter, code int, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(errorBody{Error: msg})
+	writeJSON(w, code, errorBody{Error: msg})
 }
 
 // fail maps engine errors to HTTP status codes: unknown references are 404,
@@ -256,13 +263,33 @@ func fail(w http.ResponseWriter, err error) {
 	}
 }
 
+// ok answers 200 with body as JSON, or 204 when body is nil.
 func ok(w http.ResponseWriter, body any) {
-	w.Header().Set("Content-Type", "application/json")
 	if body == nil {
+		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusNoContent)
 		return
 	}
-	json.NewEncoder(w).Encode(body)
+	writeJSON(w, http.StatusOK, body)
+}
+
+// writeJSON answers code with body as a json.Encoder writes it. The body is
+// encoded before any header goes out, so a value JSON cannot hold (a NaN
+// score) panics into the recovery middleware's 500 instead of leaving an
+// empty 200.
+func writeJSON(w http.ResponseWriter, code int, body any) {
+	b, err := json.Marshal(body)
+	if err != nil {
+		panic(fmt.Errorf("server: encoding a %d response: %w", code, err))
+	}
+	writeBody(w, code, append(b, '\n'))
+}
+
+// writeBody sends an encoded JSON body in one write.
+func writeBody(w http.ResponseWriter, code int, b []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	w.Write(b)
 }
 
 func decode(r *http.Request, into any) error {
@@ -497,25 +524,25 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusMethodNotAllowed, "GET required")
 		return
 	}
-	q := r.URL.Query()
-	user := q.Get("user")
-	k, err := kParam(q.Get("k"), 5)
+	q := query(r.URL.RawQuery)
+	user := q.get("user")
+	k, err := kParam(q.get("k"), 5)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	at, err := s.at(q.Get("at"))
+	at, err := s.at(q.get("at"))
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 
-	policy, err := parsePolicy(q)
+	policy, err := parsePolicy(q.get)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	rawExplain := q.Get("explain")
+	rawExplain := q.get("explain")
 	explain := rawExplain == "1" || rawExplain == "true"
 
 	// Every recommend goes through the traced path so the request ID flows
@@ -527,11 +554,14 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 		fail(w, err)
 		return
 	}
-	resp := map[string]any{"user": user, "recommendations": recs}
 	if explain && tr != nil {
-		resp["explain"] = tr
+		ok(w, map[string]any{"explain": tr, "recommendations": recs, "user": user})
+		return
 	}
-	ok(w, resp)
+	bp := bodyPool.Get().(*[]byte)
+	*bp = appendRecommendBody((*bp)[:0], user, recs)
+	writeBody(w, http.StatusOK, *bp)
+	bodyPool.Put(bp)
 }
 
 // kParam reads an optional k: def when absent, else what the engine accepts.
@@ -548,13 +578,7 @@ func kParam(raw string, def int) (int, error) {
 
 // parsePolicy reads the optional serving-policy query parameters:
 // freq_cap (int), freq_window (Go duration), max_per_campaign (int).
-func parsePolicy(q map[string][]string) (caar.ServingPolicy, error) {
-	get := func(key string) string {
-		if vs := q[key]; len(vs) > 0 {
-			return vs[0]
-		}
-		return ""
-	}
+func parsePolicy(get func(key string) string) (caar.ServingPolicy, error) {
 	var p caar.ServingPolicy
 	if raw := get("freq_cap"); raw != "" {
 		n, err := strconv.Atoi(raw)
@@ -610,12 +634,12 @@ func (s *Server) handleTrending(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusMethodNotAllowed, "GET required")
 		return
 	}
-	q := r.URL.Query()
-	slot := caar.Slot(q.Get("slot"))
+	q := query(r.URL.RawQuery)
+	slot := caar.Slot(q.get("slot"))
 	if slot == "" {
 		slot = caar.SlotOf(s.now())
 	}
-	k, err := kParam(q.Get("k"), 10)
+	k, err := kParam(q.get("k"), 10)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return

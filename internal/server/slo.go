@@ -47,7 +47,7 @@ func (s *Server) initSLO() {
 	}
 	t := slo.NewTracker(s.sloCfg, s.metrics)
 	for _, obj := range s.sloObjs {
-		ep := s.endpointLabel(obj.Endpoint)
+		ep := s.seriesOf(obj.Endpoint).label
 		var (
 			src slo.Source
 			eff float64
@@ -87,7 +87,7 @@ func (s *Server) handleSLO(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "SLO tracking disabled in this deployment")
 		return
 	}
-	if raw := r.URL.Query().Get("refresh"); raw == "1" || raw == "true" {
+	if raw := query(r.URL.RawQuery).get("refresh"); raw == "1" || raw == "true" {
 		s.sloTracker.Sample(s.now())
 	}
 	ok(w, s.sloTracker.Status())

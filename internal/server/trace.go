@@ -43,7 +43,7 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	}
 
 	n := 50
-	if raw := r.URL.Query().Get("n"); raw != "" {
+	if raw := query(r.URL.RawQuery).get("n"); raw != "" {
 		parsed, err := strconv.Atoi(raw)
 		if err != nil || parsed < 1 {
 			httpError(w, http.StatusBadRequest, "n must be a positive integer")
