@@ -70,20 +70,25 @@ race-matrix:
 		-kills 3 -out BENCH_SOAK_RACE.json
 
 # fuzz-smoke gives each fuzz target a short budget — enough to catch a
-# regression in the journal frame decoder, crash recovery, the ingest accept
-# contract, the request parsers and the query scanner, the hand-written
-# recommend body, the sketches, CAP's candidate-buffer merge
-# and its scoping to a grid cell, the window aggregate's merge, or the grid's
-# cover of every point a target circle contains, without holding up the gate.
+# regression in the journal frame decoder, crash recovery, the hand-framed
+# journal entries, the ingest accept contract, the request parsers and the
+# query scanner, the hand-split post and check-in bodies, the hand-written
+# recommend body, the one-pass text vectorizer, the sketches, CAP's
+# candidate-buffer merge and its scoping to a grid cell, the window
+# aggregate's merge, or the grid's cover of every point a target circle
+# contains, without holding up the gate.
 fuzz-smoke:
 	$(GO) test ./journal/ -fuzz FuzzDecodeLine -fuzztime 10s -run '^$$'
 	$(GO) test ./journal/ -fuzz FuzzRecoverTornTail -fuzztime 10s -run '^$$'
 	$(GO) test ./journal/ -fuzz FuzzAppendBatchRecover -fuzztime 10s -run '^$$'
+	$(GO) test ./journal/ -fuzz FuzzEntryFrameMatchesMarshal -fuzztime 10s -run '^$$'
 	$(GO) test ./ingest/ -fuzz FuzzAcceptedWritesEncode -fuzztime 10s -run '^$$'
 	$(GO) test ./internal/server/ -fuzz FuzzSanitizeRequestID -fuzztime 10s -run '^$$'
 	$(GO) test ./internal/server/ -fuzz FuzzParsePolicy -fuzztime 10s -run '^$$'
 	$(GO) test ./internal/server/ -fuzz FuzzQueryGetMatchesURLValues -fuzztime 10s -run '^$$'
 	$(GO) test ./internal/server/ -fuzz FuzzRecommendResponseMatchesEncodingJSON -fuzztime 10s -run '^$$'
+	$(GO) test ./internal/server/ -fuzz FuzzPostBodyMatchesDecoder -fuzztime 10s -run '^$$'
+	$(GO) test ./internal/textproc/ -fuzz FuzzVectorMatchesTokenizeChain -fuzztime 10s -run '^$$'
 	$(GO) test ./internal/sketch/ -fuzz FuzzCountMinEstimate -fuzztime 10s -run '^$$'
 	$(GO) test ./internal/sketch/ -fuzz FuzzWindowedDecay -fuzztime 10s -run '^$$'
 	$(GO) test ./internal/core/ -fuzz FuzzDynBufMerge -fuzztime 10s -run '^$$'

@@ -89,9 +89,10 @@ func handlerAllocs(h http.Handler, method, target, body string) float64 {
 // TestHandlerAllocations pins what a request allocates through the whole
 // middleware chain per route. The recommend route encodes its body by hand
 // into a pooled buffer and reads its query without url.Values, so it costs
-// little more than the engine's own read; a post goes to a stub queue, so
-// its count is the middleware's and the JSON decode's. The pins are exact
-// counts: a race build drops pooled items, so this file is not built there.
+// little more than the engine's own read; a post or check-in goes to a stub
+// queue and splits its pooled body by hand, so its count is the
+// middleware's and the strings it keeps. The pins are exact counts: a race
+// build drops pooled items, so this file is not built there.
 func TestHandlerAllocations(t *testing.T) {
 	h := New(allocFixture(t), WithIngest(&fakeQueue{})).Handler()
 	at := time.Date(2026, 7, 6, 9, 1, 0, 0, time.UTC).Format(time.RFC3339)
@@ -99,8 +100,9 @@ func TestHandlerAllocations(t *testing.T) {
 		method, target, body string
 		max                  float64
 	}{
-		{"GET", "/v1/recommendations?user=u3&k=10&at=" + at, "", 7},
-		{"POST", "/v1/posts", `{"author":"u1","text":"coffee and jazz tonight"}`, 15},
+		{"GET", "/v1/recommendations?user=u3&k=10&at=" + at, "", 6},
+		{"POST", "/v1/posts", `{"author":"u1","text":"coffee and jazz tonight"}`, 7},
+		{"POST", "/v1/checkins", `{"user":"u1","lat":40.7128,"lng":-74.006}`, 6},
 	} {
 		got := handlerAllocs(h, c.method, c.target, c.body)
 		t.Logf("%s %s: %.0f allocations", c.method, c.target, got)

@@ -3,10 +3,15 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"net/url"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	caar "caar"
 )
@@ -127,6 +132,116 @@ func FuzzRecommendResponseMatchesEncodingJSON(f *testing.F) {
 		}
 		if wantErr == nil && !bytes.Equal(got, want.Bytes()) {
 			t.Fatalf("body\n%s\nencoding/json writes\n%s", got, want.Bytes())
+		}
+	})
+}
+
+// argQueue records what each submission carries, times as RFC 3339 text
+// and coordinates as their bits.
+type argQueue struct{ args []any }
+
+func (q *argQueue) SubmitPost(author, text string, at time.Time) error {
+	q.args = append(q.args, author, text, at.Format(time.RFC3339Nano))
+	return nil
+}
+
+func (q *argQueue) SubmitCheckIn(user string, lat, lng float64, at time.Time) error {
+	q.args = append(q.args, user, math.Float64bits(lat), math.Float64bits(lng), at.Format(time.RFC3339Nano))
+	return nil
+}
+
+// FuzzPostBodyMatchesDecoder holds the post and check-in routes, which split
+// the bodies clients send by hand and give every other body to
+// encoding/json, to decodeBody reading the request directly: the same
+// fields reach the ingest queue, and a body it rejects gets the same status
+// and error body — also under a small body limit (limit > 0 bytes).
+func FuzzPostBodyMatchesDecoder(f *testing.F) {
+	for _, seed := range []struct {
+		body    string
+		checkIn bool
+		limit   uint8
+	}{
+		{`{"author":"u1","text":"coffee and jazz tonight"}`, false, 0},
+		{" {\"text\":\"é ✓ \u2028\",\"at\":\"2026-07-06T09:00:00+02:00\" , \"author\":\"u1\"}\n", false, 0},
+		{`{"author":"u1","text":"esc\u2028aped"}`, false, 0},
+		{`{"author":"u1","text":"x"}garbage`, false, 0},
+		{`{"author":"u1","text":"x"}{"author":"u2","text":"y"}`, false, 0},
+		{`{"Author":"u1","text":"x"}`, false, 0},
+		{`{"author":"u1","author":"u2","text":"x"}`, false, 0},
+		{`{"author":"u1","text":"tab\tline\\n"}`, false, 0},
+		{"{\"author\":\"u1\",\"text\":\"caf\xc3\"}", false, 0},
+		{"{\"author\":\"u1\",\"text\":\"raw\ttab\"}", false, 0},
+		{`{"author":null,"text":"x","at":""}`, false, 0},
+		{`{"author":"u1","text":"x","extra":1}`, false, 0},
+		{`{"author":"u1","text":"x","at":"yesterday"}`, false, 0},
+		{`{"author":"u1" "text":"x"}`, false, 0},
+		{`{"author":"u1",}`, false, 0},
+		{`{"author":"u1","text":"x"`, false, 0},
+		{`{}`, false, 0},
+		{``, false, 0},
+		{`{"author":"u1","text":"a long post over the limit"}`, false, 16},
+		{`{"author":"u1","text":"x"}` + "          ", false, 30},
+		{`{"user":"u1","lat":1.5,"lng":-0,"at":"2026-07-06T09:00:00Z"}`, true, 0},
+		{`{"user":"u1","lat":-12.5e-3,"lng":1E+2}`, true, 0},
+		{`{"user":"u1","lat":1e400,"lng":2}`, true, 0},
+		{`{"user":"u1","lat":01,"lng":2}`, true, 0},
+		{`{"user":"u1","lat":"1","lng":2}`, true, 0},
+		{`{"user":"u1","lat":1.,"lng":2e}`, true, 0},
+		{`{"user":"u1","lat":-,"lng":2}`, true, 0},
+		{`{"user":"u1","lat":null,"lng":2}`, true, 0},
+		{`{"user":"u1","lat":4.9e-324,"lng":-1e-400}`, true, 0},
+	} {
+		f.Add(seed.body, seed.checkIn, seed.limit)
+	}
+	eng, err := caar.Open(caar.DefaultConfig())
+	if err != nil {
+		f.Fatal(err)
+	}
+	now := time.Date(2026, 7, 6, 9, 0, 0, 0, time.UTC)
+	f.Fuzz(func(t *testing.T, body string, checkIn bool, limit uint8) {
+		q := &argQueue{}
+		srv := New(eng, WithIngest(q), WithMaxBodyBytes(int64(limit)))
+		srv.now = func() time.Time { return now }
+		path := "/v1/posts"
+		if checkIn {
+			path = "/v1/checkins"
+		}
+		got := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(got, httptest.NewRequest("POST", path, strings.NewReader(body)))
+
+		want := httptest.NewRecorder()
+		src := io.Reader(strings.NewReader(body))
+		if limit > 0 {
+			src = http.MaxBytesReader(want, io.NopCloser(src), int64(limit))
+		}
+		var wantArgs []any
+		var post postBody
+		var check checkInBody
+		decoded := false
+		if checkIn {
+			decoded = decodeBody(want, src, &check)
+		} else {
+			decoded = decodeBody(want, src, &post)
+		}
+		if decoded {
+			raw := post.At
+			if checkIn {
+				raw = check.At
+			}
+			switch at, err := srv.at(raw); {
+			case err != nil:
+				httpError(want, http.StatusBadRequest, err.Error())
+			case checkIn:
+				wantArgs = []any{check.User, math.Float64bits(check.Lat), math.Float64bits(check.Lng), at.Format(time.RFC3339Nano)}
+				want.WriteHeader(http.StatusNoContent)
+			default:
+				wantArgs = []any{post.Author, post.Text, at.Format(time.RFC3339Nano)}
+				want.WriteHeader(http.StatusNoContent)
+			}
+		}
+		if got.Code != want.Code || got.Body.String() != want.Body.String() || !reflect.DeepEqual(q.args, wantArgs) {
+			t.Fatalf("POST %s %q (limit %d): %d %q %v, decodeBody gives %d %q %v",
+				path, body, limit, got.Code, got.Body, q.args, want.Code, want.Body, wantArgs)
 		}
 	})
 }

@@ -14,17 +14,19 @@
 //
 // Timestamps default to the server's current time when omitted.
 //
-// The hot route is encoded by hand: a recommend appends its body into a
-// pooled buffer, and every handler reads its query by scanning the raw
-// string (wire.go). Fuzz tests hold both byte for byte to encoding/json and
-// net/url. Every other body, and a recommend with explain=1, goes through
-// encoding/json.
+// The hot routes skip reflection (wire.go): a recommend appends its body
+// into a pooled buffer, a post or check-in reads its body into one and
+// splits it by hand when it is the flat object clients send, and every
+// handler reads its query by scanning the raw string. Fuzz tests hold each
+// to encoding/json and net/url. Every other body, and a recommend with
+// explain=1, goes through encoding/json.
 package server
 
 import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"log/slog"
 	"net/http"
@@ -263,10 +265,15 @@ func fail(w http.ResponseWriter, err error) {
 	}
 }
 
+// jsonContentType is every JSON response's Content-Type value, assigned
+// rather than Set so a response allocates no slice for it. net/http copies
+// the header map when the status is written, so no response mutates it.
+var jsonContentType = []string{"application/json"}
+
 // ok answers 200 with body as JSON, or 204 when body is nil.
 func ok(w http.ResponseWriter, body any) {
 	if body == nil {
-		w.Header().Set("Content-Type", "application/json")
+		w.Header()["Content-Type"] = jsonContentType
 		w.WriteHeader(http.StatusNoContent)
 		return
 	}
@@ -287,25 +294,37 @@ func writeJSON(w http.ResponseWriter, code int, body any) {
 
 // writeBody sends an encoded JSON body in one write.
 func writeBody(w http.ResponseWriter, code int, b []byte) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(code)
 	w.Write(b)
 }
 
-func decode(r *http.Request, into any) error {
-	dec := json.NewDecoder(r.Body)
+// errTrailingData rejects a body that holds more than one JSON value.
+var errTrailingData = errors.New("data after the JSON value")
+
+// decode reads exactly one JSON value from body into `into`: unknown
+// fields, and anything but whitespace after the value, are errors.
+func decode(body io.Reader, into any) error {
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(into); err != nil {
+		return fmt.Errorf("invalid JSON body: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		var syntax *json.SyntaxError
+		if err == nil || errors.As(err, &syntax) {
+			err = errTrailingData
+		}
 		return fmt.Errorf("invalid JSON body: %w", err)
 	}
 	return nil
 }
 
-// decodeBody decodes the request body into `into`, writing the appropriate
+// decodeBody decodes a request body into `into`, writing the appropriate
 // error response (413 for an oversized body, 400 otherwise) and returning
 // false on failure.
-func decodeBody(w http.ResponseWriter, r *http.Request, into any) bool {
-	if err := decode(r, into); err != nil {
+func decodeBody(w http.ResponseWriter, body io.Reader, into any) bool {
+	if err := decode(body, into); err != nil {
 		var maxErr *http.MaxBytesError
 		if errors.As(err, &maxErr) {
 			httpError(w, http.StatusRequestEntityTooLarge,
@@ -334,7 +353,7 @@ func (s *Server) handleAddUser(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Handle string `json:"handle"`
 	}
-	if !decodeBody(w, r, &req) {
+	if !decodeBody(w, r.Body, &req) {
 		return
 	}
 	if err := s.eng.AddUser(req.Handle); err != nil {
@@ -349,7 +368,7 @@ func (s *Server) handleFollow(w http.ResponseWriter, r *http.Request) {
 		Follower string `json:"follower"`
 		Followee string `json:"followee"`
 	}
-	if !decodeBody(w, r, &req) {
+	if !decodeBody(w, r.Body, &req) {
 		return
 	}
 	var err error
@@ -369,14 +388,18 @@ func (s *Server) handleFollow(w http.ResponseWriter, r *http.Request) {
 	ok(w, nil)
 }
 
+// checkInBody is POST /v1/checkins's body.
+type checkInBody struct {
+	User string  `json:"user"`
+	Lat  float64 `json:"lat"`
+	Lng  float64 `json:"lng"`
+	At   string  `json:"at"`
+}
+
 func (s *Server) handleCheckIn(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		User string  `json:"user"`
-		Lat  float64 `json:"lat"`
-		Lng  float64 `json:"lng"`
-		At   string  `json:"at"`
-	}
-	if !decodeBody(w, r, &req) {
+	body := readFlat(r, []string{"user", "lat", "lng", "at"}, 1<<1|1<<2)
+	req := checkInBody{body.str[0], body.num[1], body.num[2], body.str[3]}
+	if !body.ok && !decodeFlat(w, &body, &req) {
 		return
 	}
 	at, err := s.at(req.At)
@@ -411,13 +434,17 @@ func (s *Server) finishWrite(w http.ResponseWriter, err error) {
 	fail(w, err)
 }
 
+// postBody is POST /v1/posts's body.
+type postBody struct {
+	Author string `json:"author"`
+	Text   string `json:"text"`
+	At     string `json:"at"`
+}
+
 func (s *Server) handlePost(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		Author string `json:"author"`
-		Text   string `json:"text"`
-		At     string `json:"at"`
-	}
-	if !decodeBody(w, r, &req) {
+	body := readFlat(r, []string{"author", "text", "at"}, 0)
+	req := postBody{body.str[0], body.str[1], body.str[2]}
+	if !body.ok && !decodeFlat(w, &body, &req) {
 		return
 	}
 	at, err := s.at(req.At)
@@ -443,7 +470,7 @@ func (s *Server) handleAddCampaign(w http.ResponseWriter, r *http.Request) {
 		Start  string  `json:"start"`
 		End    string  `json:"end"`
 	}
-	if !decodeBody(w, r, &req) {
+	if !decodeBody(w, r.Body, &req) {
 		return
 	}
 	start, err := time.Parse(time.RFC3339, req.Start)
@@ -476,7 +503,7 @@ type adRequest struct {
 
 func (s *Server) handleAddAd(w http.ResponseWriter, r *http.Request) {
 	var req adRequest
-	if !decodeBody(w, r, &req) {
+	if !decodeBody(w, r.Body, &req) {
 		return
 	}
 	ad := caar.Ad{
@@ -613,7 +640,7 @@ func (s *Server) handleImpression(w http.ResponseWriter, r *http.Request) {
 		User string `json:"user"` // optional: enables frequency capping
 		At   string `json:"at"`
 	}
-	if !decodeBody(w, r, &req) {
+	if !decodeBody(w, r.Body, &req) {
 		return
 	}
 	at, err := s.at(req.At)

@@ -141,3 +141,53 @@ func TestOversizedBodyRejected(t *testing.T) {
 		t.Fatalf("status %d, want 413", resp.StatusCode)
 	}
 }
+
+// TestTrailingDataAfterBodyIs400: a JSON body is one value. Anything but
+// whitespace after it — garbage, a second object, a stray brace — is a 400
+// on every JSON route, and the write is not applied.
+func TestTrailingDataAfterBodyIs400(t *testing.T) {
+	eng, err := caar.Open(caar.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, u := range []string{"alice", "bob"} {
+		if err := eng.AddUser(u); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h := New(eng).Handler()
+	post := `{"author":"alice","text":"espresso"}`
+	cases := []struct {
+		name, method, path, body string
+		want                     int
+	}{
+		{"post garbage", "POST", "/v1/posts", post + "garbage", 400},
+		{"post two objects", "POST", "/v1/posts", post + post, 400},
+		{"post two objects spaced", "POST", "/v1/posts", post + "\n" + post, 400},
+		{"post stray brace", "POST", "/v1/posts", post + "}", 400},
+		{"post number after", "POST", "/v1/posts", post + " 1", 400},
+		{"post trailing whitespace", "POST", "/v1/posts", post + " \r\n\t", 204},
+		{"checkin garbage", "POST", "/v1/checkins", `{"user":"alice","lat":1,"lng":1}x`, 400},
+		{"user garbage", "POST", "/v1/users", `{"handle":"carol"}x`, 400},
+		{"follow two objects", "POST", "/v1/follow", `{"follower":"alice","followee":"bob"}{}`, 400},
+		{"campaign garbage", "POST", "/v1/campaigns",
+			`{"name":"c","budget":5,"start":"2026-07-06T00:00:00Z","end":"2026-07-07T00:00:00Z"}]`, 400},
+		{"ad garbage", "POST", "/v1/ads", `{"id":"a","text":"espresso deals","bid":0.2}null`, 400},
+		{"impression garbage", "POST", "/v1/impressions", `{"ad":"a","user":"alice"}x`, 400},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(tc.method, tc.path, strings.NewReader(tc.body)))
+			if rec.Code != tc.want {
+				t.Fatalf("%s %s %q: status %d (%s), want %d", tc.method, tc.path, tc.body, rec.Code, rec.Body, tc.want)
+			}
+			if tc.want == 400 && !strings.Contains(rec.Body.String(), "invalid JSON body") {
+				t.Fatalf("%q: body %s, want an invalid JSON body error", tc.body, rec.Body)
+			}
+		})
+	}
+	if st := eng.Stats(); st.Users != 2 || st.Ads != 0 || st.FollowEdges != 0 || st.PostsDelivered != 1 || st.CheckIns != 0 {
+		t.Fatalf("a rejected body was applied: %+v", st)
+	}
+}

@@ -1,19 +1,19 @@
 package textproc
 
-// Stem reduces an English word to its stem using the classic Porter (1980)
-// algorithm. Input must already be lowercased; non-ASCII-letter input is
-// returned unchanged. Words of length ≤ 2 are returned unchanged, per the
-// original algorithm.
-func Stem(word string) string {
+// stem reduces a lowercased English word to its stem in place, using the
+// classic Porter (1980) algorithm, and returns the stem: a prefix of word's
+// array, since no step leaves a word longer than it was. A word of two
+// bytes or fewer, or with a byte outside a–z, is returned unchanged.
+func stem(word []byte) []byte {
 	if len(word) <= 2 {
 		return word
 	}
-	for i := 0; i < len(word); i++ {
-		if word[i] < 'a' || word[i] > 'z' {
+	for _, c := range word {
+		if c < 'a' || c > 'z' {
 			return word
 		}
 	}
-	w := &stemmer{b: []byte(word)}
+	w := stemmer{b: word}
 	w.step1a()
 	w.step1b()
 	w.step1c()
@@ -22,7 +22,7 @@ func Stem(word string) string {
 	w.step4()
 	w.step5a()
 	w.step5b()
-	return string(w.b)
+	return w.b
 }
 
 type stemmer struct {
@@ -95,9 +95,13 @@ func (s *stemmer) stemHasVowel(suf string) bool {
 	return false
 }
 
-// replace removes suffix suf and appends rep.
+// replace removes suffix suf and appends rep. It reslices b within its
+// capacity rather than appending, so the word never moves: no step makes a
+// word longer than it was, and b stays the caller's (stack) buffer.
 func (s *stemmer) replace(suf, rep string) {
-	s.b = append(s.b[:len(s.b)-len(suf)], rep...)
+	n := len(s.b) - len(suf)
+	s.b = s.b[:n+len(rep)]
+	copy(s.b[n:], rep)
 }
 
 // endsDoubleConsonant reports whether the word ends with the same consonant
@@ -173,7 +177,7 @@ func (s *stemmer) step1b() {
 			s.b = s.b[:len(s.b)-1]
 		}
 	case s.measureTo(len(s.b)) == 1 && s.endsCVC(""):
-		s.b = append(s.b, 'e')
+		s.replace("", "e")
 	}
 }
 
@@ -265,12 +269,4 @@ func (s *stemmer) step5b() {
 	if n > 1 && s.b[n-1] == 'l' && s.b[n-2] == 'l' && s.measureTo(n) > 1 {
 		s.b = s.b[:n-1]
 	}
-}
-
-// StemAll stems every token in place and returns the slice for chaining.
-func StemAll(toks []Token) []Token {
-	for i := range toks {
-		toks[i].Text = Stem(toks[i].Text)
-	}
-	return toks
 }

@@ -39,23 +39,10 @@ func init() {
 	}
 }
 
-// IsStopword reports whether the normalized word is in the default English
-// social-media stopword list.
-func IsStopword(word string) bool {
-	_, ok := defaultStopwords[word]
+// isStopword reports whether the lowercased word is in the default English
+// social-media stopword list. The lookup's string conversion does not
+// allocate.
+func isStopword(word []byte) bool {
+	_, ok := defaultStopwords[string(word)]
 	return ok
-}
-
-// RemoveStopwords filters a token slice in a newly allocated slice, keeping
-// hashtags even when their text collides with a stopword (a deliberate tag is
-// signal).
-func RemoveStopwords(toks []Token) []Token {
-	out := make([]Token, 0, len(toks))
-	for _, tok := range toks {
-		if tok.Kind != KindHashtag && IsStopword(tok.Text) {
-			continue
-		}
-		out = append(out, tok)
-	}
-	return out
 }

@@ -50,7 +50,12 @@ func Bag(ids []TermID, weight func(TermID) float64) SparseVector {
 	for i, id := range ids {
 		terms[i] = Term{ID: id, W: 1}
 	}
-	vec := NewVector(terms)
+	return weigh(NewVector(terms), weight)
+}
+
+// weigh multiplies each term's weight by weight(id) and L2-normalizes vec,
+// in place and in ascending term order.
+func weigh(vec SparseVector, weight func(TermID) float64) SparseVector {
 	var sum float64
 	for i := range vec {
 		vec[i].W *= weight(vec[i].ID)

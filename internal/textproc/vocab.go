@@ -3,6 +3,7 @@ package textproc
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 )
 
@@ -32,10 +33,15 @@ func (v *Vocabulary) Intern(term string) TermID {
 	}
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	if id, ok = v.ids[term]; ok {
+	return v.intern(term)
+}
+
+// intern is Intern for a caller that holds mu.
+func (v *Vocabulary) intern(term string) TermID {
+	if id, ok := v.ids[term]; ok {
 		return id
 	}
-	id = TermID(len(v.terms))
+	id := TermID(len(v.terms))
 	v.ids[term] = id
 	v.terms = append(v.terms, term)
 	v.df = append(v.df, 0)
@@ -59,28 +65,48 @@ func (v *Vocabulary) Size() int {
 	return len(v.terms)
 }
 
-// Docs returns the number of documents observed via ObserveDoc.
+// Docs returns the number of documents observed by Pipeline.Vector.
 func (v *Vocabulary) Docs() int {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
 	return v.docs
 }
 
-// ObserveDoc records one document's distinct terms for DF statistics.
-func (v *Vocabulary) ObserveDoc(ids []TermID) {
+// document interns the terms words[ends[i-1]:ends[i]] in order, counts one
+// more document and each distinct term's document frequency, and returns
+// the document's L2-normalized TF-IDF vector, exactly as long as its
+// distinct terms. It takes mu once, so every weight reads one vocabulary
+// state. ids is scratch space for the term IDs.
+func (v *Vocabulary) document(words []byte, ends []int, ids []TermID) SparseVector {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	v.docs++
-	seen := make(map[TermID]struct{}, len(ids))
-	for _, id := range ids {
-		if _, dup := seen[id]; dup {
-			continue
+	start := 0
+	for _, end := range ends {
+		id, ok := v.ids[string(words[start:end])]
+		if !ok {
+			id = v.intern(string(words[start:end]))
 		}
-		seen[id] = struct{}{}
-		if int(id) < len(v.df) {
-			v.df[id]++
+		ids = append(ids, id)
+		start = end
+	}
+	slices.Sort(ids)
+	distinct := 0
+	for i, id := range ids {
+		if i == 0 || id != ids[i-1] {
+			distinct++
 		}
 	}
+	vec := make(SparseVector, 0, distinct)
+	v.docs++
+	for i, id := range ids {
+		if i > 0 && id == ids[i-1] {
+			vec[len(vec)-1].W++
+			continue
+		}
+		vec = append(vec, Term{ID: id, W: 1})
+		v.df[id]++
+	}
+	return weigh(vec, v.idf)
 }
 
 // Snapshot returns a copy of the vocabulary state for persistence: the
@@ -121,16 +147,10 @@ func (v *Vocabulary) Restore(terms []string, df []int, docs int) error {
 	return nil
 }
 
-// IDF returns the smoothed inverse document frequency of a term:
-// ln(1 + N/(1 + df)). Unknown terms get the maximum IDF for the current N.
-func (v *Vocabulary) IDF(id TermID) float64 {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	df := 0
-	if int(id) < len(v.df) {
-		df = v.df[id]
-	}
-	return math.Log(1 + float64(v.docs)/float64(1+df))
+// idf is the smoothed inverse document frequency of an interned term,
+// ln(1 + N/(1 + df)), for a caller that holds mu.
+func (v *Vocabulary) idf(id TermID) float64 {
+	return math.Log(1 + float64(v.docs)/float64(1+v.df[id]))
 }
 
 // Pipeline bundles tokenizer + vocabulary into the standard text → vector
@@ -146,14 +166,13 @@ func NewPipeline() *Pipeline {
 }
 
 // Vector converts text into an L2-normalized TF-IDF sparse vector and
-// records the document for DF statistics. Empty or all-stopword text yields
-// an empty vector.
+// records the document for DF statistics, in one pass over the text (scan)
+// and one vocabulary lock. Empty or all-stopword text yields an empty
+// vector. A post of known terms allocates only the vector.
 func (p *Pipeline) Vector(text string) SparseVector {
-	toks := StemAll(RemoveStopwords(Tokenize(text)))
-	ids := make([]TermID, 0, len(toks))
-	for _, tok := range toks {
-		ids = append(ids, p.Vocab.Intern(tok.Text))
-	}
-	p.Vocab.ObserveDoc(ids)
-	return Bag(ids, p.Vocab.IDF)
+	var wordBuf [256]byte
+	var endBuf [32]int
+	var idBuf [32]TermID
+	words, ends := scan(text, wordBuf[:0], endBuf[:0])
+	return p.Vocab.document(words, ends, idBuf[:0])
 }

@@ -2,12 +2,15 @@ package journal
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	caar "caar"
 )
@@ -220,6 +223,46 @@ func FuzzAppendBatchRecover(f *testing.F) {
 		}
 		if stats2.DiscardedBytes != 0 || stats2.Torn || stats2.Applied != stats.Applied {
 			t.Fatalf("truncated journal not clean: %+v vs %+v", stats2, stats)
+		}
+	})
+}
+
+// FuzzEntryFrameMatchesMarshal holds AppendBatch's hand-framed entries to
+// the frame built from json.Marshal(e): the same payload bytes, length and
+// checksum, and an error exactly where encoding/json fails (a non-finite
+// coordinate, a year outside [0,9999], a zone hour of 24 or more).
+func FuzzEntryFrameMatchesMarshal(f *testing.F) {
+	day := time.Date(2026, 7, 6, 9, 30, 0, 123456789, time.UTC).Unix()
+	f.Add(uint8(6), "u1", "", "coffee and jazz tonight", "", 0.0, 0.0, day, int64(0), int32(0))
+	f.Add(uint8(7), "u1", "", "", "", 40.7128, -74.006, day, int64(5e8), int32(2*3600))
+	f.Add(uint8(7), "u<1>&", "f", "q\"u\\ote", "ad", math.Copysign(0, -1), 1e-7, day, int64(1), int32(-3600*5-1800))
+	f.Add(uint8(6), "line\u2028sep\u2029", "", "bad\xff\xfeutf8 é \x00\x1f\x7f", "x", 1e21, 5e-324, day, int64(999999999), int32(3661))
+	f.Add(uint8(7), "u", "", "", "", math.NaN(), 1.0, day, int64(0), int32(0))
+	f.Add(uint8(7), "u", "", "", "", 1.0, math.Inf(-1), day, int64(0), int32(0))
+	f.Add(uint8(7), "u", "", "", "", 1e308, 1e308, day, int64(0), int32(0))
+	f.Add(uint8(6), "u", "", "t", "", 0.0, 0.0, int64(-62135596800), int64(0), int32(0))
+	f.Add(uint8(6), "u", "", "t", "", 0.0, 0.0, int64(253402300800), int64(0), int32(0))
+	f.Add(uint8(6), "u", "", "t", "", 0.0, 0.0, int64(-62135596801), int64(0), int32(0))
+	f.Add(uint8(6), "u", "", "t", "", 0.0, 0.0, day, int64(0), int32(24*3600))
+	f.Add(uint8(6), "u", "", "t", "", 0.0, 0.0, day, int64(0), int32(-99*3600-59*60))
+	f.Add(uint8(6), "u", "", "t", "", 0.0, 0.0, day, int64(0), int32(100*3600))
+	f.Add(uint8(0), "u", "", "", "", 0.0, 0.0, day, int64(0), int32(0))
+	f.Add(uint8(4), "", "", "", "ad-9", 0.0, 0.0, day, int64(0), int32(0))
+	ops := []Op{OpAddUser, OpFollow, OpUnfollow, OpAddCampaign, OpRemoveAd, OpImpression, OpPost, OpCheckIn}
+	f.Fuzz(func(t *testing.T, op uint8, user, followee, text, adID string, lat, lng float64, sec, nsec int64, zone int32) {
+		e := Entry{
+			Op: ops[int(op)%len(ops)], User: user, Followee: followee, Text: text, AdID: adID, Lat: lat, Lng: lng,
+			At: time.Unix(sec, nsec).In(time.FixedZone("", int(zone))),
+		}
+		var got bytes.Buffer
+		err := NewWriter(&got).AppendBatch([]Entry{e})
+		payload, werr := json.Marshal(e)
+		if (err != nil) != (werr != nil) {
+			t.Fatalf("%+v: AppendBatch error %v, json.Marshal error %v", e, err, werr)
+		}
+		want := fmt.Sprintf("j2 %d %08x %s\n", len(payload), crc32.Checksum(payload, castagnoli), payload)
+		if werr == nil && got.String() != want {
+			t.Fatalf("%+v: frame\n%q\nfrom json.Marshal\n%q", e, got.String(), want)
 		}
 	})
 }

@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"sync"
@@ -36,6 +37,7 @@ import (
 
 	caar "caar"
 	"caar/internal/faultinject"
+	"caar/internal/jsonenc"
 )
 
 // Crash points consulted on the journal's durability paths. Disarmed (the
@@ -243,26 +245,24 @@ func (w *Writer) AppendBatch(entries []Entry) error {
 	if len(entries) == 0 {
 		return nil
 	}
-	var frames []byte
+	fb := framePool.Get().(*frameBuf)
+	defer fb.release()
+	frames := fb.frames[:0]
 	for _, e := range entries {
 		if e.Op == "" {
 			return errors.New("journal: entry without op")
 		}
-		payload, err := json.Marshal(e)
+		payload, err := appendPayload(fb.payload[:0], e)
 		if err != nil {
 			return fmt.Errorf("journal: marshal: %w", err)
 		}
-		if frames == nil {
-			// Sized as if every entry were the first's length; append takes the rest.
-			frames = make([]byte, 0, len(entries)*(len(payload)+32))
-		}
+		fb.payload = payload
 		// Frame layout: "j2 " + len + " " + 8-hex-digit CRC + " " + payload + "\n".
-		frames = append(frames, framePrefix...)
-		frames = strconv.AppendInt(frames, int64(len(payload)), 10)
-		frames = fmt.Appendf(frames, " %08x ", crc32.Checksum(payload, castagnoli))
-		frames = append(frames, payload...)
-		frames = append(frames, '\n')
+		frames = strconv.AppendInt(append(frames, framePrefix...), int64(len(payload)), 10)
+		frames = appendHex8(append(frames, ' '), crc32.Checksum(payload, castagnoli))
+		frames = append(append(append(frames, ' '), payload...), '\n')
 	}
+	fb.frames = frames
 
 	w.mu.Lock() //caarlint:allow readpathlock journal append order is the durability contract; this lock defines it
 	defer w.mu.Unlock()
@@ -278,6 +278,85 @@ func (w *Writer) AppendBatch(entries []Entry) error {
 		return w.noteAppendError(fmt.Errorf("%w: sync: %w", ErrDurability, err))
 	}
 	return nil
+}
+
+// frameBuf is AppendBatch's scratch: the batch's frames and one entry's
+// payload. The Writer's io.Writer does not keep what it is given, so both
+// go back to framePool after the write.
+type frameBuf struct{ frames, payload []byte }
+
+var framePool = sync.Pool{New: func() any { return new(frameBuf) }}
+
+// release hands fb back to framePool unless a large batch grew it past
+// 1 MiB, which is dropped rather than kept pinned.
+func (fb *frameBuf) release() {
+	if cap(fb.frames) <= 1<<20 {
+		framePool.Put(fb)
+	}
+}
+
+// appendHex8 appends x as eight lowercase hex digits, as %08x writes it.
+func appendHex8(b []byte, x uint32) []byte {
+	const digits = "0123456789abcdef"
+	for shift := 28; shift >= 0; shift -= 4 {
+		b = append(b, digits[x>>shift&0xf])
+	}
+	return b
+}
+
+// appendPayload appends e's JSON, the bytes json.Marshal(e) returns. A post
+// or check-in, the entries every ingest batch holds, is appended by hand;
+// any other entry, and one with a value encoding/json rejects (a
+// non-finite coordinate, a time outside RFC 3339), goes through
+// json.Marshal, which also returns the error.
+func appendPayload(b []byte, e Entry) ([]byte, error) {
+	// A sum that is not finite has a term that is not, or two so large
+	// that json.Marshal, exact either way, is as good.
+	if e.Op != OpPost && e.Op != OpCheckIn || e.Campaign != nil || e.Ad != nil ||
+		math.IsNaN(e.Lat+e.Lng) || math.IsInf(e.Lat+e.Lng, 0) {
+		return marshalPayload(b, e)
+	}
+	start := len(b)
+	b = jsonenc.AppendString(append(b, `{"op":`...), string(e.Op))
+	b = append(b, `,"at":"`...)
+	at := len(b)
+	if b = e.At.AppendFormat(b, time.RFC3339Nano); !jsonTime(b[at:]) {
+		return marshalPayload(b[:start], e)
+	}
+	b = append(b, '"')
+	for _, f := range [...]struct{ key, val string }{{`,"user":`, e.User}, {`,"followee":`, e.Followee}, {`,"text":`, e.Text}} {
+		if f.val != "" {
+			b = jsonenc.AppendString(append(b, f.key...), f.val)
+		}
+	}
+	if e.Lat != 0 {
+		b = jsonenc.AppendFloat(append(b, `,"lat":`...), e.Lat)
+	}
+	if e.Lng != 0 {
+		b = jsonenc.AppendFloat(append(b, `,"lng":`...), e.Lng)
+	}
+	if e.AdID != "" {
+		b = jsonenc.AppendString(append(b, `,"ad_id":`...), e.AdID)
+	}
+	return append(b, '}'), nil
+}
+
+func marshalPayload(b []byte, e Entry) ([]byte, error) {
+	payload, err := json.Marshal(e)
+	return append(b, payload...), err
+}
+
+// jsonTime reports whether Time.MarshalJSON accepts the time t formats to
+// under RFC3339Nano: a four-digit year, and a zone hour below 24.
+func jsonTime(t []byte) bool {
+	if len(t) < len("2006-01-02T15:04:05Z") || t[4] != '-' {
+		return false
+	}
+	if t[len(t)-1] == 'Z' {
+		return true
+	}
+	sign, hour := t[len(t)-6], t[len(t)-5:]
+	return (sign == '+' || sign == '-') && (hour[0]-'0')*10+hour[1]-'0' < 24
 }
 
 // maybeSyncLocked applies the fsync policy; callers hold w.mu.

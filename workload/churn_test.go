@@ -2,6 +2,8 @@ package workload
 
 import (
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"caar/internal/adstore"
@@ -163,19 +165,30 @@ func TestChurnEventsConsistent(t *testing.T) {
 
 // TestRenderedTextSurvivesTokenizer: the whole point of RenderText is driving
 // the real HTTP text pipeline, so every rendered token must come back out of
-// the default tokenizer (alphanumeric words are kept; pure digits are not).
+// it as a term of its own, unchanged (alphanumeric words are kept and not
+// stemmed; pure digits would be dropped).
 func TestRenderedTextSurvivesTokenizer(t *testing.T) {
 	w, err := Generate(churnConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
+	p := textproc.NewPipeline()
 	for _, ev := range w.Events[:200] {
 		if ev.Kind != EventPost {
 			continue
 		}
-		toks := textproc.Tokenize(ev.Text)
-		if len(toks) != w.Cfg.TermsPerMsg {
-			t.Fatalf("rendered post text %q tokenized to %d words, want %d", ev.Text, len(toks), w.Cfg.TermsPerMsg)
+		fields := strings.Fields(ev.Text)
+		if len(fields) != w.Cfg.TermsPerMsg {
+			t.Fatalf("rendered post text %q has %d words, want %d", ev.Text, len(fields), w.Cfg.TermsPerMsg)
+		}
+		var terms []string
+		for _, term := range p.Vector(ev.Text) {
+			terms = append(terms, p.Vocab.Term(term.ID))
+		}
+		slices.Sort(terms)
+		slices.Sort(fields)
+		if fields = slices.Compact(fields); !slices.Equal(terms, fields) {
+			t.Fatalf("rendered post text %q vectorized to terms %q, want %q", ev.Text, terms, fields)
 		}
 	}
 }
