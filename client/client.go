@@ -374,7 +374,9 @@ func (c *Client) RemoveAd(ctx context.Context, id string) error {
 	return c.do(ctx, http.MethodDelete, "/v1/ads/"+url.PathEscape(id), nil, nil)
 }
 
-// Recommend fetches the top-k ads for a user at time at.
+// Recommend fetches the top-k ads for a user at time at. Each carries its
+// AdID and Score, what a feed renders; Text, Geo and Bid are zero, and
+// RecommendExplained fills them.
 func (c *Client) Recommend(ctx context.Context, user string, k int, at time.Time) ([]caar.Recommendation, error) {
 	q := url.Values{}
 	q.Set("user", user)

@@ -151,9 +151,9 @@ func run(ctx context.Context, c *client.Client, cmd string, args []string, now t
 			return nil
 		}
 		for i, r := range recs {
-			fmt.Printf("%2d. %-24s score=%.4f text=%.4f geo=%.4f bid=%.4f\n",
-				i+1, r.AdID, r.Score, r.Text, r.Geo, r.Bid)
+			fmt.Printf("%2d. %-24s score=%.4f\n", i+1, r.AdID, r.Score)
 		}
+		fmt.Println("(adctl explain shows each score's text, geo and bid parts)")
 		return nil
 	case "explain":
 		if err := need(1); err != nil {

@@ -9,47 +9,7 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	caar "caar"
 )
-
-// allocFixture is an engine with 50 users in a follow ring, 200 ads over a
-// small vocabulary and 20 posts, so a recommend for any user returns k ads.
-func allocFixture(t *testing.T) *caar.Engine {
-	t.Helper()
-	cfg := caar.DefaultConfig()
-	cfg.DecayHalfLife = time.Hour
-	eng, err := caar.Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	words := []string{"coffee", "running", "shoes", "pizza", "jazz", "concert", "sale", "beach", "hiking", "books"}
-	for i := 0; i < 50; i++ {
-		if err := eng.AddUser(fmt.Sprintf("u%d", i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 50; i++ {
-		for _, d := range []int{1, 7} {
-			if err := eng.Follow(fmt.Sprintf("u%d", i), fmt.Sprintf("u%d", (i+d)%50)); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	for i := 0; i < 200; i++ {
-		text := words[i%10] + " " + words[(i/10)%10]
-		if err := eng.AddAd(caar.Ad{ID: fmt.Sprintf("ad%d", i), Text: text, Bid: 0.1 + float64(i%9)/10}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	at := time.Date(2026, 7, 6, 9, 0, 0, 0, time.UTC)
-	for i := 0; i < 20; i++ {
-		if err := eng.Post(fmt.Sprintf("u%d", i), words[i%10]+" and "+words[(i+3)%10], at.Add(time.Duration(i)*time.Second)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return eng
-}
 
 // discardWriter is a ResponseWriter that keeps the status and drops the
 // body, so a count through it is the server's alone.

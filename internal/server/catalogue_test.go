@@ -1,11 +1,13 @@
 package server
 
 import (
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"sort"
 	"strings"
@@ -156,4 +158,105 @@ func TestRouteTableMatchesREADME(t *testing.T) {
 			t.Errorf("endpoint label of %s = %q, want %q", path, got, want)
 		}
 	}
+}
+
+// fullAPI answers every recommend with one ad and a trace whose every field
+// is set, so its bodies show every key the recommend handler can write.
+type fullAPI struct{ API }
+
+func (fullAPI) RecommendTraced(user string, k int, at time.Time, p caar.ServingPolicy, treq caar.TraceRequest) ([]caar.Recommendation, *trace.Trace, error) {
+	tr := &trace.Trace{
+		ID: treq.ID, User: user, K: k, Path: "view", Outcome: "ok", Error: "e", CaptureReason: trace.ReasonExplain,
+		Spans:  []trace.Span{{Stage: "lookup"}},
+		Ads:    []trace.AdScore{{AdID: "a1", Score: 0.5}},
+		Policy: []trace.PolicyAction{{AdID: "a2", Action: "dropped_frequency_cap"}},
+	}
+	return []caar.Recommendation{{AdID: "a1", Score: 0.5, Text: 0.25, Geo: 0.125, Bid: 0.125}}, tr, nil
+}
+
+// TestREADMERecommendExamples holds README.md's two recommend bodies — the
+// default and ?explain=1's — to what the handler writes: the same top-level
+// keys and recommendation keys, and no key anywhere in the example that the
+// handler does not write (the explain example elides some span fields).
+// When it fails, fix the README.
+func TestREADMERecommendExamples(t *testing.T) {
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	examples := map[bool]map[string]any{}
+	for _, m := range regexp.MustCompile("(?s)```json\n(.*?)```").FindAllStringSubmatch(string(readme), -1) {
+		var doc map[string]any
+		if err := json.Unmarshal([]byte(m[1]), &doc); err != nil {
+			t.Fatalf("README.md json block does not decode: %v\n%s", err, m[1])
+		}
+		if _, ok := doc["recommendations"]; ok {
+			_, explain := doc["explain"]
+			examples[explain] = doc
+		}
+	}
+	h := New(fullAPI{testEngine(t)}).Handler()
+	for _, explain := range []bool{false, true} {
+		doc := examples[explain]
+		if doc == nil {
+			t.Fatalf("README.md has no recommend body example with explain %v", explain)
+		}
+		target := "/v1/recommendations?user=alice"
+		if explain {
+			target += "&explain=1"
+		}
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest("GET", target, nil))
+		var got map[string]any
+		if err := json.Unmarshal(w.Body.Bytes(), &got); err != nil {
+			t.Fatalf("%s: %v", target, err)
+		}
+		if d, g := keysOf(doc), keysOf(got); !reflect.DeepEqual(d, g) {
+			t.Errorf("%s: README.md shows keys %q, the handler writes %q", target, d, g)
+		}
+		want := keysOf(got["recommendations"].([]any)[0])
+		for _, rec := range doc["recommendations"].([]any) {
+			if d := keysOf(rec); !reflect.DeepEqual(d, want) {
+				t.Errorf("%s: README.md shows a recommendation with keys %q, the handler writes %q", target, d, want)
+			}
+		}
+		for _, k := range strayKeys("", doc, got) {
+			t.Errorf("%s: README.md shows %s, which the handler does not write", target, k)
+		}
+	}
+}
+
+// keysOf is the sorted keys of a decoded JSON object.
+func keysOf(v any) []string {
+	m, _ := v.(map[string]any)
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// strayKeys lists, by path, the keys doc holds at any depth that got does
+// not; each item of an array in doc is held to got's first item.
+func strayKeys(path string, doc, got any) []string {
+	var stray []string
+	switch d := doc.(type) {
+	case map[string]any:
+		g, _ := got.(map[string]any)
+		for k, v := range d {
+			if gv, ok := g[k]; ok {
+				stray = append(stray, strayKeys(path+"."+k, v, gv)...)
+			} else {
+				stray = append(stray, path+"."+k)
+			}
+		}
+	case []any:
+		if g, _ := got.([]any); len(g) > 0 {
+			for _, v := range d {
+				stray = append(stray, strayKeys(path+"[]", v, g[0])...)
+			}
+		}
+	}
+	return stray
 }

@@ -92,10 +92,16 @@ func FuzzQueryGetMatchesURLValues(f *testing.F) {
 	})
 }
 
+// wireRec is what the default recommend body keeps of a recommendation.
+type wireRec struct {
+	AdID  string
+	Score float64
+}
+
 // FuzzRecommendResponseMatchesEncodingJSON holds the hand-written recommend
-// body to the bytes json.Encoder writes for the map the route used to
-// encode: it panics exactly where encoding/json fails, on a score JSON
-// cannot hold.
+// body to the bytes json.Encoder writes for the same map with each
+// recommendation cut to a wireRec: it panics exactly where encoding/json
+// fails, on a score JSON cannot hold, and never on a component.
 func FuzzRecommendResponseMatchesEncodingJSON(f *testing.F) {
 	f.Add("alice", "ad-1", 0.5, 0.25, 0.125, 0.0625, uint8(3))
 	f.Add(`q"u\ote`, "<b>&amp;</b>", math.Copysign(0, -1), 1e-7, 1e21, 5e-324, uint8(2))
@@ -104,12 +110,14 @@ func FuzzRecommendResponseMatchesEncodingJSON(f *testing.F) {
 	f.Add("nil", "x", 0.0, 0.0, 0.0, 0.0, uint8(0))
 	f.Add("empty", "x", 0.0, 0.0, 0.0, 0.0, uint8(5))
 	f.Add("nan", "x", math.NaN(), 0.0, math.Inf(1), 0.0, uint8(1))
+	f.Add("nan-component", "x", 0.5, math.NaN(), math.Inf(-1), 0.0, uint8(1))
 	f.Fuzz(func(t *testing.T, user, adID string, a, b, c, d float64, n uint8) {
 		// n%5 recommendations; none is a nil slice when n is 0, empty when
 		// n is any other multiple of 5.
 		var recs []caar.Recommendation
+		var wire []wireRec
 		if n%5 == 0 && n > 0 {
-			recs = []caar.Recommendation{}
+			recs, wire = []caar.Recommendation{}, []wireRec{}
 		}
 		v := []float64{a, b, c, d}
 		for i := 0; i < int(n%5); i++ {
@@ -118,9 +126,10 @@ func FuzzRecommendResponseMatchesEncodingJSON(f *testing.F) {
 				id = user
 			}
 			recs = append(recs, caar.Recommendation{AdID: id, Score: v[i%4], Text: v[(i+1)%4], Geo: v[(i+2)%4], Bid: v[(i+3)%4]})
+			wire = append(wire, wireRec{AdID: id, Score: v[i%4]})
 		}
 		var want bytes.Buffer
-		wantErr := json.NewEncoder(&want).Encode(map[string]any{"recommendations": recs, "user": user})
+		wantErr := json.NewEncoder(&want).Encode(map[string]any{"recommendations": wire, "user": user})
 		var got []byte
 		panicked := func() (p any) {
 			defer func() { p = recover() }()

@@ -80,42 +80,61 @@ func TestPanicRecovery(t *testing.T) {
 	}
 }
 
-// nanAPI wraps an API and answers every recommend with a score JSON
-// cannot hold.
+// nanAPI wraps an API and answers every recommend with rec, which holds a
+// value JSON cannot hold.
 type nanAPI struct {
 	API
+	rec caar.Recommendation
 }
 
-func (nanAPI) RecommendTraced(user string, k int, at time.Time, p caar.ServingPolicy, treq caar.TraceRequest) ([]caar.Recommendation, *trace.Trace, error) {
-	return []caar.Recommendation{{AdID: "a1", Score: math.NaN()}}, &trace.Trace{}, nil
+func (a nanAPI) RecommendTraced(user string, k int, at time.Time, p caar.ServingPolicy, treq caar.TraceRequest) ([]caar.Recommendation, *trace.Trace, error) {
+	return []caar.Recommendation{a.rec}, &trace.Trace{}, nil
 }
 
 // TestUnencodableBodyIs500: a response that cannot be encoded is a 500
 // from the recovery middleware, counted as a panic, and not an empty 200 —
 // on the hand-encoded recommend body and on the encoding/json path that
-// ?explain=1 takes.
+// ?explain=1 takes. A NaN component fails only under ?explain=1, the one
+// body that carries the components.
 func TestUnencodableBodyIs500(t *testing.T) {
-	srv := New(nanAPI{testEngine(t)}, WithLogger(log.New(io.Discard, "", 0)))
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	for i, path := range []string{"/v1/recommendations?user=alice", "/v1/recommendations?user=alice&explain=1"} {
-		resp, err := http.Get(ts.URL + path)
+	nanScore := caar.Recommendation{AdID: "a1", Score: math.NaN()}
+	nanGeo := caar.Recommendation{AdID: "a1", Score: 0.5, Geo: math.NaN()}
+	for _, c := range []struct {
+		rec  caar.Recommendation
+		path string
+		code int
+	}{
+		{nanScore, "/v1/recommendations?user=alice", http.StatusInternalServerError},
+		{nanScore, "/v1/recommendations?user=alice&explain=1", http.StatusInternalServerError},
+		{nanGeo, "/v1/recommendations?user=alice&explain=1", http.StatusInternalServerError},
+		{nanGeo, "/v1/recommendations?user=alice", http.StatusOK},
+	} {
+		srv := New(nanAPI{testEngine(t), c.rec}, WithLogger(log.New(io.Discard, "", 0)))
+		ts := httptest.NewServer(srv.Handler())
+		t.Cleanup(ts.Close)
+		resp, err := http.Get(ts.URL + c.path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var body errorBody
-		derr := json.NewDecoder(resp.Body).Decode(&body)
+		body, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusInternalServerError || derr != nil || body.Error == "" {
-			t.Fatalf("%s: status %d, body %+v (%v), want a 500 with an error body", path, resp.StatusCode, body, derr)
+		if c.code == http.StatusOK {
+			if want := `{"recommendations":[{"AdID":"a1","Score":0.5}],"user":"alice"}` + "\n"; resp.StatusCode != c.code || string(body) != want {
+				t.Fatalf("score %g geo %g, %s: status %d, body %q, want 200 %q", c.rec.Score, c.rec.Geo, c.path, resp.StatusCode, body, want)
+			}
+			continue
 		}
-		if got := srv.Health().Panics; got != uint64(i+1) {
-			t.Fatalf("%s: panic counter = %d, want %d", path, got, i+1)
+		var eb errorBody
+		derr := json.Unmarshal(body, &eb)
+		if resp.StatusCode != c.code || derr != nil || eb.Error == "" {
+			t.Fatalf("score %g geo %g, %s: status %d, body %q (%v), want a 500 with an error body", c.rec.Score, c.rec.Geo, c.path, resp.StatusCode, body, derr)
 		}
-	}
-	if m := scrape(t, ts.URL); !strings.Contains(m, "caar_http_panics_total 2") {
-		t.Fatalf("metrics do not count the two panics:\n%s", m)
+		if got := srv.Health().Panics; got != 1 {
+			t.Fatalf("%s: panic counter = %d, want 1", c.path, got)
+		}
+		if m := scrape(t, ts.URL); !strings.Contains(m, "caar_http_panics_total 1") {
+			t.Fatalf("metrics do not count the panic:\n%s", m)
+		}
 	}
 }
 

@@ -10,7 +10,9 @@
 // freq_cap + freq_window (per-user frequency capping) and max_per_campaign
 // (slate diversity) — plus explain=1, which inlines the request's flight
 // record (per-stage spans, per-ad score decomposition, policy actions) in
-// the response.
+// the response. By default each recommendation carries only its AdID and
+// Score, what a feed renders; under explain=1 it also carries Text, Geo and
+// Bid.
 //
 // Timestamps default to the server's current time when omitted.
 //
@@ -574,7 +576,8 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 
 	// Every recommend goes through the traced path so the request ID flows
 	// into the flight recorder; ?explain=1 inlines the captured trace (spans,
-	// score decomposition, policy actions) in the response.
+	// score decomposition, policy actions) in the response, and keeps each
+	// recommendation's components, which the default body leaves out.
 	recs, tr, err := s.eng.RecommendTraced(user, k, at, policy,
 		caar.TraceRequest{ID: RequestID(r.Context()), Explain: explain})
 	if err != nil {

@@ -175,10 +175,12 @@ func plainString(b []byte, i int) ([]byte, int, bool) {
 	return nil, i, false
 }
 
-// appendRecommendBody appends the bytes a json.Encoder writes for
-// map[string]any{"recommendations": recs, "user": user}: keys sorted, the
-// fields in caar.Recommendation's order, a trailing newline. A score JSON
-// cannot hold (NaN, ±Inf) panics, for the recovery middleware's 500.
+// appendRecommendBody appends the default recommend body: the bytes a
+// json.Encoder writes for map[string]any{"recommendations": recs, "user":
+// user} with each recommendation cut to its AdID and Score — keys sorted,
+// a trailing newline. The score decomposition is what a feed renderer does
+// not read; ?explain=1 carries it. A score JSON cannot hold (NaN, ±Inf)
+// panics, for the recovery middleware's 500.
 func appendRecommendBody(b []byte, user string, recs []caar.Recommendation) []byte {
 	b = append(b, `{"recommendations":`...)
 	if recs == nil {
@@ -190,10 +192,7 @@ func appendRecommendBody(b []byte, user string, recs []caar.Recommendation) []by
 				b = append(b, ',')
 			}
 			b = jsonenc.AppendString(append(b, `{"AdID":`...), r.AdID)
-			b = jsonenc.AppendFloat(append(b, `,"Score":`...), r.Score)
-			b = jsonenc.AppendFloat(append(b, `,"Text":`...), r.Text)
-			b = jsonenc.AppendFloat(append(b, `,"Geo":`...), r.Geo)
-			b = append(jsonenc.AppendFloat(append(b, `,"Bid":`...), r.Bid), '}')
+			b = append(jsonenc.AppendFloat(append(b, `,"Score":`...), r.Score), '}')
 		}
 		b = append(b, ']')
 	}

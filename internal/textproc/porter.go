@@ -222,11 +222,6 @@ func (s *stemmer) step3() {
 	}
 }
 
-var step4Suffixes = []string{
-	"al", "ance", "ence", "er", "ic", "able", "ible", "ant", "ement", "ment",
-	"ent", "ou", "ism", "ate", "iti", "ous", "ive", "ize",
-}
-
 func (s *stemmer) step4() {
 	// "ion" needs an extra condition: stem must end in s or t.
 	if s.hasSuffix("ion") {
@@ -243,7 +238,6 @@ func (s *stemmer) step4() {
 		"ement", "ance", "ence", "able", "ible", "ment", "ant", "ent", "ism",
 		"ate", "iti", "ous", "ive", "ize", "ou", "al", "er", "ic",
 	}
-	_ = step4Suffixes // documented set; ordered variant used for matching
 	for _, suf := range ordered {
 		if s.hasSuffix(suf) {
 			if s.m(suf) > 1 {
