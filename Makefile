@@ -44,7 +44,7 @@ test:
 # multi-core machine the default engine is never one shard; one core runs
 # the default engine as one shard, which keeps that path tested.
 test-1proc:
-	GOMAXPROCS=1 $(GO) test . ./ingest ./journal ./internal/server
+	GOMAXPROCS=1 $(GO) test -count=1 . ./ingest ./journal ./internal/server
 
 # race covers every package under the race detector; the root package and
 # internal/core carry the concurrency-sensitive paths (COW directory swaps,

@@ -290,10 +290,9 @@ func (e *Engine) AddUser(handle string) error {
 		e.dirMu.Unlock()
 		return fmt.Errorf("%w: user %q", ErrDuplicate, handle)
 	}
-	// Shard and graph first, the directory last (its invariant); dirMu is
-	// held across both so IDs are published in the order they were minted.
+	// Shard first, the directory last (its invariant); dirMu is held across
+	// both so IDs are published in the order they were minted.
 	nd, id := d.withUser(handle)
-	e.graph.AddUser(id)
 	sh := e.shardOf(id)
 	sh.mu.Lock()
 	sh.eng.AddUser(id)

@@ -156,7 +156,6 @@ func TestFailedDeliveryLeavesNoTrendingTelemetry(t *testing.T) {
 	// Wire a follower into the graph that no shard knows about, so carol's
 	// fan-out fails validation inside the core engine.
 	ghost := feed.UserID(1 << 20)
-	e.graph.AddUser(ghost)
 	carol, err := e.lookupUser("carol")
 	if err != nil {
 		t.Fatal(err)
@@ -320,7 +319,6 @@ func TestPostBatchContinuousSkipsFailedItems(t *testing.T) {
 	}
 	// A follower no shard knows fails carol's delivery inside the core engine.
 	ghost := feed.UserID(1 << 20)
-	e.graph.AddUser(ghost)
 	carol, err := e.lookupUser("carol")
 	if err != nil {
 		t.Fatal(err)

@@ -55,8 +55,6 @@ type engineMetrics struct {
 	vectorizeSeconds *obs.Histogram
 	impressions      *obs.CounterVec
 
-	lastSnapshotErr atomic.Value // string; "" after a successful save
-
 	// lastExemplarNano gates how often ordinary sampled traces refresh the
 	// histogram exemplars (see attachExemplars).
 	lastExemplarNano atomic.Int64
@@ -85,7 +83,6 @@ func newEngineMetrics(reg *obs.Registry, e *Engine) *engineMetrics {
 	for i, name := range [numStages]string{"lookup", "retrieve", "score", "topk", "map", "policy"} {
 		m.stages[i] = stage{name: name, hist: stageSeconds.With(name)}
 	}
-	m.lastSnapshotErr.Store("")
 
 	reg.GaugeFunc("caar_engine_index_postings", "Total (term, ad) postings in the inverted index the shards share.", func() float64 {
 		// Any one shard lock keeps registration out of the shared index.
@@ -187,11 +184,7 @@ func (e *Engine) vectorize(text string) textproc.SparseVector {
 }
 
 // HealthProblems reports conditions that should mark the deployment
-// degraded (not dead): currently a failed last snapshot write. The server's
-// readiness probe aggregates these.
-func (e *Engine) HealthProblems() []string {
-	if s, _ := e.obsm.lastSnapshotErr.Load().(string); s != "" {
-		return []string{"snapshot: last write failed: " + s}
-	}
-	return nil
-}
+// degraded (not dead). A bare engine persists nothing, so it has none to
+// report: a deployment that persists wraps it (journal.Logged), and a
+// snapshot is saved only once the server has stopped listening.
+func (e *Engine) HealthProblems() []string { return nil }

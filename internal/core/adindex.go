@@ -213,13 +213,15 @@ func (x *AdIndex) CachedMessages() int {
 
 // msgCache is the shared state of one message under fan-out sharing: its
 // delta list, computed once — by the first catch-up on any shard that needs
-// it — and a count of the shards holding it.
+// it — and a count of what, on any shard, may still need that list: one
+// reference per warm user's window holding the message, and one per warm user
+// whose buffer still owes its subtraction.
 type msgCache struct {
 	vec      textproc.SparseVector
 	once     sync.Once
 	deltas   []index.Delta
 	computed bool // set inside once; read by Register and Unregister, which exclude every shard
-	shards   int  // under msgTable.mu
+	refs     int  // under msgTable.mu
 }
 
 // deltaList returns the message's delta list, computing it in acc on the
@@ -230,19 +232,18 @@ func (x *AdIndex) deltaList(mc *msgCache, acc *index.Accumulator) []index.Delta 
 }
 
 // msgTable is the message → shared state map of one AdIndex. A shard comes
-// here only for its first reference to a message and for its last release
-// (CAP.held counts the references in between), so the mutex is taken twice
-// per message a shard holds, never per follower. It is the innermost engine
-// lock: taken under a shard lock, never around one.
+// here once per Deliver, once per reference it releases and once per
+// catch-up. It is the innermost engine lock: taken under a shard lock, never
+// around one.
 type msgTable struct {
 	mu sync.Mutex
 	m  map[feed.MessageID]*msgCache
 }
 
-// join returns a message's shared state for a shard taking its first
-// reference, creating it — the delta list left for whoever first needs it —
-// if no shard holds the message yet.
-func (t *msgTable) join(msg feed.Message) *msgCache {
+// hold takes n references on a message's shared state, creating it — the
+// delta list left for whoever first needs it — if nothing holds the message
+// yet.
+func (t *msgTable) hold(msg feed.Message, n int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	mc := t.m[msg.ID]
@@ -250,18 +251,31 @@ func (t *msgTable) join(msg feed.Message) *msgCache {
 		mc = &msgCache{vec: msg.Vec}
 		t.m[msg.ID] = mc
 	}
-	mc.shards++
-	return mc
+	mc.refs += n
 }
 
-// leave drops a shard's hold on a message, and the shared state with the
-// last shard's.
-func (t *msgTable) leave(id feed.MessageID) {
+// release drops one reference on a message, and the shared state with the
+// last.
+func (t *msgTable) release(id feed.MessageID) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if mc := t.m[id]; mc != nil {
-		if mc.shards--; mc.shards <= 0 {
+		if mc.refs--; mc.refs <= 0 {
 			delete(t.m, id)
 		}
 	}
+}
+
+// lookup appends to dst the shared state of each message in gone and of the
+// window's messages from the from-th on, in that order, under one lock.
+func (t *msgTable) lookup(dst []*msgCache, gone []feed.Message, win *feed.Window, from int) []*msgCache {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, m := range gone {
+		dst = append(dst, t.m[m.ID])
+	}
+	for i := from; i < win.Len(); i++ {
+		dst = append(dst, t.m[win.At(i).ID])
+	}
+	return dst
 }

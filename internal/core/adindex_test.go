@@ -39,9 +39,9 @@ func (v *topView) tracksAd(id adstore.AdID) bool {
 
 // TestSharedDeltaListComputedOnce: four CAP shards over one AdIndex, with a
 // warm user each, receive one message. The message has one shared state in
-// the AdIndex, held by all four; the four catch-ups that need its delta list
-// run at once, and all four get the very list one of them computed — a list
-// computed per shard would be a separate clone. Once every user's buffer has
+// the AdIndex, with one reference per warm recipient; the four catch-ups that
+// need its delta list run at once, and all four get the very list one of them
+// computed — a list computed per shard would be a separate clone. Once every user's buffer has
 // turned cold, nothing is left cached.
 func TestSharedDeltaListComputedOnce(t *testing.T) {
 	s := testScoring()
@@ -79,14 +79,9 @@ func TestSharedDeltaListComputedOnce(t *testing.T) {
 	}
 	msg := feed.Message{ID: 2, Time: base0.Add(time.Second), Vec: textproc.SparseVector{{ID: 2, W: 1}, {ID: 3, W: 0.5}}}
 	deliverAll(msg.ID, msg.Time, msg.Vec)
-	mc := shards[0].held[msg.ID].mc
-	for i, e := range shards {
-		if h := e.held[msg.ID]; h.mc == nil || h.mc != mc || h.refs != 1 {
-			t.Fatalf("shard %d holds %+v, want one reference on the shared state %p", i, h, mc)
-		}
-	}
-	if mc.shards != len(shards) || ads.CachedMessages() != 2 {
-		t.Fatalf("shared state held by %d shards, %d messages cached; want %d and 2", mc.shards, ads.CachedMessages(), len(shards))
+	mc := ads.msgs.m[msg.ID]
+	if mc == nil || mc.refs != len(shards) || ads.CachedMessages() != 2 {
+		t.Fatalf("shared state %+v, %d messages cached; want %d references and 2", mc, ads.CachedMessages(), len(shards))
 	}
 
 	lists := make([][]index.Delta, len(shards))
@@ -97,7 +92,7 @@ func TestSharedDeltaListComputedOnce(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-start
-			lists[i] = e.deltasOf(msg, new(index.Accumulator))
+			lists[i] = e.deltasOf(msg, mc, new(index.Accumulator))
 		}()
 	}
 	close(start)

@@ -29,15 +29,6 @@ func DefaultCAPOptions() CAPOptions {
 	return CAPOptions{FanoutSharing: true, RebuildEvery: 256}
 }
 
-// heldMsg is a shard's hold on a message's shared state (AdIndex's msgCache):
-// a count of what on this shard may still need its delta list — one
-// reference per warm user's window holding the message, and one per warm user
-// whose buffer still owes its subtraction.
-type heldMsg struct {
-	mc   *msgCache
-	refs int
-}
-
 // CAP is the Context-aware Ad Publishing engine — the reconstructed
 // contribution. It maintains, per user somebody reads, an incrementally
 // updated candidate buffer: a feed event costs one ring store per follower
@@ -49,7 +40,8 @@ type heldMsg struct {
 type CAP struct {
 	*indexed
 	opts CAPOptions
-	held map[feed.MessageID]heldMsg
+	// shared is where a catch-up looks up the shared state of what it merges.
+	shared []*msgCache
 
 	viewAnswers, reranks uint64 // TopAds calls by how they were answered
 	merges, rebuilds     uint64 // catch-ups by kind
@@ -75,7 +67,6 @@ func NewCAPOn(s Scoring, store *adstore.Store, ads *AdIndex, opts CAPOptions) (*
 	return &CAP{
 		indexed: ix,
 		opts:    opts,
-		held:    make(map[feed.MessageID]heldMsg),
 	}, nil
 }
 
@@ -146,50 +137,19 @@ func (e *CAP) Deliver(msg feed.Message, followers []feed.UserID) error {
 		warm++
 	}
 	if warm > 0 && e.opts.FanoutSharing {
-		e.acquire(msg, warm)
+		e.msgs.hold(msg, warm)
 	}
 	return nil
 }
 
-// acquire takes n references on a message's shared state, joining it in the
-// AdIndex — which creates it if no shard holds the message yet — when no warm
-// user of this shard holds it.
-func (e *CAP) acquire(msg feed.Message, n int) {
-	h, ok := e.held[msg.ID]
-	if !ok {
-		h.mc = e.msgs.join(msg)
-	}
-	h.refs += n
-	e.held[msg.ID] = h
-}
-
-// release drops one reference, and the shard's hold on the shared state with
-// the last.
-func (e *CAP) release(id feed.MessageID) {
-	h, ok := e.held[id]
-	if !ok {
-		return
-	}
-	if h.refs--; h.refs > 0 {
-		e.held[id] = h
-		return
-	}
-	delete(e.held, id)
-	e.msgs.leave(id)
-}
-
-// deltasOf returns a message's delta list: the shared one when fan-out
-// sharing is on (computed in acc on first use, on whichever shard needs it
-// first), recomputed in acc otherwise.
-func (e *CAP) deltasOf(m feed.Message, acc *index.Accumulator) []index.Delta {
-	if !e.opts.FanoutSharing {
+// deltasOf returns a message's delta list: its shared state's when it has one
+// (computed in acc on first use, on whichever shard needs it first),
+// recomputed in acc otherwise.
+func (e *CAP) deltasOf(m feed.Message, mc *msgCache, acc *index.Accumulator) []index.Delta {
+	if mc == nil {
 		return acc.Deltas(e.inv, m.Vec)
 	}
-	h, ok := e.held[m.ID]
-	if !ok {
-		return nil
-	}
-	return e.deltaList(h.mc, acc)
+	return e.deltaList(mc, acc)
 }
 
 // chill turns a buffer cold: it frees the entries, the view and the pending
@@ -197,8 +157,10 @@ func (e *CAP) deltasOf(m feed.Message, acc *index.Accumulator) []index.Delta {
 // messages took one, and everything in gone holds one. The arrivals the
 // buffer never merged are thereby skipped.
 func (e *CAP) chill(st *userState, buf *dynBuf, held int) {
-	for i := range held {
-		e.release(st.win.At(i).ID)
+	if e.opts.FanoutSharing {
+		for i := range held {
+			e.msgs.release(st.win.At(i).ID)
+		}
 	}
 	e.settleGone(buf)
 	e.skipped += uint64(st.win.Len() - buf.applied)
@@ -209,8 +171,10 @@ func (e *CAP) chill(st *userState, buf *dynBuf, held int) {
 // reference each held: they have been applied, or the buffer no longer needs
 // them to be.
 func (e *CAP) settleGone(buf *dynBuf) {
-	for _, m := range buf.gone {
-		e.release(m.ID)
+	if e.opts.FanoutSharing {
+		for _, m := range buf.gone {
+			e.msgs.release(m.ID)
+		}
 	}
 	clear(buf.gone)
 	buf.gone = buf.gone[:0]
@@ -253,14 +217,23 @@ func (e *CAP) catchUp(st *userState, buf *dynBuf) {
 			}
 			buf.ref = ref
 		}
-		// Weights are the pure exponential of ref − post time, so an
+		// The shared states are looked up before the workspace is
+		// borrowed, so that no workspace waits on the table's lock (DESIGN
+		// §3.3). Weights are the pure exponential of ref − post time, so an
 		// eviction that happened under an earlier reference is re-derived at
 		// this one.
+		if e.opts.FanoutSharing {
+			e.shared = e.msgs.lookup(e.shared[:0], buf.gone, st.win, buf.applied)
+		}
 		ws := e.borrow()
 		lists, arena := ws.lists[:0], ws.arena[:0]
 		add := func(m feed.Message, c float64) {
+			var mc *msgCache
+			if e.opts.FanoutSharing {
+				mc = e.shared[len(lists)]
+			}
 			start := len(arena) // a list keeps the array it was scoped into if the arena outgrows it
-			arena = scope(arena, e.deltasOf(m, &ws.acc), e.reach, st.cell)
+			arena = scope(arena, e.deltasOf(m, mc, &ws.acc), e.reach, st.cell)
 			lists = append(lists, weighted{d: arena[start:], c: c})
 		}
 		for _, m := range buf.gone {
@@ -273,6 +246,7 @@ func (e *CAP) catchUp(st *userState, buf *dynBuf) {
 		ws.arena = arena
 		ws.scratch = buf.merge(ws.scratch, lists, len(buf.gone), e.noteAt(buf))
 		clear(lists)
+		clear(e.shared)
 		ws.lists = lists
 		e.giveBack(ws)
 
@@ -326,7 +300,7 @@ func (e *CAP) rebuild(st *userState, buf *dynBuf) {
 		e.merged += uint64(n - buf.applied)
 	} else if e.opts.FanoutSharing {
 		for i := range n {
-			e.acquire(st.win.At(i), 1)
+			e.msgs.hold(st.win.At(i), 1)
 		}
 	}
 	e.settleGone(buf)

@@ -14,7 +14,6 @@ type Graph struct {
 	mu        sync.RWMutex
 	followers map[UserID][]UserID        // poster → ordered followers; never written below its len (see Followers)
 	edgeSet   map[UserID]map[UserID]bool // poster → follower set (dedup)
-	users     map[UserID]bool
 	edges     int
 }
 
@@ -23,27 +22,17 @@ func NewGraph() *Graph {
 	return &Graph{
 		followers: make(map[UserID][]UserID),
 		edgeSet:   make(map[UserID]map[UserID]bool),
-		users:     make(map[UserID]bool),
 	}
 }
 
-// AddUser registers a user with no edges. Adding an existing user is a no-op.
-func (g *Graph) AddUser(u UserID) {
-	g.mu.Lock()
-	g.users[u] = true
-	g.mu.Unlock()
-}
-
-// Follow records that follower follows poster. Both users are registered as a
-// side effect. Self-follows and duplicate edges are rejected with an error.
+// Follow records that follower follows poster. Self-follows and duplicate
+// edges are rejected with an error.
 func (g *Graph) Follow(follower, poster UserID) error {
 	if follower == poster {
 		return fmt.Errorf("feed: user %d cannot follow itself", follower)
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	g.users[follower] = true
-	g.users[poster] = true
 	set := g.edgeSet[poster]
 	if set == nil {
 		set = make(map[UserID]bool)

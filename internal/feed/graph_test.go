@@ -21,8 +21,8 @@ func TestGraphFollowBasics(t *testing.T) {
 	if g.FollowerCount(2) != 2 || g.FollowerCount(1) != 0 {
 		t.Fatal("FollowerCount wrong")
 	}
-	if len(g.users) != 3 || g.Edges() != 2 {
-		t.Fatalf("users=%d Edges=%d", len(g.users), g.Edges())
+	if g.Edges() != 2 {
+		t.Fatalf("Edges=%d", g.Edges())
 	}
 }
 
@@ -82,15 +82,6 @@ func TestGraphFollowersListIsImmutable(t *testing.T) {
 	}
 	if got, want := g.Followers(9), []UserID{3, 4, 5, 6, 2}; !slices.Equal(got, want) {
 		t.Fatalf("Followers = %v, want follow order %v", got, want)
-	}
-}
-
-func TestGraphAddUser(t *testing.T) {
-	g := NewGraph()
-	g.AddUser(7)
-	g.AddUser(7) // idempotent
-	if len(g.users) != 1 {
-		t.Fatalf("users = %d", len(g.users))
 	}
 }
 

@@ -295,9 +295,9 @@ func (s *Server) withObservability(next http.Handler) http.Handler {
 }
 
 // healthProblems collects degraded-state reasons: journal-replay progress
-// while recovery is running, then whatever the engine reports (*caar.Engine
-// snapshot-write failures, *journal.Logged adds journal durability
-// failures). /v1/readyz turns a non-empty list into a 503 so load balancers
+// while recovery is running, then whatever the engine reports (journal
+// durability failures from *journal.Logged; a bare *caar.Engine reports
+// none). /v1/readyz turns a non-empty list into a 503 so load balancers
 // drain the replica while /v1/healthz keeps answering 200.
 func (s *Server) healthProblems() []string {
 	var probs []string
@@ -309,7 +309,7 @@ func (s *Server) healthProblems() []string {
 
 // handleReady is the readiness probe: 200 while the deployment can do its
 // job, 503 with machine-readable reasons once a layer reports degradation
-// (journal durability failure, snapshot write failure). Liveness stays on
+// (journal durability failure, replay still running). Liveness stays on
 // /v1/healthz, which keeps answering 200 as long as the process serves.
 func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {

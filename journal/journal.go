@@ -792,16 +792,15 @@ func NewLogged(eng *caar.Engine, w *Writer) *Logged {
 	return &Logged{Engine: eng, w: w}
 }
 
-// HealthProblems aggregates degraded-state reasons from the engine
-// (snapshot failures) and the journal writer (durability failures). The
-// server's readiness probe reports these with a 503 so load balancers stop
+// HealthProblems reports the journal writer's durability failure, the one
+// degraded-state reason of a logged engine (a bare engine reports none). The
+// server's readiness probe reports it with a 503 so load balancers stop
 // routing to a replica that can no longer persist what it acknowledges.
 func (l *Logged) HealthProblems() []string {
-	probs := l.Engine.HealthProblems()
 	if bad, msg := l.w.Degraded(); bad {
-		probs = append(probs, "journal: last append not durable: "+msg)
+		return []string{"journal: last append not durable: " + msg}
 	}
-	return probs
+	return nil
 }
 
 // Mutations follow the write-ahead contract: append (durable per the sync

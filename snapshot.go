@@ -172,17 +172,6 @@ const snapshotTrailer = "//caar-snapshot-crc32c "
 // this way is safe only after writes to it have stopped: a record appended
 // to the old file after the cut is lost with it.
 func (e *Engine) SaveSnapshot(path string) error {
-	err := e.saveSnapshot(path)
-	msg := ""
-	if err != nil {
-		msg = err.Error()
-	}
-	e.obsm.lastSnapshotErr.Store(msg) // read by HealthProblems
-	return err
-}
-
-// saveSnapshot does the work of SaveSnapshot.
-func (e *Engine) saveSnapshot(path string) error {
 	var buf bytes.Buffer
 	if err := e.Snapshot(&buf); err != nil {
 		return err

@@ -348,9 +348,6 @@ func (w *Workload) genUsers(rng *rand.Rand) {
 func (w *Workload) genGraph(rng *rand.Rand) {
 	c := w.Cfg
 	g := feed.NewGraph()
-	for _, u := range w.Users {
-		g.AddUser(u.ID)
-	}
 	// edgeTargets samples proportional to in-degree+1 via a growing list of
 	// endpoint repetitions (the classic Barabási–Albert trick).
 	endpoints := make([]feed.UserID, 0, c.Users*c.AvgFollowees)
