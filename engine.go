@@ -57,6 +57,10 @@ type Engine struct {
 	postsDelivered atomic.Uint64
 	checkIns       atomic.Uint64
 
+	// scratch is the batch scratch no PostBatch or CheckInBatch is using,
+	// or nil while one is (takeScratch).
+	scratch atomic.Pointer[batchScratch]
+
 	metrics *obs.Registry
 	obsm    *engineMetrics
 	tracer  *trace.Store
@@ -495,39 +499,45 @@ func (e *Engine) CheckInBatch(reqs []CheckInRequest) []error {
 		return errs
 	}
 	d := e.dir.Load()
-	type slot struct {
-		item int
-		uid  feed.UserID
-	}
 	n := len(e.shards)
-	slots := make([]slot, 0, len(reqs))
+	s := e.takeScratch()
+	slots := s.slots[:0]
 	for i, r := range reqs {
 		uid, err := d.lookup(r.User)
 		if err != nil {
 			errs[i] = err
 			continue
 		}
-		slots = append(slots, slot{item: i, uid: uid})
+		slots = append(slots, checkInSlot{item: i, uid: uid})
 	}
 	// Grouped by shard, in request order within each (a stable sort, in place).
-	slices.SortStableFunc(slots, func(a, b slot) int { return cmp.Compare(int(a.uid)%n, int(b.uid)%n) })
+	slices.SortStableFunc(slots, func(a, b checkInSlot) int { return cmp.Compare(int(a.uid)%n, int(b.uid)%n) })
 	for lo, hi := 0, 0; lo < len(slots); lo = hi {
 		si := int(slots[lo].uid) % n
 		for hi = lo + 1; hi < len(slots) && int(slots[hi].uid)%n == si; hi++ {
 		}
 		sh := e.shards[si]
 		sh.mu.Lock()
-		for _, s := range slots[lo:hi] {
-			r := reqs[s.item]
-			if err := sh.eng.CheckIn(s.uid, geo.Point{Lat: r.Lat, Lng: r.Lng}, r.At); err != nil {
-				errs[s.item] = err
+		for _, sl := range slots[lo:hi] {
+			r := reqs[sl.item]
+			if err := sh.eng.CheckIn(sl.uid, geo.Point{Lat: r.Lat, Lng: r.Lng}, r.At); err != nil {
+				errs[sl.item] = err
 				continue
 			}
 			e.checkIns.Add(1)
 		}
 		sh.mu.Unlock()
 	}
+	s.slots = slots
+	e.keepScratch(s)
 	return errs
+}
+
+// checkInSlot is a check-in of a CheckInBatch whose user resolved: its index
+// in the batch and the user.
+type checkInSlot struct {
+	item int
+	uid  feed.UserID
 }
 
 // ValidateUser reports whether a handle resolves in the current directory
@@ -582,7 +592,8 @@ func (e *Engine) PostBatch(reqs []PostRequest) []error {
 	// One directory snapshot serves the whole batch: every lookup and every
 	// continuous recommendation below resolves names against the same view.
 	d := e.dir.Load()
-	msgs := make([]feed.Message, len(reqs))
+	s := e.takeScratch()
+	msgs := slices.Grow(s.msgs[:0], len(reqs))[:len(reqs)] // zero: keepScratch cleared them
 	for i, r := range reqs {
 		uid, err := d.lookup(r.Author)
 		if err != nil {
@@ -596,7 +607,8 @@ func (e *Engine) PostBatch(reqs []PostRequest) []error {
 			Vec:    e.vectorize(r.Text),
 		}
 	}
-	e.deliver(d, msgs, errs)
+	s.msgs = msgs
+	e.deliver(s, d, errs)
 	for i := range reqs {
 		if errs[i] != nil {
 			continue
@@ -605,7 +617,51 @@ func (e *Engine) PostBatch(reqs []PostRequest) []error {
 		// to leave phantom terms in Trending).
 		e.trends.observe(timeslot.Of(reqs[i].At), msgs[i].Vec)
 	}
+	e.keepScratch(s)
 	return errs
+}
+
+// batchScratch is what a PostBatch or a CheckInBatch works in and hands out
+// nothing of: the shard table, the messages, their follower lists, the
+// recipients and spans the partition cuts per shard, the refreshes' results
+// and the check-ins grouped by shard. The engine keeps one (Engine.scratch).
+type batchScratch struct {
+	b      batch
+	work   []fanout // one per shard
+	msgs   []feed.Message
+	lists  [][]feed.UserID
+	users  []feed.UserID
+	spans  []span
+	scored []core.Scored
+	out    []continuousRec
+	slots  []checkInSlot
+}
+
+// maxKeptScratch is the most elements a slice of a kept scratch may hold. A
+// batch that needs more is a large one, which spreads its allocations over
+// many posts; keeping what it grew would hold it for the life of the engine.
+const maxKeptScratch = 1024
+
+// takeScratch takes the engine's scratch, or makes one while another batch
+// has it. A one-slot atomic cache, unlike a sync.Pool, keeps its scratch
+// under the race detector and takes no lock.
+func (e *Engine) takeScratch() *batchScratch {
+	if s := e.scratch.Swap(nil); s != nil {
+		return s
+	}
+	return &batchScratch{work: make([]fanout, len(e.shards))}
+}
+
+// keepScratch gives a scratch back for the next batch, unless a slice of it
+// has outgrown maxKeptScratch. It first drops what the scratch would pin of
+// the batch: the messages' vectors, the follower lists and the directory.
+func (e *Engine) keepScratch(s *batchScratch) {
+	clear(s.msgs)
+	clear(s.lists)
+	s.b.d, s.b.msgs = nil, nil
+	if max(cap(s.msgs), cap(s.lists), cap(s.users), cap(s.spans), cap(s.scored), cap(s.out), cap(s.slots)) <= maxKeptScratch {
+		e.scratch.Store(s)
+	}
 }
 
 // batch is what every shard's share of one deliver call reads: the engine,
@@ -634,7 +690,7 @@ type fanout struct {
 	spans []span
 	size  int
 
-	affected map[feed.UserID]time.Time
+	affected map[feed.UserID]time.Time // kept, cleared, from batch to batch
 	scored   []core.Scored
 	out      []continuousRec
 	recs     []Recommendation
@@ -656,7 +712,7 @@ type continuousRec struct {
 
 // distinct is how many distinct users the shard refreshes.
 func (w *fanout) distinct() int {
-	if w.affected == nil {
+	if len(w.spans) == 1 {
 		return w.spans[0].hi - w.spans[0].lo
 	}
 	return len(w.affected)
@@ -675,23 +731,28 @@ func (w *fanout) collectAffected(msgs []feed.Message) {
 	}
 }
 
-// deliver fans a batch of messages out to their follower windows, grouped so
-// each shard lock is acquired once per batch. Recipients are partitioned
+// deliver fans the scratch's messages out to their follower windows, grouped
+// so each shard lock is acquired once per batch. Recipients are partitioned
 // straight from the graph's follower lists, which are immutable once handed
 // out (feed.Graph.Followers). Per-item errors land in errs (for an item split
 // across shards, the lowest failing shard's). A push-only batch (ContinuousK
 // 0) runs every busy shard inline, since its window pushes cost less than a
 // goroutine start; with continuous refreshes, one busy shard runs in the
-// caller and the others on goroutines of their own.
-func (e *Engine) deliver(d *directory, msgs []feed.Message, errs []error) {
+// caller and the others on goroutines of their own. Everything it works in
+// is the scratch's; what it allocates is the recommendations slab it hands
+// out (cutRefreshSlabs).
+func (e *Engine) deliver(s *batchScratch, d *directory, errs []error) {
+	msgs, work := s.msgs, s.work
 	n, busy, k := len(e.shards), 0, e.cfg.ContinuousK
-	b := &batch{e: e, d: d, msgs: msgs}
-	work := make([]fanout, n)
+	b := &s.b
+	b.e, b.d, b.msgs = e, d, msgs
+	for si := range work {
+		work[si] = fanout{b: b, sh: e.shards[si], affected: work[si].affected}
+	}
 	// Each message's follower list, and how many recipients each shard gets:
 	// the partition then fills one users and one spans array cut to size, so a
-	// batch allocates the same whatever its fan-out and the shard count.
-	var few [4][]feed.UserID
-	followerLists, total := few[:0], 0
+	// batch needs the same space whatever its fan-out and the shard count.
+	lists, total := s.lists[:0], 0
 	for i := range msgs {
 		var followers []feed.UserID
 		if errs[i] == nil {
@@ -702,20 +763,22 @@ func (e *Engine) deliver(d *directory, msgs []feed.Message, errs []error) {
 			}
 			total += len(followers) + 1
 		}
-		followerLists = append(followerLists, followers)
+		lists = append(lists, followers)
 	}
+	s.lists = lists
 	nSpans := 0 // a shard gets at most one span per message and per recipient
 	for si := range work {
 		nSpans += min(len(msgs), work[si].size)
 	}
-	users, spans := make([]feed.UserID, total), make([]span, nSpans)
+	s.users = slices.Grow(s.users[:0], total)
+	s.spans = slices.Grow(s.spans[:0], nSpans)
+	users, spans := s.users[:total], s.spans[:nSpans]
 	for si := range work {
 		w, m := &work[si], min(len(msgs), work[si].size)
-		w.b, w.sh = b, e.shards[si]
 		w.users, users = users[:0:w.size], users[w.size:]
 		w.spans, spans = spans[:0:m], spans[m:]
 	}
-	for i, followers := range followerLists {
+	for i, followers := range lists {
 		if errs[i] != nil {
 			continue
 		}
@@ -740,7 +803,7 @@ func (e *Engine) deliver(d *directory, msgs []feed.Message, errs []error) {
 		}
 	}
 	if k > 0 {
-		cutRefreshSlabs(b, work, k)
+		s.cutRefreshSlabs(k)
 	}
 
 	inline := -1 // the busy shard the caller runs
@@ -785,15 +848,16 @@ func (e *Engine) deliver(d *directory, msgs []feed.Message, errs []error) {
 }
 
 // cutRefreshSlabs gives every busy shard its pieces of the batch's refresh
-// slabs: one []core.Scored, one []continuousRec and one []Recommendation per
-// batch, whatever the shard count, each piece capped so that a shard that
-// outgrows it reallocates rather than writes into the next. A piece is sized
-// by the shard's distinct recipients, not its deliveries: a batch that
-// reaches a user many times refreshes them once.
-func cutRefreshSlabs(b *batch, work []fanout, k int) {
+// slabs: one []core.Scored and one []continuousRec, the scratch's, and one
+// []Recommendation made for the batch, whatever the shard count, each piece
+// capped so that a shard that outgrows it reallocates rather than writes into
+// the next. A piece is sized by the shard's distinct recipients, not its
+// deliveries: a batch that reaches a user many times refreshes them once.
+func (s *batchScratch) cutRefreshSlabs(k int) {
 	// A shard holds at most every n-th user: a bound on its distinct
 	// recipients that keeps a large batch's maps from being sized by repeats.
-	perShard := (len(b.d.names) + len(work) - 1) / len(work)
+	work := s.work
+	perShard := (len(s.b.d.names) + len(work) - 1) / len(work)
 	refreshes := 0
 	for si := range work {
 		w := &work[si]
@@ -801,13 +865,16 @@ func cutRefreshSlabs(b *batch, work []fanout, k int) {
 			continue
 		}
 		if len(w.spans) > 1 {
-			w.affected = make(map[feed.UserID]time.Time, min(len(w.users), perShard))
-			w.collectAffected(b.msgs)
+			if w.affected == nil {
+				w.affected = make(map[feed.UserID]time.Time, min(len(w.users), perShard))
+			}
+			w.collectAffected(s.b.msgs)
 		}
 		refreshes += w.distinct()
 	}
-	scored := make([]core.Scored, refreshes*k)
-	out := make([]continuousRec, refreshes)
+	s.scored = slices.Grow(s.scored[:0], refreshes*k)
+	s.out = slices.Grow(s.out[:0], refreshes)
+	scored, out := s.scored[:refreshes*k], s.out[:refreshes]
 	recs := make([]Recommendation, refreshes*k)
 	for si := range work {
 		w := &work[si]
@@ -843,9 +910,10 @@ func runShardTask() {
 // queued behind it. Each reached user gets one callback per batch (after its
 // last message of the batch), not one per message.
 //
-// The refreshes are handed out as capped sub-slices of the shard's pieces of
-// the batch's slabs (cutRefreshSlabs), never reused, so a callback may keep
-// its slice: a refresh allocates nothing of its own.
+// The refreshes are computed into the shard's pieces of the scratch's slabs
+// and handed out as capped sub-slices of its piece of the batch's
+// recommendations slab (cutRefreshSlabs), which nothing reuses, so a callback
+// may keep its slice: a refresh allocates nothing of its own.
 func (e *Engine) runShard(w *fanout) {
 	d, sh, msgs, k := w.b.d, w.sh, w.b.msgs, e.cfg.ContinuousK
 	sh.mu.Lock() //caarlint:allow readpathlock per-shard core lock is the designed serialization point
@@ -869,7 +937,7 @@ func (e *Engine) runShard(w *fanout) {
 		w.scored = recs
 		w.out = append(w.out, continuousRec{user: u, recs: w.scored[lo:len(w.scored):len(w.scored)]})
 	}
-	if w.affected == nil {
+	if len(w.spans) == 1 {
 		if sp := w.spans[0]; sp.err == nil {
 			for _, u := range w.users[sp.lo:sp.hi] {
 				refresh(u, msgs[sp.item].Time)

@@ -6,6 +6,7 @@ import (
 	"maps"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -666,47 +667,153 @@ func TestContinuousPostAllocationsDoNotGrowWithFanout(t *testing.T) {
 	}
 }
 
-// TestContinuousPostAllocationsDoNotGrowWithShards: a batch's refresh slabs
-// are cut once per batch, one piece per shard, so a continuous post that
-// reaches all of 2, 4 or 8 shards allocates what it does on one plus at most
-// one allocation per extra busy shard, its goroutine's: none in a normal
-// build, where a goroutine takes its share from a queue rather than a
-// closure, and one under the race detector. Slabs made per shard cost three
-// allocations a busy shard.
-func TestContinuousPostAllocationsDoNotGrowWithShards(t *testing.T) {
-	allocs := func(shards int) float64 {
-		cfg := testConfig()
-		cfg.Shards = shards
-		cfg.ContinuousK = 3
-		cfg.OnRecommend = func(string, []Recommendation) {}
-		e := openEngine(t, cfg)
-		if err := e.AddUser("big"); err != nil {
+// shardedPostAllocs opens an engine of the given shard count and ContinuousK
+// where "big" has 64 followers, eight on each of eight shards, brings it to a
+// steady state — windows full and, with refreshes, views built — and returns
+// what one post by big allocates.
+func shardedPostAllocs(t *testing.T, shards, k int) float64 {
+	t.Helper()
+	cfg := testConfig()
+	cfg.Shards = shards
+	cfg.ContinuousK = k
+	cfg.OnRecommend = func(string, []Recommendation) {}
+	e := openEngine(t, cfg)
+	if err := e.AddUser("big"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 64; i++ {
+		f := fmt.Sprintf("f%03d", i)
+		if err := e.AddUser(f); err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < 64; i++ { // eight followers on each of eight shards
-			f := fmt.Sprintf("f%03d", i)
-			if err := e.AddUser(f); err != nil {
-				t.Fatal(err)
-			}
-			if err := e.Follow(f, "big"); err != nil {
-				t.Fatal(err)
-			}
+		if err := e.Follow(f, "big"); err != nil {
+			t.Fatal(err)
 		}
-		for _, ad := range []string{"marathon shoes", "running socks", "trail shoes"} {
-			if err := e.AddAd(Ad{ID: ad, Text: ad, Bid: 0.5}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		reqs := []PostRequest{{Author: "big", Text: "marathon shoes", At: morning}}
-		for i := 0; i < 2*cfg.WindowSize; i++ { // windows full, views built: steady state
-			e.PostBatch(reqs)
-		}
-		return testing.AllocsPerRun(50, func() { e.PostBatch(reqs) })
 	}
-	one := allocs(1)
+	for _, ad := range []string{"marathon shoes", "running socks", "trail shoes"} {
+		if err := e.AddAd(Ad{ID: ad, Text: ad, Bid: 0.5}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reqs := []PostRequest{{Author: "big", Text: "marathon shoes", At: morning}}
+	for i := 0; i < 2*cfg.WindowSize; i++ {
+		e.PostBatch(reqs)
+	}
+	return testing.AllocsPerRun(50, func() { e.PostBatch(reqs) })
+}
+
+// TestPushOnlyPostAllocationsDoNotGrowWithShards: a push-only post (the
+// ingest applier's) allocates what it hands out — its errors and its message
+// vector — and works in the engine's reused batch scratch, so it allocates as
+// often on 8 shards as on one. The scratch made per batch cost five more: the
+// messages, the batch, the shard table, the recipients and the spans.
+func TestPushOnlyPostAllocationsDoNotGrowWithShards(t *testing.T) {
+	one := shardedPostAllocs(t, 1, 0)
+	if !raceEnabled && one != 2 {
+		t.Errorf("a push-only post allocates %.1f times on one shard: want 2, its errors and its vector", one)
+	}
 	for _, shards := range []int{2, 4, 8} {
-		if got := allocs(shards); got > one+float64(shards-1) {
-			t.Errorf("a continuous post allocates %.1f times on %d shards and %.1f on one: want at most one more per extra shard", got, shards, one)
+		if got := shardedPostAllocs(t, shards, 0); got != one {
+			t.Errorf("a push-only post allocates %.1f times on %d shards and %.1f on one", got, shards, one)
+		}
+	}
+}
+
+// TestContinuousPostAllocationsDoNotGrowWithShards: a batch's refresh slabs
+// are the scratch's or cut once per batch, one piece per shard, and a busy
+// shard's goroutine takes its share from a queue rather than a closure, so a
+// continuous post that reaches all of 2, 4 or 8 shards allocates what it does
+// on one; under the race detector a goroutine start may allocate once. What
+// is left is what a post hands out or keeps: its errors, its vector, its
+// recommendations slab, and its entry in the shared message table with the
+// delta list computed there. Slabs made per shard cost three allocations a
+// busy shard.
+func TestContinuousPostAllocationsDoNotGrowWithShards(t *testing.T) {
+	one := shardedPostAllocs(t, 1, 3)
+	if !raceEnabled && one != 5 {
+		t.Errorf("a continuous post allocates %.1f times on one shard: want 5", one)
+	}
+	for _, shards := range []int{2, 4, 8} {
+		got, want := shardedPostAllocs(t, shards, 3), one
+		if raceEnabled {
+			want += float64(shards - 1)
+		}
+		if got > want {
+			t.Errorf("a continuous post allocates %.1f times on %d shards and %.1f on one: want at most %.1f", got, shards, one, want)
+		}
+	}
+}
+
+// TestConcurrentPostBatchesHandOutIntactRecommendations: batches that run at
+// once on one engine share no scratch — the one that finds the engine's
+// taken makes its own — and the recommendations a callback may keep are
+// never written by a later batch.
+func TestConcurrentPostBatchesHandOutIntactRecommendations(t *testing.T) {
+	cfg := testConfig()
+	cfg.Shards = 4
+	cfg.ContinuousK = 3
+	type keptRecs struct{ slice, copy []Recommendation }
+	var (
+		mu   sync.Mutex
+		kept []keptRecs
+	)
+	cfg.OnRecommend = func(_ string, recs []Recommendation) {
+		mu.Lock()
+		defer mu.Unlock()
+		kept = append(kept, keptRecs{slice: recs, copy: slices.Clone(recs)})
+	}
+	e := openEngine(t, cfg)
+	const authors = 4
+	for a := 0; a < authors; a++ {
+		if err := e.AddUser(fmt.Sprintf("a%d", a)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 24; i++ {
+		f := fmt.Sprintf("f%03d", i)
+		if err := e.AddUser(f); err != nil {
+			t.Fatal(err)
+		}
+		for a := 0; a < authors; a++ {
+			if (i+a)%3 != 0 {
+				if err := e.Follow(f, fmt.Sprintf("a%d", a)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	ads := []string{"marathon shoes", "running socks", "trail shoes", "city bikes", "rain jackets"}
+	for _, ad := range ads {
+		if err := e.AddAd(Ad{ID: ad, Text: ad, Bid: 0.5}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < authors; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 40; i++ {
+				reqs := []PostRequest{
+					{Author: fmt.Sprintf("a%d", g), Text: ads[(g+i)%len(ads)], At: morning.Add(time.Duration(i) * time.Second)},
+					{Author: fmt.Sprintf("a%d", (g+1)%authors), Text: ads[i%len(ads)], At: morning.Add(time.Duration(i) * time.Second)},
+				}
+				for _, err := range e.PostBatch(reqs) {
+					if err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if len(kept) == 0 {
+		t.Fatal("no refresh reached the callback")
+	}
+	for i, k := range kept {
+		if !slices.Equal(k.slice, k.copy) {
+			t.Fatalf("refresh %d of %d was overwritten after its callback: %v, handed out as %v", i, len(kept), k.slice, k.copy)
 		}
 	}
 }

@@ -25,6 +25,7 @@ package ingest
 
 import (
 	"errors"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -89,11 +90,16 @@ func (c *Config) setDefaults() {
 }
 
 // item is one accepted write waiting for its group commit; errc (capacity 1)
-// carries the single acknowledgement back to the blocked submitter.
+// carries the single acknowledgement back to the blocked submitter. The
+// committer touches an item only before it acks it, so the submitter that
+// took the ack reuses the item, channel and all (items).
 type item struct {
 	entry journal.Entry
 	errc  chan error
 }
+
+// items holds the items no submitter is using.
+var items = sync.Pool{New: func() any { return &item{errc: make(chan error, 1)} }}
 
 // Pipeline is the asynchronous ingest path. Create with New, shut down with
 // Close; Submit methods are safe for concurrent use.
@@ -108,6 +114,10 @@ type Pipeline struct {
 	applyq chan []journal.Entry // committed batches awaiting fan-out
 	stop   chan struct{}        // closed by Close after producers drain
 	done   chan struct{}        // closed when the applier exits
+
+	// free hands applied batches' entries back to the committer for reuse:
+	// one for each batch applyq holds and one for the batch being applied.
+	free chan []journal.Entry
 
 	closed    atomic.Bool
 	producers atomic.Int64 // submitters between the closed-check and their push
@@ -128,6 +138,7 @@ func New(eng Engine, jw Journal, reg *obs.Registry, cfg Config) *Pipeline {
 		ring:   ring.New[*item](cfg.QueueSize),
 		wake:   make(chan struct{}, 1),
 		applyq: make(chan []journal.Entry, applyDepth),
+		free:   make(chan []journal.Entry, applyDepth+1),
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
 	}
@@ -169,10 +180,13 @@ func (p *Pipeline) submit(e journal.Entry) error {
 		p.producers.Add(-1)
 		return ErrClosed
 	}
-	it := &item{entry: e, errc: make(chan error, 1)}
+	it := items.Get().(*item)
+	it.entry = e
 	pushed := p.ring.Push(it)
 	p.producers.Add(-1)
 	if !pushed {
+		it.entry = journal.Entry{}
+		items.Put(it)
 		p.m.rejected.Inc()
 		return ErrQueueFull
 	}
@@ -184,6 +198,8 @@ func (p *Pipeline) submit(e journal.Entry) error {
 	start := time.Now()
 	err := <-it.errc
 	p.m.ackSeconds.ObserveDuration(time.Since(start))
+	it.entry = journal.Entry{}
+	items.Put(it)
 	return err
 }
 
@@ -211,8 +227,9 @@ func (p *Pipeline) Close() error {
 func (p *Pipeline) committer() {
 	timer := time.NewTimer(p.cfg.IdleSync)
 	defer timer.Stop()
+	var batch []*item // reused: commit is done with a batch before the next is drained
 	for {
-		batch := p.drainBatch()
+		batch = p.drainBatch(batch[:0])
 		if len(batch) == 0 {
 			select {
 			case <-p.wake:
@@ -221,11 +238,10 @@ func (p *Pipeline) committer() {
 				// Shutdown drain: commit everything accepted before the
 				// producers quiesced, then let the applier finish.
 				for {
-					tail := p.drainBatch()
-					if len(tail) == 0 {
+					if batch = p.drainBatch(batch[:0]); len(batch) == 0 {
 						break
 					}
-					p.commit(tail)
+					p.commit(batch)
 				}
 				close(p.applyq)
 				return
@@ -242,17 +258,16 @@ func (p *Pipeline) committer() {
 	}
 }
 
-// drainBatch pops up to MaxBatch items.
-func (p *Pipeline) drainBatch() []*item {
-	var batch []*item
-	for len(batch) < p.cfg.MaxBatch {
+// drainBatch pops up to MaxBatch items, appended to dst.
+func (p *Pipeline) drainBatch(dst []*item) []*item {
+	for len(dst) < p.cfg.MaxBatch {
 		it, ok := p.ring.Pop()
 		if !ok {
 			break
 		}
-		batch = append(batch, it)
+		dst = append(dst, it)
 	}
-	return batch
+	return dst
 }
 
 // commit group-commits one batch: a single AppendBatch (one fsync, policy
@@ -260,9 +275,13 @@ func (p *Pipeline) drainBatch() []*item {
 // On a journal error nothing is applied and every submitter receives the
 // error — the journal-first contract: no state the log does not contain.
 func (p *Pipeline) commit(batch []*item) {
-	entries := make([]journal.Entry, len(batch))
-	for i, it := range batch {
-		entries[i] = it.entry
+	var entries []journal.Entry
+	select {
+	case entries = <-p.free: // an applied batch's, cleared
+	default:
+	}
+	for _, it := range batch {
+		entries = append(entries, it.entry)
 	}
 	start := time.Now()
 	err := p.jw.AppendBatch(entries)
@@ -283,12 +302,19 @@ func (p *Pipeline) commit(batch []*item) {
 }
 
 // applier fans committed batches out to the shards in commit order, through
-// journal.ApplyRuns — the mapping replay uses — so posts and check-ins keep
-// their relative order while applying through the grouped batch entry points.
+// journal.Applier — the mapping replay uses — so posts and check-ins keep
+// their relative order while applying through the grouped batch entry points,
+// and hands each batch's entries back to the committer (free).
 func (p *Pipeline) applier() {
 	defer close(p.done)
+	var ap journal.Applier
 	for entries := range p.applyq {
-		p.countApply(journal.ApplyRuns(p.eng, entries))
+		p.countApply(ap.ApplyRuns(p.eng, entries))
+		clear(entries) // the texts
+		select {
+		case p.free <- entries[:0]:
+		default:
+		}
 	}
 }
 

@@ -232,8 +232,8 @@ func (x *AdIndex) deltaList(mc *msgCache, acc *index.Accumulator) []index.Delta 
 }
 
 // msgTable is the message → shared state map of one AdIndex. A shard comes
-// here once per Deliver, once per reference it releases and once per
-// catch-up. It is the innermost engine lock: taken under a shard lock, never
+// here once per Deliver, once per catch-up and once per buffer it settles or
+// turns cold. It is the innermost engine lock: taken under a shard lock, never
 // around one.
 type msgTable struct {
 	mu sync.Mutex
@@ -254,11 +254,25 @@ func (t *msgTable) hold(msg feed.Message, n int) {
 	mc.refs += n
 }
 
-// release drops one reference on a message, and the shared state with the
-// last.
-func (t *msgTable) release(id feed.MessageID) {
+// release drops one reference on each message in gone and on each of the
+// window's first n messages, under one lock, and a message's shared state
+// with its last reference.
+func (t *msgTable) release(gone []feed.Message, win *feed.Window, n int) {
+	if len(gone)+n == 0 {
+		return
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	for _, m := range gone {
+		t.drop(m.ID)
+	}
+	for i := range n {
+		t.drop(win.At(i).ID)
+	}
+}
+
+// drop drops one reference on a message. The caller holds t.mu.
+func (t *msgTable) drop(id feed.MessageID) {
 	if mc := t.m[id]; mc != nil {
 		if mc.refs--; mc.refs <= 0 {
 			delete(t.m, id)

@@ -42,6 +42,9 @@ type CAP struct {
 	opts CAPOptions
 	// shared is where a catch-up looks up the shared state of what it merges.
 	shared []*msgCache
+	// coll is what a re-rank ranks in, a view's refill and a budget-aware
+	// ranking alike: reset for each, kept under the shard lock.
+	coll topk.Collector
 
 	viewAnswers, reranks uint64 // TopAds calls by how they were answered
 	merges, rebuilds     uint64 // catch-ups by kind
@@ -158,11 +161,8 @@ func (e *CAP) deltasOf(m feed.Message, mc *msgCache, acc *index.Accumulator) []i
 // buffer never merged are thereby skipped.
 func (e *CAP) chill(st *userState, buf *dynBuf, held int) {
 	if e.opts.FanoutSharing {
-		for i := range held {
-			e.msgs.release(st.win.At(i).ID)
-		}
+		e.msgs.release(buf.gone, st.win, held)
 	}
-	e.settleGone(buf)
 	e.skipped += uint64(st.win.Len() - buf.applied)
 	*buf = dynBuf{scale: 1}
 }
@@ -172,9 +172,7 @@ func (e *CAP) chill(st *userState, buf *dynBuf, held int) {
 // them to be.
 func (e *CAP) settleGone(buf *dynBuf) {
 	if e.opts.FanoutSharing {
-		for _, m := range buf.gone {
-			e.msgs.release(m.ID)
-		}
+		e.msgs.release(buf.gone, nil, 0)
 	}
 	clear(buf.gone)
 	buf.gone = buf.gone[:0]
@@ -355,12 +353,13 @@ func (e *CAP) AppendTopAds(dst []Scored, u feed.UserID, k int, t time.Time) ([]S
 			return out, nil
 		}
 	}
-	c := topk.NewCollector(k)
+	c := &e.coll
+	c.Reset(k)
 	examined, offered := e.rank(c, st, buf, mult, sl, t, true)
 	if !viewable {
 		span = e.stageDone(StageScore, span, examined, offered)
 	}
-	out := e.resolve(dst, c.Items(), st, func(it topk.Item) float64 { return buf.get(it.Slot) * mult })
+	out := e.resolve(dst, c.Sorted(), st, func(it topk.Item) float64 { return buf.get(it.Slot) * mult })
 	e.stageDone(StageTopK, span, offered, len(out)-len(dst))
 	return out, nil
 }

@@ -8,7 +8,6 @@ import (
 
 	"caar/internal/adstore"
 	"caar/internal/timeslot"
-	"caar/internal/topk"
 )
 
 // viewSlack is how many ads a view tracks per ad of the largest answer asked
@@ -94,15 +93,17 @@ func (e *CAP) fromView(dst []Scored, st *userState, buf *dynBuf, mult, winFactor
 // buildView ranks the user's whole candidate set with a collector that
 // ignores budget and makes the result the tracked set of buf.view: viewSlack
 // ads per ad of k, or of the largest k the view it replaces was built for —
-// a view only grows. The old view's slices are reused unless it does.
+// a view only grows. The old view's slices are reused unless it does, and
+// the ranking is the engine's collector's.
 func (e *CAP) buildView(buf *dynBuf, st *userState, mult float64, k int, sl timeslot.Slot, t time.Time) (examined, offered int) {
 	v := buf.view
 	if size := viewSlack * k; v == nil || v.size < size {
 		v = &topView{size: size, tracked: make([]viewEntry, 0, size+viewJoinRoom)}
 	}
-	c := topk.NewCollector(v.size)
+	c := &e.coll
+	c.Reset(v.size)
 	examined, offered = e.rank(c, st, buf, mult, sl, t, false)
-	items := c.Items()
+	items := c.Sorted()
 
 	v.slot, v.asOf = sl, t
 	v.noted, v.tracked = v.noted[:0], v.tracked[:0]

@@ -29,7 +29,7 @@ func (a Item) Less(b Item) bool {
 }
 
 // Collector accumulates streamed candidates and retains the k best. The zero
-// value is unusable; construct with NewCollector.
+// value is unusable until Reset; construct with NewCollector or Reset.
 type Collector struct {
 	k    int
 	heap itemHeap // min-heap: heap[0] is the weakest retained item
@@ -44,6 +44,13 @@ func NewCollector(k int) *Collector {
 		k = 1
 	}
 	return &Collector{k: k, heap: make(itemHeap, 0, min(k, maxPrealloc))}
+}
+
+// Reset empties the collector and makes it retain the k best items (k ≥ 1 is
+// clamped), keeping the storage it has grown: a caller that ranks again and
+// again reuses one collector.
+func (c *Collector) Reset(k int) {
+	c.k, c.heap = max(k, 1), c.heap[:0]
 }
 
 // K returns the configured capacity.
@@ -88,13 +95,24 @@ func (c *Collector) WouldAccept(score float64) bool {
 // leaving the collector intact. The result is its one allocation.
 func (c *Collector) Items() []Item {
 	out := slices.Clone(c.heap)
-	slices.SortFunc(out, func(a, b Item) int {
-		if o := cmp.Compare(b.Score, a.Score); o != 0 {
-			return o
-		}
-		return cmp.Compare(a.ID, b.ID)
-	})
+	slices.SortFunc(out, byRank)
 	return out
+}
+
+// Sorted sorts the retained items in place into final ranked order and
+// returns them, allocating nothing. They are the collector's storage: valid
+// until its next Reset, which it needs before it takes another offer.
+func (c *Collector) Sorted() []Item {
+	slices.SortFunc(c.heap, byRank)
+	return c.heap
+}
+
+// byRank compares items in final ranked order.
+func byRank(a, b Item) int {
+	if o := cmp.Compare(b.Score, a.Score); o != 0 {
+		return o
+	}
+	return cmp.Compare(a.ID, b.ID)
 }
 
 // itemHeap is a min-heap ordered so the WORST retained item is at the root.

@@ -169,3 +169,35 @@ func TestCollectorItemsAllocatesItsResult(t *testing.T) {
 		t.Fatalf("Items allocates %.0f times for %d items (ranked: %v), want 1 for 20 in ranked order", allocs, len(items), ranked)
 	}
 }
+
+// TestCollectorResetSortedReusesStorage: one collector, zero value first,
+// reset for ranking after ranking, ranks as a fresh one does, and once its
+// storage has grown a Reset, the offers and the in-place Sorted allocate
+// nothing.
+func TestCollectorResetSortedReusesStorage(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var c Collector
+	for trial := 0; trial < 200; trial++ {
+		n, k := rng.Intn(100), rng.Intn(12) // k 0 is clamped to 1
+		c.Reset(k)
+		fresh := NewCollector(k)
+		for i := 0; i < n; i++ {
+			id, score := int64(rng.Intn(30)), float64(rng.Intn(10))/10
+			c.Offer(id, score)
+			fresh.Offer(id, score)
+		}
+		if got, want := c.Sorted(), fresh.Items(); len(got)+len(want) > 0 && !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d (n=%d k=%d): reset collector ranks %v, a fresh one %v", trial, n, k, got, want)
+		}
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		c.Reset(11)
+		for i := 0; i < 100; i++ {
+			c.Offer(int64(i), float64(i*7%13))
+		}
+		c.Sorted()
+	})
+	if allocs != 0 {
+		t.Fatalf("a reset ranking of 100 into 11 allocates %.0f times, want 0", allocs)
+	}
+}

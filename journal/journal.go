@@ -30,6 +30,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -547,9 +548,10 @@ func replay(r io.Reader, eng *caar.Engine, recoverMode bool, progress func(recor
 		}
 	}
 	run := make([]Entry, 0, replayBatch)
+	var ap Applier
 	flush := func() {
 		if len(run) > 0 {
-			tally(ApplyRuns(eng, run)...)
+			tally(ap.ApplyRuns(eng, run)...)
 			run = run[:0]
 		}
 	}
@@ -707,16 +709,27 @@ func CheckInEntry(user string, lat, lng float64, at time.Time) Entry {
 	return Entry{Op: OpCheckIn, User: user, Lat: lat, Lng: lng, At: at}
 }
 
-// ApplyRuns applies post and check-in entries to a through its batched entry
-// points, one call per maximal run of the same op, in log order, and returns
-// each entry's own error. It is the one mapping from a data-plane Entry to the
-// engine: the ingest applier, Logged and replay all go through it, so a live
-// write and its replay cannot read a record differently.
-func ApplyRuns(a interface {
+// Applier applies post and check-in entries to an engine, keeping the
+// buffers it works in — the requests of a run and the errors it returns —
+// from one call to the next, for a caller that applies batch after batch on
+// one goroutine (the ingest applier, replay). The requests are borrowed by
+// the batch entry points, which keep none of them.
+type Applier struct {
+	errs     []error
+	posts    []caar.PostRequest
+	checkIns []caar.CheckInRequest
+}
+
+// ApplyRuns applies entries to a through its batched entry points, one call
+// per maximal run of the same op, in log order, and returns each entry's own
+// error, valid until the next call. It is the one mapping from a data-plane
+// Entry to the engine: the ingest applier, Logged and replay all go through
+// it, so a live write and its replay cannot read a record differently.
+func (ap *Applier) ApplyRuns(a interface {
 	PostBatch([]caar.PostRequest) []error
 	CheckInBatch([]caar.CheckInRequest) []error
 }, entries []Entry) []error {
-	errs := make([]error, 0, len(entries))
+	errs := slices.Grow(ap.errs[:0], len(entries))
 	for start := 0; start < len(entries); {
 		end := start + 1
 		for end < len(entries) && entries[end].Op == entries[start].Op {
@@ -725,17 +738,20 @@ func ApplyRuns(a interface {
 		run := entries[start:end]
 		switch run[0].Op {
 		case OpPost:
-			reqs := make([]caar.PostRequest, len(run))
+			reqs := slices.Grow(ap.posts[:0], len(run))[:len(run)]
 			for i, e := range run {
 				reqs[i] = caar.PostRequest{Author: e.User, Text: e.Text, At: e.At}
 			}
 			errs = append(errs, a.PostBatch(reqs)...)
+			clear(reqs) // the texts
+			ap.posts = reqs
 		case OpCheckIn:
-			reqs := make([]caar.CheckInRequest, len(run))
+			reqs := slices.Grow(ap.checkIns[:0], len(run))[:len(run)]
 			for i, e := range run {
 				reqs[i] = caar.CheckInRequest{User: e.User, Lat: e.Lat, Lng: e.Lng, At: e.At}
 			}
 			errs = append(errs, a.CheckInBatch(reqs)...)
+			ap.checkIns = reqs
 		default:
 			for range run {
 				errs = append(errs, fmt.Errorf("journal: %q is not a post or a check-in", run[0].Op))
@@ -743,6 +759,7 @@ func ApplyRuns(a interface {
 		}
 		start = end
 	}
+	ap.errs = errs
 	return errs
 }
 
@@ -770,7 +787,7 @@ func apply(eng *caar.Engine, e Entry) error {
 	case OpRemoveAd:
 		return eng.RemoveAd(e.AdID)
 	case OpPost, OpCheckIn:
-		return ApplyRuns(eng, []Entry{e})[0]
+		return new(Applier).ApplyRuns(eng, []Entry{e})[0]
 	case OpImpression:
 		_, err := eng.ServeImpression(e.User, e.AdID, e.At)
 		return err
