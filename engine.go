@@ -175,7 +175,7 @@ type shard struct {
 type shardEngine interface {
 	AddUser(u feed.UserID)
 	CheckIn(u feed.UserID, p geo.Point, t time.Time) error
-	Deliver(msg feed.Message, followers []feed.UserID) error
+	DeliverPost(p *feed.Post, followers []feed.UserID) error
 	AppendTopAds(dst []core.Scored, u feed.UserID, k int, t time.Time) ([]core.Scored, error)
 	LastQuery() core.Query
 }
@@ -593,21 +593,22 @@ func (e *Engine) PostBatch(reqs []PostRequest) []error {
 	// continuous recommendation below resolves names against the same view.
 	d := e.dir.Load()
 	s := e.takeScratch()
-	msgs := slices.Grow(s.msgs[:0], len(reqs))[:len(reqs)] // zero: keepScratch cleared them
+	// Each post's one record, which every shard it reaches shares.
+	posts := slices.Grow(s.posts[:0], len(reqs))[:len(reqs)] // nil: keepScratch cleared them
 	for i, r := range reqs {
 		uid, err := d.lookup(r.Author)
 		if err != nil {
 			errs[i] = err
 			continue
 		}
-		msgs[i] = feed.Message{
+		posts[i] = &feed.Post{Message: feed.Message{
 			ID:     feed.MessageID(e.msgSeq.Add(1)),
 			Author: uid,
 			Time:   r.At,
 			Vec:    e.vectorize(r.Text),
-		}
+		}}
 	}
-	s.msgs = msgs
+	s.posts = posts
 	e.deliver(s, d, errs)
 	for i := range reqs {
 		if errs[i] != nil {
@@ -615,20 +616,20 @@ func (e *Engine) PostBatch(reqs []PostRequest) []error {
 		}
 		// Telemetry strictly after successful delivery (a failed deliver used
 		// to leave phantom terms in Trending).
-		e.trends.observe(timeslot.Of(reqs[i].At), msgs[i].Vec)
+		e.trends.observe(timeslot.Of(reqs[i].At), posts[i].Vec)
 	}
 	e.keepScratch(s)
 	return errs
 }
 
 // batchScratch is what a PostBatch or a CheckInBatch works in and hands out
-// nothing of: the shard table, the messages, their follower lists, the
+// nothing of: the shard table, the posts, their follower lists, the
 // recipients and spans the partition cuts per shard, the refreshes' results
 // and the check-ins grouped by shard. The engine keeps one (Engine.scratch).
 type batchScratch struct {
 	b      batch
 	work   []fanout // one per shard
-	msgs   []feed.Message
+	posts  []*feed.Post
 	lists  [][]feed.UserID
 	users  []feed.UserID
 	spans  []span
@@ -654,24 +655,24 @@ func (e *Engine) takeScratch() *batchScratch {
 
 // keepScratch gives a scratch back for the next batch, unless a slice of it
 // has outgrown maxKeptScratch. It first drops what the scratch would pin of
-// the batch: the messages' vectors, the follower lists and the directory.
+// the batch: the posts, the follower lists and the directory.
 func (e *Engine) keepScratch(s *batchScratch) {
-	clear(s.msgs)
+	clear(s.posts)
 	clear(s.lists)
-	s.b.d, s.b.msgs = nil, nil
-	if max(cap(s.msgs), cap(s.lists), cap(s.users), cap(s.spans), cap(s.scored), cap(s.out), cap(s.slots)) <= maxKeptScratch {
+	s.b.d, s.b.posts = nil, nil
+	if max(cap(s.posts), cap(s.lists), cap(s.users), cap(s.spans), cap(s.scored), cap(s.out), cap(s.slots)) <= maxKeptScratch {
 		e.scratch.Store(s)
 	}
 }
 
 // batch is what every shard's share of one deliver call reads: the engine,
-// the directory snapshot, the messages, and the wait for the shares run on
+// the directory snapshot, the posts, and the wait for the shares run on
 // goroutines of their own.
 type batch struct {
-	e    *Engine
-	d    *directory
-	msgs []feed.Message
-	wg   sync.WaitGroup
+	e     *Engine
+	d     *directory
+	posts []*feed.Post
+	wg    sync.WaitGroup
 }
 
 // fanout is one shard's share of a batch: the recipients of every message
@@ -696,7 +697,7 @@ type fanout struct {
 	recs     []Recommendation
 }
 
-// span says users[lo:hi] of a fanout receive msgs[item]; err is what the
+// span says users[lo:hi] of a fanout receive posts[item]; err is what the
 // shard's Deliver made of it.
 type span struct {
 	item, lo, hi int
@@ -720,18 +721,18 @@ func (w *fanout) distinct() int {
 
 // collectAffected fills affected from the spans delivered without error —
 // before the shard delivers, every span.
-func (w *fanout) collectAffected(msgs []feed.Message) {
+func (w *fanout) collectAffected(posts []*feed.Post) {
 	clear(w.affected)
 	for _, sp := range w.spans {
 		if sp.err == nil {
 			for _, u := range w.users[sp.lo:sp.hi] {
-				w.affected[u] = msgs[sp.item].Time
+				w.affected[u] = posts[sp.item].Time
 			}
 		}
 	}
 }
 
-// deliver fans the scratch's messages out to their follower windows, grouped
+// deliver fans the scratch's posts out to their follower windows, grouped
 // so each shard lock is acquired once per batch. Recipients are partitioned
 // straight from the graph's follower lists, which are immutable once handed
 // out (feed.Graph.Followers). Per-item errors land in errs (for an item split
@@ -742,10 +743,10 @@ func (w *fanout) collectAffected(msgs []feed.Message) {
 // is the scratch's; what it allocates is the recommendations slab it hands
 // out (cutRefreshSlabs).
 func (e *Engine) deliver(s *batchScratch, d *directory, errs []error) {
-	msgs, work := s.msgs, s.work
+	posts, work := s.posts, s.work
 	n, busy, k := len(e.shards), 0, e.cfg.ContinuousK
 	b := &s.b
-	b.e, b.d, b.msgs = e, d, msgs
+	b.e, b.d, b.posts = e, d, posts
 	for si := range work {
 		work[si] = fanout{b: b, sh: e.shards[si], affected: work[si].affected}
 	}
@@ -753,11 +754,11 @@ func (e *Engine) deliver(s *batchScratch, d *directory, errs []error) {
 	// the partition then fills one users and one spans array cut to size, so a
 	// batch needs the same space whatever its fan-out and the shard count.
 	lists, total := s.lists[:0], 0
-	for i := range msgs {
+	for i := range posts {
 		var followers []feed.UserID
 		if errs[i] == nil {
-			followers = e.graph.Followers(msgs[i].Author)
-			work[int(msgs[i].Author)%n].size++
+			followers = e.graph.Followers(posts[i].Author)
+			work[int(posts[i].Author)%n].size++
 			for _, u := range followers {
 				work[int(u)%n].size++
 			}
@@ -768,13 +769,13 @@ func (e *Engine) deliver(s *batchScratch, d *directory, errs []error) {
 	s.lists = lists
 	nSpans := 0 // a shard gets at most one span per message and per recipient
 	for si := range work {
-		nSpans += min(len(msgs), work[si].size)
+		nSpans += min(len(posts), work[si].size)
 	}
 	s.users = slices.Grow(s.users[:0], total)
 	s.spans = slices.Grow(s.spans[:0], nSpans)
 	users, spans := s.users[:total], s.spans[:nSpans]
 	for si := range work {
-		w, m := &work[si], min(len(msgs), work[si].size)
+		w, m := &work[si], min(len(posts), work[si].size)
 		w.users, users = users[:0:w.size], users[w.size:]
 		w.spans, spans = spans[:0:m], spans[m:]
 	}
@@ -782,7 +783,7 @@ func (e *Engine) deliver(s *batchScratch, d *directory, errs []error) {
 		if errs[i] != nil {
 			continue
 		}
-		author := msgs[i].Author
+		author := posts[i].Author
 		own := &work[int(author)%n]
 		own.users = append(own.users, author) // the author sees their own post
 		for _, u := range followers {
@@ -835,14 +836,14 @@ func (e *Engine) deliver(s *batchScratch, d *directory, errs []error) {
 			}
 		}
 	}
-	for i := range msgs {
+	for i := range posts {
 		if errs[i] != nil {
 			continue
 		}
 		// Fan-out cost telemetry: the author is charged one unit per feed
 		// window written. Lock-free enqueue; nil-safe no-op when disabled.
-		reached := e.graph.FollowerCount(msgs[i].Author) + 1
-		e.hot.RecordKey(hotkey.DimPosters, uint64(msgs[i].Author), uint64(reached))
+		reached := e.graph.FollowerCount(posts[i].Author) + 1
+		e.hot.RecordKey(hotkey.DimPosters, uint64(posts[i].Author), uint64(reached))
 		e.postsDelivered.Add(1)
 	}
 }
@@ -868,7 +869,7 @@ func (s *batchScratch) cutRefreshSlabs(k int) {
 			if w.affected == nil {
 				w.affected = make(map[feed.UserID]time.Time, min(len(w.users), perShard))
 			}
-			w.collectAffected(s.b.msgs)
+			w.collectAffected(s.b.posts)
 		}
 		refreshes += w.distinct()
 	}
@@ -915,12 +916,12 @@ func runShardTask() {
 // recommendations slab (cutRefreshSlabs), which nothing reuses, so a callback
 // may keep its slice: a refresh allocates nothing of its own.
 func (e *Engine) runShard(w *fanout) {
-	d, sh, msgs, k := w.b.d, w.sh, w.b.msgs, e.cfg.ContinuousK
+	d, sh, posts, k := w.b.d, w.sh, w.b.posts, e.cfg.ContinuousK
 	sh.mu.Lock() //caarlint:allow readpathlock per-shard core lock is the designed serialization point
 	failed := false
 	for i := range w.spans {
 		sp := &w.spans[i]
-		sp.err = sh.eng.Deliver(msgs[sp.item], w.users[sp.lo:sp.hi])
+		sp.err = sh.eng.DeliverPost(posts[sp.item], w.users[sp.lo:sp.hi])
 		failed = failed || sp.err != nil
 	}
 	if k == 0 {
@@ -940,12 +941,12 @@ func (e *Engine) runShard(w *fanout) {
 	if len(w.spans) == 1 {
 		if sp := w.spans[0]; sp.err == nil {
 			for _, u := range w.users[sp.lo:sp.hi] {
-				refresh(u, msgs[sp.item].Time)
+				refresh(u, posts[sp.item].Time)
 			}
 		}
 	} else {
 		if failed {
-			w.collectAffected(msgs) // without the failed spans' recipients
+			w.collectAffected(posts) // without the failed spans' recipients
 		}
 		for u, at := range w.affected {
 			refresh(u, at)

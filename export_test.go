@@ -1,6 +1,9 @@
 package caar
 
-import "caar/internal/core"
+import (
+	"caar/internal/core"
+	"caar/internal/feed"
+)
 
 // OpenRS opens an engine whose shards run the RS baseline in place of CAP:
 // the facade's policy, impressions and budgets over an exhaustive re-scan,
@@ -12,9 +15,19 @@ func OpenRS(cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	for i := range e.shards {
-		if e.shards[i].eng, err = core.NewRS(cfg.scoring(), e.store); err != nil {
+		rs, err := core.NewRS(cfg.scoring(), e.store)
+		if err != nil {
 			return nil, err
 		}
+		e.shards[i].eng = rsShard{rs}
 	}
 	return e, nil
+}
+
+// rsShard is an RS engine in a shard's place: it delivers a post's message,
+// which the shard's windows then hold as a record of their own.
+type rsShard struct{ *core.RS }
+
+func (s rsShard) DeliverPost(p *feed.Post, followers []feed.UserID) error {
+	return s.Deliver(p.Message, followers)
 }

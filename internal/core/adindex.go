@@ -4,12 +4,12 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"caar/internal/adstore"
 	"caar/internal/feed"
 	"caar/internal/geo"
 	"caar/internal/index"
-	"caar/internal/textproc"
 )
 
 // AdIndex is the ad side of the IL and CAP engines: the keyword inverted
@@ -18,9 +18,10 @@ import (
 // candidate buffers settle at their next read. The shards of one engine
 // share one AdIndex. They read it under their own lock; Register and
 // Unregister write it, and their caller holds every shard lock, so no reader
-// runs meanwhile. The delta-list table and the free list of catch-up
-// workspaces are the exceptions: shards use them concurrently, each under
-// its own mutex (msgTable, spacesMu).
+// runs meanwhile. What shards change concurrently is per post or takes a
+// mutex of its own: a post's references and delta list live on its record
+// (feed.Post; hold, release, deltaList), the computed lists are listed under
+// listsMu, and the free catch-up workspaces under spacesMu.
 //
 // Every ad has a slot, which the inverted index assigns, and everything on
 // the ad side past registration names the ad by it: the live-ad table, the
@@ -31,7 +32,13 @@ type AdIndex struct {
 	geoIdx *index.GeoAds
 	grid   *geo.Grid // geoIdx's, for the cell of a user
 	region geo.Rect
-	msgs   msgTable
+
+	// lists holds the posts whose delta list is computed, so that Register
+	// and Unregister can patch every computed list; listsMu is taken only to
+	// compute or drop one. held counts the posts with a reference.
+	listsMu sync.Mutex
+	lists   map[*feed.Post]struct{}
+	held    atomic.Int64
 
 	// spaces holds up to maxSpaces workspaces no catch-up is using, under
 	// spacesMu. A catch-up borrows one for the call, so an engine keeps
@@ -92,7 +99,7 @@ func NewAdIndex(region geo.Rect, gridRows, gridCols int) (*AdIndex, error) {
 		geoIdx: gi,
 		grid:   gi.Grid(),
 		region: region,
-		msgs:   msgTable{m: make(map[feed.MessageID]*msgCache)},
+		lists:  make(map[*feed.Post]struct{}),
 		// Two per core: a catch-up that waits for another shard to compute
 		// a shared delta list holds its workspace meanwhile. On two cores,
 		// a 10 s fanout_stream run made 4 307 workspaces at one per core
@@ -151,18 +158,15 @@ func (x *AdIndex) Register(a *adstore.Ad) {
 	}
 	x.ads[slot], x.reach[slot] = a, x.geoIdx.Add(slot, a)
 	x.record(slot)
-	x.msgs.mu.Lock()
-	defer x.msgs.mu.Unlock()
-	for _, mc := range x.msgs.m {
-		if !mc.computed {
-			continue // it will be computed with the ad
-		}
-		if c := a.Vec.Dot(mc.vec); c != 0 {
+	x.listsMu.Lock()
+	defer x.listsMu.Unlock()
+	for p := range x.lists {
+		if c := a.Vec.Dot(p.Vec); c != 0 {
 			// At its sorted position, not the end: a released slot is below
 			// others, and merge relies on the ascending order DeltaList gave
 			// the list.
-			i, _ := findDelta(mc.deltas, slot)
-			mc.deltas = slices.Insert(mc.deltas, i, index.Delta{Slot: slot, Coeff: index.Pack(c)})
+			i, _ := findDelta(p.Deltas, slot)
+			p.Deltas = slices.Insert(p.Deltas, i, index.Delta{Slot: slot, Coeff: index.Pack(c)})
 		}
 	}
 }
@@ -181,11 +185,11 @@ func (x *AdIndex) Unregister(id adstore.AdID) {
 	x.ads[slot] = nil
 	x.retired = append(x.retired, retiredSlot{slot: slot, at: x.churned})
 	x.record(slot)
-	x.msgs.mu.Lock()
-	defer x.msgs.mu.Unlock()
-	for _, mc := range x.msgs.m {
-		if i, ok := findDelta(mc.deltas, slot); ok {
-			mc.deltas = slices.Delete(mc.deltas, i, i+1)
+	x.listsMu.Lock()
+	defer x.listsMu.Unlock()
+	for p := range x.lists {
+		if i, ok := findDelta(p.Deltas, slot); ok {
+			p.Deltas = slices.Delete(p.Deltas, i, i+1)
 		}
 	}
 }
@@ -203,93 +207,75 @@ func (x *AdIndex) IndexStats() (ads, postings int) {
 	return x.inv.Len(), x.inv.Postings()
 }
 
-// CachedMessages returns the number of messages with live shared state, on
-// any shard (fan-out sharing memory diagnostic).
-func (x *AdIndex) CachedMessages() int {
-	x.msgs.mu.Lock()
-	defer x.msgs.mu.Unlock()
-	return len(x.msgs.m)
-}
+// CachedMessages returns the number of posts some warm user holds a
+// reference on, on any shard (fan-out sharing memory diagnostic): the posts
+// whose shared delta list is live, computed or still to be.
+func (x *AdIndex) CachedMessages() int { return int(x.held.Load()) }
 
-// msgCache is the shared state of one message under fan-out sharing: its
-// delta list, computed once — by the first catch-up on any shard that needs
-// it — and a count of what, on any shard, may still need that list: one
-// reference per warm user's window holding the message, and one per warm user
-// whose buffer still owes its subtraction.
-type msgCache struct {
-	vec      textproc.SparseVector
-	once     sync.Once
-	deltas   []index.Delta
-	computed bool // set inside once; read by Register and Unregister, which exclude every shard
-	refs     int  // under msgTable.mu
-}
+// The phases of a post's shared delta list, in the bits of feed.Post.Shared
+// above its 32-bit reference count. A phase moves out of listBusy only by the
+// shard that moved it in, so it moves by an atomic add.
+const (
+	listNone  = 0 << 32 // not computed: the next catch-up that needs it computes it
+	listBusy  = 1 << 32 // one shard computes or drops it; any other waits
+	listReady = 2 << 32 // computed: Deltas is the list, and AdIndex.lists holds the post
+	listPhase = 3 << 32
+)
 
-// deltaList returns the message's delta list, computing it in acc on the
-// first call from any shard.
-func (x *AdIndex) deltaList(mc *msgCache, acc *index.Accumulator) []index.Delta {
-	mc.once.Do(func() { mc.deltas, mc.computed = acc.DeltaList(x.inv, mc.vec), true })
-	return mc.deltas
-}
-
-// msgTable is the message → shared state map of one AdIndex. A shard comes
-// here once per Deliver, once per catch-up and once per buffer it settles or
-// turns cold. It is the innermost engine lock: taken under a shard lock, never
-// around one.
-type msgTable struct {
-	mu sync.Mutex
-	m  map[feed.MessageID]*msgCache
-}
-
-// hold takes n references on a message's shared state, creating it — the
-// delta list left for whoever first needs it — if nothing holds the message
-// yet.
-func (t *msgTable) hold(msg feed.Message, n int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	mc := t.m[msg.ID]
-	if mc == nil {
-		mc = &msgCache{vec: msg.Vec}
-		t.m[msg.ID] = mc
-	}
-	mc.refs += n
-}
-
-// release drops one reference on each message in gone and on each of the
-// window's first n messages, under one lock, and a message's shared state
-// with its last reference.
-func (t *msgTable) release(gone []feed.Message, win *feed.Window, n int) {
-	if len(gone)+n == 0 {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for _, m := range gone {
-		t.drop(m.ID)
-	}
-	for i := range n {
-		t.drop(win.At(i).ID)
+// hold takes n references on a post's delta list: one for each warm user
+// whose window holds the post, and one for each whose buffer still owes its
+// subtraction. A shard keeps no count of its own, because a post belongs to
+// no shard.
+func (x *AdIndex) hold(p *feed.Post, n int) {
+	if uint32(p.Shared.Add(uint64(n))) == uint32(n) {
+		x.held.Add(1)
 	}
 }
 
-// drop drops one reference on a message. The caller holds t.mu.
-func (t *msgTable) drop(id feed.MessageID) {
-	if mc := t.m[id]; mc != nil {
-		if mc.refs--; mc.refs <= 0 {
-			delete(t.m, id)
+// release drops one reference on each post, and a post's delta list with its
+// last — unless a hold comes back first, which keeps the list computed.
+func (x *AdIndex) release(posts ...*feed.Post) {
+	for _, p := range posts {
+		s := p.Shared.Add(^uint64(0))
+		if uint32(s) != 0 {
+			continue
+		}
+		x.held.Add(-1)
+		for ; s == listReady; s = p.Shared.Load() {
+			if p.Shared.CompareAndSwap(s, listBusy) {
+				x.listsMu.Lock()
+				delete(x.lists, p)
+				p.Deltas = nil
+				x.listsMu.Unlock()
+				p.Shared.Add(^uint64(listBusy - 1)) // listNone, and whatever holds came meanwhile
+				break
+			}
 		}
 	}
 }
 
-// lookup appends to dst the shared state of each message in gone and of the
-// window's messages from the from-th on, in that order, under one lock.
-func (t *msgTable) lookup(dst []*msgCache, gone []feed.Message, win *feed.Window, from int) []*msgCache {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for _, m := range gone {
-		dst = append(dst, t.m[m.ID])
+// deltaList returns a post's shared delta list, computing it in acc if it is
+// not computed: once per live period, from a post's first reference to its
+// last release. The caller's buffer holds a reference on the post, so the
+// list is not dropped while it is read; a shard that asks while another
+// computes or drops it waits for that one.
+func (x *AdIndex) deltaList(p *feed.Post, acc *index.Accumulator) []index.Delta {
+	for {
+		switch s := p.Shared.Load(); s & listPhase {
+		case listReady:
+			return p.Deltas
+		case listNone:
+			if !p.Shared.CompareAndSwap(s, s|listBusy) {
+				continue
+			}
+			d := acc.DeltaList(x.inv, p.Vec)
+			x.listsMu.Lock()
+			p.Deltas, x.lists[p] = d, struct{}{}
+			x.listsMu.Unlock()
+			p.Shared.Add(listReady - listBusy)
+			return d
+		default:
+			runtime.Gosched()
+		}
 	}
-	for i := from; i < win.Len(); i++ {
-		dst = append(dst, t.m[win.At(i).ID])
-	}
-	return dst
 }

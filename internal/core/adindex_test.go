@@ -37,12 +37,15 @@ func (v *topView) tracksAd(id adstore.AdID) bool {
 	return slices.ContainsFunc(v.tracked, func(en viewEntry) bool { return en.a.ID == id })
 }
 
+// refs is the reference count on a post's record.
+func refs(p *feed.Post) int { return int(uint32(p.Shared.Load())) }
+
 // TestSharedDeltaListComputedOnce: four CAP shards over one AdIndex, with a
-// warm user each, receive one message. The message has one shared state in
-// the AdIndex, with one reference per warm recipient; the four catch-ups that
-// need its delta list run at once, and all four get the very list one of them
-// computed — a list computed per shard would be a separate clone. Once every user's buffer has
-// turned cold, nothing is left cached.
+// warm user each, receive one post's record. The record counts one reference
+// per warm recipient; the four catch-ups that need its delta list run at
+// once, and all four get the very list one of them computed — a list
+// computed per shard would be a separate clone. Once every user's buffer has
+// turned cold, no reference is left and the list is dropped.
 func TestSharedDeltaListComputedOnce(t *testing.T) {
 	s := testScoring()
 	ads, err := NewAdIndex(region, 8, 8)
@@ -64,12 +67,14 @@ func TestSharedDeltaListComputedOnce(t *testing.T) {
 		}
 		ads.Register(a)
 	}
-	deliverAll := func(id feed.MessageID, at time.Time, vec textproc.SparseVector) {
+	deliverAll := func(id feed.MessageID, at time.Time, vec textproc.SparseVector) *feed.Post {
+		p := &feed.Post{Message: feed.Message{ID: id, Time: at, Vec: vec}}
 		for i, e := range shards {
-			if err := e.Deliver(feed.Message{ID: id, Time: at, Vec: vec}, []feed.UserID{feed.UserID(i)}); err != nil {
+			if err := e.DeliverPost(p, []feed.UserID{feed.UserID(i)}); err != nil {
 				t.Fatal(err)
 			}
 		}
+		return p
 	}
 	deliverAll(1, base0, textproc.SparseVector{{ID: 1, W: 1}})
 	for i, e := range shards { // warm every user
@@ -77,11 +82,9 @@ func TestSharedDeltaListComputedOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	msg := feed.Message{ID: 2, Time: base0.Add(time.Second), Vec: textproc.SparseVector{{ID: 2, W: 1}, {ID: 3, W: 0.5}}}
-	deliverAll(msg.ID, msg.Time, msg.Vec)
-	mc := ads.msgs.m[msg.ID]
-	if mc == nil || mc.refs != len(shards) || ads.CachedMessages() != 2 {
-		t.Fatalf("shared state %+v, %d messages cached; want %d references and 2", mc, ads.CachedMessages(), len(shards))
+	p := deliverAll(2, base0.Add(time.Second), textproc.SparseVector{{ID: 2, W: 1}, {ID: 3, W: 0.5}})
+	if refs(p) != len(shards) || ads.CachedMessages() != 2 {
+		t.Fatalf("%d references on the post, %d posts cached; want %d and 2", refs(p), ads.CachedMessages(), len(shards))
 	}
 
 	lists := make([][]index.Delta, len(shards))
@@ -92,13 +95,13 @@ func TestSharedDeltaListComputedOnce(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-start
-			lists[i] = e.deltasOf(msg, mc, new(index.Accumulator))
+			lists[i] = e.deltaList(p, new(index.Accumulator))
 		}()
 	}
 	close(start)
 	wg.Wait()
 	if len(lists[0]) == 0 {
-		t.Fatal("the message matches ads, yet its delta list is empty")
+		t.Fatal("the post matches ads, yet its delta list is empty")
 	}
 	for i, l := range lists {
 		if &l[0] != &lists[0][0] {
@@ -107,11 +110,91 @@ func TestSharedDeltaListComputedOnce(t *testing.T) {
 	}
 
 	for j := range s.WindowCap + 1 { // nobody reads: every buffer turns cold
-		deliverAll(feed.MessageID(3+j), msg.Time.Add(time.Duration(j+1)*time.Second), textproc.SparseVector{{ID: 4, W: 1}})
+		deliverAll(feed.MessageID(3+j), p.Time.Add(time.Duration(j+1)*time.Second), textproc.SparseVector{{ID: 4, W: 1}})
 	}
-	if n := ads.CachedMessages(); n != 0 {
-		t.Fatalf("%d messages cached after every buffer turned cold", n)
+	if n := ads.CachedMessages(); n != 0 || refs(p) != 0 || p.Deltas != nil || len(ads.lists) != 0 {
+		t.Fatalf("%d posts cached, %d references and a list of %d left on the post, %d lists computed after every buffer turned cold",
+			n, refs(p), len(p.Deltas), len(ads.lists))
 	}
+}
+
+// TestPostLifecycleUnderConcurrentShards races a post's record through the
+// moves three shards make at once. Shard A holds the post's last reference
+// and releases it, which drops the computed list; shard B's rebuild holds it
+// again; shard C, whose buffer holds it too, asks for the list in a
+// catch-up, and so does B. Whatever the interleaving, B and C merge one list,
+// computed once for the references they hold together, and it is the
+// post's exact list: never nil, never the one A's release dropped after the
+// ad side moved on. Run it under -race.
+func TestPostLifecycleUnderConcurrentShards(t *testing.T) {
+	ads, err := NewAdIndex(region, 8, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id := adstore.AdID(1); id <= 20; id++ {
+		ads.Register(simpleAd(id, textproc.TermID(id%5), 0.5))
+	}
+	vec := textproc.SparseVector{{ID: 1, W: 1}, {ID: 3, W: 0.5}}
+	rounds := 2000
+	if testing.Short() {
+		rounds = 200
+	}
+	recomputed := 0
+	for r := range rounds {
+		p := &feed.Post{Message: feed.Message{ID: feed.MessageID(r), Time: base0, Vec: vec}}
+		ads.hold(p, 1) // A's
+		ads.deltaList(p, new(index.Accumulator))
+		if r%2 == 1 {
+			// The ad side moves on while A's list is computed: a list
+			// left as it was computed would miss the new ad.
+			ads.Register(simpleAd(adstore.AdID(100+r), 1, 0.5))
+		}
+		kept := p.Deltas
+		want := new(index.Accumulator).DeltaList(ads.inv, vec)
+
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		var got [2][]index.Delta
+		wg.Add(3)
+		go func() { // A: the last reference goes
+			defer wg.Done()
+			<-start
+			ads.release(p)
+		}()
+		for i := range got { // B's rebuild, then C's catch-up, hold and read
+			go func() {
+				defer wg.Done()
+				<-start
+				ads.hold(p, 1)
+				got[i] = ads.deltaList(p, new(index.Accumulator))
+			}()
+		}
+		close(start)
+		wg.Wait()
+		for i, l := range got {
+			if l == nil || !slices.Equal(l, want) {
+				t.Fatalf("round %d: reader %d merged %v, want the post's list %v", r, i, l, want)
+			}
+		}
+		if &got[0][0] != &got[1][0] {
+			t.Fatalf("round %d: the two readers merged two computations of one live list", r)
+		}
+		if &got[0][0] != &kept[0] {
+			recomputed++
+		}
+		if refs(p) != 2 || ads.CachedMessages() != 1 || len(ads.lists) != 1 {
+			t.Fatalf("round %d: %d references, %d posts cached, %d lists computed; want 2, 1, 1", r, refs(p), ads.CachedMessages(), len(ads.lists))
+		}
+		ads.release(p)
+		ads.release(p)
+		if ads.CachedMessages() != 0 || len(ads.lists) != 0 || p.Deltas != nil {
+			t.Fatalf("round %d: %d posts cached and %d lists computed after the last release", r, ads.CachedMessages(), len(ads.lists))
+		}
+		if r%2 == 1 {
+			ads.Unregister(adstore.AdID(100 + r))
+		}
+	}
+	t.Logf("A's release dropped the list before B and C held the post in %d of %d rounds", recomputed, rounds)
 }
 
 // TestReusedSlotRebuildsTheLaggingBuffer pins the slot-reuse rule. User 1's

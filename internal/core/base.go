@@ -102,14 +102,15 @@ func (b *base) recipients(followers []feed.UserID) ([]*userState, error) {
 }
 
 // Deliver implements Recommender for the engines that do no per-event index
-// work (RS, IL): push the message into each follower's window.
+// work (RS, IL): push the message's record into each follower's window.
 func (b *base) Deliver(msg feed.Message, followers []feed.UserID) error {
 	states, err := b.recipients(followers)
 	if err != nil {
 		return err
 	}
+	p := &feed.Post{Message: msg}
 	for _, st := range states {
-		st.win.Push(msg)
+		st.win.Push(p)
 	}
 	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -409,6 +410,64 @@ func BenchmarkMerge(b *testing.B) {
 	}
 }
 
+// liveBytesPer returns the heap bytes that n calls of build leave reachable,
+// per call, size classes included: the live heap after a collection, before
+// and after. build must keep what it makes reachable from the caller.
+func liveBytesPer(n int, build func(i int)) float64 {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := range n {
+		build(i)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	return float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(n)
+}
+
+// windowBytes is what one user's feed window holds at the default window
+// size, over 10 000 windows: the window and its ring of post pointers. The
+// posts are shared, and counted once each, apart (BenchmarkUserBytes).
+func windowBytes() float64 {
+	s := DefaultScoring()
+	wins := make([]*feed.Window, 10000)
+	per := liveBytesPer(len(wins), func(i int) { wins[i] = feed.NewWindow(s.WindowCap, s.Decay) })
+	runtime.KeepAlive(wins)
+	return per
+}
+
+// TestWindowBytesPerUser holds a user's feed window, which every user has
+// whether anybody reads their feed or not, to 400 bytes at the default
+// window size: a ring of 8-byte pointers to shared post records, where a
+// ring of 64-byte message copies took 2 392.
+func TestWindowBytesPerUser(t *testing.T) {
+	if got := windowBytes(); got > 400 {
+		t.Fatalf("a %d-post window holds %.0f bytes, want at most 400", DefaultScoring().WindowCap, got)
+	}
+}
+
+// BenchmarkUserBytes is the per-user memory probe for the users nobody reads:
+// the bytes of a feed window at the default size (window-B/user), and of a
+// cold CAP user as AddUser makes it — window, user record, empty candidate
+// buffer and the user table's share — over 10 000 users (cold-B/user), and
+// the bytes of a post record (post-B), which each window it reaches points
+// at. b.N is ignored: the probe runs once.
+func BenchmarkUserBytes(b *testing.B) {
+	e, err := NewCAP(DefaultScoring(), nil, region, 32, 32, DefaultCAPOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
+	const users = 10000
+	cold := liveBytesPer(users, func(i int) { e.AddUser(feed.UserID(i)) })
+	runtime.KeepAlive(e)
+	posts := make([]*feed.Post, users)
+	post := liveBytesPer(users, func(i int) { posts[i] = &feed.Post{Message: feed.Message{ID: feed.MessageID(i)}} })
+	runtime.KeepAlive(posts)
+	b.ReportMetric(windowBytes(), "window-B/user")
+	b.ReportMetric(cold, "cold-B/user")
+	b.ReportMetric(post, "post-B")
+}
+
 // BenchmarkWarmUserBytes is the per-user memory probe: the bytes of the
 // candidate buffers of the users whose buffers are warm, split into the
 // entries they hold (len) and the room they keep (cap), and the bytes of
@@ -467,8 +526,8 @@ func BenchmarkWarmUserBytes(b *testing.B) {
 			warm, bufLen, bufCap = warm+1, bufLen+len(buf.e)*size, bufCap+cap(buf.e)*size
 		}
 	}
-	for _, mc := range e.msgs.m {
-		deltas += cap(mc.deltas) * int(unsafe.Sizeof(mc.deltas[0]))
+	for p := range e.lists {
+		deltas += cap(p.Deltas) * int(unsafe.Sizeof(p.Deltas[0]))
 	}
 	per := func(bytes int) float64 { return float64(bytes) / float64(warm) }
 	b.ReportMetric(float64(warm), "warm-users")

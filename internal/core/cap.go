@@ -40,8 +40,6 @@ func DefaultCAPOptions() CAPOptions {
 type CAP struct {
 	*indexed
 	opts CAPOptions
-	// shared is where a catch-up looks up the shared state of what it merges.
-	shared []*msgCache
 	// coll is what a re-rank ranks in, a view's refill and a budget-aware
 	// ranking alike: reset for each, kept under the shard lock.
 	coll topk.Collector
@@ -109,12 +107,18 @@ func (e *CAP) CheckIn(u feed.UserID, p geo.Point, t time.Time) error {
 	return nil
 }
 
-// Deliver implements Recommender. A delivery is a window push; what it does
-// to a candidate buffer is left owing (dynBuf) until the user is read. A
-// follower whose buffer is cold stays so, and a warm one whose last applied
-// message this push evicts turns cold: from there a catch-up would subtract
-// everything the buffer holds and add the whole window, which is a rebuild.
+// Deliver implements Recommender: DeliverPost of the message's own record.
 func (e *CAP) Deliver(msg feed.Message, followers []feed.UserID) error {
+	return e.DeliverPost(&feed.Post{Message: msg}, followers)
+}
+
+// DeliverPost delivers a post's record to followers. A delivery is a window
+// push; what it does to a candidate buffer is left owing (dynBuf) until the
+// user is read. A follower whose buffer is cold stays so, and a warm one
+// whose last applied post this push evicts turns cold: from there a catch-up
+// would subtract everything the buffer holds and add the whole window, which
+// is a rebuild.
+func (e *CAP) DeliverPost(p *feed.Post, followers []feed.UserID) error {
 	states, err := e.recipients(followers)
 	if err != nil {
 		return err
@@ -122,47 +126,40 @@ func (e *CAP) Deliver(msg feed.Message, followers []feed.UserID) error {
 	warm := 0
 	for _, st := range states {
 		buf := st.buf
-		evicted, wasEvicted := st.win.Push(msg)
+		evicted := st.win.Push(p)
 		if buf.applied == 0 {
 			// Only an empty window's view gets here; nothing will note for it.
 			buf.view = nil
 			e.skipped++
 			continue
 		}
-		if wasEvicted {
+		if evicted != nil {
 			buf.applied--
 			buf.gone = append(buf.gone, evicted)
 			if buf.applied == 0 {
-				e.chill(st, buf, st.win.Len()-1) // msg has taken no reference yet
+				e.chill(st, buf, st.win.Len()-1) // p has taken no reference yet
 				continue
 			}
 		}
 		warm++
 	}
 	if warm > 0 && e.opts.FanoutSharing {
-		e.msgs.hold(msg, warm)
+		e.hold(p, warm)
 	}
 	return nil
 }
 
-// deltasOf returns a message's delta list: its shared state's when it has one
-// (computed in acc on first use, on whichever shard needs it first),
-// recomputed in acc otherwise.
-func (e *CAP) deltasOf(m feed.Message, mc *msgCache, acc *index.Accumulator) []index.Delta {
-	if mc == nil {
-		return acc.Deltas(e.inv, m.Vec)
-	}
-	return e.deltaList(mc, acc)
-}
-
 // chill turns a buffer cold: it frees the entries, the view and the pending
 // lists, and releases the user's references — the oldest held resident
-// messages took one, and everything in gone holds one. The arrivals the
-// buffer never merged are thereby skipped.
+// posts took one, and everything in gone holds one. The arrivals the buffer
+// never merged are thereby skipped.
 func (e *CAP) chill(st *userState, buf *dynBuf, held int) {
 	if e.opts.FanoutSharing {
-		e.msgs.release(buf.gone, st.win, held)
+		for i := range held {
+			e.release(st.win.At(i))
+		}
 	}
+	e.settleGone(buf)
 	e.skipped += uint64(st.win.Len() - buf.applied)
 	*buf = dynBuf{scale: 1}
 }
@@ -172,7 +169,7 @@ func (e *CAP) chill(st *userState, buf *dynBuf, held int) {
 // them to be.
 func (e *CAP) settleGone(buf *dynBuf) {
 	if e.opts.FanoutSharing {
-		e.msgs.release(buf.gone, nil, 0)
+		e.release(buf.gone...)
 	}
 	clear(buf.gone)
 	buf.gone = buf.gone[:0]
@@ -215,36 +212,33 @@ func (e *CAP) catchUp(st *userState, buf *dynBuf) {
 			}
 			buf.ref = ref
 		}
-		// The shared states are looked up before the workspace is
-		// borrowed, so that no workspace waits on the table's lock (DESIGN
-		// §3.3). Weights are the pure exponential of ref − post time, so an
+		// Weights are the pure exponential of ref − post time, so an
 		// eviction that happened under an earlier reference is re-derived at
-		// this one.
-		if e.opts.FanoutSharing {
-			e.shared = e.msgs.lookup(e.shared[:0], buf.gone, st.win, buf.applied)
-		}
+		// this one. A post's list is its shared one (AdIndex.deltaList) under
+		// fan-out sharing, recomputed here otherwise.
 		ws := e.borrow()
 		lists, arena := ws.lists[:0], ws.arena[:0]
-		add := func(m feed.Message, c float64) {
-			var mc *msgCache
+		add := func(p *feed.Post, c float64) {
+			var d []index.Delta
 			if e.opts.FanoutSharing {
-				mc = e.shared[len(lists)]
+				d = e.deltaList(p, &ws.acc)
+			} else {
+				d = ws.acc.Deltas(e.inv, p.Vec)
 			}
 			start := len(arena) // a list keeps the array it was scoped into if the arena outgrows it
-			arena = scope(arena, e.deltasOf(m, mc, &ws.acc), e.reach, st.cell)
+			arena = scope(arena, d, e.reach, st.cell)
 			lists = append(lists, weighted{d: arena[start:], c: c})
 		}
-		for _, m := range buf.gone {
-			add(m, -e.scoring.Decay.WeightAt(ref.Sub(m.Time))/buf.scale)
+		for _, p := range buf.gone {
+			add(p, -e.scoring.Decay.WeightAt(ref.Sub(p.Time))/buf.scale)
 		}
 		for i := buf.applied; i < n; i++ {
-			m := st.win.At(i)
-			add(m, e.scoring.Decay.WeightAt(ref.Sub(m.Time))/buf.scale)
+			p := st.win.At(i)
+			add(p, e.scoring.Decay.WeightAt(ref.Sub(p.Time))/buf.scale)
 		}
 		ws.arena = arena
 		ws.scratch = buf.merge(ws.scratch, lists, len(buf.gone), e.noteAt(buf))
 		clear(lists)
-		clear(e.shared)
 		ws.lists = lists
 		e.giveBack(ws)
 
@@ -290,7 +284,7 @@ func (e *CAP) settleChurn(st *userState, buf *dynBuf, ref time.Time) {
 // is warmed, how a warm one follows its user to another cell, and what caps
 // its incremental floating-point drift. The exact values can sit a
 // rounding step above the drifted ones, so the view goes. Warming takes a
-// reference on every resident message — the user's share of the delta lists
+// reference on every resident post — the user's share of the delta lists
 // their evictions will need.
 func (e *CAP) rebuild(st *userState, buf *dynBuf) {
 	n := st.win.Len()
@@ -298,7 +292,7 @@ func (e *CAP) rebuild(st *userState, buf *dynBuf) {
 		e.merged += uint64(n - buf.applied)
 	} else if e.opts.FanoutSharing {
 		for i := range n {
-			e.msgs.hold(st.win.At(i), 1)
+			e.hold(st.win.At(i), 1)
 		}
 	}
 	e.settleGone(buf)

@@ -33,18 +33,18 @@ const dropBelow = 1e-12
 // window plus the messages in gone; the window's later entries are the
 // arrivals it has yet to add. applied == 0 is the cold state — the buffer
 // describes nothing in the window, so it holds nothing: no entries, no view
-// unless the window is empty too, no pending lists and no message-cache
-// reference — and the next read rebuilds it from the window aggregate.
+// unless the window is empty too, no pending lists and no reference on a
+// post — and the next read rebuilds it from the window aggregate.
 type dynBuf struct {
 	e     []index.Delta // ascending by slot; Coeff is the stored value
 	scale float64
 	ops   int // deliveries merged since the last exact rebuild
 
 	applied int
-	cell    geo.Reach      // the user's cell e is scoped to
-	ref     time.Time      // the window reference e and scale are relative to
-	gone    []feed.Message // applied messages evicted since: owed a subtraction
-	churned uint64         // the AdIndex churn count e and view account for
+	cell    geo.Reach    // the user's cell e is scoped to
+	ref     time.Time    // the window reference e and scale are relative to
+	gone    []*feed.Post // applied posts evicted since: owed a subtraction
+	churned uint64       // the AdIndex churn count e and view account for
 
 	// view is the user's materialised top-k (view.go); nil until the user's
 	// first query, and again after anything that invalidates it.

@@ -255,7 +255,7 @@ func TestCAPBackfillKeepsCachedDeltasSorted(t *testing.T) {
 	e.BufferSize(1)
 	now = now.Add(time.Minute)
 	deliver(t, e, 2, now, textproc.SparseVector{{ID: 7, W: 1}})
-	if got := e.BufferSize(1); got != 1 || !e.msgs.m[2].computed {
+	if got := e.BufferSize(1); got != 1 || e.users[1].win.At(1).Shared.Load()&listPhase != listReady {
 		t.Fatalf("buffer holds %d ads, want ad 10, merged from message 2's delta list", got)
 	}
 	// Ad 1 goes; once its slot is released, ad 5 takes it.
@@ -293,8 +293,8 @@ func TestCAPBackfillKeepsCachedDeltasSorted(t *testing.T) {
 // padding.
 func TestEntriesAreTwelveBytes(t *testing.T) {
 	var buf dynBuf
-	var mc msgCache
-	if b, d := unsafe.Sizeof(buf.e[0]), unsafe.Sizeof(mc.deltas[0]); b != 12 || d != 12 {
+	var p feed.Post
+	if b, d := unsafe.Sizeof(buf.e[0]), unsafe.Sizeof(p.Deltas[0]); b != 12 || d != 12 {
 		t.Fatalf("a buffer entry is %d bytes and a delta entry %d, want 12 each", b, d)
 	}
 }

@@ -1,11 +1,13 @@
 // Package feed implements the "high-speed social news feeding" substrate:
 // the follower graph along which posts fan out, and per-user sliding feed
-// windows whose recent messages sum to a time-decayed context vector.
+// windows whose recent posts sum to a time-decayed context vector.
 package feed
 
 import (
+	"sync/atomic"
 	"time"
 
+	"caar/internal/index"
 	"caar/internal/textproc"
 )
 
@@ -24,4 +26,16 @@ type Message struct {
 	Author UserID
 	Time   time.Time
 	Vec    textproc.SparseVector
+}
+
+// Post is the one record of a message, made when it is published and shared
+// by pointer from then on: by every window it reaches, by the evictions a
+// candidate buffer owes, and by the catch-ups that merge it. The message
+// never changes. Deltas and Shared are the ad side's (core.AdIndex): the
+// post's delta list, and its reference count and the list's phase in one
+// atomic word.
+type Post struct {
+	Message
+	Deltas []index.Delta
+	Shared atomic.Uint64
 }

@@ -9,7 +9,8 @@ import (
 )
 
 // Window is a per-user sliding feed window: a ring of the most recent Cap
-// messages and a reference time, the latest post time pushed.
+// posts, each a pointer to the post's one record, and a reference time, the
+// latest post time pushed.
 //
 // A message's weight is the pure exponential of its age at the reference,
 // reference − post time, which is never negative: 1 for the newest message,
@@ -21,14 +22,14 @@ import (
 type Window struct {
 	decay timeslot.Decay
 	ref   time.Time
-	ring  []Message // ring[head] is the oldest of the n resident messages
+	ring  []*Post // ring[head] is the oldest of the n resident posts
 	head  int
 	n     int
 }
 
 // NewWindow creates a window holding at most capacity messages (minimum 1).
 func NewWindow(capacity int, decay timeslot.Decay) *Window {
-	return &Window{decay: decay, ring: make([]Message, max(capacity, 1))}
+	return &Window{decay: decay, ring: make([]*Post, max(capacity, 1))}
 }
 
 // Len returns the number of resident messages.
@@ -37,8 +38,8 @@ func (w *Window) Len() int { return w.n }
 // Ref returns the reference time (zero before the first push).
 func (w *Window) Ref() time.Time { return w.ref }
 
-// At returns the i-th resident message, oldest first; 0 ≤ i < Len.
-func (w *Window) At(i int) Message { return w.ring[w.slot(i)] }
+// At returns the i-th resident post, oldest first; 0 ≤ i < Len.
+func (w *Window) At(i int) *Post { return w.ring[w.slot(i)] }
 
 // slot is the ring index of the i-th resident message.
 func (w *Window) slot(i int) int {
@@ -48,21 +49,21 @@ func (w *Window) slot(i int) int {
 	return i
 }
 
-// Push inserts a message, evicting the oldest resident message when the
-// window is full, and returns the evicted message (valid when ok is true).
-func (w *Window) Push(m Message) (evicted Message, ok bool) {
-	if w.n == 0 || m.Time.After(w.ref) {
-		w.ref = m.Time
+// Push inserts a post, evicting the oldest resident post when the window is
+// full, and returns the evicted post (nil when none was).
+func (w *Window) Push(p *Post) (evicted *Post) {
+	if w.n == 0 || p.Time.After(w.ref) {
+		w.ref = p.Time
 	}
 	if w.n < len(w.ring) {
-		w.ring[w.slot(w.n)] = m
+		w.ring[w.slot(w.n)] = p
 		w.n++
-		return Message{}, false
+		return nil
 	}
 	evicted = w.ring[w.head]
-	w.ring[w.head] = m
+	w.ring[w.head] = p
 	w.head = w.slot(1)
-	return evicted, true
+	return evicted
 }
 
 // mergeOnStack is the largest window Aggregate merges in stack space; a

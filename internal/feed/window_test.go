@@ -14,12 +14,12 @@ import (
 
 var t0 = time.Date(2026, 7, 6, 8, 0, 0, 0, time.UTC)
 
-func msg(id int, author UserID, at time.Time, terms map[textproc.TermID]float64) Message {
+func msg(id int, author UserID, at time.Time, terms map[textproc.TermID]float64) *Post {
 	var vec []textproc.Term
 	for k, v := range terms {
 		vec = append(vec, textproc.Term{ID: k, W: v})
 	}
-	return Message{ID: MessageID(id), Author: author, Time: at, Vec: textproc.NewVector(vec)}
+	return &Post{Message: Message{ID: MessageID(id), Author: author, Time: at, Vec: textproc.NewVector(vec)}}
 }
 
 // scaled is ctx times factor, by term.
@@ -37,7 +37,7 @@ func aggregate(w *Window, q time.Time) map[textproc.TermID]float64 {
 }
 
 // directSum is Σ weight(m)·m.Vec over the window's resident messages, by term.
-func directSum(w *Window, weight func(Message) float64) map[textproc.TermID]float64 {
+func directSum(w *Window, weight func(*Post) float64) map[textproc.TermID]float64 {
 	want := map[textproc.TermID]float64{}
 	for i := range w.Len() {
 		m := w.At(i)
@@ -63,15 +63,14 @@ func TestWindowPushAndEvict(t *testing.T) {
 	if len(w.ring) != 2 || w.Len() != 0 {
 		t.Fatal("fresh window state wrong")
 	}
-	if _, ok := w.Push(msg(1, 1, t0, map[textproc.TermID]float64{1: 1})); ok {
+	if w.Push(msg(1, 1, t0, map[textproc.TermID]float64{1: 1})) != nil {
 		t.Fatal("first push should not evict")
 	}
-	if _, ok := w.Push(msg(2, 1, t0.Add(time.Second), map[textproc.TermID]float64{2: 1})); ok {
+	if w.Push(msg(2, 1, t0.Add(time.Second), map[textproc.TermID]float64{2: 1})) != nil {
 		t.Fatal("second push should not evict")
 	}
-	ev, ok := w.Push(msg(3, 1, t0.Add(2*time.Second), map[textproc.TermID]float64{3: 1}))
-	if !ok || ev.ID != 1 {
-		t.Fatalf("third push evicted %v, want msg 1", ev.ID)
+	if ev := w.Push(msg(3, 1, t0.Add(2*time.Second), map[textproc.TermID]float64{3: 1})); ev == nil || ev.ID != 1 {
+		t.Fatalf("third push evicted %v, want msg 1", ev)
 	}
 	if w.Len() != 2 {
 		t.Fatalf("Len = %d", w.Len())
@@ -180,7 +179,7 @@ func TestWindowRebuildCapsDrift(t *testing.T) {
 		w.Push(msg(i, 1, now, map[textproc.TermID]float64{textproc.TermID(i % 5): 0.37}))
 	}
 	got := aggregate(w, now)
-	want := directSum(w, func(m Message) float64 { return decay.WeightAt(now.Sub(m.Time)) })
+	want := directSum(w, func(m *Post) float64 { return decay.WeightAt(now.Sub(m.Time)) })
 	for id := textproc.TermID(0); id < 5; id++ {
 		if math.Abs(got[id]-want[id]) > 1e-12 {
 			t.Fatalf("term %d drifted: %v vs %v", id, got[id], want[id])
@@ -223,7 +222,7 @@ func TestWindowScaledAggregateMatchesBruteForce(t *testing.T) {
 		m := msg(i, 1, at, terms)
 		pushed[m.ID] = slices.Clone(m.Vec)
 
-		if ev, evicted := w.Push(m); evicted {
+		if ev := w.Push(m); ev != nil {
 			if want := pushed[ev.ID]; !slices.Equal(ev.Vec, want) {
 				t.Fatalf("push %d: evicted message %d is %v, pushed as %v", i, ev.ID, ev.Vec, want)
 			}
@@ -234,7 +233,7 @@ func TestWindowScaledAggregateMatchesBruteForce(t *testing.T) {
 		var factor float64
 		ctx, factor = w.Aggregate(ctx, q)
 		got := scaled(ctx, factor)
-		want := directSum(w, func(r Message) float64 { return decay.Between(r.Time, q) })
+		want := directSum(w, func(r *Post) float64 { return decay.Between(r.Time, q) })
 		for id := textproc.TermID(0); id < vocab; id++ {
 			if got := got[id]; math.IsNaN(got) || math.Abs(got-want[id]) > 1e-12 {
 				t.Fatalf("push %d term %d: aggregate %v, direct sum %v", i, id, got, want[id])
@@ -270,7 +269,7 @@ func TestWindowAggregateMatchesDirectSum(t *testing.T) {
 			rng := rand.New(rand.NewSource(5))
 			decay := timeslot.NewDecay(shape.halfLife)
 			w := NewWindow(shape.cap, decay)
-			var fifo []Message
+			var fifo []*Post
 			var latest time.Time
 			var ctx textproc.SparseVector
 			now := t0
@@ -292,9 +291,9 @@ func TestWindowAggregateMatchesDirectSum(t *testing.T) {
 					latest = at
 				}
 
-				ev, evicted := w.Push(m)
-				if full := len(fifo) == shape.cap; evicted != full || (full && ev.ID != fifo[0].ID) {
-					t.Fatalf("push %d evicted %v (message %d), want %v", i, evicted, ev.ID, full)
+				ev := w.Push(m)
+				if full := len(fifo) == shape.cap; (ev != nil) != full || (full && ev != fifo[0]) {
+					t.Fatalf("push %d evicted %v, want %v", i, ev, full)
 				}
 				if len(fifo) == shape.cap {
 					fifo = fifo[1:]
@@ -309,7 +308,7 @@ func TestWindowAggregateMatchesDirectSum(t *testing.T) {
 						t.Fatalf("push %d: At(%d) is message %d, want %d", i, j, got.ID, f.ID)
 					}
 				}
-				want := directSum(w, func(f Message) float64 { return decay.WeightAt(q.Sub(f.Time)) })
+				want := directSum(w, func(f *Post) float64 { return decay.WeightAt(q.Sub(f.Time)) })
 
 				var factor float64
 				ctx, factor = w.Aggregate(ctx, q)
@@ -375,7 +374,7 @@ func FuzzAggregateMergeMatchesSort(f *testing.F) {
 			for n := next() % 10; n > 0; n-- {
 				terms = append(terms, textproc.Term{ID: textproc.TermID(next() % 16), W: float64(1+next()) / 7})
 			}
-			w.Push(Message{ID: MessageID(id), Time: now, Vec: textproc.NewVector(terms)})
+			w.Push(&Post{Message: Message{ID: MessageID(id), Time: now, Vec: textproc.NewVector(terms)}})
 			ctx, _ = w.Aggregate(ctx, now)
 			want := sortedAggregate(w)
 			if !slices.EqualFunc(ctx, want, func(x, y textproc.Term) bool {

@@ -6,18 +6,21 @@ import (
 	"path"
 )
 
-// hotpathRoots are the CAP engine's read path: the catch-up that brings a
-// candidate buffer up to date, the ranking and the view that answer from it.
+// hotpathRoots are the CAP engine's read path — the catch-up that brings a
+// candidate buffer up to date, the ranking and the view that answer from it —
+// and its delivery path, the window pushes every post makes.
 var hotpathRoots = map[string]bool{
 	"catchUp": true, "rebuild": true, "scope": true, "merge": true, "rank": true,
 	"offerStatic": true, "buildView": true, "refreshView": true, "emit": true, "fromView": true,
+	"Deliver": true, "DeliverPost": true,
 }
 
 // hotpathScope holds the packages the read path lives in: the engines, and
 // the analyzer's fixture.
 var hotpathScope = map[string]bool{"internal/core": true, "hotpathmap": true}
 
-// hotpathmap keeps the read path on the dense ad slots.
+// hotpathmap keeps the read and delivery paths on the dense ad slots and on
+// the posts' records.
 //
 // Every ad has a uint32 slot, and the ad side's tables — the live ads and
 // their reaches, the delta lists, the grid, the candidate buffers and views
@@ -27,10 +30,16 @@ var hotpathScope = map[string]bool{"internal/core": true, "hotpathmap": true}
 // costs a hash and a probe where an index costs a load; nothing fails, the
 // read is just slower.
 //
+// Every post is one record (feed.Post), which windows, owed evictions and
+// catch-ups point at, and which carries the post's shared delta list and
+// its reference count. A map keyed by the message ID on these paths is a
+// table of per-post state beside the record: a lookup per delivery, per
+// catch-up and per release, and a lock the shards share around it.
+//
 // The analyzer walks the static call graph inside the package from
 // hotpathRoots and reports every index expression, function literals
-// included, into a map whose key type is adstore.AdID: a named type AdID
-// declared in a package named adstore.
+// included, into a map whose key type is adstore.AdID or feed.MessageID: a
+// named type of that name declared in a package of that name.
 func hotpathmap(pass *pass) {
 	if !hotpathScope[pass.dir] {
 		return
@@ -59,7 +68,7 @@ func hotpathmap(pass *pass) {
 					fi.callees = append(fi.callees, callee)
 				}
 			case *ast.IndexExpr:
-				if m, ok := info.TypeOf(n.X).Underlying().(*types.Map); ok && isAdID(m.Key()) {
+				if m, ok := info.TypeOf(n.X).Underlying().(*types.Map); ok && (isNamed(m.Key(), "adstore", "AdID") || isNamed(m.Key(), "feed", "MessageID")) {
 					fi.lookups = append(fi.lookups, n)
 				}
 			}
@@ -82,7 +91,11 @@ func hotpathmap(pass *pass) {
 		queue = queue[1:]
 		fi := funcs[it.fn]
 		for _, ix := range fi.lookups {
-			pass.Reportf(ix.Pos(), "%s indexes a map keyed by adstore.AdID on the read path (via %s); read the ad side by slot", types.ExprString(ix.X), it.chain)
+			if isNamed(info.TypeOf(ix.X).Underlying().(*types.Map).Key(), "adstore", "AdID") {
+				pass.Reportf(ix.Pos(), "%s indexes a map keyed by adstore.AdID on the read path (via %s); read the ad side by slot", types.ExprString(ix.X), it.chain)
+			} else {
+				pass.Reportf(ix.Pos(), "%s indexes a map keyed by feed.MessageID on the delivery or read path (via %s); reach the post through its record", types.ExprString(ix.X), it.chain)
+			}
 		}
 		for _, callee := range fi.callees {
 			if !seen[callee] && funcs[callee] != nil {
@@ -93,8 +106,9 @@ func hotpathmap(pass *pass) {
 	}
 }
 
-// isAdID reports whether t is adstore.AdID.
-func isAdID(t types.Type) bool {
+// isNamed reports whether t is the named type pkg.name, pkg the last element
+// of its package's path.
+func isNamed(t types.Type, pkg, name string) bool {
 	tn := named(t)
-	return tn != nil && tn.Name() == "AdID" && tn.Pkg() != nil && path.Base(tn.Pkg().Path()) == "adstore"
+	return tn != nil && tn.Name() == name && tn.Pkg() != nil && path.Base(tn.Pkg().Path()) == pkg
 }
