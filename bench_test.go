@@ -203,3 +203,64 @@ func BenchmarkRecommendParallel(b *testing.B) {
 	close(stop)
 	writerDone.Wait()
 }
+
+// BenchmarkPostBatch256 measures one 256-post batch, the size the ingest
+// applier drains at most and journal replay applies, with 30 followers a
+// post (2 048 users, 500 ads). Such a batch reaches about 7 900 recipients,
+// more than the engine keeps batch scratch for, so every batch here sizes its
+// scratch afresh: this is the cost of a saturated applier or a recovery
+// replay, per batch.
+func BenchmarkPostBatch256(b *testing.B) {
+	const users, followers, batch = 2048, 30, 256
+	for _, k := range []int{0, 5} {
+		for _, shards := range []int{1, 4, 8} {
+			b.Run(fmt.Sprintf("k%d/shards%d", k, shards), func(b *testing.B) {
+				cfg := caar.DefaultConfig()
+				cfg.Shards, cfg.ContinuousK = shards, k
+				if k > 0 {
+					cfg.OnRecommend = func(string, []caar.Recommendation) {}
+				}
+				eng, err := caar.Open(cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				names, texts := make([]string, users), make([]string, users)
+				for i := range names {
+					names[i], texts[i] = fmt.Sprintf("u%05d", i), fmt.Sprintf("word%04d word%04d update", i%997, (i*11)%997)
+					if err := eng.AddUser(names[i]); err != nil {
+						b.Fatal(err)
+					}
+				}
+				for i := range names {
+					for j := 1; j <= followers; j++ {
+						if err := eng.Follow(names[(i+j*37)%users], names[i]); err != nil {
+							b.Fatal(err)
+						}
+					}
+				}
+				for i := 0; i < 500; i++ {
+					text := fmt.Sprintf("word%04d word%04d word%04d", i%997, (i*3)%997, (i*7)%997)
+					if err := eng.AddAd(caar.Ad{ID: fmt.Sprintf("ad%05d", i), Text: text, Bid: 0.1 + float64(i%90)/100}); err != nil {
+						b.Fatal(err)
+					}
+				}
+				now := time.Date(2026, 7, 6, 9, 0, 0, 0, time.UTC)
+				reqs := make([]caar.PostRequest, batch)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for n := 0; n < b.N; n++ {
+					for i := range reqs {
+						now = now.Add(time.Millisecond)
+						a := (n*batch + i) % users
+						reqs[i] = caar.PostRequest{Author: names[a], Text: texts[a], At: now}
+					}
+					for _, err := range eng.PostBatch(reqs) {
+						if err != nil {
+							b.Fatal(err)
+						}
+					}
+				}
+			})
+		}
+	}
+}

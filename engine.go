@@ -1,7 +1,6 @@
 package caar
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"runtime"
@@ -50,7 +49,6 @@ type Engine struct {
 	// registration changed for its user then (core.AdIndex).
 	ads         *core.AdIndex
 	shards      []shard
-	msgSeq      atomic.Int64
 	impressions *impressionLog
 	trends      *trendTracker
 
@@ -499,26 +497,24 @@ func (e *Engine) CheckInBatch(reqs []CheckInRequest) []error {
 		return errs
 	}
 	d := e.dir.Load()
-	n := len(e.shards)
 	s := e.takeScratch()
-	slots := s.slots[:0]
+	work := s.work
 	for i, r := range reqs {
 		uid, err := d.lookup(r.User)
 		if err != nil {
 			errs[i] = err
 			continue
 		}
-		slots = append(slots, checkInSlot{item: i, uid: uid})
+		w := &work[int(uid)%len(work)]
+		w.checkIns = append(w.checkIns, checkInSlot{item: i, uid: uid})
 	}
-	// Grouped by shard, in request order within each (a stable sort, in place).
-	slices.SortStableFunc(slots, func(a, b checkInSlot) int { return cmp.Compare(int(a.uid)%n, int(b.uid)%n) })
-	for lo, hi := 0, 0; lo < len(slots); lo = hi {
-		si := int(slots[lo].uid) % n
-		for hi = lo + 1; hi < len(slots) && int(slots[hi].uid)%n == si; hi++ {
+	for si := range work {
+		w, sh := &work[si], e.shards[si]
+		if len(w.checkIns) == 0 {
+			continue
 		}
-		sh := e.shards[si]
 		sh.mu.Lock()
-		for _, sl := range slots[lo:hi] {
+		for _, sl := range w.checkIns {
 			r := reqs[sl.item]
 			if err := sh.eng.CheckIn(sl.uid, geo.Point{Lat: r.Lat, Lng: r.Lng}, r.At); err != nil {
 				errs[sl.item] = err
@@ -528,7 +524,6 @@ func (e *Engine) CheckInBatch(reqs []CheckInRequest) []error {
 		}
 		sh.mu.Unlock()
 	}
-	s.slots = slots
 	e.keepScratch(s)
 	return errs
 }
@@ -602,7 +597,6 @@ func (e *Engine) PostBatch(reqs []PostRequest) []error {
 			continue
 		}
 		posts[i] = &feed.Post{Message: feed.Message{
-			ID:     feed.MessageID(e.msgSeq.Add(1)),
 			Author: uid,
 			Time:   r.At,
 			Vec:    e.vectorize(r.Text),
@@ -623,22 +617,16 @@ func (e *Engine) PostBatch(reqs []PostRequest) []error {
 }
 
 // batchScratch is what a PostBatch or a CheckInBatch works in and hands out
-// nothing of: the shard table, the posts, their follower lists, the
-// recipients and spans the partition cuts per shard, the refreshes' results
-// and the check-ins grouped by shard. The engine keeps one (Engine.scratch).
+// nothing of: the batch, one share per shard, and the posts. The engine keeps
+// one (Engine.scratch).
 type batchScratch struct {
-	b      batch
-	work   []fanout // one per shard
-	posts  []*feed.Post
-	lists  [][]feed.UserID
-	users  []feed.UserID
-	spans  []span
-	scored []core.Scored
-	out    []continuousRec
-	slots  []checkInSlot
+	b     batch
+	work  []fanout // one per shard
+	posts []*feed.Post
 }
 
-// maxKeptScratch is the most elements a slice of a kept scratch may hold. A
+// maxKeptScratch is the most elements of one kind a kept scratch may hold,
+// summed over its shares: posts, recipients, spans, refreshes or check-ins. A
 // batch that needs more is a large one, which spreads its allocations over
 // many posts; keeping what it grew would hold it for the life of the engine.
 const maxKeptScratch = 1024
@@ -650,17 +638,27 @@ func (e *Engine) takeScratch() *batchScratch {
 	if s := e.scratch.Swap(nil); s != nil {
 		return s
 	}
-	return &batchScratch{work: make([]fanout, len(e.shards))}
+	s := &batchScratch{work: make([]fanout, len(e.shards))}
+	for si := range s.work {
+		s.work[si].b, s.work[si].si = &s.b, si
+	}
+	return s
 }
 
-// keepScratch gives a scratch back for the next batch, unless a slice of it
-// has outgrown maxKeptScratch. It first drops what the scratch would pin of
-// the batch: the posts, the follower lists and the directory.
+// keepScratch empties a scratch and gives it back for the next batch, unless
+// it has outgrown maxKeptScratch. It drops what the scratch would pin of the
+// batch: the posts, the directory and the recommendations slab.
 func (e *Engine) keepScratch(s *batchScratch) {
 	clear(s.posts)
-	clear(s.lists)
 	s.b.d, s.b.posts = nil, nil
-	if max(cap(s.posts), cap(s.lists), cap(s.users), cap(s.spans), cap(s.scored), cap(s.out), cap(s.slots)) <= maxKeptScratch {
+	var users, spans, refreshes, checkIns int
+	for si := range s.work {
+		w := &s.work[si]
+		users, spans, checkIns = users+cap(w.users), spans+cap(w.spans), checkIns+cap(w.checkIns)
+		refreshes += cap(w.out) // scored holds k results a refresh (cutRefreshSlabs)
+		w.users, w.spans, w.scored, w.out, w.recs, w.checkIns = w.users[:0], w.spans[:0], w.scored[:0], w.out[:0], nil, w.checkIns[:0]
+	}
+	if max(cap(s.posts), users, spans, refreshes, checkIns) <= maxKeptScratch {
 		e.scratch.Store(s)
 	}
 }
@@ -675,23 +673,25 @@ type batch struct {
 	wg    sync.WaitGroup
 }
 
-// fanout is one shard's share of a batch: the recipients of every message
-// that reaches the shard, flat, and which stretch of them each message goes
-// to; size counts the recipients before users is filled.
+// fanout is one shard's share of a batch, kept from batch to batch: the
+// recipients of every message that reaches the shard, flat, and which stretch
+// of them each message goes to; or a CheckInBatch's check-ins for the shard,
+// in request order.
 //
 // In continuous mode it also carries the shard's refreshes: affected, for a
 // shard more than one message reaches, maps each distinct recipient to the
 // time of the last message that reached it (one message's recipients are
-// distinct already), and scored, out and recs are the shard's pieces of the
-// batch's three refresh slabs, each cut to its distinct recipients.
+// distinct already); scored and out hold the refreshes' results, and recs is
+// the shard's piece of the batch's recommendations slab, cut to its distinct
+// recipients.
 type fanout struct {
-	b     *batch
-	sh    shard
-	users []feed.UserID
-	spans []span
-	size  int
+	b        *batch
+	si       int // the shard's index in Engine.shards
+	users    []feed.UserID
+	spans    []span
+	checkIns []checkInSlot
 
-	affected map[feed.UserID]time.Time // kept, cleared, from batch to batch
+	affected map[feed.UserID]time.Time
 	scored   []core.Scored
 	out      []continuousRec
 	recs     []Recommendation
@@ -733,9 +733,10 @@ func (w *fanout) collectAffected(posts []*feed.Post) {
 }
 
 // deliver fans the scratch's posts out to their follower windows, grouped
-// so each shard lock is acquired once per batch. Recipients are partitioned
-// straight from the graph's follower lists, which are immutable once handed
-// out (feed.Graph.Followers). Per-item errors land in errs (for an item split
+// so each shard lock is acquired once per batch. One pass over each post's
+// follower list, which the graph never changes once handed out
+// (feed.Graph.Followers), appends each recipient to its shard's share and
+// records the share's span. Per-item errors land in errs (for an item split
 // across shards, the lowest failing shard's). A push-only batch (ContinuousK
 // 0) runs every busy shard inline, since its window pushes cost less than a
 // goroutine start; with continuous refreshes, one busy shard runs in the
@@ -747,46 +748,26 @@ func (e *Engine) deliver(s *batchScratch, d *directory, errs []error) {
 	n, busy, k := len(e.shards), 0, e.cfg.ContinuousK
 	b := &s.b
 	b.e, b.d, b.posts = e, d, posts
-	for si := range work {
-		work[si] = fanout{b: b, sh: e.shards[si], affected: work[si].affected}
-	}
-	// Each message's follower list, and how many recipients each shard gets:
-	// the partition then fills one users and one spans array cut to size, so a
-	// batch needs the same space whatever its fan-out and the shard count.
-	lists, total := s.lists[:0], 0
-	for i := range posts {
-		var followers []feed.UserID
+	// Each share is sized from the follower counts, its even part and an
+	// eighth over it for the spread of ids, so a cold share grows once, not
+	// once per doubling.
+	recipients := 0
+	for i, p := range posts {
 		if errs[i] == nil {
-			followers = e.graph.Followers(posts[i].Author)
-			work[int(posts[i].Author)%n].size++
-			for _, u := range followers {
-				work[int(u)%n].size++
-			}
-			total += len(followers) + 1
+			recipients += e.graph.FollowerCount(p.Author) + 1
 		}
-		lists = append(lists, followers)
 	}
-	s.lists = lists
-	nSpans := 0 // a shard gets at most one span per message and per recipient
+	share := recipients/n + recipients/(8*n) + 1
 	for si := range work {
-		nSpans += min(len(posts), work[si].size)
+		work[si].users, work[si].spans = slices.Grow(work[si].users, share), slices.Grow(work[si].spans, min(share, len(posts)))
 	}
-	s.users = slices.Grow(s.users[:0], total)
-	s.spans = slices.Grow(s.spans[:0], nSpans)
-	users, spans := s.users[:total], s.spans[:nSpans]
-	for si := range work {
-		w, m := &work[si], min(len(posts), work[si].size)
-		w.users, users = users[:0:w.size], users[w.size:]
-		w.spans, spans = spans[:0:m], spans[m:]
-	}
-	for i, followers := range lists {
+	for i, p := range posts {
 		if errs[i] != nil {
 			continue
 		}
-		author := posts[i].Author
-		own := &work[int(author)%n]
-		own.users = append(own.users, author) // the author sees their own post
-		for _, u := range followers {
+		own := &work[int(p.Author)%n]
+		own.users = append(own.users, p.Author) // the author sees their own post
+		for _, u := range e.graph.Followers(p.Author) {
 			w := &work[int(u)%n]
 			w.users = append(w.users, u)
 		}
@@ -848,12 +829,11 @@ func (e *Engine) deliver(s *batchScratch, d *directory, errs []error) {
 	}
 }
 
-// cutRefreshSlabs gives every busy shard its pieces of the batch's refresh
-// slabs: one []core.Scored and one []continuousRec, the scratch's, and one
-// []Recommendation made for the batch, whatever the shard count, each piece
-// capped so that a shard that outgrows it reallocates rather than writes into
-// the next. A piece is sized by the shard's distinct recipients, not its
-// deliveries: a batch that reaches a user many times refreshes them once.
+// cutRefreshSlabs grows every busy shard's results to its distinct
+// recipients, and gives it its piece of the recommendations slab made for the
+// batch, whatever the shard count, capped so that a shard that outgrows it
+// reallocates rather than writes into the next. A batch that reaches a user
+// many times refreshes them once.
 func (s *batchScratch) cutRefreshSlabs(k int) {
 	// A shard holds at most every n-th user: a bound on its distinct
 	// recipients that keeps a large batch's maps from being sized by repeats.
@@ -871,21 +851,16 @@ func (s *batchScratch) cutRefreshSlabs(k int) {
 			}
 			w.collectAffected(s.b.posts)
 		}
-		refreshes += w.distinct()
+		r := w.distinct()
+		w.scored, w.out = slices.Grow(w.scored, r*k), slices.Grow(w.out, r)
+		refreshes += r
 	}
-	s.scored = slices.Grow(s.scored[:0], refreshes*k)
-	s.out = slices.Grow(s.out[:0], refreshes)
-	scored, out := s.scored[:refreshes*k], s.out[:refreshes]
 	recs := make([]Recommendation, refreshes*k)
 	for si := range work {
-		w := &work[si]
-		if len(w.spans) == 0 {
-			continue
+		if w := &work[si]; len(w.spans) > 0 {
+			r := w.distinct() * k
+			w.recs, recs = recs[:0:r], recs[r:]
 		}
-		r := w.distinct()
-		w.scored, scored = scored[:0:r*k], scored[r*k:]
-		w.out, out = out[:0:r], out[r:]
-		w.recs, recs = recs[:0:r*k], recs[r*k:]
 	}
 }
 
@@ -911,12 +886,12 @@ func runShardTask() {
 // queued behind it. Each reached user gets one callback per batch (after its
 // last message of the batch), not one per message.
 //
-// The refreshes are computed into the shard's pieces of the scratch's slabs
-// and handed out as capped sub-slices of its piece of the batch's
-// recommendations slab (cutRefreshSlabs), which nothing reuses, so a callback
-// may keep its slice: a refresh allocates nothing of its own.
+// The refreshes are computed into the share's kept results and handed out as
+// capped sub-slices of its piece of the batch's recommendations slab
+// (cutRefreshSlabs), which nothing reuses, so a callback may keep its slice:
+// a refresh allocates nothing of its own.
 func (e *Engine) runShard(w *fanout) {
-	d, sh, posts, k := w.b.d, w.sh, w.b.posts, e.cfg.ContinuousK
+	d, sh, posts, k := w.b.d, e.shards[w.si], w.b.posts, e.cfg.ContinuousK
 	sh.mu.Lock() //caarlint:allow readpathlock per-shard core lock is the designed serialization point
 	failed := false
 	for i := range w.spans {
@@ -1108,7 +1083,8 @@ func (e *Engine) appendRecommendations(dst []Recommendation, d *directory, score
 	return dst
 }
 
-// Stats returns a monitoring snapshot.
+// Stats returns a monitoring snapshot. It takes no shard lock, so a caller
+// that polls it never waits for a fan-out or a read.
 func (e *Engine) Stats() Stats {
 	st := Stats{
 		Ads:            e.store.Len(),
@@ -1119,10 +1095,20 @@ func (e *Engine) Stats() Stats {
 	}
 	st.Users = e.dir.Load().users.len()
 	st.CachedMessages = e.ads.CachedMessages() // shared: counted once
-	e.eachCAP(func(c *core.CAP) {
-		st.CandidateBufferEntries += c.TotalBufferEntries()
-	})
+	st.CandidateBufferEntries = e.bufferEntries()
 	return st
+}
+
+// bufferEntries sums the shards' materialised candidate-buffer entries. It
+// takes no shard lock (core.CAP.TotalBufferEntries), so a caller that polls
+// Stats never waits for a fan-out.
+func (e *Engine) bufferEntries() (total int) {
+	for _, sh := range e.shards {
+		if c, ok := sh.eng.(*core.CAP); ok {
+			total += c.TotalBufferEntries()
+		}
+	}
+	return total
 }
 
 // eachCAP calls f with each shard engine that is a CAP (all but a test's

@@ -673,6 +673,19 @@ func TestContinuousPostAllocationsDoNotGrowWithFanout(t *testing.T) {
 // what one post by big allocates.
 func shardedPostAllocs(t *testing.T, shards, k int) float64 {
 	t.Helper()
+	return postAllocs(t, shards, k, 64)
+}
+
+// postAllocs is shardedPostAllocs with big's follower count given.
+func postAllocs(t *testing.T, shards, k, followers int) float64 {
+	t.Helper()
+	e, reqs := postFixture(t, shards, k, followers)
+	return testing.AllocsPerRun(50, func() { e.PostBatch(reqs) })
+}
+
+// postFixture is postAllocs' engine, warmed, and the post it measures.
+func postFixture(t *testing.T, shards, k, followers int) (*Engine, []PostRequest) {
+	t.Helper()
 	cfg := testConfig()
 	cfg.Shards = shards
 	cfg.ContinuousK = k
@@ -681,7 +694,7 @@ func shardedPostAllocs(t *testing.T, shards, k int) float64 {
 	if err := e.AddUser("big"); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 64; i++ {
+	for i := 0; i < followers; i++ {
 		f := fmt.Sprintf("f%03d", i)
 		if err := e.AddUser(f); err != nil {
 			t.Fatal(err)
@@ -699,7 +712,26 @@ func shardedPostAllocs(t *testing.T, shards, k int) float64 {
 	for i := 0; i < 2*cfg.WindowSize; i++ {
 		e.PostBatch(reqs)
 	}
-	return testing.AllocsPerRun(50, func() { e.PostBatch(reqs) })
+	return e, reqs
+}
+
+// TestColdScratchMakesEachShareOnce: a batch that finds no kept scratch (one
+// runs already, or the last outgrew maxKeptScratch, as every full ingest or
+// replay batch does) sizes each share from the follower counts, so a
+// push-only post makes the scratch, its shard table and posts, and each
+// share's users and spans once: 2 a shard over the 3 a kept scratch costs
+// plus 3. Grown by append alone from empty, the shares cost 39 on 8 shards.
+func TestColdScratchMakesEachShareOnce(t *testing.T) {
+	for _, shards := range []int{1, 2, 4, 8} {
+		e, reqs := postFixture(t, shards, 0, 64)
+		got := testing.AllocsPerRun(50, func() {
+			e.scratch.Store(nil)
+			e.PostBatch(reqs)
+		})
+		if want := float64(3 + 3 + 2*shards); !raceEnabled && got > want {
+			t.Errorf("a push-only post on a cold scratch allocates %.1f times on %d shards: want at most %.0f", got, shards, want)
+		}
+	}
 }
 
 // TestPushOnlyPostAllocationsDoNotGrowWithShards: a push-only post (the
@@ -740,6 +772,47 @@ func TestContinuousPostAllocationsDoNotGrowWithShards(t *testing.T) {
 		}
 		if got > want {
 			t.Errorf("a continuous post allocates %.1f times on %d shards and %.1f on one: want at most %.1f", got, shards, one, want)
+		}
+	}
+}
+
+// TestContinuousPostKeepsItsScratchPastKRefreshes: the scratch bound counts
+// refreshes, not the k results of each, so a continuous post to 300 followers
+// at k 5 — 1 505 results, past the bound's 1 024 — keeps its scratch and
+// allocates what a post to 64 does. Comparing its results with the bound
+// threw the scratch away after every such post: 13 allocations on one shard.
+func TestContinuousPostKeepsItsScratchPastKRefreshes(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		small, big := postAllocs(t, shards, 5, 64), postAllocs(t, shards, 5, 300)
+		if big > small || !raceEnabled && big != 5 {
+			t.Errorf("a continuous post at k 5 on %d shards allocates %.1f times for 300 followers and %.1f for 64: want 5", shards, big, small)
+		}
+	}
+}
+
+// TestCheckInBatchAllocationsDoNotGrowWithShards: a CheckInBatch groups its
+// check-ins in the shares of the engine's reused batch scratch, so a batch
+// that reaches every shard allocates its errors alone, on 8 shards as on one.
+func TestCheckInBatchAllocationsDoNotGrowWithShards(t *testing.T) {
+	for _, shards := range []int{1, 2, 4, 8} {
+		cfg := testConfig()
+		cfg.Shards = shards
+		e := openEngine(t, cfg)
+		var reqs []CheckInRequest
+		for i := 0; i < 32; i++ {
+			u := fmt.Sprintf("u%02d", i)
+			if err := e.AddUser(u); err != nil {
+				t.Fatal(err)
+			}
+			reqs = append(reqs, CheckInRequest{User: u, Lat: 1 + float64(i%4)/8, Lng: 1.5, At: morning})
+		}
+		for _, err := range e.CheckInBatch(reqs) {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := testing.AllocsPerRun(50, func() { e.CheckInBatch(reqs) }); got != 1 {
+			t.Errorf("a check-in batch allocates %.1f times on %d shards: want 1, its errors", got, shards)
 		}
 	}
 }

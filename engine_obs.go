@@ -93,9 +93,7 @@ func newEngineMetrics(reg *obs.Registry, e *Engine) *engineMetrics {
 		return float64(postings)
 	})
 	reg.GaugeFunc("caar_engine_candidate_buffer_entries", "CAP candidate-buffer entries summed over users.", func() float64 {
-		total := 0
-		e.eachCAP(func(c *core.CAP) { total += c.TotalBufferEntries() })
-		return float64(total)
+		return float64(e.bufferEntries())
 	})
 	reg.GaugeFunc("caar_engine_cached_messages", "Messages with live shared delta lists (CAP fan-out sharing).", func() float64 {
 		return float64(e.ads.CachedMessages())

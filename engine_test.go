@@ -355,6 +355,46 @@ func TestStats(t *testing.T) {
 	}
 }
 
+// TestStatsTakesNoShardLock: Stats reads counters alone, no shard lock, so a
+// caller that polls it — the benchmark drains a run by polling
+// PostsDelivered — never waits behind a fan-out or a read. It used to take
+// every shard lock in turn to walk every user's buffer.
+func TestStatsTakesNoShardLock(t *testing.T) {
+	cfg := testConfig()
+	cfg.Shards = 2
+	e := openEngine(t, cfg)
+	for _, u := range []string{"a", "b"} {
+		if err := e.AddUser(u); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.AddAd(Ad{ID: "x", Text: "sneaker sale", Bid: 0.5}); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Post("b", "sneaker day", morning); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Recommend("b", 1, morning); err != nil {
+		t.Fatal(err)
+	}
+	want := e.Stats()
+	if want.CandidateBufferEntries == 0 {
+		t.Fatalf("the scenario needs a materialised buffer: %+v", want)
+	}
+	unlock := e.lockShards()
+	defer unlock()
+	done := make(chan Stats, 1)
+	go func() { done <- e.Stats() }()
+	select {
+	case got := <-done:
+		if got != want {
+			t.Fatalf("Stats under held shard locks = %+v, want %+v", got, want)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Stats waited for a shard lock")
+	}
+}
+
 // TestConcurrentAddRemoveRecommendStress drives Recommend/Post/CheckIn
 // readers against a churn of AddAd/RemoveAd writers across shards. Beyond
 // `-race` cleanliness it pins the RemoveAd ordering fix: every writer

@@ -14,7 +14,8 @@ import (
 
 // userState is the one per-user record of every engine: the feed window, the
 // last known location and, under CAP, the location's grid cell (noCell
-// without one) and the candidate buffer (nil for RS and IL).
+// without one) and the candidate buffer (nil for RS and IL, and under CAP
+// while the user is cold: dynBuf).
 type userState struct {
 	win    *feed.Window
 	loc    geo.Point

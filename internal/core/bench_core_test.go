@@ -521,7 +521,7 @@ func BenchmarkWarmUserBytes(b *testing.B) {
 	}
 	warm, bufLen, bufCap, deltas := 0, 0, 0, 0
 	for _, st := range e.users {
-		if buf := st.buf; buf.applied > 0 {
+		if buf := st.buf; buf != nil && buf.applied > 0 {
 			size := int(unsafe.Sizeof(buf.e[0]))
 			warm, bufLen, bufCap = warm+1, bufLen+len(buf.e)*size, bufCap+cap(buf.e)*size
 		}

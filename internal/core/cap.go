@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync/atomic"
 	"time"
 
 	"caar/internal/adstore"
@@ -47,6 +48,11 @@ type CAP struct {
 	viewAnswers, reranks uint64 // TopAds calls by how they were answered
 	merges, rebuilds     uint64 // catch-ups by kind
 	merged, skipped      uint64 // deliveries by fate
+
+	// entries is the candidate-buffer entries materialised over the users,
+	// moved by catchUp and chill: atomic, so TotalBufferEntries reads it
+	// without the engine's lock.
+	entries atomic.Int64
 }
 
 // NewCAP creates a CAP engine over an ad side of its own, with the given
@@ -77,8 +83,7 @@ func (e *CAP) AddUser(u feed.UserID) {
 		return
 	}
 	e.base.AddUser(u)
-	st := e.users[u]
-	st.cell, st.buf = noCell, newDynBuf()
+	e.users[u].cell = noCell
 }
 
 // noteRegistered notes a registered ad whose text relevance is coeff if its
@@ -103,7 +108,10 @@ func (e *CAP) CheckIn(u feed.UserID, p geo.Point, t time.Time) error {
 		return err
 	}
 	st := e.users[u]
-	st.cell, st.buf.view = e.grid.Reach(geo.NewRect(p, p)), nil
+	st.cell = e.grid.Reach(geo.NewRect(p, p))
+	if st.buf != nil {
+		st.buf.view = nil
+	}
 	return nil
 }
 
@@ -114,10 +122,10 @@ func (e *CAP) Deliver(msg feed.Message, followers []feed.UserID) error {
 
 // DeliverPost delivers a post's record to followers. A delivery is a window
 // push; what it does to a candidate buffer is left owing (dynBuf) until the
-// user is read. A follower whose buffer is cold stays so, and a warm one
-// whose last applied post this push evicts turns cold: from there a catch-up
-// would subtract everything the buffer holds and add the whole window, which
-// is a rebuild.
+// user is read. A follower whose buffer is cold has none after it, and a warm
+// one whose last applied post this push evicts turns cold: from there a
+// catch-up would subtract everything the buffer holds and add the whole
+// window, which is a rebuild.
 func (e *CAP) DeliverPost(p *feed.Post, followers []feed.UserID) error {
 	states, err := e.recipients(followers)
 	if err != nil {
@@ -127,9 +135,10 @@ func (e *CAP) DeliverPost(p *feed.Post, followers []feed.UserID) error {
 	for _, st := range states {
 		buf := st.buf
 		evicted := st.win.Push(p)
-		if buf.applied == 0 {
-			// Only an empty window's view gets here; nothing will note for it.
-			buf.view = nil
+		if buf == nil || buf.applied == 0 {
+			// Only a buffer read with an empty window is cold and not nil: it
+			// holds no entry and no reference, and nothing will note for its view.
+			st.buf = nil
 			e.skipped++
 			continue
 		}
@@ -149,10 +158,10 @@ func (e *CAP) DeliverPost(p *feed.Post, followers []feed.UserID) error {
 	return nil
 }
 
-// chill turns a buffer cold: it frees the entries, the view and the pending
-// lists, and releases the user's references — the oldest held resident
-// posts took one, and everything in gone holds one. The arrivals the buffer
-// never merged are thereby skipped.
+// chill turns a buffer cold: it releases the user's references — the oldest
+// held resident posts took one, and everything in gone holds one — and drops
+// the buffer, entries, view and pending lists. The arrivals the buffer never
+// merged are thereby skipped.
 func (e *CAP) chill(st *userState, buf *dynBuf, held int) {
 	if e.opts.FanoutSharing {
 		for i := range held {
@@ -161,7 +170,8 @@ func (e *CAP) chill(st *userState, buf *dynBuf, held int) {
 	}
 	e.settleGone(buf)
 	e.skipped += uint64(st.win.Len() - buf.applied)
-	*buf = dynBuf{scale: 1}
+	e.entries.Add(-int64(len(buf.e)))
+	st.buf = nil
 }
 
 // settleGone empties the list of evictions a buffer owes, releasing the
@@ -187,6 +197,15 @@ func (e *CAP) settleGone(buf *dynBuf) {
 // Otherwise the pass ends by settling the ad churn since the buffer last
 // looked (settleChurn).
 func (e *CAP) catchUp(st *userState, buf *dynBuf) {
+	had := len(buf.e)
+	e.bringUp(st, buf)
+	if d := len(buf.e) - had; d != 0 {
+		e.entries.Add(int64(d))
+	}
+}
+
+// bringUp is catchUp but for the count of materialised entries.
+func (e *CAP) bringUp(st *userState, buf *dynBuf) {
 	n := st.win.Len()
 	pending, churn := n-buf.applied, e.churned-buf.churned
 	moved := buf.applied > 0 && buf.cell != st.cell
@@ -327,7 +346,7 @@ func (e *CAP) AppendTopAds(dst []Scored, u feed.UserID, k int, t time.Time) ([]S
 		return nil, err
 	}
 	dst = grow(dst, k)
-	buf, span := st.buf, time.Now()
+	buf, span := st.read(), time.Now()
 	e.catchUp(st, buf)
 	winFactor := e.scoring.Decay.Between(st.win.Ref(), t)
 	mult, sl := buf.scale*winFactor, timeslot.Of(t)
@@ -387,20 +406,15 @@ func (e *CAP) BufferSize(u feed.UserID) int {
 	if !ok {
 		return 0
 	}
-	e.catchUp(st, st.buf)
-	return len(st.buf.e)
+	buf := st.read()
+	e.catchUp(st, buf)
+	return len(buf.e)
 }
 
 // TotalBufferEntries returns the summed size of the candidate buffers as
 // they are materialised — nothing is caught up, a cold user counts 0 (memory
-// diagnostic).
-func (e *CAP) TotalBufferEntries() int {
-	total := 0
-	for _, st := range e.users {
-		total += len(st.buf.e)
-	}
-	return total
-}
+// diagnostic). It reads one atomic, so it needs no engine lock.
+func (e *CAP) TotalBufferEntries() int { return int(e.entries.Load()) }
 
 // CatchUps counts buffer catch-ups by kind: one merge pass, or a rebuild from
 // the window aggregate. Callers hold the engine's lock.

@@ -31,10 +31,15 @@ const dropBelow = 1e-12
 // withdrawn since (AdIndex's churn record) — when something reads. What
 // the buffer reflects is the first applied resident messages of the user's
 // window plus the messages in gone; the window's later entries are the
-// arrivals it has yet to add. applied == 0 is the cold state — the buffer
-// describes nothing in the window, so it holds nothing: no entries, no view
-// unless the window is empty too, no pending lists and no reference on a
-// post — and the next read rebuilds it from the window aggregate.
+// arrivals it has yet to add.
+//
+// A cold user has no buffer (userState.buf is nil): none is made until the
+// user is first read (userState.read), and one whose applied messages have
+// all left the window is dropped (CAP.chill), so a user nobody reads costs no
+// buffer. The next read makes one and rebuilds it from the window aggregate.
+// The one buffer with applied == 0 is one read while its window was empty: it
+// holds no entries, no pending lists and no reference on a post, only perhaps
+// a view, and the next delivery drops it.
 type dynBuf struct {
 	e     []index.Delta // ascending by slot; Coeff is the stored value
 	scale float64
@@ -52,6 +57,14 @@ type dynBuf struct {
 }
 
 func newDynBuf() *dynBuf { return &dynBuf{scale: 1} }
+
+// read returns a user's candidate buffer for a read, made at the first.
+func (st *userState) read() *dynBuf {
+	if st.buf == nil {
+		st.buf = newDynBuf()
+	}
+	return st.buf
+}
 
 // find returns the position of slot in the buffer, or the position it would
 // be inserted at and false.

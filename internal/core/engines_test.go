@@ -292,7 +292,8 @@ func TestAggregateIsSummedIntoReusedVector(t *testing.T) {
 	allocs := func(e Recommender) float64 {
 		if c, ok := e.(*CAP); ok {
 			st := c.users[1]
-			return testing.AllocsPerRun(20, func() { c.rebuild(st, st.buf) })
+			buf := st.read()
+			return testing.AllocsPerRun(20, func() { c.rebuild(st, buf) })
 		}
 		return testing.AllocsPerRun(20, func() {
 			if _, err := e.TopAds(1, 5, now); err != nil {

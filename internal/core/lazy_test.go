@@ -1,12 +1,15 @@
 package core
 
 import (
+	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
 	"caar/internal/adstore"
 	"caar/internal/feed"
+	"caar/internal/geo"
 	"caar/internal/textproc"
 )
 
@@ -78,7 +81,10 @@ func (g *readGaps) observe(t *testing.T, u feed.UserID, read func(), caps ...*CA
 	was := make([]before, len(caps))
 	for i, e := range caps {
 		m, r := e.CatchUps()
-		was[i] = before{e.churned - e.users[u].buf.churned, m, r}
+		was[i] = before{0, m, r}
+		if buf := e.users[u].buf; buf != nil { // a cold user has none
+			was[i].fixes = e.churned - buf.churned
+		}
 	}
 	read()
 	gap := g.since[u]
@@ -399,4 +405,121 @@ func TestCAPChurnPastTheRecordRebuilds(t *testing.T) {
 			t.Fatalf("%d ads behind: the read made %d merges and %d rebuilds, want 0 and %d", n, m-merges, r-rebuilds, wantRebuilds-rebuilds)
 		}
 	}
+}
+
+// TestColdUsersHoldNoBuffer: a user nobody has read holds no candidate
+// buffer, and neither does one whose buffer turned cold: a read makes the
+// buffer and chill drops it, so an unread user costs no dynBuf.
+func TestColdUsersHoldNoBuffer(t *testing.T) {
+	e := newTestCAP(t, DefaultCAPOptions())
+	e.AddAd(simpleAd(100, 7, 0.5))
+	e.AddUser(1)
+	e.AddUser(2)
+	w := e.scoring.WindowCap
+	now, id := base0, feed.MessageID(0)
+	deliverTo := func(users ...feed.UserID) {
+		for i := 0; i < w; i++ {
+			id++
+			now = now.Add(time.Minute)
+			mustDeliver(t, e, id, now, 7, users...)
+		}
+	}
+	deliverTo(1, 2)
+	if err := e.CheckIn(2, geo.Point{Lat: 5, Lng: 5}, now); err != nil {
+		t.Fatal(err)
+	}
+	if e.users[1].buf != nil || e.users[2].buf != nil {
+		t.Fatal("a user nobody has read holds a candidate buffer")
+	}
+	if got := e.BufferSize(1); got != 1 || e.users[1].buf == nil {
+		t.Fatalf("the first read left %d entries, buffer made %v: want 1 in a buffer", got, e.users[1].buf != nil)
+	}
+	deliverTo(1) // every applied post leaves the window unread
+	if e.users[1].buf != nil || e.TotalBufferEntries() != 0 || e.CachedMessages() != 0 {
+		t.Fatalf("a chilled user holds a buffer (%v), %d entries, %d cached messages: want none",
+			e.users[1].buf != nil, e.TotalBufferEntries(), e.CachedMessages())
+	}
+	if got := e.BufferSize(1); got != 1 {
+		t.Fatalf("%d entries on the read after a chill, want 1", got)
+	}
+}
+
+// TestTotalBufferEntriesMatchesAWalk is the oracle for the count of
+// materialised entries a CAP keeps (and Engine.Stats reads without a shard
+// lock): after every step of a random mix of posts, reads, check-ins and ad
+// churn, it equals the sum over every user's buffer.
+func TestTotalBufferEntriesMatchesAWalk(t *testing.T) {
+	e := newTestCAP(t, DefaultCAPOptions())
+	rng := rand.New(rand.NewSource(57))
+	const users, vocab = 12, 20
+	for u := feed.UserID(0); u < users; u++ {
+		e.AddUser(u)
+	}
+	var live []adstore.AdID
+	nextAd := adstore.AdID(1)
+	addAd := func() {
+		a := simpleAd(nextAd, 0, 0.05+0.9*rng.Float64())
+		a.Vec = randVec(rng, 2, vocab)
+		if rng.Intn(3) == 0 {
+			a.Global, a.Target = false, geo.Circle{Center: geo.Point{Lat: 10 * rng.Float64(), Lng: 10 * rng.Float64()}, RadiusKm: 300}
+		}
+		if err := e.AddAd(a); err != nil {
+			t.Fatal(err)
+		}
+		live, nextAd = append(live, nextAd), nextAd+1
+	}
+	for range 30 {
+		addAd()
+	}
+	walk := func() (n int) {
+		for _, st := range e.users {
+			if st.buf != nil {
+				n += len(st.buf.e)
+			}
+		}
+		return n
+	}
+	now, most := base0, 0
+	for step := 0; step < 4000; step++ {
+		now = now.Add(time.Duration(rng.Intn(120)) * time.Second)
+		u := feed.UserID(rng.Intn(users))
+		switch op := rng.Intn(20); {
+		case op < 10: // a post to 1–5 followers
+			followers := make([]feed.UserID, 0, 5)
+			for _, f := range rng.Perm(users)[:1+rng.Intn(5)] {
+				followers = append(followers, feed.UserID(f))
+			}
+			if err := e.Deliver(feed.Message{ID: feed.MessageID(step), Time: now, Vec: randVec(rng, 3, vocab)}, followers); err != nil {
+				t.Fatal(err)
+			}
+		case op < 16:
+			if _, err := e.TopAds(u, 1+rng.Intn(5), now); err != nil {
+				t.Fatal(err)
+			}
+		case op < 18:
+			if err := e.CheckIn(u, geo.Point{Lat: 10 * rng.Float64(), Lng: 10 * rng.Float64()}, now); err != nil {
+				t.Fatal(err)
+			}
+		case op == 18 || len(live) == 0:
+			addAd()
+		default:
+			i := rng.Intn(len(live))
+			if err := e.store.Remove(live[i]); err != nil {
+				t.Fatal(err)
+			}
+			e.Unregister(live[i])
+			live = slices.Delete(live, i, i+1)
+		}
+		got, want := e.TotalBufferEntries(), walk()
+		if got != want {
+			t.Fatalf("step %d: TotalBufferEntries %d, a walk over the buffers %d", step, got, want)
+		}
+		most = max(most, want)
+	}
+	merges, rebuilds := e.CatchUps()
+	_, skipped := e.Deliveries()
+	if most == 0 || merges == 0 || rebuilds == 0 || skipped == 0 {
+		t.Fatalf("the mix exercised too little: at most %d entries, %d merges, %d rebuilds, %d deliveries skipped", most, merges, rebuilds, skipped)
+	}
+	t.Logf("at most %d entries; %d merges, %d rebuilds, %d deliveries skipped", most, merges, rebuilds, skipped)
 }

@@ -107,8 +107,11 @@ func TestContinuousTopAdsMatchesRSAfterEveryDelivery(t *testing.T) {
 				}
 				// The ad churn this read settles, and which of the withdrawn
 				// ads the view tracks going in.
-				buf := eng.users[u].buf
-				view, churn := buf.view, churnLog[buf.churned:]
+				var view *topView
+				churn := churnLog[:0]
+				if buf := eng.users[u].buf; buf != nil { // a cold user has none
+					view, churn = buf.view, churnLog[buf.churned:]
+				}
 				var tracked []adstore.AdID
 				for _, id := range churn {
 					if view != nil && eng.ad(id) == nil && view.tracksAd(id) {
@@ -127,7 +130,7 @@ func TestContinuousTopAdsMatchesRSAfterEveryDelivery(t *testing.T) {
 				}
 				// A view dropped for any reason is replaced by a new one, so
 				// the same pointer after the read is a view that stood.
-				stood := view != nil && buf.view == view
+				stood := view != nil && eng.users[u].buf.view == view
 				if stood && len(tracked) > 0 {
 					t.Fatalf("step %d: user %d's view tracks withdrawn ads %v and outlived the read that settled them", step, u, tracked)
 				}
@@ -161,7 +164,7 @@ func TestContinuousTopAdsMatchesRSAfterEveryDelivery(t *testing.T) {
 					case 1, 2:
 						at = at.Add(6 * time.Hour)
 					}
-					v, fromView := eng.users[u].buf.view, eng.viewAnswers
+					v, fromView := viewOf(eng.users[u]), eng.viewAnswers
 					check(step, u, readK, at)
 					if eng.viewAnswers > fromView && v.size != viewSlack*readK {
 						otherK++
@@ -237,6 +240,14 @@ func TestContinuousTopAdsMatchesRSAfterEveryDelivery(t *testing.T) {
 	}
 }
 
+// viewOf is a user's view, nil for a cold user, who has no buffer.
+func viewOf(st *userState) *topView {
+	if st.buf == nil {
+		return nil
+	}
+	return st.buf.view
+}
+
 // viewFixture is a CAP with one user and a handful of global ads, for the
 // invalidation tests: each builds a view, applies one event that the delta
 // lists do not carry, and requires TopAds to still be what a full ranking
@@ -268,7 +279,8 @@ func deliver(t *testing.T, e *CAP, id feed.MessageID, at time.Time, vec textproc
 // writing the view.
 func sameAsFullRanking(t *testing.T, e *CAP, k int, at time.Time) []Scored {
 	t.Helper()
-	st, buf := e.users[1], e.users[1].buf
+	st := e.users[1]
+	buf := st.read()
 	e.catchUp(st, buf)
 	mult := buf.scale * e.scoring.Decay.Between(st.win.Ref(), at)
 	c := topk.NewCollector(k)
@@ -796,7 +808,7 @@ func TestViewMemoryIsBounded(t *testing.T) {
 	}
 	bounded := func(when string) {
 		t.Helper()
-		v := e.users[1].buf.view
+		v := viewOf(e.users[1])
 		if v == nil {
 			return
 		}
@@ -844,13 +856,13 @@ func TestViewMemoryIsBounded(t *testing.T) {
 		id := textproc.TermID(101 + i%200)
 		deliver(t, e, feed.MessageID(4+i), at, textproc.SparseVector{{ID: 1, W: 1}, {ID: id, W: 5}, {ID: id + 1, W: 5}})
 		bounded("unread deliveries")
-		if e.users[1].buf.view == nil && dropped == 0 {
+		if viewOf(e.users[1]) == nil && dropped == 0 {
 			dropped = i + 1
 		}
 	}
-	if dropped == 0 || e.users[1].buf.view != nil || e.TotalBufferEntries() != 0 || e.CachedMessages() != 0 {
+	if dropped == 0 || viewOf(e.users[1]) != nil || e.TotalBufferEntries() != 0 || e.CachedMessages() != 0 {
 		t.Fatalf("after 10 000 unread deliveries: view dropped after %d, view held %v, %d buffer entries, %d cached messages",
-			dropped, e.users[1].buf.view != nil, e.TotalBufferEntries(), e.CachedMessages())
+			dropped, viewOf(e.users[1]) != nil, e.TotalBufferEntries(), e.CachedMessages())
 	}
 	t.Logf("view dropped after %d unread deliveries", dropped)
 	sameAsFullRanking(t, e, 2, at)
