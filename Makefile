@@ -74,9 +74,9 @@ race-matrix:
 # journal entries, the ingest accept contract, the request parsers and the
 # query scanner, the hand-split post and check-in bodies, the hand-written
 # recommend body, the one-pass text vectorizer, the sketches, CAP's
-# candidate-buffer merge and its scoping to a grid cell, the window
-# aggregate's merge, or the grid's cover of every point a target circle
-# contains, without holding up the gate.
+# candidate-buffer merge and its scoping to a grid cell, the branch-free
+# search into a slot-sorted list, the window aggregate's merge, or the grid's
+# cover of every point a target circle contains, without holding up the gate.
 fuzz-smoke:
 	$(GO) test ./journal/ -fuzz FuzzDecodeLine -fuzztime 10s -run '^$$'
 	$(GO) test ./journal/ -fuzz FuzzRecoverTornTail -fuzztime 10s -run '^$$'
@@ -92,6 +92,7 @@ fuzz-smoke:
 	$(GO) test ./internal/sketch/ -fuzz FuzzCountMinEstimate -fuzztime 10s -run '^$$'
 	$(GO) test ./internal/sketch/ -fuzz FuzzWindowedDecay -fuzztime 10s -run '^$$'
 	$(GO) test ./internal/core/ -fuzz FuzzDynBufMerge -fuzztime 10s -run '^$$'
+	$(GO) test ./internal/core/ -fuzz FuzzFindDeltaMatchesBinarySearch -fuzztime 10s -run '^$$'
 	$(GO) test ./internal/feed/ -fuzz FuzzAggregateMergeMatchesSort -fuzztime 10s -run '^$$'
 	$(GO) test ./internal/geo/ -fuzz FuzzGridCoversContainedPoints -fuzztime 10s -run '^$$'
 

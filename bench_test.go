@@ -207,9 +207,9 @@ func BenchmarkRecommendParallel(b *testing.B) {
 // BenchmarkPostBatch256 measures one 256-post batch, the size the ingest
 // applier drains at most and journal replay applies, with 30 followers a
 // post (2 048 users, 500 ads). Such a batch reaches about 7 900 recipients,
-// more than the engine keeps batch scratch for, so every batch here sizes its
-// scratch afresh: this is the cost of a saturated applier or a recovery
-// replay, per batch.
+// which the engine's kept batch scratch holds, so every batch here after the
+// first reuses the last one's: this is the cost of a saturated applier or a
+// recovery replay, per batch.
 func BenchmarkPostBatch256(b *testing.B) {
 	const users, followers, batch = 2048, 30, 256
 	for _, k := range []int{0, 5} {

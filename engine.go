@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"caar/internal/adstore"
 	"caar/internal/core"
@@ -625,11 +626,15 @@ type batchScratch struct {
 	posts []*feed.Post
 }
 
-// maxKeptScratch is the most elements of one kind a kept scratch may hold,
-// summed over its shares: posts, recipients, spans, refreshes or check-ins. A
+// maxKeptScratch is the most bytes a kept scratch's slices may hold
+// (batchScratch.bytes). A full 256-post batch — the ingest applier's largest
+// and a journal replay's run — holds about 0.13 MB at 30 followers a post on
+// 8 shards, 0.5 MB with its refreshes' results at ContinuousK 5, so a
+// saturated applier and a replay reuse one scratch batch after batch. A
 // batch that needs more is a large one, which spreads its allocations over
-// many posts; keeping what it grew would hold it for the life of the engine.
-const maxKeptScratch = 1024
+// many posts (the benchmark's 6 000-post warm-up holds about 3 MB), and
+// keeping what it grew would hold it for the life of the engine.
+const maxKeptScratch = 1 << 20
 
 // takeScratch takes the engine's scratch, or makes one while another batch
 // has it. A one-slot atomic cache, unlike a sync.Pool, keeps its scratch
@@ -651,16 +656,29 @@ func (e *Engine) takeScratch() *batchScratch {
 func (e *Engine) keepScratch(s *batchScratch) {
 	clear(s.posts)
 	s.b.d, s.b.posts = nil, nil
-	var users, spans, refreshes, checkIns int
 	for si := range s.work {
 		w := &s.work[si]
-		users, spans, checkIns = users+cap(w.users), spans+cap(w.spans), checkIns+cap(w.checkIns)
-		refreshes += cap(w.out) // scored holds k results a refresh (cutRefreshSlabs)
 		w.users, w.spans, w.scored, w.out, w.recs, w.checkIns = w.users[:0], w.spans[:0], w.scored[:0], w.out[:0], nil, w.checkIns[:0]
 	}
-	if max(cap(s.posts), users, spans, refreshes, checkIns) <= maxKeptScratch {
+	if s.bytes() <= maxKeptScratch {
 		e.scratch.Store(s)
 	}
+}
+
+// bytes is what a scratch's slices hold, by capacity. A share's affected map
+// is left out: it holds an entry a refresh, which scored and out count
+// already.
+func (s *batchScratch) bytes() uintptr {
+	n := uintptr(cap(s.posts)) * unsafe.Sizeof(s.posts[0])
+	for si := range s.work {
+		w := &s.work[si]
+		n += uintptr(cap(w.users))*unsafe.Sizeof(w.users[0]) +
+			uintptr(cap(w.spans))*unsafe.Sizeof(w.spans[0]) +
+			uintptr(cap(w.checkIns))*unsafe.Sizeof(w.checkIns[0]) +
+			uintptr(cap(w.scored))*unsafe.Sizeof(w.scored[0]) +
+			uintptr(cap(w.out))*unsafe.Sizeof(w.out[0])
+	}
+	return n
 }
 
 // batch is what every shard's share of one deliver call reads: the engine,
@@ -1103,22 +1121,17 @@ func (e *Engine) Stats() Stats {
 // takes no shard lock (core.CAP.TotalBufferEntries), so a caller that polls
 // Stats never waits for a fan-out.
 func (e *Engine) bufferEntries() (total int) {
-	for _, sh := range e.shards {
-		if c, ok := sh.eng.(*core.CAP); ok {
-			total += c.TotalBufferEntries()
-		}
-	}
+	e.eachCAP(func(c *core.CAP) { total += c.TotalBufferEntries() })
 	return total
 }
 
 // eachCAP calls f with each shard engine that is a CAP (all but a test's
-// stand-in), under its lock.
+// stand-in). It takes no shard lock: f reads only what a CAP keeps atomic, so
+// a scrape or a Stats poll never waits for a fan-out or a read.
 func (e *Engine) eachCAP(f func(*core.CAP)) {
 	for _, sh := range e.shards {
-		sh.mu.Lock()
 		if c, ok := sh.eng.(*core.CAP); ok {
 			f(c)
 		}
-		sh.mu.Unlock()
 	}
 }

@@ -715,9 +715,39 @@ func postFixture(t *testing.T, shards, k, followers int) (*Engine, []PostRequest
 	return e, reqs
 }
 
+// TestFullBatchKeepsItsScratch: a 256-post batch, the most the ingest applier
+// drains and journal replay applies at once, leaves its scratch for the next,
+// so the second of two makes none: the kept scratch is the one the first
+// left, and no share's slices grew. A bound of 1 024 elements of a kind,
+// which this batch's 7 936 recipients pass, threw it away after every batch.
+func TestFullBatchKeepsItsScratch(t *testing.T) {
+	for _, k := range []int{0, 5} {
+		e, one := postFixture(t, 4, k, 30)
+		reqs := slices.Repeat(one, 256)
+		caps := func(s *batchScratch) (c []int) {
+			for _, w := range s.work {
+				c = append(c, cap(w.users), cap(w.spans), cap(w.scored), cap(w.out))
+			}
+			return append(c, cap(s.posts))
+		}
+		e.PostBatch(reqs)
+		first := e.scratch.Load()
+		if first == nil {
+			t.Fatalf("k %d: the engine kept no scratch after a 256-post batch", k)
+		}
+		was := caps(first)
+		e.PostBatch(reqs)
+		if got := e.scratch.Load(); got != first {
+			t.Fatalf("k %d: the second 256-post batch made a scratch of its own", k)
+		} else if now := caps(got); !slices.Equal(now, was) {
+			t.Fatalf("k %d: the second 256-post batch grew its shares: capacities %v, were %v", k, now, was)
+		}
+	}
+}
+
 // TestColdScratchMakesEachShareOnce: a batch that finds no kept scratch (one
-// runs already, or the last outgrew maxKeptScratch, as every full ingest or
-// replay batch does) sizes each share from the follower counts, so a
+// runs already, or the last outgrew maxKeptScratch, as a batch of thousands
+// of posts does) sizes each share from the follower counts, so a
 // push-only post makes the scratch, its shard table and posts, and each
 // share's users and spans once: 2 a shard over the 3 a kept scratch costs
 // plus 3. Grown by append alone from empty, the shares cost 39 on 8 shards.

@@ -85,12 +85,7 @@ func newEngineMetrics(reg *obs.Registry, e *Engine) *engineMetrics {
 	}
 
 	reg.GaugeFunc("caar_engine_index_postings", "Total (term, ad) postings in the inverted index the shards share.", func() float64 {
-		// Any one shard lock keeps registration out of the shared index.
-		sh := e.shards[0]
-		sh.mu.Lock()
-		_, postings := e.ads.IndexStats()
-		sh.mu.Unlock()
-		return float64(postings)
+		return float64(e.ads.Postings())
 	})
 	reg.GaugeFunc("caar_engine_candidate_buffer_entries", "CAP candidate-buffer entries summed over users.", func() float64 {
 		return float64(e.bufferEntries())
@@ -100,7 +95,8 @@ func newEngineMetrics(reg *obs.Registry, e *Engine) *engineMetrics {
 	})
 	paths := reg.CounterVec("caar_engine_topads_total",
 		"Top-k queries (feed renders and continuous refreshes) by path: answered from the user's top-k view, or by re-ranking the candidate buffer.", "path")
-	// sumCAP adds up a pair of counters every shard's CAP keeps under its lock.
+	// sumCAP adds up a pair of counters every shard's CAP keeps, reading
+	// atomics under no shard lock.
 	sumCAP := func(read func(*core.CAP) (uint64, uint64)) (a, b uint64) {
 		e.eachCAP(func(c *core.CAP) {
 			x, y := read(c)

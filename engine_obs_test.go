@@ -199,3 +199,72 @@ func TestEngineExposesMetricFamilies(t *testing.T) {
 		t.Fatalf("engine registry exposes %d families, want >= 15:\n%s", families, buf.String())
 	}
 }
+
+// TestScrapeTakesNoShardLock: every engine series reads atomics alone — the
+// six CAP counter series, the entries and cached-messages gauges and the
+// index postings — so a scrape never waits behind a fan-out or a read. The
+// CAP counters used to take every shard lock once a series, six times the
+// shard count a scrape, and the postings gauge took the first shard's.
+func TestScrapeTakesNoShardLock(t *testing.T) {
+	cfg := testConfig()
+	cfg.Shards = 2
+	cfg.Metrics = obs.NewRegistry()
+	e := openEngine(t, cfg)
+	for _, u := range []string{"poster", "reader", "idle"} {
+		if err := e.AddUser(u); err != nil {
+			t.Fatal(err)
+		}
+		if u != "poster" {
+			if err := e.Follow(u, "poster"); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := e.AddAd(Ad{ID: "x", Text: "sneaker sale", Bid: 0.5}); err != nil {
+		t.Fatal(err)
+	}
+	// A post nobody has read (skipped), a read that builds the buffer
+	// (rebuild, rerank), and a post then two reads (merge, merged, view).
+	for i, step := range []string{"post", "read", "post", "read", "read"} {
+		at := morning.Add(time.Duration(i) * time.Second)
+		var err error
+		if step == "post" {
+			err = e.Post("poster", "sneaker day", at)
+		} else {
+			_, err = e.Recommend("reader", 1, at)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	scrape := func() string {
+		var buf bytes.Buffer
+		if err := cfg.Metrics.WritePrometheus(&buf); err != nil {
+			t.Error(err)
+		}
+		return buf.String()
+	}
+	want := scrape()
+	for _, series := range []string{
+		`caar_engine_topads_total{path="view"}`, `caar_engine_topads_total{path="rerank"}`,
+		`caar_engine_buffer_catchups_total{kind="merge"}`, `caar_engine_buffer_catchups_total{kind="rebuild"}`,
+		`caar_engine_buffer_deliveries_total{fate="merged"}`, `caar_engine_buffer_deliveries_total{fate="skipped"}`,
+		`caar_engine_index_postings`, `caar_engine_candidate_buffer_entries`,
+	} {
+		if line := grepLines(want, series+" "); line == "" || strings.HasSuffix(line, " 0") {
+			t.Fatalf("the scenario needs %s above 0: %q", series, line)
+		}
+	}
+	unlock := e.lockShards()
+	defer unlock()
+	done := make(chan string, 1)
+	go func() { done <- scrape() }()
+	select {
+	case got := <-done:
+		if got != want {
+			t.Fatalf("a scrape under held shard locks reads\n%s\nwant\n%s", grepLines(got, "caar_engine"), grepLines(want, "caar_engine"))
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a scrape waited for a shard lock")
+	}
+}

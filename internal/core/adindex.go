@@ -200,12 +200,10 @@ func (x *AdIndex) record(slot uint32) {
 	x.churned++
 }
 
-// IndexStats reports the keyword inverted index's size: indexed ads and
-// total (term, ad) postings. Callers hold a shard lock; the facade's
-// observability gauges sample it at scrape time.
-func (x *AdIndex) IndexStats() (ads, postings int) {
-	return x.inv.Len(), x.inv.Postings()
-}
+// Postings reports the keyword inverted index's total (term, ad) postings.
+// It reads an atomic, so the facade's gauge samples it at scrape time
+// without a shard lock.
+func (x *AdIndex) Postings() int { return x.inv.Postings() }
 
 // CachedMessages returns the number of posts some warm user holds a
 // reference on, on any shard (fan-out sharing memory diagnostic): the posts

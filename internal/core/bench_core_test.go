@@ -536,3 +536,40 @@ func BenchmarkWarmUserBytes(b *testing.B) {
 	b.ReportMetric(per(deltas), "delta-B/warm-user")
 	b.ReportMetric(per(bufCap+deltas), "B/warm-user")
 }
+
+// BenchmarkFindDelta times one findDelta, per search, into a slot-sorted list
+// of 64, 512 and 4 096 entries — a view's refresh searches a buffer of about
+// 460 once per tracked and noted ad. The slots are half of [0, 2n), and the
+// probes are drawn from the same range, so about half hit and where each
+// lands is random: a branching search mispredicts on it.
+func BenchmarkFindDelta(b *testing.B) {
+	for _, n := range []int{64, 512, 4096} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			slots := rng.Perm(2 * n)[:n]
+			slices.Sort(slots)
+			list := make([]index.Delta, n)
+			for i, s := range slots {
+				list[i].Slot = uint32(s)
+			}
+			probes := make([]uint32, 4096)
+			for i := range probes {
+				probes[i] = uint32(rng.Intn(2 * n))
+			}
+			hits, sum := 0, 0
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				at, ok := findDelta(list, probes[i%len(probes)])
+				sum += at
+				if ok {
+					hits++
+				}
+			}
+			b.StopTimer()
+			if b.N >= len(probes) && (hits == 0 || hits == b.N) {
+				b.Fatalf("%d of %d probes hit: the probes need hits and misses", hits, b.N)
+			}
+			runtime.KeepAlive(sum)
+		})
+	}
+}

@@ -45,9 +45,12 @@ type CAP struct {
 	// ranking alike: reset for each, kept under the shard lock.
 	coll topk.Collector
 
-	viewAnswers, reranks uint64 // TopAds calls by how they were answered
-	merges, rebuilds     uint64 // catch-ups by kind
-	merged, skipped      uint64 // deliveries by fate
+	// The counters are atomic, so a scrape reads them without the engine's
+	// lock (TopAdsPaths, CatchUps, Deliveries); only the lock's holder
+	// moves them.
+	viewAnswers, reranks atomic.Uint64 // TopAds calls by how they were answered
+	merges, rebuilds     atomic.Uint64 // catch-ups by kind
+	merged, skipped      atomic.Uint64 // deliveries by fate
 
 	// entries is the candidate-buffer entries materialised over the users,
 	// moved by catchUp and chill: atomic, so TotalBufferEntries reads it
@@ -131,7 +134,7 @@ func (e *CAP) DeliverPost(p *feed.Post, followers []feed.UserID) error {
 	if err != nil {
 		return err
 	}
-	warm := 0
+	warm, skipped := 0, 0
 	for _, st := range states {
 		buf := st.buf
 		evicted := st.win.Push(p)
@@ -139,7 +142,7 @@ func (e *CAP) DeliverPost(p *feed.Post, followers []feed.UserID) error {
 			// Only a buffer read with an empty window is cold and not nil: it
 			// holds no entry and no reference, and nothing will note for its view.
 			st.buf = nil
-			e.skipped++
+			skipped++
 			continue
 		}
 		if evicted != nil {
@@ -151,6 +154,9 @@ func (e *CAP) DeliverPost(p *feed.Post, followers []feed.UserID) error {
 			}
 		}
 		warm++
+	}
+	if skipped > 0 {
+		e.skipped.Add(uint64(skipped))
 	}
 	if warm > 0 && e.opts.FanoutSharing {
 		e.hold(p, warm)
@@ -169,7 +175,7 @@ func (e *CAP) chill(st *userState, buf *dynBuf, held int) {
 		}
 	}
 	e.settleGone(buf)
-	e.skipped += uint64(st.win.Len() - buf.applied)
+	e.skipped.Add(uint64(st.win.Len() - buf.applied))
 	e.entries.Add(-int64(len(buf.e)))
 	st.buf = nil
 }
@@ -263,7 +269,8 @@ func (e *CAP) bringUp(st *userState, buf *dynBuf) {
 
 		e.settleGone(buf) // applied: only now can their shared lists go
 		buf.applied, buf.ops = n, buf.ops+pending
-		e.merges, e.merged = e.merges+1, e.merged+uint64(pending)
+		e.merges.Add(1)
+		e.merged.Add(uint64(pending))
 	}
 	if churn > 0 {
 		e.settleChurn(st, buf, ref)
@@ -308,7 +315,7 @@ func (e *CAP) settleChurn(st *userState, buf *dynBuf, ref time.Time) {
 func (e *CAP) rebuild(st *userState, buf *dynBuf) {
 	n := st.win.Len()
 	if buf.applied > 0 {
-		e.merged += uint64(n - buf.applied)
+		e.merged.Add(uint64(n - buf.applied))
 	} else if e.opts.FanoutSharing {
 		for i := range n {
 			e.hold(st.win.At(i), 1)
@@ -325,7 +332,7 @@ func (e *CAP) rebuild(st *userState, buf *dynBuf) {
 	e.giveBack(ws)
 	buf.scale, buf.ops, buf.view = 1, 0, nil
 	buf.applied, buf.cell, buf.ref = n, st.cell, st.win.Ref()
-	e.rebuilds++
+	e.rebuilds.Add(1)
 }
 
 // TopAds implements Recommender. The candidate set is first brought up to
@@ -356,7 +363,8 @@ func (e *CAP) AppendTopAds(dst []Scored, u feed.UserID, k int, t time.Time) ([]S
 			return out, nil
 		}
 	}
-	e.reranks, e.last.Path = e.reranks+1, "rerank"
+	e.reranks.Add(1)
+	e.last.Path = "rerank"
 	span = e.stageDone(StageRetrieve, span, len(buf.e), len(buf.e))
 	if viewable {
 		examined, offered := e.buildView(buf, st, mult, k, sl, t)
@@ -417,13 +425,14 @@ func (e *CAP) BufferSize(u feed.UserID) int {
 func (e *CAP) TotalBufferEntries() int { return int(e.entries.Load()) }
 
 // CatchUps counts buffer catch-ups by kind: one merge pass, or a rebuild from
-// the window aggregate. Callers hold the engine's lock.
-func (e *CAP) CatchUps() (merge, rebuild uint64) { return e.merges, e.rebuilds }
+// the window aggregate. It reads atomics, so it needs no engine lock.
+func (e *CAP) CatchUps() (merge, rebuild uint64) { return e.merges.Load(), e.rebuilds.Load() }
 
 // Deliveries counts deliveries by fate: merged into a candidate buffer, or
 // skipped — the follower had no buffer, or it was freed before a catch-up.
-// Deliveries still pending are in neither. Callers hold the engine's lock.
-func (e *CAP) Deliveries() (merged, skipped uint64) { return e.merged, e.skipped }
+// Deliveries still pending are in neither. It reads atomics, so it needs no
+// engine lock.
+func (e *CAP) Deliveries() (merged, skipped uint64) { return e.merged.Load(), e.skipped.Load() }
 
 var (
 	_ Recommender = (*CAP)(nil)

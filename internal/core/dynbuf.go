@@ -72,17 +72,28 @@ func (b *dynBuf) find(slot uint32) (int, bool) { return findDelta(b.e, slot) }
 
 // findDelta returns the position of slot in a list ascending by slot — a
 // buffer or a delta list — or the position it would be inserted at and false.
+//
+// It is the one search into a slot-sorted list, and it branches on no probe:
+// which half a probe keeps is a comparison the predictor cannot learn, so a
+// branching search mispredicts about every other step, and a view refresh
+// runs one search per tracked and noted ad. The sign of the probe's slot
+// minus the sought one, as a mask, moves base instead; the difference is
+// taken in int64, so it cannot overflow near math.MaxUint32. The lower bound
+// lies in [base, base+n] throughout, and the last step settles between base
+// and base+1.
 func findDelta(list []index.Delta, slot uint32) (int, bool) {
-	lo, hi := 0, len(list)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if list[mid].Slot < slot {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+	n := len(list)
+	if n == 0 {
+		return 0, false
 	}
-	return lo, lo < len(list) && list[lo].Slot == slot
+	base := 0
+	for n > 1 {
+		half := n >> 1
+		base += half & int((int64(list[base+half].Slot)-int64(slot))>>63)
+		n -= half
+	}
+	base -= int((int64(list[base].Slot) - int64(slot)) >> 63)
+	return base, base < len(list) && list[base].Slot == slot
 }
 
 // get returns the stored coefficient of the ad in slot (0 when not buffered).

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
 	"slices"
@@ -297,4 +298,40 @@ func TestEntriesAreTwelveBytes(t *testing.T) {
 	if b, d := unsafe.Sizeof(buf.e[0]), unsafe.Sizeof(p.Deltas[0]); b != 12 || d != 12 {
 		t.Fatalf("a buffer entry is %d bytes and a delta entry %d, want 12 each", b, d)
 	}
+}
+
+// FuzzFindDeltaMatchesBinarySearch checks findDelta against
+// slices.BinarySearchFunc on an ascending list of unique slots: data's bytes
+// are the gaps between consecutive slots, the first at start, and the list
+// ends where the next slot would pass math.MaxUint32. Besides probe, every
+// entry is probed, and so are the slots just below and just above each, 0
+// and math.MaxUint32.
+func FuzzFindDeltaMatchesBinarySearch(f *testing.F) {
+	f.Add([]byte{}, uint32(0), uint32(7))                             // empty
+	f.Add([]byte{0}, uint32(5), uint32(5))                            // one entry, a hit
+	f.Add([]byte{3, 0, 9, 255, 1}, uint32(100), uint32(99))           // below every entry
+	f.Add([]byte{3, 0, 9, 255, 1}, uint32(100), uint32(1<<20))        // above every entry
+	f.Add([]byte{0, 0, 1, 1, 0}, uint32(math.MaxUint32-6), uint32(3)) // ends at math.MaxUint32
+	f.Add([]byte{7, 7, 7, 7, 7, 7}, uint32(math.MaxUint32-40), uint32(math.MaxUint32))
+	f.Fuzz(func(t *testing.T, data []byte, start, probe uint32) {
+		var list []index.Delta
+		for i, s := 0, uint64(start); i < len(data) && s <= math.MaxUint32; i, s = i+1, s+uint64(data[i])+1 {
+			list = append(list, index.Delta{Slot: uint32(s)})
+		}
+		check := func(slot uint32) {
+			i, ok := findDelta(list, slot)
+			wi, wok := slices.BinarySearchFunc(list, slot, func(d index.Delta, s uint32) int { return cmp.Compare(d.Slot, s) })
+			if i != wi || ok != wok {
+				t.Fatalf("findDelta(%d) in %d slots from %d = (%d, %v), want (%d, %v)", slot, len(list), start, i, ok, wi, wok)
+			}
+		}
+		check(probe)
+		check(0)
+		check(math.MaxUint32)
+		for _, d := range list {
+			check(d.Slot)
+			check(d.Slot - 1) // wraps to math.MaxUint32 below 0, itself a probe above every entry
+			check(d.Slot + 1)
+		}
+	})
 }

@@ -82,7 +82,8 @@ func (e *CAP) fromView(dst []Scored, st *userState, buf *dynBuf, mult, winFactor
 	scored := time.Now()
 	out, ok := e.emit(dst, v, st, buf, mult, k, t)
 	if ok {
-		e.viewAnswers, e.last.Path = e.viewAnswers+1, "view"
+		e.viewAnswers.Add(1)
+		e.last.Path = "view"
 		e.stageSpan(StageRetrieve, span, retrieved, in, in)
 		e.stageSpan(StageScore, retrieved, scored, in, len(v.tracked))
 		e.stageDone(StageTopK, scored, len(v.tracked), len(out)-len(dst))
@@ -215,5 +216,6 @@ func (e *CAP) noteAt(buf *dynBuf) float64 {
 	return (buf.view.bound - e.scoring.maxStatic()) / (e.scoring.AlphaText * buf.scale)
 }
 
-// TopAdsPaths counts TopAds calls by answer path. Callers hold the engine's lock.
-func (e *CAP) TopAdsPaths() (view, rerank uint64) { return e.viewAnswers, e.reranks }
+// TopAdsPaths counts TopAds calls by answer path. It reads atomics, so it
+// needs no engine lock.
+func (e *CAP) TopAdsPaths() (view, rerank uint64) { return e.viewAnswers.Load(), e.reranks.Load() }

@@ -118,7 +118,7 @@ func TestContinuousTopAdsMatchesRSAfterEveryDelivery(t *testing.T) {
 						tracked = append(tracked, id)
 					}
 				}
-				fromView := eng.viewAnswers
+				fromView := eng.viewAnswers.Load()
 				var got []Scored
 				gaps.observe(t, u, func() { got, err = eng.TopAds(u, k, at) }, eng)
 				if err != nil {
@@ -141,7 +141,7 @@ func TestContinuousTopAdsMatchesRSAfterEveryDelivery(t *testing.T) {
 						droppedTracker++
 					case stood && live:
 						survivedRegister++
-						if eng.viewAnswers > fromView && slices.ContainsFunc(got, func(sc Scored) bool { return sc.Ad == id }) {
+						if eng.viewAnswers.Load() > fromView && slices.ContainsFunc(got, func(sc Scored) bool { return sc.Ad == id }) {
 							notedServed++
 						}
 					case stood:
@@ -164,9 +164,9 @@ func TestContinuousTopAdsMatchesRSAfterEveryDelivery(t *testing.T) {
 					case 1, 2:
 						at = at.Add(6 * time.Hour)
 					}
-					v, fromView := viewOf(eng.users[u]), eng.viewAnswers
+					v, fromView := viewOf(eng.users[u]), eng.viewAnswers.Load()
 					check(step, u, readK, at)
-					if eng.viewAnswers > fromView && v.size != viewSlack*readK {
+					if eng.viewAnswers.Load() > fromView && v.size != viewSlack*readK {
 						otherK++
 					}
 				}

@@ -15,6 +15,7 @@ import (
 	"math/bits"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"caar/internal/adstore"
 	"caar/internal/textproc"
@@ -67,7 +68,7 @@ type indexedAd struct {
 type Inverted struct {
 	lists    map[textproc.TermID][]posting
 	ads      map[adstore.AdID]indexedAd
-	postings int
+	postings atomic.Int64 // read without the index to itself (Postings)
 
 	// Slots are dense per index, not per AdID: an ID is an arbitrary int64
 	// (the facade mints them densely; tests, and a catalogue restored in
@@ -103,11 +104,9 @@ func NewInverted() *Inverted {
 	}
 }
 
-// Len returns the number of indexed ads.
-func (ix *Inverted) Len() int { return len(ix.ads) }
-
-// Postings returns the total number of (term, ad) pairs, a memory diagnostic.
-func (ix *Inverted) Postings() int { return ix.postings }
+// Postings returns the total number of (term, ad) pairs, a memory
+// diagnostic. It reads an atomic, so it needs no lock.
+func (ix *Inverted) Postings() int { return int(ix.postings.Load()) }
 
 // Add indexes an ad's term vector and returns the slot it assigned: a
 // released one if there is one, else the next new one. Re-adding an ad
@@ -127,7 +126,7 @@ func (ix *Inverted) Add(id adstore.AdID, vec textproc.SparseVector) uint32 {
 		ix.lists[t.ID] = append(ix.lists[t.ID], posting{slot: slot, w: t.W})
 	}
 	ix.ads[id] = indexedAd{vec: vec, slot: slot}
-	ix.postings += len(vec)
+	ix.postings.Add(int64(len(vec)))
 	return slot
 }
 
@@ -154,7 +153,7 @@ func (ix *Inverted) Remove(id adstore.AdID) (slot uint32, ok bool) {
 		}
 	}
 	delete(ix.ads, id)
-	ix.postings -= len(a.vec)
+	ix.postings.Add(-int64(len(a.vec)))
 	return a.slot, true
 }
 

@@ -36,21 +36,21 @@ func TestInvertedAddRemove(t *testing.T) {
 	ix := NewInverted()
 	ix.Add(1, textproc.SparseVector{{ID: 10, W: 0.5}, {ID: 20, W: 0.5}})
 	ix.Add(2, textproc.SparseVector{{ID: 20, W: 1.0}})
-	if ix.Len() != 2 || ix.Postings() != 3 {
-		t.Fatalf("Len=%d Postings=%d", ix.Len(), ix.Postings())
+	if len(ix.ads) != 2 || ix.Postings() != 3 {
+		t.Fatalf("Len=%d Postings=%d", len(ix.ads), ix.Postings())
 	}
 	if len(ix.lists[20]) != 2 || len(ix.lists[10]) != 1 || len(ix.lists[99]) != 0 {
 		t.Fatal("list lengths wrong")
 	}
 	ix.Remove(1)
-	if ix.Len() != 1 || ix.Postings() != 1 {
-		t.Fatalf("after remove: Len=%d Postings=%d", ix.Len(), ix.Postings())
+	if len(ix.ads) != 1 || ix.Postings() != 1 {
+		t.Fatalf("after remove: Len=%d Postings=%d", len(ix.ads), ix.Postings())
 	}
 	if len(ix.lists[10]) != 0 {
 		t.Fatal("term 10 list should be gone")
 	}
 	ix.Remove(1) // no-op
-	if ix.Len() != 1 {
+	if len(ix.ads) != 1 {
 		t.Fatal("double remove changed state")
 	}
 }
@@ -59,8 +59,8 @@ func TestInvertedReAddReplaces(t *testing.T) {
 	ix := NewInverted()
 	ix.Add(1, textproc.SparseVector{{ID: 10, W: 0.5}})
 	ix.Add(1, textproc.SparseVector{{ID: 20, W: 0.7}})
-	if ix.Len() != 1 || ix.Postings() != 1 {
-		t.Fatalf("Len=%d Postings=%d", ix.Len(), ix.Postings())
+	if len(ix.ads) != 1 || ix.Postings() != 1 {
+		t.Fatalf("Len=%d Postings=%d", len(ix.ads), ix.Postings())
 	}
 	ds := ix.DeltaList(textproc.SparseVector{{ID: 10, W: 1}})
 	if len(ds) != 0 {
